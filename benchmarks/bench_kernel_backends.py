@@ -1,10 +1,11 @@
 """Sparse-kernel backend shoot-out: registry backends vs the reference.
 
 The kernel registry (:mod:`repro.kernels`) dispatches every aggregation
-in the library — GCN/SAGE's mean-aggregation SpMM, GAT's edge-score
-SDDMM and edge softmax — to a pluggable backend selected by
+in the library — GCN/SAGE's mean-aggregation SpMM, GAT's
+attention-weighted COO SpMM (forward and reversed), edge softmax and
+segment scatter — to a pluggable backend selected by
 ``FLAGS.kernel_backend``.  This benchmark times each available backend
-on all three kernels over one seeded power-law block workload, checks
+on those kernels over one seeded power-law block workload, checks
 byte-identity against the pinned numpy reference on the same run, and
 merges the per-backend rows into ``BENCH_hotpath.json`` under
 ``kernel_backends`` (next to the block-assembly and sampler rows).

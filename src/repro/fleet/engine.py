@@ -39,6 +39,7 @@ fleet-vs-single-server invariant the benchmark asserts.
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 
 import numpy as np
 
@@ -248,11 +249,14 @@ class FleetEngine:
     @staticmethod
     def _hedge_delay(hedge, latencies):
         """Hedge delay from the observed latency quantile, or ``None``
-        while too few completions are on record to estimate it."""
+        while too few completions are on record to estimate it.
+        ``latencies`` must be ascending (the run loop keeps it so with
+        ``insort``): this is read once per routed request."""
         if len(latencies) < hedge.min_observations:
             return None
         return max(hedge.min_delay,
-                   percentile(latencies, hedge.delay_quantile))
+                   percentile(latencies, hedge.delay_quantile,
+                              presorted=True))
 
     def _run(self, requests):
         if not requests:
@@ -298,7 +302,7 @@ class FleetEngine:
         assigned = {}        # request_id -> replica ids holding a copy
         hedge_target = {}    # request_id -> the hedge copy's replica
         done_ids = set()     # first-response-wins dedup
-        latencies = []       # completed latencies -> the p95 delay
+        latencies = []       # completed latencies, kept ascending
         hedges_launched = 0
         hedges_won = 0
         hedges_wasted = 0
@@ -448,8 +452,8 @@ class FleetEngine:
                     hedges_wasted += 1
                     continue
                 done_ids.add(rid)
-                latencies.append(response.completion
-                                 - response.request.arrival)
+                insort(latencies, response.completion
+                       - response.request.arrival)
                 responses.append(response)
                 if hedge_target.get(rid) is None:
                     continue

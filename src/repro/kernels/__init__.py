@@ -13,16 +13,19 @@ Layers (top to bottom):
 * :mod:`~repro.kernels.registry` — backend registration, capability
   fallback, ``FLAGS.kernel_backend`` resolution, per-backend call/FLOP
   counters via :data:`repro.perf.PERF`;
-* backends — :mod:`~repro.kernels.reference` (pinned numpy semantics),
-  :mod:`~repro.kernels.scipy_backend` (compiled CSR SpMM, bit-identical
-  to the reference), :mod:`~repro.kernels.numba_backend` (optional);
+* backends — :mod:`~repro.kernels.reference` (pinned numpy semantics:
+  the literal ``np.add.at`` scatter) and
+  :mod:`~repro.kernels.scipy_backend` (compiled CSR SpMM for both
+  layouts plus segment-reduction edge softmax, bit-identical to the
+  reference);
 * :mod:`~repro.kernels.adjacency` — :class:`KernelCSR` /
-  :class:`KernelCOO` containers and the shared transpose/normalization
+  :class:`KernelCOO` containers, the memoized transpose and
+  destination-sorted segment view, and the normalization
   constructions.
 
 Select a backend globally with ``FLAGS.kernel_backend`` (``"auto"``,
-``"reference"``, ``"scipy"``, ``"numba"``) or per call via
-``backend=``; see ``docs/architecture.md`` ("Kernel registry").
+``"reference"``, ``"scipy"``) or per call via ``backend=``; see
+``docs/architecture.md`` ("Kernel registry").
 """
 
 from .adjacency import (KernelCOO, KernelCSR, as_adjacency,

@@ -10,10 +10,13 @@ records a backward closure built from the *same* registry primitives —
   recovers the per-edge value gradient with ``gsddmm(adj, grad, x,
   "dot")``;
 * ``gsddmm`` backward scatter-adds the edge gradient back to the
-  destination- and source-side operands;
+  destination- and source-side operands — as a ``copy_rhs`` ``gspmm``
+  over the edge list's segment-view selection matrix, so the scatter
+  is a registry kernel like every other aggregation;
 * ``edge_softmax`` backward applies the per-segment Jacobian
   ``p * (g - sum_segment(g * p))`` with the same float64 segment
-  accumulators as the forward.
+  accumulators as the forward (``np.bincount`` adds its weights in
+  list order, exactly like ``np.add.at`` into float64 zeros).
 
 Inputs may be plain arrays (forward only, arrays out) or
 :class:`~repro.nn.tensor.Tensor` operands (a taped Tensor comes back).
@@ -29,7 +32,7 @@ import numpy as np
 from ..errors import KernelError
 from .adjacency import KernelCOO, as_adjacency
 from .registry import (edge_softmax_forward, gsddmm_forward,
-                       gspmm_forward)
+                       gspmm_forward, _row_counts)
 
 __all__ = ["gspmm", "gsddmm", "edge_softmax"]
 
@@ -46,22 +49,12 @@ def _split(operand, tensor_cls):
     return None, (None if operand is None else np.asarray(operand))
 
 
-def _edges(adj):
-    """Destination/source edge endpoints in storage order."""
-    if isinstance(adj, KernelCOO):
-        return adj.edge_dst, adj.edge_src
-    rows = np.repeat(np.arange(adj.shape[0], dtype=np.int64),
-                     adj.row_degrees())
-    return rows, adj.indices
-
-
-def _scatter_rows(index, contribution, num_rows):
-    """``out[index] += contribution`` into a fresh ``(num_rows, d)``
-    buffer, edges in storage order (the pinned accumulation order)."""
-    out = np.zeros((num_rows, contribution.shape[1]),
-                   dtype=contribution.dtype)
-    np.add.at(out, index, contribution)
-    return out
+def _scatter_rows(edges, contribution, backend):
+    """Sum per-edge ``contribution`` rows into ``edges``' destination
+    rows, each row's edges in list order (the pinned accumulation
+    order): ``selection @ contribution``."""
+    return gspmm_forward(edges.segments().selection, contribution,
+                         op="copy_rhs", backend=backend)
 
 
 def gspmm(adj, x, values=None, op="mul", reduce="sum", backend=None):
@@ -87,12 +80,7 @@ def gspmm(adj, x, values=None, op="mul", reduce="sum", backend=None):
     def backward(grad):
         grad = grad if grad.ndim == 2 else grad[:, None]
         if reduce == "mean":
-            counts = np.bincount(_edges(adj)[0],
-                                 minlength=adj.shape[0]) \
-                if isinstance(adj, KernelCOO) else adj.row_degrees()
-            counts = counts.astype(grad.dtype)
-            counts[counts == 0] = 1
-            grad = grad / counts[:, None]
+            grad = grad / _row_counts(adj, grad.dtype)[:, None]
         if x_t is not None and x_t.requires_grad:
             if isinstance(adj, KernelCOO):
                 routed = gspmm_forward(adj.reverse(), grad, v_arr,
@@ -130,7 +118,8 @@ def gsddmm(adj, q, k, op="add", backend=None):
     if q_t is None and k_t is None:
         return out
 
-    edge_dst, edge_src = _edges(adj)
+    edges = adj.edges()
+    edge_dst, edge_src = edges.edge_dst, edges.edge_src
     q2 = q_arr if q_arr.ndim == 2 else q_arr[:, None]
     k2 = k_arr if k_arr.ndim == 2 else k_arr[:, None]
 
@@ -140,22 +129,19 @@ def gsddmm(adj, q, k, op="add", backend=None):
             if op == "add":
                 contribution = np.broadcast_to(
                     grad2, (adj.nnz, k2.shape[1]))
-            elif op == "mul":
+            else:  # mul, dot
                 contribution = grad2 * q2[edge_dst]
-            else:  # dot
-                contribution = grad2 * q2[edge_dst]
-            routed = _scatter_rows(edge_src, contribution, k2.shape[0])
+            routed = _scatter_rows(edges.reverse(), contribution,
+                                   backend)
             k_t._accumulate(routed if k_arr.ndim == 2
                             else routed[:, 0])
         if q_t is not None and q_t.requires_grad:
             if op == "add":
                 contribution = np.broadcast_to(
                     grad2, (adj.nnz, q2.shape[1]))
-            elif op == "mul":
+            else:  # mul, dot
                 contribution = grad2 * k2[edge_src]
-            else:  # dot
-                contribution = grad2 * k2[edge_src]
-            routed = _scatter_rows(edge_dst, contribution, q2.shape[0])
+            routed = _scatter_rows(edges, contribution, backend)
             q_t._accumulate(routed if q_arr.ndim == 2
                             else routed[:, 0])
 
@@ -177,15 +163,13 @@ def edge_softmax(adj, scores, backend=None):
     if s_t is None:
         return probs
 
-    edge_dst, _ = _edges(adj)
-    count = adj.shape[0]
+    edge_dst = adj.edges().edge_dst
 
     def backward(grad):
         # dx = p * (g - sum_segment(g * p)), float64 accumulators as
         # in the forward (and the engine's segment_softmax).
-        weighted = grad * probs
-        seg_dot = np.zeros(count, dtype=np.float64)
-        np.add.at(seg_dot, edge_dst, weighted)
+        seg_dot = np.bincount(edge_dst, weights=grad * probs,
+                              minlength=adj.shape[0])
         s_t._accumulate(probs * (grad - seg_dot[edge_dst]))
 
     return tensor_cls._result(probs, (s_t,), backward)

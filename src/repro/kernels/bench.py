@@ -1,11 +1,15 @@
 """Per-backend sparse-kernel microbenchmarks.
 
-Times every registered-and-available backend on the registry's three
+Times every registered-and-available backend on the order-sensitive
 kernels over one seeded power-law sampled-block workload — the CSR
-mean-aggregation SpMM (GCN/SAGE's hot multiply), the COO edge-score
-SDDMM and the edge softmax (GAT's attention path) — and verifies on
+mean-aggregation SpMM (GCN/SAGE's hot multiply) and GAT's attention
+path: the attention-weighted COO SpMM forward and reversed (backward),
+the edge softmax, and the per-edge segment scatter — and verifies on
 the same run that each backend's output is *byte-identical* to the
-reference, so a speedup row can never hide a numerics change.
+reference, so a speedup row can never hide a numerics change.  The COO
+rows time the steady state: the edge list's segment view is built by
+the identity check, as training builds it once per block.  (``gsddmm``
+has one shared implementation, so there is nothing to compare.)
 
 Shared by the ``repro kernel-bench`` CLI command and
 ``benchmarks/bench_kernel_backends.py``; both merge the rows into
@@ -19,6 +23,7 @@ one sanctioned real-time read (RPR002).
 from __future__ import annotations
 
 import json
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +36,7 @@ from ..sampling import build_block
 from ..sampling.base import draw_neighbors
 from .adjacency import KernelCOO, normalized_block_adjacency
 from .registry import (available_backends, edge_softmax_forward,
-                       gsddmm_forward, gspmm_forward, resolve_backend)
+                       gspmm_forward, resolve_backend)
 
 __all__ = ["run_kernel_bench", "merge_into_hotpath", "HOTPATH_PATH"]
 
@@ -91,14 +96,14 @@ def _workload(params, seed=7):
 def _time_backends(kernel, run, reference_out, rounds):
     """Per-backend timing rows for one kernel.
 
-    ``run(backend_name)`` must return the kernel's output; each
+    ``run(backend=name)`` must return the kernel's output; each
     backend's bytes are compared against ``reference_out`` so the table
     doubles as a conformance check.
     """
     rows = {}
     reference_ms = None
     for name in available_backends():
-        out = run(name)
+        out = run(backend=name)
         identical = bool(np.asarray(out).tobytes()
                          == np.asarray(reference_out).tobytes())
         if not identical:
@@ -106,7 +111,7 @@ def _time_backends(kernel, run, reference_out, rounds):
                 f"backend {name!r} diverged from the reference on "
                 f"{kernel}")
         before = PERF.snapshot()
-        elapsed = _best_of(lambda: run(name), rounds)
+        elapsed = _best_of(partial(run, backend=name), rounds)
         delta = PERF.delta(before)
         rows[name] = {
             "ms": elapsed * 1e3,
@@ -120,7 +125,7 @@ def _time_backends(kernel, run, reference_out, rounds):
     return rows
 
 
-def _summarize(kernel, rows, extra):
+def _summarize(rows, extra):
     accelerated = {name: row for name, row in rows.items()
                    if name != "reference" and row["fallbacks"] == 0}
     best = max(accelerated, key=lambda n: accelerated[n]["speedup"]) \
@@ -144,35 +149,33 @@ def run_kernel_bench(quick=False, seed=7):
     csr, coo, x, scores = _workload(params, seed=seed)
     rounds = params["rounds"]
 
-    spmm_ref = gspmm_forward(csr, x, backend="reference")
-    spmm = _time_backends(
-        "gspmm", lambda name: gspmm_forward(csr, x, backend=name),
-        spmm_ref, rounds)
-
-    q = x[:csr.shape[0], :1]
-    k = x[:, :1]
-    sddmm_ref = gsddmm_forward(coo, q, k, op="add", backend="reference")
-    sddmm = _time_backends(
-        "gsddmm",
-        lambda name: gsddmm_forward(coo, q, k, op="add", backend=name),
-        sddmm_ref, rounds)
-
-    softmax_ref = edge_softmax_forward(coo, scores, backend="reference")
-    softmax = _time_backends(
-        "edge_softmax",
-        lambda name: edge_softmax_forward(coo, scores, backend=name),
-        softmax_ref, rounds)
-
-    return {
+    dim = params["dim"]
+    kernels = {
+        "spmm": ({"nnz": csr.nnz, "dim": dim},
+                 partial(gspmm_forward, csr, x)),
+        "coo_spmm": ({"nnz": coo.nnz, "dim": dim},
+                     partial(gspmm_forward, coo, x, values=scores)),
+        "coo_spmm_reverse": (
+            {"nnz": coo.nnz, "dim": dim},
+            partial(gspmm_forward, coo.reverse(), x[:coo.shape[0]],
+                    values=scores)),
+        "segment_scatter": (
+            {"nnz": coo.nnz, "dim": 1},
+            partial(gspmm_forward, coo.segments().selection,
+                    scores[:, None], op="copy_rhs")),
+        "edge_softmax": ({"nnz": coo.nnz},
+                         partial(edge_softmax_forward, coo, scores)),
+    }
+    results = {
         "workload": {key: int(value) if isinstance(value, int) else value
                      for key, value in params.items()},
         "auto_backend": resolve_backend("auto").name,
-        "spmm": _summarize("gspmm", spmm,
-                           {"nnz": csr.nnz, "dim": params["dim"]}),
-        "sddmm": _summarize("gsddmm", sddmm, {"nnz": coo.nnz}),
-        "edge_softmax": _summarize("edge_softmax", softmax,
-                                   {"nnz": coo.nnz}),
     }
+    for kernel, (extra, run) in kernels.items():
+        rows = _time_backends(kernel, run, run(backend="reference"),
+                              rounds)
+        results[kernel] = _summarize(rows, extra)
+    return results
 
 
 def merge_into_hotpath(results, path=HOTPATH_PATH):
@@ -190,7 +193,9 @@ def format_report(results):
     """Human-readable per-backend table rows (for the CLI)."""
     from ..core import format_table
     rows = []
-    for kernel in ("spmm", "sddmm", "edge_softmax"):
+    kernels = [key for key, value in results.items()
+               if isinstance(value, dict) and "backends" in value]
+    for kernel in kernels:
         for name, row in results[kernel]["backends"].items():
             rows.append({
                 "kernel": kernel,

@@ -15,6 +15,9 @@ kernel:
   the probabilities back, matching the autograd engine's historical
   ``segment_softmax``.
 
+``gsddmm`` is not here: it is a per-edge gather with no accumulation
+order to pin, so the registry runs one shared implementation.
+
 ``np.add.at`` is an unbuffered ufunc: repeated indices accumulate
 sequentially in element order, which is the property the whole
 bit-exactness story rests on.
@@ -24,19 +27,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import KernelError
-
 __all__ = ["ReferenceBackend"]
 
 
 def _edge_endpoints(adj):
     """``(edge_dst, edge_src, values_or_None)`` in storage order for
     either adjacency layout."""
-    if hasattr(adj, "edge_dst"):
-        return adj.edge_dst, adj.edge_src, None
-    rows = np.repeat(np.arange(adj.shape[0], dtype=np.int64),
-                     adj.row_degrees())
-    return rows, adj.indices, adj.data
+    edges = adj.edges()
+    return edges.edge_dst, edges.edge_src, getattr(adj, "data", None)
 
 
 class ReferenceBackend:
@@ -46,14 +44,6 @@ class ReferenceBackend:
 
     def available(self):
         return True
-
-    def supports(self, kind, layout, op):
-        """The reference implements the full op surface."""
-        if kind == "gspmm":
-            return op in ("mul", "copy_rhs")
-        if kind == "gsddmm":
-            return op in ("add", "mul", "dot")
-        return kind == "edge_softmax"
 
     # ------------------------------------------------------------------
     # gspmm: y[i] = reduce over edges (i, j) of values[e] (*) x[j]
@@ -65,8 +55,6 @@ class ReferenceBackend:
         edge_dst, edge_src, stored = _edge_endpoints(adj)
         if values is None:
             values = stored
-        if op == "mul" and values is None:
-            raise KernelError("gspmm op='mul' needs edge values")
         gathered = x[edge_src]
         contribution = gathered if op == "copy_rhs" \
             else values[:, None] * gathered
@@ -102,21 +90,6 @@ class ReferenceBackend:
         empty = argmax == len(edge_dst)
         out[empty] = 0.0
         return out, argmax
-
-    # ------------------------------------------------------------------
-    # gsddmm: s[e] = op(q[dst_e], k[src_e])
-    # ------------------------------------------------------------------
-    def gsddmm(self, adj, q, k, op):
-        edge_dst, edge_src, _ = _edge_endpoints(adj)
-        lhs = q[edge_dst]
-        rhs = k[edge_src]
-        if op == "add":
-            return lhs + rhs
-        if op == "mul":
-            return lhs * rhs
-        if op == "dot":
-            return (lhs * rhs).sum(axis=1)
-        raise KernelError(f"unknown gsddmm op {op!r}")
 
     # ------------------------------------------------------------------
     # edge_softmax: per-destination softmax over edge scores

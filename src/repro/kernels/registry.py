@@ -1,9 +1,10 @@
 """Backend registry and forward-dispatch for the sparse kernels.
 
 One seam for every aggregation in the library.  A backend is an object
-with ``name``, ``available()``, ``supports(kind, layout, op)`` and the
-kernel methods; :func:`register_backend` adds it, and dispatch resolves
-the active one from ``FLAGS.kernel_backend``:
+with ``name``, ``available()``, ``supports(kind)`` and the kernel
+methods (each taking either adjacency layout); :func:`register_backend`
+adds it, and dispatch resolves the active one from
+``FLAGS.kernel_backend``:
 
 * ``"auto"`` (default) — the first available backend in priority order
   (accelerated backends first, reference last);
@@ -11,17 +12,22 @@ the active one from ``FLAGS.kernel_backend``:
   not importable (an explicit request must not silently degrade);
 * per-call ``backend=`` overrides the flag for one dispatch.
 
-A resolved backend that does not support the requested
-``(kind, layout, op)`` combination falls back to the reference — the
-reference defines the semantics, so fallback changes speed, never bits
-— and the fallback is counted (``kernel_fallbacks``) so benchmarks and
-tests can see exactly what ran.  Per-backend call and FLOP counters
-flow through :data:`repro.perf.PERF`.
+A resolved backend that does not support the requested kernel — or is
+handed edge values wider than the features (float64 on float32), whose
+mixed-precision accumulation only ``np.add.at`` reproduces — falls back
+to the reference.  The reference defines the semantics, so fallback
+changes speed, never bits, and it is counted (``kernel_fallbacks``) so
+benchmarks and tests can see exactly what ran.  Per-backend call and
+FLOP counters flow through :data:`repro.perf.PERF`.
+
+Only the order-sensitive kernels are backend capabilities.  ``gsddmm``
+is a per-edge gather with no accumulation order, so one shared
+implementation lives here and never counts as a fallback.
 
 ``reduce`` is layered here rather than per-backend: every backend
 implements the sum reduction, ``mean`` divides the shared sum by the
 stored row degrees, and ``max`` always runs the reference extremum
-scan (counted as a ``kernel_fallbacks`` detour whenever a
+scan (a ``kernel_fallbacks`` detour like any other whenever a
 non-reference backend was resolved).  One normalization code path
 means backends cannot drift apart on the reductions.
 """
@@ -36,7 +42,6 @@ from ..perf import FLAGS, PERF
 from .adjacency import KernelCOO, as_adjacency
 from .reference import ReferenceBackend
 from .scipy_backend import ScipyBackend
-from .numba_backend import NumbaBackend
 
 __all__ = ["register_backend", "available_backends", "resolve_backend",
            "gspmm_forward", "gsddmm_forward", "edge_softmax_forward",
@@ -71,7 +76,6 @@ def register_backend(backend, accelerated=True):
 
 _REFERENCE = register_backend(ReferenceBackend(), accelerated=False)
 register_backend(ScipyBackend())
-register_backend(NumbaBackend())
 
 
 def available_backends():
@@ -100,11 +104,12 @@ def resolve_backend(backend=None):
     return chosen
 
 
-def _pick(kind, layout, op, backend):
-    """Resolve, apply capability fallback, count the call."""
+def _pick(kind, backend, lowerable=True):
+    """Resolve, apply capability fallback, count the call.
+    ``lowerable=False`` marks a dispatch only the reference can run."""
     chosen = resolve_backend(backend)
     if chosen is not _REFERENCE \
-            and not chosen.supports(kind, layout, op):
+            and not (lowerable and chosen.supports(kind)):
         PERF.count("kernel_fallbacks")
         chosen = _REFERENCE
     PERF.count(f"kernel_{kind}_calls")
@@ -159,19 +164,18 @@ def gspmm_forward(adj, x, values=None, op="mul", reduce="sum",
         if values is not None:
             check_finite(values, name="kernels.gspmm edge values")
 
-    layout = "coo" if isinstance(adj, KernelCOO) else "csr"
+    if op == "mul" and values is None and isinstance(adj, KernelCOO):
+        raise KernelError("gspmm op='mul' needs edge values")
     if reduce == "max":
-        # The extremum scan (and its argmax map) is reference-only;
-        # resolving any other backend — explicitly or via "auto" — is a
-        # capability fallback and is counted like every other one, so
-        # benchmarks and tests see what actually ran.
-        if resolve_backend(backend) is not _REFERENCE:
-            PERF.count("kernel_fallbacks")
-        PERF.count("kernel_gspmm_calls")
-        PERF.count(f"kernel_{_REFERENCE.name}_calls")
-        out, _argmax = _REFERENCE.gspmm_max(adj, x, values, op)
+        # The extremum scan (and its argmax map) is reference-only.
+        chosen = _pick("gspmm", backend, lowerable=False)
+        out, _argmax = chosen.gspmm_max(adj, x, values, op)
     else:
-        chosen = _pick("gspmm", layout, op, backend)
+        # Values wider than the features make the reference accumulate
+        # wide products into a narrow output; no compiled product does.
+        same_precision = values is None or np.can_cast(
+            np.asarray(values).dtype, x.dtype)
+        chosen = _pick("gspmm", backend, lowerable=same_precision)
         out = chosen.gspmm(adj, x, values, op)
         if reduce == "mean":
             out = out / _row_counts(adj, out.dtype)[:, None]
@@ -194,7 +198,8 @@ def _row_counts(adj, dtype):
 def gsddmm_forward(adj, q, k, op="add", backend=None):
     """Generalized SDDMM: ``s[e] = op(q[dst_e], k[src_e])`` per stored
     edge.  ``dot`` contracts the feature axis (returns one scalar per
-    edge); ``add``/``mul`` are elementwise."""
+    edge); ``add``/``mul`` are elementwise.  Order-free, so every
+    ``backend`` runs this one implementation."""
     if op not in GSDDMM_OPS:
         raise KernelError(
             f"unknown gsddmm op {op!r}; known: {', '.join(GSDDMM_OPS)}")
@@ -214,9 +219,18 @@ def gsddmm_forward(adj, q, k, op="add", backend=None):
         check_finite(q, name="kernels.gsddmm lhs")
         check_finite(k, name="kernels.gsddmm rhs")
 
-    layout = "coo" if isinstance(adj, KernelCOO) else "csr"
-    chosen = _pick("gsddmm", layout, op, backend)
-    out = chosen.gsddmm(adj, q, k, op)
+    resolve_backend(backend)  # a bad name fails here like anywhere
+    PERF.count("kernel_gsddmm_calls")
+    edges = adj.edges()
+    lhs, rhs = q[edges.edge_dst], k[edges.edge_src]
+    if op == "add":
+        out = lhs + rhs
+    else:
+        # The gathers are fresh copies, so the product may reuse one.
+        out = np.multiply(
+            lhs, rhs, out=lhs if lhs.dtype == rhs.dtype else None)
+        if op == "dot":
+            out = out.sum(axis=1)
     PERF.count("kernel_flops",
                (2 if op == "dot" else 1) * adj.nnz * q.shape[1])
     if op != "dot" and squeeze_q and squeeze_k:
@@ -234,8 +248,6 @@ def edge_softmax_forward(adj, scores, backend=None):
             f"({adj.nnz}), got shape {scores.shape}")
     if FLAGS.sanitize:
         check_finite(scores, name="kernels.edge_softmax scores")
-    layout = "coo" if isinstance(adj, KernelCOO) else "csr"
-    chosen = _pick("edge_softmax", layout, "softmax", backend)
-    out = chosen.edge_softmax(adj, scores)
+    out = _pick("edge_softmax", backend).edge_softmax(adj, scores)
     PERF.count("kernel_flops", 5 * adj.nnz)
     return out

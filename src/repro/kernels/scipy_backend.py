@@ -1,18 +1,20 @@
 """The scipy.sparse accelerated backend.
 
-Covers the CSR aggregation hot path — ``gspmm`` with ``mul`` /
-``copy_rhs`` — by delegating to scipy's compiled ``csr_matvecs``.  That
-kernel walks each row's stored entries sequentially, exactly the order
-the reference's ``np.add.at`` scatter uses, so the two backends are
-bit-identical, not approximately equal (pinned by ``tests/kernels``).
+Covers every order-sensitive kernel with a compiled loop.  ``gspmm``
+delegates to scipy's ``csr_matvecs``, which walks each row's stored
+entries sequentially — exactly the order the reference's ``np.add.at``
+scatter uses — so the two backends are bit-identical, not approximately
+equal (pinned by ``tests/kernels``).  A COO edge list (GAT's layout)
+rides the same kernel through its memoized destination-sorted
+:meth:`~repro.kernels.adjacency.KernelCOO.segments` view: the stable
+sort keeps each row's edges in list order, so the row walk *is* the
+list-order scatter.  ``edge_softmax`` uses the view too
+(``np.maximum.reduceat`` per row; the float64 sums are a list-order
+``np.bincount``, which accumulates like ``np.add.at``).
 
-Everything order-sensitive that scipy has no compiled kernel for — the
-COO layout (GAT's appended self-loop edge order), ``gsddmm``,
-``edge_softmax`` — is declared unsupported, and the registry falls back
-to the reference while counting the fallback.  scipy itself is imported
-lazily on first use: the package (and the reference backend) must work
-on machines without scipy, which the no-scipy CI conformance run
-exercises.
+scipy itself is imported lazily on first use: the package (and the
+reference backend) must work on machines without scipy, which the
+no-scipy CI conformance run exercises.
 """
 
 from __future__ import annotations
@@ -20,12 +22,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import KernelError
+from .adjacency import KernelCOO
 
 __all__ = ["ScipyBackend"]
 
 
 class ScipyBackend:
-    """CSR gspmm via scipy's compiled sparse-dense product."""
+    """gspmm via scipy's compiled sparse-dense product; edge_softmax
+    via numpy's compiled segment reductions."""
 
     name = "scipy"
 
@@ -44,15 +48,19 @@ class ScipyBackend:
                 self._module = scipy.sparse
         return self._module is not None
 
-    def supports(self, kind, layout, op):
-        return (kind == "gspmm" and layout == "csr"
-                and op in ("mul", "copy_rhs"))
+    def supports(self, kind):
+        return kind in ("gspmm", "edge_softmax")
 
     def gspmm(self, adj, x, values, op):
         sp = self._module
         if sp is None:  # pragma: no cover - registry checks available()
             raise KernelError("scipy backend selected but scipy is "
                               "not importable")
+        if isinstance(adj, KernelCOO):
+            view = adj.segments()
+            adj = view.operator
+            if values is not None:
+                values = values[view.order]
         if op == "copy_rhs":
             matrix = self._structural(adj, x.dtype)
         elif values is not None:
@@ -61,6 +69,23 @@ class ScipyBackend:
         else:
             matrix = adj.to_scipy()
         return matrix @ x
+
+    def edge_softmax(self, adj, scores):
+        edges = adj.edges()
+        view = edges.segments()
+        edge_dst, indptr = edges.edge_dst, view.operator.indptr
+        count = adj.shape[0]
+        # reduceat cannot express an empty segment, so reduce over the
+        # populated rows only (each runs to the next populated start).
+        seg_max = np.full(count, -np.inf, dtype=np.float64)
+        populated = np.flatnonzero(indptr[1:] > indptr[:-1])
+        if len(populated):
+            seg_max[populated] = np.maximum.reduceat(
+                scores[view.order], indptr[populated])
+        exp = np.exp(scores - seg_max[edge_dst])
+        seg_sum = np.bincount(edge_dst, weights=exp, minlength=count)
+        seg_sum[seg_sum == 0] = 1.0
+        return (exp / seg_sum[edge_dst]).astype(scores.dtype)
 
     def _structural(self, adj, dtype):
         """The cached all-ones (``copy_rhs``) matrix sharing ``adj``'s

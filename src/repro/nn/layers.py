@@ -304,11 +304,13 @@ class GATConv(Module):
 
     @staticmethod
     def _block_edges_with_self_loops(block):
-        """Edge lists in local ids, dst-side self-loops appended.
+        """The block's edge list in local ids, dst-side self-loops
+        appended, as a :class:`~repro.kernels.KernelCOO`.
 
         Memoized on the block (same lifetime argument as
-        :func:`block_aggregation_matrix`); callers must not mutate the
-        returned arrays.
+        :func:`block_aggregation_matrix`), so the kernel-side segment
+        views hanging off it are built once per block — shared by every
+        head and layer, the backward pass, and cached-subgraph replays.
         """
         if FLAGS.memoize_aggregation:
             cached = getattr(block, "_edge_list_cache", None)
@@ -317,10 +319,10 @@ class GATConv(Module):
                 return cached
             PERF.count("gat_edges_misses")
         edge_dst = np.repeat(np.arange(block.num_dst), block.degrees())
-        edge_src = block.indices
         loops = np.arange(block.num_dst)
-        edges = (np.concatenate([edge_dst, loops]),
-                 np.concatenate([edge_src, loops]))
+        edges = KernelCOO(np.concatenate([edge_dst, loops]),
+                          np.concatenate([block.indices, loops]),
+                          (block.num_dst, block.num_src))
         if FLAGS.memoize_aggregation and hasattr(block,
                                                  "_edge_list_cache"):
             block._edge_list_cache = edges
@@ -337,9 +339,7 @@ class GATConv(Module):
         ``edge_softmax``, and the output is an attention-weighted
         ``gspmm`` over the same edges.
         """
-        edge_dst, edge_src = self._block_edges_with_self_loops(block)
-        edges = KernelCOO(edge_dst, edge_src,
-                          (block.num_dst, block.num_src))
+        edges = self._block_edges_with_self_loops(block)
         outputs = []
         for weight, a_src, a_dst in zip(self.weights, self.attn_src,
                                         self.attn_dst):

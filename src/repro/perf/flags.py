@@ -35,8 +35,8 @@ class PerfFlags:
     kernel_backend:
         Which sparse-kernel backend :mod:`repro.kernels` dispatches
         aggregations to: ``"auto"`` (first importable accelerated
-        backend, reference as the floor), ``"reference"``,
-        ``"scipy"``, or ``"numba"``.  Every backend is bit-identical
+        backend, reference as the floor), ``"reference"`` or
+        ``"scipy"``.  Every backend is bit-identical
         to the reference (the conformance suite pins it), so this
         flag changes wall time, never math.
     sanitize:

@@ -39,7 +39,7 @@ def wall_clock():
 _RAISE = object()
 
 
-def percentile(values, q, default=_RAISE):
+def percentile(values, q, default=_RAISE, presorted=False):
     """The ``q``-th percentile of ``values`` with linear interpolation
     between closest ranks (the same definition as
     ``numpy.percentile(..., method="linear")``), implemented directly so
@@ -51,6 +51,10 @@ def percentile(values, q, default=_RAISE):
     render zero-traffic entities (a fleet replica that received no
     requests) pass ``default=None`` so their latency fields serialize
     as JSON ``null`` rather than a fabricated number.
+
+    ``presorted=True`` promises ``values`` is already ascending (a list
+    kept ordered with ``bisect.insort``) and skips the sort, so a
+    running quantile costs O(1) per read instead of O(n log n).
     """
     if not values:
         if default is not _RAISE:
@@ -58,7 +62,7 @@ def percentile(values, q, default=_RAISE):
         raise ValueError("percentile of an empty observation list")
     if not 0.0 <= q <= 100.0:
         raise ValueError(f"percentile q must be in [0, 100], got {q}")
-    ordered = sorted(values)
+    ordered = values if presorted else sorted(values)
     rank = (len(ordered) - 1) * (q / 100.0)
     low = math.floor(rank)
     high = math.ceil(rank)

@@ -4,10 +4,13 @@ fleet schedules, crash recovery, and the engine-level guarantees
 budgets, and recovery actually run when configured)."""
 
 import math
+from bisect import insort
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import load_dataset
 from repro.errors import (CheckpointError, FaultError, FleetError,
@@ -176,6 +179,42 @@ class TestPolicyValidation:
         assert policy.hedge is not None
         bare = ResiliencePolicy(detector=None, breaker=None, hedge=None)
         assert bare.detector is None and bare.hedge is None
+
+
+class TestHedgeDelay:
+    """The run loop keeps completed latencies ascending with ``insort``
+    and reads the quantile without re-sorting; the delay must equal the
+    sort-every-time definition after every completion."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(latencies=st.lists(st.floats(1e-6, 1.0), max_size=60),
+           quantile=st.floats(0.5, 99.5),
+           min_observations=st.integers(1, 25))
+    def test_ordered_list_equals_percentile_on_every_prefix(
+            self, latencies, quantile, min_observations):
+        from repro.fleet.engine import FleetEngine
+        from repro.perf.profiler import percentile
+        hedge = HedgePolicy(delay_quantile=quantile, min_delay=1e-4,
+                            min_observations=min_observations)
+        ordered = []
+        assert FleetEngine._hedge_delay(hedge, ordered) is None
+        for count, latency in enumerate(latencies, start=1):
+            insort(ordered, latency)
+            delay = FleetEngine._hedge_delay(hedge, ordered)
+            if count < min_observations:
+                assert delay is None
+            else:
+                assert delay == max(
+                    hedge.min_delay,
+                    percentile(latencies[:count], quantile))
+
+    def test_presorted_read_skips_only_the_sort(self):
+        from repro.perf.profiler import percentile
+        values = [0.3, 0.1, 0.2, 0.5, 0.4]
+        for q in (0.0, 37.5, 50.0, 95.0, 100.0):
+            assert percentile(sorted(values), q, presorted=True) \
+                == percentile(values, q)
+        assert percentile([], 50.0, default=None, presorted=True) is None
 
 
 # ----------------------------------------------------------------------

@@ -136,15 +136,51 @@ class TestDispatchSemantics:
                        if n != "reference"]
         if not accelerated:
             pytest.skip("no accelerated backend importable")
-        rng = np.random.default_rng(5)
-        q = rng.standard_normal((coo_case.shape[0], 2)).astype(np.float32)
-        k = rng.standard_normal((coo_case.shape[1], 2)).astype(np.float32)
+        # float64 edge values on float32 features: the reference adds
+        # float64 products into a float32 output one edge at a time,
+        # which no compiled product reproduces — so this still falls
+        # back (and must say so).
+        x = _features(coo_case, np.float32, seed=5)
+        values = np.linspace(-1.0, 1.0, coo_case.nnz)
         before = PERF.snapshot()
-        gsddmm_forward(coo_case, q, k, op="add",
-                       backend=accelerated[0])
+        out = gspmm_forward(coo_case, x, values=values,
+                            backend=accelerated[0])
         delta = PERF.delta(before)
         assert delta.get("kernel_fallbacks", 0) == 1
         assert delta.get("kernel_reference_calls", 0) == 1
+        _assert_bytes_equal(out, gspmm_forward(
+            coo_case, x, values=values, backend="reference"))
+
+    def test_gsddmm_is_shared_not_a_fallback(self, coo_case):
+        """gsddmm has no accumulation order to pin: one implementation
+        serves every backend, billed to none of them."""
+        rng = np.random.default_rng(5)
+        q = rng.standard_normal((coo_case.shape[0], 2)).astype(np.float32)
+        k = rng.standard_normal((coo_case.shape[1], 2)).astype(np.float32)
+        for name in available_backends():
+            before = PERF.snapshot()
+            gsddmm_forward(coo_case, q, k, op="add", backend=name)
+            delta = PERF.delta(before)
+            assert delta.get("kernel_gsddmm_calls", 0) == 1
+            assert delta.get("kernel_fallbacks", 0) == 0
+            assert delta.get(f"kernel_{name}_calls", 0) == 0
+
+    def test_coo_kernels_do_not_fall_back(self, coo_case):
+        accelerated = [n for n in available_backends()
+                       if n != "reference"]
+        if not accelerated:
+            pytest.skip("no accelerated backend importable")
+        x = _features(coo_case, np.float32)
+        values = np.linspace(-1.0, 1.0, coo_case.nnz).astype(np.float32)
+        before = PERF.snapshot()
+        gspmm_forward(coo_case, x, values=values, backend=accelerated[0])
+        gspmm_forward(coo_case.reverse(),
+                      np.ones((coo_case.shape[0], 2), dtype=np.float32),
+                      values=values, backend=accelerated[0])
+        edge_softmax_forward(coo_case, values, backend=accelerated[0])
+        delta = PERF.delta(before)
+        assert delta.get("kernel_fallbacks", 0) == 0
+        assert delta.get(f"kernel_{accelerated[0]}_calls", 0) == 3
 
     def test_max_reduce_detour_is_counted(self, csr_case):
         """``reduce='max'`` always runs the reference scan; resolving
@@ -180,14 +216,21 @@ class TestDispatchSemantics:
         assert delta.get("kernel_reference_calls") == 1
         assert delta.get("kernel_flops", 0) == 2 * csr_case.nnz * 4
 
-    def test_explicit_unavailable_backend_raises(self):
+    def test_explicit_unavailable_backend_raises(self, monkeypatch):
+        """A registered backend whose dependency is missing must raise
+        when asked for by name, never silently degrade."""
         from repro.kernels.registry import _BACKENDS
-        missing = [name for name in _BACKENDS
-                   if name not in available_backends()]
-        if not missing:
-            pytest.skip("every registered backend is importable")
+
+        class Missing:
+            name = "missing"
+
+            def available(self):
+                return False
+
+        monkeypatch.setitem(_BACKENDS, "missing", Missing())
+        assert "missing" not in available_backends()
         with pytest.raises(KernelError, match="not importable"):
-            resolve_backend(missing[0])
+            resolve_backend("missing")
 
 
 class TestScipyDispatchCaching:

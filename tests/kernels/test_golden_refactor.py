@@ -32,8 +32,8 @@ GOLDEN_PATH = Path(__file__).resolve().parents[1] / "golden" \
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
 
 #: The reference backend always runs; "auto" additionally pins whatever
-#: accelerated backend the environment resolves (scipy here, numba
-#: where importable) to the same bits end to end.
+#: accelerated backend the environment resolves (scipy, where
+#: importable) to the same bits end to end.
 BACKENDS = ["reference", "auto"]
 
 

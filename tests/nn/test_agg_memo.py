@@ -66,11 +66,12 @@ class TestGATEdgeMemo:
         block = small_block()
         first = GATConv._block_edges_with_self_loops(block)
         second = GATConv._block_edges_with_self_loops(block)
-        assert first[0] is second[0] and first[1] is second[1]
+        assert first is second
         with perf_overrides(memoize_aggregation=False):
             fresh = GATConv._block_edges_with_self_loops(block)
-        assert np.array_equal(first[0], fresh[0])
-        assert np.array_equal(first[1], fresh[1])
+        assert fresh is not first
+        assert np.array_equal(first.edge_dst, fresh.edge_dst)
+        assert np.array_equal(first.edge_src, fresh.edge_src)
 
 
 class TestForwardEquivalence:

@@ -123,7 +123,8 @@ class TestGATConv:
         edges (incl. self-loop) sum to one."""
         block = subgraph.blocks[0]
         conv = GATConv(dataset.feature_dim, 8, np.random.default_rng(0))
-        edge_dst, edge_src = conv._block_edges_with_self_loops(block)
+        edges = conv._block_edges_with_self_loops(block)
+        edge_dst, edge_src = edges.edge_dst, edges.edge_src
         h = Tensor(dataset.features[block.src_nodes])
         transformed = h @ conv.weights[0]
         scores = ((transformed @ conv.attn_src[0]).gather_rows(edge_src)
