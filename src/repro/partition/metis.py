@@ -22,9 +22,24 @@ The classic three phases are implemented directly:
    a time and run boundary Fiduccia–Mattheyses passes — move a boundary
    vertex to the neighboring part with the largest positive cut gain
    whose capacities all still hold.
+
+Phase 3 never rescans a vertex's edges.  Each level builds one dense
+``(n, k)`` *connectivity table* — ``conn[v, p]``, the weight of ``v``'s
+edges into part ``p`` — and every move, in the FM passes and in the
+balance pass alike, patches it along the moved vertex's row
+(:class:`_Level`).  Edge weights are sums of unit edges, so the table
+is integer-valued, each patch is exact whatever the order, and a gain
+read from it equals the one a fresh scan of the row would sum.  FM
+visits only vertices the table shows tied more heavily to another part
+than to their own; the balance pass scores its sampled candidates with
+one gather.  The loops this replaced live on, verbatim, as the oracle
+in ``tests/partition/_metis_oracle.py``: assignments and the order of
+every ``rng`` draw are byte-identical to theirs.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 import numpy as np
 
@@ -61,27 +76,28 @@ def _heavy_edge_matching(adj, rng):
     """Greedy heavy-edge matching.
 
     Returns ``cmap`` (coarse id per fine vertex) and the coarse vertex
-    count.  Unmatched vertices map to their own coarse vertex.
+    count.  Unmatched vertices map to their own coarse vertex.  Each
+    choice depends on every earlier one, so the walk is scalar; it runs
+    over python lists, which index several times faster than arrays.
     """
     n = adj.shape[0]
-    match = np.full(n, -1, dtype=np.int64)
-    order = rng.permutation(n)
-    indptr, indices, data = adj.indptr, adj.indices, adj.data
-    for v in order:
+    match = [-1] * n
+    indptr, indices, data = adj.indptr.tolist(), adj.indices, adj.data
+    for v in rng.permutation(n).tolist():
         if match[v] != -1:
             continue
+        row = slice(indptr[v], indptr[v + 1])
         best, best_w = -1, 0.0
-        for idx in range(indptr[v], indptr[v + 1]):
-            u = indices[idx]
-            if match[u] == -1 and u != v and data[idx] > best_w:
-                best, best_w = u, data[idx]
+        for u, w in zip(indices[row].tolist(), data[row].tolist()):
+            if match[u] == -1 and u != v and w > best_w:
+                best, best_w = u, w
         if best == -1:
             match[v] = v
         else:
             match[v] = best
             match[best] = v
 
-    cmap = np.full(n, -1, dtype=np.int64)
+    cmap = [-1] * n
     next_id = 0
     for v in range(n):
         if cmap[v] != -1:
@@ -91,7 +107,15 @@ def _heavy_edge_matching(adj, rng):
         if partner != v and cmap[partner] == -1:
             cmap[partner] = next_id
         next_id += 1
-    return cmap, next_id
+    return np.array(cmap, dtype=np.int64), next_id
+
+
+def _group_sums(weights, groups, num_groups):
+    """Rows of ``weights`` summed per group: the ``(k, c)`` constraint
+    weight each part holds, or a coarse level's constraint matrix."""
+    sums = np.zeros((num_groups, weights.shape[1]))
+    np.add.at(sums, groups, weights)
+    return sums
 
 
 def _contract(adj, weights, cmap, num_coarse):
@@ -102,9 +126,7 @@ def _contract(adj, weights, cmap, num_coarse):
         shape=(num_coarse, num_coarse))
     coarse.setdiag(0)
     coarse.eliminate_zeros()
-    coarse_weights = np.zeros((num_coarse, weights.shape[1]))
-    np.add.at(coarse_weights, cmap, weights)
-    return coarse, coarse_weights
+    return coarse, _group_sums(weights, cmap, num_coarse)
 
 
 def _bfs_order(adj, rng):
@@ -112,14 +134,14 @@ def _bfs_order(adj, rng):
     n = adj.shape[0]
     seen = np.zeros(n, dtype=bool)
     order = []
-    queue = []
+    queue = deque()
     for start in rng.permutation(n):
         if seen[start]:
             continue
         queue.append(start)
         seen[start] = True
         while queue:
-            v = queue.pop(0)
+            v = queue.popleft()
             order.append(v)
             for u in adj.indices[adj.indptr[v]:adj.indptr[v + 1]]:
                 if not seen[u]:
@@ -166,44 +188,84 @@ def _initial_partition(adj, weights, num_parts, caps, rng):
     return assignment, loads
 
 
-def _refine(adj, weights, assignment, num_parts, caps, rng, passes):
+class _Level:
+    """One uncoarsening level: an assignment and the two aggregates that
+    every move keeps in step with it.
+
+    ``conn[v, p]`` is the weight of ``v``'s edges into part ``p``
+    (``adj @ onehot(assignment)``) and ``loads[p, c]`` the weight of
+    constraint ``c`` held by part ``p``.  Edge weights are sums of unit
+    edges, so ``conn`` is integer-valued: patching it along the moved
+    vertex's row is exact and order-free, and the table always equals
+    one rebuilt from scratch.
+    """
+
+    def __init__(self, adj, weights, assignment, num_parts):
+        self.adj, self.weights, self.assignment = adj, weights, assignment
+        onehot = np.zeros((adj.shape[0], num_parts))
+        onehot[np.arange(adj.shape[0]), assignment] = 1.0
+        self.conn = adj @ onehot
+        self.loads = _group_sums(weights, assignment, num_parts)
+
+    def pulled_away(self, rows):
+        """Which of ``rows`` (an index array) are tied more heavily to
+        some other part than to their own — the only vertices a
+        positive-gain move exists for."""
+        reach = self.conn[rows]
+        own = self.assignment[rows]
+        lanes = np.arange(len(rows))
+        home = reach[lanes, own]
+        reach[lanes, own] = -np.inf
+        return reach.max(axis=1) > home
+
+    def move(self, v, target):
+        """Reassign ``v`` to ``target``; returns the neighbors whose
+        ``conn`` rows changed."""
+        adj = self.adj
+        row = slice(adj.indptr[v], adj.indptr[v + 1])
+        neighbors, edge_w = adj.indices[row], adj.data[row]
+        cur = self.assignment[v]
+        # ufunc.at, not ``conn[neighbors, cur] -= edge_w``: a symmetric
+        # multigraph reaches level 0 with repeated column indices in a
+        # row, and a fancy-indexed update keeps only one of each.
+        np.subtract.at(self.conn, (neighbors, cur), edge_w)
+        np.add.at(self.conn, (neighbors, target), edge_w)
+        self.assignment[v] = target
+        self.loads[cur] -= self.weights[v]
+        self.loads[target] += self.weights[v]
+        return neighbors
+
+
+def _refine(level, caps, rng, passes):
     """Boundary FM refinement: greedy positive-gain moves under all
-    capacity constraints."""
-    indptr, indices, data = adj.indptr, adj.indices, adj.data
-    loads = np.zeros((num_parts, weights.shape[1]))
-    np.add.at(loads, assignment, weights)
+    capacity constraints, then the balance pass."""
+    conn, loads = level.conn, level.loads
+    assignment, weights = level.assignment, level.weights
+    n = len(assignment)
+    # Kept current for a moved vertex and its neighbors only.
+    pulled = level.pulled_away(np.arange(n))
     for _pass in range(passes):
         moved = 0
-        for v in rng.permutation(adj.shape[0]):
-            row = slice(indptr[v], indptr[v + 1])
-            neighbors = indices[row]
-            if len(neighbors) == 0:
-                continue
+        for v in rng.permutation(n).tolist():
+            if not pulled[v]:
+                continue  # interior, or no part beats its own
             cur = assignment[v]
-            parts = assignment[neighbors]
-            if np.all(parts == cur):
-                continue  # interior vertex
-            conn = np.zeros(num_parts)
-            np.add.at(conn, parts, data[row])
-            gain = conn - conn[cur]
+            gain = conn[v] - conn[v, cur]
             gain[cur] = -np.inf
             # Capacity check for every candidate part.
-            fits = np.all(loads + weights[v] <= caps, axis=1)
+            fits = (loads + weights[v] <= caps).all(axis=1)
             gain[~fits] = -np.inf
             target = int(gain.argmax())
             if gain[target] > 0:
-                assignment[v] = target
-                loads[cur] -= weights[v]
-                loads[target] += weights[v]
+                touched = np.append(level.move(v, target), v)
+                pulled[touched] = level.pulled_away(touched)
                 moved += 1
         if moved == 0:
             break
-    _balance_pass(adj, weights, assignment, num_parts, caps, rng)
-    return assignment
+    _balance_pass(level, rng)
 
 
-def _balance_pass(adj, weights, assignment, num_parts, caps, rng,
-                  floor_ratio=0.85, max_moves_factor=0.25):
+def _balance_pass(level, rng, floor_ratio=0.85, max_moves_factor=0.25):
     """Pull vertices into under-loaded parts, one constraint at a time.
 
     FM refinement only makes cut-improving moves, so a part left starved
@@ -215,44 +277,32 @@ def _balance_pass(adj, weights, assignment, num_parts, caps, rng,
     their extra constraints with a higher edge cut, as the paper observes
     (§5.3.2).
     """
-    indptr, indices, data = adj.indptr, adj.indices, adj.data
-    loads = np.zeros((num_parts, weights.shape[1]))
-    np.add.at(loads, assignment, weights)
+    conn, assignment, weights = level.conn, level.assignment, level.weights
+    num_parts = conn.shape[1]
+    # A fresh sum, not FM's running one: with fractional constraint
+    # weights the running loads carry rounding the thresholds would see.
+    loads = level.loads = _group_sums(weights, assignment, num_parts)
     avg = weights.sum(axis=0) / num_parts
-    max_moves = int(max_moves_factor * adj.shape[0]) + 1
+    max_moves = int(max_moves_factor * len(assignment)) + 1
     for column in range(weights.shape[1]):
         if avg[column] <= 0:
             continue
+        carries = weights[:, column] > 0
         for _move in range(max_moves):
             col_load = loads[:, column]
             needy = int(col_load.argmin())
             if col_load[needy] >= floor_ratio * avg[column]:
                 break
-            donors = np.flatnonzero(col_load > avg[column])
-            if len(donors) == 0:
-                break
-            carries = weights[:, column] > 0
-            candidates = np.flatnonzero(
-                np.isin(assignment, donors) & carries)
+            donors = col_load > avg[column]
+            candidates = np.flatnonzero(donors[assignment] & carries)
             if len(candidates) == 0:
                 break
             sample = candidates if len(candidates) <= 256 else rng.choice(
                 candidates, size=256, replace=False)
-            best_v, best_score = -1, np.inf
-            for v in sample:
-                row = slice(indptr[v], indptr[v + 1])
-                parts = assignment[indices[row]]
-                conn_needy = data[row][parts == needy].sum()
-                conn_cur = data[row][parts == assignment[v]].sum()
-                # Cut damage per unit of constraint weight moved.
-                score = (conn_cur - conn_needy) / weights[v, column]
-                if score < best_score:
-                    best_v, best_score = int(v), score
-            if best_v == -1:
-                break
-            loads[assignment[best_v]] -= weights[best_v]
-            loads[needy] += weights[best_v]
-            assignment[best_v] = needy
+            # Cut damage per unit of constraint weight moved.
+            score = (conn[sample, assignment[sample]]
+                     - conn[sample, needy]) / weights[sample, column]
+            level.move(int(sample[score.argmin()]), needy)
 
 
 def metis_partition(graph, num_parts, constraints=None, rng=None,
@@ -302,37 +352,29 @@ def metis_partition(graph, num_parts, constraints=None, rng=None,
 
     # Phase 1: coarsen.
     adj = _weighted_adjacency(graph)
-    levels = []  # (adjacency, cmap) pairs, finest first
+    levels = []  # (adjacency, constraint matrix, cmap), finest first
     cur_adj, cur_weights = adj, weights
     while cur_adj.shape[0] > coarsen_to:
         cmap, num_coarse = _heavy_edge_matching(cur_adj, rng)
         if num_coarse >= cur_adj.shape[0] * 0.95:
             break  # matching stalled (e.g. near-empty graph)
-        levels.append((cur_adj, cmap))
+        levels.append((cur_adj, cur_weights, cmap))
         cur_adj, cur_weights = _contract(cur_adj, cur_weights, cmap,
                                          num_coarse)
 
     # Phase 2: initial partition of the coarsest graph.
-    caps_coarse = _capacities(cur_weights, num_parts, imbalance)
+    caps = _capacities(cur_weights, num_parts, imbalance)
     assignment, _ = _initial_partition(cur_adj, cur_weights, num_parts,
-                                       caps_coarse, rng)
-    assignment = _refine(cur_adj, cur_weights, assignment, num_parts,
-                         caps_coarse, rng, refine_passes)
+                                       caps, rng)
+    _refine(_Level(cur_adj, cur_weights, assignment, num_parts), caps, rng,
+            refine_passes)
 
-    # Phase 3: uncoarsen + refine, finest last.  weight_stack[i] holds the
-    # constraint matrix of level i (finest first).
-    weight_stack = [weights]
-    for fine_adj, cmap in levels:
-        num_coarse = cmap.max() + 1 if len(cmap) else 0
-        coarse_w = np.zeros((num_coarse, weights.shape[1]))
-        np.add.at(coarse_w, cmap, weight_stack[-1])
-        weight_stack.append(coarse_w)
-    for (fine_adj, cmap), fine_w in zip(reversed(levels),
-                                        reversed(weight_stack[:-1])):
+    # Phase 3: uncoarsen + refine, finest last.
+    for fine_adj, fine_w, cmap in reversed(levels):
         assignment = assignment[cmap]
         caps = _capacities(fine_w, num_parts, imbalance)
-        assignment = _refine(fine_adj, fine_w, assignment, num_parts, caps,
-                             rng, refine_passes)
+        _refine(_Level(fine_adj, fine_w, assignment, num_parts), caps, rng,
+                refine_passes)
     return assignment
 
 
