@@ -72,7 +72,7 @@ chaos:
 	  python benchmarks/bench_fault_recovery.py --sanitize
 
 # Fleet resilience certification: baseline vs detector/replication/
-# hedging under identical fault schedules, with the PR 7 bit-parity
+# hedging under identical fault schedules, with the prediction-exactness
 # and availability/p99 gates.
 fleet-chaos:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \

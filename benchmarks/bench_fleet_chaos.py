@@ -15,14 +15,11 @@ slowlink window, flapping replica) on the simulated clock:
 Availability is SLO-attainment (a request answered within 5 ms of
 arrival); the gates assert the layer is worth its complexity:
 
-1. the baseline driven through a ``FleetSchedule`` is bit-identical to
-   the legacy ``crashes=`` run (PR 7 parity — resilience off is a
-   perfect no-op);
-2. every run's predictions bit-match the single-server ``ServeEngine``
+1. every run's predictions bit-match the single-server ``ServeEngine``
    — including answers served by backup owners and hedge winners;
-3. under the identical crash storm the resilient fleet sustains
+2. under the identical crash storm the resilient fleet sustains
    strictly higher availability and strictly lower p99;
-4. the machinery demonstrably ran: backup-served completions > 0 and
+3. the machinery demonstrably ran: backup-served completions > 0 and
    hedge wins > 0.
 
 Results are written to ``BENCH_fleet_chaos.json`` at the repo root.

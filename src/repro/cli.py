@@ -219,7 +219,10 @@ def build_parser():
     serve.add_argument("--sanitize", action="store_true",
                        help="arm the runtime sanitizers for the "
                             "benchmark run")
-    serve.add_argument("--out", default="BENCH_serve.json")
+    serve.add_argument("--out", default=None,
+                       help="default: BENCH_serve.json, or "
+                            "BENCH_serve.quick.json with "
+                            "--quick")
 
     fleet = sub.add_parser(
         "fleet-bench",
@@ -274,7 +277,10 @@ def build_parser():
     fleet.add_argument("--sanitize", action="store_true",
                        help="arm the runtime sanitizers for the "
                             "benchmark run")
-    fleet.add_argument("--out", default="BENCH_fleet.json")
+    fleet.add_argument("--out", default=None,
+                       help="default: BENCH_fleet.json, or "
+                            "BENCH_fleet.quick.json with "
+                            "--quick")
 
     chaos = sub.add_parser(
         "chaos",
@@ -296,7 +302,10 @@ def build_parser():
     chaos.add_argument("--sanitize", action="store_true",
                        help="arm the runtime sanitizers for the "
                             "benchmark run")
-    chaos.add_argument("--out", default="BENCH_faults.json")
+    chaos.add_argument("--out", default=None,
+                       help="default: BENCH_faults.json, or "
+                            "BENCH_faults.quick.json with "
+                            "--quick")
 
     fchaos = sub.add_parser(
         "fleet-chaos",
@@ -336,7 +345,10 @@ def build_parser():
     fchaos.add_argument("--sanitize", action="store_true",
                         help="arm the runtime sanitizers for the "
                              "benchmark run")
-    fchaos.add_argument("--out", default="BENCH_fleet_chaos.json")
+    fchaos.add_argument("--out", default=None,
+                        help="default: BENCH_fleet_chaos.json, or "
+                             "BENCH_fleet_chaos.quick.json with "
+                             "--quick")
 
     kbench = sub.add_parser(
         "kernel-bench",
@@ -348,7 +360,8 @@ def build_parser():
     kbench.add_argument("--out", default=None,
                         help="benchmark ledger to merge the "
                              "kernel_backends rows into (default: the "
-                             "repo's BENCH_hotpath.json)")
+                             "repo's BENCH_hotpath.json, or "
+                             "BENCH_hotpath.quick.json with --quick)")
 
     lint = sub.add_parser(
         "lint",
@@ -557,9 +570,21 @@ def _parse_policies(specs):
     return policies
 
 
+def _bench_out(args, tracked):
+    """Where a bench subcommand writes: ``--out`` when given, else the
+    tracked ``BENCH_*.json`` — or, for a ``--quick`` smoke, its
+    untracked ``.quick.json`` sibling, so a smoke run can never
+    overwrite a checked-in full sweep."""
+    from pathlib import Path
+
+    if args.out:
+        return Path(args.out)
+    tracked = Path(tracked)
+    return tracked.with_suffix(".quick.json") if args.quick else tracked
+
+
 def _cmd_serve_bench(args):
     import json
-    from pathlib import Path
 
     from .serve import run_serve_bench
 
@@ -598,7 +623,7 @@ def _cmd_serve_bench(args):
                     f"{report['model']})"))
     print(f"invariant (precomputed == full-fanout, atol=0): "
           f"{'ok' if report['invariant_exact_match'] else 'VIOLATED'}")
-    out = Path(args.out)
+    out = _bench_out(args, "BENCH_serve.json")
     out.write_text(json.dumps(report, indent=2))
     print(f"wrote {out} ({len(report['results'])} configurations)")
     return 0
@@ -606,7 +631,6 @@ def _cmd_serve_bench(args):
 
 def _cmd_fleet_bench(args):
     import json
-    from pathlib import Path
 
     from .fleet import run_fleet_bench
 
@@ -669,7 +693,7 @@ def _cmd_fleet_bench(args):
     print(f"failover: {report['failover']['failovers']} failovers, "
           f"{report['failover']['requeued']} requeued, "
           f"{report['failover']['completed']} completed")
-    out = Path(args.out)
+    out = _bench_out(args, "BENCH_fleet.json")
     out.write_text(json.dumps(report, indent=2))
     print(f"wrote {out} ({len(report['scaling'])} replica counts, "
           f"{len(report['locality'])} locality rows)")
@@ -678,7 +702,6 @@ def _cmd_fleet_bench(args):
 
 def _cmd_chaos(args):
     import json
-    from pathlib import Path
 
     from .faults import run_fault_bench
 
@@ -709,7 +732,7 @@ def _cmd_chaos(args):
           f"bit-identical: {'ok' if resume_ok else 'VIOLATED'}")
     print(f"fault timeline deterministic under fixed seed: "
           f"{'ok' if report['plan_deterministic'] else 'VIOLATED'}")
-    out = Path(args.out)
+    out = _bench_out(args, "BENCH_faults.json")
     out.write_text(json.dumps(report, indent=2))
     print(f"wrote {out} ({len(report['scenarios'])} scenarios)")
     return 0 if resume_ok and report["plan_deterministic"] else 1
@@ -717,7 +740,6 @@ def _cmd_chaos(args):
 
 def _cmd_fleet_chaos(args):
     import json
-    from pathlib import Path
 
     from .errors import ServingError
     from .fleet import run_fleet_chaos_bench
@@ -772,7 +794,7 @@ def _cmd_fleet_chaos(args):
                     f"SLO={1e3 * report['slo_seconds']:g}ms)"))
     for gate, ok in report["gates"].items():
         print(f"gate {gate}: {'ok' if ok else 'VIOLATED'}")
-    out = Path(args.out)
+    out = _bench_out(args, "BENCH_fleet_chaos.json")
     out.write_text(json.dumps(report, indent=2))
     print(f"wrote {out} ({len(report['scenarios'])} scenarios)")
     return 0 if all(report["gates"].values()) else 1
@@ -785,7 +807,7 @@ def _cmd_kernel_bench(args):
     results = run_kernel_bench(quick=args.quick, seed=args.seed)
     print(format_report(results))
     out = merge_into_hotpath(
-        results, path=args.out if args.out else HOTPATH_PATH)
+        results, path=_bench_out(args, HOTPATH_PATH))
     print(f"merged kernel_backends into {out} "
           f"(auto backend: {results['auto_backend']})")
     spmm = results["spmm"]

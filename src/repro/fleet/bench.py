@@ -34,6 +34,7 @@ from ..serve.batcher import BatchPolicy
 from ..serve.engine import ServeEngine
 from ..serve.precompute import LayerwiseEmbeddings
 from ..serve.requests import LoadGenerator
+from .chaos import crash_storm
 from .engine import FleetEngine
 from .router import AutoscalePolicy, RoutingPolicy
 
@@ -203,7 +204,8 @@ def run_fleet_bench(dataset="ogb-arxiv", scale=0.3, model="gcn",
     crash_at = trace[len(trace) // 3].arrival
     failover_report = FleetEngine(
         data, trained, partition=elastic_part, routing=routing,
-        crashes=((crash_at, 0, 50.0 / rate),),
+        schedule=crash_storm(locality_count, start=crash_at,
+                             down=50.0 / rate, count=1),
         **common).run(trace)
 
     return {

@@ -1,24 +1,20 @@
 """Fleet chaos certification: composable fault schedules + the gates.
 
 The resilience layer is only worth shipping if it *provably* beats the
-PR 7 baseline under identical faults — and provably changes nothing
-when disabled.  This harness runs both configurations against the same
+timeout-only baseline under identical faults.  This harness runs both
+configurations against the same
 composable fault schedules (crash storms, rolling stragglers, slowlink
-windows, flapping) on the simulated clock and enforces four gates:
+windows, flapping) on the simulated clock and enforces three gates:
 
-1. **PR 7 parity** — the k=1 / no-hedge / no-detector configuration
-   driven through a :class:`~repro.fleet.resilience.FleetSchedule`
-   must reproduce the legacy ``crashes=`` run *bit for bit* (same
-   report dict, same predictions, same completion times).
-2. **Prediction exactness** — every configuration, including runs
+1. **Prediction exactness** — every configuration, including runs
    where answers came from backup owners or hedge winners, must
    bit-match the single-server :class:`~repro.serve.engine.ServeEngine`
    predictions for the same trace.
-3. **Availability** — under the identical crash storm, k-replicated
+2. **Availability** — under the identical crash storm, k-replicated
    shards + the failure detector + hedging must sustain *strictly
    higher* availability (fraction of requests answered within the SLO)
    and *strictly lower* p99 than the timeout-only baseline.
-4. **Mechanism evidence** — the resilient runs must actually exercise
+3. **Mechanism evidence** — the resilient runs must actually exercise
    the machinery: completions served by backup holders and hedge wins
    both > 0.
 
@@ -105,11 +101,6 @@ def slowlink_window(start, duration, magnitude=0.25):
 # ----------------------------------------------------------------------
 # The certification bench
 # ----------------------------------------------------------------------
-def _answers(report):
-    return {r.request.request_id: (r.prediction, r.completion)
-            for r in report.responses}
-
-
 def _availability_row(report, num_requests, slo):
     """SLO-attainment metrics of one run."""
     within = sum(1 for r in report.responses
@@ -236,36 +227,15 @@ def run_fleet_chaos_bench(dataset="ogb-arxiv", scale=0.3, model="gcn",
                             resilience=ResiliencePolicy())
 
     # ------------------------------------------------------------------
-    # Gate 1 — PR 7 parity: the baseline run through a FleetSchedule
-    # must be bit-identical to the legacy crashes= path.
-    # ------------------------------------------------------------------
-    baseline_storm = FleetEngine(data, trained, partition=partition,
-                                 schedule=storm, **common).run(trace)
-    crash_triples = [(float(e.epoch), e.worker, float(e.duration))
-                     for e in storm if e.kind == "crash"]
-    legacy = FleetEngine(data, trained, partition=partition,
-                         crashes=crash_triples, **common).run(trace)
-    parity = (baseline_storm.to_dict() == legacy.to_dict()
-              and _answers(baseline_storm) == _answers(legacy))
-    if not parity:
-        raise ServingError(
-            "chaos gate failed: the schedule-driven baseline diverged "
-            "from the legacy crashes= run (PR 7 parity broken)")
-
-    # ------------------------------------------------------------------
-    # Scenario sweep + remaining gates.
+    # Scenario sweep + gates.
     # ------------------------------------------------------------------
     rows = []
-    gates = {"pr7_parity": True}
     with tempfile.TemporaryDirectory(
             prefix="repro-fleet-chaos-") as snapdir:
         for name, plan in scenarios:
-            if name == "crash_storm":
-                base_report = baseline_storm
-            else:
-                base_report = FleetEngine(
-                    data, trained, partition=partition, schedule=plan,
-                    **common).run(trace)
+            base_report = FleetEngine(
+                data, trained, partition=partition, schedule=plan,
+                **common).run(trace)
             resilient_engine = FleetEngine(
                 data, trained, partition=partition, schedule=plan,
                 recovery=ReplicaRecovery(
@@ -290,7 +260,7 @@ def run_fleet_chaos_bench(dataset="ogb-arxiv", scale=0.3, model="gcn",
             })
 
     storm_row = rows[0]
-    gates["predictions_exact"] = True
+    gates = {"predictions_exact": True}
     gates["availability_improves"] = (
         storm_row["resilient"]["availability"]
         > storm_row["baseline"]["availability"])

@@ -1,16 +1,16 @@
 """The sharded serving fleet: N replicas, one shard each, one router.
 
-:class:`FleetEngine` generalizes the single-server
-:class:`~repro.serve.engine.ServeEngine` queueing simulation to a
-multi-replica discrete-event loop:
+:class:`FleetEngine` runs the serving event loop
+(:class:`~repro.serve.loop.EventLoop` — the same one a single
+:class:`~repro.serve.engine.ServeEngine` runs on) over N nodes:
 
 * each replica owns one shard of a :mod:`repro.partition` result and
-  runs its own :class:`~repro.serve.batcher.MicroBatcher` +
+  is a :class:`~repro.fleet.replica.ReplicaServer` node around a
   :class:`~repro.fleet.replica.ShardExecutor` (remote rows billed over
   the network);
-* the :class:`~repro.fleet.router.Router` sends every request to the
-  owner of its seed vertex, spilling/failing over by penalized queue
-  depth;
+* the ``admit`` handler is the :class:`~repro.fleet.router.Router`,
+  sending every request to the owner of its seed vertex and
+  spilling/failing over by penalized queue depth;
 * optional queue-depth autoscaling
   (:class:`~repro.fleet.router.Autoscaler`) and crash faults (queued
   requests of a dead replica are re-routed after a
@@ -23,13 +23,11 @@ multi-replica discrete-event loop:
   cancellation, per-request retry budgets, k-replicated shard
   ownership (``replication=k``), checkpointed cache recovery, and
   straggler/slowlink windows from a :class:`FleetSchedule`.  Every
-  mechanism defaults off, and the off path is bit-identical to the
-  baseline engine.
+  mechanism defaults off; its handlers are subscribed only when it is
+  configured (:meth:`_FleetRun.handlers`), so the off path runs none
+  of its code.
 
-Everything runs on the simulated clock; the loop's event order —
-faults, then arrivals/re-submissions, then dispatches, at equal times
-— makes a 1-replica fleet reproduce ``ServeEngine``'s batch sequence
-exactly.  Answers in ``precomputed`` mode are row-wise
+Answers in ``precomputed`` mode are row-wise
 (:meth:`~repro.serve.precompute.LayerwiseEmbeddings.rowwise_logits`)
 and therefore *bit-identical* to the single server's for the same
 trace, regardless of how routing re-batched the requests — the
@@ -38,23 +36,24 @@ fleet-vs-single-server invariant the benchmark asserts.
 
 from __future__ import annotations
 
-import heapq
 from bisect import insort
 
 import numpy as np
 
 from ..core.config import make_partitioner
 from ..errors import FleetError, ServingError
+from ..faults.plan import FaultPlan
 from ..faults.retry import RetryPolicy
 from ..partition.base import PartitionResult
 from ..partition.replication import k_redundant_replication
-from ..perf import PERF, StageProfiler
+from ..perf import StageProfiler
 from ..perf.profiler import percentile
 from ..serve.batcher import BatchPolicy
 from ..serve.executor import SERVE_MODES
+from ..serve.loop import (ADMIT, FAULT, RESPONSE, TIMER, EventLoop,
+                          cache_hit_rates, eval_mode, run_totals)
 from ..serve.precompute import LayerwiseEmbeddings
 from ..transfer.hardware import DEFAULT_SPEC
-from ..transfer.tiered import TieredCache
 from .metrics import FleetReport, _latency_fields
 from .replica import ReplicaServer, ShardExecutor
 from .resilience import (CircuitBreaker, FailureDetector, FleetSchedule,
@@ -63,6 +62,12 @@ from .router import Autoscaler, Router
 from .shards import ShardMap
 
 __all__ = ["FleetEngine"]
+
+#: Resilience off: no detector, breakers or hedging, and a crash
+#: orphan is re-routed however often its replica dies.
+_NO_RESILIENCE = ResiliencePolicy(detector=None, breaker=None,
+                                  hedge=None,
+                                  retry_budget=float("inf"))
 
 
 class FleetEngine:
@@ -94,13 +99,6 @@ class FleetEngine:
         Optional :class:`~repro.fleet.router.AutoscalePolicy`; when
         given, replicas beyond ``min_replicas`` start deactivated and
         the queue-depth signal drives the active set.
-    crashes:
-        Crash-fault schedule: iterable of ``(time, replica_id,
-        down_seconds)`` triples.  A crashed replica's queued requests
-        are re-routed after ``retry.timeout`` simulated seconds (the
-        failure-detection delay) — or at the failure detector's
-        *suspicion* instant when ``resilience`` wires one in — and it
-        rejoins, empty-queued, at ``time + down_seconds``.
     retry:
         The :class:`~repro.faults.RetryPolicy` whose ``timeout`` models
         failure detection; default :class:`RetryPolicy()`.
@@ -110,10 +108,16 @@ class FleetEngine:
         the retry budget.  ``None`` (default) is the PR 7 baseline,
         bit for bit.
     schedule:
-        Optional :class:`~repro.fleet.resilience.FleetSchedule` (or a
-        ``faults.plan`` spec string / :class:`FaultPlan`): its crash
-        events merge with ``crashes`` and its straggler/slowlink
-        windows scale dispatch service times.
+        The fault timeline: a
+        :class:`~repro.fleet.resilience.FleetSchedule`, or a
+        ``faults.plan`` spec string / :class:`FaultPlan` compiled into
+        one (``"crash@0.005+0.01:w0"`` takes replica 0 down at 5 ms
+        for 10 ms).  A crashed replica's queued requests are re-routed
+        after ``retry.timeout`` simulated seconds (the
+        failure-detection delay) — or at the failure detector's
+        *suspicion* instant when ``resilience`` wires one in — and it
+        rejoins, empty-queued, when its down time ends;
+        straggler/slowlink windows scale dispatch service times.
     recovery:
         Optional :class:`~repro.fleet.resilience.ReplicaRecovery` (or
         a directory path): snapshots every replica's tiered cache on a
@@ -133,9 +137,8 @@ class FleetEngine:
                  max_queue=None, fanout=(10, 10), cache_policy="lru",
                  cache_ratio=0.0, warm_ratio=0.0, cache_scores=None,
                  spec=None, seed=0, embeddings=None, routing=None,
-                 autoscale=None, crashes=(), retry=None,
-                 resilience=None, schedule=None, recovery=None,
-                 replication=None):
+                 autoscale=None, retry=None, resilience=None,
+                 schedule=None, recovery=None, replication=None):
         if mode not in SERVE_MODES:
             raise ServingError(
                 f"unknown serve mode {mode!r}; known: {SERVE_MODES}")
@@ -179,18 +182,15 @@ class FleetEngine:
                 f"resilience must be a ResiliencePolicy, got "
                 f"{type(resilience).__name__}")
         self.resilience = resilience
-        self.schedule = None
-        if schedule is not None:
-            self.schedule = schedule \
-                if isinstance(schedule, FleetSchedule) \
-                else FleetSchedule(schedule, self.num_replicas)
-            crashes = list(crashes) + list(self.schedule.crashes)
+        self.schedule = schedule \
+            if isinstance(schedule, FleetSchedule) \
+            else FleetSchedule(schedule or FaultPlan(),
+                               self.num_replicas)
         self.recovery = None
         if recovery is not None:
             self.recovery = recovery \
                 if isinstance(recovery, ReplicaRecovery) \
                 else ReplicaRecovery(recovery)
-        self.crashes = self._check_crashes(crashes)
 
         # One offline table, shared: the fleet precomputes embeddings
         # once and replicates them (they are read-only), so the offline
@@ -206,21 +206,6 @@ class FleetEngine:
             embeddings=self.embeddings)
         self.replicas = []
 
-    def _check_crashes(self, crashes):
-        events = []
-        for event in crashes:
-            time, replica_id, down = event
-            if not 0 <= replica_id < self.num_replicas:
-                raise FleetError(
-                    f"crash fault names replica {replica_id}; the "
-                    f"fleet has {self.num_replicas}")
-            if time < 0 or down <= 0:
-                raise FleetError(
-                    f"crash fault needs time >= 0 and down_seconds > 0,"
-                    f" got {event}")
-            events.append((float(time), int(replica_id), float(down)))
-        return sorted(events)
-
     def _build_replicas(self):
         """Fresh replicas (cold caches, empty queues) for one run."""
         self.replicas = [
@@ -234,23 +219,21 @@ class FleetEngine:
         return self.replicas
 
     # ------------------------------------------------------------------
-    # The simulated-time fleet loop
+    # The simulated-time fleet run
     # ------------------------------------------------------------------
     def run(self, requests):
         """Serve a request trace (sorted by arrival); returns a
         :class:`~repro.fleet.metrics.FleetReport`."""
-        was_training = self.model.training
-        self.model.eval()
-        try:
-            return self._run(list(requests))
-        finally:
-            self.model.train() if was_training else self.model.eval()
+        run = _FleetRun(self, requests)
+        with eval_mode(self.model):
+            run.loop.run(run.handlers())
+        return self._report(run)
 
     @staticmethod
     def _hedge_delay(hedge, latencies):
         """Hedge delay from the observed latency quantile, or ``None``
         while too few completions are on record to estimate it.
-        ``latencies`` must be ascending (the run loop keeps it so with
+        ``latencies`` must be ascending (the run keeps it so with
         ``insort``): this is read once per routed request."""
         if len(latencies) < hedge.min_observations:
             return None
@@ -258,398 +241,351 @@ class FleetEngine:
                    percentile(latencies, hedge.delay_quantile,
                               presorted=True))
 
-    def _run(self, requests):
-        if not requests:
-            raise ServingError("cannot serve an empty request trace")
-        replicas = self._build_replicas()
-        resil = self.resilience
-        detector = FailureDetector(resil.detector, self.num_replicas) \
-            if resil is not None and resil.detector is not None \
-            else None
-        breakers = [CircuitBreaker(resil.breaker) for _ in replicas] \
-            if resil is not None and resil.breaker is not None \
-            else None
-        hedge = resil.hedge if resil is not None else None
-        budget = resil.retry_budget if resil is not None else None
-        recovery = self.recovery
-        schedule = self.schedule
-        router = Router(self.shards, replicas, self.routing,
-                        breakers=breakers)
-        autoscaler = Autoscaler(self.autoscale, replicas) \
-            if self.autoscale is not None else None
-
-        # Fault timeline: crashes and their recoveries — plus suspect/
-        # dead/snapshot events when the resilience layer is on — one
-        # heap.
-        faults = []
-        for seq, (time, replica_id, down) in enumerate(self.crashes):
-            heapq.heappush(faults, (time, seq, "crash", replica_id,
-                                    down))
-        # Failover re-submissions: (due time, seq, request).
-        pending = []
-        pending_seq = len(self.crashes)
-        if recovery is not None:
-            pending_seq += 1
-            heapq.heappush(faults, (recovery.snapshot_interval,
-                                    pending_seq, "snapshot", -1, 0.0))
-
-        # Hedging state (untouched when hedging is off).  With hedging
-        # on, a dispatched batch's responses become *completion events*
-        # — a response only "arrives" at its completion instant, so a
-        # hedge fired while the primary is still in flight can win.
-        hedges = []          # (fire time, seq, request)
-        completions = []     # (completion time, seq, response)
-        assigned = {}        # request_id -> replica ids holding a copy
-        hedge_target = {}    # request_id -> the hedge copy's replica
-        done_ids = set()     # first-response-wins dedup
-        latencies = []       # completed latencies, kept ascending
-        hedges_launched = 0
-        hedges_won = 0
-        hedges_wasted = 0
-        hedges_cancelled = 0
-
-        responses = []
-        rejected = 0
-        requeued = 0
-        budget_dropped = 0
-        dropped_ids = []
-        attempts = {}        # request_id -> crash re-route count
-        clock = 0.0
-        i, n = 0, len(requests)
-        inf = float("inf")
-
-        def route_in(request):
-            nonlocal rejected, pending_seq
-            if hedge is not None and request.request_id in done_ids:
-                return  # a hedge twin already answered it
-            try:
-                replica, is_owner = router.route(request, now=clock)
-            except FleetError:
-                # Every replica is down: open-loop load cannot wait
-                # for the cluster — the request is lost (dropped, and
-                # surfaced as such in the report).
-                rejected += 1
-                dropped_ids.append(request.request_id)
-                return
-            if not replica.submit(request, is_owner):
-                rejected += 1
-                return
-            if hedge is not None:
-                copies = assigned.setdefault(request.request_id, [])
-                copies.append(replica.replica_id)
-                if len(copies) == 1:
-                    delay = self._hedge_delay(hedge, latencies)
-                    if delay is not None:
-                        pending_seq += 1
-                        heapq.heappush(hedges, (clock + delay,
-                                                pending_seq, request))
-
-        while True:
-            draining = i >= n and not pending
-            t_arrival = requests[i].arrival if i < n else inf
-            t_pending = pending[0][0] if pending else inf
-            t_fault = faults[0][0] if faults else inf
-            t_hedge = hedges[0][0] if hedges else inf
-            t_completion = completions[0][0] if completions else inf
-            t_dispatch = inf
-            for replica in replicas:
-                t_r = replica.next_dispatch_time(draining)
-                if t_r is not None:
-                    t_dispatch = min(t_dispatch, t_r)
-            t = min(t_arrival, t_pending, t_fault, t_hedge,
-                    t_completion, t_dispatch)
-            if t == inf:
-                break
-            clock = max(clock, t)
-
-            # 1. Faults due now: crash (drain + schedule failover and
-            # recovery) and recovery events; with the resilience layer
-            # also suspicion/death declarations and cache snapshots.
-            while faults and faults[0][0] <= clock:
-                _, _, kind, replica_id, down = heapq.heappop(faults)
-                replica = replicas[replica_id] if replica_id >= 0 \
-                    else None
-                if kind == "crash":
-                    if not replica.alive:
-                        continue
-                    orphans = replica.crash(clock, down,
-                                            cold=recovery is not None)
-                    if detector is not None:
-                        # The detector suspects the silence an order of
-                        # magnitude before the retry timeout would.
-                        due = detector.suspect_at(replica_id, clock)
-                    else:
-                        # The router notices the dead node only after
-                        # the retry policy's detection timeout; the
-                        # orphaned requests re-enter routing then.
-                        due = clock + self.retry.timeout
-                    for orphan in orphans:
-                        if budget is not None:
-                            count = attempts.get(orphan.request_id,
-                                                 0) + 1
-                            attempts[orphan.request_id] = count
-                            if count > budget:
-                                # Retry budget exhausted: bound the
-                                # amplification, drop the request.
-                                rejected += 1
-                                budget_dropped += 1
-                                dropped_ids.append(orphan.request_id)
-                                continue
-                        pending_seq += 1
-                        heapq.heappush(pending,
-                                       (due, pending_seq, orphan))
-                    requeued += len(orphans)
-                    heapq.heappush(faults, (clock + down, pending_seq,
-                                            "recover", replica_id, 0.0))
-                    if detector is not None:
-                        pending_seq += 1
-                        heapq.heappush(faults, (due, pending_seq,
-                                                "suspect", replica_id,
-                                                0.0))
-                        pending_seq += 1
-                        heapq.heappush(
-                            faults,
-                            (detector.dead_at(replica_id, clock),
-                             pending_seq, "dead", replica_id, 0.0))
-                elif kind == "recover":
-                    replica.recover(clock)
-                    if detector is not None:
-                        detector.heartbeat(replica_id, clock)
-                    if recovery is not None:
-                        # Re-warm the cold cache from the newest valid
-                        # snapshot (falls back to the previous one if
-                        # the last save was torn by the crash).
-                        recovery.restore(replica)
-                elif kind == "suspect":
-                    if not replica.alive:
-                        detector.suspicions += 1
-                        if breakers is not None:
-                            breakers[replica_id].trip(clock)
-                elif kind == "dead":
-                    if not replica.alive:
-                        detector.deaths_declared += 1
-                        if autoscaler is not None:
-                            autoscaler.replace(clock, replica_id)
-                else:  # snapshot
-                    for target in replicas:
-                        if target.alive:
-                            recovery.save(target, clock)
-                    if i < n or pending:
-                        pending_seq += 1
-                        heapq.heappush(
-                            faults,
-                            (clock + recovery.snapshot_interval,
-                             pending_seq, "snapshot", -1, 0.0))
-
-            # 1b. Response arrivals (hedge mode only): a response lands
-            # at its *completion* instant — the first copy back wins,
-            # a later twin is wasted work, and the winner cancels any
-            # copy still queued elsewhere.
-            while completions and completions[0][0] <= clock:
-                _, _, response = heapq.heappop(completions)
-                rid = response.request.request_id
-                if rid in done_ids:
-                    hedges_wasted += 1
-                    continue
-                done_ids.add(rid)
-                insort(latencies, response.completion
-                       - response.request.arrival)
-                responses.append(response)
-                if hedge_target.get(rid) is None:
-                    continue
-                if response.replica == hedge_target[rid]:
-                    hedges_won += 1
-                for other in assigned.get(rid, []):
-                    if other == response.replica:
-                        continue
-                    if replicas[other].batcher.cancel(rid):
-                        hedges_cancelled += 1
-
-            # 2. Arrivals and failover re-submissions due now, merged
-            # in time order (ties: original arrivals first).
-            while (i < n and requests[i].arrival <= clock) \
-                    or (pending and pending[0][0] <= clock):
-                take_arrival = i < n and requests[i].arrival <= clock \
-                    and (not pending
-                         or requests[i].arrival <= pending[0][0])
-                if take_arrival:
-                    request = requests[i]
-                    i += 1
-                else:
-                    _, _, request = heapq.heappop(pending)
-                route_in(request)
-                if autoscaler is not None:
-                    autoscaler.evaluate(clock)
-
-            # 2b. Hedge timers due now: launch a second copy of any
-            # still-unanswered request on a replica not already holding
-            # one (opportunistic — silently skipped when impossible).
-            while hedges and hedges[0][0] <= clock:
-                _, _, request = heapq.heappop(hedges)
-                rid = request.request_id
-                if rid in done_ids:
-                    continue
-                routed = router.route_hedge(
-                    request, set(assigned.get(rid, [])), now=clock)
-                if routed is None:
-                    continue
-                replica, is_owner = routed
-                if not replica.submit(request, is_owner):
-                    continue
-                assigned[rid].append(replica.replica_id)
-                hedge_target[rid] = replica.replica_id
-                hedges_launched += 1
-
-            # 3. Dispatches ready now: one batch per ready replica, in
-            # replica-id order.  With hedging, responses are deferred
-            # to completion events (step 1b) so an in-flight primary
-            # can still lose to a faster hedge twin.
-            draining = i >= n and not pending
-            for replica in replicas:
-                t_r = replica.next_dispatch_time(draining)
-                if t_r is not None and t_r <= clock:
-                    if schedule is not None:
-                        straggle, slowlink = schedule.multipliers(
-                            replica.replica_id, clock)
-                        batch = replica.dispatch(clock,
-                                                 straggle=straggle,
-                                                 slowlink=slowlink)
-                    else:
-                        batch = replica.dispatch(clock)
-                    if breakers is not None:
-                        breakers[replica.replica_id].record_success(
-                            clock)
-                    if hedge is None:
-                        responses.extend(batch)
-                    else:
-                        for response in batch:
-                            pending_seq += 1
-                            heapq.heappush(completions,
-                                           (response.completion,
-                                            pending_seq, response))
-                    PERF.count("fleet_batches")
-            if autoscaler is not None:
-                autoscaler.finalize_drains(clock)
-
-        # A schedule alone (crash/straggler windows) adds no counters of
-        # its own, and leaving the field None keeps a schedule-driven
-        # baseline run report-identical to the legacy crashes= path.
-        resilience_stats = None
-        if resil is not None or recovery is not None \
-                or self.shards.replicated:
-            resilience_stats = {
-                "suspicions": detector.suspicions if detector else 0,
-                "deaths_declared":
-                    detector.deaths_declared if detector else 0,
-                "mean_detection_delay":
-                    detector.mean_detection_delay if detector
-                    else None,
-                "hedges_launched": hedges_launched,
-                "hedges_won": hedges_won,
-                "hedges_wasted": hedges_wasted,
-                "hedges_cancelled": hedges_cancelled,
-                "breaker_trips":
-                    sum(b.trips for b in breakers) if breakers else 0,
-                "breaker_half_opens":
-                    sum(b.half_opens for b in breakers)
-                    if breakers else 0,
-                "backup_routed": router.backup_routed,
-                "retry_budget_drops": budget_dropped,
-                "snapshots": recovery.snapshots if recovery else 0,
-                "recoveries": recovery.recoveries if recovery else 0,
-                "cold_recoveries":
-                    recovery.cold_recoveries if recovery else 0,
-            }
-
-        PERF.count("fleet_requests", len(responses))
-        return self._report(n, responses, rejected, requeued, router,
-                            autoscaler, replicas, dropped_ids,
-                            resilience_stats)
-
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    def _report(self, num_requests, responses, rejected, requeued,
-                router, autoscaler, replicas, dropped_ids=(),
-                resilience_stats=None):
+    def _report(self, run):
+        replicas, router, autoscaler = \
+            run.replicas, run.router, run.autoscaler
+        responses = run.loop.responses
         merged = StageProfiler()
         for replica in replicas:
             merged.merge(replica.metrics)
-
-        labels = self.dataset.labels
-        correct = sum(int(r.prediction == labels[r.request.vertex])
-                      for r in responses)
-        completed = len(responses)
-        duration = max(r.completion for r in responses) \
-            if responses else 0.0
+        totals = run_totals(responses, self.dataset.labels)
+        completed = totals["completed"]
 
         zero_remote = sum(r.zero_remote_completed for r in replicas)
         local_rows = sum(r.executor.local_rows for r in replicas)
         remote_rows = sum(r.executor.remote_rows for r in replicas)
         total_rows = local_rows + remote_rows
+        hit_rate, warm_rate, _ = cache_hit_rates(
+            r.executor.cache for r in replicas)
 
-        hits = {"hot": 0, "warm": 0, "flat": 0}
-        lookups = 0
-        tiered = False
-        for replica in replicas:
-            cache = replica.executor.cache
-            if isinstance(cache, TieredCache):
-                tiered = True
-                hits["hot"] += cache.hot_hits
-                hits["warm"] += cache.warm_hits
-                lookups += cache.requests
-            elif cache is not None:
-                hits["flat"] += cache.hits
-                lookups += cache.hits + cache.misses
-        if tiered:
-            hot_rate = hits["hot"] / lookups if lookups else 0.0
-            warm_rate = hits["warm"] / lookups if lookups else 0.0
-            hit_rate = hot_rate
-        else:
-            hot_rate = hit_rate = (hits["flat"] / lookups
-                                   if lookups else 0.0)
-            warm_rate = 0.0
-
-        precompute = replicas[0].executor.precompute_seconds \
-            if replicas else 0.0
-        active_max = autoscaler.active_max if autoscaler is not None \
-            else self.num_replicas
+        # A schedule alone (crash/straggler windows) adds no counters
+        # of its own: the field stays None on a baseline run.
+        resilience_stats = None
+        if self.resilience is not None or self.recovery is not None \
+                or self.shards.replicated:
+            resilience_stats = run.resilience_stats()
         return FleetReport(
             mode=self.mode,
             policy=self.policy.describe(),
             partitioner=self.shards.partition.method,
             num_replicas=self.num_replicas,
-            num_requests=num_requests,
-            completed=completed,
-            rejected=rejected,
+            num_requests=run.num_requests,
+            rejected=run.rejected,
             spillovers=router.spillovers,
             failovers=router.failovers,
-            requeued=requeued,
-            duration_seconds=duration,
-            throughput=completed / duration if duration else 0.0,
+            requeued=run.requeued,
+            **totals,
             **_latency_fields(merged.summary("latency")),
             bp_seconds=sum(r.bp_seconds for r in replicas),
             dt_seconds=sum(r.dt_seconds for r in replicas),
             nn_seconds=sum(r.nn_seconds for r in replicas),
             remote_seconds=sum(r.executor.remote_seconds
                                for r in replicas),
-            precompute_seconds=precompute,
-            accuracy=correct / completed if completed else 0.0,
+            precompute_seconds=replicas[0].executor.precompute_seconds,
             routing_locality=(zero_remote / completed
                               if completed else 1.0),
             remote_row_fraction=(remote_rows / total_rows
                                  if total_rows else 0.0),
             cache_hit_rate=hit_rate,
-            hot_hit_rate=hot_rate,
+            hot_hit_rate=hit_rate,
             warm_hit_rate=warm_rate,
             cache_policy=self._executor_kwargs["cache_policy"],
             scale_events=list(autoscaler.events)
             if autoscaler is not None else [],
-            replicas_active_max=active_max,
-            dropped=len(dropped_ids),
-            dropped_request_ids=list(dropped_ids),
+            replicas_active_max=autoscaler.active_max
+            if autoscaler is not None else self.num_replicas,
+            dropped=len(run.dropped_ids),
+            dropped_request_ids=list(run.dropped_ids),
             replication_factor=self.shards.replication_factor(),
             resilience=resilience_stats,
             replicas=[r.report() for r in replicas],
             responses=responses,
         )
+
+
+class _FleetRun:
+    """The state of one :meth:`FleetEngine.run` and its event handlers.
+
+    Built fresh per run (cold caches, empty queues).  Every handler is
+    a method that assumes its policy exists; :meth:`handlers`
+    subscribes it only when the engine configures that policy, so
+    nothing tests for a feature while the loop runs.
+    """
+
+    def __init__(self, engine, requests):
+        requests = list(requests)
+        self.num_requests = len(requests)
+        self.replicas = engine._build_replicas()
+        resil = engine.resilience or _NO_RESILIENCE
+        self.detector = FailureDetector(
+            resil.detector, engine.num_replicas) \
+            if resil.detector is not None else None
+        self.breakers = [CircuitBreaker(resil.breaker)
+                         for _ in self.replicas] \
+            if resil.breaker is not None else None
+        self.hedge_policy = resil.hedge
+        self.retry_budget = resil.retry_budget
+        self.retry_timeout = engine.retry.timeout
+        self.recovery = engine.recovery
+        self.router = Router(engine.shards, self.replicas,
+                             engine.routing, breakers=self.breakers)
+        self.autoscaler = Autoscaler(engine.autoscale, self.replicas) \
+            if engine.autoscale is not None else None
+
+        self.rejected = 0
+        self.requeued = 0
+        self.budget_dropped = 0
+        self.dropped_ids = []
+        self.attempts = {}       # request_id -> crash re-route count
+        # Hedging state (untouched when hedging is off).
+        self.assigned = {}       # request_id -> replica ids with a copy
+        self.hedge_target = {}   # request_id -> the hedge copy's replica
+        self.done = set()        # first-response-wins dedup
+        self.latencies = []      # completed latencies, kept ascending
+        self.hedges_launched = 0
+        self.hedges_won = 0
+        self.hedges_wasted = 0
+        self.hedges_cancelled = 0
+
+        self.loop = EventLoop(self.replicas, requests,
+                              engine.schedule.multipliers)
+        # A crash takes the cache down with the process only when the
+        # recovery layer can re-warm it.
+        self.cold_crashes = self.recovery is not None
+        for time, replica_id, down in engine.schedule.crashes:
+            self.loop.schedule(time, FAULT, "crash", (replica_id, down))
+        if self.recovery is not None:
+            self.loop.schedule(self.recovery.snapshot_interval, FAULT,
+                               "snapshot")
+
+    def handlers(self):
+        """One handler per event kind per configured policy (list
+        order is call order)."""
+        on = {"crash": [self.on_crash], "recover": [self.on_recover],
+              "admit": [self.on_admit], "batch": [self.loop.collect]}
+        if self.detector is not None:
+            on["crash"] = [self.on_crash_detected]
+            on["recover"].append(self.restart_heartbeat)
+            on["suspect"] = [self.on_suspect]
+            on["dead"] = [self.on_dead]
+            if self.breakers is not None:
+                on["suspect"].append(self.trip_breaker)
+            if self.autoscaler is not None:
+                on["dead"].append(self.replace_dead)
+        if self.breakers is not None:
+            on["batch"].insert(0, self.heal_breaker)
+        if self.recovery is not None:
+            on["recover"].append(self.rewarm)
+            on["snapshot"] = [self.on_snapshot]
+        if self.hedge_policy is not None:
+            # With hedging a response only "arrives" at its completion
+            # instant, so a hedge fired while the primary is still in
+            # flight can win.
+            on["admit"] = [self.on_admit_hedged]
+            on["batch"][-1] = self.defer_responses
+            on["response"] = [self.on_response]
+            on["hedge"] = [self.on_hedge]
+        if self.autoscaler is not None:
+            on["admit"].append(self.rescale)
+            on["dispatched"] = [self.settle_drains]
+        return on
+
+    # -- FAULT phase ---------------------------------------------------
+    def on_crash(self, event):
+        """Without a detector the router notices a dead node only after
+        the retry policy's detection timeout."""
+        if self.replicas[event[0]].alive:
+            self._fail(event, self.loop.clock + self.retry_timeout)
+
+    def on_crash_detected(self, event):
+        """The detector suspects the silence an order of magnitude
+        before the retry timeout would, then escalates to a death
+        declaration."""
+        replica_id = event[0]
+        if self.replicas[replica_id].alive:
+            loop = self.loop
+            due = self.detector.suspect_at(replica_id, loop.clock)
+            self._fail(event, due)
+            loop.schedule(due, FAULT, "suspect", replica_id)
+            loop.schedule(self.detector.dead_at(replica_id, loop.clock),
+                          FAULT, "dead", replica_id)
+
+    def _fail(self, event, due):
+        """Take a live replica down: its queued requests re-enter
+        routing at ``due`` (when the failure is noticed) and it
+        rejoins, empty-queued, when its down time ends."""
+        replica_id, down = event
+        loop = self.loop
+        orphans = self.replicas[replica_id].crash(
+            loop.clock, down, cold=self.cold_crashes)
+        for orphan in orphans:
+            count = self.attempts.get(orphan.request_id, 0) + 1
+            self.attempts[orphan.request_id] = count
+            if count > self.retry_budget:
+                # Retry budget exhausted: bound the amplification,
+                # drop the request.
+                self.rejected += 1
+                self.budget_dropped += 1
+                self.dropped_ids.append(orphan.request_id)
+                continue
+            loop.schedule(due, ADMIT, "admit", orphan)
+        self.requeued += len(orphans)
+        loop.schedule(loop.clock + down, FAULT, "recover", replica_id)
+
+    def on_recover(self, replica_id):
+        self.replicas[replica_id].recover(self.loop.clock)
+
+    def restart_heartbeat(self, replica_id):
+        self.detector.heartbeat(replica_id, self.loop.clock)
+
+    def rewarm(self, replica_id):
+        """Re-warm the cold cache from the newest valid snapshot (falls
+        back to the previous one if the last save was torn)."""
+        self.recovery.restore(self.replicas[replica_id])
+
+    def on_suspect(self, replica_id):
+        if not self.replicas[replica_id].alive:
+            self.detector.suspicions += 1
+
+    def trip_breaker(self, replica_id):
+        if not self.replicas[replica_id].alive:
+            self.breakers[replica_id].trip(self.loop.clock)
+
+    def on_dead(self, replica_id):
+        if not self.replicas[replica_id].alive:
+            self.detector.deaths_declared += 1
+
+    def replace_dead(self, replica_id):
+        if not self.replicas[replica_id].alive:
+            self.autoscaler.replace(self.loop.clock, replica_id)
+
+    def on_snapshot(self, _):
+        for replica in self.replicas:
+            if replica.alive:
+                self.recovery.save(replica, self.loop.clock)
+        if not self.loop.draining:
+            self.loop.schedule(
+                self.loop.clock + self.recovery.snapshot_interval,
+                FAULT, "snapshot")
+
+    # -- RESPONSE phase (hedging only) ---------------------------------
+    def on_response(self, response):
+        """The first copy back wins, a later twin is wasted work, and
+        the winner cancels any copy still queued elsewhere."""
+        rid = response.request.request_id
+        if rid in self.done:
+            self.hedges_wasted += 1
+            return
+        self.done.add(rid)
+        insort(self.latencies, response.latency)
+        self.loop.responses.append(response)
+        target = self.hedge_target.get(rid)
+        if target is None:
+            return
+        if response.replica == target:
+            self.hedges_won += 1
+        for other in self.assigned[rid]:
+            if other != response.replica \
+                    and self.replicas[other].batcher.cancel(rid):
+                self.hedges_cancelled += 1
+
+    # -- ADMIT phase ---------------------------------------------------
+    def on_admit(self, request):
+        """Route one arrival or re-submission; returns the replica that
+        queued it, or ``None`` when it was rejected."""
+        try:
+            replica, is_owner = self.router.route(request,
+                                                  now=self.loop.clock)
+        except FleetError:
+            # Every replica is down: open-loop load cannot wait for
+            # the cluster — the request is lost (dropped, and surfaced
+            # as such in the report).
+            self.rejected += 1
+            self.dropped_ids.append(request.request_id)
+            return None
+        if not replica.submit(request, is_owner):
+            self.rejected += 1
+            return None
+        return replica
+
+    def on_admit_hedged(self, request):
+        """:meth:`on_admit`, remembering who holds a copy and arming the
+        hedge timer on a request's first copy."""
+        if request.request_id in self.done:
+            return  # a hedge twin already answered it
+        replica = self.on_admit(request)
+        if replica is None:
+            return
+        copies = self.assigned.setdefault(request.request_id, [])
+        copies.append(replica.replica_id)
+        if len(copies) == 1:
+            delay = FleetEngine._hedge_delay(self.hedge_policy,
+                                             self.latencies)
+            if delay is not None:
+                self.loop.schedule(self.loop.clock + delay, TIMER,
+                                   "hedge", request)
+
+    def rescale(self, _request):
+        self.autoscaler.evaluate(self.loop.clock)
+
+    # -- TIMER phase (hedging only) ------------------------------------
+    def on_hedge(self, request):
+        """Launch a second copy of a still-unanswered request on a
+        replica not already holding one (opportunistic — silently
+        skipped when impossible)."""
+        rid = request.request_id
+        if rid in self.done:
+            return
+        routed = self.router.route_hedge(
+            request, set(self.assigned.get(rid, [])),
+            now=self.loop.clock)
+        if routed is None:
+            return
+        replica, is_owner = routed
+        if not replica.submit(request, is_owner):
+            return
+        self.assigned[rid].append(replica.replica_id)
+        self.hedge_target[rid] = replica.replica_id
+        self.hedges_launched += 1
+
+    # -- dispatch phase ------------------------------------------------
+    def heal_breaker(self, dispatched):
+        self.breakers[dispatched[0].node_id].record_success(
+            self.loop.clock)
+
+    def defer_responses(self, dispatched):
+        for response in dispatched[1]:
+            self.loop.schedule(response.completion, RESPONSE,
+                               "response", response)
+
+    def settle_drains(self, _):
+        self.autoscaler.finalize_drains(self.loop.clock)
+
+    # -- report --------------------------------------------------------
+    def resilience_stats(self):
+        detector, breakers, recovery = \
+            self.detector, self.breakers, self.recovery
+        return {
+            "suspicions": detector.suspicions if detector else 0,
+            "deaths_declared":
+                detector.deaths_declared if detector else 0,
+            "mean_detection_delay":
+                detector.mean_detection_delay if detector else None,
+            "hedges_launched": self.hedges_launched,
+            "hedges_won": self.hedges_won,
+            "hedges_wasted": self.hedges_wasted,
+            "hedges_cancelled": self.hedges_cancelled,
+            "breaker_trips":
+                sum(b.trips for b in breakers) if breakers else 0,
+            "breaker_half_opens":
+                sum(b.half_opens for b in breakers) if breakers else 0,
+            "backup_routed": self.router.backup_routed,
+            "retry_budget_drops": self.budget_dropped,
+            "snapshots": recovery.snapshots if recovery else 0,
+            "recoveries": recovery.recoveries if recovery else 0,
+            "cold_recoveries":
+                recovery.cold_recoveries if recovery else 0,
+        }

@@ -13,24 +13,22 @@ executor's — a 1-replica fleet charges bit-identical seconds to a
 single :class:`~repro.serve.engine.ServeEngine`, which the equivalence
 tests pin down.
 
-:class:`ReplicaServer` is the queueing shell around one executor: a
-per-replica :class:`~repro.serve.batcher.MicroBatcher`, a seeded rng,
-a :class:`~repro.perf.StageProfiler` recording latency/batch/queue
-distributions, and the liveness flags (``alive`` — crash faults;
-``active``/``draining`` — autoscaling) the router and fleet engine
-steer by.  It holds no clock: the engine passes simulated time in.
+:class:`ReplicaServer` is the fleet's
+:class:`~repro.serve.loop.ServeNode`: the same queue, ``dispatch`` and
+counters as the single server's node, a per-replica seeded rng, and
+the liveness flags (``alive`` — crash faults; ``active``/``draining``
+— autoscaling) the router and fleet engine steer by.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import AdmissionError, FleetError
-from ..perf.profiler import StageProfiler
-from ..serve.batcher import MicroBatcher
+from ..errors import FleetError
 from ..serve.executor import BatchExecutor
-from ..serve.requests import InferenceResponse
+from ..serve.loop import ServeNode, cache_hit_rates
 from ..transfer.tiered import TieredCache
+from .metrics import ReplicaReport, _latency_fields
 
 __all__ = ["ShardExecutor", "ReplicaServer"]
 
@@ -158,8 +156,10 @@ class ShardExecutor(BatchExecutor):
         return local_seconds + remote_seconds
 
 
-class ReplicaServer:
-    """One fleet node: shard executor + micro-batch queue + metrics.
+class ReplicaServer(ServeNode):
+    """One fleet node: a :class:`~repro.serve.loop.ServeNode` serving
+    one shard, plus what only a fleet member has — routing counters,
+    the ``active`` autoscaling flag, and crash / recover.
 
     Parameters
     ----------
@@ -184,29 +184,16 @@ class ReplicaServer:
             raise FleetError(
                 f"executor serves shard {executor.replica_id}, "
                 f"replica is {replica_id}")
-        self.replica_id = int(replica_id)
+        super().__init__(
+            executor, policy, max_queue, node_id=replica_id,
+            rng=np.random.default_rng((int(seed), int(replica_id))))
+        self.replica_id = self.node_id
         self.shards = shards
-        self.executor = executor
-        self.batcher = MicroBatcher(policy, max_queue)
-        self.policy = self.batcher.policy
-        self.rng = np.random.default_rng((int(seed), self.replica_id))
-        self.metrics = StageProfiler()
-
-        self.free_at = 0.0          # simulated time the node idles again
-        self.alive = True           # False while a crash fault holds
         self.active = True          # False while scaled down
-        self.draining = False       # scale-down decided, queue emptying
 
         self.routed = 0
         self.owner_routed = 0
         self.spill_routed = 0
-        self.completed = 0
-        self.rejected = 0
-        self.zero_remote_completed = 0
-        self.num_batches = 0
-        self.bp_seconds = 0.0
-        self.dt_seconds = 0.0
-        self.nn_seconds = 0.0
         self.crashes = 0
         self.down_seconds = 0.0
 
@@ -214,10 +201,6 @@ class ReplicaServer:
     def accepting(self):
         """Whether the router may send this node new requests."""
         return self.alive and self.active and not self.draining
-
-    @property
-    def queue_depth(self):
-        return len(self.batcher)
 
     def submit(self, request, is_owner):
         """Enqueue one routed request; returns False (and counts a
@@ -227,68 +210,7 @@ class ReplicaServer:
             self.owner_routed += 1
         else:
             self.spill_routed += 1
-        try:
-            self.batcher.submit(request)
-        except AdmissionError:
-            self.rejected += 1
-            return False
-        self.metrics.observe("queue_depth", len(self.batcher))
-        return True
-
-    def next_dispatch_time(self, draining):
-        """Earliest simulated time this node can dispatch its next
-        batch, or ``None`` when it has nothing to dispatch.  ``draining``
-        is the *fleet-wide* no-more-arrivals flag (partial batches then
-        flush immediately)."""
-        if not self.alive or len(self.batcher) == 0:
-            return None
-        full = len(self.batcher) >= self.policy.max_batch_size
-        if full or draining or self.draining:
-            ready_at = 0.0
-        else:
-            ready_at = self.batcher.oldest_deadline()
-        return max(self.free_at, ready_at)
-
-    def dispatch(self, clock, straggle=1.0, slowlink=1.0):
-        """Serve one micro-batch at simulated time ``clock``; returns
-        the responses (stamped with this replica's id).
-
-        ``straggle`` multiplies the whole service time (a slow node);
-        ``slowlink`` scales network bandwidth, stretching this batch's
-        remote-fetch seconds by ``1/slowlink``.  Both default to 1.0
-        and are only *applied* when they differ — the healthy path's
-        float arithmetic is untouched (bit-exact baseline)."""
-        batch = self.batcher.take()
-        vertices = np.array([r.vertex for r in batch], dtype=np.int64)
-        predictions, bp, dt, nn = self.executor.execute(vertices,
-                                                        self.rng)
-        service = bp + dt + nn
-        if slowlink != 1.0:
-            service += self.executor.last_remote_seconds \
-                * (1.0 / slowlink - 1.0)
-        if straggle != 1.0:
-            service *= straggle
-        completion = clock + service
-        self.free_at = completion
-
-        self.num_batches += 1
-        self.completed += len(batch)
-        self.bp_seconds += bp
-        self.dt_seconds += dt
-        self.nn_seconds += nn
-        if self.executor.last_remote_rows == 0:
-            self.zero_remote_completed += len(batch)
-        self.metrics.observe("batch_size", len(batch))
-
-        responses = []
-        for request, prediction in zip(batch, predictions):
-            self.metrics.observe("latency",
-                                 completion - request.arrival)
-            responses.append(InferenceResponse(
-                request=request, prediction=int(prediction),
-                completion=completion, batch_id=self.num_batches,
-                batch_size=len(batch), replica=self.replica_id))
-        return responses
+        return super().submit(request)
 
     def crash(self, clock, down_seconds, cold=False):
         """Take the node down at ``clock``; returns the queued requests
@@ -316,17 +238,7 @@ class ReplicaServer:
 
     def report(self):
         """This node's :class:`~repro.fleet.metrics.ReplicaReport`."""
-        from .metrics import ReplicaReport, _latency_fields
-
-        cache = self.executor.cache
-        if isinstance(cache, TieredCache):
-            rates = cache.hit_rates()
-            hit, hot, warm = rates["hot"], rates["hot"], rates["warm"]
-        elif cache is not None:
-            hit, hot, warm = cache.hit_rate, cache.hit_rate, 0.0
-        else:
-            hit = hot = warm = 0.0
-
+        hit_rate, warm_rate, _ = cache_hit_rates([self.executor.cache])
         queue = self.metrics.summary("queue_depth")
         return ReplicaReport(
             replica=self.replica_id,
@@ -338,8 +250,7 @@ class ReplicaServer:
             completed=self.completed,
             rejected=self.rejected,
             num_batches=self.num_batches,
-            mean_batch_size=(self.completed / self.num_batches
-                             if self.num_batches else 0.0),
+            mean_batch_size=self.mean_batch_size,
             **_latency_fields(self.metrics.summary("latency")),
             queue_depth_mean=queue["mean"] if queue else 0.0,
             queue_depth_max=queue["max"] if queue else 0.0,
@@ -350,9 +261,9 @@ class ReplicaServer:
             remote_rows=self.executor.remote_rows,
             remote_seconds=self.executor.remote_seconds,
             zero_remote_completed=self.zero_remote_completed,
-            cache_hit_rate=hit,
-            hot_hit_rate=hot,
-            warm_hit_rate=warm,
+            cache_hit_rate=hit_rate,
+            hot_hit_rate=hit_rate,
+            warm_hit_rate=warm_rate,
             tier_seconds=dict(self.executor.tier_seconds),
             crashes=self.crashes,
             down_seconds=self.down_seconds,

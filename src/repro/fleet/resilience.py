@@ -391,6 +391,14 @@ class FleetSchedule:
     (service-time multiplier window), ``slowlink`` (network-bandwidth
     multiplier window — remote fetches stretch by ``1/m``).  The
     training-only kinds ``halt`` and ``flaky`` are rejected.
+
+    This is the fleet's one fault timeline
+    (``FleetEngine(schedule=...)``), so it is also where a timeline is
+    validated: the grammar (:class:`~repro.faults.plan.FaultEvent`)
+    already refuses a negative time or a non-positive duration with
+    :class:`~repro.errors.FaultError`; the schedule adds what only the
+    fleet knows — a replica id beyond the fleet size is a
+    :class:`~repro.errors.FleetError`.
     """
 
     _FLEET_KINDS = ("crash", "straggler", "slowlink")

@@ -173,7 +173,10 @@ def _initial_partition(adj, weights, num_parts, caps, rng):
             np.add.at(conn, assignment[neighbors[assigned]],
                       edge_w[assigned])
         fits = np.all(loads + weights[v] <= caps, axis=1)
-        load_ratio = (loads / caps).max(axis=1)
+        # An all-zero constraint column has zero capacity and zero
+        # load: its 0/0 is nan, which max() propagates on purpose.
+        with np.errstate(invalid="ignore"):
+            load_ratio = (loads / caps).max(axis=1)
         if not fits.any():
             # All parts nominally full: pick the least-loaded one.
             candidate = int(load_ratio.argmin())

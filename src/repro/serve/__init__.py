@@ -17,8 +17,14 @@ Pieces:
   backpressure (:class:`~repro.errors.AdmissionError`);
 * :mod:`~repro.serve.precompute` — :class:`LayerwiseEmbeddings`,
   bit-identical precomputed vs on-demand full-fanout inference;
+* :mod:`~repro.serve.loop` — the one serving event loop:
+  :class:`ServeNode` (queue + executor + ``dispatch``, where deadline
+  shedding and degraded fallback live) and :class:`EventLoop` (one
+  simulated clock, one phase-ordered event queue, handlers per event
+  kind), shared with :mod:`repro.fleet`;
 * :mod:`~repro.serve.engine` — the :class:`ServeEngine` simulated
-  single-node server with three execution modes;
+  single-node server with three execution modes: that loop over one
+  router-less node;
 * :mod:`~repro.serve.metrics` — :class:`ServeReport` latency/throughput
   digests built on :meth:`repro.perf.StageProfiler.observe`;
 * :mod:`~repro.serve.bench` — the ``repro serve-bench`` sweep.
@@ -27,6 +33,7 @@ Pieces:
 from .batcher import BatchPolicy, MicroBatcher
 from .bench import run_serve_bench
 from .engine import SERVE_MODES, ServeEngine
+from .loop import EventLoop, ServeNode
 from .metrics import ServeReport
 from .precompute import LayerwiseEmbeddings, OndemandStats
 from .requests import InferenceRequest, InferenceResponse, LoadGenerator
@@ -35,6 +42,7 @@ __all__ = [
     "InferenceRequest", "InferenceResponse", "LoadGenerator",
     "BatchPolicy", "MicroBatcher",
     "LayerwiseEmbeddings", "OndemandStats",
+    "ServeNode", "EventLoop",
     "ServeEngine", "SERVE_MODES", "ServeReport",
     "run_serve_bench",
 ]

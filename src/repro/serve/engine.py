@@ -31,7 +31,11 @@ Execution modes
     queried vertex (batching-invariant — see
     :meth:`~repro.serve.precompute.LayerwiseEmbeddings.rowwise_logits`).
 
-The event loop is deterministic: simulated arrivals come from a seeded
+The engine has no loop of its own: :meth:`ServeEngine.run` is
+:class:`~repro.serve.loop.EventLoop` over one router-less
+:class:`~repro.serve.loop.ServeNode` with no handlers registered — the
+single-node configuration of the loop the fleet runs on.  It is
+deterministic: simulated arrivals come from a seeded
 :class:`~repro.serve.requests.LoadGenerator` trace, sampling uses one
 seeded rng, and no wall clock is ever read on the simulated-time path.
 
@@ -49,14 +53,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import AdmissionError, ServingError
-from ..perf import PERF, StageProfiler
+from ..errors import ServingError
 from ..transfer.hardware import DEFAULT_SPEC
-from ..transfer.tiered import TieredCache
-from .batcher import BatchPolicy, MicroBatcher
+from .batcher import BatchPolicy
 from .executor import SERVE_MODES, BatchExecutor
+from .loop import (EventLoop, ServeNode, cache_hit_rates, eval_mode,
+                   run_totals)
 from .metrics import ServeReport
-from .requests import InferenceResponse
 
 __all__ = ["ServeEngine", "SERVE_MODES"]
 
@@ -146,195 +149,73 @@ class ServeEngine:
             spec=self.spec, embeddings=embeddings,
             need_embeddings=self.fallback)
 
-    # Back-compatible views onto the execution layer (the pre-fleet
-    # engine owned these directly; tests and callers still read them).
-    @property
-    def sampler(self):
-        return self.executor.sampler
-
-    @property
-    def embeddings(self):
-        return self.executor.embeddings
-
     @property
     def cache(self):
+        """The executor's feature / embedding cache (``None`` when
+        caching is off)."""
         return self.executor.cache
 
-    @property
-    def cache_ratio(self):
-        return self.executor.cache_ratio
-
-    @property
-    def warm_ratio(self):
-        return self.executor.warm_ratio
-
-    @property
-    def cache_policy(self):
-        return self.executor.cache_policy
-
-    @property
-    def hidden_dim(self):
-        return self.executor.hidden_dim
-
-    @property
-    def precompute_seconds(self):
-        return self.executor.precompute_seconds
-
-    # ------------------------------------------------------------------
-    # The simulated-time serving loop
-    # ------------------------------------------------------------------
     def run(self, requests):
         """Serve a request trace; returns a
         :class:`~repro.serve.metrics.ServeReport`.
 
         ``requests`` must be sorted by arrival time (what
-        :meth:`LoadGenerator.generate` produces).  The loop is a
-        single-server queueing simulation: arrivals at time ``t`` are
-        admitted (in order) before any dispatch decision at ``t``; a
-        batch launches when the server is free and the batcher is ready
-        (full, past the oldest deadline, or draining).
+        :meth:`LoadGenerator.generate` produces).  A single-server
+        queueing simulation: arrivals at time ``t`` are admitted (in
+        order) before any dispatch decision at ``t``; a batch launches
+        when the server is free and the batcher is ready (full, past
+        the oldest deadline, or draining).
         """
-        was_training = self.model.training
-        self.model.eval()
-        try:
-            return self._run(list(requests))
-        finally:
-            self.model.train() if was_training else self.model.eval()
-
-    def _run(self, requests):
-        if not requests:
-            raise ServingError("cannot serve an empty request trace")
-        batcher = MicroBatcher(self.policy, self.max_queue)
-        metrics = StageProfiler()
+        requests = list(requests)
         self.executor.reset_counters()
-        rng = np.random.default_rng(self.seed)
-        labels = self.dataset.labels
+        node = ServeNode(self.executor, self.policy, self.max_queue,
+                         rng=np.random.default_rng(self.seed),
+                         deadline=self.deadline, fallback=self.fallback)
+        loop = EventLoop([node], requests)
+        with eval_mode(self.model):
+            responses = loop.run()
+        return self._report(node, responses, len(requests))
 
-        responses = []
-        rejected = []
-        shed = []
-        degraded_count = 0
-        service_estimate = None     # EWMA of sampled-path service time
-        bp_total = dt_total = nn_total = 0.0
-        correct = 0
-        clock = 0.0
-        i, n = 0, len(requests)
-        batch_id = 0
-
-        while i < n or len(batcher):
-            if not len(batcher):
-                clock = max(clock, requests[i].arrival)
-            while i < n and requests[i].arrival <= clock:
-                try:
-                    batcher.submit(requests[i])
-                    metrics.observe("queue_depth", len(batcher))
-                except AdmissionError:
-                    rejected.append(requests[i])
-                i += 1
-            if not batcher.ready(clock, draining=(i >= n)):
-                flush_at = batcher.oldest_deadline()
-                clock = max(clock, min(flush_at, requests[i].arrival))
-                continue
-
-            batch = batcher.take()
-            if self.deadline is not None:
-                # Load shedding: a request already past its deadline at
-                # dispatch cannot be answered in time no matter how
-                # fast the batch runs — drop it and spend the capacity
-                # on requests that can still make it.
-                expired = [r for r in batch
-                           if clock > r.arrival + self.deadline]
-                if expired:
-                    shed.extend(expired)
-                    batch = [r for r in batch
-                             if clock <= r.arrival + self.deadline]
-                    if not batch:
-                        continue
-
-            # Graceful degradation: when the sampled path's predicted
-            # service time would push the batch's oldest request past
-            # its deadline, answer from the precomputed table instead.
-            degrade = (
-                self.fallback and service_estimate is not None
-                and clock + service_estimate
-                > min(r.arrival for r in batch) + self.deadline)
-
-            vertices = np.array([r.vertex for r in batch],
-                                dtype=np.int64)
-            if degrade:
-                predictions, bp, dt, nn = \
-                    self.executor.execute_degraded(vertices)
-                degraded_count += len(batch)
-            else:
-                predictions, bp, dt, nn = self.executor.execute(
-                    vertices, rng)
-                if self.mode == "sampled":
-                    service = bp + dt + nn
-                    service_estimate = service \
-                        if service_estimate is None \
-                        else 0.5 * (service_estimate + service)
-            clock += bp + dt + nn
-            bp_total += bp
-            dt_total += dt
-            nn_total += nn
-            metrics.observe("batch_size", len(batch))
-            for request, prediction in zip(batch, predictions):
-                responses.append(InferenceResponse(
-                    request=request, prediction=int(prediction),
-                    completion=clock, batch_id=batch_id,
-                    batch_size=len(batch), degraded=degrade))
-                metrics.observe("latency", clock - request.arrival)
-                correct += int(prediction == labels[request.vertex])
-            batch_id += 1
-            PERF.count("serve_batches")
-
-        PERF.count("serve_requests", len(responses))
-        latency = metrics.summary("latency")
-        batch_stats = metrics.summary("batch_size")
-        depth = metrics.summary("queue_depth")
-        duration = max(r.completion for r in responses) if responses \
-            else 0.0
-        tiered = isinstance(self.cache, TieredCache)
+    def _report(self, node, responses, num_requests):
+        executor = self.executor
+        latency = node.metrics.summary("latency") \
+            or dict.fromkeys(("mean", "p50", "p95", "p99", "max"), 0.0)
+        depth = node.metrics.summary("queue_depth") \
+            or {"mean": 0.0, "max": 0.0}
+        hit_rate, warm_rate, tiered = cache_hit_rates([executor.cache])
         return ServeReport(
             mode=self.mode,
             policy=self.policy.describe(),
-            cache_ratio=self.cache_ratio,
-            num_requests=n,
-            completed=len(responses),
-            rejected=len(rejected),
-            duration_seconds=duration,
-            throughput=len(responses) / duration if duration else 0.0,
-            latency_mean=latency["mean"] if latency else 0.0,
-            latency_p50=latency["p50"] if latency else 0.0,
-            latency_p95=latency["p95"] if latency else 0.0,
-            latency_p99=latency["p99"] if latency else 0.0,
-            latency_max=latency["max"] if latency else 0.0,
-            num_batches=batch_id,
-            mean_batch_size=batch_stats["mean"] if batch_stats else 0.0,
-            batch_occupancy=(batch_stats["mean"]
-                             / self.policy.max_batch_size
-                             if batch_stats else 0.0),
-            queue_depth_mean=depth["mean"] if depth else 0.0,
-            queue_depth_max=depth["max"] if depth else 0.0,
-            cache_hit_rate=(self.cache.hit_rate
-                            if self.cache is not None else 0.0),
-            bp_seconds=bp_total,
-            dt_seconds=dt_total,
-            nn_seconds=nn_total,
-            precompute_seconds=self.precompute_seconds,
-            accuracy=correct / len(responses) if responses else 0.0,
+            cache_ratio=executor.cache_ratio,
+            num_requests=num_requests,
+            rejected=node.rejected,
+            **run_totals(responses, self.dataset.labels),
+            latency_mean=latency["mean"],
+            latency_p50=latency["p50"],
+            latency_p95=latency["p95"],
+            latency_p99=latency["p99"],
+            latency_max=latency["max"],
+            num_batches=node.num_batches,
+            mean_batch_size=node.mean_batch_size,
+            batch_occupancy=(node.mean_batch_size
+                             / self.policy.max_batch_size),
+            queue_depth_mean=depth["mean"],
+            queue_depth_max=depth["max"],
+            cache_hit_rate=hit_rate,
+            bp_seconds=node.bp_seconds,
+            dt_seconds=node.dt_seconds,
+            nn_seconds=node.nn_seconds,
+            precompute_seconds=executor.precompute_seconds,
             deadline=self.deadline or 0.0,
-            shed=len(shed),
-            degraded=degraded_count,
+            shed=node.shed,
+            degraded=node.degraded,
             deadline_misses=(sum(
-                1 for r in responses
-                if r.latency > self.deadline)
+                1 for r in responses if r.latency > self.deadline)
                 if self.deadline is not None else 0),
-            cache_policy=self.cache_policy,
-            warm_ratio=self.warm_ratio,
-            hot_hit_rate=(self.cache.hot_hit_rate if tiered else 0.0),
-            warm_hit_rate=(self.cache.warm_hit_rate if tiered else 0.0),
-            tier_seconds=(dict(self.executor.tier_seconds)
-                          if tiered else {}),
+            cache_policy=executor.cache_policy,
+            warm_ratio=executor.warm_ratio,
+            hot_hit_rate=hit_rate if tiered else 0.0,
+            warm_hit_rate=warm_rate,
+            tier_seconds=dict(executor.tier_seconds) if tiered else {},
             responses=responses,
         )

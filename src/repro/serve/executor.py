@@ -6,10 +6,10 @@ seconds out.
 fetches through an optional cache, the model forward — factored out so
 two hosts can drive it:
 
-* :class:`~repro.serve.engine.ServeEngine` wraps one executor in a
-  single-server queueing loop;
-* :class:`~repro.fleet.replica.ReplicaServer` wraps one executor *per
-  shard*, with :class:`~repro.fleet.replica.ShardExecutor` overriding
+* :class:`~repro.serve.engine.ServeEngine` puts one executor behind
+  one :class:`~repro.serve.loop.ServeNode`;
+* :class:`~repro.fleet.replica.ReplicaServer` is a node *per shard*,
+  with :class:`~repro.fleet.replica.ShardExecutor` overriding
   the transfer billing to split fetches into local rows and
   remote-shard rows paid over the cluster network.
 
@@ -56,6 +56,12 @@ class BatchExecutor:
     ``need_embeddings`` additionally forces the offline table build in
     ``sampled`` mode (the degraded-fallback path needs it).
     """
+
+    #: Remote-shard rows / network seconds of the most recent fetch.  A
+    #: single server has no other shards; the fleet's ``ShardExecutor``
+    #: sets these per fetch.
+    last_remote_rows = 0
+    last_remote_seconds = 0.0
 
     def __init__(self, dataset, model, mode="sampled", fanout=(10, 10),
                  cache_policy="lru", cache_ratio=0.0, warm_ratio=0.0,

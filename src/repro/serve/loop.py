@@ -1,0 +1,394 @@
+"""The serving event loop: one simulated clock for every engine.
+
+Both serving engines are configurations of the two classes here.
+
+:class:`ServeNode` is one server: a
+:class:`~repro.serve.batcher.MicroBatcher` in front of a
+:class:`~repro.serve.executor.BatchExecutor`, the time the server is
+busy until (``free_at``), and the per-node counters every report is
+assembled from.  :meth:`ServeNode.dispatch` is the one place a batch is
+taken off a queue and executed, so everything that happens *to a
+batch* lives there: deadline shedding, degraded fallback (with its
+EWMA service-time estimate) and straggler / slow-link stretching.
+
+:class:`EventLoop` advances one simulated clock over one
+``(time, phase, seq)``-ordered event queue and a list of nodes.  At
+each instant the phases run in a fixed order::
+
+    FAULT     crash / recover / suspect / dead / snapshot
+    RESPONSE  a (hedged) response lands at its completion time
+    ADMIT     trace arrivals, then failover re-submissions
+    TIMER     hedge timers
+    dispatch  every ready node, in node-id order
+
+so a fault at time ``t`` is visible to routing at ``t``, every request
+that has arrived by ``t`` is queued before any batch is cut at ``t``,
+and a hedge twin can still beat a primary that is in flight.  ``seq``
+breaks the remaining ties: trace arrivals carry their trace index and
+everything scheduled later a larger number, so arrivals are admitted
+before same-instant re-submissions and same-phase events run in the
+order they were scheduled.
+
+An event is ``(kind, payload)``; :meth:`EventLoop.run` takes the
+``{kind: [handler, ...]}`` mapping saying who it is handed to.  The
+loop never stores the mapping, so the handlers (bound methods of
+whatever drives the loop) and the loop do not keep each other alive
+after the run.  With no handlers the loop is a
+single router-less server — ``admit`` submits to ``nodes[0]`` and
+``batch`` collects the responses — which is all
+:class:`~repro.serve.engine.ServeEngine` is.
+:class:`~repro.fleet.engine.FleetEngine` replaces ``admit`` with its
+router and subscribes a handler per configured policy.
+
+Nothing here reads a wall clock.
+"""
+
+from __future__ import annotations
+
+import heapq
+from contextlib import contextmanager
+
+import numpy as np
+
+from ..errors import AdmissionError, ServingError
+from ..perf import PERF, StageProfiler
+from ..transfer.tiered import TieredCache
+from .batcher import MicroBatcher
+from .requests import InferenceResponse
+
+__all__ = ["ServeNode", "EventLoop", "FAULT", "RESPONSE", "ADMIT",
+           "TIMER", "cache_hit_rates", "eval_mode", "run_totals"]
+
+#: Event phases, in the order they run within one simulated instant.
+FAULT, RESPONSE, ADMIT, TIMER = range(4)
+
+_INF = float("inf")
+
+
+class ServeNode:
+    """One serving node: executor + micro-batch queue + counters.
+
+    Parameters
+    ----------
+    executor:
+        The node's :class:`~repro.serve.executor.BatchExecutor`.
+    policy, max_queue:
+        Micro-batching policy and admission bound (see
+        :class:`~repro.serve.batcher.MicroBatcher`).
+    rng:
+        The node's sampling stream (``sampled`` mode).
+    node_id:
+        Stamped on every response as ``replica``.
+    deadline, fallback:
+        Per-request deadline and degraded fallback, as documented on
+        :class:`~repro.serve.engine.ServeEngine`.
+
+    The node holds no clock: the loop passes simulated time in.
+    """
+
+    def __init__(self, executor, policy=None, max_queue=None, rng=None,
+                 node_id=0, deadline=None, fallback=False):
+        self.node_id = int(node_id)
+        self.executor = executor
+        self.batcher = MicroBatcher(policy, max_queue)
+        self.policy = self.batcher.policy
+        self.rng = rng
+        self.deadline = deadline
+        self.fallback = fallback
+        self.metrics = StageProfiler()
+        self._service_estimate = None   # EWMA of sampled service time
+
+        self.free_at = 0.0          # simulated time the node idles again
+        self.alive = True           # False while a crash fault holds
+        self.draining = False       # scale-down decided, queue emptying
+
+        self.completed = 0
+        self.rejected = 0
+        self.shed = 0
+        self.degraded = 0
+        self.zero_remote_completed = 0
+        self.num_batches = 0
+        self.bp_seconds = 0.0
+        self.dt_seconds = 0.0
+        self.nn_seconds = 0.0
+
+    @property
+    def queue_depth(self):
+        return len(self.batcher)
+
+    def submit(self, request):
+        """Enqueue one request; returns False (and counts a rejection)
+        when the admission queue is full."""
+        try:
+            self.batcher.submit(request)
+        except AdmissionError:
+            self.rejected += 1
+            return False
+        self.metrics.observe("queue_depth", len(self.batcher))
+        return True
+
+    def next_dispatch_time(self, draining):
+        """Earliest simulated time this node can dispatch its next
+        batch, or ``None`` when it has nothing to dispatch.  ``draining``
+        is the *loop-wide* no-more-admissions flag (partial batches then
+        flush immediately)."""
+        if not self.alive or len(self.batcher) == 0:
+            return None
+        full = len(self.batcher) >= self.policy.max_batch_size
+        if full or draining or self.draining:
+            ready_at = 0.0
+        else:
+            ready_at = self.batcher.oldest_deadline()
+        return max(self.free_at, ready_at)
+
+    def dispatch(self, clock, straggle=1.0, slowlink=1.0):
+        """Serve one micro-batch at simulated time ``clock``; returns
+        the responses (stamped with this node's id).
+
+        With a deadline, requests already past it are *shed* first —
+        they cannot be answered in time however fast the batch runs, so
+        the capacity goes to requests that can still make it (an empty
+        list comes back when the whole batch was shed) — and with
+        ``fallback`` a batch whose predicted sampled-path service time
+        would push its oldest request past the deadline is answered
+        from the precomputed table instead.
+
+        ``straggle`` multiplies the whole service time (a slow node);
+        ``slowlink`` scales network bandwidth, stretching this batch's
+        remote-fetch seconds by ``1/slowlink``.  Both default to 1.0
+        and are only *applied* when they differ — the healthy path's
+        float arithmetic is untouched (bit-exact baseline)."""
+        batch = self.batcher.take()
+        if self.deadline is not None:
+            live = [r for r in batch
+                    if clock <= r.arrival + self.deadline]
+            self.shed += len(batch) - len(live)
+            batch = live
+            if not batch:
+                return []
+        degrade = (
+            self.fallback and self._service_estimate is not None
+            and clock + self._service_estimate
+            > min(r.arrival for r in batch) + self.deadline)
+
+        vertices = np.array([r.vertex for r in batch], dtype=np.int64)
+        if degrade:
+            predictions, bp, dt, nn = \
+                self.executor.execute_degraded(vertices)
+            self.degraded += len(batch)
+        else:
+            predictions, bp, dt, nn = self.executor.execute(vertices,
+                                                            self.rng)
+        service = bp + dt + nn
+        if self.fallback and not degrade:
+            self._service_estimate = service \
+                if self._service_estimate is None \
+                else 0.5 * (self._service_estimate + service)
+        if slowlink != 1.0:
+            service += self.executor.last_remote_seconds \
+                * (1.0 / slowlink - 1.0)
+        if straggle != 1.0:
+            service *= straggle
+        completion = clock + service
+        self.free_at = completion
+
+        self.completed += len(batch)
+        self.bp_seconds += bp
+        self.dt_seconds += dt
+        self.nn_seconds += nn
+        if self.executor.last_remote_rows == 0:
+            self.zero_remote_completed += len(batch)
+
+        responses = []
+        for request, prediction in zip(batch, predictions):
+            self.metrics.observe("latency",
+                                 completion - request.arrival)
+            responses.append(InferenceResponse(
+                request=request, prediction=int(prediction),
+                completion=completion, batch_id=self.num_batches,
+                batch_size=len(batch), degraded=degrade,
+                replica=self.node_id))
+        self.num_batches += 1
+        return responses
+
+    @property
+    def mean_batch_size(self):
+        return self.completed / self.num_batches \
+            if self.num_batches else 0.0
+
+
+def _healthy(_node_id, _clock):
+    """Service-time multipliers of a loop with no fault windows."""
+    return 1.0, 1.0
+
+
+class EventLoop:
+    """Discrete-event loop over ``nodes`` serving one request trace.
+
+    Parameters
+    ----------
+    nodes:
+        The :class:`ServeNode`\\ s, in dispatch order.
+    requests:
+        The trace, sorted by arrival time.
+    multipliers:
+        ``(node_id, clock) -> (straggle, slowlink)`` service-time
+        multipliers for a dispatch (see :meth:`ServeNode.dispatch`).
+
+    Attributes
+    ----------
+    clock:
+        The simulated time, for handlers to read.
+    responses:
+        The answered responses, in the order they were collected.
+    """
+
+    def __init__(self, nodes, requests, multipliers=_healthy):
+        self._trace = list(requests)
+        if not self._trace:
+            raise ServingError("cannot serve an empty request trace")
+        self.nodes = list(nodes)
+        self.multipliers = multipliers
+        self.clock = 0.0
+        self.responses = []
+        self._heap = []
+        # Trace arrivals carry their index as seq and enter the heap
+        # one at a time (each schedules its successor), so the heap
+        # stays a handful of entries however long the trace is.
+        self._cursor = 0
+        self._seq = len(self._trace)
+        self._admissions = len(self._trace)   # arrivals + re-submissions
+        self._next_arrival()
+
+    @property
+    def draining(self):
+        """True once no arrival or re-submission is outstanding: queued
+        partial batches then flush without waiting out ``max_wait``."""
+        return self._admissions == 0
+
+    def schedule(self, time, phase, kind, payload=None):
+        """Queue event ``(kind, payload)`` for ``phase`` of simulated
+        instant ``time``."""
+        if phase == ADMIT:
+            self._admissions += 1
+        self._seq += 1
+        heapq.heappush(self._heap,
+                       (time, phase, self._seq, kind, payload))
+
+    def collect(self, dispatched):
+        """Default ``batch`` handler: the responses count as answered
+        the moment their batch is dispatched."""
+        self.responses.extend(dispatched[1])
+
+    def _next_arrival(self):
+        if self._cursor < len(self._trace):
+            request = self._trace[self._cursor]
+            heapq.heappush(self._heap, (request.arrival, ADMIT,
+                                        self._cursor, "admit", request))
+            self._cursor += 1
+
+    def run(self, handlers=()):
+        """Run until no event is queued and no node holds a request;
+        returns :attr:`responses`.
+
+        ``handlers`` maps an event kind to the ordered list of
+        callables its payload is handed to.  Two kinds have a default
+        the mapping may replace: ``"admit"`` (payload: the request —
+        submit it to ``nodes[0]``) and ``"batch"`` (payload: ``(node,
+        responses)`` of one dispatch — :meth:`collect` them).
+        ``"dispatched"`` (payload ``None``) fires after every dispatch
+        phase.  Any other kind is whatever the caller passes to
+        :meth:`schedule`; a kind nobody handles is dropped."""
+        on = {"admit": [self.nodes[0].submit], "batch": [self.collect]}
+        on.update(handlers)
+        heap = self._heap
+        arrivals = len(self._trace)
+        soonest = _INF      # earliest time any node can dispatch next
+        while True:
+            due = heap[0][0] if heap else _INF
+            if soonest < due:
+                due = soonest
+            if due == _INF:
+                break
+            if due > self.clock:
+                self.clock = due
+
+            while heap and heap[0][0] <= self.clock:
+                _, phase, seq, kind, payload = heapq.heappop(heap)
+                if phase == ADMIT:
+                    self._admissions -= 1
+                    if seq < arrivals:
+                        self._next_arrival()
+                for handler in on.get(kind, ()):
+                    handler(payload)
+
+            draining = self.draining
+            soonest = _INF
+            for node in self.nodes:
+                ready_at = node.next_dispatch_time(draining)
+                if ready_at is not None and ready_at <= self.clock:
+                    batch = node.dispatch(
+                        self.clock,
+                        *self.multipliers(node.node_id, self.clock))
+                    PERF.count("serve_batches")
+                    for handler in on["batch"]:
+                        handler((node, batch))
+                    ready_at = node.next_dispatch_time(draining)
+                if ready_at is not None and ready_at < soonest:
+                    soonest = ready_at
+            for handler in on.get("dispatched", ()):
+                handler(None)
+
+        PERF.count("serve_requests", len(self.responses))
+        return self.responses
+
+
+# ----------------------------------------------------------------------
+# Report helpers shared by ServeEngine and FleetEngine
+# ----------------------------------------------------------------------
+def cache_hit_rates(caches):
+    """``(gpu_hit_rate, warm_hit_rate, tiered)`` pooled over ``caches``
+    — each a flat cache, a :class:`~repro.transfer.tiered.TieredCache`
+    or ``None``.  The GPU-resident rate is the flat caches' hit rate
+    and the tiered caches' *hot* rate, which is what makes the two
+    comparable; ``tiered`` says whether any cache had tiers."""
+    gpu = warm = lookups = 0
+    tiered = False
+    for cache in caches:
+        if isinstance(cache, TieredCache):
+            tiered = True
+            gpu += cache.hot_hits
+            warm += cache.warm_hits
+            lookups += cache.requests
+        elif cache is not None:
+            gpu += cache.hits
+            lookups += cache.hits + cache.misses
+    if not lookups:
+        return 0.0, 0.0, tiered
+    return gpu / lookups, warm / lookups, tiered
+
+
+def run_totals(responses, labels):
+    """The report fields both engines derive from the answered
+    responses: ``completed``, ``duration_seconds`` (first arrival to
+    last completion), ``throughput`` and ``accuracy``."""
+    completed = len(responses)
+    duration = max(r.completion for r in responses) if responses \
+        else 0.0
+    correct = sum(int(r.prediction == labels[r.request.vertex])
+                  for r in responses)
+    return {"completed": completed,
+            "duration_seconds": duration,
+            "throughput": completed / duration if duration else 0.0,
+            "accuracy": correct / completed if completed else 0.0}
+
+
+@contextmanager
+def eval_mode(model):
+    """Serve with ``model`` in eval mode; restores its mode after."""
+    was_training = model.training
+    model.eval()
+    try:
+        yield
+    finally:
+        model.train() if was_training else model.eval()

@@ -81,7 +81,7 @@ class TestChaosCommand:
         assert args.epochs == 6
         assert args.workers == 4
         assert args.halt_epoch == 2
-        assert args.out == "BENCH_faults.json"
+        assert args.out is None
 
     def test_quick_end_to_end(self, tmp_path, capsys):
         out = tmp_path / "BENCH_faults.json"

@@ -20,7 +20,7 @@ class TestParserDefaults:
         assert args.max_wait_ms == 0.5
         assert args.cache_ratio == 0.1
         assert args.warm_ratio == 0.1
-        assert args.out == "BENCH_fleet.json"
+        assert args.out is None
         assert args.quick
 
     def test_rejects_unknown_partitioner(self, capsys):

@@ -1,6 +1,7 @@
-"""FleetEngine end-to-end: the N=1 == ServeEngine reduction, the
-bit-match invariant at N>1, determinism, failover, autoscaling, and
-report plumbing."""
+"""FleetEngine end-to-end: the bit-match invariant at N>1, determinism,
+failover, autoscaling, and report plumbing.  (A 1-replica fleet and
+``ServeEngine`` are the same event loop; what both must reproduce is
+pinned in ``tests/serve/test_golden_runs.py``.)"""
 
 import json
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro import load_dataset
-from repro.errors import FleetError, ServingError
+from repro.errors import FaultError, FleetError, ServingError
 from repro.fleet import AutoscalePolicy, FleetEngine, FleetReport, \
     RoutingPolicy
 from repro.nn import build_model
@@ -46,25 +47,6 @@ def answers(report):
 
 
 class TestSingleServerReduction:
-    def test_one_replica_fleet_is_serve_engine(self, data, model,
-                                               embeddings, trace):
-        """A 1-replica fleet must reproduce ServeEngine bit-for-bit:
-        same predictions AND same completion times."""
-        single = ServeEngine(data, model, mode="precomputed",
-                             policy=POLICY, embeddings=embeddings,
-                             cache_policy="lfu", cache_ratio=0.1,
-                             warm_ratio=0.1, seed=2)
-        fleet = FleetEngine(data, model, partition="hash",
-                            num_replicas=1, mode="precomputed",
-                            policy=POLICY, embeddings=embeddings,
-                            cache_policy="lfu", cache_ratio=0.1,
-                            warm_ratio=0.1, seed=2)
-        want = single.run(trace)
-        got = fleet.run(trace)
-        assert answers(want) == answers(got)
-        assert got.routing_locality == 1.0
-        assert got.remote_seconds == 0.0
-
     @pytest.mark.parametrize("partition", ["hash", "metis-v"])
     def test_sharded_predictions_bit_match(self, data, model,
                                            embeddings, trace,
@@ -111,7 +93,7 @@ class TestFailover:
             data, model, partition="metis-v", num_replicas=4,
             mode="precomputed", policy=POLICY, embeddings=embeddings,
             routing=RoutingPolicy(spill_threshold=32),
-            crashes=[(mid, 0, 0.05)], seed=2)
+            schedule=f"crash@{mid!r}+0.05:w0", seed=2)
         report = fleet.run(trace)
         assert report.completed == len(trace)
         assert report.rejected == 0
@@ -134,7 +116,7 @@ class TestFailover:
         fleet = FleetEngine(
             data, model, partition="hash", num_replicas=2,
             mode="precomputed", policy=POLICY, embeddings=embeddings,
-            crashes=[(0.0, 0, 10.0), (0.0, 1, 10.0)], seed=2)
+            schedule="crash@0+10:w0,crash@0+10:w1", seed=2)
         report = fleet.run(trace)
         assert report.rejected > 0
         assert report.completed + report.rejected >= len(trace)
@@ -229,13 +211,14 @@ class TestValidation:
                         embeddings=embeddings)
 
     def test_bad_crash_triples_rejected(self, data, model, embeddings):
-        for crashes in ([(0.0, 9, 1.0)],     # unknown replica
-                        [(-1.0, 0, 1.0)],    # negative time
-                        [(0.0, 0, 0.0)]):    # zero downtime
-            with pytest.raises(FleetError):
+        for schedule, error in (
+                ("crash@0+1:w9", FleetError),    # unknown replica
+                ("crash@-1+1:w0", FaultError),   # negative time
+                ("crash@0+0:w0", FaultError)):   # zero downtime
+            with pytest.raises(error):
                 FleetEngine(data, model, partition="hash",
                             num_replicas=2, embeddings=embeddings,
-                            crashes=crashes)
+                            schedule=schedule)
 
     def test_unknown_mode_rejected(self, data, model):
         with pytest.raises(ServingError):

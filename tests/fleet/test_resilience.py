@@ -349,26 +349,6 @@ class TestBaselineReduction:
         assert answers(base) == answers(k1)
         assert base.to_dict() == k1.to_dict()
 
-    def test_schedule_matches_legacy_crashes(self, data, model,
-                                             embeddings, trace):
-        """A crash driven through a FleetSchedule must be bit-identical
-        to the legacy crashes= path (PR 7 parity)."""
-        mid = trace[len(trace) // 3].arrival
-        common = dict(partition="metis-v", num_replicas=4,
-                      mode="precomputed", policy=POLICY,
-                      embeddings=embeddings, seed=2,
-                      routing=RoutingPolicy(spill_threshold=32))
-        legacy = FleetEngine(data, model,
-                             crashes=[(mid, 0, 0.05)],
-                             **common).run(trace)
-        plan = FaultPlan(events=(
-            FaultEvent(kind="crash", epoch=mid, worker=0,
-                       duration=0.05),))
-        scheduled = FleetEngine(data, model, schedule=plan,
-                                **common).run(trace)
-        assert answers(legacy) == answers(scheduled)
-        assert legacy.to_dict() == scheduled.to_dict()
-
     def test_replication_validated(self, data, model, embeddings):
         with pytest.raises(FleetError, match="replication"):
             FleetEngine(data, model, partition="metis-v",
@@ -388,10 +368,10 @@ class TestResilientRuns:
                       embeddings=embeddings, seed=2,
                       routing=RoutingPolicy(spill_threshold=32))
         baseline = FleetEngine(data, model,
-                               crashes=[(mid, 0, 0.05)],
+                               schedule=f"crash@{mid!r}+0.05:w0",
                                **common).run(trace)
         resilient = FleetEngine(
-            data, model, crashes=[(mid, 0, 0.05)], replication=2,
+            data, model, schedule=f"crash@{mid!r}+0.05:w0", replication=2,
             resilience=ResiliencePolicy(hedge=None),
             **common).run(trace)
 
@@ -420,7 +400,7 @@ class TestResilientRuns:
             data, model, partition="metis-v", num_replicas=4,
             mode="precomputed", policy=POLICY, embeddings=embeddings,
             seed=2, routing=RoutingPolicy(spill_threshold=32),
-            crashes=[(mid, 0, 0.05)], replication=2,
+            schedule=f"crash@{mid!r}+0.05:w0", replication=2,
             resilience=ResiliencePolicy(hedge=None)).run(trace)
         assert report.replication_factor == pytest.approx(2.0)
         assert report.resilience["backup_routed"] > 0
@@ -437,7 +417,8 @@ class TestResilientRuns:
             # The second crash lands ~0.3 ms after the detector
             # re-routes the first crash's orphans (suspicion at
             # ~0.92 ms) — while they are still queued on replica 1.
-            crashes=[(mid, 0, 0.05), (mid + 0.0012, 1, 0.05)],
+            schedule=(f"crash@{mid!r}+0.05:w0,"
+                      f"crash@{mid + 0.0012!r}+0.05:w1"),
             resilience=ResiliencePolicy(hedge=None, retry_budget=1),
         ).run(trace)
         stats = report.resilience
@@ -456,7 +437,7 @@ class TestResilientRuns:
             mode="precomputed", policy=POLICY, embeddings=embeddings,
             cache_policy="lfu", cache_ratio=0.1, warm_ratio=0.1,
             seed=2, routing=RoutingPolicy(spill_threshold=32),
-            crashes=[(mid, 0, 0.01)], replication=2,
+            schedule=f"crash@{mid!r}+0.01:w0", replication=2,
             resilience=ResiliencePolicy(hedge=None),
             recovery=ReplicaRecovery(tmp_path,
                                      snapshot_interval=0.002),

@@ -45,3 +45,26 @@ class TestServeBenchCommand:
         stdout = capsys.readouterr().out
         assert "invariant" in stdout
         assert "ok" in stdout
+
+
+class TestBenchOutputPath:
+    """A ``--quick`` smoke must never land on a tracked BENCH file."""
+
+    @pytest.mark.parametrize("command, tracked", [
+        ("serve-bench", "BENCH_serve.json"),
+        ("fleet-bench", "BENCH_fleet.json"),
+        ("chaos", "BENCH_faults.json"),
+        ("fleet-chaos", "BENCH_fleet_chaos.json"),
+        ("kernel-bench", "BENCH_hotpath.json"),
+    ])
+    def test_quick_defaults_to_untracked_sibling(self, command,
+                                                 tracked):
+        from repro.cli import _bench_out
+        parse = build_parser().parse_args
+        assert _bench_out(parse([command]), tracked).name == tracked
+        assert _bench_out(parse([command, "--quick"]), tracked).name \
+            == tracked.replace(".json", ".quick.json")
+        assert str(_bench_out(
+            parse([command, "--quick", "--out", "x.json"]), tracked)) \
+            == "x.json"
+
