@@ -13,9 +13,8 @@ adds the LRU cache to the comparison under two access regimes:
 
 import numpy as np
 
-from repro.core import format_table
+from repro.core import format_table, make_cache
 from repro.sampling import NeighborSampler
-from repro.transfer import DegreeCache, LRUCache, PreSampleCache
 
 from common import bench_dataset, run_once
 
@@ -56,11 +55,11 @@ def build_rows():
     rows = []
     for regime, seed_sets in regimes.items():
         caches = {
-            "degree": DegreeCache(dataset.graph, RATIO),
-            "presample": PreSampleCache(
-                dataset.graph, sampler, seed_sets[0], RATIO,
-                rng=np.random.default_rng(1)),
-            "lru": LRUCache(dataset.graph, RATIO),
+            "degree": make_cache("degree", dataset, RATIO),
+            "presample": make_cache(
+                "presample", dataset, RATIO, sampler=sampler,
+                seeds=seed_sets[0], rng=np.random.default_rng(1)),
+            "lru": make_cache("lru", dataset, RATIO),
         }
         row = {"regime": regime}
         for name, cache in caches.items():

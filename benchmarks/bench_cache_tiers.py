@@ -20,16 +20,13 @@ splits (half hot, half warm).  The headline check: for skew >= 0.8 the
 frequency-informed tiered policies (lfu / presample) beat flat LRU on
 data-transfer seconds at the same total budget.
 
-``--micro`` additionally times the vectorized
-:class:`~repro.transfer.cache.LRUCache` bookkeeping against the
-scan-and-sort implementation it replaced (wall clock — this is a real
-micro-benchmark, not simulated time).
-
-Results are written to ``BENCH_cache.json`` at the repo root.
+Results are written to ``BENCH_cache.json`` at the repo root
+(``--quick``: the git-ignored ``BENCH_cache.quick.json``).  The sweep is
+simulated-clock deterministic; CI regenerates the tracked file and
+fails on any diff.
 """
 
 import json
-from pathlib import Path
 
 import numpy as np
 
@@ -38,10 +35,9 @@ from repro.graph import load_dataset
 from repro.sampling import NeighborSampler
 from repro.serve.requests import LoadGenerator
 from repro.transfer import (DEFAULT_SPEC, BatchStats, ExtractLoad,
-                            TieredCache, make_tiered_cache)
-from repro.transfer.cache import GPUCache, presample_frequencies
+                            make_tiered_cache)
 
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_cache.json"
+from common import result_path, run_once
 
 SKEWS = (0.4, 0.8, 1.2)
 #: Total budgets are deliberately scarce relative to the access
@@ -186,8 +182,8 @@ def build_results(quick=False):
         "quick": quick,
         "results": results,
     }
-    RESULT_PATH.write_text(json.dumps(report, indent=2,
-                                      sort_keys=True) + "\n")
+    result_path("cache", quick).write_text(
+        json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report
 
 
@@ -226,93 +222,7 @@ def report_table(report):
         rows, title=f"Tiered cache sweep ({report['dataset']})")
 
 
-# ----------------------------------------------------------------------
-# --micro: the satellite LRU bookkeeping micro-benchmark
-# ----------------------------------------------------------------------
-class _LegacyLRUCache(GPUCache):
-    """The pre-vectorization LRUCache miss path (full bitmap scan +
-    full stable sort per eviction), kept verbatim for the before/after
-    comparison."""
-
-    policy = "legacy-lru"
-
-    def __init__(self, num_vertices, ratio):
-        from repro.transfer.cache import _capacity_from_ratio
-
-        super().__init__([], num_vertices)
-        self.capacity = _capacity_from_ratio(num_vertices, ratio)
-        self._clock = 0
-        self._last_used = np.full(num_vertices, -1, dtype=np.int64)
-        self._resident = 0
-
-    def lookup(self, vertices):
-        vertices = np.asarray(vertices, dtype=np.int64)
-        mask = self._bitmap[vertices]
-        self.hits += int(mask.sum())
-        self.misses += int((~mask).sum())
-        self._clock += 1
-        self._last_used[vertices[mask]] = self._clock
-        hits = vertices[mask]
-        missed = vertices[~mask]
-        if self.capacity > 0 and len(missed):
-            admit = np.unique(missed)
-            overflow = self._resident + len(admit) - self.capacity
-            if overflow > 0:
-                resident_ids = np.flatnonzero(self._bitmap)
-                order = np.argsort(self._last_used[resident_ids],
-                                   kind="stable")
-                evict = resident_ids[order[:overflow]]
-                evict = np.setdiff1d(evict, admit, assume_unique=False)
-                self._bitmap[evict] = False
-                self._last_used[evict] = -1
-                self._resident -= len(evict)
-            room = self.capacity - self._resident
-            admit = admit[:max(room, 0)]
-            self._bitmap[admit] = True
-            self._last_used[admit] = self._clock
-            self._resident += len(admit)
-        return hits, missed
-
-
-def run_micro(num_vertices=200_000, ratio=0.1, batches=300,
-              batch_size=4096, skew=0.8):
-    """Wall-clock (real, not simulated) time of the legacy vs the
-    vectorized LRU miss path on an identical Zipf access stream."""
-    import time
-
-    from repro.transfer import LRUCache
-
-    rng = np.random.default_rng(3)
-    population, probs = _zipf_population(
-        np.arange(num_vertices, dtype=np.int64), skew, rng)
-    stream = [rng.choice(population, size=batch_size, p=probs)
-              for _ in range(batches)]
-
-    timings = {}
-    hit_counts = {}
-    for name, factory in (("legacy", _LegacyLRUCache),
-                          ("vectorized", LRUCache)):
-        cache = factory(num_vertices, ratio)
-        start = time.perf_counter()
-        for batch in stream:
-            cache.lookup(batch)
-        timings[name] = time.perf_counter() - start
-        hit_counts[name] = cache.hits
-    # Same stream, same policy: the rewrite must not change behaviour.
-    assert hit_counts["legacy"] == hit_counts["vectorized"], hit_counts
-    return {
-        "num_vertices": num_vertices, "ratio": ratio,
-        "batches": batches, "batch_size": batch_size, "skew": skew,
-        "legacy_seconds": timings["legacy"],
-        "vectorized_seconds": timings["vectorized"],
-        "speedup": timings["legacy"] / timings["vectorized"],
-        "hits": hit_counts["vectorized"],
-    }
-
-
 def test_cache_tiers(benchmark):
-    from common import run_once
-
     report = run_once(benchmark, lambda: build_results(quick=True))
     print()
     print(report_table(report))
@@ -323,17 +233,8 @@ if __name__ == "__main__":
     import sys
 
     quick = "--quick" in sys.argv[1:]
-    if "--micro" in sys.argv[1:]:
-        micro = run_micro()
-        print(f"LRU miss-path micro-benchmark "
-              f"({micro['batches']} x {micro['batch_size']} lookups, "
-              f"|V|={micro['num_vertices']}):")
-        print(f"  legacy     {1e3 * micro['legacy_seconds']:8.1f} ms")
-        print(f"  vectorized {1e3 * micro['vectorized_seconds']:8.1f} ms"
-              f"  ({micro['speedup']:.1f}x)")
-        sys.exit(0)
     report = build_results(quick=quick)
     print(report_table(report))
     check_headline(report)
     print("headline: tiered lfu/presample beat flat LRU at skew >= 0.8")
-    print(f"wrote {RESULT_PATH}")
+    print(f"wrote {result_path('cache', quick)}")

@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.core import format_table
 from repro.sampling import NeighborSampler
-from repro.transfer import DegreeCache, block_activity
+from repro.transfer import block_activity, make_tiered_cache
 
 from common import bench_dataset, run_once
 
@@ -44,8 +44,8 @@ def build_rows():
 
     plain = block_activity(subgraph.input_nodes, dataset.num_vertices,
                            feat_bytes)
-    cache = DegreeCache(dataset.graph, 0.3)
-    _hits, misses = cache.lookup(subgraph.input_nodes)
+    cache = make_tiered_cache("degree", dataset.graph, 0.3, 0.0)
+    misses = cache.lookup(subgraph.input_nodes).misses
     cached = block_activity(misses, dataset.num_vertices, feat_bytes)
     return [activity_summary(plain.fractions, "no cache"),
             activity_summary(cached.fractions, "with 30% degree cache")]

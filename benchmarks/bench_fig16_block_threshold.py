@@ -12,7 +12,8 @@ import numpy as np
 
 from repro.core import format_table
 from repro.sampling import NeighborSampler
-from repro.transfer import DegreeCache, block_activity, threshold_sweep
+from repro.transfer import (block_activity, make_tiered_cache,
+                            threshold_sweep)
 
 from common import bench_dataset, run_once
 
@@ -29,8 +30,9 @@ def sweep_for(dataset, cache_ratio):
     subgraph = sampler.sample(dataset.graph, batch, rng)
     active = subgraph.input_nodes
     if cache_ratio:
-        cache = DegreeCache(dataset.graph, cache_ratio)
-        _hits, active = cache.lookup(active)
+        cache = make_tiered_cache("degree", dataset.graph, cache_ratio,
+                                  0.0)
+        active = cache.lookup(active).misses
     activity = block_activity(active, dataset.num_vertices,
                               dataset.feature_dim * 4)
     return threshold_sweep(activity, THRESHOLDS)

@@ -14,10 +14,9 @@ graph (see DESIGN.md).
 
 import numpy as np
 
-from repro.core import format_table
+from repro.core import format_table, make_cache
 from repro.sampling import NeighborSampler
-from repro.transfer import (DEFAULT_SPEC, BatchStats, DegreeCache,
-                            PreSampleCache, ZeroCopy)
+from repro.transfer import DEFAULT_SPEC, BatchStats, ZeroCopy
 
 from common import bench_dataset, run_once
 
@@ -50,10 +49,10 @@ def build_rows():
             16, int(SEED_FRACTION * dataset.num_vertices))]
         baseline = epoch_transfer_seconds(dataset, None, sampler, seeds)
         for ratio in RATIOS:
-            degree = DegreeCache(dataset.graph, ratio)
-            presample = PreSampleCache(dataset.graph, sampler, seeds,
-                                       ratio,
-                                       rng=np.random.default_rng(1))
+            degree = make_cache("degree", dataset, ratio)
+            presample = make_cache("presample", dataset, ratio,
+                                   sampler=sampler, seeds=seeds,
+                                   rng=np.random.default_rng(1))
             degree_s = epoch_transfer_seconds(dataset, degree, sampler,
                                               seeds)
             presample_s = epoch_transfer_seconds(dataset, presample,

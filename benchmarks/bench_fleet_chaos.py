@@ -22,17 +22,16 @@ arrival); the gates assert the layer is worth its complexity:
 3. the machinery demonstrably ran: backup-served completions > 0 and
    hedge wins > 0.
 
-Results are written to ``BENCH_fleet_chaos.json`` at the repo root.
+Results are written to ``BENCH_fleet_chaos.json`` at the repo root
+(``--quick``: the git-ignored ``BENCH_fleet_chaos.quick.json``).
 """
 
 import json
-from pathlib import Path
 
 from repro.core import format_table
 from repro.fleet import run_fleet_chaos_bench
 
-RESULT_PATH = Path(__file__).resolve().parent.parent \
-    / "BENCH_fleet_chaos.json"
+from common import result_path, run_once
 
 
 def build_results(quick=False):
@@ -41,8 +40,8 @@ def build_results(quick=False):
         num_replicas=4, base_rate=2000.0, rate_multiplier=50.0,
         num_requests=1200, skew=0.8, seed=0, partitioner="metis-v",
         replication=2, slo=0.005, quick=quick)
-    RESULT_PATH.write_text(json.dumps(report, indent=2,
-                                      sort_keys=True) + "\n")
+    result_path("fleet_chaos", quick).write_text(
+        json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report
 
 
@@ -71,8 +70,6 @@ def report_table(report):
 
 
 def test_fleet_chaos(benchmark):
-    from common import run_once
-
     report = run_once(benchmark, build_results)
     print()
     print(report_table(report))
@@ -99,6 +96,6 @@ if __name__ == "__main__":
 
     if "--sanitize" in sys.argv[1:]:
         FLAGS.sanitize = True
-    print(report_table(build_results(
-        quick="--quick" in sys.argv[1:])))
-    print(f"wrote {RESULT_PATH}")
+    quick = "--quick" in sys.argv[1:]
+    print(report_table(build_results(quick=quick)))
+    print(f"wrote {result_path('fleet_chaos', quick)}")

@@ -13,6 +13,8 @@ Run a single benchmark standalone for readable output::
 
 from __future__ import annotations
 
+from pathlib import Path
+
 from repro import TrainingConfig
 from repro.graph import load_dataset
 
@@ -30,6 +32,15 @@ TRANSFER = ("livejournal", "lj-large", "lj-links", "enwiki-links")
 #: The six partitioning methods of Table 3.
 PARTITIONERS = ("hash", "metis-v", "metis-ve", "metis-vet", "stream-v",
                 "stream-b")
+
+
+def result_path(name, quick=False):
+    """``BENCH_<name>.json`` at the repo root — or, for a ``--quick``
+    smoke, its git-ignored ``.quick.json`` sibling (as the ``repro``
+    bench subcommands do), so a smoke run can never overwrite a
+    checked-in full sweep."""
+    suffix = ".quick.json" if quick else ".json"
+    return Path(__file__).resolve().parent.parent / f"BENCH_{name}{suffix}"
 
 
 def bench_dataset(name, scale=SCALE):

@@ -12,10 +12,9 @@ Usage::
 import numpy as np
 
 from repro import load_dataset
-from repro.core import format_table
+from repro.core import format_table, make_cache
 from repro.sampling import NeighborSampler
-from repro.transfer import (DEFAULT_SPEC, BatchStats, DegreeCache,
-                            PreSampleCache, RandomCache, ZeroCopy)
+from repro.transfer import DEFAULT_SPEC, BatchStats, ZeroCopy
 
 
 def transfer_ms(dataset, cache, sampler, seeds, rounds=4):
@@ -42,12 +41,12 @@ def main():
             16, int(0.02 * dataset.num_vertices))]
         for ratio in (0.1, 0.2, 0.4):
             caches = {
-                "random": RandomCache(dataset.graph, ratio,
-                                      np.random.default_rng(0)),
-                "degree": DegreeCache(dataset.graph, ratio),
-                "presample": PreSampleCache(
-                    dataset.graph, sampler, seeds, ratio,
-                    rng=np.random.default_rng(1)),
+                "random": make_cache("random", dataset, ratio,
+                                     rng=np.random.default_rng(0)),
+                "degree": make_cache("degree", dataset, ratio),
+                "presample": make_cache(
+                    "presample", dataset, ratio, sampler=sampler,
+                    seeds=seeds, rng=np.random.default_rng(1)),
             }
             row = {"dataset": name, "ratio": ratio}
             for policy, cache in caches.items():

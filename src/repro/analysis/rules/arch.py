@@ -246,8 +246,8 @@ def _check_kernel_seam(rule, graph, config):
 # ----------------------------------------------------------------------
 @arch_register(
     "ARC003", "error", "feature-fetch billing bypass",
-    "fetch rows through TieredCache.lookup / TierBill (or a helper "
-    "that does) so the transfer cost model sees the read",
+    "fetch rows through TieredCache.lookup + bill (or fetch_seconds, "
+    "which does both) so the transfer cost model sees the read",
     "the paper's transfer-volume accounting (and every cache bench) "
     "assumes feature reads in the serve/fleet/trainer fetch paths "
     "are billed; a direct store index undercounts transfer seconds")

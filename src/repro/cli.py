@@ -112,15 +112,12 @@ def build_parser():
     train.add_argument("--batch-size", type=_positive_int, default=512)
     train.add_argument("--fanout", type=int, nargs="+", default=[25, 10])
     train.add_argument("--transfer", default="zero-copy")
-    train.add_argument("--cache", default=None,
-                       choices=[None, "degree", "presample", "random"])
     train.add_argument("--cache-ratio", type=_unit_interval, default=0.0)
     train.add_argument("--cache-policy", default=None,
                        choices=["degree", "presample", "random", "lru",
                                 "lfu"],
-                       help="feature-cache admission policy (supersedes "
-                            "--cache; lru/lfu are the dynamic tiered "
-                            "policies)")
+                       help="feature-cache admission policy (lru/lfu "
+                            "adapt online, the rest place rows once)")
     train.add_argument("--cache-budget", type=_unit_interval,
                        default=None, metavar="FRAC",
                        help="total multi-tier cache budget as a "
@@ -428,7 +425,7 @@ def _cmd_train(args):
         return 2
     if args.sanitize:
         FLAGS.sanitize = True
-    cache_policy = args.cache_policy or args.cache
+    cache_policy = args.cache_policy
     cache_ratio, warm_ratio = args.cache_ratio, 0.0
     if args.cache_budget is not None:
         if cache_policy is None:
@@ -436,7 +433,7 @@ def _cmd_train(args):
                   file=sys.stderr)
             return 2
         if cache_policy == "random":
-            print("error: random is a flat-cache ablation policy; "
+            print("error: random is a single-tier ablation policy; "
                   "tiered budgets support degree, presample, lru, lfu",
                   file=sys.stderr)
             return 2

@@ -14,14 +14,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..batching.schedule import BatchSizeSchedule, FixedBatchSize
-from ..errors import TrainingError
+from ..errors import TrainingError, TransferError
 from ..partition import (HashPartitioner, MetisPartitioner,
                          StreamBPartitioner, StreamVPartitioner)
 from ..sampling import (HybridSampler, LayerWiseSampler, NeighborSampler,
                         RateSampler, Sampler, SubgraphSampler)
-from ..transfer import (DEFAULT_SPEC, DegreeCache, HardwareSpec, LRUCache,
-                        PreSampleCache, RandomCache, TransferMethod,
-                        make_tiered_cache, make_transfer)
+from ..transfer import (DEFAULT_SPEC, HardwareSpec, TransferMethod,
+                        backing_for, make_tiered_cache, make_transfer)
 
 __all__ = ["TrainingConfig", "make_partitioner", "make_sampler",
            "make_cache", "config_for_platform", "PARTITIONER_NAMES"]
@@ -69,35 +68,39 @@ def make_cache(policy, dataset, ratio, sampler=None, seeds=None, rng=None,
 
     ``policy`` is ``None`` (no cache), "degree", "presample", "random",
     "lru", or "lfu"; pre-sampling needs the worker's sampler and seed
-    set.  With ``warm_ratio == 0`` a flat single-tier GPU cache is
-    built (features host-resident — the paper's §7.3.3 setting).  With
-    ``warm_ratio > 0`` the worker gets a
-    :class:`~repro.transfer.tiered.TieredCache` — ``ratio`` of the
-    vertices GPU-hot, ``warm_ratio`` pinned-host-warm, the rest
-    disk-cold — and the transfer methods bill misses tier by tier.
-    "lfu" has no flat equivalent and always builds a tiered cache.
+    set.  The worker gets a :class:`~repro.transfer.tiered.TieredCache`
+    with ``ratio`` of the vertices GPU-hot and ``warm_ratio``
+    pinned-host-warm.  With ``warm_ratio == 0`` the rest of the
+    features are host-resident — the paper's §7.3.3 single-tier GPU
+    cache; with a warm tier (or "lfu") they are disk-cold
+    (:func:`~repro.transfer.tiered.backing_for`), and the transfer
+    methods report the bill tier by tier.
     """
     if policy is None or (ratio <= 0 and warm_ratio <= 0):
         return None
     key = policy.lower()
-    if warm_ratio > 0 or key == "lfu":
-        if key == "random":
-            raise TrainingError(
-                "random is a flat-cache ablation policy; tiered caches "
-                "support lru, lfu, degree, and presample")
-        return make_tiered_cache(key, dataset.graph, ratio, warm_ratio,
-                                 sampler=sampler, seeds=seeds, rng=rng)
-    if key == "degree":
-        return DegreeCache(dataset.graph, ratio)
+    scores = None
     if key == "random":
-        return RandomCache(dataset.graph, ratio, rng)
-    if key == "lru":
-        return LRUCache(dataset.graph, ratio)
-    if key == "presample":
-        if sampler is None or seeds is None:
-            raise TrainingError("presample cache needs sampler and seeds")
-        return PreSampleCache(dataset.graph, sampler, seeds, ratio, rng=rng)
-    raise TrainingError(f"unknown cache policy {policy!r}")
+        if warm_ratio > 0:
+            raise TrainingError(
+                "random is a single-tier ablation policy; warm tiers "
+                "support lru, lfu, degree, and presample")
+        # The ablation baseline that separates "any cache helps" from
+        # "this policy helps": a uniform random resident set, placed
+        # statically by 0/1 scores.
+        rng = rng if rng is not None else np.random.default_rng(0)
+        scores = np.zeros(dataset.num_vertices)
+        scores[rng.choice(dataset.num_vertices,
+                          size=int(round(dataset.num_vertices * ratio)),
+                          replace=False)] = 1.0
+        key = "static"
+    try:
+        return make_tiered_cache(key, dataset.graph, ratio, warm_ratio,
+                                 sampler=sampler, seeds=seeds, rng=rng,
+                                 scores=scores,
+                                 backing=backing_for(key, warm_ratio))
+    except TransferError as exc:
+        raise TrainingError(str(exc)) from exc
 
 
 @dataclass
@@ -126,9 +129,9 @@ class TrainingConfig:
     cache_policy: object = None         # None / "degree" / "presample" / ...
     cache_ratio: float = 0.0
     # Warm-tier (pinned host) budget as a fraction of |V|.  Non-zero
-    # upgrades each worker's cache to a multi-tier TieredCache with
-    # `cache_ratio` GPU-hot, `cache_warm_ratio` host-warm, and the
-    # remaining features disk-cold (the BGL/out-of-core scenario).
+    # gives each worker's cache `cache_ratio` GPU-hot and
+    # `cache_warm_ratio` host-warm over disk-cold features (the
+    # BGL/out-of-core scenario) instead of host-resident ones.
     cache_warm_ratio: float = 0.0
     # SALIENT++-style hot-remote-vertex replication budget per machine
     # (fraction of |V|; 0 disables).

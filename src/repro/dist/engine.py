@@ -490,12 +490,11 @@ class SyncEngine:
             perf=perf)
 
     def _cache_tier_stats(self):
-        """Aggregate tier hit statistics across the workers' tiered
-        caches (cumulative since cache construction)."""
-        from ..transfer.tiered import TieredCache
+        """Aggregate tier hit statistics across the workers' caches
+        (cumulative since cache construction)."""
         hot = warm = cold = 0
         for worker in self.workers:
-            if isinstance(worker.cache, TieredCache):
+            if worker.cache is not None:
                 hot += worker.cache.hot_hits
                 warm += worker.cache.warm_hits
                 cold += worker.cache.cold_misses

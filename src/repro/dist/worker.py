@@ -51,7 +51,7 @@ class Worker:
 
     worker_id: int
     train_ids: np.ndarray
-    cache: object = None           # GPUCache or None
+    cache: object = None           # TieredCache or None
     batches_done: int = 0
     # False once a permanent crash fault killed this machine; a dead
     # worker owns no training vertices and drops out of the all-reduce

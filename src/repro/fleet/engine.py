@@ -120,7 +120,7 @@ class FleetEngine:
         straggler/slowlink windows scale dispatch service times.
     recovery:
         Optional :class:`~repro.fleet.resilience.ReplicaRecovery` (or
-        a directory path): snapshots every replica's tiered cache on a
+        a directory path): snapshots every replica's cache on a
         cadence; a crash then cold-starts the cache and recovery
         re-warms it from the newest valid snapshot.
     replication:

@@ -27,7 +27,6 @@ import numpy as np
 from ..errors import FleetError
 from ..serve.executor import BatchExecutor
 from ..serve.loop import ServeNode, cache_hit_rates
-from ..transfer.tiered import TieredCache
 from .metrics import ReplicaReport, _latency_fields
 
 __all__ = ["ShardExecutor", "ReplicaServer"]
@@ -84,15 +83,14 @@ class ShardExecutor(BatchExecutor):
                 + self.spec.network_time(remote_bytes, messages=messages)
                 + pcie_share)
 
-    def _bill_tiered(self, lookup, row_bytes):
-        """Tiered billing with the cold tier split by ownership: local
-        cold rows keep the disk path, remote cold rows pay the network
-        path.  PCIe is shared by bytes over everything moved, with the
-        remainder-style arithmetic ordered so a zero-remote fetch
-        reproduces :meth:`TieredCache.bill` bit for bit."""
-        cold = lookup.cold_ids
+    def _bill(self, cache, lookup, row_bytes):
+        """The base bill with the cold rows split by ownership: local
+        cold rows keep the backing-store path, remote cold rows pay the
+        network path.  PCIe is shared by bytes over everything moved,
+        with the remainder-style arithmetic ordered so a zero-remote
+        fetch reproduces :meth:`TieredCache.bill` bit for bit."""
         local_cold, remote_cold = self.shards.split_local_remote(
-            self.replica_id, cold)
+            self.replica_id, lookup.cold_ids)
         self.last_remote_rows = len(remote_cold)
         self.remote_rows += len(remote_cold)
         self.local_rows += lookup.num_hot + lookup.num_warm \
@@ -116,44 +114,17 @@ class ShardExecutor(BatchExecutor):
 
         warm_seconds = (self.spec.host_cache_time(warm_bytes)
                         + warm_share) if warm_bytes else 0.0
-        lcold_seconds = (self.spec.disk_time(lcold_bytes)
-                         + self.spec.gather_time(lcold_bytes)
+        disk = self.spec.disk_time(lcold_bytes) \
+            if cache.backing == "disk" else 0.0
+        lcold_seconds = (disk + self.spec.gather_time(lcold_bytes)
                          + lcold_share) if lcold_bytes else 0.0
         remote_seconds = self._remote_cost(
             remote_cold, row_bytes, remote_share) if rcold_bytes else 0.0
 
-        self.tier_seconds["warm"] += warm_seconds
-        self.tier_seconds["cold"] += lcold_seconds + remote_seconds
         self.remote_seconds += remote_seconds
         self.last_remote_seconds = remote_seconds
-        return warm_seconds + lcold_seconds + remote_seconds
-
-    def _bill_flat(self, misses, row_bytes):
-        """Flat billing with misses split by ownership (same PCIe
-        sharing and zero-remote reduction as the tiered path)."""
-        local, remote = self.shards.split_local_remote(
-            self.replica_id, misses)
-        self.last_remote_rows = len(remote)
-        self.remote_rows += len(remote)
-        self.local_rows += len(local)
-
-        local_bytes = len(local) * row_bytes
-        remote_bytes = len(remote) * row_bytes
-        moved = local_bytes + remote_bytes
-        self.last_remote_seconds = 0.0
-        if moved == 0:
-            return 0.0
-        pcie = self.spec.pcie_time(moved)
-        remote_share = pcie * remote_bytes / moved if remote_bytes \
-            else 0.0
-        local_share = pcie - remote_share
-        local_seconds = (self.spec.gather_time(local_bytes)
-                         + local_share) if local_bytes else 0.0
-        remote_seconds = self._remote_cost(
-            remote, row_bytes, remote_share) if remote_bytes else 0.0
-        self.remote_seconds += remote_seconds
-        self.last_remote_seconds = remote_seconds
-        return local_seconds + remote_seconds
+        return (warm_seconds + lcold_seconds + remote_seconds,
+                warm_seconds, lcold_seconds + remote_seconds)
 
 
 class ReplicaServer(ServeNode):
@@ -224,10 +195,8 @@ class ReplicaServer(ServeNode):
         # An in-flight batch is lost with the node; queued-but-unserved
         # requests survive in the router's hands.
         self.free_at = max(self.free_at, clock)
-        if cold:
-            cache = self.executor.cache
-            if isinstance(cache, TieredCache):
-                cache.evict_all()
+        if cold and self.executor.cache is not None:
+            self.executor.cache.evict_all()
         return self.batcher.drain()
 
     def recover(self, clock):

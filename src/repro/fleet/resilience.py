@@ -63,7 +63,6 @@ from dataclasses import dataclass, field
 from ..errors import CheckpointError, FaultError, FleetError
 from ..faults.checkpoint import Checkpointer
 from ..faults.plan import FaultPlan
-from ..transfer.tiered import TieredCache
 
 __all__ = ["DetectorPolicy", "FailureDetector", "BreakerPolicy",
            "CircuitBreaker", "HedgePolicy", "ResiliencePolicy",
@@ -349,10 +348,10 @@ class ReplicaRecovery:
         return self._checkpointers[replica_id]
 
     def save(self, replica, clock):
-        """Snapshot ``replica``'s tiered-cache residency at ``clock``;
-        a no-op for replicas without a tiered cache."""
+        """Snapshot ``replica``'s cache residency at ``clock``; a no-op
+        for replicas without a cache."""
         cache = replica.executor.cache
-        if not isinstance(cache, TieredCache):
+        if cache is None:
             return False
         self._checkpointer(replica.replica_id).save({
             "clock": float(clock),
@@ -366,7 +365,7 @@ class ReplicaRecovery:
         """Re-warm ``replica``'s cache from its newest valid snapshot;
         returns whether a snapshot was applied (False = cold start)."""
         cache = replica.executor.cache
-        if not isinstance(cache, TieredCache):
+        if cache is None:
             return False
         self.recoveries += 1
         try:

@@ -102,21 +102,6 @@ class MicroBatcher:
             return None
         return self._queue[0].arrival + self.policy.max_wait
 
-    def ready(self, now, draining=False):
-        """Whether a batch should be dispatched at time ``now``.
-
-        True when the queue holds a full batch, the oldest request's
-        ``max_wait`` deadline has passed, or ``draining`` (no further
-        arrivals will ever come, so waiting is pointless).
-        """
-        if not self._queue:
-            return False
-        if len(self._queue) >= self.policy.max_batch_size:
-            return True
-        if draining:
-            return True
-        return now >= self.oldest_deadline()
-
     def drain(self):
         """Remove and return every queued request, FIFO order.  Used by
         the fleet's crash failover: a dead replica's queue is handed

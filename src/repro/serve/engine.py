@@ -82,19 +82,20 @@ class ServeEngine:
     fanout:
         Per-layer fanout for ``sampled`` mode.
     cache_policy, cache_ratio:
-        ``sampled``/``full``: the GPU *feature* cache ("lru" or
-        "degree"); ``precomputed``: the *embedding-row* cache.
-        ``cache_ratio=0`` disables caching (every row is fetched).
+        Admission policy ("lru"/"lfu"/"degree"/"presample"/"static")
+        and GPU-hot budget of the node's
+        :class:`~repro.transfer.tiered.TieredCache` — over *feature*
+        rows in ``sampled``/``full`` mode, *embedding-table* rows in
+        ``precomputed``.  ``cache_ratio=0`` (with no warm tier)
+        disables caching: every row is fetched from host RAM.
     warm_ratio, cache_scores:
-        ``warm_ratio > 0`` (or ``cache_policy="lfu"``, which has no
-        flat equivalent) upgrades the cache to a multi-tier
-        :class:`~repro.transfer.tiered.TieredCache`: ``cache_ratio``
-        of the rows GPU-hot, ``warm_ratio`` pinned-host-warm, the rest
-        disk-cold — the policies grow to "lru"/"lfu"/"degree"/
-        "presample"/"static" ("presample"/"static" need
-        ``cache_scores``, e.g. measured request frequencies from a
-        trace prefix).  The report then carries per-tier hit rates and
-        the per-tier split of ``dt_seconds``.
+        ``warm_ratio`` adds a pinned-host-warm tier.  With it (or with
+        ``cache_policy="lfu"``) the un-cached rows are disk-cold and
+        the report carries per-tier hit rates and the per-tier split
+        of ``dt_seconds``; without, they are host-resident (see
+        :func:`~repro.transfer.tiered.backing_for`).
+        "presample"/"static" need ``cache_scores``, e.g. measured
+        request frequencies from a trace prefix.
     spec:
         Hardware cost model; defaults to the paper's simulated node.
     seed:

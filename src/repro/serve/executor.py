@@ -28,9 +28,8 @@ import numpy as np
 
 from ..errors import ServingError, TransferError
 from ..sampling import NeighborSampler
-from ..transfer.cache import DegreeCache, LRUCache
 from ..transfer.hardware import DEFAULT_SPEC, estimate_flops
-from ..transfer.tiered import TieredCache, make_tiered_cache
+from ..transfer.tiered import TieredCache, backing_for, make_tiered_cache
 from .precompute import LayerwiseEmbeddings
 
 __all__ = ["BatchExecutor", "SERVE_MODES", "model_hidden_dim"]
@@ -115,33 +114,20 @@ class BatchExecutor:
                 + self.spec.compute_time(self.embeddings.build_flops))
 
     def _build_cache(self):
+        """The node's :class:`TieredCache` over feature rows
+        (sampled/full) or embedding-table rows (precomputed; row ids
+        are vertex ids, so graph-degree placement stays meaningful) —
+        the same cache the training workers use."""
         if self.cache_ratio <= 0 and self.warm_ratio <= 0:
             return None
-        if self.warm_ratio > 0 or self.cache_policy == "lfu":
-            # Multi-tier cache over the disk-backed hierarchy — the
-            # same TieredCache the training workers use, here caching
-            # feature rows (sampled/full) or embedding-table rows
-            # (precomputed; row ids are vertex ids, so graph-degree
-            # placement stays meaningful).
-            try:
-                return make_tiered_cache(
-                    self.cache_policy, self.dataset.graph,
-                    self.cache_ratio, self.warm_ratio,
-                    scores=self.cache_scores)
-            except TransferError as exc:
-                raise ServingError(str(exc)) from exc
-        if self.mode == "precomputed":
-            # Historical-embedding cache: LRU over table rows.
-            return LRUCache(self.embeddings.num_vertices,
-                            self.cache_ratio)
-        if self.cache_policy == "degree":
-            return DegreeCache(self.dataset.graph, self.cache_ratio)
-        if self.cache_policy == "lru":
-            return LRUCache(self.dataset.graph, self.cache_ratio)
-        raise ServingError(
-            f"unknown serving cache policy {self.cache_policy!r}; "
-            f"known: lru, degree (flat) and lru, lfu, degree, "
-            f"presample, static (tiered, warm_ratio > 0)")
+        try:
+            return make_tiered_cache(
+                self.cache_policy, self.dataset.graph,
+                self.cache_ratio, self.warm_ratio,
+                scores=self.cache_scores,
+                backing=backing_for(self.cache_policy, self.warm_ratio))
+        except TransferError as exc:
+            raise ServingError(str(exc)) from exc
 
     def reset_counters(self):
         """Zero the per-run tier-seconds accumulator."""
@@ -152,34 +138,26 @@ class BatchExecutor:
     # ------------------------------------------------------------------
     def fetch_seconds(self, row_ids, row_bytes):
         """Simulated time to materialize ``row_ids`` on the GPU through
-        the cache (hits are resident; misses cross host + PCIe; with a
-        tiered cache each tier is billed its own path and the split is
-        accumulated for the report)."""
-        if isinstance(self.cache, TieredCache):
-            return self._bill_tiered(self.cache.lookup(row_ids),
-                                     row_bytes)
-        if self.cache is not None:
-            _hits, misses = self.cache.lookup(row_ids)
-        else:
-            misses = np.asarray(row_ids, dtype=np.int64)
-        return self._bill_flat(misses, row_bytes)
+        the cache: hot rows are resident, every other tier is billed
+        its own path.  No cache means every row is a cold read from
+        host RAM."""
+        cache = self.cache if self.cache is not None \
+            else TieredCache(0, 0, 0, backing="host")
+        seconds, warm, cold = self._bill(cache, cache.lookup(row_ids),
+                                         row_bytes)
+        if cache.backing == "disk":
+            # The per-tier split is the hierarchy's report; a
+            # host-backed cache reports one hit rate, as the paper does.
+            self.tier_seconds["warm"] += warm
+            self.tier_seconds["cold"] += cold
+        return seconds
 
-    def _bill_tiered(self, lookup, row_bytes):
-        """Charge one tiered lookup and accumulate the per-tier split.
-        Overridden by the fleet's :class:`ShardExecutor` to price
-        remote-shard rows over the network instead of local disk."""
-        bill = self.cache.bill(lookup, row_bytes, self.spec)
-        for tier, value in sorted(bill.tier_seconds().items()):
-            self.tier_seconds[tier] += value
-        return bill.total_seconds
-
-    def _bill_flat(self, misses, row_bytes):
-        """Charge a flat-cache (or cache-less) fetch of ``misses``."""
-        num_bytes = len(misses) * row_bytes
-        if num_bytes == 0:
-            return 0.0
-        return (self.spec.gather_time(num_bytes)
-                + self.spec.pcie_time(num_bytes))
+    def _bill(self, cache, lookup, row_bytes):
+        """``(total, warm, cold)`` seconds of one lookup.  Overridden
+        by the fleet's :class:`ShardExecutor` to price remote-shard
+        rows over the network instead of the local backing store."""
+        bill = cache.bill(lookup, row_bytes, self.spec)
+        return bill.total_seconds, bill.warm_seconds, bill.cold_seconds
 
     # ------------------------------------------------------------------
     # Per-batch execution

@@ -52,7 +52,6 @@ import numpy as np
 
 from ..errors import AdmissionError, ServingError
 from ..perf import PERF, StageProfiler
-from ..transfer.tiered import TieredCache
 from .batcher import MicroBatcher
 from .requests import InferenceResponse
 
@@ -348,21 +347,18 @@ class EventLoop:
 # ----------------------------------------------------------------------
 def cache_hit_rates(caches):
     """``(gpu_hit_rate, warm_hit_rate, tiered)`` pooled over ``caches``
-    — each a flat cache, a :class:`~repro.transfer.tiered.TieredCache`
-    or ``None``.  The GPU-resident rate is the flat caches' hit rate
-    and the tiered caches' *hot* rate, which is what makes the two
-    comparable; ``tiered`` says whether any cache had tiers."""
+    — each a :class:`~repro.transfer.tiered.TieredCache` or ``None``.
+    ``tiered`` says whether any cache sat over a disk-backed
+    hierarchy, i.e. whether the report should carry per-tier
+    numbers."""
     gpu = warm = lookups = 0
     tiered = False
     for cache in caches:
-        if isinstance(cache, TieredCache):
-            tiered = True
+        if cache is not None:
+            tiered = tiered or cache.backing == "disk"
             gpu += cache.hot_hits
             warm += cache.warm_hits
             lookups += cache.requests
-        elif cache is not None:
-            gpu += cache.hits
-            lookups += cache.hits + cache.misses
     if not lookups:
         return 0.0, 0.0, tiered
     return gpu / lookups, warm / lookups, tiered

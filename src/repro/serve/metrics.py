@@ -57,11 +57,11 @@ class ServeReport:
     shed: int = 0
     degraded: int = 0
     deadline_misses: int = 0
-    # Tiered-cache accounting (present when the engine serves through a
-    # :class:`~repro.transfer.tiered.TieredCache`): the admission
-    # policy, the pinned-host budget, per-tier hit rates, and the
-    # per-tier split of ``dt_seconds``.  ``cache_hit_rate`` above stays
-    # the GPU-resident (hot) rate, comparable to the flat caches'.
+    # Per-tier accounting (filled when the engine's cache sits over
+    # the disk-backed hierarchy): the admission policy, the pinned-host
+    # budget, per-tier hit rates, and the per-tier split of
+    # ``dt_seconds``.  ``cache_hit_rate`` above is always the
+    # GPU-resident (hot) rate.
     cache_policy: str = "lru"
     warm_ratio: float = 0.0
     hot_hit_rate: float = 0.0

@@ -2,8 +2,6 @@
 
 from .blocks import (BlockActivity, active_block_ratio, block_activity,
                      threshold_sweep)
-from .cache import (DegreeCache, GPUCache, LRUCache, PreSampleCache,
-                    RandomCache, presample_frequencies)
 from .hardware import DEFAULT_SPEC, HardwareSpec, estimate_flops
 from .memory import (MemoryEstimate, estimate_batch_memory,
                      estimate_subgraph_memory, max_batch_size)
@@ -12,8 +10,9 @@ from .methods import (TOPOLOGY_BYTES_PER_EDGE, BatchStats, ExtractLoad,
                       ZeroCopy, make_transfer)
 from .pipeline import (PIPELINE_MODES, PipelineResult, pipeline_groups,
                        simulate_pipeline)
-from .tiered import (DYNAMIC_TIER_POLICIES, TIER_POLICIES, TierBill,
-                     TieredCache, TierLookup, make_tiered_cache,
+from .tiered import (BACKING_STORES, DYNAMIC_TIER_POLICIES, TIER_POLICIES,
+                     TierBill, TieredCache, TierLookup, backing_for,
+                     make_tiered_cache, presample_frequencies,
                      select_lowest)
 from .platform import (PLATFORM_NAMES, NoTransfer, Platform, cpu_cluster,
                        gpu_cluster, multi_gpu)
@@ -24,10 +23,9 @@ __all__ = [
     "BatchStats", "TransferBreakdown", "TransferMethod", "ExtractLoad",
     "ZeroCopy", "HybridTransfer", "make_transfer",
     "TOPOLOGY_BYTES_PER_EDGE",
-    "GPUCache", "DegreeCache", "PreSampleCache", "RandomCache",
-    "LRUCache", "presample_frequencies",
     "TieredCache", "TierLookup", "TierBill", "make_tiered_cache",
-    "select_lowest", "TIER_POLICIES", "DYNAMIC_TIER_POLICIES",
+    "backing_for", "presample_frequencies", "select_lowest",
+    "TIER_POLICIES", "DYNAMIC_TIER_POLICIES", "BACKING_STORES",
     "BlockActivity", "block_activity", "active_block_ratio",
     "threshold_sweep",
     "PipelineResult", "simulate_pipeline", "PIPELINE_MODES",

@@ -66,11 +66,12 @@ class BatchStats:
 class TransferBreakdown:
     """Seconds and bytes of one batch's CPU→GPU movement.
 
-    With a :class:`~repro.transfer.tiered.TieredCache` in front of the
-    features, ``disk_seconds`` carries the cold tier's storage fetch
-    (charged on top of the host + PCIe path) and ``tier_seconds`` /
-    ``tier_bytes`` split the feature movement per tier (topology bytes
-    are not attributed to a tier).  Flat caches leave them zero/empty.
+    With a disk-backed :class:`~repro.transfer.tiered.TieredCache` in
+    front of the features, ``disk_seconds`` carries the cold rows'
+    storage fetch (charged on top of the host + PCIe path) and
+    ``tier_seconds`` / ``tier_bytes`` split the feature movement per
+    tier (topology bytes are not attributed to a tier).  Host-backed
+    caches (and no cache) leave them zero/empty.
     """
 
     extract_seconds: float
@@ -89,42 +90,37 @@ class TransferBreakdown:
 class TransferMethod(abc.ABC):
     """Base class: compute a :class:`TransferBreakdown` for a batch.
 
-    ``cache`` is either a flat :class:`~repro.transfer.cache.GPUCache`
-    (misses all pay the host + PCIe path — the features live in host
-    RAM) or a :class:`~repro.transfer.tiered.TieredCache` (misses are
-    billed tier by tier: warm rows come from pinned host memory, cold
-    rows additionally pay the disk fetch).
+    ``cache`` is a :class:`~repro.transfer.tiered.TieredCache` or
+    ``None`` (nothing resident, features in host RAM).  Rows are billed
+    by the tier that holds them: hot rows are free, warm rows come from
+    pinned host memory, cold rows from the cache's backing store — host
+    RAM, or disk, which adds the storage fetch.
     """
 
     name = "abstract"
 
     def transfer(self, stats, spec, cache=None):
         """Time one batch; ``cache`` filters and tiers feature rows."""
-        if isinstance(cache, TieredCache):
-            return self._transfer_tiered(
-                stats, spec, cache.lookup(stats.input_nodes))
-        return self._transfer_flat(stats, spec, cache)
-
-    @abc.abstractmethod
-    def _transfer_flat(self, stats, spec, cache):
-        """The single-tier path (features host-resident)."""
-
-    @abc.abstractmethod
-    def _transfer_tiered(self, stats, spec, lookup):
-        """The multi-tier path, billed per tier of ``lookup``."""
-
-    def _miss_nodes(self, stats, cache):
         if cache is None:
-            return np.asarray(stats.input_nodes, dtype=np.int64)
-        _hits, misses = cache.lookup(stats.input_nodes)
-        return misses
+            cache = TieredCache(0, 0, 0, backing="host")
+        return self._transfer(stats, spec,
+                              cache.lookup(stats.input_nodes),
+                              cache.backing == "disk")
+
+    @abc.abstractmethod
+    def _transfer(self, stats, spec, lookup, disk_backed):
+        """Bill the batch whose rows split per tier as ``lookup``;
+        ``disk_backed`` says whether cold rows pay the disk-only
+        terms (exactly ``0.0`` otherwise)."""
 
     @staticmethod
-    def _tier_split(breakdown, warm_bytes, cold_bytes, warm_own,
-                    cold_own, pcie_shared):
-        """Attach per-tier seconds/bytes to ``breakdown``: each tier's
-        own cost plus a bytes-proportional share of the shared PCIe
-        crossing."""
+    def _tier_split(breakdown, disk_backed, warm_bytes, cold_bytes,
+                    warm_own, cold_own, pcie_shared):
+        """Attach per-tier seconds/bytes to a disk-backed
+        ``breakdown``: each tier's own cost plus a bytes-proportional
+        share of the shared PCIe crossing."""
+        if not disk_backed:
+            return breakdown
         moved = warm_bytes + cold_bytes
         warm_share = pcie_shared * warm_bytes / moved if moved else 0.0
         cold_share = pcie_shared - warm_share if moved else 0.0
@@ -140,24 +136,17 @@ class ExtractLoad(TransferMethod):
 
     name = "extract-load"
 
-    def _transfer_flat(self, stats, spec, cache):
-        misses = self._miss_nodes(stats, cache)
-        miss_bytes = len(misses) * stats.feature_bytes_per_vertex
-        extract = spec.gather_time(miss_bytes)
-        payload = miss_bytes + stats.topology_bytes
-        load = spec.pcie_time(payload, transfers=2)
-        return TransferBreakdown(extract, load, payload)
-
-    def _transfer_tiered(self, stats, spec, lookup):
+    def _transfer(self, stats, spec, lookup, disk_backed):
         row = stats.feature_bytes_per_vertex
         warm_bytes = lookup.num_warm * row
         cold_bytes = lookup.num_cold * row
         # Warm rows are staged out of the pinned cache, cold rows are
-        # gathered from the (disk-fetched) pageable pages; both then
-        # ride the same DMA alongside the topology.
+        # gathered from pageable pages (disk-fetched first when the
+        # backing store is disk); both then ride the same DMA alongside
+        # the topology.
         extract = (spec.host_cache_time(warm_bytes)
                    + spec.gather_time(cold_bytes))
-        disk = spec.disk_time(cold_bytes)
+        disk = spec.disk_time(cold_bytes) if disk_backed else 0.0
         payload = warm_bytes + cold_bytes + stats.topology_bytes
         load = spec.pcie_time(payload, transfers=2)
         pcie_rows = load - spec.pcie_time(stats.topology_bytes,
@@ -165,7 +154,7 @@ class ExtractLoad(TransferMethod):
             if warm_bytes + cold_bytes else 0.0
         return self._tier_split(
             TransferBreakdown(extract, load, payload, disk_seconds=disk),
-            warm_bytes, cold_bytes,
+            disk_backed, warm_bytes, cold_bytes,
             warm_own=spec.host_cache_time(warm_bytes),
             cold_own=disk + spec.gather_time(cold_bytes),
             pcie_shared=pcie_rows)
@@ -176,34 +165,26 @@ class ZeroCopy(TransferMethod):
 
     name = "zero-copy"
 
-    def _transfer_flat(self, stats, spec, cache):
-        misses = self._miss_nodes(stats, cache)
-        miss_bytes = len(misses) * stats.feature_bytes_per_vertex
-        # Topology is still shipped explicitly (it is contiguous anyway).
-        load = (spec.zero_copy_time(miss_bytes)
-                + spec.pcie_time(stats.topology_bytes, transfers=1))
-        return TransferBreakdown(0.0, load,
-                                 miss_bytes + stats.topology_bytes)
-
-    def _transfer_tiered(self, stats, spec, lookup):
+    def _transfer(self, stats, spec, lookup, disk_backed):
         row = stats.feature_bytes_per_vertex
         warm_bytes = lookup.num_warm * row
         cold_bytes = lookup.num_cold * row
-        # The warm tier is pinned memory — exactly what UVA zero-copy
-        # reads from — so warm rows need no staging at all.  Cold rows
-        # must land in the pinned region first (disk fetch + gather)
-        # before the GPU can read them.
-        disk = spec.disk_time(cold_bytes)
-        extract = spec.gather_time(cold_bytes)
-        load = (spec.zero_copy_time(warm_bytes + cold_bytes)
-                + spec.pcie_time(stats.topology_bytes, transfers=1))
+        # UVA zero-copy reads host memory in place, so warm rows and
+        # host-resident cold rows need no staging at all.  Disk-resident
+        # cold rows must land in host memory first (disk fetch +
+        # gather) before the GPU can read them.
+        disk = spec.disk_time(cold_bytes) if disk_backed else 0.0
+        extract = spec.gather_time(cold_bytes) if disk_backed else 0.0
         zc_rows = spec.zero_copy_time(warm_bytes + cold_bytes)
+        # Topology is still shipped explicitly (it is contiguous anyway).
+        load = zc_rows + spec.pcie_time(stats.topology_bytes,
+                                        transfers=1)
         return self._tier_split(
             TransferBreakdown(extract, load,
                               warm_bytes + cold_bytes
                               + stats.topology_bytes,
                               disk_seconds=disk),
-            warm_bytes, cold_bytes,
+            disk_backed, warm_bytes, cold_bytes,
             warm_own=0.0,
             cold_own=disk + extract,
             pcie_shared=zc_rows)
@@ -230,24 +211,20 @@ class HybridTransfer(TransferMethod):
         self.threshold = float(threshold)
         self.block_bytes = int(block_bytes)
 
-    def _transfer_flat(self, stats, spec, cache):
-        misses = self._miss_nodes(stats, cache)
-        return self._block_breakdown(misses, stats, spec)
-
-    def _transfer_tiered(self, stats, spec, lookup):
+    def _transfer(self, stats, spec, lookup, disk_backed):
         # The per-block dense/sparse decision applies to every row that
-        # is not GPU-resident; cold rows additionally pay the storage
-        # fetch before they are host-readable at all.
+        # is not GPU-resident; disk-resident cold rows additionally pay
+        # the storage fetch before they are host-readable at all.
         row = stats.feature_bytes_per_vertex
         warm_bytes = lookup.num_warm * row
         cold_bytes = lookup.num_cold * row
         breakdown = self._block_breakdown(lookup.misses, stats, spec)
-        disk = spec.disk_time(cold_bytes)
+        disk = spec.disk_time(cold_bytes) if disk_backed else 0.0
         breakdown.disk_seconds = disk
         # The block machinery does not preserve which rows came from
         # which tier, so the host+PCIe cost is split by bytes.
-        return self._tier_split(breakdown, warm_bytes, cold_bytes,
-                                warm_own=0.0, cold_own=disk,
+        return self._tier_split(breakdown, disk_backed, warm_bytes,
+                                cold_bytes, warm_own=0.0, cold_own=disk,
                                 pcie_shared=breakdown.load_seconds)
 
     def _block_breakdown(self, misses, stats, spec):

@@ -37,14 +37,9 @@ class NoTransfer(TransferMethod):
 
     name = "cpu-local"
 
-    def transfer(self, stats, spec, cache=None):
-        # A cache slot is meaningless without a device; ignore it.
-        return TransferBreakdown(0.0, 0.0, 0)
-
-    def _transfer_flat(self, stats, spec, cache):
-        return self.transfer(stats, spec, cache)
-
-    def _transfer_tiered(self, stats, spec, lookup):
+    def _transfer(self, stats, spec, lookup, disk_backed):
+        # A cache slot is meaningless without a device: whichever tier
+        # holds a row, nothing moves.
         return TransferBreakdown(0.0, 0.0, 0)
 
 

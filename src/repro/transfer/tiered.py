@@ -1,42 +1,54 @@
-"""The unified multi-tier feature cache (BGL direction).
+"""The feature cache: one class, two resident tiers, one backing store.
 
-``transfer.cache`` models a single flat GPU-resident cache; this module
-generalizes it to the storage hierarchy BGL-style systems actually
-manage:
+Caching feature rows in spare GPU memory is the only optimization that
+*reduces* CPU-GPU traffic instead of overlapping or streamlining it
+(§7.3.3); BGL-style systems stretch the same idea over a hierarchy.
+:class:`TieredCache` is both:
 
 * **hot** tier — feature/embedding rows resident in spare GPU memory;
   a hit costs nothing (the row is already device-side);
 * **warm** tier — rows staged in page-locked (pinned) host memory; a
   hit pays a fast pinned-memory read plus the PCIe crossing;
-* **cold** tier — everything else, backed by local NVMe or a remote
-  feature store; a miss pays the disk fetch *and* the host + PCIe path.
+* **cold** — everything else, read from the *backing store*:
+  ``"host"`` RAM (the paper's §7.3.3 setting: a miss pays the pageable
+  gather and PCIe, and zero-copy reads it in place) or ``"disk"``
+  (local NVMe / a remote feature store: a miss additionally pays the
+  storage fetch, and zero-copy must stage it first).  Every
+  host-backed bill is the disk-backed formula with the disk-only terms
+  at exactly ``0.0``.  The backing store is also what decides whether
+  reports carry per-tier numbers: a host-backed cache with no warm
+  tier is the paper's flat GPU cache and reports one hit rate.
 
-One :class:`TieredCache` serves both consumers: the training engines'
-feature fetch (:mod:`repro.transfer.methods` bills misses tier by tier)
-and the serving engine's embedding lookup (the precomputed-mode LRU
-becomes the hot tier of the same structure), so admission policy code
-and hit-rate metrics are shared instead of duplicated.
+One cache serves both consumers: the training engines' feature fetch
+(:mod:`repro.transfer.methods` bills misses tier by tier) and the
+serving executors' feature / embedding lookup.
 
 Admission/eviction is pluggable:
 
 * ``"degree"`` — static degree-weighted placement (PaGraph): hottest
-  tiers hold the highest out-degree vertices;
+  tiers hold the highest out-degree vertices — cheap, works when
+  degree predicts sampling frequency, fails otherwise;
 * ``"presample"`` — static frequency placement measured by
-  pre-sampling the real access pattern (GNNLab/BGL);
+  pre-sampling the real access pattern (GNNLab/BGL) — robust to
+  flat-degree graphs and biased samplers;
 * ``"static"`` — static placement by any caller-supplied score
   (serving uses measured request frequencies here);
 * ``"lfu"`` — dynamic frequency: every access bumps a counter, touched
   rows are promoted to hot, overflow demotes the lowest-frequency rows
   down the hierarchy;
 * ``"lru"`` — dynamic recency: same machinery with a clock score.
-  With ``warm_capacity=0`` this is exactly the flat single-tier LRU
-  baseline, living in the same disk-backed cost model.
 
 All bookkeeping is vectorized — bitmap/array operations per lookup, no
 per-vertex Python on hits or misses — and fully deterministic:
 demotion/eviction picks the lowest ``(score, vertex id)`` pairs via
 :func:`select_lowest`, so identical lookup sequences produce
-bit-identical hit/miss sequences and residency states.
+bit-identical hit/miss sequences and residency states.  The one
+exception is the **LRU overflow rule**: when a single batch's new rows
+alone overfill a tier they all tie on recency, and ``lru`` keeps the
+*lowest* ids of the batch (sheds the highest) — the rule the serving
+goldens (``tests/golden/serving_runs.json``) and
+``tests/transfer/test_cache_oracle.py`` pin; ``lfu`` sheds by
+``(score, id)`` like every other eviction.
 """
 
 from __future__ import annotations
@@ -46,15 +58,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import TransferError
-from .cache import presample_frequencies
 
 __all__ = ["TieredCache", "TierLookup", "TierBill", "make_tiered_cache",
-           "select_lowest", "TIER_POLICIES", "DYNAMIC_TIER_POLICIES"]
+           "backing_for", "presample_frequencies", "select_lowest",
+           "TIER_POLICIES", "DYNAMIC_TIER_POLICIES", "BACKING_STORES"]
 
 #: Admission policies `make_tiered_cache` understands.
 TIER_POLICIES = ("lru", "lfu", "degree", "presample", "static")
 #: The subset that adapts online (the rest place rows once, up front).
 DYNAMIC_TIER_POLICIES = ("lru", "lfu")
+#: Where un-cached rows live.
+BACKING_STORES = ("disk", "host")
 
 # Tier codes in the residency array.
 _COLD, _WARM, _HOT = 0, 1, 2
@@ -82,8 +96,8 @@ class TierLookup:
     """Per-tier split of one batched lookup.
 
     ``hot_mask``/``warm_mask``/``cold_mask`` are parallel to
-    ``vertices`` (duplicates keep their own entry, mirroring the flat
-    caches' request-level accounting).
+    ``vertices`` (duplicates keep their own entry: accounting is per
+    request, not per distinct row).
     """
 
     vertices: np.ndarray
@@ -117,7 +131,7 @@ class TierLookup:
 
     @property
     def misses(self):
-        """Rows not GPU-resident (what a flat cache calls misses)."""
+        """Rows not GPU-resident, in request order."""
         return self.vertices[~self.hot_mask]
 
 
@@ -150,7 +164,7 @@ class TierBill:
 
 class TieredCache:
     """A two-resident-tier (hot GPU / warm pinned-host) cache over a
-    disk-backed cold tier.
+    host- or disk-resident backing store.
 
     Parameters
     ----------
@@ -166,6 +180,9 @@ class TieredCache:
     scores:
         Static placement score per vertex (required for the static
         policies; higher scores land in hotter tiers).
+    backing:
+        One of :data:`BACKING_STORES` — where cold rows are read from,
+        hence what a miss is billed (see the module docstring).
 
     Invariants, preserved under arbitrary lookup sequences: a row is
     resident in at most one tier, and each tier holds at most its
@@ -173,13 +190,17 @@ class TieredCache:
     """
 
     def __init__(self, num_vertices, hot_capacity, warm_capacity,
-                 policy="lfu", scores=None):
+                 policy="lfu", scores=None, backing="disk"):
         num_vertices = int(num_vertices)
         if num_vertices < 0:
             raise TransferError("num_vertices must be non-negative")
         if policy not in TIER_POLICIES:
             raise TransferError(
                 f"unknown tier policy {policy!r}; known: {TIER_POLICIES}")
+        if backing not in BACKING_STORES:
+            raise TransferError(
+                f"unknown backing store {backing!r}; known: "
+                f"{BACKING_STORES}")
         hot_capacity = int(hot_capacity)
         warm_capacity = int(warm_capacity)
         if hot_capacity < 0 or warm_capacity < 0:
@@ -192,6 +213,7 @@ class TieredCache:
         self.hot_capacity = hot_capacity
         self.warm_capacity = warm_capacity
         self.policy = policy
+        self.backing = backing
         self.dynamic = policy in DYNAMIC_TIER_POLICIES
         self.enabled = (hot_capacity + warm_capacity) > 0
 
@@ -262,7 +284,7 @@ class TieredCache:
 
     @property
     def hit_rate(self):
-        """GPU-resident hit rate — comparable to the flat caches'."""
+        """GPU-resident hit rate (the paper's one cache hit rate)."""
         return self.hot_hit_rate
 
     def hit_rates(self):
@@ -370,17 +392,16 @@ class TieredCache:
         self.cold_misses += int(cold.sum())
 
         if self.dynamic and len(vertices):
-            self._admit(vertices)
+            self._admit(vertices, tiers)
         return TierLookup(vertices, hot, warm, cold)
 
-    def _admit(self, vertices):
-        """Promote every row touched this call to the hot tier,
-        cascading demotions/evictions down the hierarchy (batched
-        array ops throughout)."""
+    def _admit(self, vertices, tiers):
+        """Promote every row touched this call (``tiers``: where each
+        was found) to the hot tier, cascading demotions/evictions down
+        the hierarchy (batched array ops throughout)."""
         self._clock += 1
-        touched = np.unique(vertices)
         if self.policy == "lru":
-            self._score[touched] = self._clock
+            self._score[vertices] = self._clock
         else:  # lfu: each access counts, duplicates included
             np.add.at(self._score, vertices, 1)
 
@@ -388,18 +409,16 @@ class TieredCache:
             # Degenerate warm-only configuration: admit the rows not
             # already resident (touched residents keep their slot, with
             # their score freshly bumped above).
-            new = touched[self._tier[touched] != _WARM]
+            new = np.unique(vertices[tiers != _WARM])
             if len(new):
                 self._admit_into_warm(new)
             return
 
-        prev = self._tier[touched]
-        newly_hot = touched[prev != _HOT]
+        newly_hot = np.unique(vertices[tiers != _HOT])
         if len(newly_hot) == 0:
             return
-        promoted_from_warm = int((prev == _WARM).sum())
         self._tier[newly_hot] = _HOT
-        if promoted_from_warm:
+        if (tiers == _WARM).any():
             self._warm_ids = self._warm_ids[
                 self._tier[self._warm_ids] == _WARM]
         self._hot_ids = np.concatenate([self._hot_ids, newly_hot])
@@ -415,13 +434,21 @@ class TieredCache:
             spill = overflow - len(demote)
             if spill > 0:
                 demote = np.concatenate([
-                    demote,
-                    select_lowest(newly_hot, self._score[newly_hot],
-                                  spill)])
+                    demote, self._shed(newly_hot, spill)])
             self._tier[demote] = _WARM
             self._hot_ids = self._hot_ids[
                 self._tier[self._hot_ids] == _HOT]
             self._admit_into_warm(demote)
+
+    def _shed(self, rows, count):
+        """The ``count`` of the just-admitted ``rows`` to push down when
+        they alone overfill a tier: lowest ``(score, id)`` first — but
+        under ``lru`` ties (one batch's rows share a clock value) shed
+        the *highest* ids, the LRU overflow rule the serving goldens
+        pin."""
+        if self.policy == "lru":
+            return -select_lowest(-rows, self._score[rows], count)
+        return select_lowest(rows, self._score[rows], count)
 
     def _admit_into_warm(self, rows):
         """Place ``rows`` in the warm tier, evicting the lowest-score
@@ -438,8 +465,7 @@ class TieredCache:
                                   min(overflow, len(candidates)))
             spill = overflow - len(evict)
             if spill > 0:
-                evict = np.concatenate([
-                    evict, select_lowest(rows, self._score[rows], spill)])
+                evict = np.concatenate([evict, self._shed(rows, spill)])
             self._tier[evict] = _COLD
             self._warm_ids = self._warm_ids[
                 self._tier[self._warm_ids] == _WARM]
@@ -451,10 +477,10 @@ class TieredCache:
         """Extract-load-style :class:`TierBill` for one lookup.
 
         Hot rows are free (already device-resident).  Warm rows pay the
-        pinned-host read plus their PCIe share; cold rows pay the disk
-        fetch, the pageable gather, and their PCIe share.  The PCIe
-        DMA's cost over all moved rows is split between the tiers in
-        proportion to bytes.
+        pinned-host read plus their PCIe share; cold rows pay the
+        pageable gather and their PCIe share, after the disk fetch when
+        the backing store is disk.  The PCIe DMA's cost over all moved
+        rows is split between the tiers in proportion to bytes.
         """
         hot_bytes = lookup.num_hot * row_bytes
         warm_bytes = lookup.num_warm * row_bytes
@@ -465,9 +491,10 @@ class TieredCache:
         cold_share = pcie - warm_share if moved else 0.0
         warm_seconds = spec.host_cache_time(warm_bytes) + warm_share \
             if warm_bytes else 0.0
-        cold_seconds = (spec.disk_time(cold_bytes)
-                        + spec.gather_time(cold_bytes) + cold_share) \
-            if cold_bytes else 0.0
+        disk = spec.disk_time(cold_bytes) \
+            if self.backing == "disk" else 0.0
+        cold_seconds = (disk + spec.gather_time(cold_bytes)
+                        + cold_share) if cold_bytes else 0.0
         return TierBill(hot_seconds=0.0, warm_seconds=warm_seconds,
                         cold_seconds=cold_seconds, hot_bytes=hot_bytes,
                         warm_bytes=warm_bytes, cold_bytes=cold_bytes)
@@ -479,8 +506,33 @@ class TieredCache:
         return bill.total_seconds, bill
 
 
+def presample_frequencies(graph, sampler, seeds, rng, epochs=3,
+                          batch_size=512):
+    """Feature-request frequency of every vertex, measured by running
+    ``epochs`` of sampling exactly as training would."""
+    seeds = np.asarray(seeds, dtype=np.int64)
+    frequency = np.zeros(graph.num_vertices, dtype=np.int64)
+    for _epoch in range(epochs):
+        order = rng.permutation(seeds)
+        for start in range(0, len(order), batch_size):
+            batch = order[start:start + batch_size]
+            subgraph = sampler.sample(graph, batch, rng)
+            np.add.at(frequency, subgraph.input_nodes, 1)
+    return frequency
+
+
+def backing_for(policy, warm_ratio):
+    """The backing store the worker and serving-node factories give a
+    cache: one GPU tier over host-resident features is the paper's
+    §7.3.3 setting; a warm tier — or ``lfu``, which only the
+    hierarchy's systems use — means the out-of-core one, features on
+    disk."""
+    return "host" if warm_ratio == 0 and policy != "lfu" else "disk"
+
+
 def make_tiered_cache(policy, graph, hot_ratio, warm_ratio,
-                      sampler=None, seeds=None, rng=None, scores=None):
+                      sampler=None, seeds=None, rng=None, scores=None,
+                      backing="disk"):
     """Build a :class:`TieredCache` for one worker or serving node.
 
     Parameters
@@ -498,6 +550,9 @@ def make_tiered_cache(policy, graph, hot_ratio, warm_ratio,
     scores:
         Caller-supplied placement score (``policy="static"``, e.g.
         measured request frequencies on the serving side).
+    backing:
+        Where cold rows live; see :func:`backing_for` for the rule
+        the engine-side factories apply.
     """
     bare = isinstance(graph, (int, np.integer))
     num_vertices = int(graph) if bare else graph.num_vertices
@@ -515,7 +570,8 @@ def make_tiered_cache(policy, graph, hot_ratio, warm_ratio,
 
     key = policy.lower() if isinstance(policy, str) else policy
     if key in DYNAMIC_TIER_POLICIES:
-        return TieredCache(num_vertices, hot, warm, policy=key)
+        return TieredCache(num_vertices, hot, warm, policy=key,
+                           backing=backing)
     if key == "degree":
         if bare:
             raise TransferError(
@@ -537,4 +593,4 @@ def make_tiered_cache(policy, graph, hot_ratio, warm_ratio,
         raise TransferError(
             f"unknown tier policy {policy!r}; known: {TIER_POLICIES}")
     return TieredCache(num_vertices, hot, warm, policy=key,
-                       scores=scores)
+                       scores=scores, backing=backing)

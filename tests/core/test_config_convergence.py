@@ -13,7 +13,7 @@ from repro.partition import (HashPartitioner, MetisPartitioner,
                              StreamBPartitioner, StreamVPartitioner)
 from repro.sampling import (HybridSampler, NeighborSampler, RateSampler,
                             SubgraphSampler)
-from repro.transfer import DegreeCache, ExtractLoad, PreSampleCache
+from repro.transfer import ExtractLoad
 
 
 class TestFactories:
@@ -44,12 +44,18 @@ class TestFactories:
         assert make_cache(None, dataset, 0.5) is None
         assert make_cache("degree", dataset, 0.0) is None
         cache = make_cache("degree", dataset, 0.2)
-        assert isinstance(cache, DegreeCache)
+        assert (cache.policy, cache.backing) == ("degree", "host")
+        assert cache.residency() == {
+            "hot": round(0.2 * dataset.num_vertices), "warm": 0}
         pres = make_cache("presample", dataset, 0.2,
                           sampler=NeighborSampler((3, 3)),
                           seeds=dataset.train_ids[:50],
                           rng=np.random.default_rng(0))
-        assert isinstance(pres, PreSampleCache)
+        assert (pres.policy, pres.backing) == ("presample", "host")
+        # A warm tier (or lfu) means the out-of-core hierarchy.
+        assert make_cache("degree", dataset, 0.2,
+                          warm_ratio=0.1).backing == "disk"
+        assert make_cache("lfu", dataset, 0.2).backing == "disk"
 
     def test_presample_cache_needs_sampler(self):
         dataset = load_dataset("ogb-arxiv", scale=0.25)

@@ -3,6 +3,8 @@ and the ReplicaServer queueing shell."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import load_dataset
 from repro.core import make_partitioner
@@ -13,6 +15,7 @@ from repro.nn import build_model
 from repro.serve import BatchPolicy
 from repro.serve.executor import BatchExecutor
 from repro.serve.requests import InferenceRequest
+from repro.transfer import make_tiered_cache
 from repro.transfer.hardware import DEFAULT_SPEC
 
 
@@ -60,6 +63,36 @@ class TestSingleShardReduction:
         assert sharded.remote_seconds == 0.0
         assert sharded.local_rows > 0
 
+    @settings(max_examples=40, deadline=None)
+    @given(policy=st.sampled_from(["lru", "lfu", "degree"]),
+           hot=st.sampled_from([0.0, 0.02, 0.1]),
+           warm=st.sampled_from([0.0, 0.05, 0.2]),
+           backing=st.sampled_from(["host", "disk"]),
+           row_bytes=st.sampled_from([4, 128, 516]),
+           batches=st.lists(
+               st.lists(st.integers(0, 10 ** 6), max_size=40),
+               min_size=1, max_size=6))
+    def test_zero_remote_bill_equals_the_caches_own(
+            self, data, model, policy, hot, warm, backing, row_bytes,
+            batches):
+        """Any cache, any lookup: with nothing remote the shard
+        executor's ``(total, warm, cold)`` is ``TieredCache.bill``'s,
+        bit for bit."""
+        shards = make_shards(data, 1, name="hash")
+        executor = ShardExecutor(shards, 0, data, model,
+                                 mode="precomputed", cache_ratio=0.0)
+        cache = make_tiered_cache(policy, data.graph, hot, warm,
+                                  backing=backing)
+        for batch in batches:
+            rows = np.asarray(batch, dtype=np.int64) % data.num_vertices
+            lookup = cache.lookup(rows)
+            bill = cache.bill(lookup, row_bytes, DEFAULT_SPEC)
+            assert executor._bill(cache, lookup, row_bytes) == (
+                bill.total_seconds, bill.warm_seconds,
+                bill.cold_seconds)
+            assert executor.last_remote_rows == 0
+            assert executor.last_remote_seconds == 0.0
+
     def test_sampled_flat_billing_reduces(self, data, model):
         shards = make_shards(data, 1, name="hash")
         model.eval()   # engines do this in run(); we call execute raw
@@ -84,9 +117,9 @@ class TestRemoteBilling:
         local = shards.shard_vertices(0)[:8]
         remote = shards.shard_vertices(1)[:8]
         row_bytes = 256
-        local_cost = executor._bill_flat(local, row_bytes)
+        local_cost = executor.fetch_seconds(local, row_bytes)
         assert executor.last_remote_rows == 0
-        remote_cost = executor._bill_flat(remote, row_bytes)
+        remote_cost = executor.fetch_seconds(remote, row_bytes)
         assert executor.last_remote_rows == len(remote)
         assert remote_cost > local_cost
         assert remote_cost - local_cost \
@@ -106,8 +139,8 @@ class TestRemoteBilling:
             shards.shard_vertices(2)[:2],
             shards.shard_vertices(3)[:2]])
         row_bytes = 128
-        single = executor._bill_flat(one_owner, row_bytes)
-        spread = executor._bill_flat(three_owners, row_bytes)
+        single = executor.fetch_seconds(one_owner, row_bytes)
+        spread = executor.fetch_seconds(three_owners, row_bytes)
         assert spread == pytest.approx(
             single + 2 * DEFAULT_SPEC.network_latency)
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import AdmissionError, ServingError
 from repro.serve import BatchPolicy, MicroBatcher
+from repro.serve.loop import ServeNode
 from repro.serve.requests import InferenceRequest
 
 
@@ -23,35 +24,43 @@ class TestBatchPolicy:
 
 
 class TestFlushSemantics:
+    """When a queue is ready is decided in one place,
+    ``ServeNode.next_dispatch_time``; a node needs no executor to
+    answer it."""
+
     def test_not_ready_while_waiting(self):
-        batcher = MicroBatcher(BatchPolicy(4, max_wait=1.0))
-        batcher.submit(request(0, arrival=0.0))
-        assert not batcher.ready(now=0.5)
+        node = ServeNode(None, BatchPolicy(4, max_wait=1.0))
+        assert node.next_dispatch_time(False) is None    # empty queue
+        node.submit(request(0, arrival=0.0))
+        assert node.next_dispatch_time(False) == 1.0
 
     def test_max_size_flush(self):
-        batcher = MicroBatcher(BatchPolicy(4, max_wait=100.0))
+        node = ServeNode(None, BatchPolicy(4, max_wait=100.0))
         for i in range(4):
-            batcher.submit(request(i, arrival=0.0))
+            node.submit(request(i, arrival=0.0))
         # Full batch flushes immediately, long before the deadline.
-        assert batcher.ready(now=0.0)
-        batch = batcher.take()
+        assert node.next_dispatch_time(False) == 0.0
+        batch = node.batcher.take()
         assert [r.request_id for r in batch] == [0, 1, 2, 3]
-        assert len(batcher) == 0
+        assert node.queue_depth == 0
 
     def test_max_wait_timeout_flush(self):
-        batcher = MicroBatcher(BatchPolicy(64, max_wait=0.010))
-        batcher.submit(request(0, arrival=1.0))
-        batcher.submit(request(1, arrival=1.005))
-        assert batcher.oldest_deadline() == pytest.approx(1.010)
-        assert not batcher.ready(now=1.009)
-        assert batcher.ready(now=1.010)
-        assert len(batcher.take()) == 2   # partial batch
+        node = ServeNode(None, BatchPolicy(64, max_wait=0.010))
+        node.submit(request(0, arrival=1.0))
+        node.submit(request(1, arrival=1.005))
+        assert node.batcher.oldest_deadline() == pytest.approx(1.010)
+        assert node.next_dispatch_time(False) == pytest.approx(1.010)
+        node.free_at = 1.5              # busy past the deadline
+        assert node.next_dispatch_time(False) == 1.5
+        assert len(node.batcher.take()) == 2   # partial batch
 
     def test_draining_flushes_partial_batch(self):
-        batcher = MicroBatcher(BatchPolicy(64, max_wait=100.0))
-        batcher.submit(request(0, arrival=0.0))
-        assert not batcher.ready(now=0.0)
-        assert batcher.ready(now=0.0, draining=True)
+        node = ServeNode(None, BatchPolicy(64, max_wait=100.0))
+        node.submit(request(0, arrival=0.0))
+        assert node.next_dispatch_time(False) == 100.0
+        assert node.next_dispatch_time(True) == 0.0
+        node.draining = True            # scale-down: this node alone
+        assert node.next_dispatch_time(False) == 0.0
 
     def test_take_caps_at_batch_size(self):
         batcher = MicroBatcher(BatchPolicy(3, max_wait=0.0))

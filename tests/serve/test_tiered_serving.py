@@ -12,7 +12,6 @@ from repro.errors import ServingError
 from repro.nn import build_model
 from repro.serve import LoadGenerator, ServeEngine
 from repro.serve.bench import run_serve_bench
-from repro.transfer import TieredCache
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +37,7 @@ class TestTieredServeEngine:
         engine = ServeEngine(data, model, mode="precomputed",
                              cache_policy="lfu", cache_ratio=0.05,
                              warm_ratio=0.1, seed=2)
-        assert isinstance(engine.cache, TieredCache)
+        assert engine.cache.backing == "disk"
         report = engine.run(trace)
         assert report.cache_policy == "lfu"
         assert report.warm_ratio == 0.1
@@ -65,6 +64,7 @@ class TestTieredServeEngine:
     def test_flat_reports_stay_empty(self, data, model, trace):
         engine = ServeEngine(data, model, mode="precomputed",
                              cache_ratio=0.2, seed=2)
+        assert engine.cache.backing == "host"
         report = engine.run(trace)
         assert report.warm_ratio == 0.0
         assert report.tier_seconds == {}
@@ -153,7 +153,13 @@ class TestTieredCLI:
                      "--epochs", "1", "--cache-policy", "random",
                      "--cache-budget", "0.2"])
         assert code == 2
-        assert "flat-cache" in capsys.readouterr().err
+        assert "single-tier" in capsys.readouterr().err
+
+    def test_superseded_cache_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["train", "ogb-arxiv", "--cache", "degree",
+                  "--cache-ratio", "0.2"])
+        assert "--cache" in capsys.readouterr().err
 
     def test_budget_out_of_range_rejected(self):
         with pytest.raises(SystemExit):

@@ -1,39 +1,34 @@
-"""GPU feature caching (§7.3.3).
+"""The flat ``GPUCache`` family, kept verbatim as the oracle.
 
-Caching vertex features in spare GPU memory is the only optimization that
-*reduces* CPU-GPU traffic instead of just overlapping or streamlining it.
-Two policies from the literature:
-
-* **degree-based** (PaGraph): statically cache the highest out-degree
-  vertices — cheap, works when degree predicts sampling frequency
-  (power-law graphs + uniform samplers), fails otherwise;
-* **pre-sampling-based** (GNNLab): run a few sampling epochs up front,
-  count how often each vertex's features are actually requested, cache
-  the hottest — robust to both flat-degree graphs and biased samplers.
+``GPUCache`` / ``DegreeCache`` / ``RandomCache`` / ``LRUCache`` /
+``PreSampleCache`` below are the bodies ``repro.transfer.cache``
+shipped before :class:`~repro.transfer.tiered.TieredCache` became the
+only cache class.  They define what a single-GPU-tier cache must do:
+which rows a static policy pins, which residents an LRU lookup evicts
+(lowest ``(last use, id)``), and — the LRU overflow rule — which of a
+batch's misses are admitted when the batch alone overfills the cache
+(``admit[:room]``: the lowest ids).  ``test_cache_oracle.py`` runs both
+on generated lookup streams.  Do not "fix" or speed up anything here;
+``_select_lowest`` is a copy so the oracle shares no code with the
+class under test.
 """
-
-from __future__ import annotations
 
 import numpy as np
 
-from ..errors import TransferError
 
-__all__ = ["GPUCache", "DegreeCache", "PreSampleCache", "RandomCache",
-           "LRUCache", "presample_frequencies"]
+def _select_lowest(ids, scores, k):
+    if k <= 0:
+        return ids[:0]
+    if k >= len(ids):
+        return ids
+    kth = np.partition(scores, k - 1)[k - 1]
+    below = ids[scores < kth]
+    tied = np.sort(ids[scores == kth])
+    return np.concatenate([below, tied[:k - len(below)]])
 
 
 class GPUCache:
-    """A static GPU-resident feature cache over a chosen vertex set.
-
-    Parameters
-    ----------
-    cached_ids:
-        Global vertex ids resident in GPU memory.
-    num_vertices:
-        Total vertex count (for the membership bitmap).
-
-    The cache tracks hit/miss counts across :meth:`lookup` calls.
-    """
+    """A static GPU-resident feature cache over a chosen vertex set."""
 
     policy = "static"
 
@@ -41,7 +36,7 @@ class GPUCache:
         cached_ids = np.unique(np.asarray(cached_ids, dtype=np.int64))
         if len(cached_ids) and (cached_ids[0] < 0
                                 or cached_ids[-1] >= num_vertices):
-            raise TransferError("cached vertex id out of range")
+            raise ValueError("cached vertex id out of range")
         self._bitmap = np.zeros(num_vertices, dtype=bool)
         self._bitmap[cached_ids] = True
         self.capacity = len(cached_ids)
@@ -52,14 +47,8 @@ class GPUCache:
     def num_vertices(self):
         return len(self._bitmap)
 
-    @property
-    def ratio(self):
-        """Cached fraction of all vertices."""
-        return self.capacity / max(self.num_vertices, 1)
-
-    def contains(self, vertices):
-        """Boolean mask: which of ``vertices`` are cached (no counting)."""
-        return self._bitmap[np.asarray(vertices, dtype=np.int64)]
+    def resident_ids(self):
+        return np.flatnonzero(self._bitmap)
 
     def lookup(self, vertices):
         """Split a request into hits and misses, updating statistics.
@@ -72,20 +61,10 @@ class GPUCache:
         self.misses += int((~mask).sum())
         return vertices[mask], vertices[~mask]
 
-    @property
-    def hit_rate(self):
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def reset_stats(self):
-        """Zero the hit/miss counters."""
-        self.hits = 0
-        self.misses = 0
-
 
 def _capacity_from_ratio(num_vertices, cache_ratio):
     if not 0.0 <= cache_ratio <= 1.0:
-        raise TransferError(
+        raise ValueError(
             f"cache_ratio must be in [0, 1], got {cache_ratio}")
     return int(round(num_vertices * cache_ratio))
 
@@ -103,8 +82,7 @@ class DegreeCache(GPUCache):
 
 
 class RandomCache(GPUCache):
-    """Cache a uniform random vertex subset — the ablation baseline that
-    separates "any cache helps" from "this policy helps"."""
+    """Cache a uniform random vertex subset."""
 
     policy = "random"
 
@@ -118,8 +96,6 @@ class RandomCache(GPUCache):
 
 def presample_frequencies(graph, sampler, seeds, rng, epochs=3,
                           batch_size=512):
-    """Feature-request frequency of every vertex, measured by running
-    ``epochs`` of sampling exactly as training would."""
     seeds = np.asarray(seeds, dtype=np.int64)
     frequency = np.zeros(graph.num_vertices, dtype=np.int64)
     for _epoch in range(epochs):
@@ -132,30 +108,13 @@ def presample_frequencies(graph, sampler, seeds, rng, epochs=3,
 
 
 class LRUCache(GPUCache):
-    """Dynamic least-recently-used feature cache (BGL-family).
-
-    Unlike the static policies, every lookup *admits* its misses: missed
-    vertices are inserted and, at capacity, the least recently used
-    residents are evicted.  No pre-pass is needed, and the cache adapts
-    when the access distribution drifts — at the cost of per-access
-    bookkeeping on the critical path (the trade BGL's dynamic cache
-    makes).
-
-    Bookkeeping is batched array work: the resident set is maintained
-    as an id array (no full-bitmap scan per lookup) and eviction picks
-    the ``overflow`` least-recent residents with an O(residents)
-    partition instead of a full sort (see
-    :func:`~repro.transfer.tiered.select_lowest`;
-    ``benchmarks/bench_cache_tiers.py --micro`` measures the win over
-    the scan-and-sort implementation this replaced).
-    """
+    """Dynamic least-recently-used feature cache: every lookup admits
+    its misses and, at capacity, evicts the least recently used
+    residents."""
 
     policy = "lru"
 
     def __init__(self, graph, cache_ratio):
-        # ``graph`` may be a CSRGraph-like object or a bare row count:
-        # the serving layer LRU-caches *embedding-table* rows, which
-        # have no graph behind them — only a row universe.
         num_vertices = (int(graph) if isinstance(graph, (int, np.integer))
                         else graph.num_vertices)
         capacity = _capacity_from_ratio(num_vertices, cache_ratio)
@@ -169,7 +128,6 @@ class LRUCache(GPUCache):
 
     def lookup(self, vertices):
         """Split into hits/misses, then admit the misses (LRU evict)."""
-        from .tiered import select_lowest
         vertices = np.asarray(vertices, dtype=np.int64)
         mask = self._bitmap[vertices]
         self.hits += int(mask.sum())
@@ -185,8 +143,8 @@ class LRUCache(GPUCache):
                 # Misses are by definition not resident, so the admit
                 # set never collides with the eviction candidates.
                 ids = self._resident_ids
-                evict = select_lowest(ids, self._last_used[ids],
-                                      min(overflow, len(ids)))
+                evict = _select_lowest(ids, self._last_used[ids],
+                                       min(overflow, len(ids)))
                 self._bitmap[evict] = False
                 self._last_used[evict] = -1
                 self._resident_ids = ids[self._bitmap[ids]]
@@ -203,17 +161,7 @@ class LRUCache(GPUCache):
 
 class PreSampleCache(GPUCache):
     """Cache the most frequently requested vertices, measured by
-    pre-sampling (GNNLab's policy).
-
-    Parameters
-    ----------
-    graph, sampler, seeds:
-        The training configuration whose access pattern is profiled.
-    cache_ratio:
-        Fraction of all vertices to cache.
-    epochs:
-        Pre-sampling epochs (more epochs, less variance).
-    """
+    pre-sampling (GNNLab's policy)."""
 
     policy = "presample"
 

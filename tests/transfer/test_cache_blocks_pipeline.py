@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.errors import TransferError
+from repro.errors import TrainingError, TransferError
 from repro.graph import load_dataset
 from repro.sampling import NeighborSampler
-from repro.transfer import (DegreeCache, GPUCache, PreSampleCache,
-                            RandomCache, active_block_ratio,
+from repro.core.config import make_cache
+from repro.transfer import (TieredCache, active_block_ratio,
                             block_activity, pipeline_groups,
                             presample_frequencies, simulate_pipeline,
                             threshold_sweep)
@@ -23,47 +23,63 @@ def flat():
     return load_dataset("ogb-papers", scale=0.4)
 
 
+def pinned(cached_ids, num_vertices):
+    """A single-GPU-tier cache over exactly ``cached_ids``."""
+    scores = np.zeros(num_vertices)
+    scores[cached_ids] = 1.0
+    return TieredCache(num_vertices, len(cached_ids), 0, policy="static",
+                       scores=scores, backing="host")
+
+
 class TestGPUCache:
+    """The paper's §7.3.3 cache: one GPU tier over host-resident
+    features, as ``make_cache`` builds it for ``warm_ratio == 0``."""
+
     def test_lookup_splits_and_counts(self):
-        cache = GPUCache([0, 2], num_vertices=4)
-        hits, misses = cache.lookup([0, 1, 2, 3, 0])
-        assert list(hits) == [0, 2, 0]
-        assert list(misses) == [1, 3]
-        assert cache.hits == 3 and cache.misses == 2
+        cache = pinned([0, 2], num_vertices=4)
+        lookup = cache.lookup([0, 1, 2, 3, 0])
+        assert list(lookup.hot_ids) == [0, 2, 0]
+        assert list(lookup.misses) == [1, 3]
+        assert cache.hot_hits == 3 and cache.cold_misses == 2
         assert cache.hit_rate == pytest.approx(0.6)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(TransferError):
-            GPUCache([9], num_vertices=4)
+            TieredCache(4, 5, 0, policy="static", scores=np.zeros(4))
+        with pytest.raises(TransferError):
+            TieredCache(4, 1, 0, policy="static", scores=np.zeros(9))
+        with pytest.raises(TransferError):
+            TieredCache(4, 1, 0, policy="lru", backing="tape")
 
     def test_reset_stats(self):
-        cache = GPUCache([0], num_vertices=2)
+        cache = pinned([0], num_vertices=2)
         cache.lookup([0, 1])
         cache.reset_stats()
-        assert cache.hits == 0 and cache.misses == 0
+        assert cache.hot_hits == 0 and cache.cold_misses == 0
 
     def test_degree_cache_prefers_hubs(self, skewed):
-        cache = DegreeCache(skewed.graph, 0.1)
+        cache = make_cache("degree", skewed, 0.1)
         degrees = skewed.graph.out_degrees
-        cached_ids = np.flatnonzero(cache.contains(
-            np.arange(skewed.num_vertices)))
+        cached_ids = cache.lookup(np.arange(skewed.num_vertices)).hot_ids
         uncached_ids = np.setdiff1d(np.arange(skewed.num_vertices),
                                     cached_ids)
         assert degrees[cached_ids].min() >= degrees[uncached_ids].max()
 
     def test_capacity_from_ratio(self, skewed):
-        cache = DegreeCache(skewed.graph, 0.25)
+        cache = make_cache("degree", skewed, 0.25)
         assert cache.capacity == round(0.25 * skewed.num_vertices)
-        assert cache.ratio == pytest.approx(0.25, abs=0.01)
+        assert cache.residency() == {"hot": cache.capacity, "warm": 0}
+        assert cache.backing == "host"
 
     def test_invalid_ratio(self, skewed):
-        with pytest.raises(TransferError):
-            DegreeCache(skewed.graph, 1.5)
+        with pytest.raises(TrainingError):
+            make_cache("degree", skewed, 1.5)
 
     def test_zero_ratio_cache_never_hits(self, skewed):
-        cache = DegreeCache(skewed.graph, 0.0)
-        hits, misses = cache.lookup([0, 1, 2])
-        assert len(hits) == 0 and len(misses) == 3
+        assert make_cache("degree", skewed, 0.0) is None
+        cache = TieredCache(skewed.num_vertices, 0, 0, backing="host")
+        lookup = cache.lookup([0, 1, 2])
+        assert len(lookup.hot_ids) == 0 and len(lookup.misses) == 3
 
     def test_presample_frequencies_cover_train_vertices(self, skewed):
         sampler = NeighborSampler((5, 5))
@@ -81,9 +97,9 @@ class TestGPUCache:
         epoch touches."""
         sampler = NeighborSampler((10, 5))
         seeds = flat.train_ids[:max(16, int(0.02 * flat.num_vertices))]
-        degree = DegreeCache(flat.graph, 0.2)
-        presample = PreSampleCache(flat.graph, sampler, seeds,
-                                   0.2, rng=np.random.default_rng(1))
+        degree = make_cache("degree", flat, 0.2)
+        presample = make_cache("presample", flat, 0.2, sampler=sampler,
+                               seeds=seeds, rng=np.random.default_rng(1))
         eval_rng = np.random.default_rng(2)
         for _round in range(4):
             batch = eval_rng.permutation(seeds)[:400]
@@ -95,9 +111,10 @@ class TestGPUCache:
     def test_policies_comparable_on_power_law(self, skewed):
         """On power-law graphs both policies find the hubs."""
         sampler = NeighborSampler((10, 5))
-        degree = DegreeCache(skewed.graph, 0.2)
-        presample = PreSampleCache(skewed.graph, sampler, skewed.train_ids,
-                                   0.2, rng=np.random.default_rng(1))
+        degree = make_cache("degree", skewed, 0.2)
+        presample = make_cache("presample", skewed, 0.2, sampler=sampler,
+                               seeds=skewed.train_ids,
+                               rng=np.random.default_rng(1))
         eval_rng = np.random.default_rng(2)
         batch = eval_rng.permutation(skewed.train_ids)[:500]
         subgraph = sampler.sample(skewed.graph, batch, eval_rng)
@@ -106,10 +123,15 @@ class TestGPUCache:
         assert abs(presample.hit_rate - degree.hit_rate) < 0.2
 
     def test_random_cache_hit_rate_tracks_ratio(self, skewed):
-        cache = RandomCache(skewed.graph, 0.3, np.random.default_rng(0))
+        cache = make_cache("random", skewed, 0.3,
+                           rng=np.random.default_rng(0))
+        assert cache.residency()["hot"] == round(
+            0.3 * skewed.num_vertices)
         rng = np.random.default_rng(1)
         cache.lookup(rng.integers(0, skewed.num_vertices, size=5000))
         assert abs(cache.hit_rate - 0.3) < 0.05
+        with pytest.raises(TrainingError):
+            make_cache("random", skewed, 0.3, warm_ratio=0.1)
 
 
 class TestBlockActivity:

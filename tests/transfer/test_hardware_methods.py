@@ -6,9 +6,10 @@ import pytest
 from repro.errors import TransferError
 from repro.graph import load_dataset
 from repro.sampling import NeighborSampler
-from repro.transfer import (DEFAULT_SPEC, BatchStats, DegreeCache,
-                            ExtractLoad, HardwareSpec, HybridTransfer,
-                            ZeroCopy, estimate_flops, make_transfer)
+from repro.transfer import (DEFAULT_SPEC, BatchStats, ExtractLoad,
+                            HardwareSpec, HybridTransfer, ZeroCopy,
+                            estimate_flops, make_tiered_cache,
+                            make_transfer)
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +81,8 @@ class TestTransferMethods:
         assert implicit.total_seconds < explicit.total_seconds
 
     def test_cache_reduces_time_and_bytes(self, dataset, stats):
-        cache = DegreeCache(dataset.graph, 0.4)
+        cache = make_tiered_cache("degree", dataset.graph, 0.4, 0.0,
+                                  backing="host")
         plain = ZeroCopy().transfer(stats, DEFAULT_SPEC)
         cached = ZeroCopy().transfer(stats, DEFAULT_SPEC, cache=cache)
         assert cached.bytes_moved < plain.bytes_moved

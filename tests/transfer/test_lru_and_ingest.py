@@ -8,7 +8,7 @@ from repro import Trainer, TrainingConfig
 from repro.errors import DatasetError, GraphError
 from repro.graph import (dataset_from_arrays, load_dataset,
                          load_edge_list, power_law_graph)
-from repro.transfer import LRUCache
+from repro.transfer import make_tiered_cache
 
 
 @pytest.fixture(scope="module")
@@ -17,35 +17,37 @@ def graph():
     return g
 
 
+def lru_cache(graph, ratio):
+    """One GPU tier of LRU-managed rows over host-resident features."""
+    return make_tiered_cache("lru", graph, ratio, 0.0, backing="host")
+
+
 class TestLRUCache:
     def test_admits_misses(self, graph):
-        cache = LRUCache(graph, 0.2)
-        _hits, misses = cache.lookup([1, 2, 3])
-        assert len(misses) == 3
-        hits, misses = cache.lookup([1, 2, 3])
-        assert len(hits) == 3 and len(misses) == 0
+        cache = lru_cache(graph, 0.2)
+        assert len(cache.lookup([1, 2, 3]).misses) == 3
+        lookup = cache.lookup([1, 2, 3])
+        assert len(lookup.hot_ids) == 3 and len(lookup.misses) == 0
 
     def test_capacity_respected(self, graph):
-        cache = LRUCache(graph, 0.1)
+        cache = lru_cache(graph, 0.1)
         rng = np.random.default_rng(0)
         for _round in range(20):
             cache.lookup(rng.integers(0, graph.num_vertices, 50))
-        assert cache._bitmap.sum() <= cache.capacity
+        assert cache.residency()["hot"] <= cache.capacity
 
     def test_evicts_least_recently_used(self, graph):
-        cache = LRUCache(graph, 2 / graph.num_vertices)  # capacity 2
+        cache = lru_cache(graph, 2 / graph.num_vertices)  # capacity 2
         assert cache.capacity == 2
         cache.lookup([0])
         cache.lookup([1])
         cache.lookup([0])      # refresh 0
         cache.lookup([2])      # evicts 1 (LRU), not 0
-        hits, _misses = cache.lookup([0])
-        assert len(hits) == 1
-        hits, _misses = cache.lookup([1])
-        assert len(hits) == 0
+        assert len(cache.lookup([0]).hot_ids) == 1
+        assert len(cache.lookup([1]).hot_ids) == 0
 
     def test_hot_set_converges_to_high_hit_rate(self, graph):
-        cache = LRUCache(graph, 0.3)
+        cache = lru_cache(graph, 0.3)
         rng = np.random.default_rng(1)
         hot = rng.choice(graph.num_vertices, 40, replace=False)
         for _round in range(30):
@@ -55,10 +57,10 @@ class TestLRUCache:
         assert cache.hit_rate == 1.0
 
     def test_zero_capacity_never_hits(self, graph):
-        cache = LRUCache(graph, 0.0)
+        cache = lru_cache(graph, 0.0)
         cache.lookup([0, 1])
         cache.lookup([0, 1])
-        assert cache.hits == 0
+        assert cache.hot_hits == 0
 
     def test_trainer_with_lru_cache(self):
         dataset = load_dataset("ogb-arxiv", scale=0.25)

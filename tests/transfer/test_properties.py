@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import power_law_graph
-from repro.transfer import (DEFAULT_SPEC, DegreeCache, GPUCache,
-                            block_activity, estimate_batch_memory,
+from repro.transfer import (DEFAULT_SPEC, TieredCache, block_activity,
+                            estimate_batch_memory, make_tiered_cache,
                             simulate_pipeline, threshold_sweep)
 
 
@@ -55,22 +55,22 @@ class TestCacheProperties:
     @settings(max_examples=40, deadline=None)
     def test_hits_plus_misses_equals_lookups(self, n, seed, requests):
         rng = np.random.default_rng(seed)
-        cached = rng.choice(n, size=n // 3, replace=False)
-        cache = GPUCache(cached, num_vertices=n)
+        cache = TieredCache(n, n // 3, 0, policy="static",
+                            scores=rng.random(n), backing="host")
         queries = rng.integers(0, n, size=requests)
-        hits, misses = cache.lookup(queries)
-        assert len(hits) + len(misses) == requests
-        assert cache.hits + cache.misses == requests
+        lookup = cache.lookup(queries)
+        assert len(lookup.hot_ids) + len(lookup.misses) == requests
+        assert cache.hot_hits + cache.cold_misses == requests
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
     def test_bigger_degree_cache_is_superset(self, seed):
         graph, _ = power_law_graph(150, 6, np.random.default_rng(seed))
-        small = DegreeCache(graph, 0.2)
-        large = DegreeCache(graph, 0.5)
+        small = make_tiered_cache("degree", graph, 0.2, 0.0)
+        large = make_tiered_cache("degree", graph, 0.5, 0.0)
         everything = np.arange(graph.num_vertices)
-        assert np.all(large.contains(everything)
-                      >= small.contains(everything))
+        assert np.all(large.lookup(everything).hot_mask
+                      >= small.lookup(everything).hot_mask)
 
 
 class TestBlockActivityProperties:

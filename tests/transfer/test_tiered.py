@@ -14,9 +14,9 @@ from repro.errors import TransferError
 from repro.graph import power_law_graph
 from repro.sampling import NeighborSampler
 from repro.transfer import (DEFAULT_SPEC, BatchStats, ExtractLoad,
-                            HardwareSpec, HybridTransfer, LRUCache,
-                            TieredCache, TierLookup, ZeroCopy,
-                            make_tiered_cache, select_lowest)
+                            HardwareSpec, HybridTransfer, TieredCache,
+                            TierLookup, ZeroCopy, make_tiered_cache,
+                            select_lowest)
 
 TIER_POLICIES_DYNAMIC = ("lru", "lfu")
 
@@ -162,19 +162,6 @@ class TestTierInvariants:
         assert cache.requests == 6
 
 
-class TestFlatEquivalence:
-    def test_hot_only_lru_matches_flat_lru_hits(self):
-        """TieredCache(hot=B, warm=0, lru) is the flat LRU baseline:
-        same hit/miss counts on the same stream."""
-        flat = LRUCache(200, 0.15)
-        tiered = TieredCache(200, flat.capacity, 0, policy="lru")
-        for batch in zipf_stream(200, 25, 40, seed=5):
-            flat.lookup(batch)
-            tiered.lookup(batch)
-        assert tiered.hot_hits == flat.hits
-        assert tiered.cold_misses == flat.misses
-
-
 class TestTieredBilling:
     def _lookup(self, cache, vertices):
         return cache.lookup(np.asarray(vertices, dtype=np.int64))
@@ -263,20 +250,34 @@ class TestFactoryValidation:
 
 
 class TestVectorizedFlatLRU:
+    """The single-GPU-tier LRU (``warm_capacity == 0``); its hit, miss
+    and resident sets are pinned against the old flat class in
+    ``test_cache_oracle.py``."""
+
     def test_resident_bookkeeping_consistent(self):
-        cache = LRUCache(300, 0.1)
+        cache = TieredCache(300, 30, 0, policy="lru", backing="host")
         for batch in zipf_stream(300, 30, 64, seed=6):
             cache.lookup(batch)
-            assert cache._bitmap.sum() == cache._resident
-            assert cache._resident == len(cache._resident_ids)
-            assert cache._resident <= cache.capacity
+            assert cache.residency() == {"hot": len(cache._hot_ids),
+                                         "warm": 0}
+            assert len(np.unique(cache._hot_ids)) == len(cache._hot_ids)
+            assert len(cache._hot_ids) <= cache.capacity
 
     def test_evicts_least_recently_used_still(self):
-        cache = LRUCache(100, 0.03)         # capacity 3
+        cache = TieredCache(100, 3, 0, policy="lru", backing="host")
         cache.lookup([1, 2, 3])
         cache.lookup([1])                   # 2 is now the LRU row
         cache.lookup([4])                   # evicts 2
-        hits, _misses = cache.lookup([1, 3, 4])
-        assert len(hits) == 3
-        _hits, misses = cache.lookup([2])
-        assert len(misses) == 1
+        assert cache.lookup([1, 3, 4]).num_hot == 3
+        assert cache.lookup([2]).num_cold == 1
+
+    def test_batch_overfilling_the_tier_keeps_its_lowest_ids(self):
+        """The LRU overflow rule; lfu sheds by ``(score, id)``."""
+        lru = TieredCache(100, 3, 2, policy="lru")
+        lru.lookup([9, 7, 5, 3, 1, 8])
+        assert sorted(lru._hot_ids) == [1, 3, 5]
+        assert sorted(lru._warm_ids) == [7, 8]
+        lfu = TieredCache(100, 3, 2, policy="lfu")
+        lfu.lookup([9, 7, 5, 3, 1, 8])
+        assert sorted(lfu._hot_ids) == [7, 8, 9]
+        assert sorted(lfu._warm_ids) == [3, 5]
