@@ -1,6 +1,6 @@
 # Developer entry points. `make help` lists targets.
 
-.PHONY: help install test lint arch-lint bench serve-bench fleet-bench cache-bench chaos fleet-chaos kernel-bench examples docs reproduce clean
+.PHONY: help install test lint arch-lint bench bench-cache examples docs reproduce clean
 
 help:
 	@echo "install     editable install (falls back past missing wheel pkg)"
@@ -8,12 +8,9 @@ help:
 	@echo "lint        both static-analysis passes (repro lint + arch-lint)"
 	@echo "arch-lint   whole-program architectural analysis alone"
 	@echo "bench       run every table/figure benchmark (includes serving)"
-	@echo "serve-bench run the online-serving latency benchmark alone"
-	@echo "fleet-bench run the sharded multi-replica serving benchmark"
-	@echo "cache-bench run the tiered feature-cache benchmark alone"
-	@echo "chaos       run the fault-recovery benchmark alone"
-	@echo "fleet-chaos run the fleet resilience chaos certification"
-	@echo "kernel-bench time sparse-kernel backends vs the reference"
+	@echo "bench-NAME  run one registered bench and rewrite BENCH_NAME.json"
+	@echo "            (repro bench NAME: serve fleet faults fleet-chaos kernels)"
+	@echo "bench-cache run the tiered feature-cache benchmark alone"
 	@echo "examples    run all runnable examples"
 	@echo "docs        regenerate docs/api.md"
 	@echo "reproduce   write reproduction_report.md from all benchmarks"
@@ -42,48 +39,29 @@ arch-lint:
 # The benchmarks are runnable scripts with a __main__ block (like the
 # examples); `pytest --benchmark-only` can't collect them without the
 # package importable, so run them the same way the examples target does.
-# The glob includes bench_serve_latency.py, so `make bench` covers the
-# serving benchmark; `make serve-bench` runs just that one.
+# The glob includes the wrappers of the registered benches below, so
+# `make bench` covers them at full size too.
 bench:
 	@for f in benchmarks/bench_*.py; do echo "== $$f"; \
 	  PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python $$f || exit 1; done
 
-# Both standalone benchmark runs arm the runtime sanitizers: they are
-# behaviour-preserving (checks only), and a NaN or malformed CSR inside
-# a benchmark should fail the run, not skew its numbers.
-serve-bench:
+# One registered bench (the table in src/repro/bench.py): runs the full
+# sweep, prints its tables and checks, rewrites the tracked
+# BENCH_<name>.json and exits nonzero on a violated check.  Runs arm
+# the runtime sanitizers: they are behaviour-preserving (checks only),
+# and a NaN or malformed CSR inside a benchmark should fail the run,
+# not skew its numbers.
+bench-%:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
-	  python benchmarks/bench_serve_latency.py --sanitize
-
-# Sharded multi-replica serving: scaling/locality/elasticity sweeps
-# plus the fleet == single-server bit-match check.
-fleet-bench:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
-	  python benchmarks/bench_fleet.py --sanitize
+	  python -m repro bench $* --sanitize
 
 # Tiered-cache sweep (policy x budget x Zipf skew, training + serving
-# billing modes). No sanitizer flag: the sweep never runs a model.
-cache-bench:
+# billing modes); its sweep lives in the script, its path rule and
+# writer are the registry's.  No sanitizer flag: the sweep never runs
+# a model.
+bench-cache:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
 	  python benchmarks/bench_cache_tiers.py
-
-chaos:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
-	  python benchmarks/bench_fault_recovery.py --sanitize
-
-# Fleet resilience certification: baseline vs detector/replication/
-# hedging under identical fault schedules, with the prediction-exactness
-# and availability/p99 gates.
-fleet-chaos:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
-	  python benchmarks/bench_fleet_chaos.py --sanitize
-
-# Per-backend sparse-kernel timings (repro.kernels registry); merges
-# the kernel_backends rows into BENCH_hotpath.json and fails if no
-# accelerated backend beats the pinned reference on the SpMM.
-kernel-bench:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
-	  python -m repro kernel-bench
 
 examples:
 	@for f in examples/*.py; do echo "== $$f"; python $$f || exit 1; done

@@ -26,10 +26,9 @@ simulated-clock deterministic; CI regenerates the tracked file and
 fails on any diff.
 """
 
-import json
-
 import numpy as np
 
+from repro.bench import result_path, write_report
 from repro.core import format_table
 from repro.graph import load_dataset
 from repro.sampling import NeighborSampler
@@ -37,7 +36,7 @@ from repro.serve.requests import LoadGenerator
 from repro.transfer import (DEFAULT_SPEC, BatchStats, ExtractLoad,
                             make_tiered_cache)
 
-from common import result_path, run_once
+from common import run_once
 
 SKEWS = (0.4, 0.8, 1.2)
 #: Total budgets are deliberately scarce relative to the access
@@ -182,8 +181,7 @@ def build_results(quick=False):
         "quick": quick,
         "results": results,
     }
-    result_path("cache", quick).write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n")
+    write_report(report, result_path("cache", quick))
     return report
 
 

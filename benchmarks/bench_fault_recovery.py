@@ -22,53 +22,21 @@ halted at epoch 2 and resumed from its checkpoint reproduces the
 uninterrupted loss/accuracy/epoch-time curve bit-identically, and the
 same fault-plan seed reproduces the identical fault timeline.
 
-Results are written to ``BENCH_faults.json`` at the repo root.
+This is ``repro bench faults`` at full size: results are written to
+``BENCH_faults.json`` at the repo root.
 """
 
-import json
-from pathlib import Path
+from repro.bench import run_bench
 
-from repro.core import format_table
-from repro.faults import run_fault_bench
-
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_faults.json"
-
-
-def build_results():
-    report = run_fault_bench(dataset="ogb-arxiv", scale=0.2,
-                             model="gcn", epochs=6, workers=4,
-                             halt_epoch=2, seed=0)
-    RESULT_PATH.write_text(json.dumps(report, indent=2,
-                                      sort_keys=True) + "\n")
-    return report
-
-
-def report_table(report):
-    rows = []
-    for row in report["scenarios"]:
-        rows.append({
-            "scenario": row["scenario"],
-            "epoch overhead": f"{100 * row['epoch_time_overhead']:+.1f}%",
-            "retries": row["retries"],
-            "giveups": row["giveups"],
-            "alive": row["alive_workers"],
-            "dropped": row["dropped_vertices"],
-            "acc delta": round(row["accuracy_delta"], 3),
-        })
-    title = (f"Fault recovery ({report['dataset']}, "
-             f"{report['workers']} workers, {report['epochs']} epochs)")
-    return format_table(rows, title=title)
+from common import bench_cli, run_once
 
 
 def test_fault_recovery(benchmark):
-    from common import run_once
-
-    report = run_once(benchmark, build_results)
-    print()
-    print(report_table(report))
+    report, ok = run_once(benchmark, lambda: run_bench("faults"))
     # Recovery invariants: the injected halt fired, the resumed run
     # bit-matches the uninterrupted one, and fault timelines replay
     # under a fixed seed.
+    assert ok
     assert report["halt_fired"] is True
     assert report["resume_exact"] is True
     assert report["plan_deterministic"] is True
@@ -87,11 +55,4 @@ def test_fault_recovery(benchmark):
 
 
 if __name__ == "__main__":
-    import sys
-
-    from repro.perf import FLAGS
-
-    if "--sanitize" in sys.argv[1:]:
-        FLAGS.sanitize = True
-    print(report_table(build_results()))
-    print(f"wrote {RESULT_PATH}")
+    bench_cli("faults")

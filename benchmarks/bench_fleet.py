@@ -24,73 +24,19 @@ Before any timing is reported, the fleet's predictions are verified
 trace (precomputed mode evaluates row-wise, so answers are invariant
 to how routing re-batched the requests).
 
-Results are written to ``BENCH_fleet.json`` at the repo root.
+This is ``repro bench fleet`` at full size: results are written to
+``BENCH_fleet.json`` at the repo root.
 """
 
-import json
-from pathlib import Path
+from repro.bench import run_bench
 
-from repro.core import format_table
-from repro.fleet import run_fleet_bench
-
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_fleet.json"
-
-
-def build_results():
-    report = run_fleet_bench(
-        dataset="ogb-arxiv", scale=0.3, model="gcn", train_epochs=2,
-        base_rate=2000.0, rate_multiplier=100.0, num_requests=2000,
-        skew=0.8, replica_counts=(1, 2, 4, 8), partitioner="metis-v",
-        locality_partitioners=("hash", "metis-v", "metis-ve",
-                               "metis-vet"),
-        seed=0)
-    RESULT_PATH.write_text(json.dumps(report, indent=2,
-                                      sort_keys=True) + "\n")
-    return report
-
-
-def report_table(report):
-    rows = []
-    for result in report["scaling"]:
-        rows.append({
-            "replicas": result["num_replicas"],
-            "p50 (ms)": round(1e3 * result["latency_p50"], 3),
-            "p95 (ms)": round(1e3 * result["latency_p95"], 3),
-            "p99 (ms)": round(1e3 * result["latency_p99"], 3),
-            "req/s": round(result["throughput"], 1),
-            "locality": round(result["routing_locality"], 3),
-            "hot hit": round(result["hot_hit_rate"], 3),
-            "warm hit": round(result["warm_hit_rate"], 3),
-        })
-    title = (f"Fleet scaling ({report['dataset']}, "
-             f"{report['partitioner']}, "
-             f"rate={report['load']['rate']:g}/s)")
-    scaling = format_table(rows, title=title)
-
-    rows = []
-    for result in report["locality"]:
-        rows.append({
-            "partitioner": result["partitioner"],
-            "mode": result["mode"],
-            "locality": round(result["routing_locality"], 3),
-            "remote rows": round(result["remote_row_fraction"], 3),
-            "remote (ms)": round(1e3 * result["remote_seconds"], 2),
-            "p99 (ms)": round(1e3 * result["latency_p99"], 3),
-        })
-    locality = format_table(
-        rows, title=f"Routing locality "
-                    f"(N={report['locality'][0]['num_replicas']})")
-    return scaling + "\n\n" + locality
+from common import bench_cli, run_once
 
 
 def test_fleet(benchmark):
-    from common import run_once
-
-    report = run_once(benchmark, build_results)
-    print()
-    print(report_table(report))
+    report, ok = run_once(benchmark, lambda: run_bench("fleet"))
     # The ISSUE's acceptance bar.
-    assert report["invariant_exact_match"] is True
+    assert ok and report["invariant_exact_match"] is True
     assert report["p99_improves_1_to_4"] is True
     counts = [r["num_replicas"] for r in report["scaling"]]
     assert counts == [1, 2, 4, 8]
@@ -115,11 +61,4 @@ def test_fleet(benchmark):
 
 
 if __name__ == "__main__":
-    import sys
-
-    from repro.perf import FLAGS
-
-    if "--sanitize" in sys.argv[1:]:
-        FLAGS.sanitize = True
-    print(report_table(build_results()))
-    print(f"wrote {RESULT_PATH}")
+    bench_cli("fleet")

@@ -7,41 +7,27 @@ segment scatter — to a pluggable backend selected by
 ``FLAGS.kernel_backend``.  This benchmark times each available backend
 on those kernels over one seeded power-law block workload, checks
 byte-identity against the pinned numpy reference on the same run, and
-merges the per-backend rows into ``BENCH_hotpath.json`` under
-``kernel_backends`` (next to the block-assembly and sampler rows).
+writes the per-backend rows to ``BENCH_kernels.json`` — ``repro bench
+kernels`` at full size.
 
 Run standalone::
 
     python benchmarks/bench_kernel_backends.py [--quick]
 """
 
-import sys
+from repro.bench import run_bench
 
-from repro.kernels.bench import (format_report, merge_into_hotpath,
-                                 run_kernel_bench)
-
-from common import run_once
-
-
-def build_results(quick=False):
-    results = run_kernel_bench(quick=quick)
-    merge_into_hotpath(results)
-    return results
+from common import bench_cli, run_once
 
 
 def test_kernel_backends(benchmark):
-    results = run_once(benchmark, build_results)
-    print()
-    print(format_report(results))
+    report, ok = run_once(benchmark, lambda: run_bench("kernels"))
     # The acceptance bar: at least one accelerated backend beats the
     # reference on the SpMM microbench, without a single bit of drift.
-    assert results["spmm"]["best_backend"] != "reference"
-    assert results["spmm"]["best_speedup"] > 1.0
+    assert ok
+    assert report["spmm"]["best_backend"] != "reference"
+    assert report["spmm"]["best_speedup"] > 1.0
 
 
 if __name__ == "__main__":
-    quick = "--quick" in sys.argv[1:]
-    results = build_results(quick=quick)
-    print(format_report(results))
-    print(f"merged kernel_backends into BENCH_hotpath.json "
-          f"(auto backend: {results['auto_backend']})")
+    bench_cli("kernels")

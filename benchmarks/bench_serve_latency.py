@@ -19,60 +19,20 @@ Poisson request stream, and reports tail latency instead of epoch time:
 The precomputed path is validated against exact full-fanout inference
 (bit-identical logits, atol=0) before any timing is reported.
 
-Results are written to ``BENCH_serve.json`` at the repo root.
+This is ``repro bench serve`` at full size: results are written to
+``BENCH_serve.json`` at the repo root.
 """
 
-import json
-from pathlib import Path
+from repro.bench import run_bench
 
-from repro.core import format_table
-from repro.serve import run_serve_bench
-
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_serve.json"
-
-
-def build_results():
-    report = run_serve_bench(
-        dataset="ogb-arxiv", scale=0.3, model="gcn", train_epochs=2,
-        rate=2000.0, num_requests=400, skew=0.8,
-        policies=((4, 0.0005), (32, 0.004)),
-        cache_ratios=(0.1, 0.5),
-        modes=("sampled", "precomputed"), seed=0)
-    RESULT_PATH.write_text(json.dumps(report, indent=2,
-                                      sort_keys=True) + "\n")
-    return report
-
-
-def report_table(report):
-    rows = []
-    for result in report["results"]:
-        tiered = result["warm_ratio"] > 0
-        rows.append({
-            "mode": result["mode"],
-            "policy": result["policy"],
-            "cache": round(result["cache_ratio"]
-                           + result["warm_ratio"], 3),
-            "tiers": result["cache_policy"] if tiered else "-",
-            "p50 (ms)": round(1e3 * result["latency_p50"], 3),
-            "p99 (ms)": round(1e3 * result["latency_p99"], 3),
-            "req/s": round(result["throughput"], 1),
-            "hit rate": round(result["cache_hit_rate"], 3),
-            "warm hit": round(result["warm_hit_rate"], 3),
-        })
-    title = (f"Serving latency ({report['dataset']}, {report['model']}, "
-             f"rate={report['load']['rate']:g}/s)")
-    return format_table(rows, title=title)
+from common import bench_cli, run_once
 
 
 def test_serve_latency(benchmark):
-    from common import run_once
-
-    report = run_once(benchmark, build_results)
-    print()
-    print(report_table(report))
+    report, ok = run_once(benchmark, lambda: run_bench("serve"))
     # The ISSUE's acceptance bar: the invariant holds, and the sweep
     # covers >= 2 policies x >= 2 cache ratios.
-    assert report["invariant_exact_match"] is True
+    assert ok and report["invariant_exact_match"] is True
     results = report["results"]
     assert len({r["policy"] for r in results}) >= 2
     assert len({r["cache_ratio"] for r in results}) >= 2
@@ -93,11 +53,4 @@ def test_serve_latency(benchmark):
 
 
 if __name__ == "__main__":
-    import sys
-
-    from repro.perf import FLAGS
-
-    if "--sanitize" in sys.argv[1:]:
-        FLAGS.sanitize = True
-    print(report_table(build_results()))
-    print(f"wrote {RESULT_PATH}")
+    bench_cli("serve")

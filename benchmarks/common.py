@@ -13,7 +13,7 @@ Run a single benchmark standalone for readable output::
 
 from __future__ import annotations
 
-from pathlib import Path
+import sys
 
 from repro import TrainingConfig
 from repro.graph import load_dataset
@@ -32,15 +32,6 @@ TRANSFER = ("livejournal", "lj-large", "lj-links", "enwiki-links")
 #: The six partitioning methods of Table 3.
 PARTITIONERS = ("hash", "metis-v", "metis-ve", "metis-vet", "stream-v",
                 "stream-b")
-
-
-def result_path(name, quick=False):
-    """``BENCH_<name>.json`` at the repo root — or, for a ``--quick``
-    smoke, its git-ignored ``.quick.json`` sibling (as the ``repro``
-    bench subcommands do), so a smoke run can never overwrite a
-    checked-in full sweep."""
-    suffix = ".quick.json" if quick else ".json"
-    return Path(__file__).resolve().parent.parent / f"BENCH_{name}{suffix}"
 
 
 def bench_dataset(name, scale=SCALE):
@@ -62,3 +53,12 @@ def run_once(benchmark, fn):
     """Run ``fn`` exactly once under pytest-benchmark and return its
     value."""
     return benchmark.pedantic(fn, rounds=1, iterations=1)
+
+
+def bench_cli(name):
+    """``__main__`` of a registered bench's wrapper script: the script
+    *is* ``repro bench <name>``, flags (``--quick``, ``--sanitize``,
+    ``--out``) and exit code included."""
+    from repro.cli import main
+
+    sys.exit(main(["bench", name, *sys.argv[1:]]))

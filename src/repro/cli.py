@@ -13,28 +13,13 @@ Commands
 ``advise``
     Inspect a dataset and recommend data-management techniques using
     the paper's lessons learned (see :mod:`repro.core.advisor`).
-``serve-bench``
-    Run the online-inference serving benchmark (latency/throughput
-    across micro-batching policies and cache ratios; see
-    :mod:`repro.serve`).
-``fleet-bench``
-    Run the sharded multi-replica serving benchmark (latency vs
-    replica count, routing locality per partitioner, autoscaling and
-    crash failover; see :mod:`repro.fleet`).
-``chaos``
-    Run the fault-recovery benchmark (injected stragglers, flaky
-    fetches, crashes; checkpoint/resume bit-match; see
-    :mod:`repro.faults`).
-``fleet-chaos``
-    Run the fleet chaos certification (crash storms, rolling
-    stragglers, slowlinks against the resilience layer; availability/
-    goodput/p99 gates; see :mod:`repro.fleet.resilience`).
-``kernel-bench``
-    Time every sparse-kernel backend (:mod:`repro.kernels`) against
-    the pinned numpy reference and merge the per-backend rows into
-    ``BENCH_hotpath.json``; byte-identity vs the reference is checked
-    on the same run.  Exits nonzero if no accelerated backend beats
-    the reference on the SpMM microbench.
+``bench``
+    Run one registered benchmark — ``serve``, ``fleet``, ``faults``,
+    ``fleet-chaos`` or ``kernels`` (the table in :mod:`repro.bench`) —
+    print its tables and checks, and write its ``BENCH_<name>.json``.
+    Exits 1 when a check is violated or the driver fails.  Sweeps other
+    than the tracked one go through the driver's keywords in Python,
+    not through flags.
 ``lint``
     Run the determinism & numerics static-analysis pass (rule ids
     ``RPRnnn``, baseline grandfathering, text/JSON reports; see
@@ -55,8 +40,10 @@ import sys
 import numpy as np
 
 from . import FLAGS, Trainer, TrainingConfig, __version__, load_dataset
+from .bench import BENCHES, run_bench
 from .core import format_table, make_partitioner, table1_rows
 from .core.advisor import advise
+from .errors import ReproError
 from .graph import dataset_names, dataset_table
 from .partition import measure_workload, quality_report
 from .sampling import NeighborSampler
@@ -177,188 +164,23 @@ def build_parser():
     rep.add_argument("--only", nargs="*", default=None,
                      help="substring filters on benchmark file names")
 
-    serve = sub.add_parser(
-        "serve-bench",
-        help="run the online-inference serving benchmark")
-    serve.add_argument("dataset", nargs="?", default="ogb-arxiv",
-                       choices=dataset_names())
-    serve.add_argument("--scale", type=float, default=0.3)
-    serve.add_argument("--model", default="gcn",
-                       choices=["gcn", "graphsage"])
-    serve.add_argument("--train-epochs", type=_positive_int, default=2)
-    serve.add_argument("--fanout", type=int, nargs="+", default=[10, 10])
-    serve.add_argument("--rate", type=float, default=2000.0,
-                       help="mean arrival rate (requests per simulated "
-                            "second)")
-    serve.add_argument("--requests", type=_positive_int, default=400)
-    serve.add_argument("--skew", type=float, default=0.8,
-                       help="query popularity skew (0 = uniform)")
-    serve.add_argument("--policy", action="append", default=None,
-                       metavar="SIZE:WAIT_MS",
-                       help="batching policy, repeatable (default "
-                            "4:0.5 and 32:4)")
-    serve.add_argument("--cache-ratios", type=_unit_interval, nargs="+",
-                       default=[0.1, 0.5])
-    serve.add_argument("--modes", nargs="+",
-                       default=["sampled", "precomputed"],
-                       choices=["sampled", "full", "precomputed"])
-    serve.add_argument("--tiered-policies", nargs="+",
-                       default=["lfu", "static"],
-                       choices=["lru", "lfu", "degree", "static"],
-                       help="tiered-cache admission policies swept in "
-                            "precomputed mode (each --cache-ratios "
-                            "budget split half GPU-hot, half "
-                            "pinned-host-warm)")
-    serve.add_argument("--max-queue", type=int, default=256)
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--quick", action="store_true",
-                       help="small smoke-test preset")
-    serve.add_argument("--sanitize", action="store_true",
-                       help="arm the runtime sanitizers for the "
-                            "benchmark run")
-    serve.add_argument("--out", default=None,
-                       help="default: BENCH_serve.json, or "
-                            "BENCH_serve.quick.json with "
-                            "--quick")
-
-    fleet = sub.add_parser(
-        "fleet-bench",
-        help="run the sharded multi-replica serving benchmark")
-    fleet.add_argument("dataset", nargs="?", default="ogb-arxiv",
-                       choices=dataset_names())
-    fleet.add_argument("--scale", type=float, default=0.3)
-    fleet.add_argument("--model", default="gcn",
-                       choices=["gcn", "graphsage"])
-    fleet.add_argument("--train-epochs", type=_positive_int, default=2)
-    fleet.add_argument("--fanout", type=int, nargs="+",
-                       default=[10, 10])
-    fleet.add_argument("--rate-multiplier", type=float, default=100.0,
-                       help="arrival rate as a multiple of the "
-                            "single-server benchmark's 2000/s base "
-                            "(>= 1)")
-    fleet.add_argument("--requests", type=_positive_int, default=2000)
-    fleet.add_argument("--skew", type=float, default=0.8,
-                       help="query popularity skew (0 = uniform)")
-    fleet.add_argument("--replicas", type=_positive_int, nargs="+",
-                       default=[1, 2, 4, 8], metavar="N",
-                       help="replica counts swept (each N partitions "
-                            "the graph into N shards)")
-    fleet.add_argument("--partitioner", default="metis-v",
-                       choices=["hash", "metis-v", "metis-ve",
-                                "metis-vet"],
-                       help="partitioner for the scaling sweep")
-    fleet.add_argument("--locality-partitioners", nargs="+",
-                       default=["hash", "metis-v", "metis-ve",
-                                "metis-vet"],
-                       choices=["hash", "metis-v", "metis-ve",
-                                "metis-vet"],
-                       help="partitioners compared in the routing-"
-                            "locality sweep")
-    fleet.add_argument("--batch-size", type=_positive_int, default=16)
-    fleet.add_argument("--max-wait-ms", type=float, default=0.5,
-                       help="micro-batch flush deadline in "
-                            "milliseconds (>= 0)")
-    fleet.add_argument("--cache-ratio", type=_unit_interval,
-                       default=0.1, help="per-replica GPU-hot budget")
-    fleet.add_argument("--warm-ratio", type=_unit_interval,
-                       default=0.1,
-                       help="per-replica pinned-host-warm budget")
-    fleet.add_argument("--spill-threshold", type=_positive_int,
-                       default=64,
-                       help="owner queue depth that triggers "
-                            "spillover routing")
-    fleet.add_argument("--max-queue", type=_positive_int, default=512)
-    fleet.add_argument("--seed", type=int, default=0)
-    fleet.add_argument("--quick", action="store_true",
-                       help="small smoke-test preset")
-    fleet.add_argument("--sanitize", action="store_true",
-                       help="arm the runtime sanitizers for the "
-                            "benchmark run")
-    fleet.add_argument("--out", default=None,
-                       help="default: BENCH_fleet.json, or "
-                            "BENCH_fleet.quick.json with "
-                            "--quick")
-
-    chaos = sub.add_parser(
-        "chaos",
-        help="run the fault-recovery benchmark (injected faults, "
-             "checkpoint/resume bit-match)")
-    chaos.add_argument("dataset", nargs="?", default="ogb-arxiv",
-                       choices=dataset_names())
-    chaos.add_argument("--scale", type=float, default=0.2)
-    chaos.add_argument("--model", default="gcn",
-                       choices=["gcn", "graphsage"])
-    chaos.add_argument("--epochs", type=_positive_int, default=6)
-    chaos.add_argument("--workers", type=_positive_int, default=4)
-    chaos.add_argument("--halt-epoch", type=_positive_int, default=2,
-                       help="epoch of the injected process halt used "
-                            "for the resume bit-match check")
-    chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument("--quick", action="store_true",
-                       help="small smoke-test preset")
-    chaos.add_argument("--sanitize", action="store_true",
-                       help="arm the runtime sanitizers for the "
-                            "benchmark run")
-    chaos.add_argument("--out", default=None,
-                       help="default: BENCH_faults.json, or "
-                            "BENCH_faults.quick.json with "
-                            "--quick")
-
-    fchaos = sub.add_parser(
-        "fleet-chaos",
-        help="run the fleet chaos certification (resilience layer vs "
-             "the timeout-only baseline under identical faults)")
-    fchaos.add_argument("dataset", nargs="?", default="ogb-arxiv",
-                        choices=dataset_names())
-    fchaos.add_argument("--scale", type=float, default=0.3)
-    fchaos.add_argument("--model", default="gcn",
-                        choices=["gcn", "graphsage"])
-    fchaos.add_argument("--train-epochs", type=_positive_int,
-                        default=2)
-    fchaos.add_argument("--replicas", type=_positive_int, default=4)
-    fchaos.add_argument("--replication", type=_positive_int, default=2,
-                        help="shard redundancy k for the resilient "
-                             "configuration (1..replicas)")
-    fchaos.add_argument("--rate-multiplier", type=float, default=50.0,
-                        help="arrival rate as a multiple of the "
-                             "single-server benchmark's 2000/s base")
-    fchaos.add_argument("--requests", type=_positive_int, default=1200)
-    fchaos.add_argument("--skew", type=float, default=0.8,
-                        help="query popularity skew (0 = uniform)")
-    fchaos.add_argument("--slo-ms", type=float, default=5.0,
-                        help="availability deadline in simulated "
-                             "milliseconds")
-    fchaos.add_argument("--schedule", default=None, metavar="SPEC",
-                        help="replace the composed crash storm with a "
-                             "faults.plan spec (times in simulated "
-                             "seconds, wN = replica id), e.g. "
-                             "'crash@0.002+0.003:w0'")
-    fchaos.add_argument("--partitioner", default="metis-v",
-                        choices=["hash", "metis-v", "metis-ve",
-                                 "metis-vet"])
-    fchaos.add_argument("--seed", type=int, default=0)
-    fchaos.add_argument("--quick", action="store_true",
-                        help="small smoke-test preset")
-    fchaos.add_argument("--sanitize", action="store_true",
-                        help="arm the runtime sanitizers for the "
-                             "benchmark run")
-    fchaos.add_argument("--out", default=None,
-                        help="default: BENCH_fleet_chaos.json, or "
-                             "BENCH_fleet_chaos.quick.json with "
-                             "--quick")
-
-    kbench = sub.add_parser(
-        "kernel-bench",
-        help="time every sparse-kernel backend against the pinned "
-             "reference (bit-identity checked on the same run)")
-    kbench.add_argument("--seed", type=int, default=7)
-    kbench.add_argument("--quick", action="store_true",
-                        help="small smoke-test workload")
-    kbench.add_argument("--out", default=None,
-                        help="benchmark ledger to merge the "
-                             "kernel_backends rows into (default: the "
-                             "repo's BENCH_hotpath.json, or "
-                             "BENCH_hotpath.quick.json with --quick)")
+    bench = sub.add_parser(
+        "bench",
+        help="run one registered benchmark and write its "
+             "BENCH_<name>.json")
+    bench.add_argument("name", choices=list(BENCHES))
+    bench.add_argument("--quick", action="store_true",
+                       help="small smoke-test preset; writes the "
+                            "git-ignored BENCH_<name>.quick.json")
+    bench.add_argument("--sanitize", action="store_true",
+                       help="arm the runtime sanitizers for the run")
+    bench.add_argument("--out", default=None, metavar="PATH",
+                       help="write the report here instead")
+    bench.add_argument("--schedule", default=None, metavar="SPEC",
+                       help="fleet-chaos only: replace the composed "
+                            "crash storm with a faults.plan spec "
+                            "(times in simulated seconds, wN = replica "
+                            "id), e.g. 'crash@0.002+0.003:w0'")
 
     lint = sub.add_parser(
         "lint",
@@ -557,264 +379,23 @@ def _cmd_reproduce(args):
     return 1 if failures else 0
 
 
-def _parse_policies(specs):
-    """``["4:0.5", "32:4"]`` -> ``[(4, 0.0005), (32, 0.004)]``
-    (size, max-wait in simulated seconds)."""
-    policies = []
-    for spec in specs:
-        size, _, wait_ms = spec.partition(":")
-        policies.append((int(size), float(wait_ms or 0.0) / 1e3))
-    return policies
-
-
-def _bench_out(args, tracked):
-    """Where a bench subcommand writes: ``--out`` when given, else the
-    tracked ``BENCH_*.json`` — or, for a ``--quick`` smoke, its
-    untracked ``.quick.json`` sibling, so a smoke run can never
-    overwrite a checked-in full sweep."""
-    from pathlib import Path
-
-    if args.out:
-        return Path(args.out)
-    tracked = Path(tracked)
-    return tracked.with_suffix(".quick.json") if args.quick else tracked
-
-
-def _cmd_serve_bench(args):
-    import json
-
-    from .serve import run_serve_bench
-
+def _cmd_bench(args):
+    sweep = {}
+    if args.schedule is not None:
+        if args.name != "fleet-chaos":
+            print("error: --schedule applies to fleet-chaos only",
+                  file=sys.stderr)
+            return 2
+        sweep["schedule"] = args.schedule
     if args.sanitize:
         FLAGS.sanitize = True
-    policies = _parse_policies(args.policy or ["4:0.5", "32:4"])
-    report = run_serve_bench(
-        dataset=args.dataset, scale=args.scale, model=args.model,
-        train_epochs=args.train_epochs, fanout=tuple(args.fanout),
-        rate=args.rate, num_requests=args.requests, skew=args.skew,
-        seed=args.seed, policies=policies,
-        cache_ratios=tuple(args.cache_ratios),
-        modes=tuple(args.modes),
-        tiered_policies=tuple(args.tiered_policies),
-        max_queue=args.max_queue, quick=args.quick)
-
-    rows = []
-    for result in report["results"]:
-        tiered = result["warm_ratio"] > 0
-        rows.append({
-            "mode": result["mode"],
-            "policy": result["policy"],
-            "cache": round(result["cache_ratio"]
-                           + result["warm_ratio"], 3),
-            "tiers": result["cache_policy"] if tiered else "-",
-            "p50 (ms)": round(1e3 * result["latency_p50"], 3),
-            "p95 (ms)": round(1e3 * result["latency_p95"], 3),
-            "p99 (ms)": round(1e3 * result["latency_p99"], 3),
-            "req/s": round(result["throughput"], 1),
-            "hit rate": round(result["cache_hit_rate"], 3),
-            "warm hit": round(result["warm_hit_rate"], 3),
-            "rejected": result["rejected"],
-        })
-    print(format_table(
-        rows, title=f"Serving benchmark ({report['dataset']}, "
-                    f"{report['model']})"))
-    print(f"invariant (precomputed == full-fanout, atol=0): "
-          f"{'ok' if report['invariant_exact_match'] else 'VIOLATED'}")
-    out = _bench_out(args, "BENCH_serve.json")
-    out.write_text(json.dumps(report, indent=2))
-    print(f"wrote {out} ({len(report['results'])} configurations)")
-    return 0
-
-
-def _cmd_fleet_bench(args):
-    import json
-
-    from .fleet import run_fleet_bench
-
-    if args.sanitize:
-        FLAGS.sanitize = True
-    if args.rate_multiplier < 1:
-        print(f"error: --rate-multiplier must be >= 1, got "
-              f"{args.rate_multiplier}", file=sys.stderr)
-        return 2
-    if args.max_wait_ms < 0:
-        print(f"error: --max-wait-ms must be >= 0, got "
-              f"{args.max_wait_ms}", file=sys.stderr)
-        return 2
-    if args.cache_ratio + args.warm_ratio > 1.0:
-        print(f"error: --cache-ratio + --warm-ratio must be <= 1, got "
-              f"{args.cache_ratio + args.warm_ratio}", file=sys.stderr)
-        return 2
-    report = run_fleet_bench(
-        dataset=args.dataset, scale=args.scale, model=args.model,
-        train_epochs=args.train_epochs, fanout=tuple(args.fanout),
-        rate_multiplier=args.rate_multiplier,
-        num_requests=args.requests, skew=args.skew, seed=args.seed,
-        replica_counts=tuple(args.replicas),
-        partitioner=args.partitioner,
-        locality_partitioners=tuple(args.locality_partitioners),
-        batch_size=args.batch_size,
-        max_wait=args.max_wait_ms / 1e3,
-        cache_ratio=args.cache_ratio, warm_ratio=args.warm_ratio,
-        spill_threshold=args.spill_threshold,
-        max_queue=args.max_queue, quick=args.quick)
-
-    rows = []
-    for result in report["scaling"]:
-        rows.append({
-            "replicas": result["num_replicas"],
-            "p50 (ms)": round(1e3 * result["latency_p50"], 3),
-            "p95 (ms)": round(1e3 * result["latency_p95"], 3),
-            "p99 (ms)": round(1e3 * result["latency_p99"], 3),
-            "req/s": round(result["throughput"], 1),
-            "locality": round(result["routing_locality"], 3),
-            "hot hit": round(result["hot_hit_rate"], 3),
-            "rejected": result["rejected"],
-        })
-    print(format_table(
-        rows, title=f"Fleet scaling ({report['dataset']}, "
-                    f"{report['partitioner']}, "
-                    f"rate={report['load']['rate']:g}/s)"))
-    rows = []
-    for result in report["locality"]:
-        rows.append({
-            "partitioner": result["partitioner"],
-            "mode": result["mode"],
-            "locality": round(result["routing_locality"], 3),
-            "remote rows": round(result["remote_row_fraction"], 3),
-            "p99 (ms)": round(1e3 * result["latency_p99"], 3),
-        })
-    print(format_table(rows, title="Routing locality"))
-    print(f"invariant (fleet == single server, bit-exact): "
-          f"{'ok' if report['invariant_exact_match'] else 'VIOLATED'}")
-    print(f"failover: {report['failover']['failovers']} failovers, "
-          f"{report['failover']['requeued']} requeued, "
-          f"{report['failover']['completed']} completed")
-    out = _bench_out(args, "BENCH_fleet.json")
-    out.write_text(json.dumps(report, indent=2))
-    print(f"wrote {out} ({len(report['scaling'])} replica counts, "
-          f"{len(report['locality'])} locality rows)")
-    return 0 if report["invariant_exact_match"] else 1
-
-
-def _cmd_chaos(args):
-    import json
-
-    from .faults import run_fault_bench
-
-    if args.sanitize:
-        FLAGS.sanitize = True
-    report = run_fault_bench(
-        dataset=args.dataset, scale=args.scale, model=args.model,
-        epochs=args.epochs, workers=args.workers,
-        halt_epoch=args.halt_epoch, seed=args.seed, quick=args.quick)
-
-    rows = []
-    for row in report["scenarios"]:
-        rows.append({
-            "scenario": row["scenario"],
-            "plan": row["plan"],
-            "epoch overhead": f"{100 * row['epoch_time_overhead']:+.1f}%",
-            "retries": row["retries"],
-            "giveups": row["giveups"],
-            "alive": row["alive_workers"],
-            "dropped": row["dropped_vertices"],
-            "acc delta": round(row["accuracy_delta"], 3),
-        })
-    print(format_table(
-        rows, title=f"Fault-recovery benchmark ({report['dataset']}, "
-                    f"{report['workers']} workers)"))
-    resume_ok = report["halt_fired"] and report["resume_exact"]
-    print(f"halt@{report['halt_epoch']} fired, resumed curve "
-          f"bit-identical: {'ok' if resume_ok else 'VIOLATED'}")
-    print(f"fault timeline deterministic under fixed seed: "
-          f"{'ok' if report['plan_deterministic'] else 'VIOLATED'}")
-    out = _bench_out(args, "BENCH_faults.json")
-    out.write_text(json.dumps(report, indent=2))
-    print(f"wrote {out} ({len(report['scenarios'])} scenarios)")
-    return 0 if resume_ok and report["plan_deterministic"] else 1
-
-
-def _cmd_fleet_chaos(args):
-    import json
-
-    from .errors import ServingError
-    from .fleet import run_fleet_chaos_bench
-
-    if args.sanitize:
-        FLAGS.sanitize = True
-    if args.rate_multiplier < 1:
-        print(f"error: --rate-multiplier must be >= 1, got "
-              f"{args.rate_multiplier}", file=sys.stderr)
-        return 2
-    if not 1 <= args.replication <= args.replicas:
-        print(f"error: --replication must be in [1, {args.replicas}], "
-              f"got {args.replication}", file=sys.stderr)
-        return 2
-    if args.slo_ms <= 0:
-        print(f"error: --slo-ms must be > 0, got {args.slo_ms}",
-              file=sys.stderr)
-        return 2
     try:
-        report = run_fleet_chaos_bench(
-            dataset=args.dataset, scale=args.scale, model=args.model,
-            train_epochs=args.train_epochs,
-            num_replicas=args.replicas,
-            replication=args.replication,
-            rate_multiplier=args.rate_multiplier,
-            num_requests=args.requests, skew=args.skew,
-            seed=args.seed, partitioner=args.partitioner,
-            slo=args.slo_ms / 1e3, schedule=args.schedule,
-            quick=args.quick)
-    except ServingError as exc:
+        _report, ok = run_bench(args.name, quick=args.quick,
+                                out=args.out, **sweep)
+    except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    rows = []
-    for row in report["scenarios"]:
-        for config in ("baseline", "resilient"):
-            result = row[config]
-            rows.append({
-                "scenario": row["scenario"],
-                "config": config,
-                "avail": round(result["availability"], 4),
-                "goodput/s": round(result["goodput"], 1),
-                "p99 (ms)": round(1e3 * result["latency_p99"], 3),
-                "dropped": result["dropped"],
-                "requeued": result["requeued"],
-                "backup": result.get("backup_completions", 0),
-            })
-    print(format_table(
-        rows, title=f"Fleet chaos ({report['dataset']}, "
-                    f"{report['num_replicas']} replicas, "
-                    f"k={report['replication']}, "
-                    f"SLO={1e3 * report['slo_seconds']:g}ms)"))
-    for gate, ok in report["gates"].items():
-        print(f"gate {gate}: {'ok' if ok else 'VIOLATED'}")
-    out = _bench_out(args, "BENCH_fleet_chaos.json")
-    out.write_text(json.dumps(report, indent=2))
-    print(f"wrote {out} ({len(report['scenarios'])} scenarios)")
-    return 0 if all(report["gates"].values()) else 1
-
-
-def _cmd_kernel_bench(args):
-    from .kernels.bench import (HOTPATH_PATH, format_report,
-                                merge_into_hotpath, run_kernel_bench)
-
-    results = run_kernel_bench(quick=args.quick, seed=args.seed)
-    print(format_report(results))
-    out = merge_into_hotpath(
-        results, path=_bench_out(args, HOTPATH_PATH))
-    print(f"merged kernel_backends into {out} "
-          f"(auto backend: {results['auto_backend']})")
-    spmm = results["spmm"]
-    accelerated = [name for name in spmm["backends"]
-                   if name != "reference"]
-    if accelerated and spmm["best_speedup"] <= 1.0:
-        print("gate spmm_speedup: VIOLATED (no accelerated backend "
-              "beat the reference)", file=sys.stderr)
-        return 1
-    return 0
+    return 0 if ok else 1
 
 
 def _cmd_lint(args):
@@ -920,10 +501,7 @@ def main(argv=None):
     handlers = {"datasets": _cmd_datasets, "systems": _cmd_systems,
                 "train": _cmd_train, "partition": _cmd_partition,
                 "advise": _cmd_advise, "reproduce": _cmd_reproduce,
-                "serve-bench": _cmd_serve_bench,
-                "fleet-bench": _cmd_fleet_bench, "chaos": _cmd_chaos,
-                "fleet-chaos": _cmd_fleet_chaos,
-                "kernel-bench": _cmd_kernel_bench, "lint": _cmd_lint,
+                "bench": _cmd_bench, "lint": _cmd_lint,
                 "arch-lint": _cmd_arch_lint}
     return handlers[args.command](args)
 

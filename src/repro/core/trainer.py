@@ -30,7 +30,7 @@ import numpy as np
 from ..dist.engine import SyncEngine
 from ..errors import CheckpointError, TrainingError
 from ..nn import Adam, build_model
-from ..perf import FLAGS, PERF, EvalSubgraphCache, wall_clock
+from ..perf import PERF, EvalSubgraphCache, wall_clock
 from .config import TrainingConfig, make_cache
 from .convergence import TrainingCurve
 
@@ -307,8 +307,7 @@ class Trainer:
         # sampled validation subgraphs are byte-identical across epochs
         # — prepare them once and replay (keyed on sampler/batch
         # size/seed, so any change invalidates).
-        eval_cache = EvalSubgraphCache() if FLAGS.eval_subgraph_cache \
-            else None
+        eval_cache = EvalSubgraphCache()
         perf_before = PERF.snapshot()
 
         curve = TrainingCurve()

@@ -22,8 +22,7 @@ Layout
     :class:`Checkpointer` — atomic temp-write-then-rename checkpoint
     files with SHA-256 integrity checks.
 :mod:`repro.faults.bench`
-    The fault-recovery benchmark behind ``repro chaos`` and
-    ``benchmarks/bench_fault_recovery.py``.
+    The fault-recovery benchmark behind ``repro bench faults``.
 """
 
 from .checkpoint import Checkpointer

@@ -15,9 +15,8 @@ deltas of each.  Two properties are *checked*, not just reported:
     FaultPlan` seed must reproduce the identical fault timeline: same
     retry counts, same simulated epoch times, same losses.
 
-Shared by the ``repro chaos`` CLI command and
-``benchmarks/bench_fault_recovery.py`` (which writes
-``BENCH_faults.json``).
+Registered as ``faults`` in :mod:`repro.bench` (``repro bench faults``
+writes ``BENCH_faults.json``).
 """
 
 from __future__ import annotations
@@ -25,14 +24,15 @@ from __future__ import annotations
 import os
 import tempfile
 
-from ..core import Trainer
+from ..core import Trainer, format_table
 from ..core.config import TrainingConfig
 from ..errors import FaultError
 from ..graph import load_dataset
 from .checkpoint import Checkpointer
 from .plan import FaultPlan
 
-__all__ = ["run_fault_bench", "default_scenarios", "QUICK_OVERRIDES"]
+__all__ = ["run_fault_bench", "default_scenarios", "tables", "checks",
+           "QUICK_OVERRIDES"]
 
 #: Parameter overrides for smoke runs (CI, ``--quick``).
 QUICK_OVERRIDES = dict(scale=0.12, epochs=5, workers=4, halt_epoch=2)
@@ -100,6 +100,10 @@ def run_fault_bench(dataset="ogb-arxiv", scale=0.2, model="gcn",
         epochs = QUICK_OVERRIDES["epochs"]
         workers = QUICK_OVERRIDES["workers"]
         halt_epoch = QUICK_OVERRIDES["halt_epoch"]
+    if epochs < 1 or workers < 1:
+        raise FaultError(
+            f"epochs and workers must be >= 1, got {epochs} and "
+            f"{workers}")
     if not 0 < halt_epoch < epochs:
         raise FaultError(
             f"halt epoch must be in (0, epochs), got {halt_epoch}")
@@ -186,4 +190,34 @@ def run_fault_bench(dataset="ogb-arxiv", scale=0.2, model="gcn",
         "halt_fired": halted,
         "resume_exact": bool(resume_exact),
         "plan_deterministic": bool(plan_deterministic),
+    }
+
+
+def tables(report):
+    """What each fault scenario cost, one row per scenario."""
+    rows = []
+    for row in report["scenarios"]:
+        rows.append({
+            "scenario": row["scenario"],
+            "plan": row["plan"],
+            "epoch overhead": f"{100 * row['epoch_time_overhead']:+.1f}%",
+            "retries": row["retries"],
+            "giveups": row["giveups"],
+            "alive": row["alive_workers"],
+            "dropped": row["dropped_vertices"],
+            "acc delta": round(row["accuracy_delta"], 3),
+        })
+    return format_table(
+        rows, title=f"Fault-recovery benchmark ({report['dataset']}, "
+                    f"{report['workers']} workers, "
+                    f"{report['epochs']} epochs)")
+
+
+def checks(report):
+    """Exit rule: the two recovery invariants."""
+    return {
+        f"halt@{report['halt_epoch']} fired, resumed curve "
+        f"bit-identical": report["halt_fired"] and report["resume_exact"],
+        "fault timeline deterministic under fixed seed":
+            report["plan_deterministic"],
     }

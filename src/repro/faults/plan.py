@@ -13,10 +13,11 @@ exact same draws, because every stream is reseeded at epoch start from
 ``(plan seed, epoch, worker)`` alone.
 
 The grammar is shared infrastructure: :meth:`FaultPlan.parse` is the
-*single* schedule parser for both the training chaos benchmark
-(``repro chaos``, times = integer epochs) and the serving-fleet chaos
-harness (``repro fleet-chaos``, times = simulated seconds, fractional
-allowed; ``worker`` then names a replica).  Each consumer validates the
+*single* schedule parser for both the training side (``repro train
+--faults`` and the ``repro bench faults`` scenarios, times = integer
+epochs) and the serving-fleet chaos harness (``repro bench fleet-chaos
+--schedule``, times = simulated seconds, fractional allowed; ``worker``
+then names a replica).  Each consumer validates the
 clock semantics it needs — :class:`FaultInjector` rejects fractional
 epochs, :class:`repro.fleet.resilience.FleetSchedule` rejects
 epoch-only kinds — but the token syntax, field validation, and seeding
@@ -191,7 +192,8 @@ class FaultPlan:
 
         Times are integer epochs on the training clock or simulated
         seconds (fractions allowed) on the fleet clock — the same
-        grammar serves ``repro chaos`` and ``repro fleet-chaos``.
+        grammar serves ``repro train --faults`` and ``repro bench
+        fleet-chaos --schedule``.
         Example: ``"straggler@1+3:w0:x4,crash@2:w1,slowlink@3:x0.5"``.
         """
         events = []

@@ -18,13 +18,13 @@ serving-latency story: better partitions → higher routing locality →
 fewer remote rows → flatter tails.  In ``precomputed`` mode the
 fleet's answers are bit-identical to the single server's for the same
 trace (row-wise evaluation makes answers batching-invariant), which
-``benchmarks/bench_fleet.py`` asserts as its exact-match invariant.
+``repro bench fleet`` asserts as its exact-match invariant.
 
 :mod:`repro.fleet.resilience` layers availability on top: phi-accrual
 failure detection, k-replicated shard ownership, circuit breakers,
 hedged requests, retry budgets, and checkpointed cache recovery — all
 off by default and certified under composable fault schedules by
-``benchmarks/bench_fleet_chaos.py`` / ``repro fleet-chaos``.
+``repro bench fleet-chaos``.
 """
 
 from .engine import FleetEngine

@@ -18,27 +18,24 @@ multi-replica fleet in ``precomputed`` mode must produce
 **bit-identical predictions** to the single-server
 :class:`~repro.serve.engine.ServeEngine` — routing, spillover, and
 re-batching may change *when* an answer is computed, never *what* it
-is.  Shared by ``repro fleet-bench`` and
-``benchmarks/bench_fleet.py`` (which writes ``BENCH_fleet.json``).
+is.  Registered as ``fleet`` in :mod:`repro.bench` (``repro bench
+fleet`` writes ``BENCH_fleet.json``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..core import Trainer
-from ..core.config import TrainingConfig, make_partitioner
+from ..core import format_table
+from ..core.config import make_partitioner
 from ..errors import ServingError
-from ..graph import load_dataset
 from ..serve.batcher import BatchPolicy
-from ..serve.engine import ServeEngine
-from ..serve.precompute import LayerwiseEmbeddings
-from ..serve.requests import LoadGenerator
+from ..serve.bench import prepare_serving, reference_predictions
 from .chaos import crash_storm
 from .engine import FleetEngine
 from .router import AutoscalePolicy, RoutingPolicy
 
-__all__ = ["run_fleet_bench", "QUICK_OVERRIDES"]
+__all__ = ["run_fleet_bench", "tables", "checks", "QUICK_OVERRIDES"]
 
 #: Parameter overrides for smoke runs (CI, ``--quick``).
 QUICK_OVERRIDES = dict(scale=0.15, train_epochs=1, num_requests=160,
@@ -94,26 +91,19 @@ def run_fleet_bench(dataset="ogb-arxiv", scale=0.3, model="gcn",
     if len(replica_counts) < 1:
         raise ServingError("need at least one replica count")
 
-    data = load_dataset(dataset, scale=scale)
-    result = Trainer(data, TrainingConfig(
-        model=model, epochs=train_epochs, num_workers=2,
-        batch_size=256, fanout=tuple(fanout), seed=seed)).run()
-    trained = result.model
-
     rate = base_rate * rate_multiplier
-    trace = LoadGenerator(data.test_ids, rate=rate,
-                          num_requests=num_requests, seed=seed,
-                          skew=skew).generate()
-    embeddings = LayerwiseEmbeddings(trained, data.graph,
-                                     data.features)
+    data, result, trace, embeddings = prepare_serving(
+        dataset, scale, model, train_epochs, fanout, rate,
+        num_requests, skew, seed)
+    trained = result.model
     policy = BatchPolicy(max_batch_size=int(batch_size),
                          max_wait=float(max_wait))
     routing = RoutingPolicy(spill_threshold=int(spill_threshold),
                             remote_penalty=float(remote_penalty))
-    common = dict(mode="precomputed", policy=policy,
-                  max_queue=max_queue, cache_policy=cache_policy,
-                  cache_ratio=cache_ratio, warm_ratio=warm_ratio,
-                  seed=seed, embeddings=embeddings)
+    serving = dict(policy=policy, max_queue=max_queue,
+                   cache_policy=cache_policy, cache_ratio=cache_ratio,
+                   warm_ratio=warm_ratio, seed=seed)
+    common = dict(serving, mode="precomputed", embeddings=embeddings)
 
     # ------------------------------------------------------------------
     # Invariant: fleet answers == single-server answers, bit for bit.
@@ -121,20 +111,14 @@ def run_fleet_bench(dataset="ogb-arxiv", scale=0.3, model="gcn",
     # runs with spillover enabled at the widest replica count, so the
     # check covers re-batched, spilled, and owner-routed requests.
     # ------------------------------------------------------------------
-    single = ServeEngine(data, trained, mode="precomputed",
-                         policy=policy, max_queue=max_queue,
-                         cache_policy=cache_policy,
-                         cache_ratio=cache_ratio,
-                         warm_ratio=warm_ratio, seed=seed,
-                         embeddings=embeddings).run(trace)
+    reference = reference_predictions(data, trained, trace, embeddings,
+                                      **serving)
     widest = max(replica_counts)
     fleet_probe = FleetEngine(
         data, trained,
         partition=_partition(partitioner, data, widest, seed),
         routing=routing, **common).run(trace)
-    reference = {r.request.request_id: r.prediction
-                 for r in single.responses}
-    exact = (len(fleet_probe.responses) == len(single.responses)
+    exact = (len(fleet_probe.responses) == len(reference)
              and all(reference[r.request.request_id] == r.prediction
                      for r in fleet_probe.responses))
     if not exact:
@@ -244,3 +228,49 @@ def run_fleet_bench(dataset="ogb-arxiv", scale=0.3, model="gcn",
             "latency_p99": failover_report.latency_p99,
         },
     }
+
+
+def tables(report):
+    """The scaling and locality sweeps as printed tables, plus the
+    failover demo's one-line summary."""
+    rows = []
+    for result in report["scaling"]:
+        rows.append({
+            "replicas": result["num_replicas"],
+            "p50 (ms)": round(1e3 * result["latency_p50"], 3),
+            "p95 (ms)": round(1e3 * result["latency_p95"], 3),
+            "p99 (ms)": round(1e3 * result["latency_p99"], 3),
+            "req/s": round(result["throughput"], 1),
+            "locality": round(result["routing_locality"], 3),
+            "hot hit": round(result["hot_hit_rate"], 3),
+            "warm hit": round(result["warm_hit_rate"], 3),
+            "rejected": result["rejected"],
+        })
+    scaling = format_table(
+        rows, title=f"Fleet scaling ({report['dataset']}, "
+                    f"{report['partitioner']}, "
+                    f"rate={report['load']['rate']:g}/s)")
+    rows = []
+    for result in report["locality"]:
+        rows.append({
+            "partitioner": result["partitioner"],
+            "mode": result["mode"],
+            "locality": round(result["routing_locality"], 3),
+            "remote rows": round(result["remote_row_fraction"], 3),
+            "remote (ms)": round(1e3 * result["remote_seconds"], 2),
+            "p99 (ms)": round(1e3 * result["latency_p99"], 3),
+        })
+    locality = format_table(
+        rows, title=f"Routing locality "
+                    f"(N={report['locality'][0]['num_replicas']})")
+    failover = report["failover"]
+    return (f"{scaling}\n\n{locality}\n"
+            f"failover: {failover['failovers']} failovers, "
+            f"{failover['requeued']} requeued, "
+            f"{failover['completed']} completed")
+
+
+def checks(report):
+    """Exit rule: the fleet answers exactly what one server would."""
+    return {"invariant (fleet == single server, bit-exact)":
+            report["invariant_exact_match"]}

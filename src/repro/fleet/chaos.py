@@ -21,8 +21,9 @@ windows, flapping) on the simulated clock and enforces three gates:
 Availability here is SLO-attainment: a request counts as *available*
 only if it completed within ``slo`` simulated seconds of its arrival
 (dropped or rejected requests never do).  Goodput is the rate of such
-within-SLO completions.  Shared by ``repro fleet-chaos`` and
-``benchmarks/bench_fleet_chaos.py`` (writes ``BENCH_fleet_chaos.json``).
+within-SLO completions.  Registered as ``fleet-chaos`` in
+:mod:`repro.bench` (``repro bench fleet-chaos`` writes
+``BENCH_fleet_chaos.json``).
 """
 
 from __future__ import annotations
@@ -31,22 +32,19 @@ import tempfile
 
 import numpy as np
 
-from ..core import Trainer
-from ..core.config import TrainingConfig, make_partitioner
+from ..core import format_table
+from ..core.config import make_partitioner
 from ..errors import ServingError
 from ..faults.plan import FaultEvent, FaultPlan
-from ..graph import load_dataset
 from ..serve.batcher import BatchPolicy
-from ..serve.engine import ServeEngine
-from ..serve.precompute import LayerwiseEmbeddings
-from ..serve.requests import LoadGenerator
+from ..serve.bench import prepare_serving, reference_predictions
 from .engine import FleetEngine
 from .resilience import ReplicaRecovery, ResiliencePolicy
 from .router import RoutingPolicy
 
 __all__ = ["crash_storm", "rolling_stragglers", "flapping",
-           "slowlink_window", "run_fleet_chaos_bench",
-           "QUICK_OVERRIDES"]
+           "slowlink_window", "run_fleet_chaos_bench", "tables",
+           "checks", "QUICK_OVERRIDES"]
 
 #: Parameter overrides for smoke runs (CI, ``--quick``).
 QUICK_OVERRIDES = dict(scale=0.15, train_epochs=1, num_requests=400,
@@ -55,7 +53,7 @@ QUICK_OVERRIDES = dict(scale=0.15, train_epochs=1, num_requests=400,
 
 # ----------------------------------------------------------------------
 # Composable fault schedules (all return a FaultPlan in the shared
-# faults.plan grammar, so they print/parse with `repro chaos` specs)
+# faults.plan grammar, so they print/parse like `--schedule` specs)
 # ----------------------------------------------------------------------
 def crash_storm(num_replicas, start, down, count=2, spacing=0.0):
     """``count`` replicas crash in id order from ``start``, each down
@@ -159,6 +157,9 @@ def run_fleet_chaos_bench(dataset="ogb-arxiv", scale=0.3, model="gcn",
         train_epochs = QUICK_OVERRIDES["train_epochs"]
         num_requests = QUICK_OVERRIDES["num_requests"]
         rate_multiplier = QUICK_OVERRIDES["rate_multiplier"]
+    if rate_multiplier < 1:
+        raise ServingError(
+            f"rate_multiplier must be >= 1, got {rate_multiplier}")
     if not 1 <= replication <= num_replicas:
         raise ServingError(
             f"replication must be in [1, {num_replicas}], got "
@@ -166,19 +167,12 @@ def run_fleet_chaos_bench(dataset="ogb-arxiv", scale=0.3, model="gcn",
     if slo <= 0:
         raise ServingError(f"slo must be > 0, got {slo}")
 
-    data = load_dataset(dataset, scale=scale)
-    result = Trainer(data, TrainingConfig(
-        model=model, epochs=train_epochs, num_workers=2,
-        batch_size=256, fanout=(10, 10), seed=seed)).run()
-    trained = result.model
-
     rate = base_rate * rate_multiplier
-    trace = LoadGenerator(data.test_ids, rate=rate,
-                          num_requests=num_requests, seed=seed,
-                          skew=skew).generate()
+    data, result, trace, embeddings = prepare_serving(
+        dataset, scale, model, train_epochs, (10, 10), rate,
+        num_requests, skew, seed)
+    trained = result.model
     span = trace[-1].arrival
-    embeddings = LayerwiseEmbeddings(trained, data.graph,
-                                     data.features)
     policy = BatchPolicy(max_batch_size=int(batch_size),
                          max_wait=float(max_wait))
     routing = RoutingPolicy(spill_threshold=int(spill_threshold),
@@ -186,18 +180,13 @@ def run_fleet_chaos_bench(dataset="ogb-arxiv", scale=0.3, model="gcn",
     partition = make_partitioner(partitioner).partition(
         data.graph, num_replicas, split=data.split,
         rng=np.random.default_rng(seed))
-    common = dict(mode="precomputed", policy=policy,
-                  max_queue=max_queue, cache_policy=cache_policy,
-                  cache_ratio=cache_ratio, warm_ratio=warm_ratio,
-                  seed=seed, embeddings=embeddings, routing=routing)
-
-    reference = {r.request.request_id: r.prediction
-                 for r in ServeEngine(
-                     data, trained, mode="precomputed", policy=policy,
-                     max_queue=max_queue, cache_policy=cache_policy,
-                     cache_ratio=cache_ratio, warm_ratio=warm_ratio,
-                     seed=seed, embeddings=embeddings)
-                 .run(trace).responses}
+    serving = dict(policy=policy, max_queue=max_queue,
+                   cache_policy=cache_policy, cache_ratio=cache_ratio,
+                   warm_ratio=warm_ratio, seed=seed)
+    common = dict(serving, mode="precomputed", embeddings=embeddings,
+                  routing=routing)
+    reference = reference_predictions(data, trained, trace, embeddings,
+                                      **serving)
 
     def exact(report):
         return all(reference[r.request.request_id] == r.prediction
@@ -298,3 +287,32 @@ def run_fleet_chaos_bench(dataset="ogb-arxiv", scale=0.3, model="gcn",
         "gates": gates,
         "scenarios": rows,
     }
+
+
+def tables(report):
+    """Baseline vs resilient, one row per scenario and configuration."""
+    rows = []
+    for row in report["scenarios"]:
+        for config in ("baseline", "resilient"):
+            result = row[config]
+            rows.append({
+                "scenario": row["scenario"],
+                "config": config,
+                "avail": round(result["availability"], 4),
+                "goodput/s": round(result["goodput"], 1),
+                "p99 (ms)": round(1e3 * result["latency_p99"], 3),
+                "dropped": result["dropped"],
+                "requeued": result["requeued"],
+                "backup": result.get("backup_completions", 0),
+            })
+    return format_table(
+        rows, title=f"Fleet chaos ({report['dataset']}, "
+                    f"{report['num_replicas']} replicas, "
+                    f"k={report['replication']}, "
+                    f"SLO={1e3 * report['slo_seconds']:g}ms)")
+
+
+def checks(report):
+    """Exit rule: every certification gate."""
+    return {f"gate {name}": held
+            for name, held in report["gates"].items()}

@@ -52,7 +52,7 @@ configured** (the engine's baseline path stays bit-identical):
     (:meth:`~repro.faults.plan.FaultPlan.parse`): ``crash`` becomes a
     replica outage with a down time, ``straggler``/``slowlink`` become
     service-time windows, and the training-only kinds (``halt``,
-    ``flaky``) are rejected with a pointer to ``repro chaos``.
+    ``flaky``) are rejected with a pointer to ``repro train --faults``.
 """
 
 from __future__ import annotations
@@ -383,7 +383,7 @@ class ReplicaRecovery:
 class FleetSchedule:
     """A :class:`~repro.faults.plan.FaultPlan` compiled for the fleet.
 
-    Shares the spec grammar with ``repro chaos`` (see
+    Shares the spec grammar with ``repro train --faults`` (see
     :meth:`FaultPlan.parse`); here times are simulated seconds
     (fractions allowed) and ``worker`` ids name replicas.  Supported
     kinds: ``crash`` (replica down for its duration), ``straggler``
@@ -419,8 +419,8 @@ class FleetSchedule:
                 raise FaultError(
                     f"fault {event.describe()!r} is training-only "
                     f"(epoch clock); the fleet schedule supports "
-                    f"{self._FLEET_KINDS} — use `repro chaos` for the "
-                    f"rest")
+                    f"{self._FLEET_KINDS} — use `repro train --faults` "
+                    f"for the rest")
             if event.worker is not None \
                     and event.worker >= self.num_replicas:
                 raise FleetError(

@@ -11,10 +11,10 @@ rows time the steady state: the edge list's segment view is built by
 the identity check, as training builds it once per block.  (``gsddmm``
 has one shared implementation, so there is nothing to compare.)
 
-Shared by the ``repro kernel-bench`` CLI command and
-``benchmarks/bench_kernel_backends.py``; both merge the rows into
-``BENCH_hotpath.json`` under the ``kernel_backends`` key (next to the
-block-assembly and sampler rows) via :func:`merge_into_hotpath`.
+Registered as ``kernels`` in :mod:`repro.bench` (``repro bench kernels``
+writes ``BENCH_kernels.json``).  The rows are host wall time, so unlike
+the simulated-clock benches the tracked file is a record, not something
+CI can regenerate byte for byte.
 
 All timing flows through :func:`repro.perf.profiler.wall_clock` — the
 one sanctioned real-time read (RPR002).
@@ -22,9 +22,7 @@ one sanctioned real-time read (RPR002).
 
 from __future__ import annotations
 
-import json
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 
@@ -38,12 +36,9 @@ from .adjacency import KernelCOO, normalized_block_adjacency
 from .registry import (available_backends, edge_softmax_forward,
                        gspmm_forward, resolve_backend)
 
-__all__ = ["run_kernel_bench", "merge_into_hotpath", "HOTPATH_PATH"]
+__all__ = ["run_kernel_bench", "tables", "checks"]
 
-#: The repo-root benchmark ledger the rows are merged into.
-HOTPATH_PATH = Path(__file__).resolve().parents[3] / "BENCH_hotpath.json"
-
-#: Full-size workload (matches ``bench_hotpath_kernels``'s scale).
+#: Full-size workload.
 FULL = dict(num_vertices=200_000, avg_degree=16, num_seeds=4096,
             fanout=15, dim=128, rounds=20)
 
@@ -178,25 +173,15 @@ def run_kernel_bench(quick=False, seed=7):
     return results
 
 
-def merge_into_hotpath(results, path=HOTPATH_PATH):
-    """Merge the bench rows into ``BENCH_hotpath.json`` under the
-    ``kernel_backends`` key, preserving every other stage's rows."""
-    path = Path(path)
-    existing = json.loads(path.read_text()) if path.exists() else {}
-    existing["kernel_backends"] = results
-    path.write_text(json.dumps(existing, indent=2, sort_keys=True)
-                    + "\n")
-    return path
-
-
-def format_report(results):
-    """Human-readable per-backend table rows (for the CLI)."""
+def tables(report):
+    """Per-kernel, per-backend timing rows."""
+    # Lazy: core sits above kernels in layers.toml.
     from ..core import format_table
     rows = []
-    kernels = [key for key, value in results.items()
+    kernels = [key for key, value in report.items()
                if isinstance(value, dict) and "backends" in value]
     for kernel in kernels:
-        for name, row in results[kernel]["backends"].items():
+        for name, row in report[kernel]["backends"].items():
             rows.append({
                 "kernel": kernel,
                 "backend": name,
@@ -205,5 +190,16 @@ def format_report(results):
                 "bit_identical": row["bit_identical"],
                 "fallbacks": row["fallbacks"],
             })
-    return format_table(rows, title="Sparse-kernel backends "
-                                    "(vs pinned reference)")
+    table = format_table(rows, title="Sparse-kernel backends "
+                                     "(vs pinned reference)")
+    return f"{table}\nauto backend: {report['auto_backend']}"
+
+
+def checks(report):
+    """Exit rule: an accelerated backend, when one is importable, beats
+    the reference on the SpMM."""
+    spmm = report["spmm"]
+    accelerated = [name for name in spmm["backends"]
+                   if name != "reference"]
+    return {"gate spmm_speedup":
+            not accelerated or spmm["best_speedup"] > 1.0}

@@ -199,21 +199,17 @@ def block_aggregation_matrix(block, self_loops=True):
     rebuilding it per call.  Consumers must treat the returned matrix
     as read-only.
     """
-    cache = getattr(block, "_agg_cache", None) \
-        if FLAGS.memoize_aggregation else None
     key = bool(self_loops)
-    if cache is not None:
-        cached = cache.get(key)
-        if cached is not None:
-            PERF.count("agg_matrix_hits")
-            return cached
-        PERF.count("agg_matrix_misses")
+    cached = block._agg_cache.get(key)
+    if cached is not None:
+        PERF.count("agg_matrix_hits")
+        return cached
+    PERF.count("agg_matrix_misses")
 
     with PERF.timed("spmm_build"):
         matrix = normalized_block_adjacency(block, self_loops=self_loops)
 
-    if cache is not None:
-        cache[key] = matrix
+    block._agg_cache[key] = matrix
     return matrix
 
 
@@ -312,20 +308,17 @@ class GATConv(Module):
         views hanging off it are built once per block — shared by every
         head and layer, the backward pass, and cached-subgraph replays.
         """
-        if FLAGS.memoize_aggregation:
-            cached = getattr(block, "_edge_list_cache", None)
-            if cached is not None:
-                PERF.count("gat_edges_hits")
-                return cached
-            PERF.count("gat_edges_misses")
+        cached = block._edge_list_cache
+        if cached is not None:
+            PERF.count("gat_edges_hits")
+            return cached
+        PERF.count("gat_edges_misses")
         edge_dst = np.repeat(np.arange(block.num_dst), block.degrees())
         loops = np.arange(block.num_dst)
         edges = KernelCOO(np.concatenate([edge_dst, loops]),
                           np.concatenate([block.indices, loops]),
                           (block.num_dst, block.num_src))
-        if FLAGS.memoize_aggregation and hasattr(block,
-                                                 "_edge_list_cache"):
-            block._edge_list_cache = edges
+        block._edge_list_cache = edges
         return edges
 
     def forward_block(self, block, h_src):

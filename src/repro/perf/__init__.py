@@ -1,12 +1,13 @@
 """The perf layer: hot-path instrumentation, scratch-array pooling,
-fast-path flags, and prepared-batch caches.
+process-wide switches, and prepared-batch caches.
 
 Everything here is about *real* wall time (the python hot paths), not
-the simulated cluster seconds of the cost model.  The layer has three
-jobs: measure the hot paths (:data:`PERF`), make them fast without
-changing their math (:data:`FLAGS`, :class:`Workspace`,
-:class:`EvalSubgraphCache`), and prove it (the toggles let tests and
-benchmarks run old-vs-new on one build).
+the simulated cluster seconds of the cost model.  The layer measures
+the hot paths (:data:`PERF`), makes them fast without changing their
+math (:class:`Workspace`, :class:`EvalSubgraphCache`), and holds the
+two switches with a shipped alternative (:data:`FLAGS`: kernel backend,
+sanitizers).  The slow paths the fast ones replaced are test oracles
+(``tests/sampling/_block_oracle.py``), not flags.
 """
 
 from .evalcache import EvalSubgraphCache

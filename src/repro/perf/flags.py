@@ -1,11 +1,11 @@
-"""Feature flags for the batch-preparation fast paths.
+"""Process-wide switches that select a real alternative.
 
-Every optimisation in the perf layer is behaviour-preserving (it changes
-wall time, not math), so each one can be toggled off to fall back to the
-straightforward reference implementation.  The toggles exist for two
-reasons: the hot-path benchmark measures old-vs-new on the same build,
-and the equivalence tests prove bit-for-bit identical training results
-with the fast paths on and off.
+The batch-preparation fast paths (fused block assembly, memoized
+aggregation operators, the evaluation-subgraph cache) are simply how
+the library works; the implementations they replaced live in
+``tests/`` as oracles.  What stays switchable is what has two shipped
+behaviours: which sparse-kernel backend runs, and whether the runtime
+sanitizers are armed.
 """
 
 from __future__ import annotations
@@ -18,20 +18,10 @@ __all__ = ["PerfFlags", "FLAGS", "perf_overrides"]
 
 @dataclass
 class PerfFlags:
-    """Which fast paths are active.
+    """The process-wide switches.
 
     Attributes
     ----------
-    fused_block_assembly:
-        Use the single-pass id-map localization in
-        :func:`~repro.sampling.block.build_block` instead of the
-        sort-based reference path.
-    memoize_aggregation:
-        Cache each block's normalized aggregation CSR (and GAT edge
-        lists) on the block, keyed by ``self_loops``.
-    eval_subgraph_cache:
-        Let the trainer sample the fixed-seed evaluation mini-batches
-        once and replay them across epochs.
     kernel_backend:
         Which sparse-kernel backend :mod:`repro.kernels` dispatches
         aggregations to: ``"auto"`` (first importable accelerated
@@ -43,16 +33,13 @@ class PerfFlags:
         Arm the runtime sanitizers (``repro.analysis.sanitize``):
         NaN/Inf scans on activations and gradients, CSR structure
         checks at graph/block construction, and shape/dtype return
-        contracts.  Unlike the fast-path toggles above this one
-        defaults *off*: the checks are behaviour-preserving but not
-        free, so they run in the test suite, under ``repro train
-        --sanitize``, and in the CI chaos/serving smokes rather than
-        in benchmarked hot loops.
+        contracts.  Defaults *off*: the checks are
+        behaviour-preserving but not free, so they run in the test
+        suite, under ``repro train --sanitize`` / ``repro bench
+        --sanitize``, and in the CI smokes rather than in benchmarked
+        hot loops.
     """
 
-    fused_block_assembly: bool = True
-    memoize_aggregation: bool = True
-    eval_subgraph_cache: bool = True
     kernel_backend: str = "auto"
     sanitize: bool = False
 
@@ -65,8 +52,8 @@ FLAGS = PerfFlags()
 def perf_overrides(**overrides):
     """Temporarily override :data:`FLAGS` fields within a ``with``.
 
-    >>> with perf_overrides(fused_block_assembly=False):
-    ...     ...  # reference block assembly
+    >>> with perf_overrides(kernel_backend="reference"):
+    ...     ...  # pinned numpy kernels
     """
     saved = {}
     for name, value in overrides.items():

@@ -1,8 +1,7 @@
 """Batch-preparation samplers and sampled-subgraph structures."""
 
 from .base import Sampler, draw_neighbors, expand_layers
-from .block import (SampledBlock, SampledSubgraph, build_block,
-                    build_block_reference)
+from .block import SampledBlock, SampledSubgraph, build_block
 from .hybrid import HybridSampler
 from .layerwise import LayerWiseSampler
 from .neighbor import DEFAULT_FANOUT, NeighborSampler
@@ -12,7 +11,6 @@ from .subgraph import SubgraphSampler
 __all__ = [
     "Sampler", "draw_neighbors", "expand_layers",
     "SampledBlock", "SampledSubgraph", "build_block",
-    "build_block_reference",
     "NeighborSampler", "DEFAULT_FANOUT", "RateSampler", "HybridSampler",
     "LayerWiseSampler", "SubgraphSampler",
 ]

@@ -7,14 +7,14 @@ import abc
 import numpy as np
 
 from ..errors import SamplingError
-from ..perf import FLAGS, PERF
+from ..perf import PERF
 from .block import SampledSubgraph, build_block
 
 __all__ = ["Sampler", "draw_neighbors", "expand_layers"]
 
 # Largest vertex-id universe for which ``dst * V + src`` stays inside
-# int64 — the fused single-key dedup is valid below it.
-_FUSED_KEY_MAX_VERTICES = np.int64(1) << 31
+# int64 — the packed single-key dedup is valid below it.
+_PACKED_KEY_MAX_VERTICES = np.int64(1) << 31
 
 
 def draw_neighbors(graph, frontier, counts, rng):
@@ -32,6 +32,12 @@ def draw_neighbors(graph, frontier, counts, rng):
     counts = np.asarray(counts, dtype=np.int64)
     if len(frontier) != len(counts):
         raise SamplingError("frontier and counts must align")
+    num_vertices = np.int64(graph.num_vertices)
+    if num_vertices >= _PACKED_KEY_MAX_VERTICES:
+        raise SamplingError(
+            f"draw_neighbors packs (dst, src) pairs into one int64 key "
+            f"and supports fewer than 2**31 vertices, got "
+            f"{num_vertices}")
     indptr, indices = graph.in_csr()
     degrees = indptr[frontier + 1] - indptr[frontier]
     counts = np.minimum(counts, np.maximum(degrees, 0))
@@ -47,21 +53,13 @@ def draw_neighbors(graph, frontier, counts, rng):
     offsets = (rng.random(total) * degree_rep).astype(np.int64)
     edge_src = indices[start + offsets]
 
-    # Dedup (dst, src) pairs, keeping (dst, src) sort order.
-    num_vertices = np.int64(graph.num_vertices)
-    if FLAGS.fused_block_assembly and num_vertices < _FUSED_KEY_MAX_VERTICES:
-        # Fused fast path: one np.unique over the packed pair key
-        # replaces a two-key lexsort plus gathers and mask compares —
-        # same pairs, same order.
-        with PERF.timed("neighbor_dedup"):
-            key = np.unique(edge_dst * num_vertices + edge_src)
-            edge_dst, edge_src = np.divmod(key, num_vertices)
-        return edge_dst, edge_src
-    order = np.lexsort((edge_src, edge_dst))
-    edge_dst, edge_src = edge_dst[order], edge_src[order]
-    keep = np.concatenate(([True], (edge_dst[1:] != edge_dst[:-1])
-                           | (edge_src[1:] != edge_src[:-1])))
-    return edge_dst[keep], edge_src[keep]
+    # Dedup (dst, src) pairs, keeping (dst, src) sort order: one
+    # np.unique over the packed pair key.  (The two-key lexsort this
+    # replaced is the oracle in tests/sampling/_block_oracle.py.)
+    with PERF.timed("neighbor_dedup"):
+        key = np.unique(edge_dst * num_vertices + edge_src)
+        edge_dst, edge_src = np.divmod(key, num_vertices)
+    return edge_dst, edge_src
 
 
 def expand_layers(graph, seeds, count_fn, num_layers, rng):

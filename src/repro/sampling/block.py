@@ -21,8 +21,7 @@ from ..analysis.sanitize import check_csr
 from ..errors import SamplingError
 from ..perf import FLAGS, PERF, get_workspace
 
-__all__ = ["SampledBlock", "SampledSubgraph", "build_block",
-           "build_block_reference"]
+__all__ = ["SampledBlock", "SampledSubgraph", "build_block"]
 
 
 @dataclass
@@ -155,7 +154,7 @@ def _assemble(dst_nodes, src_nodes, dst_local, src_local, dedup):
         # Safe in int64: num_dst * num_src is far below 2**63 for any
         # block this library builds.  Tie order is irrelevant — equal
         # keys mean equal (dst, src) values — so the gathered value
-        # arrays are identical to the lexsort path's.
+        # arrays are identical to a lexsort's.
         key = dst_local * np.int64(len(src_nodes)) + src_local
         if dedup:
             key = np.unique(key)
@@ -171,49 +170,6 @@ def _assemble(dst_nodes, src_nodes, dst_local, src_local, dedup):
         # Block CSRs are rectangular: destination rows, source columns.
         check_csr(indptr, src_local, len(dst_nodes), name="build_block",
                   sorted_rows=True, num_cols=len(src_nodes))
-    return SampledBlock(dst_nodes=dst_nodes, src_nodes=src_nodes,
-                        indptr=indptr, indices=src_local)
-
-
-def build_block_reference(dst_nodes, edge_dst, edge_src):
-    """Sort-based reference assembly (the original implementation).
-
-    Kept as the ground truth for the fused fast path: the equivalence
-    tests and ``benchmarks/bench_hotpath_kernels.py`` compare
-    :func:`build_block` against this function on identical inputs.
-    """
-    dst_nodes = np.asarray(dst_nodes, dtype=np.int64)
-    edge_dst = np.asarray(edge_dst, dtype=np.int64)
-    edge_src = np.asarray(edge_src, dtype=np.int64)
-    if len(edge_dst) != len(edge_src):
-        raise SamplingError("edge arrays must have equal length")
-
-    # Source list: destinations first (self-inclusion), then new sources.
-    extra = np.setdiff1d(edge_src, dst_nodes, assume_unique=False)
-    src_nodes = np.concatenate([dst_nodes, extra])
-
-    # Global -> local translation, vectorized with searchsorted over a
-    # stable sort of the id arrays.
-    def localize(universe, queries, what):
-        sorter = np.argsort(universe, kind="stable")
-        spots = np.searchsorted(universe, queries, sorter=sorter)
-        if len(queries) and (spots.max() >= len(universe)
-                             or np.any(universe[sorter[spots]] != queries)):
-            raise SamplingError(f"edge {what} not found in block vertices")
-        return sorter[spots]
-
-    dst_local = localize(dst_nodes, edge_dst, "destination")
-    src_local = localize(src_nodes, edge_src, "source")
-
-    if len(dst_local):
-        order = np.lexsort((src_local, dst_local))
-        dst_local, src_local = dst_local[order], src_local[order]
-        keep = np.concatenate(([True], (dst_local[1:] != dst_local[:-1])
-                               | (src_local[1:] != src_local[:-1])))
-        dst_local, src_local = dst_local[keep], src_local[keep]
-
-    counts = np.bincount(dst_local, minlength=len(dst_nodes))
-    indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
     return SampledBlock(dst_nodes=dst_nodes, src_nodes=src_nodes,
                         indptr=indptr, indices=src_local)
 
@@ -237,14 +193,11 @@ def build_block(dst_nodes, edge_dst, edge_src, assume_deduped=False):
         silently double-counts edges — only set it when the producer
         guarantees distinctness.
 
-    The default path localizes global ids through a pooled dense
-    lookup table (one O(edges) gather pass) instead of the reference
-    path's two argsort+searchsorted rounds; both produce bit-identical
-    blocks.
+    Global ids are localized through a pooled dense lookup table (one
+    O(edges) gather pass).  The sort-based assembly this replaced is
+    the oracle in ``tests/sampling/_block_oracle.py``; both produce
+    bit-identical blocks.
     """
-    if not FLAGS.fused_block_assembly:
-        return build_block_reference(dst_nodes, edge_dst, edge_src)
-
     with PERF.timed("block_assembly"):
         dst_nodes = np.asarray(dst_nodes, dtype=np.int64)
         edge_dst = np.asarray(edge_dst, dtype=np.int64)

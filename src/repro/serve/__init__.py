@@ -27,7 +27,8 @@ Pieces:
   router-less node;
 * :mod:`~repro.serve.metrics` — :class:`ServeReport` latency/throughput
   digests built on :meth:`repro.perf.StageProfiler.observe`;
-* :mod:`~repro.serve.bench` — the ``repro serve-bench`` sweep.
+* :mod:`~repro.serve.bench` — the ``repro bench serve`` sweep, and the
+  prelude every serving bench shares.
 """
 
 from .batcher import BatchPolicy, MicroBatcher

@@ -3,21 +3,23 @@
 Trains a small model, generates one shared seeded request trace, then
 serves it under every ``mode x batching policy x cache ratio``
 combination, reporting the throughput/latency curves an operator would
-use to pick a policy against a latency SLO.  Shared by the
-``repro serve-bench`` CLI command and
-``benchmarks/bench_serve_latency.py`` (which writes
-``BENCH_serve.json``).
+use to pick a policy against a latency SLO.  Registered as ``serve`` in
+:mod:`repro.bench` (``repro bench serve`` writes ``BENCH_serve.json``).
 
 Every run also verifies the subsystem's core invariant: precomputed
 -mode logits must be *bit-identical* (``atol=0``) to on-demand
 full-fanout logits on a probe query set.
+
+:func:`prepare_serving` is the prelude the serving, fleet and fleet
+chaos benches share: one dataset, one trained model, one seeded trace,
+one offline embedding table.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..core import Trainer
+from ..core import Trainer, format_table
 from ..core.config import TrainingConfig
 from ..errors import ServingError
 from ..graph import load_dataset
@@ -26,13 +28,48 @@ from .engine import ServeEngine
 from .precompute import LayerwiseEmbeddings
 from .requests import LoadGenerator
 
-__all__ = ["run_serve_bench", "QUICK_OVERRIDES"]
+__all__ = ["run_serve_bench", "prepare_serving",
+           "reference_predictions", "tables", "checks",
+           "QUICK_OVERRIDES"]
 
 #: Parameter overrides for smoke runs (CI, ``--quick``).
 QUICK_OVERRIDES = dict(scale=0.15, train_epochs=1, num_requests=120,
                        policies=((4, 0.0005), (16, 0.002)),
                        cache_ratios=(0.1, 0.5),
                        tiered_policies=("lfu",))
+
+
+def prepare_serving(dataset, scale, model, train_epochs, fanout, rate,
+                    num_requests, skew, seed):
+    """What every serving bench starts from: load the dataset, train
+    the served model, generate the seeded request trace and precompute
+    the embedding table.  Returns ``(data, training result, trace,
+    embeddings)``."""
+    if train_epochs < 1 or num_requests < 1:
+        raise ServingError(
+            f"train_epochs and num_requests must be >= 1, got "
+            f"{train_epochs} and {num_requests}")
+    data = load_dataset(dataset, scale=scale)
+    result = Trainer(data, TrainingConfig(
+        model=model, epochs=train_epochs, num_workers=2,
+        batch_size=256, fanout=tuple(fanout), seed=seed)).run()
+    trace = LoadGenerator(data.test_ids, rate=rate,
+                          num_requests=num_requests, seed=seed,
+                          skew=skew).generate()
+    # One shared offline table for every precomputed/full engine.
+    embeddings = LayerwiseEmbeddings(result.model, data.graph,
+                                     data.features)
+    return data, result, trace, embeddings
+
+
+def reference_predictions(data, model, trace, embeddings, **engine):
+    """``request_id -> prediction`` from one single-server
+    precomputed-mode run over the trace — what every fleet
+    configuration must reproduce bit for bit."""
+    report = ServeEngine(data, model, mode="precomputed",
+                         embeddings=embeddings, **engine).run(trace)
+    return {r.request.request_id: r.prediction
+            for r in report.responses}
 
 
 def run_serve_bench(dataset="ogb-arxiv", scale=0.3, model="gcn",
@@ -66,18 +103,10 @@ def run_serve_bench(dataset="ogb-arxiv", scale=0.3, model="gcn",
     if len(policies) < 1 or len(cache_ratios) < 1:
         raise ServingError("need at least one policy and cache ratio")
 
-    data = load_dataset(dataset, scale=scale)
-    result = Trainer(data, TrainingConfig(
-        model=model, epochs=train_epochs, num_workers=2,
-        batch_size=256, fanout=tuple(fanout), seed=seed)).run()
+    data, result, trace, embeddings = prepare_serving(
+        dataset, scale, model, train_epochs, fanout, rate,
+        num_requests, skew, seed)
     trained = result.model
-
-    trace = LoadGenerator(data.test_ids, rate=rate,
-                          num_requests=num_requests, seed=seed,
-                          skew=skew).generate()
-
-    # One shared offline table for every precomputed/full engine.
-    embeddings = LayerwiseEmbeddings(trained, data.graph, data.features)
 
     # The subsystem invariant, checked on every benchmark run: serving
     # from the table must be bit-identical to exact on-demand
@@ -143,3 +172,34 @@ def run_serve_bench(dataset="ogb-arxiv", scale=0.3, model="gcn",
         "invariant_exact_match": exact,
         "results": results,
     }
+
+
+def tables(report):
+    """The sweep as one printed table, one row per configuration."""
+    rows = []
+    for result in report["results"]:
+        tiered = result["warm_ratio"] > 0
+        rows.append({
+            "mode": result["mode"],
+            "policy": result["policy"],
+            "cache": round(result["cache_ratio"]
+                           + result["warm_ratio"], 3),
+            "tiers": result["cache_policy"] if tiered else "-",
+            "p50 (ms)": round(1e3 * result["latency_p50"], 3),
+            "p95 (ms)": round(1e3 * result["latency_p95"], 3),
+            "p99 (ms)": round(1e3 * result["latency_p99"], 3),
+            "req/s": round(result["throughput"], 1),
+            "hit rate": round(result["cache_hit_rate"], 3),
+            "warm hit": round(result["warm_hit_rate"], 3),
+            "rejected": result["rejected"],
+        })
+    return format_table(
+        rows, title=f"Serving benchmark ({report['dataset']}, "
+                    f"{report['model']}, "
+                    f"rate={report['load']['rate']:g}/s)")
+
+
+def checks(report):
+    """Exit rule: the precomputed table answers exactly."""
+    return {"invariant (precomputed == full-fanout, atol=0)":
+            report["invariant_exact_match"]}

@@ -12,7 +12,9 @@ from repro.analysis.sanitize import (check_contract, check_csr,
 from repro.errors import SanitizerError
 from repro.perf import PERF, perf_overrides
 from repro.sampling import block as block_mod
-from repro.sampling.block import build_block, build_block_reference
+from repro.sampling.block import build_block
+
+from ..sampling._block_oracle import build_block_reference
 
 
 def counter(name):

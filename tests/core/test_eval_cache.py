@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from repro import TrainingConfig, Trainer, evaluate_model, perf_overrides
+from repro import TrainingConfig, Trainer, evaluate_model
 from repro.graph import load_dataset
 from repro.nn import build_model
 from repro.perf import PERF, EvalSubgraphCache
 from repro.sampling import NeighborSampler
+
+from ..sampling._block_oracle import slow_paths
 
 
 @pytest.fixture(scope="module")
@@ -83,10 +85,16 @@ class TestEvalSubgraphCache:
         delta = PERF.delta(before)
         # Epoch 0 misses; epochs 1-2 replay. The test split keys apart.
         assert delta.get("eval_subgraph_hits", 0) >= 2
-        with perf_overrides(eval_subgraph_cache=False):
+        # Re-sampling every epoch (``evaluate_model(cache=None)``, the
+        # oracle's slow path) reaches the same accuracies.
+        cached = Trainer(dataset, config).run()
+        with slow_paths():
             before = PERF.snapshot()
-            Trainer(dataset, config).run()
+            resampled = Trainer(dataset, config).run()
         assert PERF.delta(before).get("eval_subgraph_hits", 0) == 0
+        assert cached.curve.val_accuracies \
+            == resampled.curve.val_accuracies
+        assert cached.test_accuracy == resampled.test_accuracy
 
 
 class TestEvaluateModelMode:

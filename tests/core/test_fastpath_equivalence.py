@@ -1,11 +1,14 @@
 """End-to-end proof that the perf fast paths change time, not math:
-for a fixed config and seed, training with every optimisation on is
-bit-for-bit identical to training with them all off."""
+for a fixed config and seed, training as shipped is bit-for-bit
+identical to training on the retired slow paths (the oracles in
+``tests/sampling/_block_oracle.py``, monkeypatched in)."""
 
 import pytest
 
-from repro import Trainer, TrainingConfig, perf_overrides
+from repro import Trainer, TrainingConfig
 from repro.graph import load_dataset
+
+from ..sampling._block_oracle import slow_paths
 
 
 @pytest.fixture(scope="module")
@@ -19,9 +22,7 @@ def runs():
         return Trainer(dataset, config).run()
 
     fast = run()
-    with perf_overrides(fused_block_assembly=False,
-                        memoize_aggregation=False,
-                        eval_subgraph_cache=False):
+    with slow_paths():
         slow = run()
     return fast, slow
 
@@ -45,8 +46,12 @@ class TestFastPathEquivalence:
             == [s.dt_seconds for s in slow.epoch_stats]
 
     def test_perf_profile_attached(self, runs):
-        fast, _slow = runs
+        fast, slow = runs
         assert fast.perf  # run-level measured profile
         assert "block_assembly_seconds" in fast.perf
+        # ... and the comparison run really took the slow paths.
+        for counter in ("block_assembly_calls", "neighbor_dedup_calls",
+                        "agg_matrix_hits", "eval_subgraph_hits"):
+            assert counter in fast.perf and counter not in slow.perf
         for stats in fast.epoch_stats:
             assert stats.perf is not None

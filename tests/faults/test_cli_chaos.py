@@ -1,11 +1,14 @@
-"""CLI surface: argument validation and the ``chaos``/``train``
-fault-tolerance flags."""
+"""CLI surface: ``train`` argument validation and fault-tolerance
+flags, ``repro bench faults``, and the fault bench driver's own input
+validation."""
 
 import json
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.errors import FaultError
+from repro.faults import run_fault_bench
 
 
 def parse(argv):
@@ -23,11 +26,11 @@ class TestArgumentValidation:
         ["train", "ogb-arxiv", "--workers", "0"],
         ["train", "ogb-arxiv", "--workers", "-3"],
         ["train", "ogb-arxiv", "--batch-size", "0"],
-        ["serve-bench", "--train-epochs", "0"],
-        ["serve-bench", "--requests", "0"],
-        ["serve-bench", "--cache-ratios", "0.5", "2.0"],
-        ["chaos", "--epochs", "0"],
-        ["chaos", "--workers", "0"],
+        ["train", "ogb-arxiv", "--batch-size", "large"],
+        ["train", "ogb-arxiv", "--checkpoint-every", "0"],
+        ["train", "ogb-arxiv", "--cache-budget", "1.5"],
+        ["train", "ogb-arxiv", "--cache-hot-fraction", "-0.5"],
+        ["train", "ogb-arxiv", "--cache-hot-fraction", "half"],
     ])
     def test_bad_values_exit_with_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -76,16 +79,14 @@ class TestTrainFaultFlags:
 
 class TestChaosCommand:
     def test_parser_defaults(self):
-        args = parse(["chaos"])
-        assert args.dataset == "ogb-arxiv"
-        assert args.epochs == 6
-        assert args.workers == 4
-        assert args.halt_epoch == 2
-        assert args.out is None
+        args = parse(["bench", "faults"])
+        assert args.name == "faults"
+        assert not args.quick and not args.sanitize
+        assert args.out is None and args.schedule is None
 
     def test_quick_end_to_end(self, tmp_path, capsys):
         out = tmp_path / "BENCH_faults.json"
-        code = main(["chaos", "--quick", "--out", str(out)])
+        code = main(["bench", "faults", "--quick", "--out", str(out)])
         assert code == 0
 
         report = json.loads(out.read_text())
@@ -99,3 +100,12 @@ class TestChaosCommand:
         stdout = capsys.readouterr().out
         assert "bit-identical: ok" in stdout
         assert "deterministic under fixed seed: ok" in stdout
+
+    @pytest.mark.parametrize("sweep", [
+        dict(epochs=0), dict(workers=0), dict(workers=-1),
+        dict(halt_epoch=0), dict(halt_epoch=6), dict(halt_epoch=50)])
+    def test_driver_rejects_bad_sweeps_before_any_work(self, sweep):
+        """What the retired ``chaos`` flags checked in argparse (and
+        ``--halt-epoch``, which nothing checked) is a typed error."""
+        with pytest.raises(FaultError):
+            run_fault_bench(dataset="no-such-dataset", **sweep)

@@ -119,6 +119,10 @@ class TestBenchValidation:
         with pytest.raises(ServingError, match="replication"):
             run_fleet_chaos_bench(num_replicas=4, replication=0)
 
+    def test_rate_multiplier_at_least_one(self):
+        with pytest.raises(ServingError, match="rate_multiplier"):
+            run_fleet_chaos_bench(rate_multiplier=0.5)
+
     def test_slo_positive(self):
         with pytest.raises(ServingError, match="slo"):
             run_fleet_chaos_bench(slo=0.0)

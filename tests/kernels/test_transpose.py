@@ -10,10 +10,11 @@ memoization is invalidated when the block's caches are cleared.
 import numpy as np
 import pytest
 
-from repro.kernels import KernelCSR, gspmm, transpose_csr
+from repro.kernels import (KernelCSR, gspmm, normalized_block_adjacency,
+                           transpose_csr)
 from repro.nn import Tensor
 from repro.nn.layers import block_aggregation_matrix
-from repro.perf import PERF, perf_overrides
+from repro.perf import PERF
 from repro.sampling import build_block
 
 from .conftest import csr_cases, have_scipy
@@ -148,11 +149,16 @@ class TestTransposeMemoization:
         # Same structure, so the rebuilt operator is value-equal.
         assert np.array_equal(rebuilt.toarray(), first.toarray())
 
-    def test_memoization_flag_off_rebuilds(self):
+    def test_direct_build_bypasses_memo(self):
+        """``normalized_block_adjacency`` is the un-memoized builder:
+        every call materializes a fresh, byte-equal operator with its
+        own (not yet built) transpose."""
         block = build_block(np.array([0, 1]),
                             np.array([0, 1]),
                             np.array([3, 4]))
-        with perf_overrides(memoize_aggregation=False):
-            first = block_aggregation_matrix(block)
-            second = block_aggregation_matrix(block)
-        assert first is not second
+        memoized = block_aggregation_matrix(block)
+        first = normalized_block_adjacency(block)
+        second = normalized_block_adjacency(block)
+        assert first is not second and first is not memoized
+        assert first.data.tobytes() == memoized.data.tobytes()
+        assert first.transpose() is not memoized.transpose()

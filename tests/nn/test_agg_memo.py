@@ -2,11 +2,14 @@
 
 import numpy as np
 
+from repro.graph.build import from_edges
+from repro.kernels import normalized_block_adjacency
 from repro.nn import block_aggregation_matrix, build_model
 from repro.nn.layers import GATConv
-from repro.perf import PERF, perf_overrides
+from repro.perf import PERF
 from repro.sampling import NeighborSampler, build_block
-from repro.graph.build import from_edges
+
+from ..sampling._block_oracle import slow_paths
 
 
 def small_block():
@@ -40,18 +43,18 @@ class TestAggregationMemo:
     def test_memoized_matrix_matches_fresh_build(self):
         block = small_block()
         memoized = block_aggregation_matrix(block, self_loops=True)
-        with perf_overrides(memoize_aggregation=False):
-            fresh = block_aggregation_matrix(block, self_loops=True)
+        fresh = normalized_block_adjacency(block, self_loops=True)
         assert memoized is not fresh
-        assert np.allclose(memoized.toarray(), fresh.toarray())
+        for name in ("indptr", "indices", "data"):
+            assert getattr(memoized, name).tobytes() \
+                == getattr(fresh, name).tobytes(), name
         # Rows are mean-normalized either way.
         assert np.allclose(memoized.sum(axis=1), 1.0)
 
-    def test_flag_off_disables_memo(self):
-        block = small_block()
-        with perf_overrides(memoize_aggregation=False):
-            first = block_aggregation_matrix(block)
-            second = block_aggregation_matrix(block)
+    def test_memo_lives_on_the_block(self):
+        """Two structurally equal blocks never share an operator."""
+        first = block_aggregation_matrix(small_block())
+        second = block_aggregation_matrix(small_block())
         assert first is not second
 
     def test_clear_caches_forces_rebuild(self):
@@ -67,8 +70,8 @@ class TestGATEdgeMemo:
         first = GATConv._block_edges_with_self_loops(block)
         second = GATConv._block_edges_with_self_loops(block)
         assert first is second
-        with perf_overrides(memoize_aggregation=False):
-            fresh = GATConv._block_edges_with_self_loops(block)
+        block.clear_caches()
+        fresh = GATConv._block_edges_with_self_loops(block)
         assert fresh is not first
         assert np.array_equal(first.edge_dst, fresh.edge_dst)
         assert np.array_equal(first.edge_src, fresh.edge_src)
@@ -77,7 +80,8 @@ class TestGATEdgeMemo:
 class TestForwardEquivalence:
     def test_model_outputs_identical_with_and_without_memo(self):
         """GCN/SAGE/GAT forward over the same subgraph is bit-identical
-        with memoization on and off (same math, cached operator)."""
+        with the memoized operators and with operators rebuilt on every
+        call (same math, cached operator)."""
         rng = np.random.default_rng(0)
         count = 2000
         graph = from_edges(rng.integers(0, 300, count),
@@ -94,7 +98,7 @@ class TestForwardEquivalence:
             memoized = model.forward(subgraph, features).data
             # Second call hits every cache; still identical.
             again = model.forward(subgraph, features).data
-            with perf_overrides(memoize_aggregation=False):
+            with slow_paths():
                 fresh = model.forward(subgraph, features).data
             assert np.array_equal(memoized, again), name
             assert np.array_equal(memoized, fresh), name

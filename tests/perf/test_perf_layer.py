@@ -153,18 +153,19 @@ class TestPerfOverrides:
                 pass
 
     def test_nested_overrides_restore(self):
-        assert FLAGS.memoize_aggregation
-        with perf_overrides(memoize_aggregation=False):
-            with perf_overrides(memoize_aggregation=True):
-                assert FLAGS.memoize_aggregation
-            assert not FLAGS.memoize_aggregation
-        assert FLAGS.memoize_aggregation
+        assert FLAGS.sanitize
+        with perf_overrides(sanitize=False):
+            with perf_overrides(sanitize=True):
+                assert FLAGS.sanitize
+            assert not FLAGS.sanitize
+        assert FLAGS.sanitize
 
     def test_restores_on_exception(self):
+        assert FLAGS.kernel_backend == "auto"
         with pytest.raises(RuntimeError):
-            with perf_overrides(fused_block_assembly=False):
+            with perf_overrides(kernel_backend="reference"):
                 raise RuntimeError
-        assert FLAGS.fused_block_assembly
+        assert FLAGS.kernel_backend == "auto"
 
 
 class TestEvalSubgraphCacheUnit:

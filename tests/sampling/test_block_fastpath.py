@@ -1,5 +1,6 @@
-"""Equivalence of the fused block-assembly fast path with the
-sort-based reference implementation, on randomized inputs."""
+"""Equivalence of the shipped block assembly and pair dedup with the
+sort-based implementations they replaced (``_block_oracle.py``), on
+randomized inputs."""
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from repro.errors import SamplingError
 from repro.graph.build import from_edges
 from repro.perf import FLAGS, get_workspace, perf_overrides
 from repro.sampling import (HybridSampler, LayerWiseSampler,
-                            NeighborSampler, SubgraphSampler, build_block,
-                            build_block_reference)
+                            NeighborSampler, SubgraphSampler, build_block)
 from repro.sampling.base import draw_neighbors
+
+from ._block_oracle import (build_block_reference,
+                            draw_neighbors_reference, slow_paths)
 
 
 def assert_blocks_equal(a, b):
@@ -47,8 +50,8 @@ class TestBuildBlockEquivalence:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("symmetric", [False, True])
     def test_via_samplers(self, seed, symmetric):
-        """Every sampler family produces identical subgraphs with the
-        fast path on and off, for the same rng seed."""
+        """Every sampler family produces identical subgraphs as shipped
+        and on the oracle's slow paths, for the same rng seed."""
         graph = random_graph(np.random.default_rng(seed),
                              symmetric=symmetric)
         seeds = np.random.default_rng(seed + 50).choice(
@@ -58,7 +61,7 @@ class TestBuildBlockEquivalence:
         for sampler in samplers:
             fast = sampler.sample(graph, seeds,
                                   np.random.default_rng(seed + 99))
-            with perf_overrides(fused_block_assembly=False):
+            with slow_paths():
                 slow = sampler.sample(graph, seeds,
                                       np.random.default_rng(seed + 99))
             assert_subgraphs_equal(fast, slow)
@@ -108,14 +111,23 @@ class TestDrawNeighborsEquivalence:
         counts = rng.integers(1, 8, len(frontier))
         fast = draw_neighbors(graph, frontier, counts,
                               np.random.default_rng(seed + 13))
-        with perf_overrides(fused_block_assembly=False):
-            slow = draw_neighbors(graph, frontier, counts,
-                                  np.random.default_rng(seed + 13))
+        slow = draw_neighbors_reference(graph, frontier, counts,
+                                        np.random.default_rng(seed + 13))
         assert np.array_equal(fast[0], slow[0])
         assert np.array_equal(fast[1], slow[1])
 
+    def test_too_many_vertices_is_a_typed_error(self):
+        """The packed ``dst * V + src`` key needs V < 2**31; beyond it
+        the draw refuses instead of overflowing int64."""
+        class Huge:
+            num_vertices = 2 ** 31
+
+        with pytest.raises(SamplingError, match="2\\*\\*31"):
+            draw_neighbors(Huge(), [0], [1], np.random.default_rng(0))
+
     def test_flag_restored_by_context_manager(self):
-        assert FLAGS.fused_block_assembly
-        with perf_overrides(fused_block_assembly=False):
-            assert not FLAGS.fused_block_assembly
-        assert FLAGS.fused_block_assembly
+        """``sanitize`` is the one flag block assembly still reads."""
+        assert FLAGS.sanitize
+        with perf_overrides(sanitize=False):
+            assert not FLAGS.sanitize
+        assert FLAGS.sanitize

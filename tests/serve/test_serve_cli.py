@@ -1,4 +1,5 @@
-"""CLI surface: ``--version`` and the ``serve-bench`` subcommand."""
+"""CLI surface: ``--version`` and ``repro bench serve``; the serving
+bench driver's own input validation."""
 
 import json
 
@@ -6,6 +7,8 @@ import pytest
 
 from repro import __version__
 from repro.cli import build_parser, main
+from repro.errors import ServingError
+from repro.serve import run_serve_bench
 
 
 class TestVersionFlag:
@@ -21,14 +24,15 @@ class TestVersionFlag:
 
 class TestServeBenchCommand:
     def test_parser_defaults(self):
-        args = build_parser().parse_args(["serve-bench", "--quick"])
-        assert args.dataset == "ogb-arxiv"
-        assert args.modes == ["sampled", "precomputed"]
+        args = build_parser().parse_args(["bench", "serve", "--quick"])
+        assert args.name == "serve"
         assert args.quick
+        assert not args.sanitize
+        assert args.out is None and args.schedule is None
 
     def test_quick_end_to_end(self, tmp_path, capsys):
         out = tmp_path / "BENCH_serve.json"
-        code = main(["serve-bench", "--quick", "--out", str(out)])
+        code = main(["bench", "serve", "--quick", "--out", str(out)])
         assert code == 0
 
         report = json.loads(out.read_text())
@@ -47,24 +51,20 @@ class TestServeBenchCommand:
         assert "ok" in stdout
 
 
-class TestBenchOutputPath:
-    """A ``--quick`` smoke must never land on a tracked BENCH file."""
+class TestServeBenchValidation:
+    """What ``serve-bench``'s argparse types used to reject is rejected
+    by the driver, with a typed error."""
 
-    @pytest.mark.parametrize("command, tracked", [
-        ("serve-bench", "BENCH_serve.json"),
-        ("fleet-bench", "BENCH_fleet.json"),
-        ("chaos", "BENCH_faults.json"),
-        ("fleet-chaos", "BENCH_fleet_chaos.json"),
-        ("kernel-bench", "BENCH_hotpath.json"),
-    ])
-    def test_quick_defaults_to_untracked_sibling(self, command,
-                                                 tracked):
-        from repro.cli import _bench_out
-        parse = build_parser().parse_args
-        assert _bench_out(parse([command]), tracked).name == tracked
-        assert _bench_out(parse([command, "--quick"]), tracked).name \
-            == tracked.replace(".json", ".quick.json")
-        assert str(_bench_out(
-            parse([command, "--quick", "--out", "x.json"]), tracked)) \
-            == "x.json"
+    @pytest.mark.parametrize("sweep", [
+        dict(train_epochs=0), dict(num_requests=0),
+        dict(policies=()), dict(cache_ratios=())])
+    def test_empty_sweeps_rejected_before_any_work(self, sweep):
+        with pytest.raises(ServingError):
+            run_serve_bench(dataset="no-such-dataset", **sweep)
 
+    def test_cache_ratio_out_of_range(self):
+        with pytest.raises(ServingError, match=r"\[0, 1\]"):
+            run_serve_bench(scale=0.1, train_epochs=1, num_requests=8,
+                            modes=("precomputed",),
+                            policies=((4, 0.0005),),
+                            cache_ratios=(0.5, 2.0))

@@ -168,8 +168,7 @@ class TestTieredCLI:
 
     def test_serve_bench_tiered_flags(self, tmp_path, capsys):
         out = tmp_path / "serve.json"
-        code = main(["serve-bench", "ogb-arxiv", "--quick",
-                     "--tiered-policies", "lfu", "--out", str(out)])
+        code = main(["bench", "serve", "--quick", "--out", str(out)])
         assert code == 0
         report = json.loads(out.read_text())
         tiered = [r for r in report["results"] if r["warm_ratio"] > 0]
