@@ -20,8 +20,9 @@ Layers (top to bottom):
   reference);
 * :mod:`~repro.kernels.adjacency` — :class:`KernelCSR` /
   :class:`KernelCOO` containers, the memoized transpose and
-  destination-sorted segment view, and the normalization
-  constructions.
+  destination-sorted segment view, and the per-block views
+  (normalized operators, GAT's edge list) read off a sampled block's
+  CSR and memoized on it.
 
 Select a backend globally with ``FLAGS.kernel_backend`` (``"auto"``,
 ``"reference"``, ``"scipy"``) or per call via ``backend=``; see
@@ -29,7 +30,7 @@ Select a backend globally with ``FLAGS.kernel_backend`` (``"auto"``,
 """
 
 from .adjacency import (KernelCOO, KernelCSR, as_adjacency,
-                        full_graph_adjacency,
+                        block_attention_edges, full_graph_adjacency,
                         normalized_block_adjacency, transpose_csr)
 from .autograd import edge_softmax, gsddmm, gspmm
 from .registry import (GSDDMM_OPS, GSPMM_OPS, REDUCES,
@@ -41,7 +42,8 @@ __all__ = [
     "gspmm", "gsddmm", "edge_softmax",
     "gspmm_forward", "gsddmm_forward", "edge_softmax_forward",
     "KernelCSR", "KernelCOO", "as_adjacency", "transpose_csr",
-    "normalized_block_adjacency", "full_graph_adjacency",
+    "normalized_block_adjacency", "block_attention_edges",
+    "full_graph_adjacency",
     "register_backend", "available_backends", "resolve_backend",
     "GSPMM_OPS", "GSDDMM_OPS", "REDUCES",
 ]

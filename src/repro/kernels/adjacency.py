@@ -30,7 +30,10 @@ Bit-exactness notes (pinned by ``tests/kernels/``):
   layout scipy's historical construction emitted — including the
   *descending* per-row column order that scipy's SMMP-based
   ``diags @ csr`` product leaves behind — so reference-backend runs are
-  bit-identical to the pre-registry implementation.
+  bit-identical to the pre-registry implementation.  Within-row
+  summation order defines the float bits, so that order is kept, by
+  *constructing* rows in it (one gather over the block's canonical
+  rows), not by sorting them again.
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ from ..errors import KernelError
 from ..perf import PERF
 
 __all__ = ["KernelCSR", "KernelCOO", "SegmentView", "transpose_csr",
-           "normalized_block_adjacency", "full_graph_adjacency",
-           "as_adjacency"]
+           "normalized_block_adjacency", "block_attention_edges",
+           "full_graph_adjacency", "as_adjacency"]
 
 
 def _stable_argsort(ids, bound):
@@ -94,8 +97,7 @@ class KernelCSR:
     """
 
     __slots__ = ("indptr", "indices", "data", "shape", "_transpose",
-                 "_transpose_perm", "_edges", "_scipy", "_scipy_ones",
-                 "_scipy_weighted")
+                 "_transpose_perm", "_edges", "_scipy")
 
     def __init__(self, indptr, indices, data, shape):
         self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
@@ -108,12 +110,13 @@ class KernelCSR:
                 f"{self.shape[0]} rows")
         if len(self.indices) != len(self.data):
             raise KernelError("indices and data must align")
+        if self.indptr[0] != 0 or self.indptr[-1] != len(self.indices):
+            # Compiled kernels walk these arrays unchecked.
+            raise KernelError("indptr must run from 0 to nnz")
         self._transpose = None
         self._transpose_perm = None
         self._edges = None
         self._scipy = None
-        self._scipy_ones = None
-        self._scipy_weighted = None
 
     @property
     def nnz(self):
@@ -205,8 +208,9 @@ class KernelCSR:
 
     def to_scipy(self):
         """The same operator as a scipy CSR (cached; the original
-        object when this wrapper was built from one, so scipy-backend
-        products reuse scipy's own memoized state)."""
+        object when this wrapper was built from one).  A conversion
+        for tests and foreign callers: the scipy backend multiplies
+        straight off ``indptr`` / ``indices`` / ``data``."""
         if self._scipy is None:
             import scipy.sparse as sp
             self._scipy = sp.csr_matrix(
@@ -280,86 +284,146 @@ class KernelCOO:
         order as the list-order scatter: same bits, compiled loop.
         """
         if self._segments is None:
-            PERF.count("kernel_segment_builds")
-            order = _stable_argsort(self.edge_dst, self.shape[0])
             counts = np.bincount(self.edge_dst, minlength=self.shape[0])
-            indptr = np.concatenate(([0], np.cumsum(counts)))
-            ones = np.ones(self.nnz, dtype=np.float32)
-            self._segments = SegmentView(
-                order,
-                KernelCSR(indptr, self.edge_src[order], ones, self.shape),
-                KernelCSR(indptr, order, ones,
-                          (self.shape[0], self.nnz)))
+            self._install_segments(
+                _stable_argsort(self.edge_dst, self.shape[0]),
+                np.concatenate(([0], np.cumsum(counts))))
         return self._segments
+
+    def _install_segments(self, order, indptr):
+        """Memoize the view whose edge ``p`` is list edge ``order[p]``
+        and whose row ``i`` is ``[indptr[i], indptr[i + 1])``."""
+        PERF.count("kernel_segment_builds")
+        ones = np.ones(self.nnz, dtype=np.float32)
+        self._segments = SegmentView(
+            order,
+            KernelCSR(indptr, self.edge_src[order], ones, self.shape),
+            KernelCSR(indptr, order, ones, (self.shape[0], self.nnz)))
 
     def __repr__(self):
         return (f"KernelCOO(shape={self.shape}, nnz={self.nnz})")
 
 
-def _mean_aggregation_csr(rows, cols, num_dst, num_src):
-    """Row-normalized mean-aggregation operator over raw edges.
+def _mean_operator(indptr, indices, multiplicity, degree, shape):
+    """Row-normalized mean-aggregation operator over canonical rows.
 
-    The shared core of :func:`normalized_block_adjacency` and
-    :func:`full_graph_adjacency`: canonical CSR with duplicate edges
-    summed, each row's entries *reversed* (scipy's SMMP ``diags @ csr``
-    row-scaling emits rows in descending column order) and values
-    scaled by ``float32(1) / degree`` — bit-for-bit the layout the
-    historical scipy construction produced.
+    The shared tail of :func:`normalized_block_adjacency` and
+    :func:`full_graph_adjacency`.  ``indptr`` / ``indices`` hold rows
+    with strictly ascending columns; ``multiplicity`` is how often each
+    stored edge occurred (float32, or ``None`` for all ones) and
+    ``degree`` its per-row total.  Each row's entries are stored
+    *reversed* (scipy's SMMP ``diags @ csr`` row-scaling emits rows in
+    descending column order) and scaled by ``float32(1) / degree`` —
+    bit-for-bit the layout the historical scipy construction produced.
     """
-    if len(rows):
-        # Canonicalize: ascending (row, col) with duplicates summed
-        # (a self-loop can duplicate an existing (i, i) edge).
-        key = rows * np.int64(max(num_src, 1)) + cols
-        key.sort(kind="stable")
-        fresh = np.concatenate(([True], key[1:] != key[:-1]))
-        unique = key[fresh]
-        bounds = np.concatenate((np.flatnonzero(fresh), [len(key)]))
-        values = np.diff(bounds).astype(np.float32)
-        urows, ucols = np.divmod(unique, np.int64(max(num_src, 1)))
-    else:
-        urows = ucols = np.empty(0, dtype=np.int64)
-        values = np.empty(0, dtype=np.float32)
-
-    row_counts = np.bincount(urows, minlength=num_dst)
-    indptr = np.concatenate(([0], np.cumsum(row_counts))).astype(np.int64)
-
-    # Mean normalization: degrees are small exact integers, so the
-    # float32 per-row sums the scipy path computed equal these counts.
-    degree = np.bincount(urows, weights=values,
-                         minlength=num_dst).astype(np.float32)
+    counts = np.diff(indptr)
+    # Degrees are small exact integers, so the float32 per-row sums
+    # the scipy path computed equal these counts.
+    degree = degree.astype(np.float32)
     degree[degree == 0] = 1.0
-    scale = (1.0 / degree).astype(np.float32)
+    data = np.repeat((1.0 / degree).astype(np.float32), counts)
+    # Position p of row [s, e) reads position s + (e - 1 - p);
+    # elementwise scaling commutes with the permute.
+    flip = np.repeat(indptr[:-1] + indptr[1:] - 1, counts) \
+        - np.arange(len(indices), dtype=np.int64)
+    if multiplicity is not None:
+        data = (multiplicity * data)[flip]
+    return KernelCSR(indptr, indices[flip], data, shape)
 
-    # Reverse each row in place (position p of row [s, e) maps to
-    # s + (e - 1 - p)); elementwise scaling commutes with the permute.
-    if len(urows):
-        positions = np.arange(len(urows), dtype=np.int64)
-        starts = indptr[urows]
-        ends = indptr[urows + 1]
-        reverse = starts + (ends - 1 - positions)
-        ucols = ucols[reverse]
-        values = (values * scale[urows])[reverse]
 
-    return KernelCSR(indptr, ucols, values, (num_dst, num_src))
+def _splice(values, slots, inserted):
+    """``values`` with ``inserted[k]`` placed at output position
+    ``slots[k]`` and everything else kept in order around them."""
+    out = np.empty(len(values) + len(slots), dtype=np.int64)
+    kept = np.ones(len(out), dtype=bool)
+    kept[slots] = False
+    out[kept] = values
+    out[slots] = inserted
+    return out
+
+
+def _insert_self_loops(indptr, indices):
+    """Merge ``(i, i)`` into canonical rows without re-sorting them.
+
+    Returns ``(indptr, indices, multiplicity)``: a destination that
+    already lists itself keeps one stored entry of multiplicity 2 (a
+    self-loop duplicates the sampled ``(i, i)`` edge), every other row
+    gains one entry where column ``i`` belongs.
+    """
+    num_rows = len(indptr) - 1
+    loops = np.arange(num_rows, dtype=np.int64)
+    rows = np.repeat(loops, np.diff(indptr))
+    # Entries left of the diagonal place the loop inside its row.
+    below = np.bincount(rows[indices < rows], minlength=num_rows)
+    stored = np.bincount(rows[indices == rows],
+                         minlength=num_rows).astype(bool)
+    grown = np.concatenate(([0], np.cumsum(~stored)))
+    slot = indptr[:-1] + below + grown[:-1]
+    multiplicity = np.ones(len(indices) + grown[-1], dtype=np.float32)
+    multiplicity[slot[stored]] = 2.0
+    return (indptr + grown,
+            _splice(indices, slot[~stored], loops[~stored]), multiplicity)
 
 
 def normalized_block_adjacency(block, self_loops=True):
     """A sampled block's row-normalized mean-aggregation operator.
 
-    Pure-numpy construction of the ``num_dst x num_src`` operator whose
-    row ``i`` averages the sampled in-neighbors of destination ``i``
-    (plus ``i`` itself when ``self_loops``); layout notes in
-    :func:`_mean_aggregation_csr`.
+    The ``num_dst x num_src`` operator whose row ``i`` averages the
+    sampled in-neighbors of destination ``i`` (plus ``i`` itself when
+    ``self_loops``), i.e. each row sums to 1.  Read straight off the
+    block's CSR by gathers and prefix sums — no sort: the block's rows
+    must be canonical (strictly ascending columns, what
+    :func:`~repro.sampling.block.build_block` emits and
+    :meth:`SampledBlock.validate` checks).  Stored layout in
+    :func:`_mean_operator`.
+
+    The operator depends only on the block's structure and
+    ``self_loops``, so it is memoized on the block: forward, backward
+    (through the operator's memoized transpose) and every replay of a
+    cached block reuse one CSR.  Treat it as read-only.
     """
-    num_dst, num_src = block.num_dst, block.num_src
-    rows = np.repeat(np.arange(num_dst, dtype=np.int64),
-                     block.degrees())
-    cols = block.indices.astype(np.int64, copy=False)
-    if self_loops:
+    key = bool(self_loops)
+    cached = block._views.get(key)
+    if cached is not None:
+        PERF.count("agg_matrix_hits")
+        return cached
+    PERF.count("agg_matrix_misses")
+    with PERF.timed("spmm_build"):
+        rows = _insert_self_loops(block.indptr, block.indices) \
+            if self_loops else (block.indptr, block.indices, None)
+        matrix = _mean_operator(*rows, block.degrees() + int(key),
+                                (block.num_dst, block.num_src))
+    block._views[key] = matrix
+    return matrix
+
+
+def block_attention_edges(block):
+    """A sampled block's edge list in local ids, dst-side self-loops
+    appended, as a :class:`KernelCOO` (GAT's layout; the list order is
+    the numerical contract).
+
+    Its forward :class:`SegmentView` is installed in closed form — row
+    ``i`` is block row ``i`` followed by list position ``nnz + i`` —
+    because the list left the block destination-sorted; only the
+    reversed list (the backward pass) still needs a stable argsort, by
+    source.  Memoized on the block like
+    :func:`normalized_block_adjacency`, so both views are shared by
+    every head and layer, both passes and cached-subgraph replays.
+    """
+    edges = block._views.get("attention")
+    if edges is None:
+        num_dst, nnz = block.num_dst, block.num_edges
         loops = np.arange(num_dst, dtype=np.int64)
-        rows = np.concatenate([rows, loops])
-        cols = np.concatenate([cols, loops])
-    return _mean_aggregation_csr(rows, cols, num_dst, num_src)
+        edges = KernelCOO(
+            np.concatenate([np.repeat(loops, block.degrees()), loops]),
+            np.concatenate([block.indices, loops]),
+            (num_dst, block.num_src))
+        edges._install_segments(
+            _splice(np.arange(nnz, dtype=np.int64),
+                    block.indptr[1:] + loops, nnz + loops),
+            block.indptr + np.arange(num_dst + 1, dtype=np.int64))
+        block._views["attention"] = edges
+    return edges
 
 
 def full_graph_adjacency(graph, self_loops=True):
@@ -369,20 +433,33 @@ def full_graph_adjacency(graph, self_loops=True):
     vertex ``v`` (plus ``v`` itself when ``self_loops``), built from
     ``graph.in_csr()`` without scipy.  Replaces the historical
     ``diags @ (csr + identity)`` construction in the full-batch engine
-    bit-for-bit — same layout notes as :func:`_mean_aggregation_csr` —
-    so full-graph training and precomputed serving run identically on
-    every kernel backend.
+    bit-for-bit, so full-graph training and precomputed serving run
+    identically on every kernel backend.  A raw multigraph's rows may
+    repeat or be unordered, so this path (built once per graph) keeps
+    the canonicalising sort — duplicate edges summed — in front of the
+    tail it shares with the block operator, :func:`_mean_operator`.
     """
     n = graph.num_vertices
     in_indptr, in_indices = graph.in_csr()
-    rows = np.repeat(np.arange(n, dtype=np.int64),
-                     np.diff(np.asarray(in_indptr, dtype=np.int64)))
+    degree = np.diff(np.asarray(in_indptr, dtype=np.int64))
+    rows = np.repeat(np.arange(n, dtype=np.int64), degree)
     cols = np.asarray(in_indices, dtype=np.int64)
     if self_loops:
         loops = np.arange(n, dtype=np.int64)
         rows = np.concatenate([rows, loops])
         cols = np.concatenate([cols, loops])
-    return _mean_aggregation_csr(rows, cols, n, n)
+        degree = degree + 1
+    key = rows * np.int64(max(n, 1)) + cols
+    key.sort()
+    fresh = np.concatenate(([True], key[1:] != key[:-1])) \
+        if len(key) else np.empty(0, dtype=bool)
+    bounds = np.concatenate((np.flatnonzero(fresh), [len(key)]))
+    urows, ucols = np.divmod(key[fresh], np.int64(max(n, 1)))
+    indptr = np.concatenate(
+        ([0], np.cumsum(np.bincount(urows, minlength=n))))
+    return _mean_operator(indptr, ucols,
+                          np.diff(bounds).astype(np.float32), degree,
+                          (n, n))
 
 
 def as_adjacency(matrix):

@@ -7,9 +7,11 @@ path: the attention-weighted COO SpMM forward and reversed (backward),
 the edge softmax, and the per-edge segment scatter — and verifies on
 the same run that each backend's output is *byte-identical* to the
 reference, so a speedup row can never hide a numerics change.  The COO
-rows time the steady state: the edge list's segment view is built by
-the identity check, as training builds it once per block.  (``gsddmm``
-has one shared implementation, so there is nothing to compare.)
+rows time the steady state: the edge list arrives with its forward
+segment view (closed form, off the block's CSR) and the reversed
+list's is built by the identity check, as training builds it once per
+block.  (``gsddmm`` has one shared implementation, so there is nothing
+to compare.)
 
 Registered as ``kernels`` in :mod:`repro.bench` (``repro bench kernels``
 writes ``BENCH_kernels.json``).  The rows are host wall time, so unlike
@@ -32,7 +34,7 @@ from ..perf import PERF
 from ..perf.profiler import wall_clock
 from ..sampling import build_block
 from ..sampling.base import draw_neighbors
-from .adjacency import KernelCOO, normalized_block_adjacency
+from .adjacency import block_attention_edges, normalized_block_adjacency
 from .registry import (available_backends, edge_softmax_forward,
                        gspmm_forward, resolve_backend)
 
@@ -71,16 +73,9 @@ def _workload(params, seed=7):
                        replace=False)
     counts = np.full(params["num_seeds"], params["fanout"],
                      dtype=np.int64)
-    edge_dst, edge_src = draw_neighbors(graph, seeds, counts, rng)
-    block = build_block(seeds, edge_dst, edge_src)
+    block = build_block(seeds, *draw_neighbors(graph, seeds, counts, rng))
     csr = normalized_block_adjacency(block, self_loops=True)
-
-    dst = np.repeat(np.arange(block.num_dst, dtype=np.int64),
-                    block.degrees())
-    loops = np.arange(block.num_dst, dtype=np.int64)
-    coo = KernelCOO(np.concatenate([dst, loops]),
-                    np.concatenate([block.indices, loops]),
-                    (block.num_dst, block.num_src))
+    coo = block_attention_edges(block)
 
     x = rng.standard_normal((block.num_src, params["dim"])) \
         .astype(np.float32)

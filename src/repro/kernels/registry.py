@@ -166,6 +166,11 @@ def gspmm_forward(adj, x, values=None, op="mul", reduce="sum",
 
     if op == "mul" and values is None and isinstance(adj, KernelCOO):
         raise KernelError("gspmm op='mul' needs edge values")
+    if values is not None and len(values) != adj.nnz:
+        # Compiled kernels walk the value array unchecked.
+        raise KernelError(
+            f"gspmm got {len(values)} edge values for {adj.nnz} "
+            f"stored edges")
     if reduce == "max":
         # The extremum scan (and its argmax map) is reference-only.
         chosen = _pick("gspmm", backend, lowerable=False)

@@ -1,10 +1,12 @@
 """The scipy.sparse accelerated backend.
 
 Covers every order-sensitive kernel with a compiled loop.  ``gspmm``
-delegates to scipy's ``csr_matvecs``, which walks each row's stored
-entries sequentially — exactly the order the reference's ``np.add.at``
-scatter uses — so the two backends are bit-identical, not approximately
-equal (pinned by ``tests/kernels``).  A COO edge list (GAT's layout)
+hands the operator's ``indptr`` / ``indices`` / ``data`` straight to
+scipy's ``csr_matvecs`` — the loop ``csr_matrix @ x`` ends in, without
+constructing and validating a ``csr_matrix`` per operator — which walks
+each row's stored entries sequentially, exactly the order the
+reference's ``np.add.at`` scatter uses, so the two backends are
+bit-identical, not approximately equal (pinned by ``tests/kernels``).  A COO edge list (GAT's layout)
 rides the same kernel through its memoized destination-sorted
 :meth:`~repro.kernels.adjacency.KernelCOO.segments` view: the stable
 sort keeps each row's edges in list order, so the row walk *is* the
@@ -14,7 +16,9 @@ list-order scatter.  ``edge_softmax`` uses the view too
 
 scipy itself is imported lazily on first use: the package (and the
 reference backend) must work on machines without scipy, which the
-no-scipy CI conformance run exercises.
+no-scipy CI conformance run exercises.  ``csr_matvecs`` lives in a
+private scipy module; if that import fails the backend reports itself
+unavailable and dispatch takes the (counted) reference fallback.
 """
 
 from __future__ import annotations
@@ -34,26 +38,25 @@ class ScipyBackend:
     name = "scipy"
 
     def __init__(self):
-        self._module = None
+        self._matvecs = None
         self._checked = False
 
     def available(self):
         if not self._checked:
             self._checked = True
             try:
-                import scipy.sparse
+                from scipy.sparse._sparsetools import csr_matvecs
             except ImportError:
                 pass
             else:
-                self._module = scipy.sparse
-        return self._module is not None
+                self._matvecs = csr_matvecs
+        return self._matvecs is not None
 
     def supports(self, kind):
         return kind in ("gspmm", "edge_softmax")
 
     def gspmm(self, adj, x, values, op):
-        sp = self._module
-        if sp is None:  # pragma: no cover - registry checks available()
+        if self._matvecs is None:  # pragma: no cover - registry checks
             raise KernelError("scipy backend selected but scipy is "
                               "not importable")
         if isinstance(adj, KernelCOO):
@@ -62,13 +65,20 @@ class ScipyBackend:
             if values is not None:
                 values = values[view.order]
         if op == "copy_rhs":
-            matrix = self._structural(adj, x.dtype)
+            data = np.ones(adj.nnz, dtype=x.dtype)
         elif values is not None:
-            matrix = self._weighted(adj)
-            matrix.data = np.asarray(values)
+            data = np.asarray(values)
         else:
-            matrix = adj.to_scipy()
-        return matrix @ x
+            data = adj.data
+        # The promotion ``csr_matrix @ x`` applied (a float32 operator
+        # on a float64 operand accumulates in float64); csr_matvecs
+        # casts its inputs up to the output's type.
+        out = np.zeros((adj.shape[0], x.shape[1]),
+                       dtype=np.result_type(data, x))
+        self._matvecs(adj.shape[0], adj.shape[1], x.shape[1],
+                      adj.indptr, adj.indices, data, x.ravel(),
+                      out.ravel())
+        return out
 
     def edge_softmax(self, adj, scores):
         edges = adj.edges()
@@ -86,26 +96,3 @@ class ScipyBackend:
         seg_sum = np.bincount(edge_dst, weights=exp, minlength=count)
         seg_sum[seg_sum == 0] = 1.0
         return (exp / seg_sum[edge_dst]).astype(scores.dtype)
-
-    def _structural(self, adj, dtype):
-        """The cached all-ones (``copy_rhs``) matrix sharing ``adj``'s
-        sparsity; rebuilt only when the operand dtype changes.  Its
-        ``data`` is never mutated — the values path has its own cache."""
-        cached = adj._scipy_ones
-        if cached is None or cached.dtype != dtype:
-            cached = self._module.csr_matrix(
-                (np.ones(adj.nnz, dtype=dtype), adj.indices,
-                 adj.indptr), shape=adj.shape)
-            adj._scipy_ones = cached
-        return cached
-
-    def _weighted(self, adj):
-        """The cached explicit-values matrix sharing ``adj``'s sparsity.
-        Each dispatch rebinds its ``data`` to the call's edge values —
-        an O(1) swap instead of a fresh ``csr_matrix`` per call."""
-        cached = adj._scipy_weighted
-        if cached is None:
-            cached = self._module.csr_matrix(
-                (adj.data, adj.indices, adj.indptr), shape=adj.shape)
-            adj._scipy_weighted = cached
-        return cached

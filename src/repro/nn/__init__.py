@@ -2,8 +2,7 @@
 
 from .init import xavier_uniform, zeros
 from .layers import (GAT, GCN, MLP, Dropout, GATConv, GCNConv, GraphSAGE,
-                     Linear, Module, SAGEConv, block_aggregation_matrix,
-                     build_model)
+                     Linear, Module, SAGEConv, build_model)
 from .loss import (accuracy, binary_cross_entropy_with_logits, roc_auc,
                    sigmoid, softmax, softmax_cross_entropy)
 from .optim import SGD, Adam, Optimizer
@@ -13,7 +12,6 @@ __all__ = [
     "Tensor", "xavier_uniform", "zeros",
     "Module", "Linear", "Dropout", "MLP", "GCNConv", "SAGEConv",
     "GATConv", "GCN", "GraphSAGE", "GAT", "build_model",
-    "block_aggregation_matrix",
     "softmax", "softmax_cross_entropy", "accuracy",
     "binary_cross_entropy_with_logits", "sigmoid", "roc_auc",
     "Optimizer", "SGD", "Adam",

@@ -19,15 +19,14 @@ import numpy as np
 
 from ..analysis.sanitize import check_finite
 from ..errors import TrainingError
-from ..kernels import (KernelCOO, edge_softmax, gsddmm, gspmm,
-                       normalized_block_adjacency)
-from ..perf import FLAGS, PERF
+from ..kernels import (block_attention_edges, edge_softmax, gsddmm,
+                       gspmm, normalized_block_adjacency)
+from ..perf import FLAGS
 from .init import xavier_uniform, zeros
 from .tensor import Tensor
 
 __all__ = ["Module", "Linear", "Dropout", "MLP", "GCNConv", "SAGEConv",
-           "GATConv", "GCN", "GraphSAGE", "GAT",
-           "block_aggregation_matrix", "build_model"]
+           "GATConv", "GCN", "GraphSAGE", "GAT", "build_model"]
 
 
 class Module:
@@ -182,37 +181,6 @@ class MLP(Module):
         return x
 
 
-def block_aggregation_matrix(block, self_loops=True):
-    """The block's normalized aggregation operator as a
-    :class:`~repro.kernels.KernelCSR`.
-
-    Mean aggregation over sampled in-neighbors (plus the vertex itself
-    when ``self_loops``), i.e. each row sums to 1 — the standard
-    normalization for GCN-style layers on sampled blocks.  The stored
-    layout is bit-identical to the scipy construction this replaced
-    (see :func:`~repro.kernels.normalized_block_adjacency`).
-
-    The operator depends only on the block's structure and
-    ``self_loops``, so it is memoized on the block: forward, backward
-    (through the operator's memoized transpose), and repeated
-    evaluations over a cached block all reuse one CSR instead of
-    rebuilding it per call.  Consumers must treat the returned matrix
-    as read-only.
-    """
-    key = bool(self_loops)
-    cached = block._agg_cache.get(key)
-    if cached is not None:
-        PERF.count("agg_matrix_hits")
-        return cached
-    PERF.count("agg_matrix_misses")
-
-    with PERF.timed("spmm_build"):
-        matrix = normalized_block_adjacency(block, self_loops=self_loops)
-
-    block._agg_cache[key] = matrix
-    return matrix
-
-
 class GCNConv(Module):
     """GCN layer on a sampled block: ``h_dst = agg(h_src) @ W + b`` with
     mean normalization including self-loops (Kipf & Welling adapted to
@@ -230,9 +198,8 @@ class GCNConv(Module):
 
     def forward_block(self, block, h_src):
         """Run the layer on a sampled block (self-loops included)."""
-        return self.forward(block_aggregation_matrix(block,
-                                                     self_loops=True),
-                            h_src)
+        return self.forward(
+            normalized_block_adjacency(block, self_loops=True), h_src)
 
 
 class SAGEConv(Module):
@@ -255,7 +222,7 @@ class SAGEConv(Module):
         """Combine each destination's own features with its
         mean-aggregated neighbors."""
         num_dst = adjacency.shape[0]
-        h_self = h_src.gather_rows(np.arange(num_dst))
+        h_self = h_src.leading_rows(num_dst)
         aggregated = gspmm(adjacency, h_src)
         out = (h_self @ self.weight_self
                + aggregated @ self.weight_neigh + self.bias)
@@ -266,9 +233,8 @@ class SAGEConv(Module):
     def forward_block(self, block, h_src):
         """Run the layer on a sampled block (no self-loops in the
         aggregation; the self path is explicit)."""
-        return self.forward(block_aggregation_matrix(block,
-                                                     self_loops=False),
-                            h_src)
+        return self.forward(
+            normalized_block_adjacency(block, self_loops=False), h_src)
 
 
 class GATConv(Module):
@@ -298,29 +264,6 @@ class GATConv(Module):
                          for _head in range(self.heads)]
         self.bias = zeros(out_dim)
 
-    @staticmethod
-    def _block_edges_with_self_loops(block):
-        """The block's edge list in local ids, dst-side self-loops
-        appended, as a :class:`~repro.kernels.KernelCOO`.
-
-        Memoized on the block (same lifetime argument as
-        :func:`block_aggregation_matrix`), so the kernel-side segment
-        views hanging off it are built once per block — shared by every
-        head and layer, the backward pass, and cached-subgraph replays.
-        """
-        cached = block._edge_list_cache
-        if cached is not None:
-            PERF.count("gat_edges_hits")
-            return cached
-        PERF.count("gat_edges_misses")
-        edge_dst = np.repeat(np.arange(block.num_dst), block.degrees())
-        loops = np.arange(block.num_dst)
-        edges = KernelCOO(np.concatenate([edge_dst, loops]),
-                          np.concatenate([block.indices, loops]),
-                          (block.num_dst, block.num_src))
-        block._edge_list_cache = edges
-        return edges
-
     def forward_block(self, block, h_src):
         """Attention-weighted aggregation over the block's edges.
 
@@ -330,9 +273,11 @@ class GATConv(Module):
         block CSR edges then appended self-loops — is part of the
         numerical contract), the attention coefficients come from
         ``edge_softmax``, and the output is an attention-weighted
-        ``gspmm`` over the same edges.
+        ``gspmm`` over the same edges
+        (:func:`~repro.kernels.block_attention_edges`, memoized on the
+        block with its segment views).
         """
-        edges = self._block_edges_with_self_loops(block)
+        edges = block_attention_edges(block)
         outputs = []
         for weight, a_src, a_dst in zip(self.weights, self.attn_src,
                                         self.attn_dst):
@@ -340,8 +285,8 @@ class GATConv(Module):
             score_src = (transformed @ a_src)         # (S, 1)
             # Destinations are the leading block sources (MFG
             # convention), so the dst-side operand is the leading rows.
-            score_dst = (transformed @ a_dst).gather_rows(
-                np.arange(block.num_dst))             # (D, 1)
+            score_dst = (transformed @ a_dst).leading_rows(
+                block.num_dst)                        # (D, 1)
             scores = gsddmm(edges, score_dst, score_src, op="add")
             alpha = edge_softmax(edges, scores.reshape(-1).leaky_relu(
                 self.negative_slope))

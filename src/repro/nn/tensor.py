@@ -237,6 +237,19 @@ class Tensor:
 
         return self._result(self.data[index], (self,), backward)
 
+    def leading_rows(self, count):
+        """The first ``count`` rows, ``out = self[:count]`` (a block's
+        destinations are its leading sources), as a view."""
+        def backward(grad):
+            if self.requires_grad:
+                full = np.zeros_like(self.data)
+                # ``+=``, not assignment: the bits are those of a
+                # scatter-add into zeros (``0.0 + -0.0`` is ``+0.0``).
+                full[:count] += grad
+                self._accumulate(full)
+
+        return self._result(self.data[:count], (self,), backward)
+
     def concat(self, other, axis=1):
         """Concatenate two tensors along ``axis``."""
         other = other if isinstance(other, Tensor) else Tensor(other)

@@ -7,37 +7,29 @@ import abc
 import numpy as np
 
 from ..errors import SamplingError
-from ..perf import PERF
 from .block import SampledSubgraph, build_block
 
 __all__ = ["Sampler", "draw_neighbors", "expand_layers"]
 
-# Largest vertex-id universe for which ``dst * V + src`` stays inside
-# int64 — the packed single-key dedup is valid below it.
-_PACKED_KEY_MAX_VERTICES = np.int64(1) << 31
-
 
 def draw_neighbors(graph, frontier, counts, rng):
-    """Sample ``counts[i]`` in-neighbors of ``frontier[i]``, vectorized.
+    """Draw ``counts[i]`` in-neighbors of ``frontier[i]``, vectorized.
 
-    Draws are with replacement and then deduplicated per ``(dst, src)``
-    pair, so a vertex ends up with *at most* ``counts[i]`` distinct
-    sampled neighbors (exactly that many when its degree is large).  This
-    keeps the kernel a single vectorized gather — the same trade DGL's
-    samplers make in their fast paths.
+    The pure draw: one ``rng.random(total)`` per call, one gather, and
+    nothing else.  Draws are with replacement, so the returned pairs
+    are in frontier order and may repeat;
+    :func:`~repro.sampling.block.build_block` collapses them with the
+    one sort it needs anyway, leaving a vertex with *at most*
+    ``counts[i]`` distinct sampled neighbors (exactly that many when
+    its degree is large).  This keeps the kernel a single vectorized
+    gather — the same trade DGL's samplers make in their fast paths.
 
-    Returns ``(edge_dst, edge_src)`` global-id arrays (deduplicated).
+    Returns ``(edge_dst, edge_src)`` global-id arrays.
     """
     frontier = np.asarray(frontier, dtype=np.int64)
     counts = np.asarray(counts, dtype=np.int64)
     if len(frontier) != len(counts):
         raise SamplingError("frontier and counts must align")
-    num_vertices = np.int64(graph.num_vertices)
-    if num_vertices >= _PACKED_KEY_MAX_VERTICES:
-        raise SamplingError(
-            f"draw_neighbors packs (dst, src) pairs into one int64 key "
-            f"and supports fewer than 2**31 vertices, got "
-            f"{num_vertices}")
     indptr, indices = graph.in_csr()
     degrees = indptr[frontier + 1] - indptr[frontier]
     counts = np.minimum(counts, np.maximum(degrees, 0))
@@ -51,15 +43,7 @@ def draw_neighbors(graph, frontier, counts, rng):
     start = np.repeat(indptr[frontier], counts)
     degree_rep = np.repeat(degrees, counts)
     offsets = (rng.random(total) * degree_rep).astype(np.int64)
-    edge_src = indices[start + offsets]
-
-    # Dedup (dst, src) pairs, keeping (dst, src) sort order: one
-    # np.unique over the packed pair key.  (The two-key lexsort this
-    # replaced is the oracle in tests/sampling/_block_oracle.py.)
-    with PERF.timed("neighbor_dedup"):
-        key = np.unique(edge_dst * num_vertices + edge_src)
-        edge_dst, edge_src = np.divmod(key, num_vertices)
-    return edge_dst, edge_src
+    return edge_dst, indices[start + offsets]
 
 
 def expand_layers(graph, seeds, count_fn, num_layers, rng):
@@ -79,10 +63,7 @@ def expand_layers(graph, seeds, count_fn, num_layers, rng):
         degrees = indptr[frontier + 1] - indptr[frontier]
         counts = count_fn(layer, frontier, degrees)
         edge_dst, edge_src = draw_neighbors(graph, frontier, counts, rng)
-        # draw_neighbors already collapsed duplicate (dst, src) pairs,
-        # so assembly can skip its dedup pass.
-        block = build_block(frontier, edge_dst, edge_src,
-                            assume_deduped=True)
+        block = build_block(frontier, edge_dst, edge_src)
         blocks_outer_first.append(block)
         frontier = block.src_nodes
     return SampledSubgraph(seeds=seeds,

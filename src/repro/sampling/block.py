@@ -38,7 +38,14 @@ class SampledBlock:
     indptr, indices:
         CSR over destinations: ``indices[indptr[i]:indptr[i+1]]`` are
         *local* positions into ``src_nodes`` of the sampled in-neighbors
-        of ``dst_nodes[i]``.
+        of ``dst_nodes[i]``, strictly ascending within each row (no
+        repeated column).  That canonical order is what every derived
+        operator is read off without sorting again, so
+        :meth:`validate` enforces it.
+
+    Blocks are structurally immutable after assembly: derived operators
+    are memoized on the block (``_views``), so a caller that wants
+    different arrays builds a new block (``dataclasses.replace``).
     """
 
     dst_nodes: np.ndarray
@@ -47,20 +54,13 @@ class SampledBlock:
     indices: np.ndarray
 
     def __post_init__(self):
-        # Memoization slots for derived operators (see
-        # ``repro.nn.layers.block_aggregation_matrix``).  Blocks are
-        # structurally immutable after assembly, so derived operators
-        # can be built once and reused across forward/backward calls
-        # and across epochs when the block itself is cached.
-        self._agg_cache = {}
-        self._edge_list_cache = None
-
-    def clear_caches(self):
-        """Drop memoized derived operators (aggregation CSR, edge
-        lists).  Only needed if a caller mutates the block's arrays in
-        place, which nothing in the library does."""
-        self._agg_cache = {}
-        self._edge_list_cache = None
+        # Slots for the derived views ``repro.kernels.adjacency`` reads
+        # off this CSR (the mean-aggregation operators, GAT's edge
+        # list).  ``sampling`` sits below ``kernels`` in layers.toml,
+        # so the block only holds the slots; the kernels layer fills
+        # them, once per block, for forward, backward and every
+        # cached-subgraph replay.
+        self._views = {}
 
     @property
     def num_dst(self):
@@ -87,6 +87,17 @@ class SampledBlock:
             raise SamplingError("block edge index out of range")
         if not np.array_equal(self.src_nodes[:self.num_dst], self.dst_nodes):
             raise SamplingError("src_nodes must start with dst_nodes")
+        if self.num_edges > 1:
+            # Strictly ascending columns inside every row: a step that
+            # is not an increase is legal only across a row boundary.
+            flat = np.diff(self.indices) <= 0
+            starts = self.indptr[1:-1]
+            flat[starts[(starts > 0) & (starts < self.num_edges)] - 1] \
+                = False
+            if flat.any():
+                raise SamplingError(
+                    "block rows must list strictly ascending columns "
+                    "(a repeated or out-of-order edge)")
 
     def degrees(self):
         """Sampled in-degree per destination vertex."""
@@ -144,37 +155,7 @@ class SampledSubgraph:
                 raise SamplingError("blocks do not chain")
 
 
-def _assemble(dst_nodes, src_nodes, dst_local, src_local, dedup):
-    """Order localized edges by ``(dst_local, src_local)``, optionally
-    collapse duplicate pairs, and wrap everything in a
-    :class:`SampledBlock`."""
-    if len(dst_local):
-        # Fused sort key: one argsort over ``dst * num_src + src``
-        # replaces a two-key lexsort (two stable sorts + gathers).
-        # Safe in int64: num_dst * num_src is far below 2**63 for any
-        # block this library builds.  Tie order is irrelevant — equal
-        # keys mean equal (dst, src) values — so the gathered value
-        # arrays are identical to a lexsort's.
-        key = dst_local * np.int64(len(src_nodes)) + src_local
-        if dedup:
-            key = np.unique(key)
-        else:
-            key.sort()
-        dst_local, src_local = np.divmod(key, np.int64(len(src_nodes)))
-
-    counts = np.bincount(dst_local, minlength=len(dst_nodes))
-    indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-    if FLAGS.sanitize:
-        # Guarded at the call site so the off path costs one attribute
-        # read in this hot loop; rows are sorted by the key sort above.
-        # Block CSRs are rectangular: destination rows, source columns.
-        check_csr(indptr, src_local, len(dst_nodes), name="build_block",
-                  sorted_rows=True, num_cols=len(src_nodes))
-    return SampledBlock(dst_nodes=dst_nodes, src_nodes=src_nodes,
-                        indptr=indptr, indices=src_local)
-
-
-def build_block(dst_nodes, edge_dst, edge_src, assume_deduped=False):
+def build_block(dst_nodes, edge_dst, edge_src):
     """Assemble a :class:`SampledBlock` from sampled global edge pairs.
 
     Parameters
@@ -182,21 +163,21 @@ def build_block(dst_nodes, edge_dst, edge_src, assume_deduped=False):
     dst_nodes:
         Global ids of this layer's destinations (unique).
     edge_dst, edge_src:
-        Parallel arrays of sampled edges in *global* ids; every
-        ``edge_dst`` value must appear in ``dst_nodes``.  Duplicate
-        ``(dst, src)`` pairs are collapsed.
-    assume_deduped:
-        Promise that ``(edge_dst, edge_src)`` pairs are already
-        distinct (true for edges straight out of
-        :func:`~repro.sampling.base.draw_neighbors`), skipping the
-        dedup pass.  Passing ``True`` for inputs with duplicate pairs
-        silently double-counts edges — only set it when the producer
-        guarantees distinctness.
+        Parallel arrays of sampled edges in *global* ids, in any order;
+        every ``edge_dst`` value must appear in ``dst_nodes``.
+        Duplicate ``(dst, src)`` pairs are collapsed.
 
     Global ids are localized through a pooled dense lookup table (one
-    O(edges) gather pass).  The sort-based assembly this replaced is
-    the oracle in ``tests/sampling/_block_oracle.py``; both produce
-    bit-identical blocks.
+    O(edges) gather pass).  The block's edges are then ordered exactly
+    once: one sort of the packed ``(dst_local, src_local)`` key, whose
+    neighbour-compare mask is the dedup and whose per-destination
+    boundaries are ``indptr``.  (The only other ordering pass is the
+    sort over the not-yet-seen source ids that names the new sources.)
+    Everything downstream — the aggregation operators, GAT's segment
+    view — is read off these canonical rows without sorting again.
+    The sort-based assembly this replaced is the oracle in
+    ``tests/sampling/_block_oracle.py``; both produce bit-identical
+    blocks.
     """
     with PERF.timed("block_assembly"):
         dst_nodes = np.asarray(dst_nodes, dtype=np.int64)
@@ -229,8 +210,11 @@ def build_block(dst_nodes, edge_dst, edge_src, assume_deduped=False):
                 fresh = src_local < 0
                 if fresh.any():
                     # Sources not already destinations, sorted unique —
-                    # the same ordering ``np.setdiff1d`` yields.
-                    extra = np.unique(edge_src[fresh])
+                    # the same ordering ``np.setdiff1d`` yields.  (An
+                    # index gather: a boolean one is ~4x slower on a
+                    # mask this mixed.)
+                    extra = _sorted_unique(
+                        edge_src[np.flatnonzero(fresh)])
                     lookup[extra] = np.arange(
                         num_dst, num_dst + len(extra), dtype=np.int64)
                     src_local = lookup[edge_src]
@@ -241,6 +225,40 @@ def build_block(dst_nodes, edge_dst, edge_src, assume_deduped=False):
                 if len(extra):
                     lookup[extra] = -1
 
-        src_nodes = np.concatenate([dst_nodes, extra])
-        return _assemble(dst_nodes, src_nodes, dst_local, src_local,
-                         dedup=not assume_deduped)
+        num_src = num_dst + len(extra)
+        # The one sort of the block's edges.  Packed with a shift, so
+        # the source unpacks with a mask and a destination's row is the
+        # key range [i << shift, (i + 1) << shift).  Safe in int64:
+        # num_dst * num_src is far below 2**62 for any block this
+        # library builds.  Tie order is irrelevant — equal keys are
+        # equal (dst, src) pairs, and the mask keeps one of each.
+        shift = max(num_src - 1, 1).bit_length()
+        key = _sorted_unique((dst_local << shift) | src_local)
+        indices = key & ((1 << shift) - 1)
+        indptr = np.searchsorted(
+            key, np.arange(num_dst + 1, dtype=np.int64) << shift)
+        block = SampledBlock(dst_nodes=dst_nodes,
+                             src_nodes=np.concatenate([dst_nodes, extra]),
+                             indptr=indptr, indices=indices)
+        if FLAGS.sanitize:
+            # Guarded at the call site so the off path costs one
+            # attribute read in this hot loop.  Block CSRs are
+            # rectangular: destination rows, source columns.
+            check_csr(indptr, indices, num_dst, name="build_block",
+                      sorted_rows=True, num_cols=num_src)
+            block.validate()
+        return block
+
+
+def _sorted_unique(values):
+    """Ascending distinct values of a fresh int64 array (sorted in
+    place): one sort and a neighbour-compare mask.  (numpy's ``unique``
+    hashes the values first and sorts afterwards — 17x slower at 60 k
+    keys on NumPy 2.4.)"""
+    values.sort()
+    if len(values) > 1:
+        keep = np.empty(len(values), dtype=bool)
+        keep[0] = True
+        np.not_equal(values[1:], values[:-1], out=keep[1:])
+        values = values[keep]
+    return values

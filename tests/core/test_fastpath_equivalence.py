@@ -50,8 +50,8 @@ class TestFastPathEquivalence:
         assert fast.perf  # run-level measured profile
         assert "block_assembly_seconds" in fast.perf
         # ... and the comparison run really took the slow paths.
-        for counter in ("block_assembly_calls", "neighbor_dedup_calls",
-                        "agg_matrix_hits", "eval_subgraph_hits"):
+        for counter in ("block_assembly_calls", "agg_matrix_hits",
+                        "eval_subgraph_hits"):
             assert counter in fast.perf and counter not in slow.perf
         for stats in fast.epoch_stats:
             assert stats.perf is not None

@@ -234,10 +234,11 @@ class TestDispatchSemantics:
 
 
 class TestScipyDispatchCaching:
-    """Repeated dispatch through a persistent operator must reuse the
-    scipy backend's matrices (regression: the ``copy_rhs`` and
-    explicit-values paths allocated a fresh ``csr_matrix`` — and a
-    fresh ones array — on every call, bypassing the cache)."""
+    """Repeated dispatch through a persistent operator must not build
+    scipy matrices (regression: the ``copy_rhs`` and explicit-values
+    paths once allocated a fresh ``csr_matrix`` on every call; now the
+    backend hands the operator's own arrays to the compiled kernel and
+    the ``to_scipy()`` conversion is never triggered by dispatch)."""
 
     @pytest.fixture(autouse=True)
     def _require_scipy(self):
@@ -248,30 +249,31 @@ class TestScipyDispatchCaching:
         x = _features(csr_case, np.float32)
         first = gspmm_forward(csr_case, x, op="copy_rhs",
                               backend="scipy")
-        cached = csr_case._scipy_ones
-        assert cached is not None
         again = gspmm_forward(csr_case, x, op="copy_rhs",
                               backend="scipy")
-        assert csr_case._scipy_ones is cached
+        assert csr_case._scipy is None
         _assert_bytes_equal(again, first)
+        _assert_bytes_equal(first, gspmm_forward(
+            csr_case, x, op="copy_rhs", backend="reference"))
 
     def test_values_matrix_is_cached_across_value_swaps(self, csr_case):
         x = _features(csr_case, np.float32)
         v1 = np.linspace(0.5, 1.5, csr_case.nnz).astype(np.float32)
         v2 = np.linspace(-2.0, 2.0, csr_case.nnz).astype(np.float32)
         out1 = gspmm_forward(csr_case, x, values=v1, backend="scipy")
-        cached = csr_case._scipy_weighted
-        assert cached is not None
         out2 = gspmm_forward(csr_case, x, values=v2, backend="scipy")
-        assert csr_case._scipy_weighted is cached
+        assert csr_case._scipy is None
+        stored = csr_case.data.copy()
         _assert_bytes_equal(out1, gspmm_forward(csr_case, x, values=v1,
                                                 backend="reference"))
         _assert_bytes_equal(out2, gspmm_forward(csr_case, x, values=v2,
                                                 backend="reference"))
+        # Per-call values never leak into the operator's own data.
+        assert csr_case.data.tobytes() == stored.tobytes()
 
     def test_values_path_does_not_corrupt_copy_rhs(self, csr_case):
-        """The two cached matrices are separate: rebinding the values
-        matrix's data must leave the all-ones matrix untouched."""
+        """A values dispatch in between must leave the all-ones
+        (``copy_rhs``) product untouched."""
         x = _features(csr_case, np.float32)
         expected = gspmm_forward(csr_case, x, op="copy_rhs",
                                  backend="reference")

@@ -4,8 +4,10 @@ The backward pass of every CSR ``gspmm`` routes gradients through
 :meth:`KernelCSR.transpose`, so three properties carry the whole fused
 backward: the transpose round-trips exactly, it is memoized (one
 materialization per operator, both directions), and the block-level
-memoization is invalidated when the block's caches are cleared.
+memoization lives and dies with the block it was read off.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,10 +15,10 @@ import pytest
 from repro.kernels import (KernelCSR, gspmm, normalized_block_adjacency,
                            transpose_csr)
 from repro.nn import Tensor
-from repro.nn.layers import block_aggregation_matrix
 from repro.perf import PERF
 from repro.sampling import build_block
 
+from ._operator_oracle import block_operator_reference
 from .conftest import csr_cases, have_scipy
 
 
@@ -121,7 +123,7 @@ class TestTransposeMemoization:
         block = build_block(np.array([0, 1, 2]),
                             np.array([0, 1, 1, 2]),
                             np.array([5, 6, 7, 0]))
-        adj = block_aggregation_matrix(block)
+        adj = normalized_block_adjacency(block)
         before = PERF.snapshot()
         for _round in range(2):
             x = Tensor(np.ones((adj.shape[1], 2), dtype=np.float32),
@@ -133,32 +135,33 @@ class TestTransposeMemoization:
         assert delta.get("kernel_transpose_hits", 0) == 1
 
     def test_block_cache_invalidation(self):
-        """``clear_caches`` drops the memoized operator, so the next
-        build materializes a fresh operator and a fresh transpose."""
+        """The memo is the block's: blocks are immutable, so changing
+        one means building a new one, whose first use materializes a
+        fresh operator and a fresh transpose."""
         block = build_block(np.array([0, 1]),
                             np.array([0, 1]),
                             np.array([3, 4]))
-        first = block_aggregation_matrix(block)
-        assert block_aggregation_matrix(block) is first
+        first = normalized_block_adjacency(block)
+        assert normalized_block_adjacency(block) is first
         first_transpose = first.transpose()
 
-        block.clear_caches()
-        rebuilt = block_aggregation_matrix(block)
+        rebuilt = normalized_block_adjacency(replace(block))
         assert rebuilt is not first
         assert rebuilt.transpose() is not first_transpose
         # Same structure, so the rebuilt operator is value-equal.
         assert np.array_equal(rebuilt.toarray(), first.toarray())
 
     def test_direct_build_bypasses_memo(self):
-        """``normalized_block_adjacency`` is the un-memoized builder:
-        every call materializes a fresh, byte-equal operator with its
-        own (not yet built) transpose."""
+        """The sort-based builder kept as the oracle never touches the
+        block's slots: every call materializes a fresh, byte-equal
+        operator with its own (not yet built) transpose."""
         block = build_block(np.array([0, 1]),
                             np.array([0, 1]),
                             np.array([3, 4]))
-        memoized = block_aggregation_matrix(block)
-        first = normalized_block_adjacency(block)
-        second = normalized_block_adjacency(block)
+        memoized = normalized_block_adjacency(block)
+        first = block_operator_reference(block)
+        second = block_operator_reference(block)
         assert first is not second and first is not memoized
         assert first.data.tobytes() == memoized.data.tobytes()
         assert first.transpose() is not memoized.transpose()
+        assert normalized_block_adjacency(block) is memoized

@@ -1,14 +1,18 @@
-"""Memoization of the per-block aggregation operators."""
+"""Memoization of the per-block views (aggregation operators, GAT
+edge list) the kernels layer reads off a block and stores on it."""
+
+from dataclasses import replace
 
 import numpy as np
 
 from repro.graph.build import from_edges
-from repro.kernels import normalized_block_adjacency
-from repro.nn import block_aggregation_matrix, build_model
-from repro.nn.layers import GATConv
+from repro.kernels import (block_attention_edges,
+                           normalized_block_adjacency)
+from repro.nn import build_model
 from repro.perf import PERF
 from repro.sampling import NeighborSampler, build_block
 
+from ..kernels._operator_oracle import block_operator_reference
 from ..sampling._block_oracle import slow_paths
 
 
@@ -19,31 +23,31 @@ def small_block():
 class TestAggregationMemo:
     def test_repeated_calls_return_same_object(self):
         block = small_block()
-        first = block_aggregation_matrix(block, self_loops=True)
-        second = block_aggregation_matrix(block, self_loops=True)
+        first = normalized_block_adjacency(block, self_loops=True)
+        second = normalized_block_adjacency(block, self_loops=True)
         assert first is second
 
     def test_keyed_by_self_loops(self):
         block = small_block()
-        with_loops = block_aggregation_matrix(block, self_loops=True)
-        without = block_aggregation_matrix(block, self_loops=False)
+        with_loops = normalized_block_adjacency(block, self_loops=True)
+        without = normalized_block_adjacency(block, self_loops=False)
         assert with_loops is not without
-        assert block_aggregation_matrix(block, self_loops=False) is without
+        assert normalized_block_adjacency(block, self_loops=False) is without
 
     def test_hit_and_miss_counters(self):
         block = small_block()
         before = PERF.snapshot()
-        block_aggregation_matrix(block)
-        block_aggregation_matrix(block)
-        block_aggregation_matrix(block)
+        normalized_block_adjacency(block)
+        normalized_block_adjacency(block)
+        normalized_block_adjacency(block)
         delta = PERF.delta(before)
         assert delta.get("agg_matrix_misses") == 1
         assert delta.get("agg_matrix_hits") == 2
 
     def test_memoized_matrix_matches_fresh_build(self):
         block = small_block()
-        memoized = block_aggregation_matrix(block, self_loops=True)
-        fresh = normalized_block_adjacency(block, self_loops=True)
+        memoized = normalized_block_adjacency(block, self_loops=True)
+        fresh = block_operator_reference(block, self_loops=True)
         assert memoized is not fresh
         for name in ("indptr", "indices", "data"):
             assert getattr(memoized, name).tobytes() \
@@ -53,25 +57,20 @@ class TestAggregationMemo:
 
     def test_memo_lives_on_the_block(self):
         """Two structurally equal blocks never share an operator."""
-        first = block_aggregation_matrix(small_block())
-        second = block_aggregation_matrix(small_block())
+        first = normalized_block_adjacency(small_block())
+        second = normalized_block_adjacency(small_block())
         assert first is not second
-
-    def test_clear_caches_forces_rebuild(self):
-        block = small_block()
-        first = block_aggregation_matrix(block)
-        block.clear_caches()
-        assert block_aggregation_matrix(block) is not first
 
 
 class TestGATEdgeMemo:
     def test_edge_lists_memoized(self):
+        """One edge list (and so one pair of segment views) per block;
+        a rebuilt block starts with empty slots."""
         block = small_block()
-        first = GATConv._block_edges_with_self_loops(block)
-        second = GATConv._block_edges_with_self_loops(block)
+        first = block_attention_edges(block)
+        second = block_attention_edges(block)
         assert first is second
-        block.clear_caches()
-        fresh = GATConv._block_edges_with_self_loops(block)
+        fresh = block_attention_edges(replace(block))
         assert fresh is not first
         assert np.array_equal(first.edge_dst, fresh.edge_dst)
         assert np.array_equal(first.edge_src, fresh.edge_src)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import TrainingError
 from repro.graph import load_dataset
+from repro.kernels import block_attention_edges
 from repro.nn import GAT, Adam, GATConv, Tensor, build_model
 from repro.nn.loss import softmax_cross_entropy
 from repro.sampling import NeighborSampler
@@ -123,7 +124,7 @@ class TestGATConv:
         edges (incl. self-loop) sum to one."""
         block = subgraph.blocks[0]
         conv = GATConv(dataset.feature_dim, 8, np.random.default_rng(0))
-        edges = conv._block_edges_with_self_loops(block)
+        edges = block_attention_edges(block)
         edge_dst, edge_src = edges.edge_dst, edges.edge_src
         h = Tensor(dataset.features[block.src_nodes])
         transformed = h @ conv.weights[0]

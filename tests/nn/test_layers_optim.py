@@ -5,9 +5,10 @@ import pytest
 
 from repro.errors import TrainingError
 from repro.graph import load_dataset
+from repro.kernels import normalized_block_adjacency
 from repro.nn import (GCN, MLP, SGD, Adam, GraphSAGE, Linear, Tensor,
-                      accuracy, block_aggregation_matrix, build_model,
-                      softmax, softmax_cross_entropy, zeros)
+                      accuracy, build_model, softmax,
+                      softmax_cross_entropy, zeros)
 from repro.sampling import NeighborSampler
 
 
@@ -66,18 +67,18 @@ class TestLinearMLP:
 class TestAggregationMatrix:
     def test_rows_sum_to_one(self, subgraph):
         for block in subgraph.blocks:
-            matrix = block_aggregation_matrix(block)
+            matrix = normalized_block_adjacency(block)
             sums = np.asarray(matrix.sum(axis=1)).ravel()
             assert np.allclose(sums[sums > 0], 1.0, atol=1e-5)
 
     def test_shape(self, subgraph):
         block = subgraph.blocks[0]
-        matrix = block_aggregation_matrix(block)
+        matrix = normalized_block_adjacency(block)
         assert matrix.shape == (block.num_dst, block.num_src)
 
     def test_self_loops_make_isolated_rows_nonzero(self, subgraph):
         block = subgraph.blocks[0]
-        matrix = block_aggregation_matrix(block, self_loops=True)
+        matrix = normalized_block_adjacency(block, self_loops=True)
         sums = np.asarray(matrix.sum(axis=1)).ravel()
         assert np.all(sums > 0)
 

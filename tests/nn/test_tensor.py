@@ -83,6 +83,29 @@ class TestGradientChecks:
         idx = np.array([0, 2, 2, 1])
         check_op(lambda x: x.gather_rows(idx).sum(), (3, 4), seed=7)
 
+    def test_leading_rows(self):
+        weight = Tensor(np.random.default_rng(7).normal(size=(2, 4)))
+        check_op(lambda x: (x.leading_rows(2) * weight).sum(), (3, 4),
+                 seed=7)
+
+    def test_leading_rows_has_the_bits_of_the_gather(self):
+        """Same values forward and — signed zeros included — the same
+        gradient bytes as ``gather_rows(arange(n))``'s scatter-add."""
+        data = np.random.default_rng(0).normal(size=(5, 3)) \
+            .astype(np.float32)
+        upstream = np.array([[-0.0, 1.5, -2.0], [0.0, -0.0, 3.0]],
+                            dtype=np.float32)
+        grads = []
+        for pick in (lambda x: x.leading_rows(2),
+                     lambda x: x.gather_rows(np.arange(2))):
+            x = Tensor(data.copy(), requires_grad=True)
+            out = pick(x)
+            assert out.data.tobytes() == data[:2].tobytes()
+            out.backward(upstream)
+            grads.append(x.grad)
+        assert grads[0].tobytes() == grads[1].tobytes()
+        assert not np.signbit(grads[0][0, 0])
+
     def test_concat(self):
         other = Tensor(np.random.default_rng(8).normal(size=(3, 2)))
         check_op(lambda x: x.concat(other).sum(), (3, 4), seed=8)

@@ -5,14 +5,17 @@ bodies ``repro.sampling`` shipped behind ``FLAGS.fused_block_assembly =
 False`` before that flag was retired: sort-based block assembly and the
 two-key lexsort dedup of sampled ``(dst, src)`` pairs.  They define the
 blocks (vertex order, edge order, dedup) and the order of every ``rng``
-draw the shipped ``build_block`` / ``draw_neighbors`` must reproduce
-byte for byte; ``test_block_fastpath.py`` runs both on generated
-inputs.  Do not "fix" or speed up anything here.
+draw the shipped ``draw_neighbors`` → ``build_block`` pipeline must
+reproduce byte for byte — compared at the block level, because the
+shipped ``draw_neighbors`` is the pure draw and leaves ordering and
+dedup to ``build_block``'s one sort; ``test_block_fastpath.py`` runs
+both on generated inputs.  Do not "fix" or speed up anything here.
 
 :func:`slow_paths` swaps every retired fast path for its slow twin —
-these two functions, an aggregation operator rebuilt on every call, and
-evaluation batches re-sampled every epoch — so whole training runs can
-be compared bit for bit.
+these two functions, the sort-based aggregation operator and GAT edge
+list of ``tests/kernels/_operator_oracle.py`` rebuilt on every call,
+and evaluation batches re-sampled every epoch — so whole training runs
+can be compared bit for bit.
 """
 
 from contextlib import contextmanager
@@ -21,8 +24,10 @@ import numpy as np
 import pytest
 
 from repro.errors import SamplingError
-from repro.kernels import normalized_block_adjacency
 from repro.sampling.block import SampledBlock
+
+from ..kernels._operator_oracle import (attention_edges_reference,
+                                        block_operator_reference)
 
 
 def build_block_reference(dst_nodes, edge_dst, edge_src):
@@ -97,33 +102,22 @@ def draw_neighbors_reference(graph, frontier, counts, rng):
 @contextmanager
 def slow_paths():
     """Run the ``with`` body on the retired slow paths: reference block
-    assembly and dedup in every sampler, no memoized aggregation
-    operator or GAT edge list, no evaluation-subgraph replay."""
+    assembly and dedup in every sampler, a re-sorted aggregation
+    operator and GAT edge list per call (nothing memoized on the
+    block), no evaluation-subgraph replay."""
     import repro.core.trainer as trainer
     import repro.nn.layers as layers
     import repro.sampling.base as base
     import repro.sampling.layerwise as layerwise
     import repro.sampling.subgraph as subgraph
 
-    def build_block(dst_nodes, edge_dst, edge_src, assume_deduped=False):
-        return build_block_reference(dst_nodes, edge_dst, edge_src)
-
-    def block_aggregation_matrix(block, self_loops=True):
-        return normalized_block_adjacency(block, self_loops=self_loops)
-
-    memoized_edges = layers.GATConv._block_edges_with_self_loops
-
-    def block_edges(block):
-        block._edge_list_cache = None
-        return memoized_edges(block)
-
     with pytest.MonkeyPatch.context() as patch:
         for module in (base, layerwise, subgraph):
-            patch.setattr(module, "build_block", build_block)
+            patch.setattr(module, "build_block", build_block_reference)
         patch.setattr(base, "draw_neighbors", draw_neighbors_reference)
-        patch.setattr(layers, "block_aggregation_matrix",
-                      block_aggregation_matrix)
-        patch.setattr(layers.GATConv, "_block_edges_with_self_loops",
-                      staticmethod(block_edges))
+        patch.setattr(layers, "normalized_block_adjacency",
+                      block_operator_reference)
+        patch.setattr(layers, "block_attention_edges",
+                      attention_edges_reference)
         patch.setattr(trainer, "EvalSubgraphCache", lambda: None)
         yield

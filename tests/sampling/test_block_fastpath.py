@@ -1,6 +1,8 @@
-"""Equivalence of the shipped block assembly and pair dedup with the
-sort-based implementations they replaced (``_block_oracle.py``), on
-randomized inputs."""
+"""Equivalence of the shipped draw → block assembly pipeline with the
+sort-based implementations it replaced (``_block_oracle.py``), on
+randomized inputs.  ``draw_neighbors`` no longer orders or dedups its
+pairs — ``build_block``'s one sort does — so the draw is compared at
+the block level."""
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from repro.perf import FLAGS, get_workspace, perf_overrides
 from repro.sampling import (HybridSampler, LayerWiseSampler,
                             NeighborSampler, SubgraphSampler, build_block)
 from repro.sampling.base import draw_neighbors
+from repro.sampling.block import SampledBlock
 
 from ._block_oracle import (build_block_reference,
                             draw_neighbors_reference, slow_paths)
@@ -67,14 +70,6 @@ class TestBuildBlockEquivalence:
             assert_subgraphs_equal(fast, slow)
             fast.validate()
 
-    def test_assume_deduped_skips_collapse(self):
-        # With duplicate pairs, assume_deduped keeps them (the caller's
-        # promise was violated) — documents why the flag is only safe
-        # straight out of draw_neighbors.
-        block = build_block([1], [1, 1], [2, 2], assume_deduped=True)
-        assert block.num_edges == 2
-        assert build_block([1], [1, 1], [2, 2]).num_edges == 1
-
     def test_duplicate_pairs_collapse_by_default(self):
         block = build_block([1, 2], [1, 1, 2, 1], [3, 3, 3, 4])
         reference = build_block_reference([1, 2], [1, 1, 2, 1],
@@ -102,28 +97,60 @@ class TestBuildBlockEquivalence:
             assert np.all(lookup == -1)
 
 
+class TestNonCanonicalBlocksAreLoud:
+    """Operators are read off a block's rows without sorting them, so
+    a row that repeats or reorders a column must not pass validation
+    (``check_csr(sorted_rows=True)`` alone lets a repeat through: it
+    only rejects a drop)."""
+
+    @staticmethod
+    def hand_built(indices):
+        return SampledBlock(dst_nodes=np.array([4, 7]),
+                            src_nodes=np.array([4, 7, 9]),
+                            indptr=np.array([0, 2, 3]),
+                            indices=np.array(indices))
+
+    def test_canonical_rows_pass(self):
+        # A drop across the row boundary (2 -> 0) is legal.
+        self.hand_built([1, 2, 0]).validate()
+
+    @pytest.mark.parametrize("indices", [[2, 2, 0], [2, 1, 0]],
+                             ids=["repeated", "descending"])
+    def test_validate_rejects(self, indices):
+        with pytest.raises(SamplingError, match="strictly ascending"):
+            self.hand_built(indices).validate()
+
+    def test_sanitized_build_block_validates_its_rows(self, monkeypatch):
+        """The sanitized branch calls ``validate()`` beside
+        ``check_csr``; the off path does not."""
+        validated = []
+        monkeypatch.setattr(SampledBlock, "validate",
+                            lambda block: validated.append(block))
+        block = build_block([4, 7], [4, 4, 7], [9, 9, 4])
+        assert len(validated) == 1 and validated[0] is block
+        with perf_overrides(sanitize=False):
+            build_block([4, 7], [4, 4, 7], [9, 9, 4])
+        assert len(validated) == 1
+
+
 class TestDrawNeighborsEquivalence:
     @pytest.mark.parametrize("seed", range(4))
     def test_fused_dedup_matches_lexsort(self, seed):
+        """Same draws from ``rng`` (its state afterwards is equal), and
+        the block assembled from the raw draw is the block assembled
+        from the oracle's ordered, deduplicated pairs."""
         graph = random_graph(np.random.default_rng(seed))
         rng = np.random.default_rng(seed + 7)
         frontier = np.unique(rng.integers(0, 400, 80))
         counts = rng.integers(1, 8, len(frontier))
-        fast = draw_neighbors(graph, frontier, counts,
-                              np.random.default_rng(seed + 13))
+        fast_rng = np.random.default_rng(seed + 13)
+        slow_rng = np.random.default_rng(seed + 13)
+        fast = draw_neighbors(graph, frontier, counts, fast_rng)
         slow = draw_neighbors_reference(graph, frontier, counts,
-                                        np.random.default_rng(seed + 13))
-        assert np.array_equal(fast[0], slow[0])
-        assert np.array_equal(fast[1], slow[1])
-
-    def test_too_many_vertices_is_a_typed_error(self):
-        """The packed ``dst * V + src`` key needs V < 2**31; beyond it
-        the draw refuses instead of overflowing int64."""
-        class Huge:
-            num_vertices = 2 ** 31
-
-        with pytest.raises(SamplingError, match="2\\*\\*31"):
-            draw_neighbors(Huge(), [0], [1], np.random.default_rng(0))
+                                        slow_rng)
+        assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+        assert_blocks_equal(build_block(frontier, *fast),
+                            build_block_reference(frontier, *slow))
 
     def test_flag_restored_by_context_manager(self):
         """``sanitize`` is the one flag block assembly still reads."""
