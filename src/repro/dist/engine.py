@@ -44,7 +44,7 @@ import numpy as np
 
 from ..errors import FaultError, TrainingError
 from ..nn import softmax_cross_entropy
-from ..perf import PERF
+from ..perf import PERF, sorted_unique
 from ..partition.workload import BYTES_PER_EDGE
 from ..transfer.hardware import estimate_flops
 from ..transfer.methods import BatchStats
@@ -298,7 +298,7 @@ class SyncEngine:
                 remote_requests += len(remote_dst)
                 returned = int(block.degrees()[~local].sum())
                 remote_edges += returned
-                for owner in np.unique(assignment[remote_dst]):
+                for owner in sorted_unique(assignment[remote_dst]):
                     self.comm.record(owner, part,
                                      returned * BYTES_PER_EDGE, messages=1)
                     rpc_messages += 1
@@ -308,7 +308,7 @@ class SyncEngine:
         remote_inputs = inputs[~self.partition.is_local(part, inputs)]
         remote_feat_bytes = len(remote_inputs) * feat_bytes
         if len(remote_inputs):
-            for owner in np.unique(assignment[remote_inputs]):
+            for owner in sorted_unique(assignment[remote_inputs]):
                 count = int((assignment[remote_inputs] == owner).sum())
                 self.comm.record(owner, part, count * feat_bytes,
                                  messages=1)

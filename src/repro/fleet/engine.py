@@ -27,11 +27,14 @@
   configured (:meth:`_FleetRun.handlers`), so the off path runs none
   of its code.
 
-Answers in ``precomputed`` mode are row-wise
-(:meth:`~repro.serve.precompute.LayerwiseEmbeddings.rowwise_logits`)
-and therefore *bit-identical* to the single server's for the same
-trace, regardless of how routing re-batched the requests — the
-fleet-vs-single-server invariant the benchmark asserts.
+Answers in ``precomputed`` mode are a gather from the per-vertex logit
+table the shared offline pass ended with
+(:meth:`~repro.serve.precompute.LayerwiseEmbeddings.rowwise_logits`) —
+a pure function of the queried vertex, and therefore *bit-identical*
+to the single server's for the same trace, regardless of how routing
+re-batched the requests: the fleet-vs-single-server invariant the
+benchmark asserts.  No replica runs the model on the host; each is
+still billed the embedding rows it fetches and the head's FLOPs.
 """
 
 from __future__ import annotations
@@ -51,7 +54,8 @@ from ..perf.profiler import percentile
 from ..serve.batcher import BatchPolicy
 from ..serve.executor import SERVE_MODES
 from ..serve.loop import (ADMIT, FAULT, RESPONSE, TIMER, EventLoop,
-                          cache_hit_rates, eval_mode, run_totals)
+                          cache_hit_rates, check_trace, eval_mode,
+                          run_totals)
 from ..serve.precompute import LayerwiseEmbeddings
 from ..transfer.hardware import DEFAULT_SPEC
 from .metrics import FleetReport, _latency_fields
@@ -223,7 +227,9 @@ class FleetEngine:
     # ------------------------------------------------------------------
     def run(self, requests):
         """Serve a request trace (sorted by arrival); returns a
-        :class:`~repro.fleet.metrics.FleetReport`."""
+        :class:`~repro.fleet.metrics.FleetReport`.  A request for a
+        vertex the graph does not have is a :class:`ServingError`
+        before anything is served."""
         run = _FleetRun(self, requests)
         with eval_mode(self.model):
             run.loop.run(run.handlers())
@@ -260,6 +266,8 @@ class FleetEngine:
         total_rows = local_rows + remote_rows
         hit_rate, warm_rate, _ = cache_hit_rates(
             r.executor.cache for r in replicas)
+        dropped = [rid for rid, why in run.lost.items()
+                   if why != "queue-full"]
 
         # A schedule alone (crash/straggler windows) adds no counters
         # of its own: the field stays None on a baseline run.
@@ -273,7 +281,7 @@ class FleetEngine:
             partitioner=self.shards.partition.method,
             num_replicas=self.num_replicas,
             num_requests=run.num_requests,
-            rejected=run.rejected,
+            rejected=len(run.lost),
             spillovers=router.spillovers,
             failovers=router.failovers,
             requeued=run.requeued,
@@ -297,8 +305,8 @@ class FleetEngine:
             if autoscaler is not None else [],
             replicas_active_max=autoscaler.active_max
             if autoscaler is not None else self.num_replicas,
-            dropped=len(run.dropped_ids),
-            dropped_request_ids=list(run.dropped_ids),
+            dropped=len(dropped),
+            dropped_request_ids=dropped,
             replication_factor=self.shards.replication_factor(),
             resilience=resilience_stats,
             replicas=[r.report() for r in replicas],
@@ -317,6 +325,7 @@ class _FleetRun:
 
     def __init__(self, engine, requests):
         requests = list(requests)
+        check_trace(requests, engine.dataset.num_vertices)
         self.num_requests = len(requests)
         self.replicas = engine._build_replicas()
         resil = engine.resilience or _NO_RESILIENCE
@@ -335,10 +344,11 @@ class _FleetRun:
         self.autoscaler = Autoscaler(engine.autoscale, self.replicas) \
             if engine.autoscale is not None else None
 
-        self.rejected = 0
         self.requeued = 0
-        self.budget_dropped = 0
-        self.dropped_ids = []
+        # request_id -> why its last copy was lost ("queue-full",
+        # "unroutable", "retry-budget").  Counted per request, not per
+        # copy: a hedged request is rejected iff no copy was answered.
+        self.lost = {}
         self.attempts = {}       # request_id -> crash re-route count
         # Hedging state (untouched when hedging is off).
         self.assigned = {}       # request_id -> replica ids with a copy
@@ -427,13 +437,17 @@ class _FleetRun:
             if count > self.retry_budget:
                 # Retry budget exhausted: bound the amplification,
                 # drop the request.
-                self.rejected += 1
-                self.budget_dropped += 1
-                self.dropped_ids.append(orphan.request_id)
+                self._lose(orphan.request_id, "retry-budget")
                 continue
             loop.schedule(due, ADMIT, "admit", orphan)
         self.requeued += len(orphans)
         loop.schedule(loop.clock + down, FAULT, "recover", replica_id)
+
+    def _lose(self, request_id, why):
+        """A copy of the request is gone; the request is lost with it
+        unless another copy has been or will be answered."""
+        if request_id not in self.done:
+            self.lost[request_id] = why
 
     def on_recover(self, replica_id):
         self.replicas[replica_id].recover(self.loop.clock)
@@ -480,6 +494,7 @@ class _FleetRun:
             self.hedges_wasted += 1
             return
         self.done.add(rid)
+        self.lost.pop(rid, None)     # an earlier copy may have been lost
         insort(self.latencies, response.latency)
         self.loop.responses.append(response)
         target = self.hedge_target.get(rid)
@@ -503,11 +518,10 @@ class _FleetRun:
             # Every replica is down: open-loop load cannot wait for
             # the cluster — the request is lost (dropped, and surfaced
             # as such in the report).
-            self.rejected += 1
-            self.dropped_ids.append(request.request_id)
+            self._lose(request.request_id, "unroutable")
             return None
         if not replica.submit(request, is_owner):
-            self.rejected += 1
+            self._lose(request.request_id, "queue-full")
             return None
         return replica
 
@@ -583,7 +597,8 @@ class _FleetRun:
             "breaker_half_opens":
                 sum(b.half_opens for b in breakers) if breakers else 0,
             "backup_routed": self.router.backup_routed,
-            "retry_budget_drops": self.budget_dropped,
+            "retry_budget_drops": sum(
+                why == "retry-budget" for why in self.lost.values()),
             "snapshots": recovery.snapshots if recovery else 0,
             "recoveries": recovery.recoveries if recovery else 0,
             "cold_recoveries":

@@ -25,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import FleetError
+from ..perf import sorted_unique
 from ..serve.executor import BatchExecutor
 from ..serve.loop import ServeNode, cache_hit_rates
 from .metrics import ReplicaReport, _latency_fields
@@ -77,8 +78,7 @@ class ShardExecutor(BatchExecutor):
         nodes, one network message per distinct owner shard, plus this
         fetch's share of the local PCIe DMA."""
         remote_bytes = len(remote) * row_bytes
-        owners = self.shards.owner(remote)
-        messages = len(np.unique(owners))
+        messages = len(sorted_unique(self.shards.owner(remote)))
         return (self.spec.gather_time(remote_bytes)
                 + self.spec.network_time(remote_bytes, messages=messages)
                 + pcie_share)

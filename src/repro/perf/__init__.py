@@ -4,15 +4,17 @@ process-wide switches, and prepared-batch caches.
 Everything here is about *real* wall time (the python hot paths), not
 the simulated cluster seconds of the cost model.  The layer measures
 the hot paths (:data:`PERF`), makes them fast without changing their
-math (:class:`Workspace`, :class:`EvalSubgraphCache`), and holds the
-two switches with a shipped alternative (:data:`FLAGS`: kernel backend,
-sanitizers).  The slow paths the fast ones replaced are test oracles
+math (:class:`Workspace`, :class:`EvalSubgraphCache`,
+:func:`sorted_unique`), and holds the two switches with a shipped
+alternative (:data:`FLAGS`: kernel backend, sanitizers).  The slow
+paths the fast ones replaced are test oracles
 (``tests/sampling/_block_oracle.py``), not flags.
 """
 
 from .evalcache import EvalSubgraphCache
 from .flags import FLAGS, PerfFlags, perf_overrides
 from .profiler import PERF, StageProfiler, percentile, wall_clock
+from .unique import sorted_unique
 from .workspace import Workspace, get_workspace
 
 __all__ = [
@@ -20,4 +22,5 @@ __all__ = [
     "FLAGS", "PerfFlags", "perf_overrides",
     "Workspace", "get_workspace",
     "EvalSubgraphCache",
+    "sorted_unique",
 ]

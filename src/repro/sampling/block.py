@@ -19,7 +19,7 @@ import numpy as np
 
 from ..analysis.sanitize import check_csr
 from ..errors import SamplingError
-from ..perf import FLAGS, PERF, get_workspace
+from ..perf import FLAGS, PERF, get_workspace, sorted_unique
 
 __all__ = ["SampledBlock", "SampledSubgraph", "build_block"]
 
@@ -213,7 +213,7 @@ def build_block(dst_nodes, edge_dst, edge_src):
                     # the same ordering ``np.setdiff1d`` yields.  (An
                     # index gather: a boolean one is ~4x slower on a
                     # mask this mixed.)
-                    extra = _sorted_unique(
+                    extra = sorted_unique(
                         edge_src[np.flatnonzero(fresh)])
                     lookup[extra] = np.arange(
                         num_dst, num_dst + len(extra), dtype=np.int64)
@@ -233,7 +233,7 @@ def build_block(dst_nodes, edge_dst, edge_src):
         # library builds.  Tie order is irrelevant — equal keys are
         # equal (dst, src) pairs, and the mask keeps one of each.
         shift = max(num_src - 1, 1).bit_length()
-        key = _sorted_unique((dst_local << shift) | src_local)
+        key = sorted_unique((dst_local << shift) | src_local)
         indices = key & ((1 << shift) - 1)
         indptr = np.searchsorted(
             key, np.arange(num_dst + 1, dtype=np.int64) << shift)
@@ -248,17 +248,3 @@ def build_block(dst_nodes, edge_dst, edge_src):
                       sorted_rows=True, num_cols=num_src)
             block.validate()
         return block
-
-
-def _sorted_unique(values):
-    """Ascending distinct values of a fresh int64 array (sorted in
-    place): one sort and a neighbour-compare mask.  (numpy's ``unique``
-    hashes the values first and sorts afterwards — 17x slower at 60 k
-    keys on NumPy 2.4.)"""
-    values.sort()
-    if len(values) > 1:
-        keep = np.empty(len(values), dtype=bool)
-        keep[0] = True
-        np.not_equal(values[1:], values[:-1], out=keep[1:])
-        values = values[keep]
-    return values

@@ -25,10 +25,12 @@ Execution modes
     path.  Exact but explodes with depth — the mode that motivates
     precomputation.
 ``precomputed``
-    Layer-wise precomputed embeddings: serving is an embedding-table
-    lookup (through an LRU *historical-embedding cache*) plus the MLP
-    head, evaluated row-wise so each answer is a pure function of the
-    queried vertex (batching-invariant — see
+    Layer-wise precomputed embeddings: the simulated server looks the
+    batch's embedding rows up (through an LRU *historical-embedding
+    cache*) and runs the MLP head; the host reads the answers from the
+    logit table the offline pass ended with, one ``(1, d)`` head pass
+    per vertex, so each is a pure function of the queried vertex
+    (batching-invariant — see
     :meth:`~repro.serve.precompute.LayerwiseEmbeddings.rowwise_logits`).
 
 The engine has no loop of its own: :meth:`ServeEngine.run` is
@@ -57,8 +59,8 @@ from ..errors import ServingError
 from ..transfer.hardware import DEFAULT_SPEC
 from .batcher import BatchPolicy
 from .executor import SERVE_MODES, BatchExecutor
-from .loop import (EventLoop, ServeNode, cache_hit_rates, eval_mode,
-                   run_totals)
+from .loop import (EventLoop, ServeNode, cache_hit_rates, check_trace,
+                   eval_mode, run_totals)
 from .metrics import ServeReport
 
 __all__ = ["ServeEngine", "SERVE_MODES"]
@@ -161,13 +163,16 @@ class ServeEngine:
         :class:`~repro.serve.metrics.ServeReport`.
 
         ``requests`` must be sorted by arrival time (what
-        :meth:`LoadGenerator.generate` produces).  A single-server
+        :meth:`LoadGenerator.generate` produces) and query vertices of
+        the served graph (:class:`ServingError` names the first request
+        that does not, before anything is served).  A single-server
         queueing simulation: arrivals at time ``t`` are admitted (in
         order) before any dispatch decision at ``t``; a batch launches
         when the server is free and the batcher is ready (full, past
         the oldest deadline, or draining).
         """
         requests = list(requests)
+        check_trace(requests, self.dataset.num_vertices)
         self.executor.reset_counters()
         node = ServeNode(self.executor, self.policy, self.max_queue,
                          rng=np.random.default_rng(self.seed),

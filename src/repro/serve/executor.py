@@ -16,10 +16,13 @@ two hosts can drive it:
 The executor is deliberately ignorant of queueing, clocks, and
 routing: it maps a vertex batch to ``(predictions, bp, dt, nn)``
 simulated stage seconds, and accumulates cache/tier counters.  Answers
-in ``precomputed`` mode flow through
-:meth:`~repro.serve.precompute.LayerwiseEmbeddings.rowwise_logits`, so
-they are a pure function of the queried vertex — independent of how
-requests were batched, spilled, or failed over.
+in ``precomputed`` mode are gathered by
+:meth:`~repro.serve.precompute.LayerwiseEmbeddings.rowwise_logits` from
+the logit table the offline pass ended with, so they are a pure
+function of the queried vertex — independent of how requests were
+batched, spilled, or failed over — and the host runs no model at serve
+time.  The *simulated* node still does: every batch is billed the
+embedding rows it fetches through the cache and the head's FLOPs.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ServingError, TransferError
+from ..perf import sorted_unique
 from ..sampling import NeighborSampler
 from ..transfer.hardware import DEFAULT_SPEC, estimate_flops
 from ..transfer.tiered import TieredCache, backing_for, make_tiered_cache
@@ -190,14 +194,16 @@ class BatchExecutor:
             nn = self.spec.compute_time(stats.flops)
             return predictions, bp, dt, nn
 
-        # precomputed: row-wise table lookup through the embedding
-        # cache + head (row-wise so every answer is batching-invariant
-        # — see LayerwiseEmbeddings.rowwise_logits).
+        # precomputed: the answers are a gather from the logit table
+        # (batching-invariant — see LayerwiseEmbeddings.rowwise_logits);
+        # the simulated node fetches the batch's embedding rows through
+        # its cache and runs the head.
         logits = self.embeddings.rowwise_logits(vertices)
         predictions = logits.argmax(axis=-1)
         row_bytes = (self.embeddings.table.shape[1]
                      * self.embeddings.table.itemsize)
-        dt = self.fetch_seconds(np.unique(vertices), row_bytes)
+        dt = self.fetch_seconds(
+            sorted_unique(np.array(vertices, dtype=np.int64)), row_bytes)
         nn = self.spec.compute_time(
             self.embeddings.head_flops(len(vertices)))
         return predictions, 0.0, dt, nn
@@ -210,7 +216,8 @@ class BatchExecutor:
         predictions = logits.argmax(axis=-1)
         row_bytes = (self.embeddings.table.shape[1]
                      * self.embeddings.table.itemsize)
-        num_bytes = len(np.unique(vertices)) * row_bytes
+        num_bytes = len(sorted_unique(
+            np.array(vertices, dtype=np.int64))) * row_bytes
         dt = (self.spec.gather_time(num_bytes)
               + self.spec.pcie_time(num_bytes)) if num_bytes else 0.0
         nn = self.spec.compute_time(

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import heapq
 from contextlib import contextmanager
+from operator import attrgetter
 
 import numpy as np
 
@@ -56,7 +57,8 @@ from .batcher import MicroBatcher
 from .requests import InferenceResponse
 
 __all__ = ["ServeNode", "EventLoop", "FAULT", "RESPONSE", "ADMIT",
-           "TIMER", "cache_hit_rates", "eval_mode", "run_totals"]
+           "TIMER", "cache_hit_rates", "check_trace", "eval_mode",
+           "run_totals"]
 
 #: Event phases, in the order they run within one simulated instant.
 FAULT, RESPONSE, ADMIT, TIMER = range(4)
@@ -343,8 +345,27 @@ class EventLoop:
 
 
 # ----------------------------------------------------------------------
-# Report helpers shared by ServeEngine and FleetEngine
+# Helpers shared by ServeEngine and FleetEngine
 # ----------------------------------------------------------------------
+def check_trace(requests, num_vertices):
+    """Reject a trace that queries a vertex the graph does not have.
+
+    Raises :class:`ServingError` naming the first request whose vertex
+    is outside ``[0, num_vertices)``.  One pass per run, before any
+    batch is cut: inside a batch an id past the end is a bare
+    ``IndexError`` and a negative one silently answers for a vertex
+    counted from the end of the table."""
+    vertices = np.fromiter(map(attrgetter("vertex"), requests),
+                           dtype=np.int64, count=len(requests))
+    bad = (vertices < 0) | (vertices >= num_vertices)
+    if bad.any():
+        request = requests[int(bad.argmax())]
+        raise ServingError(
+            f"request {request.request_id} queries vertex "
+            f"{request.vertex}; the served graph has vertices "
+            f"0..{num_vertices - 1}")
+
+
 def cache_hit_rates(caches):
     """``(gpu_hit_rate, warm_hit_rate, tiered)`` pooled over ``caches``
     — each a :class:`~repro.transfer.tiered.TieredCache` or ``None``.

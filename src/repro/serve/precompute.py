@@ -11,8 +11,13 @@ no longer explodes with depth.
 
 :class:`LayerwiseEmbeddings` implements both sides:
 
-* :meth:`logits` — the serving path: gather precomputed final-layer
-  embeddings, run the MLP head;
+* :meth:`rowwise_logits` — the serving path: one gather from a
+  per-vertex *logit table*.  The classifier head is the offline pass's
+  last layer: the build ends by running it over every row of the
+  embedding table, each row as its own ``(1, d)`` pass, so an answer
+  is a pure function of the queried vertex and serving never runs the
+  model (:meth:`logits`, the batched ``(m, d)`` head over gathered
+  embedding rows, stays as the on-demand path's bit-match partner);
 * :meth:`ondemand_logits` — the reference path: expand the query's full
   (every-neighbor) L-hop neighborhood and compute embeddings from raw
   features at query time, metering the edges/vertices/FLOPs a real
@@ -51,6 +56,7 @@ from ..errors import ServingError
 from ..kernels import gspmm_forward
 from ..nn.layers import GCNConv, SAGEConv
 from ..nn.tensor import Tensor
+from .loop import eval_mode
 
 __all__ = ["LayerwiseEmbeddings", "OndemandStats"]
 
@@ -102,7 +108,27 @@ class LayerwiseEmbeddings:
         The graph and raw input features served against.
 
     The build runs eval-mode semantics (dropout is identity), matching
-    what on-demand inference computes.
+    what on-demand inference computes: the conv stack is evaluated from
+    the raw weights, and the head is switched to eval mode for its pass
+    and put back as it was found (``Trainer.run()`` hands the model
+    over with ``training=True``; a head with dropout would otherwise
+    bake random masks into every answer and advance the dropout rng
+    that bit-exact resume checkpoints).
+
+    Both tables are a *snapshot* of the model at build time — conv
+    weights and head alike.  A model trained further afterwards is
+    served from the old snapshot until the tables are rebuilt.
+
+    Attributes
+    ----------
+    table:
+        ``(num_vertices, hidden)`` final-layer embeddings — the rows a
+        serving node caches and is billed for.
+    logit_table:
+        ``(num_vertices, num_classes)`` head outputs, the answers
+        themselves; ``num_classes / hidden`` of ``table``'s memory on
+        top (352 KB beside 1.1 MB for 2 200 vertices, 40 classes,
+        width 128).  Read it through :meth:`rowwise_logits`.
     """
 
     def __init__(self, model, graph, features):
@@ -143,6 +169,13 @@ class LayerwiseEmbeddings:
             self.build_edges += edges
             self.build_flops += flops
         self.table = check_finite(h, name="precomputed embedding table")
+        # The head is the offline pass's last layer: every vertex is
+        # its own (1, d) pass, handed to numpy as one stacked
+        # (N, 1, d) operand (see rowwise_logits).
+        with eval_mode(head):
+            logits = self._head_logits(self.table[:, None, :])
+        self.logit_table = check_finite(
+            logits[:, 0], name="precomputed logit table")
 
     # ------------------------------------------------------------------
     # Shared layer math
@@ -207,7 +240,7 @@ class LayerwiseEmbeddings:
         return self._head_logits(self.table[vertices])
 
     def rowwise_logits(self, vertices):
-        """Precomputed-mode logits, one row at a time.
+        """Precomputed-mode logits: a gather from the logit table.
 
         BLAS dispatches different kernels for ``(1, d)`` and ``(m, d)``
         operands, so the *bits* of a row's logits through
@@ -215,16 +248,32 @@ class LayerwiseEmbeddings:
         Serving answers must instead be a pure function of the queried
         vertex — the property that lets a sharded fleet re-batch,
         spill, and fail over requests while remaining bit-identical to
-        a single server.  This method pins one shape: every row is
-        evaluated as its own ``(1, d)`` head pass, so identical
-        vertices produce identical bits under any batching.
+        a single server.  So one shape is pinned: every vertex's logits
+        are those of its own ``(1, d)`` head pass.
+
+        Being a function of the vertex alone, they depend on nothing
+        the serving path knows, and the head is run as the offline
+        pass's last layer instead of per request: the build hands the
+        head the whole embedding table as one stacked ``(N, 1, d)``
+        operand.  numpy evaluates a stacked matmul item by item through
+        the routine the 2-D call uses, and bias and ReLU are
+        elementwise, so that is N independent ``(1, d)`` passes — the
+        same bits as a python loop over rows (kept as the oracle
+        ``tests/serve/_rowwise_oracle.py``), with no python per row.
+        Serving is then an index: the *simulated* server still fetches
+        embedding rows through its cache and is billed the head's
+        FLOPs per batch (:meth:`head_flops`); only the host stops
+        re-deriving bits it already has.
+
+        ``vertices`` must lie in ``[0, num_vertices)`` (the engines
+        validate a trace once per run — a negative id would otherwise
+        alias a row from the end of the table).  The returned rows are
+        copies in the head's output dtype.
         """
         vertices = np.asarray(vertices, dtype=np.int64)
         if len(vertices) == 0:
             raise ServingError("cannot serve an empty query batch")
-        return np.concatenate(
-            [self._head_logits(self.table[v:v + 1])
-             for v in vertices], axis=0)
+        return self.logit_table[vertices]
 
     def ondemand_logits(self, vertices):
         """Exact full-fanout on-demand logits plus metered cost.

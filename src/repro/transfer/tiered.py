@@ -58,6 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import TransferError
+from ..perf import sorted_unique
 
 __all__ = ["TieredCache", "TierLookup", "TierBill", "make_tiered_cache",
            "backing_for", "presample_frequencies", "select_lowest",
@@ -409,12 +410,12 @@ class TieredCache:
             # Degenerate warm-only configuration: admit the rows not
             # already resident (touched residents keep their slot, with
             # their score freshly bumped above).
-            new = np.unique(vertices[tiers != _WARM])
+            new = sorted_unique(vertices[tiers != _WARM])
             if len(new):
                 self._admit_into_warm(new)
             return
 
-        newly_hot = np.unique(vertices[tiers != _HOT])
+        newly_hot = sorted_unique(vertices[tiers != _HOT])
         if len(newly_hot) == 0:
             return
         self._tier[newly_hot] = _HOT

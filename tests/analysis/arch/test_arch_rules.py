@@ -5,11 +5,13 @@ mini-project (see :mod:`tests.analysis.arch.miniproj`), so a failure
 names the rule that regressed rather than the whole pass.
 """
 
+import json
 import textwrap
 
 import pytest
 
 from repro.analysis.arch import arch_lint
+from repro.analysis.layers import load_arch_config
 from repro.analysis.rules.arch import arch_rule_table, arch_rules
 
 from tests.analysis.arch.miniproj import (INJECT_SCIPY_NN,
@@ -211,6 +213,38 @@ class TestARC003Billing:
                           config_text=self.CONFIG)
         assert not any("accuracy" in f.message
                        for f in result.new_findings)
+
+    def test_checked_in_contract_guards_the_logit_table(self, tmp_path):
+        # With the *real* layers.toml store list: a serve/ read of the
+        # precomputed logit table that skips lookup + bill is flagged;
+        # going through rowwise_logits and billing the rows is clean.
+        options = load_arch_config().rule("ARC003")
+        files = {
+            "__init__.py": "",
+            "serve/__init__.py": "",
+            "serve/executor.py": """
+                class Executor:
+                    def peek(self, vertex):
+                        return self.embeddings.logit_table[vertex]
+
+                    def execute(self, vertices):
+                        logits = self.embeddings.rowwise_logits(vertices)
+                        return logits, self.fetch_seconds(vertices)
+            """,
+        }
+        config = f"""
+            version = 1
+
+            [rules.ARC003]
+            packages = ["serve"]
+            store_attrs = {json.dumps(options["store_attrs"])}
+            billing_calls = {json.dumps(options["billing_calls"])}
+        """
+        result = run_rule(tmp_path, "ARC003", files=files,
+                          config_text=config)
+        (finding,) = result.new_findings
+        assert "logit_table" in finding.message
+        assert "Executor.peek" in finding.message
 
 
 class TestARC004SimulatedClock:

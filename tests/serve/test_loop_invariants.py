@@ -144,23 +144,8 @@ def _schedule(kind, span, replicas):
     }[kind]
 
 
-@settings(max_examples=20, deadline=None)
-@given(replicas=st.integers(1, 4),
-       partitioner=st.sampled_from(["hash", "metis-v"]),
-       spill=st.sampled_from([None, 2, 16]),
-       schedule=st.sampled_from(["none", "crash", "crash-storm",
-                                 "blackout", "straggler-slowlink"]),
-       resilience=st.sampled_from([
-           None, ResiliencePolicy(retry_budget=2, hedge=None),
-           ResiliencePolicy(retry_budget=2)]),
-       autoscale=st.booleans(),
-       max_queue=st.sampled_from([None, 8, 64]),
-       rate=st.sampled_from([2e4, 2e5]),
-       trace_seed=st.integers(0, 5))
-def test_fleet_engine_conserves_requests(world, replicas, partitioner,
-                                         spill, schedule, resilience,
-                                         autoscale, max_queue, rate,
-                                         trace_seed):
+def check_fleet_run(world, replicas, partitioner, spill, schedule,
+                    resilience, autoscale, max_queue, rate, trace_seed):
     data, model, embeddings, partitions = world
     trace = trace_for(data, rate, 150, trace_seed)
     span = trace[-1].arrival
@@ -189,22 +174,61 @@ def test_fleet_engine_conserves_requests(world, replicas, partitioner,
 
     report = run()
     assert report.num_requests == len(trace)
-    if resilience is None or resilience.hedge is None:
-        assert report.completed + report.rejected == len(trace)
-    else:
-        # Known accounting quirk, unchanged by the one-loop refactor
-        # (ROADMAP, generated-configuration item): when both copies of
-        # a hedged request are orphaned by crashes and both
-        # re-submissions find no replica up, the request is counted
-        # rejected (and dropped) once per copy.
-        assert report.completed + report.rejected >= len(trace)
-        assert report.completed <= len(trace)
+    # Per request, not per copy: a hedged request whose copies are
+    # all lost is rejected once, one whose twin answers is not.
+    assert report.completed + report.rejected == len(trace)
     assert report.completed == len(report.responses)
     assert report.dropped <= report.rejected
-    assert report.dropped == len(report.dropped_request_ids)
+    assert report.dropped == len(report.dropped_request_ids) \
+        == len(set(report.dropped_request_ids))
+    assert not set(report.dropped_request_ids) \
+        & {r.request.request_id for r in report.responses}
     assert set(report.dropped_request_ids) \
         <= {r.request_id for r in trace}
     check_answers(trace, report.responses)
     assert sum(r.completed for r in report.replicas) \
         >= report.completed     # hedge twins may be served twice
     assert fingerprint(run()) == fingerprint(report)
+
+
+@settings(max_examples=20, deadline=None)
+@given(replicas=st.integers(1, 4),
+       partitioner=st.sampled_from(["hash", "metis-v"]),
+       spill=st.sampled_from([None, 2, 16]),
+       schedule=st.sampled_from(["none", "crash", "crash-storm",
+                                 "blackout", "straggler-slowlink"]),
+       resilience=st.sampled_from([
+           None, ResiliencePolicy(retry_budget=2, hedge=None),
+           ResiliencePolicy(retry_budget=2)]),
+       autoscale=st.booleans(),
+       max_queue=st.sampled_from([None, 8, 64]),
+       rate=st.sampled_from([2e4, 2e5]),
+       trace_seed=st.integers(0, 5))
+def test_fleet_engine_conserves_requests(world, **config):
+    check_fleet_run(world, **config)
+
+
+@pytest.mark.parametrize("config", [
+    # Both copies of a hedged request orphaned, both re-submissions
+    # unroutable: was rejected + dropped once per copy (151 of 150).
+    dict(replicas=2, partitioner="metis-v", spill=2,
+         schedule="crash-storm", autoscale=False, max_queue=None,
+         rate=2e4, trace_seed=5, retry_budget=1),
+    dict(replicas=2, partitioner="hash", spill=16,
+         schedule="crash-storm", autoscale=True, max_queue=None,
+         rate=2e4, trace_seed=2, retry_budget=3),
+    # One copy over the retry budget, its twin answered: was counted
+    # completed *and* dropped.
+    dict(replicas=3, partitioner="hash", spill=None,
+         schedule="crash-storm", autoscale=True, max_queue=64,
+         rate=2e4, trace_seed=5, retry_budget=1),
+], ids=["both-copies-unroutable", "both-copies-unroutable-autoscaled",
+        "budget-drop-twin-answered"])
+def test_hedged_requests_are_counted_once(world, config):
+    """The configurations PR 14's fuzz (and a 1 200-run sweep of this
+    file's grid) found violating ``completed + rejected == offered``
+    while ``rejected`` was counted per copy."""
+    config = dict(config)
+    resilience = ResiliencePolicy(
+        retry_budget=config.pop("retry_budget"))
+    check_fleet_run(world, resilience=resilience, **config)
