@@ -35,6 +35,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -240,6 +241,17 @@ def _cmd_systems(_args):
     return 0
 
 
+def _note_unpinned_blas():
+    """One stderr line when nothing caps the BLAS thread pool: a default
+    pool spends longer handing out these small products than on them."""
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    if (os.cpu_count() or 1) > 1 \
+            and not any(name in os.environ for name in names):
+        print(f"note: none of {', '.join(names)} is set; training is "
+              f"usually faster with OPENBLAS_NUM_THREADS=1 (README, "
+              f"Performance)", file=sys.stderr)
+
+
 def _cmd_train(args):
     if args.resume and not args.checkpoint:
         print("error: --resume requires --checkpoint PATH",
@@ -261,6 +273,7 @@ def _cmd_train(args):
             return 2
         cache_ratio = args.cache_budget * args.cache_hot_fraction
         warm_ratio = args.cache_budget - cache_ratio
+    _note_unpinned_blas()
     dataset = load_dataset(args.dataset, scale=args.scale)
     config = TrainingConfig(
         model=args.model, partitioner=args.partitioner,

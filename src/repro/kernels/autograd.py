@@ -167,7 +167,7 @@ def edge_softmax(adj, scores, backend=None):
 
     def backward(grad):
         # dx = p * (g - sum_segment(g * p)), float64 accumulators as
-        # in the forward (and the engine's segment_softmax).
+        # in the forward.
         seg_dot = np.bincount(edge_dst, weights=grad * probs,
                               minlength=adj.shape[0])
         s_t._accumulate(probs * (grad - seg_dot[edge_dst]))

@@ -12,8 +12,7 @@ kernel:
 * COO aggregation scatter-adds edges in list order (GAT's contract:
   block CSR edges first, appended self-loops last).
 * ``edge_softmax`` runs the per-segment max/sum in float64 and casts
-  the probabilities back, matching the autograd engine's historical
-  ``segment_softmax``.
+  the probabilities back (``segment_softmax`` of ``tests/nn``'s oracle).
 
 ``gsddmm`` is not here: it is a per-edge gather with no accumulation
 order to pin, so the registry runs one shared implementation.

@@ -47,6 +47,11 @@ __all__ = ["register_backend", "available_backends", "resolve_backend",
            "gspmm_forward", "gsddmm_forward", "edge_softmax_forward",
            "GSPMM_OPS", "GSDDMM_OPS", "REDUCES"]
 
+#: Bytes of one gathered operand per pass of ``gsddmm``'s ``dot``, so
+#: both ``(chunk, d)`` temporaries are still in cache for the product
+#: and the row sum.  Bits do not depend on it; 128-256 KiB measured best.
+DOT_CHUNK_BYTES = 1 << 18
+
 GSPMM_OPS = ("mul", "copy_rhs")
 GSDDMM_OPS = ("add", "mul", "dot")
 REDUCES = ("sum", "mean", "max")
@@ -227,20 +232,30 @@ def gsddmm_forward(adj, q, k, op="add", backend=None):
     resolve_backend(backend)  # a bad name fails here like anywhere
     PERF.count("kernel_gsddmm_calls")
     edges = adj.edges()
-    lhs, rhs = q[edges.edge_dst], k[edges.edge_src]
-    if op == "add":
-        out = lhs + rhs
+    edge_dst, edge_src = edges.edge_dst, edges.edge_src
+    if op == "dot":
+        out = np.empty(adj.nnz, dtype=np.result_type(q, k))
+        chunk = max(1, DOT_CHUNK_BYTES
+                    // max(1, q.shape[1] * out.dtype.itemsize))
+        for start in range(0, adj.nnz, chunk):
+            stop = start + chunk
+            _product(q[edge_dst[start:stop]], k[edge_src[start:stop]]
+                     ).sum(axis=1, out=out[start:stop])
+    elif op == "mul":
+        out = _product(q[edge_dst], k[edge_src])
     else:
-        # The gathers are fresh copies, so the product may reuse one.
-        out = np.multiply(
-            lhs, rhs, out=lhs if lhs.dtype == rhs.dtype else None)
-        if op == "dot":
-            out = out.sum(axis=1)
+        out = q[edge_dst] + k[edge_src]
     PERF.count("kernel_flops",
                (2 if op == "dot" else 1) * adj.nnz * q.shape[1])
     if op != "dot" and squeeze_q and squeeze_k:
         return out[:, 0]
     return out
+
+
+def _product(lhs, rhs):
+    """``lhs * rhs`` in ``lhs``'s buffer (a fresh gather) if dtypes agree."""
+    return np.multiply(lhs, rhs,
+                       out=lhs if lhs.dtype == rhs.dtype else None)
 
 
 def edge_softmax_forward(adj, scores, backend=None):

@@ -140,10 +140,7 @@ class Linear(Module):
 
     def forward(self, x):
         """Affine transform of the input rows."""
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return Tensor.affine((x, self.weight), bias=self.bias)
 
 
 class Dropout(Module):
@@ -194,7 +191,7 @@ class GCNConv(Module):
     def forward(self, adjacency, h_src):
         """Aggregate sources with ``adjacency`` then transform."""
         aggregated = gspmm(adjacency, h_src)
-        return aggregated @ self.weight + self.bias
+        return Tensor.affine((aggregated, self.weight), bias=self.bias)
 
     def forward_block(self, block, h_src):
         """Run the layer on a sampled block (self-loops included)."""
@@ -221,11 +218,11 @@ class SAGEConv(Module):
     def forward(self, adjacency, h_src):
         """Combine each destination's own features with its
         mean-aggregated neighbors."""
-        num_dst = adjacency.shape[0]
-        h_self = h_src.leading_rows(num_dst)
+        h_self = h_src.leading_rows(adjacency.shape[0])
         aggregated = gspmm(adjacency, h_src)
-        out = (h_self @ self.weight_self
-               + aggregated @ self.weight_neigh + self.bias)
+        out = Tensor.affine((h_self, self.weight_self),
+                            (aggregated, self.weight_neigh),
+                            bias=self.bias)
         if self.normalize:
             out = out.l2_normalize_rows()
         return out

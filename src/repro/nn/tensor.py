@@ -1,11 +1,18 @@
 """A minimal reverse-mode autograd engine over numpy arrays.
 
-Only what GNN training needs: dense matmul, sparse aggregation (SpMM),
+Only what GNN training needs: a fused affine node (dense matmul),
 elementwise arithmetic, ReLU, dropout, row gather/concat, and a fused
-softmax-cross-entropy loss.  A :class:`Tensor` wraps an ndarray plus an
+softmax-cross-entropy loss; sparse aggregation lives in
+:mod:`repro.kernels`.  A :class:`Tensor` wraps an ndarray plus an
 optional gradient; operations record a backward closure and their parent
 tensors, and :meth:`Tensor.backward` replays the tape in reverse
 topological order.
+
+Gradients are *owned*: what a backward closure hands ``_accumulate`` is
+a fresh array the receiver keeps (and later adds into in place), so
+nothing is copied on arrival.  The few ops that pass their incoming
+gradient on unchanged — ``__add__``, ``reshape``, ``concat``, the array
+a caller gives ``backward`` — copy at their own site.
 
 The engine is deliberately small and explicit — every op's backward rule
 is a few lines of numpy, which lets the test suite verify all of them
@@ -35,8 +42,32 @@ def _unbroadcast(grad, shape):
     return grad
 
 
+def _pass_through(grad, shape):
+    """A node's own gradient for a parent of ``shape``: a copy to own,
+    unless unbroadcasting will reduce it into a fresh array anyway."""
+    return grad.copy() if grad.shape == shape else grad
+
+
+def _add_into(out, term):
+    """``out + term`` — the same float add in place when dtypes agree."""
+    if term.dtype == out.dtype:
+        out += term
+        return out
+    return out + term
+
+
+def _input_grad(grad, weight):
+    """``grad @ weight.T``, the input gradient of ``x @ weight``.  A
+    single-column ``weight`` (GAT's attention vectors) makes it a K = 1
+    product, one rounded multiply per element: broadcasting gives the
+    same bits without the BLAS call."""
+    if weight.ndim == 2 and weight.shape[1] == 1 and grad.ndim >= 2:
+        return grad * weight.T
+    return grad @ weight.T
+
+
 class Tensor:
-    """An ndarray with an autograd tape.
+    """An ndarray with an autograd tape (fused node: ``Tensor.affine``).
 
     Parameters
     ----------
@@ -49,16 +80,15 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, _parents=(),
-                 _backward=None):
+    def __init__(self, data, requires_grad=False):
         array = np.asarray(data)
         if not np.issubdtype(array.dtype, np.floating):
             array = array.astype(np.float32)
         self.data = array
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._parents = tuple(_parents)
-        self._backward = _backward
+        self._parents = ()
+        self._backward = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -90,10 +120,12 @@ class Tensor:
     # Autograd machinery
     # ------------------------------------------------------------------
     def _accumulate(self, grad):
+        """Add ``grad``, an array nobody else holds (module docstring):
+        the first one *becomes* ``self.grad``."""
         grad = _unbroadcast(np.asarray(grad, dtype=self.data.dtype),
                             self.data.shape)
         if self.grad is None:
-            self.grad = grad.copy()
+            self.grad = grad
         else:
             self.grad += grad
 
@@ -101,13 +133,15 @@ class Tensor:
         """Backpropagate from this tensor.
 
         ``grad`` defaults to 1 for scalars; non-scalar roots must pass an
-        explicit output gradient.
+        explicit output gradient (copied: the caller's array is theirs).
         """
         if grad is None:
             if self.data.size != 1:
                 raise TrainingError(
                     "backward() without grad only allowed on scalars")
             grad = np.ones_like(self.data)
+        else:
+            grad = np.array(grad, dtype=self.data.dtype)
         # Topological order via iterative DFS.
         order, visited, stack = [], set(), [(self, False)]
         while stack:
@@ -129,10 +163,17 @@ class Tensor:
 
     @staticmethod
     def _result(data, parents, backward):
-        needs = any(p.requires_grad for p in parents)
-        return Tensor(data, requires_grad=needs,
-                      _parents=[p for p in parents if p.requires_grad],
-                      _backward=backward if needs else None)
+        """Wrap an op's output, skipping the dtype coercion
+        ``__init__`` applies to user data."""
+        tracked = tuple(p for p in parents if p.requires_grad)
+        out = Tensor.__new__(Tensor)
+        out.data = data if isinstance(data, np.ndarray) \
+            else np.asarray(data)
+        out.grad = None
+        out.requires_grad = bool(tracked)
+        out._parents = tracked
+        out._backward = backward if tracked else None
+        return out
 
     # ------------------------------------------------------------------
     # Operations
@@ -142,9 +183,9 @@ class Tensor:
 
         def backward(grad):
             if self.requires_grad:
-                self._accumulate(grad)
+                self._accumulate(_pass_through(grad, self.data.shape))
             if other.requires_grad:
-                other._accumulate(grad)
+                other._accumulate(_pass_through(grad, other.data.shape))
 
         return self._result(self.data + other.data, (self, other), backward)
 
@@ -174,17 +215,41 @@ class Tensor:
 
     __rmul__ = __mul__
 
+    @staticmethod
+    def affine(*terms, bias=None):
+        """``sum_i x_i @ W_i (+ bias)`` over tensor pairs ``terms =
+        (x_0, W_0), (x_1, W_1), ...`` as one tape node — what
+        ``Linear``, ``GCNConv`` and ``SAGEConv`` compute.
+
+        Summed left to right into the first product's buffer — the
+        float adds of ``(x_0 @ W_0 + x_1 @ W_1) + bias`` without the
+        intermediate arrays, tape nodes and gradient copies.
+        """
+        out = None
+        for x, weight in terms:
+            product = x.data @ weight.data
+            out = product if out is None else _add_into(out, product)
+        if bias is not None:
+            out = _add_into(out, bias.data)
+
+        def backward(grad):
+            for x, weight in terms:
+                if x.requires_grad:
+                    x._accumulate(_input_grad(grad, weight.data))
+                if weight.requires_grad:
+                    weight._accumulate(x.data.T @ grad)
+            if bias is not None and bias.requires_grad:
+                bias._accumulate(_pass_through(grad, bias.data.shape))
+
+        parents = [tensor for term in terms for tensor in term]
+        if bias is not None:
+            parents.append(bias)
+        return Tensor._result(out, parents, backward)
+
     def matmul(self, other):
         """Dense matrix product ``self @ other``."""
         other = other if isinstance(other, Tensor) else Tensor(other)
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(grad @ other.data.T)
-            if other.requires_grad:
-                other._accumulate(self.data.T @ grad)
-
-        return self._result(self.data @ other.data, (self, other), backward)
+        return Tensor.affine((self, other))
 
     __matmul__ = matmul
 
@@ -216,8 +281,12 @@ class Tensor:
             raise TrainingError(f"dropout p must be in [0, 1), got {p}")
         if not training or p == 0.0:
             return self
-        keep = (rng.random(self.data.shape) >= p) / (1.0 - p)
-        keep = keep.astype(self.data.dtype)
+        # The draw stays float64 (the rng stream is part of the
+        # contract) and the keep-scale is rounded once from float64;
+        # the mask itself is built in the working precision.
+        dtype = self.data.dtype
+        keep = np.multiply(rng.random(self.data.shape) >= p,
+                           dtype.type(1.0 / (1.0 - p)), dtype=dtype)
 
         def backward(grad):
             if self.requires_grad:
@@ -258,36 +327,13 @@ class Tensor:
         def backward(grad):
             first, second = np.split(grad, [split], axis=axis)
             if self.requires_grad:
-                self._accumulate(first)
+                self._accumulate(first.copy())
             if other.requires_grad:
-                other._accumulate(second)
+                other._accumulate(second.copy())
 
         return self._result(np.concatenate([self.data, other.data],
                                            axis=axis),
                             (self, other), backward)
-
-    def spmm(self, matrix):
-        """Sparse aggregation ``matrix @ self`` with a fixed (non-grad)
-        scipy sparse ``matrix``; backward multiplies by its transpose.
-
-        The transpose CSR is built lazily (inference never pays for it)
-        and memoized on the matrix object, so repeated backward passes
-        through a reused aggregation operator — memoized block
-        operators, the full-batch engine's persistent adjacency —
-        transpose it once.
-        """
-        def backward(grad):
-            if self.requires_grad:
-                transpose = getattr(matrix, "_transpose_csr", None)
-                if transpose is None:
-                    transpose = matrix.T.tocsr()
-                    try:
-                        matrix._transpose_csr = transpose
-                    except AttributeError:
-                        pass
-                self._accumulate(transpose @ grad)
-
-        return self._result(matrix @ self.data, (self,), backward)
 
     def __truediv__(self, other):
         other = other if isinstance(other, Tensor) else Tensor(other)
@@ -365,75 +411,9 @@ class Tensor:
 
         def backward(grad):
             if self.requires_grad:
-                self._accumulate(grad.reshape(original))
+                self._accumulate(grad.reshape(original).copy())
 
         return self._result(self.data.reshape(*shape), (self,), backward)
-
-    def segment_softmax(self, segments, num_segments=None):
-        """Softmax over groups of a 1-D tensor: entries sharing a
-        segment id normalize together (GAT's per-destination attention
-        normalization).
-
-        ``segments`` need not be sorted; any grouping works.
-        """
-        if self.data.ndim != 1:
-            raise TrainingError("segment_softmax expects a 1-D tensor")
-        segments = np.asarray(segments, dtype=np.int64)
-        if len(segments) != len(self.data):
-            raise TrainingError("segments must align with the tensor")
-        count = int(num_segments if num_segments is not None
-                    else (segments.max() + 1 if len(segments) else 0))
-        # Per-segment max for numerical stability.
-        seg_max = np.full(count, -np.inf, dtype=np.float64)
-        np.maximum.at(seg_max, segments, self.data)
-        shifted = self.data - seg_max[segments]
-        exp = np.exp(shifted)
-        seg_sum = np.zeros(count, dtype=np.float64)
-        np.add.at(seg_sum, segments, exp)
-        seg_sum[seg_sum == 0] = 1.0
-        probs = (exp / seg_sum[segments]).astype(self.data.dtype)
-
-        def backward(grad):
-            if self.requires_grad:
-                # dx = p * (g - sum_segment(g * p))
-                weighted = grad * probs
-                seg_dot = np.zeros(count, dtype=np.float64)
-                np.add.at(seg_dot, segments, weighted)
-                self._accumulate(probs * (grad - seg_dot[segments]))
-
-        return self._result(probs, (self,), backward)
-
-    @staticmethod
-    def edge_aggregate(sources, weights, edge_dst, edge_src, num_dst):
-        """Weighted scatter aggregation over edges:
-        ``out[d] = sum over edges e with dst d of weights[e] *
-        sources[edge_src[e]]`` — GAT's attention-weighted message
-        passing, differentiable in both the source features and the
-        per-edge weights.
-        """
-        edge_dst = np.asarray(edge_dst, dtype=np.int64)
-        edge_src = np.asarray(edge_src, dtype=np.int64)
-        if weights.data.ndim != 1 or len(weights.data) != len(edge_dst) \
-                or len(edge_dst) != len(edge_src):
-            raise TrainingError("edge arrays and weights must align")
-        gathered = sources.data[edge_src]
-        contribution = weights.data[:, None] * gathered
-        out = np.zeros((num_dst, sources.data.shape[1]),
-                       dtype=sources.data.dtype)
-        np.add.at(out, edge_dst, contribution)
-
-        def backward(grad):
-            per_edge_grad = grad[edge_dst]
-            if sources.requires_grad:
-                routed = np.zeros_like(sources.data)
-                np.add.at(routed, edge_src,
-                          weights.data[:, None] * per_edge_grad)
-                sources._accumulate(routed)
-            if weights.requires_grad:
-                weights._accumulate(
-                    (per_edge_grad * gathered).sum(axis=1))
-
-        return Tensor._result(out, (sources, weights), backward)
 
     def mask_rows(self, keep_index, replacement):
         """Keep rows ``keep_index`` from this tensor; take every other

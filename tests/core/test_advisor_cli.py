@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _note_unpinned_blas, build_parser, main
 from repro.core import TrainingConfig, advise
 from repro.graph import load_dataset
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                         "MKL_NUM_THREADS")
 
 
 @pytest.fixture(scope="module")
@@ -89,13 +93,38 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "edge cut" in out
 
-    def test_train_command(self, capsys):
+    def test_train_command(self, capsys, monkeypatch):
+        for name in BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
         code = main(["train", "ogb-arxiv", "--scale", "0.25",
                      "--epochs", "2", "--workers", "2",
                      "--batch-size", "128", "--fanout", "4", "4"])
         assert code == 0
-        out = capsys.readouterr().out
-        assert "best val accuracy" in out
+        captured = capsys.readouterr()
+        assert "best val accuracy" in captured.out
+        # Nothing caps the BLAS pool: the command says so, once, on
+        # stderr, and the summary on stdout is untouched.
+        assert captured.err.count("note:") == 1
+        assert "OPENBLAS_NUM_THREADS=1" in captured.err
+        assert "note:" not in captured.out
+
+    @pytest.mark.parametrize("pinned", BLAS_THREAD_VARIABLES)
+    def test_blas_note_is_silent_when_a_variable_is_set(
+            self, pinned, capsys, monkeypatch):
+        for name in BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        monkeypatch.setenv(pinned, "2")
+        _note_unpinned_blas()
+        assert capsys.readouterr().err == ""
+
+    def test_blas_note_is_silent_on_one_cpu(self, capsys, monkeypatch):
+        for name in BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: 1)
+        _note_unpinned_blas()
+        assert capsys.readouterr().err == ""
 
     def test_train_rejects_unknown_dataset(self):
         with pytest.raises(SystemExit):

@@ -10,8 +10,10 @@ and reverses every row.  ``block_operator_reference`` and
 with a freshly *sorted* segment view).  They define the stored bytes —
 ``indptr`` / ``indices`` / ``data``, the edge-list order and the view's
 permutation — that the shipped sort-free accessors must reproduce;
-``test_block_pipeline.py`` runs both on generated blocks.  Do not
-"fix" or speed up anything here.
+``test_block_pipeline.py`` runs both on generated blocks.
+``gsddmm_dot_reference`` is the one-pass ``dot`` that
+``test_gsddmm_chunks.py`` holds the chunked kernel to.  Do not "fix" or
+speed up anything here.
 """
 
 import numpy as np
@@ -97,3 +99,15 @@ def attention_edges_reference(block):
     return KernelCOO(np.concatenate([edge_dst, loops]),
                      np.concatenate([block.indices, loops]),
                      (block.num_dst, block.num_src))
+
+
+def gsddmm_dot_reference(adj, q, k):
+    """``gsddmm``'s ``dot`` as the registry shipped it before the pass
+    was cut into cache-sized chunks: gather both ``(nnz, d)`` operands
+    whole, multiply, sum each row.  Defines the per-edge bits (and the
+    promotion of mixed operand dtypes) every chunking must reproduce."""
+    edges = adj.edges()
+    lhs, rhs = q[edges.edge_dst], k[edges.edge_src]
+    out = np.multiply(
+        lhs, rhs, out=lhs if lhs.dtype == rhs.dtype else None)
+    return out.sum(axis=1)

@@ -10,6 +10,7 @@ from repro.nn import GAT, Adam, GATConv, Tensor, build_model
 from repro.nn.loss import softmax_cross_entropy
 from repro.sampling import NeighborSampler
 
+from ._tensor_oracle import edge_aggregate, segment_softmax
 from .test_tensor import check_op, numeric_grad
 
 
@@ -45,37 +46,36 @@ class TestNewOps:
     def test_segment_softmax_normalizes_per_segment(self):
         x = Tensor(np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
         segments = np.array([0, 0, 1, 1, 1])
-        probs = x.segment_softmax(segments).data
+        probs = segment_softmax(x, segments).data
         assert probs[:2].sum() == pytest.approx(1.0)
         assert probs[2:].sum() == pytest.approx(1.0)
 
     def test_segment_softmax_single_element_segment(self):
         x = Tensor(np.array([7.0]))
-        assert x.segment_softmax([0]).data[0] == pytest.approx(1.0)
+        assert segment_softmax(x, [0]).data[0] == pytest.approx(1.0)
 
     def test_segment_softmax_gradcheck(self):
         segments = np.array([0, 0, 1, 1, 2])
-        check_op(lambda x: (x.segment_softmax(segments)
+        check_op(lambda x: (segment_softmax(x, segments)
                             * Tensor(np.arange(5.0))).sum(),
                  (5,), seed=22)
 
     def test_segment_softmax_rejects_matrix(self):
         with pytest.raises(TrainingError):
-            Tensor(np.ones((2, 2))).segment_softmax([0, 1])
+            segment_softmax(Tensor(np.ones((2, 2))), [0, 1])
 
     def test_edge_aggregate_forward(self):
         sources = Tensor(np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]]))
         weights = Tensor(np.array([0.5, 0.5, 1.0]))
-        out = Tensor.edge_aggregate(sources, weights,
-                                    edge_dst=[0, 0, 1],
-                                    edge_src=[0, 1, 2], num_dst=2)
+        out = edge_aggregate(sources, weights, edge_dst=[0, 0, 1],
+                             edge_src=[0, 1, 2], num_dst=2)
         assert np.allclose(out.data, [[0.5, 0.5], [2.0, 2.0]])
 
     def test_edge_aggregate_source_gradcheck(self):
         weights = Tensor(np.array([0.3, 0.7, 1.0, 0.2]))
         edge_dst = [0, 0, 1, 1]
         edge_src = [0, 1, 2, 0]
-        check_op(lambda x: Tensor.edge_aggregate(
+        check_op(lambda x: edge_aggregate(
             x, weights, edge_dst, edge_src, 2).sum(), (3, 2), seed=23)
 
     def test_edge_aggregate_weight_grad(self):
@@ -85,7 +85,7 @@ class TestNewOps:
         edge_src = [1, 0, 2]
 
         def build(w):
-            return Tensor.edge_aggregate(
+            return edge_aggregate(
                 Tensor(source_data), w, edge_dst, edge_src, 2).sum()
 
         w = Tensor(rng.normal(size=3).astype(np.float64),
@@ -97,8 +97,8 @@ class TestNewOps:
 
     def test_edge_aggregate_misaligned(self):
         with pytest.raises(TrainingError):
-            Tensor.edge_aggregate(Tensor(np.ones((2, 2))),
-                                  Tensor(np.ones(3)), [0], [0], 1)
+            edge_aggregate(Tensor(np.ones((2, 2))),
+                           Tensor(np.ones(3)), [0], [0], 1)
 
 
 class TestGATConv:
@@ -130,8 +130,8 @@ class TestGATConv:
         transformed = h @ conv.weights[0]
         scores = ((transformed @ conv.attn_src[0]).gather_rows(edge_src)
                   + (transformed @ conv.attn_dst[0]).gather_rows(edge_dst))
-        alpha = scores.reshape(-1).leaky_relu(0.2).segment_softmax(
-            edge_dst, num_segments=block.num_dst)
+        alpha = segment_softmax(scores.reshape(-1).leaky_relu(0.2),
+                                edge_dst, num_segments=block.num_dst)
         sums = np.zeros(block.num_dst)
         np.add.at(sums, edge_dst, alpha.data)
         assert np.allclose(sums, 1.0, atol=1e-5)

@@ -3,10 +3,11 @@ checks of every op."""
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from repro.errors import TrainingError
 from repro.nn import Tensor, softmax_cross_entropy
+
+from ._tensor_oracle import spmm
 
 
 def numeric_grad(fn, x, eps=1e-4):
@@ -111,9 +112,10 @@ class TestGradientChecks:
         check_op(lambda x: x.concat(other).sum(), (3, 4), seed=8)
 
     def test_spmm(self):
+        sp = pytest.importorskip("scipy.sparse")
         matrix = sp.random(4, 6, density=0.5, random_state=9,
                            format="csr")
-        check_op(lambda x: x.spmm(matrix).sum(), (6, 3), seed=9)
+        check_op(lambda x: spmm(x, matrix).sum(), (6, 3), seed=9)
 
     def test_mean(self):
         check_op(lambda x: x.mean(), (5, 2), seed=10)
