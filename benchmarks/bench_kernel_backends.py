@@ -20,8 +20,12 @@ from repro.bench import run_bench
 from common import bench_cli, run_once
 
 
-def test_kernel_backends(benchmark):
-    report, ok = run_once(benchmark, lambda: run_bench("kernels"))
+def test_kernel_backends(benchmark, tmp_path):
+    # ``BENCH_kernels.json`` is host wall time — a record only the
+    # explicit ``repro bench kernels`` / ``__main__`` form rewrites; a
+    # test run must leave the checkout clean.
+    report, ok = run_once(benchmark, lambda: run_bench(
+        "kernels", out=tmp_path / "BENCH_kernels.json"))
     # The acceptance bar: at least one accelerated backend beats the
     # reference on the SpMM microbench, without a single bit of drift.
     assert ok

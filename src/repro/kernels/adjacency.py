@@ -104,13 +104,14 @@ class KernelCSR:
         self.indices = np.ascontiguousarray(indices, dtype=np.int64)
         self.data = np.ascontiguousarray(data, dtype=np.float32)
         self.shape = (int(shape[0]), int(shape[1]))
+        nnz = len(self.indices)
         if len(self.indptr) != self.shape[0] + 1:
             raise KernelError(
                 f"indptr length {len(self.indptr)} does not match "
                 f"{self.shape[0]} rows")
-        if len(self.indices) != len(self.data):
+        if nnz != len(self.data):
             raise KernelError("indices and data must align")
-        if self.indptr[0] != 0 or self.indptr[-1] != len(self.indices):
+        if self.indptr[0] != 0 or self.indptr[-1] != nnz:
             # Compiled kernels walk these arrays unchecked.
             raise KernelError("indptr must run from 0 to nnz")
         self._transpose = None
@@ -124,15 +125,15 @@ class KernelCSR:
 
     def row_degrees(self):
         """Stored entries per row (int64)."""
-        return np.diff(self.indptr)
+        return self.indptr[1:] - self.indptr[:-1]
 
     def edges(self):
         """The stored entries as a :class:`KernelCOO` in storage order
         (memoized, so the expanded row ids are built once per
         operator rather than once per edge-wise kernel call)."""
         if self._edges is None:
-            rows = np.repeat(np.arange(self.shape[0], dtype=np.int64),
-                             self.row_degrees())
+            rows = np.arange(self.shape[0], dtype=np.int64).repeat(
+                self.row_degrees())
             self._edges = KernelCOO(rows, self.indices, self.shape)
         return self._edges
 
@@ -311,20 +312,22 @@ def _mean_operator(indptr, indices, multiplicity, degree, shape):
     :func:`full_graph_adjacency`.  ``indptr`` / ``indices`` hold rows
     with strictly ascending columns; ``multiplicity`` is how often each
     stored edge occurred (float32, or ``None`` for all ones) and
-    ``degree`` its per-row total.  Each row's entries are stored
+    ``degree`` its per-row total (``None``: the row lengths, which is
+    what it is when nothing repeats).  Each row's entries are stored
     *reversed* (scipy's SMMP ``diags @ csr`` row-scaling emits rows in
     descending column order) and scaled by ``float32(1) / degree`` —
     bit-for-bit the layout the historical scipy construction produced.
     """
-    counts = np.diff(indptr)
+    counts = indptr[1:] - indptr[:-1]
     # Degrees are small exact integers, so the float32 per-row sums
     # the scipy path computed equal these counts.
-    degree = degree.astype(np.float32)
+    degree = (counts if degree is None else degree).astype(np.float32)
     degree[degree == 0] = 1.0
-    data = np.repeat((1.0 / degree).astype(np.float32), counts)
+    # One rounded float32 divide per row, into the fresh copy.
+    data = np.divide(np.float32(1), degree, out=degree).repeat(counts)
     # Position p of row [s, e) reads position s + (e - 1 - p);
     # elementwise scaling commutes with the permute.
-    flip = np.repeat(indptr[:-1] + indptr[1:] - 1, counts) \
+    flip = (indptr[:-1] + indptr[1:] - 1).repeat(counts) \
         - np.arange(len(indices), dtype=np.int64)
     if multiplicity is not None:
         data = (multiplicity * data)[flip]
@@ -389,9 +392,12 @@ def normalized_block_adjacency(block, self_loops=True):
         return cached
     PERF.count("agg_matrix_misses")
     with PERF.timed("spmm_build"):
-        rows = _insert_self_loops(block.indptr, block.indices) \
-            if self_loops else (block.indptr, block.indices, None)
-        matrix = _mean_operator(*rows, block.degrees() + int(key),
+        if self_loops:
+            rows = _insert_self_loops(block.indptr, block.indices)
+            degree = block.degrees() + 1
+        else:
+            rows, degree = (block.indptr, block.indices, None), None
+        matrix = _mean_operator(*rows, degree,
                                 (block.num_dst, block.num_src))
     block._views[key] = matrix
     return matrix

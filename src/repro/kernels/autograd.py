@@ -20,7 +20,7 @@ records a backward closure built from the *same* registry primitives —
 
 Inputs may be plain arrays (forward only, arrays out) or
 :class:`~repro.nn.tensor.Tensor` operands (a taped Tensor comes back).
-The Tensor class is imported lazily at call time: ``repro.nn.layers``
+The Tensor class is imported lazily, on the first call: ``repro.nn.layers``
 imports this package at module scope, so a module-level import of the
 tensor engine here would cycle.
 """
@@ -37,9 +37,18 @@ from .registry import (edge_softmax_forward, gsddmm_forward,
 __all__ = ["gspmm", "gsddmm", "edge_softmax"]
 
 
+_TENSOR = None
+
+
 def _tensor_cls():
-    from ..nn.tensor import Tensor
-    return Tensor
+    """:class:`~repro.nn.tensor.Tensor`, imported on the first call
+    (module docstring) and kept: an ``import`` statement per ``gspmm``
+    is a lock and two dictionary probes the hot path need not pay."""
+    global _TENSOR
+    if _TENSOR is None:
+        from ..nn.tensor import Tensor
+        _TENSOR = Tensor
+    return _TENSOR
 
 
 def _split(operand, tensor_cls):

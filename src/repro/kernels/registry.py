@@ -60,6 +60,10 @@ REDUCES = ("sum", "mean", "max")
 _BACKENDS = {}
 #: "auto" resolution order: accelerated first, reference as the floor.
 _PRIORITY = []
+#: kernel kind or backend name -> its ``kernel_*_calls`` counter, named
+#: once rather than formatted per dispatch.
+_CALL_COUNTERS = {kind: f"kernel_{kind}_calls"
+                  for kind in ("gspmm", "edge_softmax")}
 
 
 def register_backend(backend, accelerated=True):
@@ -70,6 +74,7 @@ def register_backend(backend, accelerated=True):
     """
     name = backend.name
     _BACKENDS[name] = backend
+    _CALL_COUNTERS[name] = f"kernel_{name}_calls"
     if name in _PRIORITY:
         _PRIORITY.remove(name)
     if accelerated:
@@ -117,8 +122,8 @@ def _pick(kind, backend, lowerable=True):
             and not (lowerable and chosen.supports(kind)):
         PERF.count("kernel_fallbacks")
         chosen = _REFERENCE
-    PERF.count(f"kernel_{kind}_calls")
-    PERF.count(f"kernel_{chosen.name}_calls")
+    PERF.count(_CALL_COUNTERS[kind])
+    PERF.count(_CALL_COUNTERS[chosen.name])
     return chosen
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import time
-from contextlib import contextmanager
 
 __all__ = ["StageProfiler", "PERF", "percentile", "wall_clock"]
 
@@ -73,6 +72,26 @@ def percentile(values, q, default=_RAISE, presorted=False):
                  + ordered[high] * fraction)
 
 
+class _Timed:
+    """What :meth:`StageProfiler.timed` returns.  A class, not a
+    ``contextlib`` generator: the hot paths open a handful per sampled
+    block, and a generator-based manager makes six interpreter calls
+    before the first ``perf_counter``."""
+
+    __slots__ = ("_profiler", "_name", "_start")
+
+    def __init__(self, profiler, name):
+        self._profiler = profiler
+        self._name = name
+
+    def __enter__(self):
+        self._start = time.perf_counter()
+
+    def __exit__(self, *_exc):
+        self._profiler.add_seconds(self._name,
+                                   time.perf_counter() - self._start)
+
+
 class StageProfiler:
     """Accumulates named counters and named wall-clock timers.
 
@@ -100,14 +119,10 @@ class StageProfiler:
         self.seconds[name] = self.seconds.get(name, 0.0) + float(seconds)
         self.count(name + "_calls")
 
-    @contextmanager
     def timed(self, name):
-        """Time a ``with`` block into timer ``name``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add_seconds(name, time.perf_counter() - start)
+        """Time a ``with`` block into timer ``name`` (also when the
+        block raises)."""
+        return _Timed(self, name)
 
     # -- distributions -------------------------------------------------
     def observe(self, name, value):

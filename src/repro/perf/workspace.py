@@ -14,13 +14,41 @@ kernel raises mid-way.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import numpy as np
 
 from .profiler import PERF
 
 __all__ = ["Workspace", "get_workspace"]
+
+
+class _IdMapBorrow:
+    """What :meth:`Workspace.id_map` returns: the borrow as a class
+    instead of a ``contextlib`` generator, whose helper / ``next``
+    machinery made more interpreter calls per block than the borrow
+    itself.  All the work happens in ``__enter__``, as the generator's
+    did."""
+
+    __slots__ = ("_workspace", "_capacity", "_pooled")
+
+    def __init__(self, workspace, capacity):
+        self._workspace = workspace
+        self._capacity = capacity
+
+    def __enter__(self):
+        workspace = self._workspace
+        self._pooled = not workspace._id_map_busy
+        if not self._pooled:
+            PERF.count("workspace_id_map_contended")
+            return np.full(int(self._capacity), -1, dtype=np.int64)
+        if self._capacity > len(workspace._id_map):
+            workspace._grow_id_map(self._capacity)
+        workspace._id_map_busy = True
+        PERF.count("workspace_id_map_borrows")
+        return workspace._id_map
+
+    def __exit__(self, *_exc):
+        if self._pooled:
+            self._workspace._id_map_busy = False
 
 
 class Workspace:
@@ -42,7 +70,6 @@ class Workspace:
         self._id_map = np.full(new_size, -1, dtype=np.int64)
         PERF.count("workspace_id_map_grows")
 
-    @contextmanager
     def id_map(self, capacity):
         """Borrow the ``-1``-filled int64 lookup table, at least
         ``capacity`` entries long.
@@ -52,18 +79,7 @@ class Workspace:
         then re-assign -1 at the same indices).  Re-entrant borrows fall
         back to a fresh allocation so nested samplers stay correct.
         """
-        if self._id_map_busy or capacity > len(self._id_map):
-            if self._id_map_busy:
-                PERF.count("workspace_id_map_contended")
-                yield np.full(int(capacity), -1, dtype=np.int64)
-                return
-            self._grow_id_map(capacity)
-        self._id_map_busy = True
-        PERF.count("workspace_id_map_borrows")
-        try:
-            yield self._id_map
-        finally:
-            self._id_map_busy = False
+        return _IdMapBorrow(self, capacity)
 
 
 #: Process-wide workspace shared by the sampling kernels.

@@ -7,9 +7,10 @@ import abc
 import numpy as np
 
 from ..errors import SamplingError
+from ..perf import sorted_unique
 from .block import SampledSubgraph, build_block
 
-__all__ = ["Sampler", "draw_neighbors", "expand_layers"]
+__all__ = ["Sampler", "draw_neighbors", "expand_layers", "unique_seeds"]
 
 
 def draw_neighbors(graph, frontier, counts, rng):
@@ -31,19 +32,36 @@ def draw_neighbors(graph, frontier, counts, rng):
     if len(frontier) != len(counts):
         raise SamplingError("frontier and counts must align")
     indptr, indices = graph.in_csr()
-    degrees = indptr[frontier + 1] - indptr[frontier]
-    counts = np.minimum(counts, np.maximum(degrees, 0))
-    counts = np.maximum(counts, 0)
-    total = int(counts.sum())
+    start = indptr[frontier]
+    degrees = indptr[frontier + 1] - start
+    # Clamped to [0, degree]; the lower clamp also covers a negative
+    # degree, so ``degrees`` needs no pass of its own.
+    counts = np.minimum(counts, degrees)
+    np.maximum(counts, 0, out=counts)
+    total = int(np.add.reduce(counts))
     if total == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
 
-    edge_dst = np.repeat(frontier, counts)
-    start = np.repeat(indptr[frontier], counts)
-    degree_rep = np.repeat(degrees, counts)
-    offsets = (rng.random(total) * degree_rep).astype(np.int64)
-    return edge_dst, indices[start + offsets]
+    offsets = (rng.random(total) * degrees.repeat(counts)).astype(np.int64)
+    return frontier.repeat(counts), indices[start.repeat(counts) + offsets]
+
+
+def unique_seeds(graph, seeds):
+    """The sorted distinct int64 seed ids every sampler starts from.
+
+    :class:`SamplingError` when there are none or one is not a vertex
+    of ``graph`` — sorted, so the two ends are the whole range check.
+    """
+    seeds = sorted_unique(np.array(seeds, dtype=np.int64).reshape(-1))
+    if len(seeds) == 0:
+        raise SamplingError("cannot sample an empty seed set")
+    if seeds[0] < 0 or seeds[-1] >= graph.num_vertices:
+        bad = seeds[0] if seeds[0] < 0 else seeds[-1]
+        raise SamplingError(
+            f"seed {bad} is outside the graph's vertices "
+            f"0..{graph.num_vertices - 1}")
+    return seeds
 
 
 def expand_layers(graph, seeds, count_fn, num_layers, rng):
@@ -53,9 +71,7 @@ def expand_layers(graph, seeds, count_fn, num_layers, rng):
     draw per frontier vertex for that layer (layer 0 is the outermost,
     next to the seeds).
     """
-    seeds = np.unique(np.asarray(seeds, dtype=np.int64))
-    if len(seeds) == 0:
-        raise SamplingError("cannot sample an empty seed set")
+    seeds = unique_seeds(graph, seeds)
     indptr, _ = graph.in_csr()
     blocks_outer_first = []
     frontier = seeds

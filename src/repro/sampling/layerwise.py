@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import SamplingError
-from .base import Sampler
+from .base import Sampler, unique_seeds
 from .block import SampledSubgraph, build_block
 
 __all__ = ["LayerWiseSampler"]
@@ -41,9 +41,7 @@ class LayerWiseSampler(Sampler):
         self.layer_budget = int(layer_budget)
 
     def sample(self, graph, seeds, rng):
-        seeds = np.unique(np.asarray(seeds, dtype=np.int64))
-        if len(seeds) == 0:
-            raise SamplingError("cannot sample an empty seed set")
+        seeds = unique_seeds(graph, seeds)
         indptr, indices = graph.in_csr()
         blocks_outer_first = []
         frontier = seeds

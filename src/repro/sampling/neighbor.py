@@ -36,11 +36,14 @@ class NeighborSampler(Sampler):
             raise SamplingError(f"fanout must be positive, got {fanout}")
         super().__init__(num_layers=len(fanout))
         self.fanout = fanout
+        # One-element rows: ``.repeat(n)`` is the per-layer count array
+        # in one call.
+        self._fanout_rows = [np.array([f], dtype=np.int64)
+                             for f in fanout]
 
     def sample(self, graph, seeds, rng):
         def counts(layer, frontier, degrees):
-            return np.full(len(frontier), self.fanout[layer],
-                           dtype=np.int64)
+            return self._fanout_rows[layer].repeat(len(frontier))
 
         return expand_layers(graph, seeds, counts, self.num_layers, rng)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import SamplingError
-from .base import Sampler
+from .base import Sampler, unique_seeds
 from .block import SampledSubgraph, build_block
 
 __all__ = ["SubgraphSampler"]
@@ -42,9 +42,7 @@ class SubgraphSampler(Sampler):
         self.walk_padding = float(walk_padding)
 
     def sample(self, graph, seeds, rng):
-        seeds = np.unique(np.asarray(seeds, dtype=np.int64))
-        if len(seeds) == 0:
-            raise SamplingError("cannot sample an empty seed set")
+        seeds = unique_seeds(graph, seeds)
         vertices = seeds
         if self.walk_padding > 0:
             budget = int(np.ceil(self.walk_padding * len(seeds)))

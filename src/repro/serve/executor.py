@@ -176,7 +176,7 @@ class BatchExecutor:
             logits = self.model.forward(
                 subgraph,
                 self.dataset.features[subgraph.input_nodes]).data
-            rows = np.searchsorted(subgraph.seeds, vertices)
+            rows = subgraph.seeds.searchsorted(vertices)
             predictions = logits.argmax(axis=-1)[rows]
             bp = self.spec.sample_time(subgraph.total_edges)
             dt = self.fetch_seconds(subgraph.input_nodes,

@@ -200,15 +200,15 @@ class ServeNode:
         if self.executor.last_remote_rows == 0:
             self.zero_remote_completed += len(batch)
 
+        observe = self.metrics.observe
+        batch_id, batch_size = self.num_batches, len(batch)
         responses = []
-        for request, prediction in zip(batch, predictions):
-            self.metrics.observe("latency",
-                                 completion - request.arrival)
+        # ``tolist``: python ints in one call, not one ``int()`` each.
+        for request, prediction in zip(batch, predictions.tolist()):
+            observe("latency", completion - request.arrival)
             responses.append(InferenceResponse(
-                request=request, prediction=int(prediction),
-                completion=completion, batch_id=self.num_batches,
-                batch_size=len(batch), degraded=degrade,
-                replica=self.node_id))
+                request, prediction, completion, batch_id, batch_size,
+                degrade, self.node_id))
         self.num_batches += 1
         return responses
 

@@ -86,9 +86,12 @@ def select_lowest(ids, scores, k):
         return ids[:0]
     if k >= len(ids):
         return ids
-    kth = np.partition(scores, k - 1)[k - 1]
+    ranked = scores.copy()
+    ranked.partition(k - 1)
+    kth = ranked[k - 1]
     below = ids[scores < kth]
-    tied = np.sort(ids[scores == kth])
+    tied = ids[scores == kth]      # a fresh gather: sorted in place
+    tied.sort()
     return np.concatenate([below, tied[:k - len(below)]])
 
 
@@ -105,6 +108,19 @@ class TierLookup:
     hot_mask: np.ndarray
     warm_mask: np.ndarray
     cold_mask: np.ndarray
+    #: Rows per tier — the mask sums.  :meth:`TieredCache.lookup` has
+    #: them from one ``bincount`` of the tier codes; given all three or
+    #: none, and without them they are summed here.
+    num_hot: int = None
+    num_warm: int = None
+    num_cold: int = None
+
+    def __post_init__(self):
+        if self.num_hot is None:
+            for name, mask in (("num_hot", self.hot_mask),
+                               ("num_warm", self.warm_mask),
+                               ("num_cold", self.cold_mask)):
+                object.__setattr__(self, name, int(mask.sum()))
 
     @property
     def hot_ids(self):
@@ -117,18 +133,6 @@ class TierLookup:
     @property
     def cold_ids(self):
         return self.vertices[self.cold_mask]
-
-    @property
-    def num_hot(self):
-        return int(self.hot_mask.sum())
-
-    @property
-    def num_warm(self):
-        return int(self.warm_mask.sum())
-
-    @property
-    def num_cold(self):
-        return int(self.cold_mask.sum())
 
     @property
     def misses(self):
@@ -382,24 +386,28 @@ class TieredCache:
             # Zero-cost pass-through: no residency, no score updates.
             none = np.zeros(len(vertices), dtype=bool)
             self.cold_misses += len(vertices)
-            return TierLookup(vertices, none, none, ~none)
+            return TierLookup(vertices, none, none, ~none,
+                              0, 0, len(vertices))
 
         tiers = self._tier[vertices]
-        hot = tiers == _HOT
-        warm = tiers == _WARM
-        cold = tiers == _COLD
-        self.hot_hits += int(hot.sum())
-        self.warm_hits += int(warm.sum())
-        self.cold_misses += int(cold.sum())
+        # One pass over the tier codes (_COLD, _WARM, _HOT = 0, 1, 2)
+        # is the three mask sums.
+        num_cold, num_warm, num_hot = np.bincount(
+            tiers, minlength=3).tolist()
+        self.hot_hits += num_hot
+        self.warm_hits += num_warm
+        self.cold_misses += num_cold
 
         if self.dynamic and len(vertices):
-            self._admit(vertices, tiers)
-        return TierLookup(vertices, hot, warm, cold)
+            self._admit(vertices, tiers, num_warm)
+        return TierLookup(vertices, tiers == _HOT, tiers == _WARM,
+                          tiers == _COLD, num_hot, num_warm, num_cold)
 
-    def _admit(self, vertices, tiers):
+    def _admit(self, vertices, tiers, num_warm):
         """Promote every row touched this call (``tiers``: where each
-        was found) to the hot tier, cascading demotions/evictions down
-        the hierarchy (batched array ops throughout)."""
+        was found, ``num_warm`` of them in the warm tier) to the hot
+        tier, cascading demotions/evictions down the hierarchy (batched
+        array ops throughout)."""
         self._clock += 1
         if self.policy == "lru":
             self._score[vertices] = self._clock
@@ -419,7 +427,7 @@ class TieredCache:
         if len(newly_hot) == 0:
             return
         self._tier[newly_hot] = _HOT
-        if (tiers == _WARM).any():
+        if num_warm:
             self._warm_ids = self._warm_ids[
                 self._tier[self._warm_ids] == _WARM]
         self._hot_ids = np.concatenate([self._hot_ids, newly_hot])

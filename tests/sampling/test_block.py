@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SamplingError
+from repro.perf import PERF, get_workspace
 from repro.sampling import SampledSubgraph, build_block
 
 
@@ -49,6 +50,92 @@ class TestBuildBlock:
         block.src_nodes = block.src_nodes[::-1].copy()
         with pytest.raises(SamplingError):
             block.validate()
+
+
+NEGATIVE = "vertex ids must be non-negative"
+UNKNOWN_DST = "edge destination not found in block vertices"
+UNEQUAL = "edge arrays must have equal length"
+
+
+def pool_is_clean():
+    """The pooled id map is free again and all -1."""
+    with get_workspace().id_map(1) as lookup:
+        return lookup is get_workspace()._id_map and bool(
+            np.all(lookup == -1))
+
+
+class TestBuildBlockErrorContract:
+    """Hostile inputs: which ``SamplingError`` each raises (the range
+    check reads ids as unsigned, so this pins what it must still say)
+    and that the pooled id map survives every one of them."""
+
+    @pytest.mark.parametrize("args, message", [
+        (([1, -4], [1], [2]), NEGATIVE),            # dst_nodes
+        (([1, 2], [1, -2], [3, 3]), NEGATIVE),      # edge_dst
+        (([1, 2], [1, 2], [3, -1]), NEGATIVE),      # edge_src
+        (([-1], [], []), NEGATIVE),                 # ... with no edges
+        (([1, 2], [1, 2],
+          [3, np.iinfo(np.int64).min]), NEGATIVE),
+        (([1, 2], [1, 5], [3, 3]), UNKNOWN_DST),    # 5 is no destination
+        (([], [4], [4]), UNKNOWN_DST),              # nothing is
+        (([1], [1, 1], [2]), UNEQUAL),
+        (([1], [], [2]), UNEQUAL),
+        # Length is checked before range.
+        (([-1], [1, 1], [2]), UNEQUAL),
+    ])
+    def test_message(self, args, message):
+        build_block([3, 5], [3, 5], [7, 9])         # prime the pool
+        with pytest.raises(SamplingError) as caught:
+            build_block(*args)
+        assert str(caught.value) == message
+        assert pool_is_clean()
+
+    def test_largest_id_is_not_mistaken_for_negative(self):
+        big = 3000
+        block = build_block([big], [big], [big - 1])
+        assert list(block.src_nodes) == [big, big - 1]
+        assert pool_is_clean()
+
+    def test_empty_inputs_build_empty_blocks(self):
+        block = build_block([3, 1], [], [])
+        assert block.num_edges == 0 and list(block.indptr) == [0, 0, 0]
+        assert list(block.src_nodes) == [3, 1]
+        empty = build_block([], [], [])
+        assert empty.num_dst == empty.num_src == empty.num_edges == 0
+        assert list(empty.indptr) == [0]
+        empty.validate()
+        assert pool_is_clean()
+
+    def test_error_mid_borrow_restores_what_was_written(self):
+        """The unknown destination is found after the destinations'
+        slots were written: ``finally`` must still clear them."""
+        with pytest.raises(SamplingError, match=UNKNOWN_DST):
+            build_block([11, 13, 17], [11, 12], [13, 19])
+        with get_workspace().id_map(20) as lookup:
+            assert np.all(lookup[:20] == -1)
+
+    def test_nested_borrow_takes_the_contended_path(self):
+        """A block built while the pool is lent out works on a private
+        table; its error leaves the lender's entries alone and the pool
+        still busy, and the lender's exit frees it."""
+        workspace = get_workspace()
+        before = PERF.snapshot()
+        with workspace.id_map(32) as outer:
+            outer[7] = 5
+            inner = build_block([7, 8], [7, 8], [9, 7])
+            assert list(inner.src_nodes) == [7, 8, 9]
+            with pytest.raises(SamplingError, match=UNKNOWN_DST):
+                build_block([7], [8], [9])
+            with pytest.raises(SamplingError, match=NEGATIVE):
+                build_block([7], [7], [-9])
+            assert workspace._id_map_busy
+            assert outer[7] == 5 and np.all(outer[8:32] == -1)
+            outer[7] = -1
+        moved = PERF.delta(before)
+        # The range check comes before the borrow.
+        assert moved["workspace_id_map_contended"] == 2
+        assert moved["workspace_id_map_borrows"] == 1
+        assert pool_is_clean()
 
 
 class TestSampledSubgraph:

@@ -168,6 +168,49 @@ class TestSubgraphSampler:
             SubgraphSampler(walk_padding=-0.5)
 
 
+ALL_SAMPLERS = [NeighborSampler((3, 3)), RateSampler(0.5),
+                HybridSampler(), LayerWiseSampler(32), SubgraphSampler()]
+
+
+@pytest.mark.parametrize("sampler", ALL_SAMPLERS,
+                         ids=lambda sampler: sampler.name)
+class TestSeedRange:
+    """A seed that is not a vertex is a typed error from every sampler
+    (it used to be a bare ``IndexError`` out of a gather, or — negative
+    — an answer for a vertex counted from the end)."""
+
+    def test_past_the_end(self, dataset, sampler):
+        n = dataset.graph.num_vertices
+        with pytest.raises(SamplingError) as caught:
+            sampler.sample(dataset.graph, [3, n], np.random.default_rng(0))
+        assert str(caught.value) == (
+            f"seed {n} is outside the graph's vertices 0..{n - 1}")
+
+    def test_negative(self, dataset, sampler):
+        n = dataset.graph.num_vertices
+        with pytest.raises(SamplingError) as caught:
+            sampler.sample(dataset.graph, [5, -2, 9],
+                           np.random.default_rng(0))
+        assert str(caught.value) == (
+            f"seed -2 is outside the graph's vertices 0..{n - 1}")
+
+    def test_both_ends_are_vertices(self, dataset, sampler):
+        n = dataset.graph.num_vertices
+        sg = sampler.sample(dataset.graph, [n - 1, 0, n - 1],
+                            np.random.default_rng(0))
+        assert list(sg.seeds) == [0, n - 1]
+        sg.validate()
+
+    def test_the_rng_is_untouched_by_a_rejected_batch(self, dataset,
+                                                      sampler):
+        rng = np.random.default_rng(4)
+        before = rng.bit_generator.state
+        with pytest.raises(SamplingError):
+            sampler.sample(dataset.graph, [dataset.graph.num_vertices],
+                           rng)
+        assert rng.bit_generator.state == before
+
+
 class TestDeterminism:
     def test_same_rng_same_sample(self, dataset, seeds):
         a = NeighborSampler((5, 5)).sample(dataset.graph, seeds,

@@ -1,0 +1,176 @@
+"""The per-call floor of sampled serving, as numbers.
+
+Sampled serving answers about two seeds per ``BatchExecutor.execute``,
+so what bounds it is the fixed cost of one sampled batch, not the graph
+or the model (docs/architecture.md, "The per-call floor").  This script
+prints that cost three ways, on the ``serve-sampled`` configuration of
+the benchmark of record (GraphSAGE, fanout 10/10, LRU cache at 10 %):
+
+* interpreter-level calls per 2-seed ``execute`` — ``call`` + ``c_call``
+  events of a ``sys.setprofile`` hook, median over the batches.  The
+  count is deterministic for a given numpy, so it can be gated where a
+  wall-clock number cannot (``tests/serve/test_call_floor.py``);
+* the per-layer cumulative table of a cProfile'd ``ServeEngine.run``;
+* the top functions by self time of the same profile.
+
+Run after changing anything under a sampled batch::
+
+    PYTHONPATH=src python tools/floor_profile.py [--scale 1.0]
+"""
+
+from __future__ import annotations
+
+import argparse
+import cProfile
+import pstats
+import sys
+
+import numpy as np
+
+from repro.graph import load_dataset
+from repro.nn import build_model
+from repro.perf import perf_overrides
+from repro.serve import BatchPolicy, LoadGenerator, ServeEngine
+from repro.serve.loop import eval_mode
+
+#: (row label, file suffix, function name) of the cumulative table.
+LAYERS = (
+    ("execute", "serve/executor.py", "execute"),
+    ("sample", "sampling/neighbor.py", "sample"),
+    ("draw", "sampling/base.py", "draw_neighbors"),
+    ("build_block", "sampling/block.py", "build_block"),
+    ("forward", "nn/layers.py", "forward"),
+    ("adjacency", "kernels/adjacency.py", "normalized_block_adjacency"),
+    ("gspmm", "kernels/registry.py", "gspmm_forward"),
+    ("affine", "nn/tensor.py", "affine"),
+    ("fetch", "serve/executor.py", "fetch_seconds"),
+    ("lookup", "transfer/tiered.py", "lookup"),
+    ("bill", "transfer/tiered.py", "bill"),
+    ("dispatch", "serve/loop.py", "dispatch"),
+    ("loop", "serve/loop.py", "run"),
+)
+
+
+def build_engine(scale=1.0, seed=3):
+    """The ``serve-sampled`` engine and a request trace for it."""
+    data = load_dataset("ogb-arxiv", scale=scale, seed=seed, cache=False)
+    model = build_model("graphsage", data.feature_dim, data.num_classes,
+                        rng=np.random.default_rng(seed))
+    engine = ServeEngine(data, model, mode="sampled",
+                         policy=BatchPolicy(max_batch_size=8,
+                                            max_wait=0.0005),
+                         fanout=(10, 10), cache_policy="lru",
+                         cache_ratio=0.1, seed=seed)
+    trace = LoadGenerator(data.test_ids, rate=2000.0,
+                          num_requests=max(64, int(6000 * scale)),
+                          seed=seed, skew=0.8).generate()
+    return engine, trace
+
+
+def count_calls(function, *args):
+    """Interpreter-level calls (python ``call`` + builtin ``c_call``
+    events) made by ``function(*args)``, itself excluded."""
+    calls = [0]
+
+    def hook(_frame, event, _arg):
+        if event == "call" or event == "c_call":
+            calls[0] += 1
+
+    sys.setprofile(hook)
+    try:
+        function(*args)
+    finally:
+        sys.setprofile(None)
+    # ``function``'s own frame and the closing ``setprofile``.
+    return calls[0] - 2
+
+
+def calls_per_execute(engine, batch_size=2, batches=20, seed=0):
+    """Median :func:`count_calls` of ``batches`` executes of
+    ``batch_size`` distinct seeds, sanitizers off (the benchmarked
+    path), after one untimed warm-up batch."""
+    rng = np.random.default_rng(seed)
+    counts = []
+    with perf_overrides(sanitize=False), eval_mode(engine.model):
+        for _ in range(batches + 1):
+            batch = rng.choice(engine.dataset.num_vertices,
+                               size=batch_size, replace=False)
+            counts.append(count_calls(engine.executor.execute, batch,
+                                      rng))
+    return int(np.median(counts[1:]))
+
+
+def profile_run(engine, trace):
+    """``pstats.Stats`` of one cProfile'd ``engine.run(trace)``."""
+    profiler = cProfile.Profile()
+    with perf_overrides(sanitize=False):
+        profiler.enable()
+        try:
+            engine.run(trace)
+        finally:
+            profiler.disable()
+    return pstats.Stats(profiler)
+
+
+def layer_table(stats):
+    """``[(label, calls, cumulative seconds, self seconds)]`` for the
+    :data:`LAYERS` found in ``stats``."""
+    rows = []
+    for label, suffix, name in LAYERS:
+        # Several functions may share a name (every layer's
+        # ``forward``): the outermost is the one with the most time.
+        matches = [entry for (path, _line, function), entry
+                   in stats.stats.items()
+                   if function == name and path.replace("\\", "/")
+                   .endswith("repro/" + suffix)]
+        if matches:
+            _, calls, self_seconds, cumulative, _ = max(
+                matches, key=lambda entry: entry[3])
+            rows.append((label, calls, cumulative, self_seconds))
+    return rows
+
+
+def top_self(stats, limit=25):
+    """``[(self seconds, calls, "file:line(function)")]``, largest
+    self time first."""
+    rows = []
+    for (path, line, function), entry in stats.stats.items():
+        _, calls, self_seconds, _, _ = entry
+        where = path.replace("\\", "/").rsplit("/", 2)[-2:]
+        rows.append((self_seconds, calls,
+                     f"{'/'.join(where)}:{line}({function})"))
+    rows.sort(reverse=True)
+    return rows[:limit]
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--scale", type=float, default=1.0,
+                        help="dataset and trace scale (default 1.0)")
+    parser.add_argument("--seed", type=int, default=3)
+    args = parser.parse_args(argv)
+
+    engine, trace = build_engine(args.scale, args.seed)
+    print(f"calls per 2-seed execute: {calls_per_execute(engine)}")
+    large = min(512, engine.dataset.num_vertices)
+    print(f"calls per {large}-seed execute: "
+          f"{calls_per_execute(engine, batch_size=large, batches=3)}")
+
+    stats = profile_run(engine, trace)
+    layers = layer_table(stats)
+    executes = max(calls for label, calls, _, _ in layers
+                   if label == "execute")
+    print(f"\ncProfile of ServeEngine.run: {len(trace)} requests, "
+          f"{executes} execute calls (profiler overhead included)")
+    print(f"{'layer':<12} {'calls':>7} {'cum s':>8} {'self s':>8} "
+          f"{'cum us/execute':>15}")
+    for label, calls, cumulative, self_seconds in layers:
+        print(f"{label:<12} {calls:>7} {cumulative:>8.3f} "
+              f"{self_seconds:>8.3f} {1e6 * cumulative / executes:>15.1f}")
+    print("\ntop 25 functions by self time")
+    for self_seconds, calls, where in top_self(stats):
+        print(f"{self_seconds:>8.3f} s {calls:>8} calls  {where}")
+
+
+if __name__ == "__main__":
+    main()
