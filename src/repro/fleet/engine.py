@@ -49,16 +49,16 @@ from ..faults.plan import FaultPlan
 from ..faults.retry import RetryPolicy
 from ..partition.base import PartitionResult
 from ..partition.replication import k_redundant_replication
-from ..perf import StageProfiler
-from ..perf.profiler import percentile
+from ..perf import percentile
 from ..serve.batcher import BatchPolicy
 from ..serve.executor import SERVE_MODES
 from ..serve.loop import (ADMIT, FAULT, RESPONSE, TIMER, EventLoop,
                           cache_hit_rates, check_trace, eval_mode,
                           run_totals)
+from ..serve.metrics import summary_fields
 from ..serve.precompute import LayerwiseEmbeddings
 from ..transfer.hardware import DEFAULT_SPEC
-from .metrics import FleetReport, _latency_fields
+from .metrics import FleetReport
 from .replica import ReplicaServer, ShardExecutor
 from .resilience import (CircuitBreaker, FailureDetector, FleetSchedule,
                          ReplicaRecovery, ResiliencePolicy)
@@ -254,9 +254,11 @@ class FleetEngine:
         replicas, router, autoscaler = \
             run.replicas, run.router, run.autoscaler
         responses = run.loop.responses
-        merged = StageProfiler()
-        for replica in replicas:
-            merged.merge(replica.metrics)
+        # Fleet-wide percentiles are over the union of the replicas'
+        # columns, in replica order (``sum`` order is part of
+        # ``latency_mean``'s bits).
+        latencies = [latency for replica in replicas
+                     for latency in replica.latencies]
         totals = run_totals(responses, self.dataset.labels)
         completed = totals["completed"]
 
@@ -286,7 +288,7 @@ class FleetEngine:
             failovers=router.failovers,
             requeued=run.requeued,
             **totals,
-            **_latency_fields(merged.summary("latency")),
+            **summary_fields("latency", latencies),
             bp_seconds=sum(r.bp_seconds for r in replicas),
             dt_seconds=sum(r.dt_seconds for r in replicas),
             nn_seconds=sum(r.nn_seconds for r in replicas),
@@ -504,7 +506,7 @@ class _FleetRun:
             self.hedges_won += 1
         for other in self.assigned[rid]:
             if other != response.replica \
-                    and self.replicas[other].batcher.cancel(rid):
+                    and self.replicas[other].cancel(rid):
                 self.hedges_cancelled += 1
 
     # -- ADMIT phase ---------------------------------------------------

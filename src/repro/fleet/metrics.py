@@ -1,16 +1,16 @@
 """Fleet metrics: one report per replica, aggregated into one per run.
 
-Each :class:`~repro.fleet.replica.ReplicaServer` records its own
-latency/batch/queue distributions on a private
-:class:`~repro.perf.StageProfiler`; the fleet engine merges them
-(:meth:`~repro.perf.StageProfiler.merge`) so fleet-wide percentiles
-are computed over the union of every replica's observations — not
-averaged averages.
+Each :class:`~repro.fleet.replica.ReplicaServer` keeps its own
+``latencies`` / ``queue_depths`` columns (see
+:class:`~repro.serve.loop.ServeNode`); the fleet engine concatenates
+the latency columns in replica order and digests the union with
+:func:`repro.perf.summarize`, so fleet-wide percentiles are computed
+over every replica's observations — not averaged averages.
 
 Zero-traffic replicas are a real state (a cold standby the autoscaler
 never activated, a shard the load never touched): their latency fields
-are ``None`` and serialize as JSON ``null``, never a fabricated zero —
-see :func:`repro.perf.profiler.percentile`'s ``default`` parameter.
+are ``None`` and serialize as JSON ``null``, never a fabricated zero
+(:func:`repro.serve.metrics.summary_fields`).
 """
 
 from __future__ import annotations
@@ -18,20 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 __all__ = ["ReplicaReport", "FleetReport"]
-
-
-def _latency_fields(summary):
-    """Map a :meth:`StageProfiler.summary` digest (or ``None`` for a
-    zero-traffic entity) onto the five latency fields."""
-    if summary is None:
-        return {"latency_mean": None, "latency_p50": None,
-                "latency_p95": None, "latency_p99": None,
-                "latency_max": None}
-    return {"latency_mean": summary["mean"],
-            "latency_p50": summary["p50"],
-            "latency_p95": summary["p95"],
-            "latency_p99": summary["p99"],
-            "latency_max": summary["max"]}
 
 
 @dataclass

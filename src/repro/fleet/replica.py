@@ -28,7 +28,8 @@ from ..errors import FleetError
 from ..perf import sorted_unique
 from ..serve.executor import BatchExecutor
 from ..serve.loop import ServeNode, cache_hit_rates
-from .metrics import ReplicaReport, _latency_fields
+from ..serve.metrics import summary_fields
+from .metrics import ReplicaReport
 
 __all__ = ["ShardExecutor", "ReplicaServer"]
 
@@ -162,7 +163,6 @@ class ReplicaServer(ServeNode):
         self.shards = shards
         self.active = True          # False while scaled down
 
-        self.routed = 0
         self.owner_routed = 0
         self.spill_routed = 0
         self.crashes = 0
@@ -171,12 +171,11 @@ class ReplicaServer(ServeNode):
     @property
     def accepting(self):
         """Whether the router may send this node new requests."""
-        return self.alive and self.active and not self.draining
+        return self.alive and self.active and not self._draining
 
     def submit(self, request, is_owner):
         """Enqueue one routed request; returns False (and counts a
         rejection) when the admission queue is full."""
-        self.routed += 1
         if is_owner:
             self.owner_routed += 1
         else:
@@ -195,6 +194,7 @@ class ReplicaServer(ServeNode):
         # An in-flight batch is lost with the node; queued-but-unserved
         # requests survive in the router's hands.
         self.free_at = max(self.free_at, clock)
+        self.ready_at = None
         if cold and self.executor.cache is not None:
             self.executor.cache.evict_all()
         return self.batcher.drain()
@@ -204,25 +204,25 @@ class ReplicaServer(ServeNode):
         a process restart, not a cold node)."""
         self.alive = True
         self.free_at = max(self.free_at, clock)
+        self.ready_at = None
 
     def report(self):
         """This node's :class:`~repro.fleet.metrics.ReplicaReport`."""
         hit_rate, warm_rate, _ = cache_hit_rates([self.executor.cache])
-        queue = self.metrics.summary("queue_depth")
         return ReplicaReport(
             replica=self.replica_id,
             shard_vertices=int(self.shards.shard_sizes()
                                [self.replica_id]),
-            routed=self.routed,
+            routed=self.owner_routed + self.spill_routed,
             owner_routed=self.owner_routed,
             spill_routed=self.spill_routed,
             completed=self.completed,
             rejected=self.rejected,
             num_batches=self.num_batches,
             mean_batch_size=self.mean_batch_size,
-            **_latency_fields(self.metrics.summary("latency")),
-            queue_depth_mean=queue["mean"] if queue else 0.0,
-            queue_depth_max=queue["max"] if queue else 0.0,
+            **summary_fields("latency", self.latencies),
+            **summary_fields("queue_depth", self.queue_depths, 0.0,
+                             ("mean", "max")),
             bp_seconds=self.bp_seconds,
             dt_seconds=self.dt_seconds,
             nn_seconds=self.nn_seconds,

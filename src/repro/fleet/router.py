@@ -98,52 +98,63 @@ class Router:
     def _admits(self, replica, now):
         """Accepting, and (when circuit breakers are wired in) the
         replica's breaker lets a request through at ``now``."""
-        if not replica.accepting:
-            return False
-        if self.breakers is not None \
-                and not self.breakers[replica.replica_id].allows(now):
-            return False
-        return True
+        return replica.accepting and (
+            self.breakers is None
+            or self.breakers[replica.replica_id].allows(now))
 
-    def _cheapest(self, candidates, owner, vertex=None):
+    def _candidates(self, now):
+        return [r for r in self.replicas if self._admits(r, now)]
+
+    def _backups(self, vertex):
+        """Ids of the non-owner replicas holding ``vertex``'s row —
+        none unless the partition replicates rows."""
+        if getattr(self.shards, "replicated", False):
+            return self.shards.backups(vertex)
+        return ()
+
+    def _cheapest(self, candidates, owner, vertex):
         """The accepting replica minimizing penalized queue depth
         (owner exempt from the penalty; ties break toward lower id).
         With a replicated partition, backup holders of ``vertex`` are
         also exempt — their copy of the row makes them as cheap as the
         owner."""
         penalty = self.policy.remote_penalty
-        if vertex is not None and getattr(self.shards, "replicated",
-                                          False):
-            holders = set(self.shards.holders(vertex))
+        backups = self._backups(vertex)
 
-            def cost(r):
-                free = r is owner or r.replica_id in holders
-                return (r.queue_depth + (0.0 if free else penalty),
-                        r.replica_id)
-        else:
-            def cost(r):
-                return (r.queue_depth
-                        + (0.0 if r is owner else penalty),
-                        r.replica_id)
+        def cost(r):
+            free = r is owner or r.replica_id in backups
+            return (r.queue_depth + (0.0 if free else penalty),
+                    r.replica_id)
         return min(candidates, key=cost)
 
     def route(self, request, now=0.0):
         """Pick ``(replica, is_owner)`` for one request.  Raises
         :class:`~repro.errors.FleetError` when no replica is accepting
         (every node crashed or drained away) — the error message names
-        the request id so the engine can surface dropped requests."""
-        owner = self.replicas[self.shards.owner(request.vertex)]
-        candidates = [r for r in self.replicas if self._admits(r, now)]
-        if not candidates:
-            raise FleetError(
-                f"request {request.request_id} is unroutable: no "
-                f"replica is accepting")
+        the request id so the engine can surface dropped requests.
 
-        if owner in candidates:
+        The owner is asked first; the candidate list is only built to
+        spill or fail over.  With circuit breakers wired in every
+        replica is still polled, in id order, before the owner-first
+        return: :meth:`CircuitBreaker.allows` is where an open breaker
+        lapses into half-open, so *when* it is polled is part of the
+        run.  (A second poll at the same ``now`` returns the same
+        answer and changes nothing.)"""
+        vertex = request.vertex
+        owner = self.replicas[self.shards.owner(vertex)]
+        if self.breakers is None:
+            owner_admits = owner.accepting
+        else:
+            owner_admits = False
+            for replica in self.replicas:
+                if self._admits(replica, now) and replica is owner:
+                    owner_admits = True
+
+        if owner_admits:
             threshold = self.policy.spill_threshold
             if threshold is None or owner.queue_depth < threshold:
                 return owner, True
-            chosen = self._cheapest(candidates, owner, request.vertex)
+            chosen = self._cheapest(self._candidates(now), owner, vertex)
             if chosen is not owner:
                 self.spillovers += 1
             return chosen, chosen is owner
@@ -151,11 +162,14 @@ class Router:
         # Owner down, draining, or circuit-broken: failover to the
         # cheapest survivor — a backup holder of the vertex when the
         # partition replicates rows (it serves from its local copy).
-        chosen = self._cheapest(candidates, owner, request.vertex)
+        candidates = self._candidates(now)
+        if not candidates:
+            raise FleetError(
+                f"request {request.request_id} is unroutable: no "
+                f"replica is accepting")
+        chosen = self._cheapest(candidates, owner, vertex)
         self.failovers += 1
-        if getattr(self.shards, "replicated", False) \
-                and chosen.replica_id in self.shards.backups(
-                    request.vertex):
+        if chosen.replica_id in self._backups(vertex):
             self.backup_routed += 1
         return chosen, False
 
@@ -171,9 +185,7 @@ class Router:
         if not candidates:
             return None
         chosen = self._cheapest(candidates, owner, request.vertex)
-        if getattr(self.shards, "replicated", False) \
-                and chosen.replica_id in self.shards.backups(
-                    request.vertex):
+        if chosen.replica_id in self._backups(request.vertex):
             self.backup_routed += 1
         return chosen, chosen is owner
 
@@ -238,32 +250,34 @@ class Autoscaler:
         self._last_change = 0.0
         self.active_max = policy.min_replicas
 
-    def _mean_depth(self, live):
-        return sum(r.queue_depth for r in live) / len(live)
+    def _activate(self, clock, action, detail):
+        """Activate the lowest-id live standby, recorded as ``(clock,
+        action, replica_id, detail)``; returns whether there was one."""
+        for replica in self.replicas:
+            if replica.alive and not replica.active:
+                replica.active = True
+                replica.draining = False
+                self.events.append(
+                    (clock, action, replica.replica_id, detail))
+                self.active_max = max(
+                    self.active_max,
+                    sum(1 for r in self.replicas if r.active))
+                return True
+        return False
 
     def evaluate(self, clock):
         """One scaling decision at simulated time ``clock`` (at most
         one replica activated or marked draining per call)."""
-        live = [r for r in self.replicas
-                if r.alive and r.active and not r.draining]
+        live = [r for r in self.replicas if r.accepting]
         if not live:
             return
         if clock - self._last_change < self.policy.cooldown:
             return
-        depth = self._mean_depth(live)
+        depth = sum(r.queue_depth for r in live) / len(live)
 
         if depth > self.policy.high_watermark:
-            for replica in self.replicas:
-                if replica.alive and not replica.active:
-                    replica.active = True
-                    replica.draining = False
-                    self._last_change = clock
-                    self.events.append(
-                        (clock, "up", replica.replica_id, depth))
-                    self.active_max = max(
-                        self.active_max,
-                        sum(1 for r in self.replicas if r.active))
-                    return
+            if self._activate(clock, "up", depth):
+                self._last_change = clock
         elif depth < self.policy.low_watermark \
                 and len(live) > self.policy.min_replicas:
             victim = live[-1]  # highest id drains first
@@ -276,18 +290,7 @@ class Autoscaler:
         """Activate a standby to cover a replica declared dead by the
         failure detector; returns whether one was available.  Recorded
         as a ``"replace"`` event (fourth field = the dead replica)."""
-        for replica in self.replicas:
-            if replica.alive and not replica.active:
-                replica.active = True
-                replica.draining = False
-                self.events.append(
-                    (clock, "replace", replica.replica_id,
-                     float(dead_id)))
-                self.active_max = max(
-                    self.active_max,
-                    sum(1 for r in self.replicas if r.active))
-                return True
-        return False
+        return self._activate(clock, "replace", float(dead_id))
 
     def finalize_drains(self, clock):
         """Deactivate any draining replica whose queue has emptied."""

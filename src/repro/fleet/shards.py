@@ -55,6 +55,8 @@ class ShardMap:
         self.assignment = partition.assignment
         self.num_shards = partition.num_parts
         self._halos = {}
+        # The router's per-request query, answered by one list index.
+        self._owner_of = self.assignment.tolist()
 
     @property
     def num_vertices(self):
@@ -72,6 +74,8 @@ class ShardMap:
 
     def owner(self, vertices):
         """Owning shard of ``vertices`` (scalar in, scalar out)."""
+        if vertices.__class__ is int:
+            return self._owner_of[vertices]
         return self.partition.owner(vertices)
 
     def holders(self, vertex):

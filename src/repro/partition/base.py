@@ -81,9 +81,8 @@ class PartitionResult:
         """Owning partition of ``vertices`` — a scalar for a scalar id,
         an ``int64`` array for an array (the shard-ownership query the
         serving fleet's router answers per request)."""
-        if np.isscalar(vertices) or getattr(vertices, "ndim", 1) == 0:
-            return int(self.assignment[int(vertices)])
-        return self.assignment[np.asarray(vertices, dtype=np.int64)]
+        owners = self.assignment[np.asarray(vertices, dtype=np.int64)]
+        return owners if owners.ndim else int(owners)
 
     def sizes(self):
         """Vertices owned per partition as an ``int64 (k,)`` array."""

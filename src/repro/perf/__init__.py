@@ -13,12 +13,13 @@ paths the fast ones replaced are test oracles
 
 from .evalcache import EvalSubgraphCache
 from .flags import FLAGS, PerfFlags, perf_overrides
-from .profiler import PERF, StageProfiler, percentile, wall_clock
+from .profiler import (PERF, StageProfiler, percentile, summarize,
+                       wall_clock)
 from .unique import sorted_unique
 from .workspace import Workspace, get_workspace
 
 __all__ = [
-    "PERF", "StageProfiler", "percentile", "wall_clock",
+    "PERF", "StageProfiler", "percentile", "summarize", "wall_clock",
     "FLAGS", "PerfFlags", "perf_overrides",
     "Workspace", "get_workspace",
     "EvalSubgraphCache",

@@ -20,7 +20,8 @@ from __future__ import annotations
 import math
 import time
 
-__all__ = ["StageProfiler", "PERF", "percentile", "wall_clock"]
+__all__ = ["StageProfiler", "PERF", "percentile", "summarize",
+           "wall_clock"]
 
 
 def wall_clock():
@@ -72,6 +73,24 @@ def percentile(values, q, default=_RAISE, presorted=False):
                  + ordered[high] * fraction)
 
 
+def summarize(values):
+    """count/mean/p50/p95/p99/max digest of a column of observations
+    (a node's request latencies or queue depths), or ``None`` for an
+    empty one.  The mean sums ``values`` in the order given — that
+    order is part of its bits — and every figure is a ``float``."""
+    if not values:
+        return None
+    ordered = sorted(values)
+    return {
+        "count": len(values),
+        "mean": sum(values) / len(values),
+        "p50": percentile(ordered, 50.0, presorted=True),
+        "p95": percentile(ordered, 95.0, presorted=True),
+        "p99": percentile(ordered, 99.0, presorted=True),
+        "max": float(ordered[-1]),
+    }
+
+
 class _Timed:
     """What :meth:`StageProfiler.timed` returns.  A class, not a
     ``contextlib`` generator: the hot paths open a handful per sampled
@@ -98,16 +117,13 @@ class StageProfiler:
     Counters and timers live in separate namespaces: ``count(name)``
     increments ``counters[name]``; ``timed(name)`` adds elapsed seconds
     to ``seconds[name]`` and bumps ``counters[name + "_calls"]``.
-    A third namespace holds *distributions*: ``observe(name, value)``
-    records an individual measurement (a request latency, a queue
-    depth) so percentiles can be read back with :meth:`percentile` or
-    :meth:`summary` — the histogram layer the serving metrics build on.
+    Distributions are not kept here: a serving node appends to plain
+    lists and :func:`summarize` digests them.
     """
 
     def __init__(self):
         self.counters = {}
         self.seconds = {}
-        self.observations = {}
 
     # -- counters ------------------------------------------------------
     def count(self, name, value=1):
@@ -123,54 +139,6 @@ class StageProfiler:
         """Time a ``with`` block into timer ``name`` (also when the
         block raises)."""
         return _Timed(self, name)
-
-    # -- distributions -------------------------------------------------
-    def observe(self, name, value):
-        """Record one measurement into distribution ``name`` and bump
-        ``counters[name + "_observed"]`` (so :meth:`delta` shows that
-        the distribution moved)."""
-        self.observations.setdefault(name, []).append(float(value))
-        self.count(name + "_observed")
-
-    def percentile(self, name, q, default=_RAISE):
-        """The ``q``-th percentile of distribution ``name`` (linear
-        interpolation); raises :class:`KeyError` for an unobserved
-        name unless ``default`` is supplied (zero-traffic entities then
-        report the default instead of raising)."""
-        if name not in self.observations:
-            if default is not _RAISE:
-                return default
-            raise KeyError(f"no observations recorded under {name!r}")
-        return percentile(self.observations[name], q, default=default)
-
-    def merge(self, other):
-        """Fold another profiler's counters, timers, and observations
-        into this one (observation lists are concatenated in ``other``'s
-        recording order).  The fleet report builder uses this to
-        aggregate per-replica histograms into one fleet-wide
-        distribution without re-observing every measurement."""
-        for name, value in other.counters.items():
-            self.counters[name] = self.counters.get(name, 0) + value
-        for name, value in other.seconds.items():
-            self.seconds[name] = self.seconds.get(name, 0.0) + value
-        for name, values in other.observations.items():
-            self.observations.setdefault(name, []).extend(values)
-        return self
-
-    def summary(self, name):
-        """count/mean/p50/p95/p99/max digest of distribution ``name``,
-        or ``None`` if nothing was observed under it."""
-        values = self.observations.get(name)
-        if not values:
-            return None
-        return {
-            "count": len(values),
-            "mean": sum(values) / len(values),
-            "p50": percentile(values, 50.0),
-            "p95": percentile(values, 95.0),
-            "p99": percentile(values, 99.0),
-            "max": max(values),
-        }
 
     # -- reading -------------------------------------------------------
     def snapshot(self):
@@ -193,10 +161,9 @@ class StageProfiler:
         return out
 
     def reset(self):
-        """Zero every counter, timer, and distribution."""
+        """Zero every counter and timer."""
         self.counters.clear()
         self.seconds.clear()
-        self.observations.clear()
 
 
 #: Process-wide profiler written to by the hot paths.

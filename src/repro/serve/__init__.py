@@ -26,7 +26,8 @@ Pieces:
   single-node server with three execution modes: that loop over one
   router-less node;
 * :mod:`~repro.serve.metrics` — :class:`ServeReport` latency/throughput
-  digests built on :meth:`repro.perf.StageProfiler.observe`;
+  digests of each node's latency and queue-depth columns
+  (:func:`repro.perf.summarize`);
 * :mod:`~repro.serve.bench` — the ``repro bench serve`` sweep, and the
   prelude every serving bench shares.
 """

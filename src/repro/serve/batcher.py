@@ -77,38 +77,44 @@ class MicroBatcher:
             raise ServingError(
                 f"max_queue must be >= 1 or None, got {max_queue}")
         self.max_queue = max_queue
-        self._queue = deque()
+        #: The waiting requests, oldest first.  Always the same deque,
+        #: so a node may hold it and read its length directly; only the
+        #: methods below change it.
+        self.queue = deque()
         self.admitted = 0
         self.rejected = 0
 
     def __len__(self):
-        return len(self._queue)
+        return len(self.queue)
 
     def submit(self, request):
-        """Admit ``request``, or raise :class:`AdmissionError` if the
-        queue is at capacity."""
-        if self.max_queue is not None and len(self._queue) >= self.max_queue:
+        """Admit ``request`` and return the queue depth it leaves
+        behind, or raise :class:`AdmissionError` if the queue is at
+        capacity."""
+        depth = len(self.queue)
+        if self.max_queue is not None and depth >= self.max_queue:
             self.rejected += 1
             raise AdmissionError(
                 f"admission queue full ({self.max_queue} waiting); "
                 f"rejecting request {request.request_id}")
-        self._queue.append(request)
+        self.queue.append(request)
         self.admitted += 1
+        return depth + 1
 
     def oldest_deadline(self):
         """Simulated time at which the current head of the queue forces
         a flush, or ``None`` when the queue is empty."""
-        if not self._queue:
+        if not self.queue:
             return None
-        return self._queue[0].arrival + self.policy.max_wait
+        return self.queue[0].arrival + self.policy.max_wait
 
     def drain(self):
         """Remove and return every queued request, FIFO order.  Used by
         the fleet's crash failover: a dead replica's queue is handed
         back to the router for re-routing (the requests were admitted
         but never served, so they do not count as rejected here)."""
-        drained = list(self._queue)
-        self._queue.clear()
+        drained = list(self.queue)
+        self.queue.clear()
         return drained
 
     def cancel(self, request_id):
@@ -117,16 +123,16 @@ class MicroBatcher:
         requests: when one copy of a hedged pair completes, the twin
         still sitting in another replica's queue is cancelled so it
         never consumes service time (first-response-wins)."""
-        for index, queued in enumerate(self._queue):
+        for index, queued in enumerate(self.queue):
             if queued.request_id == request_id:
-                del self._queue[index]
+                del self.queue[index]
                 return True
         return False
 
     def take(self):
         """Pop the next batch (up to ``max_batch_size`` requests, FIFO
         order).  Raises :class:`ServingError` on an empty queue."""
-        if not self._queue:
+        if not self.queue:
             raise ServingError("take() from an empty batch queue")
-        size = min(len(self._queue), self.policy.max_batch_size)
-        return [self._queue.popleft() for _ in range(size)]
+        size = min(len(self.queue), self.policy.max_batch_size)
+        return [self.queue.popleft() for _ in range(size)]

@@ -61,7 +61,7 @@ from .batcher import BatchPolicy
 from .executor import SERVE_MODES, BatchExecutor
 from .loop import (EventLoop, ServeNode, cache_hit_rates, check_trace,
                    eval_mode, run_totals)
-from .metrics import ServeReport
+from .metrics import ServeReport, summary_fields
 
 __all__ = ["ServeEngine", "SERVE_MODES"]
 
@@ -184,10 +184,6 @@ class ServeEngine:
 
     def _report(self, node, responses, num_requests):
         executor = self.executor
-        latency = node.metrics.summary("latency") \
-            or dict.fromkeys(("mean", "p50", "p95", "p99", "max"), 0.0)
-        depth = node.metrics.summary("queue_depth") \
-            or {"mean": 0.0, "max": 0.0}
         hit_rate, warm_rate, tiered = cache_hit_rates([executor.cache])
         return ServeReport(
             mode=self.mode,
@@ -196,17 +192,13 @@ class ServeEngine:
             num_requests=num_requests,
             rejected=node.rejected,
             **run_totals(responses, self.dataset.labels),
-            latency_mean=latency["mean"],
-            latency_p50=latency["p50"],
-            latency_p95=latency["p95"],
-            latency_p99=latency["p99"],
-            latency_max=latency["max"],
+            **summary_fields("latency", node.latencies, 0.0),
             num_batches=node.num_batches,
             mean_batch_size=node.mean_batch_size,
             batch_occupancy=(node.mean_batch_size
                              / self.policy.max_batch_size),
-            queue_depth_mean=depth["mean"],
-            queue_depth_max=depth["max"],
+            **summary_fields("queue_depth", node.queue_depths, 0.0,
+                             ("mean", "max")),
             cache_hit_rate=hit_rate,
             bp_seconds=node.bp_seconds,
             dt_seconds=node.dt_seconds,

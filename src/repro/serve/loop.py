@@ -27,7 +27,11 @@ and a hedge twin can still beat a primary that is in flight.  ``seq``
 breaks the remaining ties: trace arrivals carry their trace index and
 everything scheduled later a larger number, so arrivals are admitted
 before same-instant re-submissions and same-phase events run in the
-order they were scheduled.
+order they were scheduled.  The loop does work when state changes, not
+when the clock ticks: the sorted trace never enters the heap — its
+head is merged in as ``(arrival, ADMIT, trace_index)`` — and a node's
+dispatch time is cached on the node (:attr:`ServeNode.ready_at`) until
+something that writes one of its inputs resets it.
 
 An event is ``(kind, payload)``; :meth:`EventLoop.run` takes the
 ``{kind: [handler, ...]}`` mapping saying who it is handed to.  The
@@ -51,8 +55,8 @@ from operator import attrgetter
 
 import numpy as np
 
-from ..errors import AdmissionError, ServingError
-from ..perf import PERF, StageProfiler
+from ..errors import AdmissionError, SanitizerError, ServingError
+from ..perf import FLAGS
 from .batcher import MicroBatcher
 from .requests import InferenceResponse
 
@@ -93,15 +97,18 @@ class ServeNode:
         self.executor = executor
         self.batcher = MicroBatcher(policy, max_queue)
         self.policy = self.batcher.policy
+        self._queue = self.batcher.queue
         self.rng = rng
         self.deadline = deadline
         self.fallback = fallback
-        self.metrics = StageProfiler()
         self._service_estimate = None   # EWMA of sampled service time
 
         self.free_at = 0.0          # simulated time the node idles again
         self.alive = True           # False while a crash fault holds
-        self.draining = False       # scale-down decided, queue emptying
+        self._draining = False      # scale-down decided, queue emptying
+        #: Cached :meth:`next_dispatch_time` (``inf`` for "nothing to
+        #: dispatch"); ``None`` once one of its inputs was written.
+        self.ready_at = None
 
         self.completed = 0
         self.rejected = 0
@@ -112,35 +119,70 @@ class ServeNode:
         self.bp_seconds = 0.0
         self.dt_seconds = 0.0
         self.nn_seconds = 0.0
+        # Observation columns (``repro.perf.summarize``): the latency
+        # of every copy served, the depth each admitted request left.
+        self.latencies = []
+        self.queue_depths = []
 
     @property
     def queue_depth(self):
-        return len(self.batcher)
+        return len(self._queue)
+
+    @property
+    def draining(self):
+        """Scale-down decided: stop admitting, flush the queue."""
+        return self._draining
+
+    @draining.setter
+    def draining(self, value):
+        self._draining = value
+        self.ready_at = None
 
     def submit(self, request):
         """Enqueue one request; returns False (and counts a rejection)
         when the admission queue is full."""
         try:
-            self.batcher.submit(request)
+            depth = self.batcher.submit(request)
         except AdmissionError:
             self.rejected += 1
             return False
-        self.metrics.observe("queue_depth", len(self.batcher))
+        self.queue_depths.append(depth)
+        # Only the first request (its arrival starts the ``max_wait``
+        # clock) and the one filling a batch move the dispatch time.
+        if depth == 1 or depth == self.policy.max_batch_size:
+            self.ready_at = None
         return True
+
+    def cancel(self, request_id):
+        """Withdraw the queued request ``request_id`` (a hedge twin
+        whose other copy was answered); returns whether it was still
+        queued here."""
+        self.ready_at = None
+        return self.batcher.cancel(request_id)
 
     def next_dispatch_time(self, draining):
         """Earliest simulated time this node can dispatch its next
         batch, or ``None`` when it has nothing to dispatch.  ``draining``
         is the *loop-wide* no-more-admissions flag (partial batches then
-        flush immediately)."""
-        if not self.alive or len(self.batcher) == 0:
+        flush immediately).  The loop reads it through the cache, so
+        whatever writes ``alive``, ``draining``, ``free_at`` or the
+        queue must reset :attr:`ready_at`."""
+        depth = len(self._queue)
+        if not self.alive or depth == 0:
             return None
-        full = len(self.batcher) >= self.policy.max_batch_size
-        if full or draining or self.draining:
+        if depth >= self.policy.max_batch_size or draining \
+                or self._draining:
             ready_at = 0.0
         else:
             ready_at = self.batcher.oldest_deadline()
         return max(self.free_at, ready_at)
+
+    def refresh(self, draining):
+        """Recompute and cache :attr:`ready_at` under the loop-wide
+        ``draining`` flag; returns it."""
+        ready_at = self.next_dispatch_time(draining)
+        self.ready_at = _INF if ready_at is None else ready_at
+        return self.ready_at
 
     def dispatch(self, clock, straggle=1.0, slowlink=1.0):
         """Serve one micro-batch at simulated time ``clock``; returns
@@ -160,6 +202,7 @@ class ServeNode:
         and are only *applied* when they differ — the healthy path's
         float arithmetic is untouched (bit-exact baseline)."""
         batch = self.batcher.take()
+        self.ready_at = None
         if self.deadline is not None:
             live = [r for r in batch
                     if clock <= r.arrival + self.deadline]
@@ -200,17 +243,15 @@ class ServeNode:
         if self.executor.last_remote_rows == 0:
             self.zero_remote_completed += len(batch)
 
-        observe = self.metrics.observe
-        batch_id, batch_size = self.num_batches, len(batch)
-        responses = []
-        # ``tolist``: python ints in one call, not one ``int()`` each.
-        for request, prediction in zip(batch, predictions.tolist()):
-            observe("latency", completion - request.arrival)
-            responses.append(InferenceResponse(
-                request, prediction, completion, batch_id, batch_size,
-                degrade, self.node_id))
+        self.latencies.extend([completion - r.arrival for r in batch])
+        batch_id, batch_size, node_id = \
+            self.num_batches, len(batch), self.node_id
         self.num_batches += 1
-        return responses
+        # ``tolist``: python ints in one call, not one ``int()`` each.
+        return [InferenceResponse(request, prediction, completion,
+                                  batch_id, batch_size, degrade, node_id)
+                for request, prediction
+                in zip(batch, predictions.tolist())]
 
     @property
     def mean_batch_size(self):
@@ -252,14 +293,12 @@ class EventLoop:
         self.multipliers = multipliers
         self.clock = 0.0
         self.responses = []
+        # Scheduled events only: trace arrivals are merged in by
+        # ``run`` with their trace index as seq, so everything
+        # scheduled here sorts after a same-instant arrival.
         self._heap = []
-        # Trace arrivals carry their index as seq and enter the heap
-        # one at a time (each schedules its successor), so the heap
-        # stays a handful of entries however long the trace is.
-        self._cursor = 0
         self._seq = len(self._trace)
         self._admissions = len(self._trace)   # arrivals + re-submissions
-        self._next_arrival()
 
     @property
     def draining(self):
@@ -281,13 +320,6 @@ class EventLoop:
         the moment their batch is dispatched."""
         self.responses.extend(dispatched[1])
 
-    def _next_arrival(self):
-        if self._cursor < len(self._trace):
-            request = self._trace[self._cursor]
-            heapq.heappush(self._heap, (request.arrival, ADMIT,
-                                        self._cursor, "admit", request))
-            self._cursor += 1
-
     def run(self, handlers=()):
         """Run until no event is queued and no node holds a request;
         returns :attr:`responses`.
@@ -299,49 +331,89 @@ class EventLoop:
         responses)`` of one dispatch — :meth:`collect` them).
         ``"dispatched"`` (payload ``None``) fires after every dispatch
         phase.  Any other kind is whatever the caller passes to
-        :meth:`schedule`; a kind nobody handles is dropped."""
+        :meth:`schedule`; a kind nobody handles is dropped.
+
+        Under ``FLAGS.sanitize`` every node's cached dispatch time is
+        re-derived every iteration."""
         on = {"admit": [self.nodes[0].submit], "batch": [self.collect]}
         on.update(handlers)
-        heap = self._heap
-        arrivals = len(self._trace)
+        on_admit, on_batch = on["admit"], on["batch"]
+        after_dispatch = on.get("dispatched", ())
+        heap, trace, nodes = self._heap, self._trace, self.nodes
+        sanitize = FLAGS.sanitize
+        arrivals = len(trace)
+        cursor = 0          # next trace arrival
+        flushing = None     # the ``draining`` the cached times assume
         soonest = _INF      # earliest time any node can dispatch next
         while True:
             due = heap[0][0] if heap else _INF
+            if cursor < arrivals and trace[cursor].arrival < due:
+                due = trace[cursor].arrival
             if soonest < due:
                 due = soonest
             if due == _INF:
                 break
             if due > self.clock:
                 self.clock = due
+            clock = self.clock
 
-            while heap and heap[0][0] <= self.clock:
-                _, phase, seq, kind, payload = heapq.heappop(heap)
+            while True:
+                if cursor < arrivals:
+                    request = trace[cursor]
+                    if request.arrival <= clock and (
+                            not heap or (request.arrival, ADMIT, cursor)
+                            < heap[0]):
+                        cursor += 1
+                        self._admissions -= 1
+                        for handler in on_admit:
+                            handler(request)
+                        continue
+                if not heap or heap[0][0] > clock:
+                    break
+                _, phase, _, kind, payload = heapq.heappop(heap)
                 if phase == ADMIT:
                     self._admissions -= 1
-                    if seq < arrivals:
-                        self._next_arrival()
                 for handler in on.get(kind, ()):
                     handler(payload)
 
-            draining = self.draining
+            # A fault handler's re-submission can turn the loop-wide
+            # flag back off, so it is compared every iteration.
+            draining = self._admissions == 0
+            if draining is not flushing:
+                flushing = draining
+                for node in nodes:
+                    node.ready_at = None
+            if sanitize:
+                _check_ready_times(nodes, draining)
             soonest = _INF
-            for node in self.nodes:
-                ready_at = node.next_dispatch_time(draining)
-                if ready_at is not None and ready_at <= self.clock:
+            for node in nodes:
+                ready_at = node.ready_at
+                if ready_at is None:
+                    ready_at = node.refresh(draining)
+                if ready_at <= clock:
                     batch = node.dispatch(
-                        self.clock,
-                        *self.multipliers(node.node_id, self.clock))
-                    PERF.count("serve_batches")
-                    for handler in on["batch"]:
+                        clock, *self.multipliers(node.node_id, clock))
+                    for handler in on_batch:
                         handler((node, batch))
-                    ready_at = node.next_dispatch_time(draining)
-                if ready_at is not None and ready_at < soonest:
+                    ready_at = node.refresh(draining)
+                if ready_at < soonest:
                     soonest = ready_at
-            for handler in on.get("dispatched", ()):
+            for handler in after_dispatch:
                 handler(None)
 
-        PERF.count("serve_requests", len(self.responses))
         return self.responses
+
+
+def _check_ready_times(nodes, draining):
+    """Sanitizer: a cached :attr:`ServeNode.ready_at` must be what
+    :meth:`ServeNode.next_dispatch_time` says now."""
+    for node in nodes:
+        cached = node.ready_at
+        if cached is not None and cached != node.refresh(draining):
+            raise SanitizerError(
+                f"node {node.node_id}: cached dispatch time {cached} "
+                f"but its inputs now give {node.ready_at}; something "
+                f"changed them without resetting ready_at")
 
 
 # ----------------------------------------------------------------------
@@ -387,13 +459,16 @@ def cache_hit_rates(caches):
 
 def run_totals(responses, labels):
     """The report fields both engines derive from the answered
-    responses: ``completed``, ``duration_seconds`` (first arrival to
-    last completion), ``throughput`` and ``accuracy``."""
+    responses: ``completed``, ``duration_seconds`` (the last
+    completion, measured from time 0 — not from the first arrival),
+    ``throughput`` and ``accuracy``."""
     completed = len(responses)
-    duration = max(r.completion for r in responses) if responses \
-        else 0.0
-    correct = sum(int(r.prediction == labels[r.request.vertex])
-                  for r in responses)
+    duration = max(map(attrgetter("completion"), responses), default=0.0)
+    predictions = np.fromiter(map(attrgetter("prediction"), responses),
+                              dtype=np.int64, count=completed)
+    vertices = np.fromiter(map(attrgetter("request.vertex"), responses),
+                           dtype=np.int64, count=completed)
+    correct = int(np.count_nonzero(predictions == labels[vertices]))
     return {"completed": completed,
             "duration_seconds": duration,
             "throughput": completed / duration if duration else 0.0,

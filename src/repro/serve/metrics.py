@@ -1,17 +1,28 @@
 """The serving metrics surface: one report per run.
 
-Latency percentiles come from the
-:meth:`~repro.perf.StageProfiler.observe` distribution API (every
-request latency, batch size, and queue depth is an observation on a
-per-run profiler), so the serving layer's histogram math is the same
-code the rest of the perf layer uses — and unit-tested there.
+A :class:`~repro.serve.loop.ServeNode` keeps two plain columns —
+``latencies`` (one entry per served request, appended per batch) and
+``queue_depths`` (one per admitted request) — and the reports digest
+them with :func:`repro.perf.summarize`, so the serving layer's
+percentile math is the perf layer's, unit-tested there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["ServeReport"]
+from ..perf import summarize
+
+__all__ = ["ServeReport", "summary_fields"]
+
+
+def summary_fields(prefix, column, empty=None,
+                   stats=("mean", "p50", "p95", "p99", "max")):
+    """The ``<prefix>_<stat>`` report fields of one observation column
+    (``summary_fields("latency", node.latencies)``); each is ``empty``
+    when nothing was observed."""
+    summary = summarize(column) or dict.fromkeys(stats, empty)
+    return {f"{prefix}_{stat}": summary[stat] for stat in stats}
 
 
 @dataclass
@@ -30,7 +41,7 @@ class ServeReport:
     num_requests: int
     completed: int
     rejected: int
-    duration_seconds: float        # first arrival to last completion
+    duration_seconds: float        # time 0 to the last completion
     throughput: float              # completed requests per sim. second
     latency_mean: float
     latency_p50: float

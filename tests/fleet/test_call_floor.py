@@ -1,0 +1,54 @@
+"""The per-request floor of the fleet event loop, as a deterministic
+budget.
+
+``fleet-steady`` exists to measure the loop, router, batcher and cache
+lookup per request, and those are python frames, not arithmetic: wall
+time on a shared box is too noisy to gate, but the interpreter-level
+calls one ``FleetEngine.run`` makes per request (``sys.setprofile``
+``call`` + ``c_call`` events, report assembly included) repeat exactly
+and do not depend on the trace length.  ``tools/floor_profile.py
+--fleet`` owns the fixtures and the counter (this test is also its
+smoke); docs/architecture.md, "The per-request floor of the fleet", has
+the before / after map.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[2] / "tools" / "floor_profile.py"
+
+#: Calls per request: 90.5 when the loop polled every node every
+#: iteration and observed through ``StageProfiler``; 19.5 now.
+STEADY_BUDGET = 32
+#: The same under the crash storm with every resilience mechanism on
+#: (164.9 before, 76.5 now): breakers make the router poll every
+#: replica per request, hedging defers every response through the heap.
+CHAOS_BUDGET = 100
+
+
+@pytest.fixture(scope="module")
+def floor_profile():
+    spec = importlib.util.spec_from_file_location("floor_profile", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_fleet_steady_stays_under_the_call_budget(floor_profile):
+    calls = floor_profile.calls_per_request(
+        *floor_profile.build_fleet(scale=0.3))
+    print(f"calls per request, fleet-steady: {calls:.1f}")
+    assert calls <= STEADY_BUDGET, (
+        f"{calls:.1f} interpreter calls per request, budget "
+        f"{STEADY_BUDGET}: run tools/floor_profile.py --fleet for the map")
+
+
+def test_fleet_chaos_stays_under_the_call_budget(floor_profile, tmp_path):
+    calls = floor_profile.calls_per_request(
+        *floor_profile.build_fleet(scale=0.3, chaos_dir=tmp_path))
+    print(f"calls per request, fleet-chaos: {calls:.1f}")
+    assert calls <= CHAOS_BUDGET, (
+        f"{calls:.1f} interpreter calls per request, budget "
+        f"{CHAOS_BUDGET}: run tools/floor_profile.py --fleet for the map")

@@ -218,6 +218,24 @@ class TestReplicaServer:
         assert replica.crashes == 1
         assert replica.down_seconds == 5e-3
 
+    def test_crash_and_recover_reset_the_cached_dispatch_time(
+            self, data, model):
+        """``crash`` and ``recover`` write ``alive`` and ``free_at``,
+        two inputs of ``next_dispatch_time``, so both reset
+        ``ready_at`` (see tests/serve/test_ready_cache.py) — also for a
+        request handed to the node while it was down."""
+        shards = make_shards(data, 1, name="hash")
+        replica = self.make_replica(data, model, shards)
+        replica.submit(InferenceRequest(0, 0, arrival=0.0), True)
+        assert replica.refresh(False) == pytest.approx(1e-3)
+        replica.crash(clock=5e-4, down_seconds=5e-3)
+        assert replica.ready_at is None
+        replica.submit(InferenceRequest(1, 0, arrival=6e-4), True)
+        assert replica.refresh(False) == float("inf")   # down
+        replica.recover(clock=5.5e-3)
+        assert replica.ready_at is None
+        assert replica.refresh(False) == 5.5e-3
+
     def test_partial_batch_waits_for_deadline(self, data, model):
         shards = make_shards(data, 1, name="hash")
         replica = self.make_replica(data, model, shards)

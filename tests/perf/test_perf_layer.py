@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.perf import (FLAGS, PERF, EvalSubgraphCache, StageProfiler,
-                        Workspace, percentile, perf_overrides)
+                        Workspace, percentile, perf_overrides, summarize)
 from repro.sampling import NeighborSampler
 
 
@@ -77,18 +77,11 @@ class TestPercentile:
 
 
 class TestObservations:
-    def test_observe_and_percentile(self):
-        profiler = StageProfiler()
-        for value in [5.0, 1.0, 3.0]:
-            profiler.observe("latency", value)
-        assert profiler.percentile("latency", 50) == 3.0
-        assert profiler.snapshot()["latency_observed"] == 3
+    """``summarize``: the one digest of a node's observation columns
+    (``StageProfiler`` keeps counters and timers only)."""
 
     def test_summary_shape(self):
-        profiler = StageProfiler()
-        for value in range(1, 101):
-            profiler.observe("depth", float(value))
-        summary = profiler.summary("depth")
+        summary = summarize([float(value) for value in range(1, 101)])
         assert summary["count"] == 100
         assert summary["mean"] == pytest.approx(50.5)
         assert summary["p50"] == pytest.approx(
@@ -96,17 +89,30 @@ class TestObservations:
         assert summary["p95"] <= summary["p99"] <= summary["max"] == 100.0
 
     def test_summary_missing_returns_none(self):
-        assert StageProfiler().summary("nothing") is None
+        assert summarize([]) is None
 
-    def test_percentile_missing_raises(self):
-        with pytest.raises(KeyError):
-            StageProfiler().percentile("nothing", 50)
+    def test_mean_sums_in_the_order_given(self):
+        # Float addition is not associative: the column's order is part
+        # of the mean's bits, so ``summarize`` must not sum its sorted
+        # copy.
+        values = [1e16, 1.0, -1e16, 1.0]
+        assert summarize(values)["mean"] == sum(values) / 4
+        assert summarize(values)["mean"] != sum(sorted(values)) / 4
 
-    def test_reset_clears_observations(self):
+    def test_integer_column_reports_floats(self):
+        # Queue depths are appended as ints; the report (and the JSON
+        # bytes of every tracked BENCH file) carries floats.
+        summary = summarize([3, 1, 2])
+        assert summary["max"] == 3.0 and isinstance(summary["max"], float)
+        assert summary["p50"] == 2.0 and isinstance(summary["p50"], float)
+        assert summary["mean"] == 2.0
+        assert summarize([5.0, 1.0, 3.0])["p50"] == 3.0
+
+    def test_profiler_keeps_no_distributions(self):
         profiler = StageProfiler()
-        profiler.observe("x", 1.0)
-        profiler.reset()
-        assert profiler.summary("x") is None
+        for name in ("observe", "percentile", "summary", "merge",
+                     "observations"):
+            assert not hasattr(profiler, name)
 
 
 class TestWorkspace:

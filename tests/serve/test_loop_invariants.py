@@ -8,6 +8,13 @@ no request id is answered twice, no answer precedes its arrival, a
 node's completions never go backwards, and a run is a pure function of
 its seed.  The fixed points are pinned in ``test_golden_runs.py``; this
 file walks the space between them with a small example budget.
+
+Every generated configuration is also run on the polling loop the
+shipped one replaced (``_loop_oracle.py``) and must come out identical
+— report and responses — and, like the whole suite, runs with
+``FLAGS.sanitize`` on, under which the loop re-derives every node's
+cached dispatch time every iteration (``test_ready_cache.py`` has the
+directed cases and the mutations these two gates were checked against).
 """
 
 import tempfile
@@ -24,6 +31,8 @@ from repro.fleet import (AutoscalePolicy, FleetEngine, ReplicaRecovery,
 from repro.nn import build_model
 from repro.serve import (BatchPolicy, LayerwiseEmbeddings, LoadGenerator,
                          ServeEngine)
+
+from ._loop_oracle import polling_loop
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +131,8 @@ def test_serve_engine_conserves_requests(world, config, rate,
     if config["deadline"] is None:
         assert report.shed == 0
     assert fingerprint(run()) == fingerprint(report)
+    with polling_loop():
+        assert fingerprint(run()) == fingerprint(report)
 
 
 # ----------------------------------------------------------------------
@@ -189,6 +200,8 @@ def check_fleet_run(world, replicas, partitioner, spill, schedule,
     assert sum(r.completed for r in report.replicas) \
         >= report.completed     # hedge twins may be served twice
     assert fingerprint(run()) == fingerprint(report)
+    with polling_loop():
+        assert fingerprint(run()) == fingerprint(report)
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,4 +1,5 @@
-"""The per-call floor of sampled serving, as numbers.
+"""The per-call floor of sampled serving — and, with ``--fleet``, the
+per-request floor of the fleet — as numbers.
 
 Sampled serving answers about two seeds per ``BatchExecutor.execute``,
 so what bounds it is the fixed cost of one sampled batch, not the graph
@@ -16,6 +17,16 @@ the benchmark of record (GraphSAGE, fanout 10/10, LRU cache at 10 %):
 Run after changing anything under a sampled batch::
 
     PYTHONPATH=src python tools/floor_profile.py [--scale 1.0]
+
+``--fleet`` does the same for the event loop on the ``fleet-steady``
+configuration (4 replicas, metis-v, precomputed, LFU 0.1 / 0.1,
+``BatchPolicy(16, 0.5 ms)``, spill 64, 100 k req/s), where the unit is
+the request: interpreter calls per request of ``FleetEngine.run`` (also
+for the ``fleet-chaos`` configuration — crash storm, replication,
+detector, breakers, hedging, snapshot recovery) and the cumulative
+table of ``run`` / ``route`` / ``submit`` / ``dispatch`` / ``execute`` /
+``lookup``.  ``tests/fleet/test_call_floor.py`` gates both counts; run
+after changing anything under ``serve/loop.py`` or ``fleet/``.
 """
 
 from __future__ import annotations
@@ -24,13 +35,19 @@ import argparse
 import cProfile
 import pstats
 import sys
+import tempfile
 
 import numpy as np
 
+from repro.core.config import make_partitioner
+from repro.fleet import (FleetEngine, ReplicaRecovery, ResiliencePolicy,
+                         RoutingPolicy)
+from repro.fleet.chaos import crash_storm
 from repro.graph import load_dataset
 from repro.nn import build_model
 from repro.perf import perf_overrides
-from repro.serve import BatchPolicy, LoadGenerator, ServeEngine
+from repro.serve import (BatchPolicy, LayerwiseEmbeddings, LoadGenerator,
+                         ServeEngine)
 from repro.serve.loop import eval_mode
 
 #: (row label, file suffix, function name) of the cumulative table.
@@ -50,6 +67,16 @@ LAYERS = (
     ("loop", "serve/loop.py", "run"),
 )
 
+#: The same, for ``--fleet``.
+FLEET_LAYERS = (
+    ("run", "fleet/engine.py", "run"),
+    ("route", "fleet/router.py", "route"),
+    ("submit", "fleet/replica.py", "submit"),
+    ("dispatch", "serve/loop.py", "dispatch"),
+    ("execute", "serve/executor.py", "execute"),
+    ("lookup", "transfer/tiered.py", "lookup"),
+)
+
 
 def build_engine(scale=1.0, seed=3):
     """The ``serve-sampled`` engine and a request trace for it."""
@@ -64,6 +91,39 @@ def build_engine(scale=1.0, seed=3):
     trace = LoadGenerator(data.test_ids, rate=2000.0,
                           num_requests=max(64, int(6000 * scale)),
                           seed=seed, skew=0.8).generate()
+    return engine, trace
+
+
+def build_fleet(scale=1.0, seed=3, chaos_dir=None):
+    """The ``fleet-steady`` engine and its trace — or, given a scratch
+    directory for the snapshots, the ``fleet-chaos`` ones.  The model
+    is untrained: precomputed answers cost the same calls either way."""
+    data = load_dataset("ogb-arxiv", scale=scale, seed=seed, cache=False)
+    model = build_model("gcn", data.feature_dim, data.num_classes,
+                        rng=np.random.default_rng(seed))
+    partition = make_partitioner("metis-v").partition(
+        data.graph, 4, split=data.split, rng=np.random.default_rng(seed))
+    requests = 60000 if chaos_dir is None else 6000
+    trace = LoadGenerator(data.test_ids, rate=100000.0,
+                          num_requests=max(64, int(requests * scale)),
+                          seed=seed, skew=0.8).generate()
+    extra = {}
+    if chaos_dir is not None:
+        span = trace[-1].arrival
+        extra = dict(
+            schedule=crash_storm(4, start=0.25 * span, down=0.35 * span,
+                                 count=2, spacing=0.05 * span),
+            replication=2, resilience=ResiliencePolicy(),
+            recovery=ReplicaRecovery(chaos_dir,
+                                     snapshot_interval=0.1 * span))
+    engine = FleetEngine(
+        data, model, partition=partition, mode="precomputed",
+        policy=BatchPolicy(max_batch_size=16, max_wait=0.0005),
+        max_queue=512, cache_policy="lfu", cache_ratio=0.1,
+        warm_ratio=0.1, seed=seed,
+        embeddings=LayerwiseEmbeddings(model, data.graph, data.features),
+        routing=RoutingPolicy(spill_threshold=64, remote_penalty=8.0),
+        **extra)
     return engine, trace
 
 
@@ -100,6 +160,13 @@ def calls_per_execute(engine, batch_size=2, batches=20, seed=0):
     return int(np.median(counts[1:]))
 
 
+def calls_per_request(engine, trace):
+    """:func:`count_calls` of one ``engine.run(trace)`` per request of
+    the trace, sanitizers off — report assembly included."""
+    with perf_overrides(sanitize=False):
+        return count_calls(engine.run, trace) / len(trace)
+
+
 def profile_run(engine, trace):
     """``pstats.Stats`` of one cProfile'd ``engine.run(trace)``."""
     profiler = cProfile.Profile()
@@ -112,11 +179,11 @@ def profile_run(engine, trace):
     return pstats.Stats(profiler)
 
 
-def layer_table(stats):
+def layer_table(stats, layers=LAYERS):
     """``[(label, calls, cumulative seconds, self seconds)]`` for the
-    :data:`LAYERS` found in ``stats``."""
+    ``layers`` found in ``stats``."""
     rows = []
-    for label, suffix, name in LAYERS:
+    for label, suffix, name in layers:
         # Several functions may share a name (every layer's
         # ``forward``): the outermost is the one with the most time.
         matches = [entry for (path, _line, function), entry
@@ -143,12 +210,40 @@ def top_self(stats, limit=25):
     return rows[:limit]
 
 
+def fleet_main(scale, seed):
+    engine, trace = build_fleet(scale, seed)
+    print(f"calls per request, fleet-steady: "
+          f"{calls_per_request(engine, trace):.1f}")
+    with tempfile.TemporaryDirectory(prefix="floor-chaos-") as scratch:
+        print(f"calls per request, fleet-chaos: "
+              f"{calls_per_request(*build_fleet(scale, seed, scratch)):.1f}")
+
+    stats = profile_run(engine, trace)
+    print(f"\ncProfile of FleetEngine.run: {len(trace)} requests "
+          f"(profiler overhead included)")
+    print(f"{'layer':<12} {'calls':>7} {'cum s':>8} {'self s':>8} "
+          f"{'cum us/request':>15}")
+    for label, calls, cumulative, self_seconds \
+            in layer_table(stats, FLEET_LAYERS):
+        print(f"{label:<12} {calls:>7} {cumulative:>8.3f} "
+              f"{self_seconds:>8.3f} "
+              f"{1e6 * cumulative / len(trace):>15.2f}")
+    print("\ntop 25 functions by self time")
+    for self_seconds, calls, where in top_self(stats):
+        print(f"{self_seconds:>8.3f} s {calls:>8} calls  {where}")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--scale", type=float, default=1.0,
                         help="dataset and trace scale (default 1.0)")
     parser.add_argument("--seed", type=int, default=3)
+    parser.add_argument("--fleet", action="store_true",
+                        help="profile the fleet-steady / fleet-chaos "
+                             "event loop per request instead")
     args = parser.parse_args(argv)
+    if args.fleet:
+        return fleet_main(args.scale, args.seed)
 
     engine, trace = build_engine(args.scale, args.seed)
     print(f"calls per 2-seed execute: {calls_per_execute(engine)}")
