@@ -20,10 +20,10 @@ import pytest
 TOOL = Path(__file__).resolve().parents[2] / "tools" / "floor_profile.py"
 
 #: Calls per request: 90.5 when the loop polled every node every
-#: iteration and observed through ``StageProfiler``; 19.5 now.
+#: iteration and observed through ``StageProfiler``; 19.3 now.
 STEADY_BUDGET = 32
 #: The same under the crash storm with every resilience mechanism on
-#: (164.9 before, 76.5 now): breakers make the router poll every
+#: (164.9 before, 76.9 now): breakers make the router poll every
 #: replica per request, hedging defers every response through the heap.
 CHAOS_BUDGET = 100
 

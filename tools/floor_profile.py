@@ -210,6 +210,20 @@ def top_self(stats, limit=25):
     return rows[:limit]
 
 
+def print_profile(stats, layers, units, unit):
+    """The cumulative table of ``layers`` (with microseconds per
+    ``unit``, of which the run had ``units``) and the top functions by
+    self time."""
+    print(f"{'layer':<12} {'calls':>7} {'cum s':>8} {'self s':>8} "
+          f"{'cum us/' + unit:>15}")
+    for label, calls, cumulative, self_seconds in layers:
+        print(f"{label:<12} {calls:>7} {cumulative:>8.3f} "
+              f"{self_seconds:>8.3f} {1e6 * cumulative / units:>15.1f}")
+    print("\ntop 25 functions by self time")
+    for self_seconds, calls, where in top_self(stats):
+        print(f"{self_seconds:>8.3f} s {calls:>8} calls  {where}")
+
+
 def fleet_main(scale, seed):
     engine, trace = build_fleet(scale, seed)
     print(f"calls per request, fleet-steady: "
@@ -221,16 +235,8 @@ def fleet_main(scale, seed):
     stats = profile_run(engine, trace)
     print(f"\ncProfile of FleetEngine.run: {len(trace)} requests "
           f"(profiler overhead included)")
-    print(f"{'layer':<12} {'calls':>7} {'cum s':>8} {'self s':>8} "
-          f"{'cum us/request':>15}")
-    for label, calls, cumulative, self_seconds \
-            in layer_table(stats, FLEET_LAYERS):
-        print(f"{label:<12} {calls:>7} {cumulative:>8.3f} "
-              f"{self_seconds:>8.3f} "
-              f"{1e6 * cumulative / len(trace):>15.2f}")
-    print("\ntop 25 functions by self time")
-    for self_seconds, calls, where in top_self(stats):
-        print(f"{self_seconds:>8.3f} s {calls:>8} calls  {where}")
+    print_profile(stats, layer_table(stats, FLEET_LAYERS), len(trace),
+                  "request")
 
 
 def main(argv=None):
@@ -257,14 +263,7 @@ def main(argv=None):
                    if label == "execute")
     print(f"\ncProfile of ServeEngine.run: {len(trace)} requests, "
           f"{executes} execute calls (profiler overhead included)")
-    print(f"{'layer':<12} {'calls':>7} {'cum s':>8} {'self s':>8} "
-          f"{'cum us/execute':>15}")
-    for label, calls, cumulative, self_seconds in layers:
-        print(f"{label:<12} {calls:>7} {cumulative:>8.3f} "
-              f"{self_seconds:>8.3f} {1e6 * cumulative / executes:>15.1f}")
-    print("\ntop 25 functions by self time")
-    for self_seconds, calls, where in top_self(stats):
-        print(f"{self_seconds:>8.3f} s {calls:>8} calls  {where}")
+    print_profile(stats, layers, executes, "execute")
 
 
 if __name__ == "__main__":
