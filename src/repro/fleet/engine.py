@@ -254,11 +254,13 @@ class FleetEngine:
         replicas, router, autoscaler = \
             run.replicas, run.router, run.autoscaler
         responses = run.loop.responses
-        # Fleet-wide percentiles are over the union of the replicas'
-        # columns, in replica order (``sum`` order is part of
-        # ``latency_mean``'s bits).
-        latencies = [latency for replica in replicas
-                     for latency in replica.latencies]
+        # Fleet-wide: the replicas' columns in replica order (``sum``
+        # order is part of ``latency_mean``'s bits) — except under
+        # hedging, where those also hold the twins that lost the race
+        # and the run's record of the winners is per answered request.
+        latencies = run.latencies if run.hedge_policy is not None \
+            else [latency for replica in replicas
+                  for latency in replica.latencies]
         totals = run_totals(responses, self.dataset.labels)
         completed = totals["completed"]
 

@@ -25,9 +25,11 @@ class ReplicaReport:
     """Everything one replica measured over a fleet run.
 
     Latency fields are ``None`` (JSON ``null``) when the replica
-    completed no requests.  ``remote_rows`` counts rows actually
-    fetched from other shards over the network (a foreign row already
-    resident in the local cache is not a remote fetch);
+    completed no requests, and are per *copy* it served: a hedge twin
+    that lost the race still counts here — the replica did serve it —
+    but not in the fleet-level fields.  ``remote_rows`` counts rows
+    actually fetched from other shards over the network (a foreign row
+    already resident in the local cache is not a remote fetch);
     ``local_rows`` counts rows resolved on-node (owned or cached).
     """
 
@@ -75,8 +77,9 @@ class FleetReport:
     with **zero remote rows** — the headline §5-style metric: it is
     what partition-aware routing buys over random dispatch.
     ``remote_row_fraction`` is the row-level companion (remote rows /
-    all rows fetched).  Fleet latency percentiles are computed over the
-    merged per-replica observation lists.
+    all rows fetched).  Fleet latency fields are per *answered request*:
+    the replicas' latency columns concatenated, or under hedging the
+    winners only (``completed`` observations either way).
     """
 
     mode: str

@@ -29,6 +29,7 @@ from repro.core.config import make_partitioner
 from repro.fleet import (AutoscalePolicy, FleetEngine, ReplicaRecovery,
                          ResiliencePolicy, RoutingPolicy)
 from repro.nn import build_model
+from repro.perf import percentile
 from repro.serve import (BatchPolicy, LayerwiseEmbeddings, LoadGenerator,
                          ServeEngine)
 
@@ -199,6 +200,15 @@ def check_fleet_run(world, replicas, partitioner, spill, schedule,
     check_answers(trace, report.responses)
     assert sum(r.completed for r in report.replicas) \
         >= report.completed     # hedge twins may be served twice
+    # ... but the fleet's latency fields are over answered requests,
+    # not over copies: a wasted twin is nobody's latency.
+    latencies = [r.latency for r in report.responses]
+    assert len(latencies) == report.completed
+    if latencies:
+        assert report.latency_max == max(latencies)
+        assert report.latency_p99 == percentile(latencies, 99.0)
+        assert report.latency_mean == pytest.approx(
+            sum(latencies) / len(latencies), rel=1e-12)
     assert fingerprint(run()) == fingerprint(report)
     with polling_loop():
         assert fingerprint(run()) == fingerprint(report)
