@@ -1,12 +1,11 @@
 # Developer entry points. `make help` lists targets.
 
-.PHONY: help install test lint arch-lint bench bench-cache examples docs reproduce clean
+.PHONY: help install test lint bench bench-cache examples docs reproduce clean
 
 help:
 	@echo "install     editable install (falls back past missing wheel pkg)"
 	@echo "test        run the unit/integration/property test suite"
-	@echo "lint        both static-analysis passes (repro lint + arch-lint)"
-	@echo "arch-lint   whole-program architectural analysis alone"
+	@echo "lint        the static analyzer (RPR per-file + ARC architectural rules)"
 	@echo "bench       run every table/figure benchmark (includes serving)"
 	@echo "bench-NAME  run one registered bench and rewrite BENCH_NAME.json"
 	@echo "            (repro bench NAME: serve fleet faults fleet-chaos kernels)"
@@ -21,20 +20,14 @@ install:
 test:
 	pytest tests/
 
-# Fails on findings not grandfathered by the checked-in baselines
-# (src/repro/analysis/baseline.json and arch_baseline.json, both
-# currently empty). The CI `lint` and `arch-lint` jobs run the same
-# gates and upload the JSON reports.
-lint: arch-lint
+# The static analyzer: per-file determinism & numerics rules (RPR) over
+# every scanned file, architectural rules (ARC) over src/repro. Fails on
+# findings not grandfathered by src/repro/analysis/baseline.json
+# (currently empty); the CI `lint` job runs the same gate and uploads
+# the JSON report.
+lint:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
 	  python -m repro lint --baseline
-
-# Whole-program architectural analysis (layering DAG, kernel-seam and
-# billing bypasses, simulated-clock purity, interprocedural RNG
-# provenance, public-API drift). Stdlib+numpy only.
-arch-lint:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
-	  python -m repro arch-lint --baseline
 
 # The benchmarks are runnable scripts with a __main__ block (like the
 # examples); `pytest --benchmark-only` can't collect them without the

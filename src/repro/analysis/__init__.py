@@ -2,30 +2,28 @@
 
 Two halves of one correctness story:
 
-* the **linter** (:mod:`~repro.analysis.lint`,
-  :mod:`~repro.analysis.rules`) machine-checks the determinism
-  invariants every numeric claim rests on — seeded RNG streams, no
-  wall-clock in simulated paths, no iteration-order-dependent
-  accumulation, hygiene rules that keep failures loud; and
+* the **static analyzer** (:mod:`~repro.analysis.lint`,
+  :mod:`~repro.analysis.rules`, ``repro lint``) parses every scanned
+  file once and machine-checks the invariants every numeric claim
+  rests on.  Per-file ``RPR`` rules: seeded RNG streams, no wall-clock
+  in simulated paths, no iteration-order-dependent accumulation,
+  hygiene rules that keep failures loud.  Whole-program ``ARC`` rules
+  over the project graph of ``src/repro``
+  (:mod:`~repro.analysis.graphing`) against the contract in
+  :mod:`~repro.analysis.layers`: layering, kernel-seam and billing-seam
+  usage, simulated-clock purity, RNG provenance, and public-API drift;
+  and
 * the **sanitizers** (:mod:`~repro.analysis.sanitize`) catch the
   corresponding *runtime* corruption — NaN/Inf in activations and
   gradients, malformed CSR structures, broken shape/dtype contracts —
   behind the zero-cost-when-off ``FLAGS.sanitize`` toggle.
-
-A third, whole-program half rides on the same machinery: the
-**architectural analyzer** (:mod:`~repro.analysis.arch`,
-:mod:`~repro.analysis.graphing`, :mod:`~repro.analysis.rules.arch`)
-parses all of ``src/repro`` once into a project graph and enforces the
-checked-in contract in ``layers.toml`` — layering, kernel-seam and
-billing-seam usage, simulated-clock purity, RNG provenance, and
-public-API drift (``repro arch-lint``).
 
 This package stays import-light by design (stdlib ``ast`` + numpy +
 the flags/errors modules): ``repro lint`` must not pay for scipy or the
 training stack, and importing :mod:`repro` must not pay for the linter.
 The hot paths import :mod:`~repro.analysis.sanitize` directly, and this
 ``__init__`` resolves the linter names lazily (PEP 562), so ``import
-repro`` never executes ``lint``/``rules``/``report``/``baseline``.
+repro`` never executes the analyzer modules.
 """
 
 import importlib
@@ -37,9 +35,8 @@ __all__ = [
     "to_baseline", "filter_new",
     "REPORT_VERSION", "render_json", "render_text", "write_json",
     "check_finite", "check_csr", "check_contract", "sanitize_active",
-    "arch_lint", "load_arch_baseline", "DEFAULT_ARCH_BASELINE_PATH",
     "ProjectGraph", "build_project",
-    "ArchConfig", "DEFAULT_LAYERS_PATH", "load_arch_config",
+    "ArchConfig", "CONTRACT", "load_arch_config",
 ]
 
 # name -> defining submodule, resolved on first attribute access.
@@ -55,10 +52,8 @@ _LAZY = {
     "rule_table": "rules",
     "check_contract": "sanitize", "check_csr": "sanitize",
     "check_finite": "sanitize", "sanitize_active": "sanitize",
-    "DEFAULT_ARCH_BASELINE_PATH": "arch", "arch_lint": "arch",
-    "load_arch_baseline": "arch",
     "ProjectGraph": "graphing", "build_project": "graphing",
-    "ArchConfig": "layers", "DEFAULT_LAYERS_PATH": "layers",
+    "ArchConfig": "layers", "CONTRACT": "layers",
     "load_arch_config": "layers",
 }
 

@@ -1,12 +1,13 @@
 """Whole-program symbol table, import graph, and approximate call graph.
 
-The per-file rules (:mod:`repro.analysis.rules`) see one AST at a time;
-the architectural rules (:mod:`repro.analysis.rules.arch`) need the
+The analyzer parses every scanned file once into a :class:`ModuleInfo`.
+The per-file rules (:mod:`repro.analysis.rules`) look at one module at a
+time; the architectural rules (:mod:`repro.analysis.rules.arch`) need the
 *project*: which package imports which, where a name is defined, and
-what is reachable from an event loop.  This module parses every file
-under a package root once and answers those questions — module-level
-name resolution over the AST, no execution — so later whole-program
-rules are ~50-line visitors over a prebuilt :class:`ProjectGraph`.
+what is reachable from an event loop.  :func:`build_project` indexes the
+modules under a package root and answers those questions — module-level
+name resolution over the AST, no execution — so whole-program rules are
+~50-line visitors over a prebuilt :class:`ProjectGraph`.
 
 Resolution is deliberately approximate and documented as such:
 
@@ -32,14 +33,13 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .rules import dotted_name
 
 __all__ = ["ModuleInfo", "ImportEdge", "FunctionInfo", "CallSite",
            "ProjectGraph", "build_project"]
-
-_SKIP_DIRS = {"__pycache__", ".git", ".pytest_cache"}
 
 #: Names the unique-tail call fallback must never follow: methods of
 #: builtin containers/strings (``token.partition(...)`` is
@@ -93,13 +93,14 @@ class FunctionInfo:
 
 @dataclass
 class ModuleInfo:
-    """Everything the project graph knows about one parsed module."""
+    """One parsed file: everything a rule may inspect about it, plus
+    what the project graph records for modules under the package root."""
 
-    name: str              #: dotted module name (``repro.fleet.engine``)
-    path: str              #: display path (posix, repo-relative)
-    package: str           #: first component under the root package
+    path: str              #: display path (posix, cwd-relative)
     tree: ast.AST = field(repr=False, default=None)
     lines: list = field(default_factory=list, repr=False)
+    name: str = None       #: dotted module name (``repro.fleet.engine``)
+    package: str = None    #: first component under the root package
     #: module-level bindings: name -> ("function"|"class", node) |
     #: ("module", target) | ("object", "target.attr") |
     #: ("assign", value-node)
@@ -109,22 +110,41 @@ class ModuleInfo:
     #: class name -> [base-name expressions (dotted strings)]
     bases: dict = field(default_factory=dict, repr=False)
 
+    @cached_property
+    def nodes(self):
+        """Every node of ``tree`` in :func:`ast.walk` order, walked once
+        for all the rules."""
+        return list(ast.walk(self.tree))
+
+    @cached_property
+    def _parents(self):
+        return {inner: outer for outer in self.nodes
+                for inner in ast.iter_child_nodes(outer)}
+
     def line_text(self, lineno):
         """Stripped source text of physical line ``lineno`` (1-based)."""
         if 1 <= lineno <= len(self.lines):
             return self.lines[lineno - 1].strip()
         return ""
 
+    def parent(self, node):
+        """The AST parent of ``node`` (None for the module node)."""
+        return self._parents.get(node)
+
+    def in_parts(self, name):
+        """True if ``name`` is a path component of this file."""
+        return name in self.path.replace("\\", "/").split("/")
+
 
 class ProjectGraph:
     """Parsed project: modules, imports, symbols, approximate calls."""
 
-    def __init__(self, package):
+    def __init__(self, package, files=()):
         self.package = package
+        self.files = list(files)  #: every scanned ModuleInfo
         self.modules = {}        #: dotted name -> ModuleInfo
         self.imports = []        #: [ImportEdge]
         self.functions = {}      #: qualname -> FunctionInfo
-        self.parse_errors = []   #: [(display path, SyntaxError)]
         self._by_tail = None
 
     # ------------------------------------------------------------------
@@ -139,12 +159,7 @@ class ProjectGraph:
             return parts[0]
         if len(parts) == 1:
             return self.package
-        child = parts[1]
-        info = self.modules.get(f"{self.package}.{child}")
-        if info is not None and len(parts) == 2 \
-                and not info.path.endswith("__init__.py"):
-            return child          # top-level module, its own unit
-        return child
+        return parts[1]
 
     def project_imports(self, include_lazy=False):
         """Import edges whose source and target are both project
@@ -306,22 +321,13 @@ class ProjectGraph:
 # ----------------------------------------------------------------------
 # Construction
 # ----------------------------------------------------------------------
-def _module_name(root, path, package):
-    rel = path.relative_to(root)
+def _module_name(rel, package):
     parts = list(rel.parts)
     if parts[-1] == "__init__.py":
         parts = parts[:-1]
     else:
         parts[-1] = parts[-1][:-3]
     return ".".join([package] + parts)
-
-
-def _display_path(path):
-    path = Path(path)
-    try:
-        return path.resolve().relative_to(Path.cwd()).as_posix()
-    except ValueError:
-        return path.as_posix()
 
 
 def _resolve_relative(module_name, is_package, level, target):
@@ -461,38 +467,31 @@ class _ModuleVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def build_project(root, package=None):
-    """Parse every ``.py`` file under ``root`` into a
-    :class:`ProjectGraph`.
+def build_project(files, root=None, package=None):
+    """The :class:`ProjectGraph` over already-parsed ``files``.
 
-    ``root`` is the package source directory (e.g. ``src/repro``);
-    ``package`` defaults to its directory name.  Files that fail to
-    parse are recorded in ``ProjectGraph.parse_errors`` instead of
-    aborting the build.
+    ``files`` are :class:`ModuleInfo` records with ``path``/``tree``
+    set; they all become ``graph.files``.  Those under the package
+    source directory ``root`` (e.g. ``src/repro``) are also indexed as
+    the package's modules — named, symbol-tabled, call-recorded.
+    ``package`` defaults to ``root``'s directory name.
     """
+    if root is None:
+        return ProjectGraph(package, files)
     root = Path(root)
     if not root.is_dir():
         raise FileNotFoundError(f"package root does not exist: {root}")
-    package = package or root.name
-    graph = ProjectGraph(package)
-    for path in sorted(root.rglob("*.py")):
-        if _SKIP_DIRS.intersection(path.parts):
-            continue
-        display = _display_path(path)
-        source = path.read_text(encoding="utf-8")
+    graph = ProjectGraph(package or root.name, files)
+    root = root.resolve()
+    for info in graph.files:
         try:
-            tree = ast.parse(source, filename=str(path))
-        except SyntaxError as exc:
-            graph.parse_errors.append((display, exc))
+            rel = Path(info.path).resolve().relative_to(root)
+        except ValueError:
             continue
-        name = _module_name(root, path, package)
-        info = ModuleInfo(name=name, path=display,
-                          package=None, tree=tree,
-                          lines=source.splitlines())
-        graph.modules[name] = info
-        visitor = _ModuleVisitor(graph, info,
-                                 path.name == "__init__.py")
-        visitor.visit(tree)
+        info.name = _module_name(rel, graph.package)
+        graph.modules[info.name] = info
+        _ModuleVisitor(graph, info, rel.name == "__init__.py") \
+            .visit(info.tree)
     for info in graph.modules.values():
         info.package = graph.package_of(info.name)
     return graph

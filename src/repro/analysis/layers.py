@@ -1,171 +1,107 @@
-"""The checked-in architectural contract (``layers.toml``).
+"""The checked-in architectural contract for ``src/repro``.
 
-The contract declares the layered package DAG (ARC001) plus per-rule
-scoping for the other architectural rules.  It is parsed with a small
-TOML-subset reader rather than :mod:`tomllib` because CI still runs
-Python 3.10; the subset covers exactly what the contract needs —
-``[table]``, ``[[array-of-tables]]``, string/int/bool values, and
-(possibly multi-line) arrays of strings.
+:data:`CONTRACT` declares the layered package DAG (ARC001) plus per-rule
+scoping for the other architectural rules; :func:`load_arch_config`
+validates it (or a test fixture's dict of the same shape) into an
+:class:`ArchConfig`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
-__all__ = ["ArchConfig", "DEFAULT_LAYERS_PATH", "load_arch_config",
-           "parse_toml"]
+__all__ = ["ArchConfig", "CONTRACT", "load_arch_config"]
 
-#: The checked-in contract, next to this module.
-DEFAULT_LAYERS_PATH = Path(__file__).resolve().parent / "layers.toml"
-
-
-# ----------------------------------------------------------------------
-# Minimal TOML-subset parser
-# ----------------------------------------------------------------------
-def _strip_comment(line):
-    """Drop a ``#`` comment, respecting string quotes."""
-    out = []
-    quote = None
-    for ch in line:
-        if quote:
-            out.append(ch)
-            if ch == quote:
-                quote = None
-        elif ch in ("'", '"'):
-            quote = ch
-            out.append(ch)
-        elif ch == "#":
-            break
-        else:
-            out.append(ch)
-    return "".join(out).strip()
-
-
-def _parse_scalar(text):
-    text = text.strip()
-    if len(text) >= 2 and text[0] == text[-1] and text[0] in ("'", '"'):
-        return text[1:-1]
-    if text in ("true", "false"):
-        return text == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(f"unsupported TOML value: {text!r}")
-
-
-def _split_items(text):
-    """Split a bracketless array body on top-level commas."""
-    items, depth, quote, current = [], 0, None, []
-    for ch in text:
-        if quote:
-            current.append(ch)
-            if ch == quote:
-                quote = None
-        elif ch in ("'", '"'):
-            quote = ch
-            current.append(ch)
-        elif ch == "[":
-            depth += 1
-            current.append(ch)
-        elif ch == "]":
-            depth -= 1
-            current.append(ch)
-        elif ch == "," and depth == 0:
-            items.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    tail = "".join(current).strip()
-    if tail:
-        items.append(tail)
-    return [item.strip() for item in items if item.strip()]
-
-
-def _parse_value(text):
-    text = text.strip()
-    if text.startswith("["):
-        if not text.endswith("]"):
-            raise ValueError(f"unterminated array: {text!r}")
-        return [_parse_value(item)
-                for item in _split_items(text[1:-1])]
-    return _parse_scalar(text)
-
-
-def _bracket_balance(text):
-    depth, quote = 0, None
-    for ch in text:
-        if quote:
-            if ch == quote:
-                quote = None
-        elif ch in ("'", '"'):
-            quote = ch
-        elif ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-    return depth
+#: Levels order the package DAG: a module-level import must always
+#: point at a *lower* level.  Function-level (lazy) imports are the
+#: sanctioned cycle-breaking mechanism and are exempt from ARC001 — they
+#: defer the dependency until call time, after every module object
+#: exists.
+#:
+#: Adding a package?  Declare it in exactly one layer or ARC001 flags
+#: every import touching it.
+CONTRACT = {
+    "layers": [
+        {"name": "foundation", "level": 0, "packages": ["errors", "perf"]},
+        {"name": "analysis", "level": 1, "packages": ["analysis"]},
+        {"name": "data", "level": 2, "packages": ["graph", "transfer"]},
+        {"name": "sampling", "level": 3,
+         "packages": ["sampling", "partition"]},
+        {"name": "kernels", "level": 4, "packages": ["kernels", "batching"]},
+        {"name": "model", "level": 5, "packages": ["nn"]},
+        {"name": "training", "level": 6, "packages": ["tasks", "dist"]},
+        {"name": "core", "level": 7, "packages": ["core"]},
+        {"name": "services", "level": 8, "packages": ["faults", "serve"]},
+        {"name": "fleet", "level": 9, "packages": ["fleet"]},
+        {"name": "app", "level": 10,
+         "packages": ["repro", "bench", "cli", "__main__"]},
+    ],
+    "rules": {
+        "ARC001": {
+            # Same-level imports between *different* packages need an
+            # explicit grant; within one package they are always fine.
+            "allowed": ["__main__ -> cli", "cli -> repro", "cli -> bench"],
+        },
+        "ARC002": {
+            # Packages where aggregation must route through the
+            # repro.kernels seam (gspmm/gsddmm/edge_softmax): no
+            # scipy.sparse and no ufunc-.at scatter loops.
+            "packages": ["nn", "dist", "serve", "fleet", "core",
+                         "sampling", "batching", "tasks"],
+            # nn/tensor.py is the autograd substrate the kernels'
+            # reference backend itself builds on; its scatter primitives
+            # ARE the seam.
+            "allow_files": ["src/repro/nn/tensor.py"],
+        },
+        "ARC003": {
+            # Feature/embedding fetch paths that must bill through the
+            # one cache: TieredCache.lookup + bill, an executor's
+            # fetch_seconds (which does both), or the training engine's
+            # _batch_work.
+            "packages": ["serve", "fleet"],
+            "modules": ["src/repro/dist/engine.py",
+                        "src/repro/core/trainer.py"],
+            "store_attrs": ["features", "embeddings", "table",
+                            "logit_table"],
+            "billing_calls": ["fetch_seconds", "lookup", "bill",
+                              "_batch_work"],
+            # precompute.py IS the embedding store; reads there are the
+            # billed lookup's own implementation.  That includes the
+            # logit table: an answer gathered from it (rowwise_logits)
+            # stands for embedding rows the simulated node fetched, so
+            # the caller bills them.
+            "allow_files": ["src/repro/serve/precompute.py"],
+        },
+        "ARC004": {
+            # Event-loop roots: a root may be a function/method qualname
+            # or a class (all methods); everything statically reachable
+            # from a root runs on the simulated clock.  There is one
+            # serving loop: serve.loop.EventLoop advances the clock for
+            # ServeEngine and FleetEngine alike and reaches every node's
+            # dispatch.  It calls its handlers through a dict, which
+            # static reachability cannot follow, so the fleet's handler
+            # class is rooted beside it.  Engine __init__-time setup
+            # (partitioning, replica construction) is on neither path:
+            # it legitimately reads the host clock for offline-cost
+            # reporting.
+            "roots": ["repro.serve.loop.EventLoop",
+                      "repro.fleet.engine._FleetRun",
+                      "repro.faults.plan.FaultInjector"],
+            # profiler.py owns the one sanctioned wall-clock read
+            # (wall_clock).
+            "allow_files": ["src/repro/perf/profiler.py"],
+        },
+        "ARC006": {"api_doc": "docs/api.md"},
+    },
+}
 
 
-def parse_toml(text):
-    """Parse the TOML subset described in the module docstring into
-    nested dicts (array-of-tables become lists of dicts)."""
-    root = {}
-    table = root
-    lines = text.splitlines()
-    index = 0
-    while index < len(lines):
-        line = _strip_comment(lines[index])
-        index += 1
-        if not line:
-            continue
-        if line.startswith("[[") and line.endswith("]]"):
-            keys = line[2:-2].strip().split(".")
-            parent = root
-            for key in keys[:-1]:
-                parent = parent.setdefault(key, {})
-            entries = parent.setdefault(keys[-1], [])
-            if not isinstance(entries, list):
-                raise ValueError(f"{keys[-1]} is not array-of-tables")
-            table = {}
-            entries.append(table)
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            keys = line[1:-1].strip().split(".")
-            parent = root
-            for key in keys[:-1]:
-                parent = parent.setdefault(key, {})
-            table = parent.setdefault(keys[-1], {})
-            continue
-        if "=" not in line:
-            raise ValueError(f"unsupported TOML line: {line!r}")
-        key, _, value = line.partition("=")
-        value = value.strip()
-        # Multi-line array: keep consuming until brackets balance.
-        while _bracket_balance(value) > 0:
-            if index >= len(lines):
-                raise ValueError(f"unterminated array for {key.strip()}")
-            value += " " + _strip_comment(lines[index])
-            index += 1
-        table[key.strip()] = _parse_value(value)
-    return root
-
-
-# ----------------------------------------------------------------------
-# The contract
-# ----------------------------------------------------------------------
 @dataclass
 class ArchConfig:
-    """Parsed ``layers.toml``: layer levels plus per-rule options."""
+    """A validated contract: layer levels plus per-rule options."""
 
     levels: dict = field(default_factory=dict)   #: package -> level
-    layer_names: dict = field(default_factory=dict)  #: package -> layer
     rules: dict = field(default_factory=dict)    #: "ARCnnn" -> options
-    path: str = ""
 
     def level_of(self, package):
         """Declared level of ``package``, or None if undeclared."""
@@ -185,23 +121,20 @@ class ArchConfig:
         return pairs
 
 
-def load_arch_config(path=None):
-    """Read and validate the contract at ``path`` (default: the
-    checked-in ``layers.toml``)."""
-    path = Path(path) if path is not None else DEFAULT_LAYERS_PATH
-    document = parse_toml(path.read_text(encoding="utf-8"))
-    config = ArchConfig(path=path.as_posix())
-    for layer in document.get("layer", []):
-        name = layer.get("name")
-        level = layer.get("level")
-        if name is None or not isinstance(level, int):
-            raise ValueError(
-                f"{path}: every [[layer]] needs a name and an int level")
+def load_arch_config(contract=None):
+    """Validate ``contract`` (default: :data:`CONTRACT`) into an
+    :class:`ArchConfig`: every layer needs a name and an int level, and
+    no package may be declared twice."""
+    contract = CONTRACT if contract is None else contract
+    config = ArchConfig(rules=contract.get("rules", {}))
+    for layer in contract.get("layers", []):
+        if layer.get("name") is None \
+                or not isinstance(layer.get("level"), int):
+            raise ValueError("every contract layer needs a name and an "
+                             "int level")
         for package in layer.get("packages", []):
             if package in config.levels:
                 raise ValueError(
-                    f"{path}: package {package!r} declared twice")
-            config.levels[package] = level
-            config.layer_names[package] = name
-    config.rules = document.get("rules", {})
+                    f"contract declares package {package!r} twice")
+            config.levels[package] = layer["level"]
     return config

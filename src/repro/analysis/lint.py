@@ -1,8 +1,8 @@
-"""The determinism & numerics linter: file walking, noqa, baselines.
+"""The static analyzer: one parse, every rule, noqa, baselines.
 
 Usage (library)::
 
-    from repro.analysis import lint_paths
+    from repro.analysis import lint_paths, load_baseline
     result = lint_paths(["src"], baseline=load_baseline())
     for finding in result.new_findings:
         print(finding.location(), finding.message)
@@ -10,7 +10,15 @@ Usage (library)::
 Usage (CLI): ``repro lint [--format json] [--baseline]
 [--update-baseline] [paths...]`` — see :mod:`repro.cli`.
 
-Suppression: a finding on a line containing ``# repro: noqa[RPRnnn]``
+Every scanned file is parsed once into a
+:class:`~repro.analysis.graphing.ModuleInfo`.  The per-file ``RPR``
+rules look at each module in turn; the whole-program ``ARC`` rules run
+over the package root (``src/repro`` by default, ``root=`` for other
+projects) against the architectural contract
+(:data:`~repro.analysis.layers.CONTRACT`, ``contract=`` for others),
+whenever that root lies inside the scanned paths.
+
+Suppression: a finding on a line containing ``# repro: noqa[RPR001]``
 (or a blanket ``# repro: noqa``) is dropped and counted in
 ``LintResult.suppressed``.  Suppressions are for *intentional*
 violations and should carry a nearby comment saying why; accidental
@@ -30,10 +38,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .baseline import filter_new, fingerprint
-from .rules import Finding, RuleContext, all_rules
+from .graphing import ModuleInfo, build_project
+from .layers import load_arch_config
+from .rules import ParseError, all_rules
 
-__all__ = ["LintResult", "lint_file", "lint_paths",
-           "iter_python_files", "stale_fingerprints"]
+__all__ = ["DEFAULT_ROOT", "LintResult", "default_root", "lint_file",
+           "lint_paths", "iter_python_files", "parse_paths",
+           "stale_fingerprints"]
+
+#: The package the ARC rules police: this analyzer's own source tree.
+DEFAULT_ROOT = Path(__file__).resolve().parents[1]
 
 #: ``# repro: noqa`` or ``# repro: noqa[RPR001,RPR005]``.
 _NOQA_RE = re.compile(
@@ -72,13 +86,10 @@ class LintResult:
     suppressed: int = 0
     files_scanned: int = 0
     parse_errors: int = 0
-    #: Baseline fingerprints that no longer match anything: their file
-    #: was scanned and has no such finding, or the file is gone.
-    #: ``--update-baseline`` prunes them.
+    #: Baseline fingerprints that no longer match anything: their rule
+    #: ran on their file and found no such finding, or the file is
+    #: gone.  ``--update-baseline`` prunes them.
     stale_baseline: list = field(default_factory=list)
-    #: Display paths of the files this run scanned (fingerprint
-    #: prefixes), so callers can merge partial-run baselines.
-    scanned_paths: list = field(default_factory=list)
 
     @property
     def baselined(self):
@@ -89,6 +100,14 @@ class LintResult:
     def clean(self):
         """True when the gate should pass."""
         return not self.new_findings
+
+
+def default_root():
+    """The package root the ARC rules analyze: ``src/repro`` relative
+    to the working directory if present (so display paths match the
+    repo layout CI and baselines use), else the installed package."""
+    candidate = Path("src") / "repro"
+    return candidate if candidate.is_dir() else DEFAULT_ROOT
 
 
 def iter_python_files(paths):
@@ -138,43 +157,81 @@ def _suppressed_codes(line_text):
                      if code.strip())
 
 
-def lint_file(path, rules=None, display_path=None):
-    """Lint one file; returns ``(findings, suppressed_count)``.
-
-    A file that fails to parse produces a single synthetic ``RPR000``
-    error finding rather than crashing the run — a syntax error must
-    fail the gate, not the linter.
-    """
-    path = Path(path)
-    display = display_path if display_path is not None \
-        else path.as_posix()
-    source = path.read_text(encoding="utf-8")
-    lines = source.splitlines()
+def _parse(path, display):
+    """``path`` parsed into a :class:`ModuleInfo` shown as ``display``,
+    or the ``RPR000`` finding when it does not parse — a syntax error
+    must fail the gate, not the analyzer."""
+    source = Path(path).read_text(encoding="utf-8")
     try:
         tree = ast.parse(source, filename=str(path))
     except SyntaxError as exc:
-        finding = Finding(
-            rule="RPR000", severity="error", path=display,
-            line=exc.lineno or 1, col=(exc.offset or 1) - 1,
-            message=f"file does not parse: {exc.msg}",
-            hint="fix the syntax error", snippet=(exc.text or "").strip())
-        return [finding], 0
+        return ParseError().error(display, exc)
+    return ModuleInfo(path=display, tree=tree, lines=source.splitlines())
 
-    ctx = RuleContext(path=display, tree=tree, lines=lines)
-    findings = []
-    suppressed = 0
-    for rule in (rules if rules is not None else all_rules()):
-        for finding in rule.findings(ctx):
-            codes = _suppressed_codes(ctx.line_text(finding.line))
+
+def parse_paths(paths):
+    """Every python file under ``paths``, parsed once: a
+    :class:`ModuleInfo` per file, or its ``RPR000``
+    :class:`~repro.analysis.rules.Finding` if it does not parse."""
+    return [_parse(path, _display_path(path))
+            for path in iter_python_files(paths)]
+
+
+def _covers(paths, root):
+    """True when ``root`` is one of ``paths`` or lies inside one."""
+    root = root.resolve()
+    return any(path == root or path in root.parents
+               for path in (Path(raw).resolve() for raw in paths))
+
+
+def _run(parsed, rules, root=None, contract=None, baseline=None):
+    """Run ``rules`` over ``parsed`` (see :func:`parse_paths`); the
+    project rules run only when ``root`` is given."""
+    result = LintResult(files_scanned=len(parsed))
+    modules = [item for item in parsed if isinstance(item, ModuleInfo)]
+    result.findings = [item for item in parsed
+                       if not isinstance(item, ModuleInfo)]
+    result.parse_errors = len(result.findings)
+    graph = build_project(modules, root)
+    contract = load_arch_config(contract) if root is not None else None
+    by_path = {module.path: module for module in modules}
+    scanned = {item.path for item in parsed}
+    package = {info.path for info in graph.modules.values()}
+    covered = {ParseError.rule_id: scanned}   # rule id -> paths it saw
+    for rule in rules:
+        if rule.project and root is None:
+            continue
+        covered[rule.rule_id] = package if rule.project else scanned
+        for finding in rule.findings(graph, contract):
+            codes = _suppressed_codes(
+                by_path[finding.path].line_text(finding.line))
             if codes is not None and (not codes or finding.rule in codes):
-                suppressed += 1
+                result.suppressed += 1
             else:
-                findings.append(finding)
-    findings.sort(key=lambda f: (f.line, f.col, f.rule))
-    return findings, suppressed
+                result.findings.append(finding)
+    result.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+    if baseline is not None:
+        result.new_findings = filter_new(result.findings, baseline)
+        result.stale_baseline = stale_fingerprints(
+            result.findings, baseline, covered)
+    else:
+        result.new_findings = list(result.findings)
+    return result
 
 
-def lint_paths(paths, rules=None, baseline=None):
+def lint_file(path, rules=None, display_path=None):
+    """Run the per-file rules over one file; returns ``(findings,
+    suppressed_count)``.  ``display_path`` is the path findings carry
+    (default: ``path`` as given)."""
+    display = display_path if display_path is not None \
+        else Path(path).as_posix()
+    result = _run([_parse(path, display)],
+                  rules if rules is not None else all_rules())
+    return result.findings, result.suppressed
+
+
+def lint_paths(paths, rules=None, baseline=None, root=None,
+               contract=None):
     """Lint every python file under ``paths``.
 
     Parameters
@@ -187,46 +244,37 @@ def lint_paths(paths, rules=None, baseline=None):
         Baseline mapping from :func:`~repro.analysis.baseline.
         load_baseline`; when given, ``new_findings`` excludes
         grandfathered hits.  ``None`` disables baselining.
+    root:
+        Package source directory the project (``ARC``) rules analyze
+        when it lies inside ``paths`` (default: :func:`default_root`).
+    contract:
+        Architectural contract dict (default:
+        :data:`~repro.analysis.layers.CONTRACT`).
     """
     rules = list(rules) if rules is not None else all_rules()
-    result = LintResult()
-    scanned_paths = set()
-    for path in iter_python_files(paths):
-        display = _display_path(path)
-        scanned_paths.add(display)
-        findings, suppressed = lint_file(path, rules=rules,
-                                         display_path=display)
-        result.files_scanned += 1
-        result.suppressed += suppressed
-        result.findings.extend(findings)
-        result.parse_errors += sum(1 for f in findings
-                                   if f.rule == "RPR000")
-    result.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    result.scanned_paths = sorted(scanned_paths)
-    if baseline is not None:
-        result.new_findings = filter_new(result.findings, baseline)
-        result.stale_baseline = stale_fingerprints(
-            result.findings, baseline, scanned_paths)
-    else:
-        result.new_findings = list(result.findings)
-    return result
+    root = Path(root) if root is not None else default_root()
+    if not any(rule.project for rule in rules) or not _covers(paths, root):
+        root = None
+    return _run(parse_paths(paths), rules, root=root, contract=contract,
+                baseline=baseline)
 
 
-def stale_fingerprints(findings, baseline, scanned_paths):
+def stale_fingerprints(findings, baseline, covered):
     """Baseline entries that no longer match any finding.
 
-    An entry is stale when its file was scanned in this run and the
+    ``covered`` maps each rule id that ran to the display paths it
+    looked at.  An entry is stale when its rule ran on its file and the
     fingerprint matched nothing, or when the file no longer exists.
-    Entries for unscanned-but-existing files are *not* stale — a
-    partial run (explicit file arguments) must not condemn the rest of
-    the baseline.
+    Entries no rule run looked at are *not* stale — a partial run
+    (explicit file arguments, or a scope without the package root for
+    the ``ARC`` rules) must not condemn the rest of the baseline.
     """
     current = {fingerprint(finding) for finding in findings}
     stale = []
     for key in sorted(baseline):
         if key in current:
             continue
-        path = key.split("::", 1)[0]
-        if path in scanned_paths or not Path(path).exists():
+        path, rule = key.split("::", 2)[:2]
+        if path in covered.get(rule, ()) or not Path(path).exists():
             stale.append(key)
     return stale

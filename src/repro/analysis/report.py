@@ -32,14 +32,10 @@ def _finding_dict(finding, new):
     }
 
 
-def render_json(result, rule_rows=None):
-    """The lint report as a JSON-serializable dict (stable schema).
-
-    ``rule_rows`` overrides the embedded rule table — the arch pass
-    passes its ARC registry so one schema serves both gates.
-    """
+def render_json(result):
+    """The lint report as a JSON-serializable dict (stable schema)."""
     new = set(id(f) for f in result.new_findings)
-    stale = list(getattr(result, "stale_baseline", []))
+    stale = result.stale_baseline
     return {
         "version": REPORT_VERSION,
         "files_scanned": result.files_scanned,
@@ -52,7 +48,7 @@ def render_json(result, rule_rows=None):
             "stale_baseline": len(stale),
         },
         "clean": result.clean,
-        "rules": rule_rows if rule_rows is not None else rule_table(),
+        "rules": rule_table(),
         "findings": [_finding_dict(f, id(f) in new)
                      for f in result.findings],
         "stale_baseline": stale,
@@ -76,7 +72,7 @@ def render_text(result):
                f"{result.suppressed} suppressed)")
     if lines:
         lines.append("")
-    stale = list(getattr(result, "stale_baseline", []))
+    stale = result.stale_baseline
     for key in stale:
         lines.append(f"stale baseline entry (no longer matches): "
                      f"{key}")
@@ -88,10 +84,9 @@ def render_text(result):
     return "\n".join(lines)
 
 
-def write_json(result, path, rule_rows=None):
+def write_json(result, path):
     """Write the JSON report to ``path``."""
     out = Path(path)
-    out.write_text(json.dumps(render_json(result, rule_rows=rule_rows),
-                              indent=2) + "\n",
+    out.write_text(json.dumps(render_json(result), indent=2) + "\n",
                    encoding="utf-8")
     return out

@@ -1,32 +1,37 @@
-"""Rule registry for the determinism & numerics linter.
+"""One rule registry for the static analyzer: ``RPRnnn`` and ``ARCnnn``.
 
-Every rule is a small AST check with a stable identifier (``RPRnnn``),
-a severity, and a fix hint.  Rules encode the invariants the
-reproduction's correctness claims rest on — seeded randomness, no
-wall-clock in simulated paths, no iteration-order-dependent numerics —
-so refactors that silently break them fail in CI instead of in a
-benchmark three PRs later.
+Every rule has a stable identifier, a severity, a fix hint and a
+rationale.  Rules encode the invariants the reproduction's correctness
+claims rest on — seeded randomness, no wall-clock in simulated paths,
+no iteration-order-dependent numerics, a layered package DAG with one
+kernel seam and one billing seam — so refactors that silently break
+them fail in CI instead of in a benchmark three PRs later.
 
-A rule yields ``(node, message)`` pairs from :meth:`Rule.check`; the
-linter turns them into :class:`Finding` records, applies inline
-``# repro: noqa[RPRnnn]`` suppressions, and diffs against the checked-in
-baseline.
+A rule is a check over the parsed project
+(:class:`~repro.analysis.graphing.ProjectGraph`) and the architectural
+contract.  A per-file ``RPR`` rule is a project rule that looks at one
+module at a time: it yields ``(node, message)`` pairs from
+:meth:`Rule.check` for every scanned file.  A whole-program ``ARC``
+rule (``project = True``, :mod:`~repro.analysis.rules.arch`) overrides
+:meth:`Rule.findings` and runs only when the package root is scanned.
+:mod:`~repro.analysis.lint` applies inline ``# repro: noqa[CODE]``
+suppressions and diffs against the checked-in baseline.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-__all__ = ["Finding", "Rule", "RuleContext", "all_rules", "dotted_name",
-           "register", "rule_table"]
+__all__ = ["Finding", "Rule", "all_rules", "dotted_name", "register",
+           "rule_table"]
 
 SEVERITIES = ("error", "warning")
 
 
 @dataclass(frozen=True)
 class Finding:
-    """One linter hit, pinned to a file position.
+    """One analyzer hit, pinned to a file position.
 
     ``snippet`` is the stripped source line — it doubles as the
     line-number-independent part of the baseline fingerprint, so
@@ -47,35 +52,6 @@ class Finding:
         return f"{self.path}:{self.line}:{self.col}"
 
 
-@dataclass
-class RuleContext:
-    """Everything a rule may inspect about one file."""
-
-    path: str
-    tree: ast.AST
-    lines: list
-    _parents: dict = field(default=None, repr=False)
-
-    def parent(self, node):
-        """The AST parent of ``node`` (None for the module node)."""
-        if self._parents is None:
-            self._parents = {}
-            for outer in ast.walk(self.tree):
-                for inner in ast.iter_child_nodes(outer):
-                    self._parents[inner] = outer
-        return self._parents.get(node)
-
-    def line_text(self, lineno):
-        """Stripped source text of physical line ``lineno`` (1-based)."""
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1].strip()
-        return ""
-
-    def in_parts(self, name):
-        """True if ``name`` is a path component of this file."""
-        return name in self.path.replace("\\", "/").split("/")
-
-
 def dotted_name(node):
     """``a.b.c`` for an Attribute/Name chain, or None for anything
     dynamic (subscripts, calls) where the chain cannot be read
@@ -91,27 +67,40 @@ def dotted_name(node):
 
 
 class Rule:
-    """Base class: one identifier, one severity, one AST check."""
+    """Base class: one identifier, one severity, one check."""
 
     rule_id = None
     severity = None
     title = None
     hint = None
     rationale = None
+    #: Whole-program rule: runs over the package graph, and only when
+    #: the package root lies inside the scanned paths.
+    project = False
 
-    def check(self, ctx):
-        """Yield ``(node, message)`` pairs for violations in ``ctx``."""
+    def check(self, module):
+        """Yield ``(node, message)`` pairs for violations in one
+        :class:`~repro.analysis.graphing.ModuleInfo`."""
         raise NotImplementedError
 
-    def findings(self, ctx):
-        """Run :meth:`check` and wrap the hits in :class:`Finding`s."""
-        for node, message in self.check(ctx):
-            yield Finding(
-                rule=self.rule_id, severity=self.severity, path=ctx.path,
-                line=getattr(node, "lineno", 1),
-                col=getattr(node, "col_offset", 0),
-                message=message, hint=self.hint,
-                snippet=ctx.line_text(getattr(node, "lineno", 1)))
+    def findings(self, graph, contract):
+        """Every :class:`Finding` of this rule in ``graph``: by default
+        :meth:`check` over each scanned module in turn."""
+        for module in graph.files:
+            for node, message in self.check(module):
+                yield self.finding(module, node, message)
+
+    def finding(self, module, where, message):
+        """A :class:`Finding` in ``module`` at an AST node or a line."""
+        if isinstance(where, int):
+            line, col = where, 0
+        else:
+            line = getattr(where, "lineno", 1)
+            col = getattr(where, "col_offset", 0)
+        return Finding(rule=self.rule_id, severity=self.severity,
+                       path=module.path, line=line, col=col,
+                       message=message, hint=self.hint,
+                       snippet=module.line_text(line))
 
 
 _REGISTRY = {}
@@ -125,6 +114,29 @@ def register(cls):
         raise ValueError(f"{cls.rule_id}: bad severity {cls.severity!r}")
     _REGISTRY[cls.rule_id] = cls
     return cls
+
+
+@register
+class ParseError(Rule):
+    """RPR000: a file that does not parse.  The parse reports it (a
+    rule has no tree to look at), once per file, whichever rules run."""
+
+    rule_id = "RPR000"
+    severity = "error"
+    title = "file does not parse"
+    hint = "fix the syntax error"
+    rationale = "a syntax error must fail the gate, not the analyzer"
+
+    def check(self, module):
+        return ()
+
+    def error(self, path, exc):
+        """The finding for ``SyntaxError`` ``exc`` raised by ``path``."""
+        return Finding(rule=self.rule_id, severity=self.severity,
+                       path=path, line=exc.lineno or 1,
+                       col=(exc.offset or 1) - 1,
+                       message=f"file does not parse: {exc.msg}",
+                       hint=self.hint, snippet=(exc.text or "").strip())
 
 
 def all_rules():
@@ -144,4 +156,4 @@ def rule_table():
 # Importing the rule modules populates the registry; they import names
 # from this (partially initialized) package, so they must come after
 # the definitions above.
-from . import determinism, hygiene, numerics  # noqa: E402,F401
+from . import arch, determinism, hygiene, numerics  # noqa: E402,F401

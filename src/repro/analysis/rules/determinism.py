@@ -64,8 +64,8 @@ class UnseededRNG(Rule):
                  "cannot capture it and unrelated call-order changes "
                  "shift every downstream draw")
 
-    def check(self, ctx):
-        for node in ast.walk(ctx.tree):
+    def check(self, module):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             name = dotted_name(node.func)
@@ -104,24 +104,24 @@ class WallClockInSimulatedPath(Rule):
     #: Files allowed to read the wall clock directly: the profiler is
     #: the one sanctioned real-time module, and benchmark scripts
     #: measure the host machine on purpose.
-    def _allowed(self, ctx):
-        path = ctx.path.replace("\\", "/")
+    def _allowed(self, module):
+        path = module.path.replace("\\", "/")
         return path.endswith("repro/perf/profiler.py") \
-            or ctx.in_parts("benchmarks")
+            or module.in_parts("benchmarks")
 
-    def check(self, ctx):
-        if self._allowed(ctx):
+    def check(self, module):
+        if self._allowed(module):
             return
         # Bindings from ``from time import perf_counter [as pc]``: a
         # bare ``pc()`` is still a wall-clock read.
         time_aliases = {}
-        for node in ast.walk(ctx.tree):
+        for node in module.nodes:
             if isinstance(node, ast.ImportFrom) and node.module == "time":
                 for alias in node.names:
                     if alias.name in _TIME_FUNCTIONS:
                         time_aliases[alias.asname or alias.name] = \
                             alias.name
-        for node in ast.walk(ctx.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             name = dotted_name(node.func)
@@ -147,13 +147,13 @@ class EnvironRead(Rule):
     rationale = ("hidden environment dependence makes two 'identical' "
                  "runs diverge across machines without any code diff")
 
-    def _allowed(self, ctx):
-        return ctx.path.replace("\\", "/").endswith("perf/flags.py")
+    def _allowed(self, module):
+        return module.path.replace("\\", "/").endswith("perf/flags.py")
 
-    def check(self, ctx):
-        if self._allowed(ctx):
+    def check(self, module):
+        if self._allowed(module):
             return
-        for node in ast.walk(ctx.tree):
+        for node in module.nodes:
             if isinstance(node, ast.Call):
                 name = dotted_name(node.func)
                 if name == "os.getenv" or name == "os.environ.get":

@@ -35,8 +35,8 @@ class MutableDefaultArgument(Rule):
                  "across calls; state accumulated in one call leaks "
                  "into the next, breaking replayability")
 
-    def check(self, ctx):
-        for node in ast.walk(ctx.tree):
+    def check(self, module):
+        for node in module.nodes:
             if not isinstance(node, (ast.FunctionDef,
                                      ast.AsyncFunctionDef)):
                 continue
@@ -62,8 +62,8 @@ class OverbroadExcept(Rule):
                  "comparisons are only as trustworthy as their loudest "
                  "failure mode")
 
-    def check(self, ctx):
-        for node in ast.walk(ctx.tree):
+    def check(self, module):
+        for node in module.nodes:
             if not isinstance(node, ast.ExceptHandler):
                 continue
             if node.type is None:

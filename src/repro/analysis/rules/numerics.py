@@ -45,8 +45,8 @@ class UnsortedIterationAccumulation(Rule):
                  "PYTHONHASHSEED and dict order with insertion "
                  "history, so the same data can sum to different bits")
 
-    def check(self, ctx):
-        for node in ast.walk(ctx.tree):
+    def check(self, module):
+        for node in module.nodes:
             if not isinstance(node, (ast.For, ast.AsyncFor)):
                 continue
             if not _is_unordered_iterable(node.iter):
@@ -75,13 +75,13 @@ class FloatSumComprehension(Rule):
                  "rounding error; numpy's pairwise reduction is both "
                  "faster and numerically stabler in hot paths")
 
-    def _applies(self, ctx):
-        return ctx.in_parts("nn") or ctx.in_parts("sampling")
+    def _applies(self, module):
+        return module.in_parts("nn") or module.in_parts("sampling")
 
-    def check(self, ctx):
-        if not self._applies(ctx):
+    def check(self, module):
+        if not self._applies(module):
             return
-        for node in ast.walk(ctx.tree):
+        for node in module.nodes:
             if not (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Name)
                     and node.func.id == "sum" and node.args
@@ -90,7 +90,7 @@ class FloatSumComprehension(Rule):
                 continue
             # ``int(sum(...))`` declares integral terms: left-to-right
             # integer addition is exact, so there is nothing to flag.
-            parent = ctx.parent(node)
+            parent = module.parent(node)
             if isinstance(parent, ast.Call) \
                     and dotted_name(parent.func) == "int":
                 continue

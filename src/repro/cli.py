@@ -21,15 +21,15 @@ Commands
     than the tracked one go through the driver's keywords in Python,
     not through flags.
 ``lint``
-    Run the determinism & numerics static-analysis pass (rule ids
-    ``RPRnnn``, baseline grandfathering, text/JSON reports; see
-    :mod:`repro.analysis`).  Exits nonzero on new findings.
-``arch-lint``
-    Run the whole-program architectural analysis pass (rule ids
-    ``ARCnnn``: layering contract, kernel-seam and billing-seam
-    bypasses, simulated-clock purity, RNG provenance, public-API
-    drift; see :mod:`repro.analysis.arch`).  Same baseline/noqa/report
-    machinery as ``lint``; exits nonzero on new findings.
+    Run the static analyzer over the given paths (default: ``src
+    benchmarks examples tools tests``): every file is parsed once and
+    checked by the per-file determinism & numerics rules (``RPRnnn``)
+    and — when ``src/repro`` is among the scanned paths — the
+    whole-program architectural rules (``ARCnnn``: layering contract,
+    kernel-seam and billing-seam bypasses, simulated-clock purity, RNG
+    provenance, public-API drift).  Baseline grandfathering with stale
+    entry detection, text/JSON reports; see :mod:`repro.analysis`.
+    Exits nonzero on new findings.
 """
 
 from __future__ import annotations
@@ -185,10 +185,12 @@ def build_parser():
 
     lint = sub.add_parser(
         "lint",
-        help="run the determinism & numerics static-analysis pass")
+        help="run the static analyzer (RPR per-file and ARC "
+             "architectural rules)")
     lint.add_argument("paths", nargs="*", metavar="PATH",
                       help="files/directories to scan (default: src "
-                           "benchmarks examples tools tests)")
+                           "benchmarks examples tools tests); the ARC "
+                           "rules run when src/repro is inside them")
     lint.add_argument("--format", default="text",
                       choices=["text", "json"],
                       help="stdout report format")
@@ -202,31 +204,6 @@ def build_parser():
                       help="baseline location (default: "
                            "src/repro/analysis/baseline.json)")
     lint.add_argument("--out", default=None, metavar="PATH",
-                      help="also write the JSON report to PATH")
-
-    arch = sub.add_parser(
-        "arch-lint",
-        help="run the whole-program architectural analysis pass")
-    arch.add_argument("root", nargs="?", default=None, metavar="ROOT",
-                      help="package source root to analyze (default: "
-                           "src/repro)")
-    arch.add_argument("--format", default="text",
-                      choices=["text", "json"],
-                      help="stdout report format")
-    arch.add_argument("--baseline", action="store_true",
-                      help="grandfather findings recorded in the "
-                           "checked-in arch baseline; fail only on "
-                           "new ones")
-    arch.add_argument("--update-baseline", action="store_true",
-                      help="rewrite the arch baseline to cover the "
-                           "current findings and exit 0")
-    arch.add_argument("--baseline-file", default=None, metavar="PATH",
-                      help="baseline location (default: "
-                           "src/repro/analysis/arch_baseline.json)")
-    arch.add_argument("--layers", default=None, metavar="PATH",
-                      help="layers.toml contract to enforce (default: "
-                           "src/repro/analysis/layers.toml)")
-    arch.add_argument("--out", default=None, metavar="PATH",
                       help="also write the JSON report to PATH")
     return parser
 
@@ -433,22 +410,18 @@ def _cmd_lint(args):
             existing = load_baseline(args.baseline_file)
             result = lint_paths(paths, baseline=existing)
             current = to_baseline(result.findings)["findings"]
-            # Merge: entries for files outside this run's scope are
-            # carried over (a partial run must not wipe them); stale
-            # entries — scanned-and-unmatched or file gone — are
-            # pruned along with everything the fresh counts replace.
-            scanned = set(result.scanned_paths)
+            # Merge: entries no rule of this run looked at are carried
+            # over (a partial run must not wipe them); stale entries —
+            # checked-and-unmatched or file gone — are pruned along
+            # with everything the fresh counts replace.
+            stale = set(result.stale_baseline)
             kept = {key: count for key, count in existing.items()
-                    if key not in current
-                    and key.split("::", 1)[0] not in scanned
-                    and Path(key.split("::", 1)[0]).exists()}
+                    if key not in current and key not in stale}
             written = save_baseline_counts({**kept, **current},
                                            path=args.baseline_file)
-            pruned = len(existing) - len(kept) \
-                - sum(1 for key in current if key in existing)
             print(f"wrote {written} covering {len(result.findings)} "
                   f"findings across {result.files_scanned} files "
-                  f"({pruned} stale entries pruned)")
+                  f"({len(stale)} stale entries pruned)")
             return 0
         baseline = load_baseline(args.baseline_file) if args.baseline \
             else None
@@ -468,54 +441,13 @@ def _cmd_lint(args):
     return 0 if result.clean else 1
 
 
-def _cmd_arch_lint(args):
-    # Lazy for the same reason as _cmd_lint: the whole-program pass
-    # must only ever run when asked for.
-    from .analysis import render_json, render_text, write_json
-    from .analysis.arch import arch_lint, load_arch_baseline
-    from .analysis.baseline import save_baseline
-    from .analysis.arch import DEFAULT_ARCH_BASELINE_PATH
-    from .analysis.rules.arch import arch_rule_table
-
-    baseline_path = args.baseline_file or DEFAULT_ARCH_BASELINE_PATH
-    try:
-        if args.update_baseline:
-            result = arch_lint(root=args.root,
-                               config_path=args.layers)
-            written = save_baseline(result.findings,
-                                    path=baseline_path)
-            print(f"wrote {written} covering {len(result.findings)} "
-                  f"findings across {result.files_scanned} modules")
-            return 0
-        baseline = load_arch_baseline(args.baseline_file) \
-            if args.baseline else None
-        result = arch_lint(root=args.root, config_path=args.layers,
-                           baseline=baseline)
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    rows = arch_rule_table()
-    if args.format == "json":
-        import json
-        print(json.dumps(render_json(result, rule_rows=rows),
-                         indent=2))
-    else:
-        print(render_text(result))
-    if args.out:
-        write_json(result, args.out, rule_rows=rows)
-        print(f"wrote {args.out}", file=sys.stderr)
-    return 0 if result.clean else 1
-
-
 def main(argv=None):
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
     handlers = {"datasets": _cmd_datasets, "systems": _cmd_systems,
                 "train": _cmd_train, "partition": _cmd_partition,
                 "advise": _cmd_advise, "reproduce": _cmd_reproduce,
-                "bench": _cmd_bench, "lint": _cmd_lint,
-                "arch-lint": _cmd_arch_lint}
+                "bench": _cmd_bench, "lint": _cmd_lint}
     return handlers[args.command](args)
 
 

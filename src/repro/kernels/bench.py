@@ -170,7 +170,7 @@ def run_kernel_bench(quick=False, seed=7):
 
 def tables(report):
     """Per-kernel, per-backend timing rows."""
-    # Lazy: core sits above kernels in layers.toml.
+    # Lazy: core sits above kernels in the layer contract.
     from ..core import format_table
     rows = []
     kernels = [key for key, value in report.items()

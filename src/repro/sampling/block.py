@@ -61,8 +61,8 @@ class SampledBlock:
     def __post_init__(self):
         # Slots for the derived views ``repro.kernels.adjacency`` reads
         # off this CSR (the mean-aggregation operators, GAT's edge
-        # list).  ``sampling`` sits below ``kernels`` in layers.toml,
-        # so the block only holds the slots; the kernels layer fills
+        # list).  ``sampling`` sits below ``kernels`` in the layer
+        # contract, so the block only holds the slots; the kernels layer fills
         # them, once per block, for forward, backward and every
         # cached-subgraph replay.
         self._views = {}

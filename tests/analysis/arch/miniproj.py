@@ -10,7 +10,10 @@ rule fires with the injection and the pass is clean without it.
 
 import textwrap
 
-#: A layered package that is architecturally clean: graph (level 0)
+from repro.analysis import all_rules, lint_paths
+
+#: A layered package that is architecturally clean under
+#: ``clean_contract()``: graph (level 0)
 #: <- kernels (1) <- nn (2), and a fleet (3) event loop whose
 #: reachable functions touch neither the wall clock nor ambient RNG.
 CLEAN_FILES = {
@@ -107,42 +110,22 @@ INJECT_WALL_CLOCK = {
 }
 
 
-def clean_config_text():
-    """The mini-project's ``layers.toml`` matching ``CLEAN_FILES``."""
-    return """
-        version = 1
-
-        [[layer]]
-        name = "data"
-        level = 0
-        packages = ["graph"]
-
-        [[layer]]
-        name = "kernels"
-        level = 1
-        packages = ["kernels"]
-
-        [[layer]]
-        name = "model"
-        level = 2
-        packages = ["nn"]
-
-        [[layer]]
-        name = "fleet"
-        level = 3
-        packages = ["fleet"]
-
-        [[layer]]
-        name = "root"
-        level = 4
-        packages = ["proj"]
-
-        [rules.ARC002]
-        packages = ["nn", "fleet"]
-
-        [rules.ARC004]
-        roots = ["proj.fleet.engine.Engine.run"]
-    """
+def clean_contract():
+    """The mini-project's architectural contract matching
+    ``CLEAN_FILES`` (a fresh dict: tests may extend it)."""
+    return {
+        "layers": [
+            {"name": "data", "level": 0, "packages": ["graph"]},
+            {"name": "kernels", "level": 1, "packages": ["kernels"]},
+            {"name": "model", "level": 2, "packages": ["nn"]},
+            {"name": "fleet", "level": 3, "packages": ["fleet"]},
+            {"name": "root", "level": 4, "packages": ["proj"]},
+        ],
+        "rules": {
+            "ARC002": {"packages": ["nn", "fleet"]},
+            "ARC004": {"roots": ["proj.fleet.engine.Engine.run"]},
+        },
+    }
 
 
 def write_tree(tmp_path, files, name="proj"):
@@ -155,19 +138,26 @@ def write_tree(tmp_path, files, name="proj"):
     return root
 
 
-def write_config(tmp_path, text=None):
-    path = tmp_path / "layers.toml"
-    path.write_text(textwrap.dedent(text if text is not None
-                                    else clean_config_text()),
-                    encoding="utf-8")
-    return path
-
-
-def write_project(tmp_path, overlay=None, config_text=None):
+def write_project(tmp_path, overlay=None):
     """The clean mini-project plus an optional injection overlay;
-    returns ``(package root, layers.toml path)``."""
+    returns its package root."""
     files = dict(CLEAN_FILES)
     if overlay:
         files.update(overlay)
-    return (write_tree(tmp_path, files),
-            write_config(tmp_path, config_text))
+    return write_tree(tmp_path, files)
+
+
+def arch_rules(code=None):
+    """The registered ARC rules (only ``code`` when given)."""
+    return [rule for rule in all_rules() if rule.project
+            and code in (None, rule.rule_id)]
+
+
+def lint_project(root, contract=None, rules=None, baseline=None):
+    """``lint_paths`` over the package at ``root`` with the ARC rules
+    only (default contract: :func:`clean_contract`)."""
+    return lint_paths([root], root=root,
+                      contract=contract if contract is not None
+                      else clean_contract(),
+                      rules=rules if rules is not None else arch_rules(),
+                      baseline=baseline)

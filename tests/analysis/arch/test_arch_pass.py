@@ -1,5 +1,5 @@
-"""The full ``repro arch-lint`` pass: live-fire injections, noqa,
-baselines, the CLI gate, and the real tree's acceptance bar.
+"""The ARC rules inside the one analyzer: live-fire injections, noqa,
+baselines (stale entries included), and the ``repro lint`` wiring.
 
 The live-fire tests are the acceptance criterion from the analyzer's
 design: inject a synthetic bypass (a scipy aggregation in a fake ``nn``
@@ -8,18 +8,21 @@ function), assert the matching ARC rule fires, and assert the pass is
 clean once the injection is gone.
 """
 
+import ast
 import json
 
 import pytest
 
-from repro.analysis import arch_lint, load_arch_baseline
+import repro.analysis.layers as layers
+import repro.analysis.lint as lint
+from repro.analysis import lint_paths, load_baseline
 from repro.analysis.baseline import save_baseline
 from repro.cli import main
-from repro.perf import wall_clock
 
 from tests.analysis.arch.miniproj import (INJECT_SCIPY_NN,
                                           INJECT_UPWARD_IMPORT,
                                           INJECT_WALL_CLOCK,
+                                          clean_contract, lint_project,
                                           write_project)
 
 INJECTIONS = [("ARC001", INJECT_UPWARD_IMPORT),
@@ -27,10 +30,16 @@ INJECTIONS = [("ARC001", INJECT_UPWARD_IMPORT),
               ("ARC004", INJECT_WALL_CLOCK)]
 
 
+def invented_entry(root):
+    """An ARC002 baseline fingerprint matching nothing in the clean
+    mini-project."""
+    return f"{(root / 'nn' / 'model.py').as_posix()}::ARC002::sp.gone(x)"
+
+
 class TestLiveFire:
     def test_clean_project_passes_every_rule(self, tmp_path):
-        root, config = write_project(tmp_path)
-        result = arch_lint(root=root, config_path=config)
+        root = write_project(tmp_path)
+        result = lint_project(root)
         assert result.clean, [f.message for f in result.findings]
         assert result.files_scanned == len(
             [p for p in root.rglob("*.py")])
@@ -38,23 +47,22 @@ class TestLiveFire:
     @pytest.mark.parametrize("code,overlay", INJECTIONS)
     def test_injected_bypass_fires_exactly_that_rule(self, tmp_path,
                                                      code, overlay):
-        root, config = write_project(tmp_path, overlay=overlay)
-        result = arch_lint(root=root, config_path=config)
+        result = lint_project(write_project(tmp_path, overlay=overlay))
         assert not result.clean
         assert {f.rule for f in result.new_findings} == {code}
 
     @pytest.mark.parametrize("code,overlay", INJECTIONS)
     def test_removing_the_injection_cleans_the_pass(self, tmp_path,
                                                     code, overlay):
-        root, config = write_project(tmp_path, overlay=overlay)
-        assert not arch_lint(root=root, config_path=config).clean
+        root = write_project(tmp_path, overlay=overlay)
+        assert not lint_project(root).clean
         # Restore the clean sources in place: same tree, bypass gone.
-        clean_root, _ = write_project(tmp_path / "clean")
+        clean_root = write_project(tmp_path / "clean")
         for rel in overlay:
             (root / rel).write_text(
                 (clean_root / rel).read_text(encoding="utf-8"),
                 encoding="utf-8")
-        assert arch_lint(root=root, config_path=config).clean
+        assert lint_project(root).clean
 
 
 class TestSuppressionAndBaseline:
@@ -66,8 +74,7 @@ class TestSuppressionAndBaseline:
             def build_matrix(n):
                 return [[0] * n for _ in range(n)]
         """}
-        root, config = write_project(tmp_path, overlay=overlay)
-        result = arch_lint(root=root, config_path=config)
+        result = lint_project(write_project(tmp_path, overlay=overlay))
         assert result.clean
         assert result.suppressed == 1
 
@@ -79,79 +86,132 @@ class TestSuppressionAndBaseline:
             def build_matrix(n):
                 return [[0] * n for _ in range(n)]
         """}
-        root, config = write_project(tmp_path, overlay=overlay)
-        result = arch_lint(root=root, config_path=config)
+        result = lint_project(write_project(tmp_path, overlay=overlay))
         assert not result.clean
         assert result.suppressed == 0
 
     def test_baseline_grandfathers_arch_findings(self, tmp_path):
-        root, config = write_project(tmp_path,
-                                     overlay=INJECT_UPWARD_IMPORT)
-        dirty = arch_lint(root=root, config_path=config)
-        baseline_path = tmp_path / "arch_baseline.json"
-        save_baseline(dirty.findings, path=baseline_path)
-        result = arch_lint(root=root, config_path=config,
-                           baseline=load_arch_baseline(baseline_path))
+        root = write_project(tmp_path, overlay=INJECT_UPWARD_IMPORT)
+        baseline_path = tmp_path / "baseline.json"
+        save_baseline(lint_project(root).findings, path=baseline_path)
+        result = lint_project(root, baseline=load_baseline(baseline_path))
         assert result.findings and result.clean
         assert result.baselined == len(result.findings)
 
-    def test_syntax_error_yields_arc000(self, tmp_path):
-        root, config = write_project(
-            tmp_path, overlay={"broken.py": "def broken(:\n"})
-        result = arch_lint(root=root, config_path=config)
+    def test_syntax_error_yields_one_rpr000(self, tmp_path):
+        # Every rule runs: the broken module under the package root is
+        # reported once, by the parse, not once per pass.
+        root = write_project(tmp_path,
+                             overlay={"broken.py": "def broken(:\n"})
+        result = lint_paths([root], root=root, contract=clean_contract())
         assert result.parse_errors == 1
-        assert {f.rule for f in result.new_findings} == {"ARC000"}
+        assert [f.rule for f in result.findings] == ["RPR000"]
+
+    def test_invented_arc_entry_is_stale(self, tmp_path):
+        root = write_project(tmp_path)
+        key = invented_entry(root)
+        result = lint_project(root, baseline={key: 1})
+        assert result.clean
+        assert result.stale_baseline == [key]
+
+    def test_partial_run_does_not_condemn_arc_entries(self, tmp_path):
+        # The package root is not among the scanned paths, so the ARC
+        # rules do not run and cannot vouch for the entry either way.
+        root = write_project(tmp_path)
+        result = lint_paths([root / "nn" / "model.py"], root=root,
+                            contract=clean_contract(),
+                            baseline={invented_entry(root): 1})
+        assert result.clean
+        assert result.stale_baseline == []
+
+
+class TestOneParse:
+    def test_each_scanned_file_parsed_once(self, tmp_path, monkeypatch):
+        # Both rule families fire on the injected wall-clock read (ARC004
+        # through the project graph, RPR002 in the file itself) from one
+        # ast.parse per file.
+        root = write_project(tmp_path, overlay=INJECT_WALL_CLOCK)
+        parsed = []
+        real_parse = ast.parse
+
+        def counting_parse(source, filename="<unknown>", *args, **kwargs):
+            parsed.append(filename)
+            return real_parse(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        result = lint_paths([root], root=root, contract=clean_contract())
+        assert {f.rule for f in result.findings} == {"ARC004", "RPR002"}
+        assert len(parsed) == len(set(parsed)) == result.files_scanned
+
+
+@pytest.fixture()
+def project_cli(tmp_path, monkeypatch):
+    """``repro lint`` with the mini-project and its contract standing in
+    for ``src/repro`` and the checked-in contract."""
+    def install(overlay=None):
+        root = write_project(tmp_path, overlay=overlay)
+        monkeypatch.setattr(lint, "default_root", lambda: root)
+        monkeypatch.setattr(layers, "CONTRACT", clean_contract())
+        return root
+    return install
 
 
 class TestArchLintCli:
-    def test_injected_project_exits_nonzero(self, tmp_path, capsys):
-        root, config = write_project(tmp_path, overlay=INJECT_SCIPY_NN)
-        assert main(["arch-lint", str(root),
-                     "--layers", str(config)]) == 1
+    def test_injected_project_exits_nonzero(self, project_cli, capsys):
+        root = project_cli(INJECT_SCIPY_NN)
+        assert main(["lint", str(root)]) == 1
         assert "ARC002" in capsys.readouterr().out
 
-    def test_update_baseline_then_gate_passes(self, tmp_path, capsys):
-        root, config = write_project(tmp_path, overlay=INJECT_SCIPY_NN)
-        baseline = tmp_path / "arch_baseline.json"
-        assert main(["arch-lint", str(root), "--layers", str(config),
-                     "--update-baseline",
+    def test_update_baseline_then_gate_passes(self, project_cli,
+                                              tmp_path, capsys):
+        root = project_cli(INJECT_SCIPY_NN)
+        baseline = tmp_path / "baseline.json"
+        assert main(["lint", str(root), "--update-baseline",
                      "--baseline-file", str(baseline)]) == 0
         assert baseline.exists()
-        assert main(["arch-lint", str(root), "--layers", str(config),
-                     "--baseline",
+        assert main(["lint", str(root), "--baseline",
                      "--baseline-file", str(baseline)]) == 0
         assert "baselined" in capsys.readouterr().out
 
-    def test_json_report_carries_arc_rule_table(self, tmp_path,
-                                                capsys):
-        root, config = write_project(tmp_path)
-        out = tmp_path / "arch_report.json"
-        assert main(["arch-lint", str(root), "--layers", str(config),
-                     "--out", str(out)]) == 0
+    def test_stale_arc_entry_reported_then_pruned(self, project_cli,
+                                                  tmp_path, capsys):
+        root = project_cli()
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps(
+            {"version": 1, "findings": {invented_entry(root): 1}}),
+            encoding="utf-8")
+        assert main(["lint", str(root), "--baseline",
+                     "--baseline-file", str(baseline)]) == 0
+        assert "stale baseline entr" in capsys.readouterr().out
+        # A partial run keeps the entry: no ARC rule looked at it...
+        assert main(["lint", str(root / "nn" / "model.py"),
+                     "--update-baseline",
+                     "--baseline-file", str(baseline)]) == 0
+        assert "(0 stale entries pruned)" in capsys.readouterr().out
+        # ...the package-wide run prunes it.
+        assert main(["lint", str(root), "--update-baseline",
+                     "--baseline-file", str(baseline)]) == 0
+        assert "(1 stale entries pruned)" in capsys.readouterr().out
+        document = json.loads(baseline.read_text(encoding="utf-8"))
+        assert document["findings"] == {}
+
+    def test_json_report_carries_arc_rule_table(self, project_cli,
+                                                tmp_path, capsys):
+        root = project_cli()
+        out = tmp_path / "report.json"
+        assert main(["lint", str(root), "--out", str(out)]) == 0
         payload = json.loads(out.read_text(encoding="utf-8"))
         assert payload["clean"] is True
         assert [row["rule"] for row in payload["rules"]] == [
-            "ARC000", "ARC001", "ARC002", "ARC003", "ARC004",
-            "ARC005", "ARC006"]
+            "ARC001", "ARC002", "ARC003", "ARC004", "ARC005", "ARC006",
+            "RPR000", "RPR001", "RPR002", "RPR003", "RPR004", "RPR005",
+            "RPR006", "RPR007"]
 
     def test_missing_root_exits_two(self, tmp_path, capsys):
-        assert main(["arch-lint", str(tmp_path / "nope")]) == 2
+        assert main(["lint", str(tmp_path / "nope")]) == 2
         assert "error" in capsys.readouterr().err
 
-
-class TestRealTree:
-    """The repo's own acceptance bar, run exactly as CI runs it."""
-
-    def test_head_is_clean_and_fast(self):
-        start = wall_clock()
-        result = arch_lint(baseline=load_arch_baseline())
-        elapsed = wall_clock() - start
-        assert result.clean, [f"{f.path}:{f.line} {f.rule} {f.message}"
-                              for f in result.new_findings]
-        assert result.parse_errors == 0
-        assert result.files_scanned > 100
-        assert elapsed < 10.0, f"arch pass took {elapsed:.1f}s"
-
-    def test_cli_gate_passes_at_head(self, capsys):
-        assert main(["arch-lint", "--baseline"]) == 0
-        assert "clean" in capsys.readouterr().out
+    def test_arch_lint_subcommand_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["arch-lint"])
+        assert exc.value.code == 2

@@ -5,34 +5,25 @@ mini-project (see :mod:`tests.analysis.arch.miniproj`), so a failure
 names the rule that regressed rather than the whole pass.
 """
 
-import json
-import textwrap
-
 import pytest
 
-from repro.analysis.arch import arch_lint
-from repro.analysis.layers import load_arch_config
-from repro.analysis.rules.arch import arch_rule_table, arch_rules
+from repro.analysis import CONTRACT, all_rules, load_arch_config
 
 from tests.analysis.arch.miniproj import (INJECT_SCIPY_NN,
                                           INJECT_UPWARD_IMPORT,
-                                          INJECT_WALL_CLOCK,
-                                          write_config, write_project,
+                                          INJECT_WALL_CLOCK, arch_rules,
+                                          lint_project, write_project,
                                           write_tree)
 
 
-def run_rule(tmp_path, code, files=None, overlay=None,
-             config_text=None):
-    """arch_lint restricted to one rule id over a synthetic tree."""
-    if files is not None:
-        root = write_tree(tmp_path, files)
-        config = write_config(tmp_path, config_text)
-    else:
-        root, config = write_project(tmp_path, overlay=overlay,
-                                     config_text=config_text)
-    rules = [rule for rule in arch_rules() if rule.rule_id == code]
+def run_rule(tmp_path, code, files=None, overlay=None, contract=None):
+    """One ARC rule over a synthetic tree (default: the clean
+    mini-project under its clean contract)."""
+    root = write_tree(tmp_path, files) if files is not None \
+        else write_project(tmp_path, overlay=overlay)
+    rules = arch_rules(code)
     assert rules, f"unknown arch rule {code}"
-    return arch_lint(root=root, config_path=config, rules=rules)
+    return lint_project(root, contract=contract, rules=rules)
 
 
 class TestRegistry:
@@ -40,15 +31,28 @@ class TestRegistry:
         ids = {rule.rule_id for rule in arch_rules()}
         assert ids == {"ARC001", "ARC002", "ARC003", "ARC004",
                        "ARC005", "ARC006"}
+        assert {rule.rule_id for rule in all_rules()} \
+            - ids == {f"RPR00{n}" for n in range(8)}
 
-    def test_rule_table_includes_arc000_and_rationales(self):
-        rows = arch_rule_table()
-        assert [row["rule"] for row in rows] == [
-            "ARC000", "ARC001", "ARC002", "ARC003", "ARC004",
-            "ARC005", "ARC006"]
-        for row in rows:
-            assert row["severity"] in ("error", "warning")
-            assert row["title"] and row["hint"] and row["rationale"]
+
+class TestContract:
+    def test_checked_in_contract_validates(self):
+        config = load_arch_config()
+        assert config.level_of("kernels") < config.level_of("nn")
+        assert ("cli", "bench") in config.allowed_pairs()
+        assert config.rule("ARC003") is CONTRACT["rules"]["ARC003"]
+
+    def test_package_declared_twice_rejected(self):
+        contract = {"layers": [
+            {"name": "a", "level": 0, "packages": ["graph"]},
+            {"name": "b", "level": 1, "packages": ["graph"]}]}
+        with pytest.raises(ValueError, match="twice"):
+            load_arch_config(contract)
+
+    def test_layer_without_int_level_rejected(self):
+        contract = {"layers": [{"name": "a", "packages": ["graph"]}]}
+        with pytest.raises(ValueError, match="int level"):
+            load_arch_config(contract)
 
 
 class TestARC001Layering:
@@ -71,35 +75,23 @@ class TestARC001Layering:
         assert run_rule(tmp_path, "ARC001", overlay=overlay).clean
 
     def test_same_level_needs_explicit_grant(self, tmp_path):
-        config = """
-            version = 1
-
-            [[layer]]
-            name = "everything"
-            level = 0
-            packages = ["graph", "kernels", "nn", "fleet", "proj"]
-        """
-        result = run_rule(tmp_path, "ARC001", config_text=config)
+        contract = {"layers": [{
+            "name": "everything", "level": 0,
+            "packages": ["graph", "kernels", "nn", "fleet", "proj"]}]}
+        result = run_rule(tmp_path, "ARC001", contract=contract)
         assert any("same-level" in f.message
                    for f in result.new_findings)
 
-        granted = config + textwrap.dedent("""
-            [rules.ARC001]
-            allowed = ["kernels -> graph", "nn -> kernels"]
-        """)
-        result = run_rule(tmp_path, "ARC001", config_text=granted)
+        contract["rules"] = {"ARC001": {
+            "allowed": ["kernels -> graph", "nn -> kernels"]}}
+        result = run_rule(tmp_path, "ARC001", contract=contract)
         assert result.clean
 
     def test_undeclared_package_flagged_once(self, tmp_path):
-        config = """
-            version = 1
-
-            [[layer]]
-            name = "known"
-            level = 0
-            packages = ["graph", "nn", "fleet", "proj"]
-        """
-        result = run_rule(tmp_path, "ARC001", config_text=config)
+        contract = {"layers": [{
+            "name": "known", "level": 0,
+            "packages": ["graph", "nn", "fleet", "proj"]}]}
+        result = run_rule(tmp_path, "ARC001", contract=contract)
         undeclared = [f for f in result.new_findings
                       if "not declared" in f.message]
         assert len(undeclared) == 1
@@ -157,15 +149,10 @@ class TestARC002KernelSeam:
         assert run_rule(tmp_path, "ARC002").clean
 
     def test_allow_files_exempt(self, tmp_path):
-        config = textwrap.dedent("""
-            version = 1
-
-            [rules.ARC002]
-            packages = ["nn"]
-            allow_files = ["nn/model.py"]
-        """)
+        contract = {"rules": {"ARC002": {
+            "packages": ["nn"], "allow_files": ["nn/model.py"]}}}
         result = run_rule(tmp_path, "ARC002", overlay=INJECT_SCIPY_NN,
-                          config_text=config)
+                          contract=contract)
         assert result.clean
 
 
@@ -192,30 +179,25 @@ class TestARC003Billing:
                 return store.features[idx]
         """,
     }
-    CONFIG = """
-        version = 1
-
-        [rules.ARC003]
-        packages = ["serve"]
-        store_attrs = ["features"]
-        billing_calls = ["lookup"]
-    """
+    CONTRACT = {"rules": {"ARC003": {
+        "packages": ["serve"], "store_attrs": ["features"],
+        "billing_calls": ["lookup"]}}}
 
     def test_unbilled_read_flagged_billed_read_clean(self, tmp_path):
         result = run_rule(tmp_path, "ARC003", files=self.FILES,
-                          config_text=self.CONFIG)
+                          contract=self.CONTRACT)
         (finding,) = result.new_findings
         assert "fetch_raw" in finding.message
         assert "without a billing call" in finding.message
 
     def test_out_of_scope_package_ignored(self, tmp_path):
         result = run_rule(tmp_path, "ARC003", files=self.FILES,
-                          config_text=self.CONFIG)
+                          contract=self.CONTRACT)
         assert not any("accuracy" in f.message
                        for f in result.new_findings)
 
     def test_checked_in_contract_guards_the_logit_table(self, tmp_path):
-        # With the *real* layers.toml store list: a serve/ read of the
+        # With the *real* contract's store list: a serve/ read of the
         # precomputed logit table that skips lookup + bill is flagged;
         # going through rowwise_logits and billing the rows is clean.
         options = load_arch_config().rule("ARC003")
@@ -232,16 +214,12 @@ class TestARC003Billing:
                         return logits, self.fetch_seconds(vertices)
             """,
         }
-        config = f"""
-            version = 1
-
-            [rules.ARC003]
-            packages = ["serve"]
-            store_attrs = {json.dumps(options["store_attrs"])}
-            billing_calls = {json.dumps(options["billing_calls"])}
-        """
+        contract = {"rules": {"ARC003": {
+            "packages": ["serve"],
+            "store_attrs": options["store_attrs"],
+            "billing_calls": options["billing_calls"]}}}
         result = run_rule(tmp_path, "ARC003", files=files,
-                          config_text=config)
+                          contract=contract)
         (finding,) = result.new_findings
         assert "logit_table" in finding.message
         assert "Executor.peek" in finding.message
@@ -333,7 +311,7 @@ class TestARC005RNGProvenance:
             """,
         }
         result = run_rule(tmp_path, "ARC005", files=files,
-                          config_text="version = 1\n")
+                          contract={})
         messages = [f.message for f in result.new_findings]
         assert any("module-level RNG instance 'RNG'" in m
                    for m in messages)
@@ -354,7 +332,7 @@ class TestARC005RNGProvenance:
             """,
         }
         result = run_rule(tmp_path, "ARC005", files=files,
-                          config_text="version = 1\n")
+                          contract={})
         (finding,) = result.new_findings
         assert "constructed once at def time" in finding.message
 
@@ -374,18 +352,14 @@ class TestARC005RNGProvenance:
             """,
         }
         result = run_rule(tmp_path, "ARC005", files=files,
-                          config_text="version = 1\n")
+                          contract={})
         assert result.clean
 
 
 class TestARC006ApiDrift:
-    def config(self, tmp_path, doc_body):
+    def run(self, tmp_path, init_source, doc_body="`helper`\n"):
         doc = tmp_path / "api.md"
         doc.write_text(doc_body, encoding="utf-8")
-        return (f"version = 1\n\n[rules.ARC006]\n"
-                f'api_doc = "{doc.as_posix()}"\n')
-
-    def run(self, tmp_path, init_source, doc_body="`helper`\n"):
         files = {
             "__init__.py": init_source,
             "mod.py": """
@@ -393,8 +367,9 @@ class TestARC006ApiDrift:
                     return 1
             """,
         }
+        contract = {"rules": {"ARC006": {"api_doc": doc.as_posix()}}}
         return run_rule(tmp_path, "ARC006", files=files,
-                        config_text=self.config(tmp_path, doc_body))
+                        contract=contract)
 
     def test_real_documented_export_clean(self, tmp_path):
         init = """

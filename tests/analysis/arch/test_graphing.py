@@ -1,10 +1,9 @@
 """ProjectGraph mechanics: parsing, imports, symbols, calls, BFS."""
 
-import textwrap
-
 import pytest
 
-from repro.analysis.graphing import CallSite, build_project
+from repro.analysis.graphing import CallSite, ModuleInfo, build_project
+from repro.analysis.lint import parse_paths
 
 from tests.analysis.arch.miniproj import write_tree
 
@@ -69,9 +68,17 @@ FILES = {
 }
 
 
+def project(root):
+    """The graph of the package at ``root``, built the analyzer's way:
+    parse every file once, then index the modules."""
+    modules = [item for item in parse_paths([root])
+               if isinstance(item, ModuleInfo)]
+    return build_project(modules, root)
+
+
 @pytest.fixture()
 def graph(tmp_path):
-    return build_project(write_tree(tmp_path, FILES))
+    return project(write_tree(tmp_path, FILES))
 
 
 class TestModules:
@@ -91,8 +98,11 @@ class TestModules:
     def test_parse_error_recorded_not_fatal(self, tmp_path):
         files = dict(FILES)
         files["broken.py"] = "def broken(:\n"
-        bad = build_project(write_tree(tmp_path, files))
-        assert len(bad.parse_errors) == 1
+        root = write_tree(tmp_path, files)
+        errors = [item for item in parse_paths([root])
+                  if not isinstance(item, ModuleInfo)]
+        assert [error.rule for error in errors] == ["RPR000"]
+        bad = project(root)
         assert "proj.broken" not in bad.modules
         assert "proj.core" in bad.modules
 
@@ -186,12 +196,12 @@ class TestReachability:
 class TestConstruction:
     def test_missing_root_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            build_project(tmp_path / "nope")
+            build_project([], tmp_path / "nope")
 
     def test_pycache_skipped(self, tmp_path):
         root = write_tree(tmp_path, FILES)
         junk = root / "__pycache__"
         junk.mkdir()
         (junk / "stale.py").write_text("x = 1\n", encoding="utf-8")
-        graph = build_project(root)
+        graph = project(root)
         assert not any("stale" in name for name in graph.modules)

@@ -30,8 +30,12 @@ ALLOWED_ABSOLUTE = {"__future__", "ast", "dataclasses", "functools",
 #: repro modules the package may reach via relative imports.
 ALLOWED_RELATIVE_HEADS = {"errors", "perf", "baseline", "lint",
                           "report", "rules", "sanitize", "determinism",
-                          "hygiene", "numerics", "arch", "graphing",
+                          "hygiene", "numerics", "graphing",
                           "layers"}
+
+#: The analyzer's modules: none may load on ``import repro``.
+ANALYZER_MODULES = ("lint", "rules", "report", "baseline", "graphing",
+                    "layers")
 
 
 def iter_imports(path):
@@ -69,8 +73,7 @@ class TestAnalysisStaysLight:
             "mods = sorted(m for m in sys.modules\n"
             "              if m.startswith('repro.analysis'))\n"
             "assert 'repro.analysis.sanitize' in mods, mods\n"
-            "for heavy in ('lint', 'rules', 'report', 'baseline',\n"
-            "              'arch', 'graphing', 'layers'):\n"
+            f"for heavy in {ANALYZER_MODULES!r}:\n"
             "    assert 'repro.analysis.' + heavy not in mods, mods\n"
             "print('ok')\n"
         )
@@ -86,12 +89,13 @@ class TestAnalysisStaysLight:
             == "repro.analysis.lint"
         assert analysis_pkg.check_csr.__module__ \
             == "repro.analysis.sanitize"
-        assert analysis_pkg.arch_lint.__module__ \
-            == "repro.analysis.arch"
+        assert analysis_pkg.all_rules.__module__ \
+            == "repro.analysis.rules"
         assert analysis_pkg.build_project.__module__ \
             == "repro.analysis.graphing"
         assert analysis_pkg.load_arch_config.__module__ \
             == "repro.analysis.layers"
+        assert analysis_pkg.CONTRACT["layers"]
         with pytest.raises(AttributeError):
             analysis_pkg.not_a_real_name
 
