@@ -17,7 +17,9 @@ import repro.analysis.layers as layers
 import repro.analysis.lint as lint
 from repro.analysis import lint_paths, load_baseline
 from repro.analysis.baseline import save_baseline
+from repro.analysis.lint import default_root
 from repro.cli import main
+from repro.perf import wall_clock
 
 from tests.analysis.arch.miniproj import (INJECT_SCIPY_NN,
                                           INJECT_UPWARD_IMPORT,
@@ -142,6 +144,27 @@ class TestOneParse:
         result = lint_paths([root], root=root, contract=clean_contract())
         assert {f.rule for f in result.findings} == {"ARC004", "RPR002"}
         assert len(parsed) == len(set(parsed)) == result.files_scanned
+
+
+class TestRealTree:
+    """The ARC rules over the repo's own package root, through the
+    library call and through ``repro lint``."""
+
+    def test_head_is_clean_and_fast(self):
+        start = wall_clock()
+        result = lint_paths([default_root()], baseline=load_baseline())
+        elapsed = wall_clock() - start
+        assert result.clean, [f"{f.path}:{f.line} {f.rule} {f.message}"
+                              for f in result.new_findings]
+        assert result.parse_errors == 0
+        assert result.files_scanned > 100
+        # The annotated noqa[ARC002]/noqa[ARC003] sites: the ARC rules ran.
+        assert result.suppressed >= 3
+        assert elapsed < 10.0, f"arch pass took {elapsed:.1f}s"
+
+    def test_cli_gate_passes_at_head(self, capsys):
+        assert main(["lint", "--baseline", str(default_root())]) == 0
+        assert "clean" in capsys.readouterr().out
 
 
 @pytest.fixture()

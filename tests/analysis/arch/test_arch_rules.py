@@ -7,7 +7,8 @@ names the rule that regressed rather than the whole pass.
 
 import pytest
 
-from repro.analysis import CONTRACT, all_rules, load_arch_config
+from repro.analysis import (CONTRACT, all_rules, load_arch_config,
+                            rule_table)
 
 from tests.analysis.arch.miniproj import (INJECT_SCIPY_NN,
                                           INJECT_UPWARD_IMPORT,
@@ -33,6 +34,18 @@ class TestRegistry:
                        "ARC005", "ARC006"}
         assert {rule.rule_id for rule in all_rules()} \
             - ids == {f"RPR00{n}" for n in range(8)}
+
+    def test_rule_table_includes_arc000_and_rationales(self):
+        # The parse-error row the ARC table used to carry as ARC000 is
+        # the one RPR000 row of the shared table now.
+        rows = {row["rule"]: row for row in rule_table()}
+        assert "ARC000" not in rows and "RPR000" in rows
+        assert sorted(code for code in rows if code.startswith("ARC")) \
+            == [f"ARC00{n}" for n in range(1, 7)]
+        for code in ["RPR000", *(f"ARC00{n}" for n in range(1, 7))]:
+            row = rows[code]
+            assert row["severity"] in ("error", "warning")
+            assert row["title"] and row["hint"] and row["rationale"]
 
 
 class TestContract:

@@ -4,7 +4,7 @@ import json
 import textwrap
 
 from repro.analysis import (REPORT_VERSION, lint_paths, render_json,
-                            render_text, write_json)
+                            render_text, rule_table, write_json)
 from repro.analysis.baseline import (fingerprint, filter_new,
                                      load_baseline, save_baseline,
                                      to_baseline)
@@ -110,6 +110,18 @@ class TestReporters:
         target = write_tree(tmp_path, source="x = 1\n")
         text = render_text(lint_paths([target]))
         assert "clean" in text
+
+    def test_rule_rows_override_swaps_in_arc_table(self, tmp_path):
+        # No override any more: a report over a tree no ARC rule ran on
+        # still carries the ARC rows, in the one shared table.
+        target = write_tree(tmp_path, source="x = 1\n")
+        payload = render_json(lint_paths([target]))
+        assert payload["rules"] == rule_table()
+        codes = {row["rule"] for row in payload["rules"]}
+        assert {"ARC001", "ARC002", "ARC003", "ARC004",
+                "ARC005", "ARC006"} <= codes
+        assert "ARC000" not in codes
+        json.dumps(payload)
 
     def test_write_json(self, tmp_path):
         target = write_tree(tmp_path)
