@@ -12,9 +12,14 @@ import numpy as np
 from ..analysis.sanitize import check_csr
 from ..errors import GraphError
 from ..perf.flags import FLAGS
-from .csr import CSRGraph
+from ..perf.unique import sorted_unique
+from .csr import CSRGraph, packed_csr
 
 __all__ = ["from_edges", "symmetrize", "remove_self_loops", "relabel"]
+
+#: The largest ``num_vertices``: ``(n - 1) << shift | (n - 1)`` with
+#: ``shift = (n - 1).bit_length()`` must stay below ``2**63``.
+_MAX_VERTICES = 1 << 31
 
 
 def from_edges(src, dst, num_vertices, symmetrize_edges=False,
@@ -27,7 +32,8 @@ def from_edges(src, dst, num_vertices, symmetrize_edges=False,
         Integer arrays of equal length with vertex ids in
         ``[0, num_vertices)``.
     num_vertices:
-        Total vertex count ``n`` (isolated vertices allowed).
+        Total vertex count ``n`` (isolated vertices allowed), at most
+        ``2**31``: the bound of the packed ``int64`` edge key.
     symmetrize_edges:
         Also add every reverse edge and mark the graph symmetric.
     dedup:
@@ -35,12 +41,15 @@ def from_edges(src, dst, num_vertices, symmetrize_edges=False,
     drop_self_loops:
         Remove edges with ``src == dst``.
     """
-    src = np.asarray(src, dtype=np.int64).ravel()
-    dst = np.asarray(dst, dtype=np.int64).ravel()
+    src, dst = _vertex_ids(src), _vertex_ids(dst)
     if len(src) != len(dst):
         raise GraphError(
             f"src and dst lengths differ: {len(src)} vs {len(dst)}")
     n = int(num_vertices)
+    if not 0 <= n <= _MAX_VERTICES:
+        raise GraphError(
+            f"num_vertices must lie in [0, 2**31], the bound of the "
+            f"packed int64 edge key; got {n}")
     if len(src):
         lo = min(src.min(), dst.min())
         hi = max(src.max(), dst.max())
@@ -48,30 +57,37 @@ def from_edges(src, dst, num_vertices, symmetrize_edges=False,
             raise GraphError(
                 f"edge endpoint out of range [0, {n}): saw [{lo}, {hi}]")
 
-    if drop_self_loops and len(src):
+    if drop_self_loops:
         keep = src != dst
         src, dst = src[keep], dst[keep]
-    if symmetrize_edges and len(src):
-        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-
-    if len(src):
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        if dedup:
-            keep = np.concatenate(
-                ([True], (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])))
-            src, dst = src[keep], dst[keep]
-
-    counts = np.bincount(src, minlength=n) if len(src) else np.zeros(
-        n, dtype=np.int64)
-    indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+    # One sort of packed (src << shift) | dst keys orders the edges into
+    # rows; equal keys are equal pairs, so a neighbour compare dedups.
+    shift = max(n - 1, 1).bit_length()
+    key = (src << shift) | dst
+    if symmetrize_edges:
+        key = np.concatenate([key, (dst << shift) | src])
+    if dedup:
+        key = sorted_unique(key)
+    else:
+        key.sort()
+    indptr, indices = packed_csr(key, n, shift)
     if FLAGS.sanitize:
         # Loud structural validation at the single sanctioned CSR
-        # construction site; rows are sorted by the lexsort above.
-        check_csr(indptr, dst, n, name="from_edges",
-                  sorted_rows=bool(len(src)))
-    return CSRGraph(indptr, dst, num_vertices=n,
+        # construction site; rows are sorted by the key sort above.
+        check_csr(indptr, indices, n, name="from_edges", sorted_rows=True)
+    return CSRGraph(indptr, indices, num_vertices=n,
                     is_symmetric=symmetrize_edges, validate=False)
+
+
+def _vertex_ids(values):
+    """``values`` as flat int64 ids.  A fractional, nan or infinite id
+    raises instead of truncating into an edge nobody asked for."""
+    values = np.asarray(values).ravel()
+    with np.errstate(invalid="ignore"):
+        ids = values.astype(np.int64, copy=False)
+    if values.dtype.kind not in "biu" and not np.array_equal(ids, values):
+        raise GraphError(f"vertex ids must be integers, got {values.dtype}")
+    return ids
 
 
 def symmetrize(graph):

@@ -18,7 +18,20 @@ import numpy as np
 
 from ..errors import GraphError
 
-__all__ = ["CSRGraph"]
+__all__ = ["CSRGraph", "packed_csr"]
+
+
+def packed_csr(key, num_rows, shift):
+    """CSR ``(indptr, indices)`` read off ascending packed edge keys.
+
+    ``key`` holds ``(row << shift) | col`` sorted, so row ``r`` is the
+    key range ``[r << shift, (r + 1) << shift)``: one search per row
+    boundary gives ``indptr`` and a mask unpacks the columns.  Every
+    edge-list-to-CSR site shares this idiom (docs/architecture.md,
+    "Packed edge keys").
+    """
+    bounds = np.arange(num_rows + 1, dtype=np.int64) << shift
+    return key.searchsorted(bounds), key & ((1 << shift) - 1)
 
 
 class CSRGraph:
@@ -168,12 +181,11 @@ class CSRGraph:
         sub_src = lookup[src[keep]]
         sub_dst = lookup[dst[keep]]
         k = len(vertices)
-        order = np.lexsort((sub_dst, sub_src))
-        sub_src = sub_src[order]
-        sub_dst = sub_dst[order]
-        counts = np.bincount(sub_src, minlength=k)
-        indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-        sub = CSRGraph(indptr, sub_dst, num_vertices=k,
+        shift = max(k - 1, 1).bit_length()
+        key = (sub_src << shift) | sub_dst
+        key.sort()
+        indptr, indices = packed_csr(key, k, shift)
+        sub = CSRGraph(indptr, indices, num_vertices=k,
                        is_symmetric=self.is_symmetric, validate=False)
         return sub, vertices
 

@@ -49,6 +49,7 @@ except ImportError:  # pragma: no cover - exercised by the no-scipy CI job
     sp = None
 
 from ..errors import PartitionError
+from ..graph.csr import packed_csr
 from .base import PartitionResult, Partitioner
 
 __all__ = ["metis_partition", "MetisPartitioner", "metis_clusters"]
@@ -119,13 +120,29 @@ def _group_sums(weights, groups, num_groups):
 
 
 def _contract(adj, weights, cmap, num_coarse):
-    """Contract matched pairs: sum adjacency weights and constraint rows."""
-    coo = adj.tocoo()
-    coarse = sp.csr_matrix(
-        (coo.data, (cmap[coo.row], cmap[coo.col])),
-        shape=(num_coarse, num_coarse))
-    coarse.setdiag(0)
-    coarse.eliminate_zeros()
+    """Contract matched pairs: sum adjacency weights and constraint rows.
+
+    Fine edges map through ``cmap``; edges inside a pair drop out, and
+    one sort of packed ``(row << shift) | col`` keys groups the rest
+    into canonical coarse rows, each key run's weights summed.  The
+    weights are sums of unit edges, so every sum is exact in any order.
+    """
+    shift = max(num_coarse - 1, 1).bit_length()
+    # Built in place and filtered by rebinding: at most three arrays of
+    # the level's size are alive at once.
+    key = np.repeat(cmap << shift, np.diff(adj.indptr))
+    key |= cmap[adj.indices]
+    cross = (key >> shift) != (key & ((1 << shift) - 1))
+    key = key[cross]
+    order = key.argsort()
+    key = key[order]
+    fresh = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=fresh[1:])
+    starts = np.flatnonzero(fresh)
+    data = np.add.reduceat(adj.data[cross][order], starts)
+    indptr, indices = packed_csr(key[starts], num_coarse, shift)
+    coarse = sp.csr_matrix((data, indices, indptr),
+                           shape=(num_coarse, num_coarse))
     return coarse, _group_sums(weights, cmap, num_coarse)
 
 

@@ -128,9 +128,12 @@ class LoadGenerator:
             vertices = rng.choice(self.population,
                                   size=self.num_requests)
 
-        return [InferenceRequest(request_id=i, vertex=int(vertices[i]),
-                                 arrival=float(arrivals[i]))
-                for i in range(self.num_requests)]
+        # tolist() hands over python ints and floats column by column,
+        # not one numpy scalar per element.
+        return [InferenceRequest(request_id=i, vertex=vertex,
+                                 arrival=arrival)
+                for i, (vertex, arrival) in enumerate(
+                    zip(vertices.tolist(), arrivals.tolist()))]
 
     def describe(self):
         """Short human-readable parameter summary."""

@@ -8,9 +8,38 @@ two masked row sums, and matching walks numpy scalars.  They define the
 assignments (and the order of every ``rng`` draw) the fast path must
 reproduce byte for byte; ``test_metis_oracle.py`` runs both on
 generated graphs.  Do not "fix" or speed up anything here.
+
+``_contract`` is the scipy round trip coarsening shipped before the
+coarse level was built from one sort of packed ``(row << shift) | col``
+keys: ``tocoo`` → ``csr_matrix((data, (row, col)))`` (which sums
+duplicates) → ``setdiag(0)`` → ``eliminate_zeros``.  It defines the
+coarse ``indptr`` / ``indices`` / ``data`` the shipped one must return.
 """
 
 import numpy as np
+
+try:
+    import scipy.sparse as sp
+except ImportError:  # pragma: no cover - the scipy cases skip themselves
+    sp = None
+
+
+def _contract(adj, weights, cmap, num_coarse):
+    """Contract matched pairs: sum adjacency weights and constraint rows."""
+    coo = adj.tocoo()
+    coarse = sp.csr_matrix(
+        (coo.data, (cmap[coo.row], cmap[coo.col])),
+        shape=(num_coarse, num_coarse))
+    coarse.setdiag(0)
+    coarse.eliminate_zeros()
+    return coarse, _group_sums(weights, cmap, num_coarse)
+
+
+def _group_sums(weights, groups, num_groups):
+    """Rows of ``weights`` summed per group."""
+    sums = np.zeros((num_groups, weights.shape[1]))
+    np.add.at(sums, groups, weights)
+    return sums
 
 
 def _heavy_edge_matching(adj, rng):

@@ -233,3 +233,73 @@ class TestRefineMatchesOracle:
             _refine_both_ways(adj, weights, rng.integers(0, k, n), k,
                               seed=k)
             _assert_same_run(graph, k, seed=k, coarsen_to=16)
+
+
+# ----------------------------------------------------------------------
+# _contract on its own: packed-key coarsening vs the scipy round trip
+# ----------------------------------------------------------------------
+def _random_matching(n, rng):
+    """``(cmap, num_coarse)`` of a random matching: a random number of
+    disjoint pairs drawn from a shuffle, every other vertex single."""
+    order = rng.permutation(n)
+    pairs = int(rng.integers(0, n // 2 + 1))
+    partner = np.arange(n)
+    partner[order[0:2 * pairs:2]] = order[1:2 * pairs:2]
+    partner[order[1:2 * pairs:2]] = order[0:2 * pairs:2]
+    labels, cmap = np.unique(np.minimum(np.arange(n), partner),
+                             return_inverse=True)
+    return cmap.astype(np.int64), len(labels)
+
+
+def _assert_same_contraction(adj, weights, cmap, num_coarse):
+    got, got_w = metis._contract(adj, weights, cmap, num_coarse)
+    want, want_w = oracle._contract(adj, weights, cmap, num_coarse)
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        mine, theirs = getattr(got, name), getattr(want, name)
+        assert mine.dtype == theirs.dtype, name
+        np.testing.assert_array_equal(mine, theirs, err_msg=name)
+    np.testing.assert_array_equal(got_w, want_w)
+    return want, want_w
+
+
+class TestContractMatchesOracle:
+    @given(kind=st.sampled_from(sorted(GRAPH_KINDS)),
+           n=st.integers(min_value=2, max_value=300),
+           degree=st.integers(min_value=1, max_value=8),
+           heavy=st.booleans(),
+           seed=st.integers(min_value=0, max_value=2**31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_coarsening_chains(self, kind, n, degree, heavy, seed):
+        """Contract level after level, by heavy-edge or random matchings,
+        until one vertex is left or nothing merges."""
+        rng = np.random.default_rng(seed)
+        graph = GRAPH_KINDS[kind](n, degree, rng)
+        adj = _weighted_adjacency(graph)
+        weights = np.hstack([np.ones((adj.shape[0], 1)),
+                             _constraints(adj.shape[0], 2, True, rng)])
+        while adj.shape[0] > 1:
+            cmap, num_coarse = (_heavy_edge_matching(adj, rng) if heavy
+                                else _random_matching(adj.shape[0], rng))
+            if num_coarse == adj.shape[0]:
+                break
+            adj, weights = _assert_same_contraction(adj, weights, cmap,
+                                                    num_coarse)
+
+    def test_multigraph_level_and_edgeless_results(self):
+        """Repeated column indices at level 0 are summed; an all-internal
+        contraction leaves an empty coarse level."""
+        rng = np.random.default_rng(8)
+        n = 90
+        src = rng.integers(0, n, 400)
+        dst = (src + rng.integers(1, n, 400)) % n
+        graph = from_edges(np.tile(src, 2), np.tile(dst, 2), n,
+                           symmetrize_edges=True, dedup=False)
+        adj = _weighted_adjacency(graph)
+        weights = np.ones((n, 1))
+        _assert_same_contraction(adj, weights, *_random_matching(n, rng))
+        _assert_same_contraction(adj, weights, np.zeros(n, dtype=np.int64),
+                                 1)
+        pair = from_edges([0], [1], 2, symmetrize_edges=True)
+        _assert_same_contraction(_weighted_adjacency(pair), np.ones((2, 1)),
+                                 np.zeros(2, dtype=np.int64), 1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ServingError
-from repro.serve import LoadGenerator
+from repro.serve import InferenceRequest, LoadGenerator
 
 
 POPULATION = np.arange(50, 250)
@@ -64,3 +64,31 @@ class TestLoadGenerator:
     def test_request_ids_dense(self):
         trace = LoadGenerator(POPULATION, 100.0, 50, seed=6).generate()
         assert [r.request_id for r in trace] == list(range(50))
+
+
+def _scalar_trace(gen):
+    """The trace built the way ``generate`` did before it read
+    ``tolist()`` columns: one numpy scalar per element, converted."""
+    rng = np.random.default_rng(gen.seed)
+    arrivals = np.cumsum(rng.exponential(1.0 / gen.rate,
+                                         size=gen.num_requests))
+    if gen.skew > 0:
+        shuffled = rng.permutation(gen.population)
+        weights = np.arange(1, len(shuffled) + 1,
+                            dtype=np.float64) ** -gen.skew
+        weights /= weights.sum()
+        vertices = rng.choice(shuffled, size=gen.num_requests, p=weights)
+    else:
+        vertices = rng.choice(gen.population, size=gen.num_requests)
+    return [InferenceRequest(request_id=i, vertex=int(vertices[i]),
+                             arrival=float(arrivals[i]))
+            for i in range(gen.num_requests)]
+
+
+@pytest.mark.parametrize("skew", [0.0, 1.1])
+def test_trace_equals_per_element_construction(skew):
+    gen = LoadGenerator(POPULATION, 750.0, 2000, seed=12, skew=skew)
+    trace = gen.generate()
+    assert trace == _scalar_trace(gen)
+    assert all(type(r.vertex) is int and type(r.arrival) is float
+               for r in trace)
