@@ -29,7 +29,7 @@ import numpy as np
 
 from ..dist.engine import SyncEngine
 from ..errors import CheckpointError, TrainingError
-from ..nn import Adam, build_model
+from ..nn import Adam, build_model, no_grad
 from ..perf import PERF, EvalSubgraphCache, wall_clock
 from .config import TrainingConfig, make_cache
 from .convergence import TrainingCurve
@@ -71,15 +71,16 @@ def evaluate_model(model, dataset, vertex_ids, sampler, rng,
                 cache.put(key, prepared)
 
         correct = 0
-        for subgraph in prepared:
-            # Offline accuracy eval sits outside the transfer cost
-            # model on purpose: nothing here is billed or benched.
-            logits = model.forward(
-                subgraph,
-                dataset.features[subgraph.input_nodes])  # repro: noqa[ARC003]
-            predictions = logits.data.argmax(axis=-1)
-            correct += int((predictions
-                            == dataset.labels[subgraph.seeds]).sum())
+        with no_grad():
+            for subgraph in prepared:
+                # Offline accuracy eval sits outside the transfer cost
+                # model on purpose: nothing here is billed or benched.
+                rows = subgraph.input_nodes
+                logits = model.forward(
+                    subgraph, dataset.features[rows])  # repro: noqa[ARC003]
+                predictions = logits.data.argmax(axis=-1)
+                correct += int((predictions
+                                == dataset.labels[subgraph.seeds]).sum())
     finally:
         # Restore whatever mode the caller had the model in (the old
         # behaviour unconditionally flipped it into training mode).

@@ -6,10 +6,10 @@ from .layers import (GAT, GCN, MLP, Dropout, GATConv, GCNConv, GraphSAGE,
 from .loss import (accuracy, binary_cross_entropy_with_logits, roc_auc,
                    sigmoid, softmax, softmax_cross_entropy)
 from .optim import SGD, Adam, Optimizer
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 
 __all__ = [
-    "Tensor", "xavier_uniform", "zeros",
+    "Tensor", "no_grad", "xavier_uniform", "zeros",
     "Module", "Linear", "Dropout", "MLP", "GCNConv", "SAGEConv",
     "GATConv", "GCN", "GraphSAGE", "GAT", "build_model",
     "softmax", "softmax_cross_entropy", "accuracy",

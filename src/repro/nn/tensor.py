@@ -14,6 +14,9 @@ nothing is copied on arrival.  The few ops that pass their incoming
 gradient on unchanged — ``__add__``, ``reshape``, ``concat``, the array
 a caller gives ``backward`` — copy at their own site.
 
+Inside ``with no_grad():`` (inference: serving, evaluation) ops compute
+the same arrays but record nothing — no parent tuple, no kept closure.
+
 The engine is deliberately small and explicit — every op's backward rule
 is a few lines of numpy, which lets the test suite verify all of them
 against numerical differentiation.
@@ -25,7 +28,29 @@ import numpy as np
 
 from ..errors import TrainingError
 
-__all__ = ["Tensor"]
+__all__ = ["Tensor", "no_grad"]
+
+#: False inside :class:`no_grad`.
+_taping = True
+
+
+class no_grad:
+    """Run ops without recording an autograd tape: ``with no_grad():``.
+
+    The previous setting comes back on exit, so contexts nest.  A class,
+    not a ``contextlib`` generator (docs/architecture.md, "The per-call
+    floor", rule 2)."""
+
+    __slots__ = ("_outer",)
+
+    def __enter__(self):
+        global _taping
+        self._outer, _taping = _taping, False
+        return self
+
+    def __exit__(self, *_exc):
+        global _taping
+        _taping = self._outer
 
 
 def _unbroadcast(grad, shape):
@@ -164,8 +189,10 @@ class Tensor:
     @staticmethod
     def _result(data, parents, backward):
         """Wrap an op's output, skipping the dtype coercion
-        ``__init__`` applies to user data."""
-        tracked = tuple(p for p in parents if p.requires_grad)
+        ``__init__`` applies to user data.  Under :class:`no_grad`
+        nothing is tracked."""
+        tracked = tuple(p for p in parents if p.requires_grad) \
+            if _taping else ()
         out = Tensor.__new__(Tensor)
         out.data = data if isinstance(data, np.ndarray) \
             else np.asarray(data)

@@ -56,6 +56,7 @@ from operator import attrgetter
 import numpy as np
 
 from ..errors import AdmissionError, SanitizerError, ServingError
+from ..nn.tensor import no_grad
 from ..perf import FLAGS
 from .batcher import MicroBatcher
 from .requests import InferenceResponse
@@ -247,9 +248,13 @@ class ServeNode:
         batch_id, batch_size, node_id = \
             self.num_batches, len(batch), self.node_id
         self.num_batches += 1
-        # ``tolist``: python ints in one call, not one ``int()`` each.
-        return [InferenceResponse(request, prediction, completion,
-                                  batch_id, batch_size, degrade, node_id)
+        # ``tolist``: python ints in one call, not one ``int()`` each;
+        # ``tuple.__new__``: one C call per record, not the namedtuple's
+        # python ``__new__``.
+        new = tuple.__new__
+        return [new(InferenceResponse, (request, prediction, completion,
+                                        batch_id, batch_size, degrade,
+                                        node_id))
                 for request, prediction
                 in zip(batch, predictions.tolist())]
 
@@ -420,13 +425,16 @@ def _check_ready_times(nodes, draining):
 # Helpers shared by ServeEngine and FleetEngine
 # ----------------------------------------------------------------------
 def check_trace(requests, num_vertices):
-    """Reject a trace that queries a vertex the graph does not have.
+    """Reject a trace with an unknown vertex or a bad arrival time.
 
-    Raises :class:`ServingError` naming the first request whose vertex
-    is outside ``[0, num_vertices)``.  One pass per run, before any
-    batch is cut: inside a batch an id past the end is a bare
-    ``IndexError`` and a negative one silently answers for a vertex
-    counted from the end of the table."""
+    A trace must query vertices the graph has, at finite arrival times
+    in non-decreasing order; :class:`ServingError` names the first
+    request that does not.  One pass per run, before any batch is cut:
+    inside a batch an id past the end is a bare ``IndexError`` and a
+    negative one silently answers for a vertex counted from the end of
+    the table, and the loop's arrival merge assumes a sorted trace (a
+    ``nan`` or ``inf`` arrival is never due, so the request would
+    vanish)."""
     vertices = np.fromiter(map(attrgetter("vertex"), requests),
                            dtype=np.int64, count=len(requests))
     bad = (vertices < 0) | (vertices >= num_vertices)
@@ -436,6 +444,16 @@ def check_trace(requests, num_vertices):
             f"request {request.request_id} queries vertex "
             f"{request.vertex}; the served graph has vertices "
             f"0..{num_vertices - 1}")
+    arrivals = np.fromiter(map(attrgetter("arrival"), requests),
+                           dtype=np.float64, count=len(requests))
+    ordered = np.isfinite(arrivals)
+    ordered[1:] &= arrivals[1:] >= arrivals[:-1]
+    if not ordered.all():
+        request = requests[int(ordered.argmin())]
+        raise ServingError(
+            f"request {request.request_id} arrives at "
+            f"{request.arrival}; a trace needs finite arrival times in "
+            f"non-decreasing order")
 
 
 def cache_hit_rates(caches):
@@ -477,10 +495,14 @@ def run_totals(responses, labels):
 
 @contextmanager
 def eval_mode(model):
-    """Serve with ``model`` in eval mode; restores its mode after."""
+    """Serve with ``model`` in eval mode, recording no tape.
+
+    Enters :class:`~repro.nn.tensor.no_grad`; restores the model's mode
+    after."""
     was_training = model.training
     model.eval()
     try:
-        yield
+        with no_grad():
+            yield
     finally:
         model.train() if was_training else model.eval()

@@ -20,8 +20,16 @@ def summary_fields(prefix, column, empty=None,
                    stats=("mean", "p50", "p95", "p99", "max")):
     """The ``<prefix>_<stat>`` report fields of one observation column
     (``summary_fields("latency", node.latencies)``); each is ``empty``
-    when nothing was observed."""
-    summary = summarize(column) or dict.fromkeys(stats, empty)
+    when nothing was observed.  Without a percentile in ``stats`` the
+    column is not sorted: the mean sums it in the given order and the
+    max is its largest value, the bits :func:`summarize` returns."""
+    if not column:
+        summary = dict.fromkeys(stats, empty)
+    elif {"mean", "max"}.issuperset(stats):
+        summary = {"mean": sum(column) / len(column),
+                   "max": float(max(column))}
+    else:
+        summary = summarize(column)
     return {f"{prefix}_{stat}": summary[stat] for stat in stats}
 
 

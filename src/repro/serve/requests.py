@@ -14,7 +14,7 @@ delay by slowing down with the server).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +23,7 @@ from ..errors import ServingError
 __all__ = ["InferenceRequest", "InferenceResponse", "LoadGenerator"]
 
 
-@dataclass(frozen=True)
-class InferenceRequest:
+class InferenceRequest(NamedTuple):
     """One node-classification query.
 
     Attributes
@@ -42,8 +41,7 @@ class InferenceRequest:
     arrival: float
 
 
-@dataclass(frozen=True)
-class InferenceResponse:
+class InferenceResponse(NamedTuple):
     """The served answer to one :class:`InferenceRequest`.
 
     ``completion - request.arrival`` is the request's end-to-end
@@ -95,12 +93,12 @@ class LoadGenerator:
         if len(self.population) == 0:
             raise ServingError("load generator needs a non-empty "
                                "query population")
-        if rate <= 0:
-            raise ServingError(f"arrival rate must be positive, "
-                               f"got {rate}")
+        if not 0 < rate < np.inf:
+            raise ServingError(f"arrival rate must be positive and "
+                               f"finite, got {rate}")
         if num_requests < 1:
             raise ServingError("need at least one request")
-        if skew < 0:
+        if not skew >= 0:   # nan too
             raise ServingError(f"skew must be >= 0, got {skew}")
         self.rate = float(rate)
         self.num_requests = int(num_requests)
@@ -129,11 +127,12 @@ class LoadGenerator:
                                   size=self.num_requests)
 
         # tolist() hands over python ints and floats column by column,
-        # not one numpy scalar per element.
-        return [InferenceRequest(request_id=i, vertex=vertex,
-                                 arrival=arrival)
-                for i, (vertex, arrival) in enumerate(
-                    zip(vertices.tolist(), arrivals.tolist()))]
+        # not one numpy scalar per element; tuple.__new__ builds each
+        # record in C, past the namedtuple's python ``__new__``.
+        new = tuple.__new__
+        return [new(InferenceRequest, row) for row in zip(
+            range(self.num_requests), vertices.tolist(),
+            arrivals.tolist())]
 
     def describe(self):
         """Short human-readable parameter summary."""

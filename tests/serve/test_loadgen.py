@@ -61,6 +61,15 @@ class TestLoadGenerator:
         with pytest.raises(ServingError):
             LoadGenerator(POPULATION, 100.0, 10, skew=-1.0)
 
+    @pytest.mark.parametrize("rate, skew", [
+        (float("nan"), 0.0), (float("inf"), 0.0), (100.0, float("nan")),
+    ], ids=["rate-nan", "rate-inf", "skew-nan"])
+    def test_non_finite_parameters_rejected(self, rate, skew):
+        # nan rates drew nan arrivals, an inf rate an all-zero trace,
+        # and a nan skew passed ``skew < 0`` into nan weights.
+        with pytest.raises(ServingError, match="must be"):
+            LoadGenerator(POPULATION, rate, 10, skew=skew)
+
     def test_request_ids_dense(self):
         trace = LoadGenerator(POPULATION, 100.0, 50, seed=6).generate()
         assert [r.request_id for r in trace] == list(range(50))
