@@ -9,7 +9,8 @@ Layers (top to bottom):
 
 * :mod:`~repro.kernels.autograd` — ``gspmm``/``gsddmm``/
   ``edge_softmax`` with a thin forward/backward boundary (backward
-  through the explicitly materialized, memoized transposed CSR);
+  through the explicitly materialized, memoized transposed CSR), and
+  ``gat_attention``, one GAT head's attention as a single node;
 * :mod:`~repro.kernels.registry` — backend registration, capability
   fallback, ``FLAGS.kernel_backend`` resolution, per-backend call/FLOP
   counters via :data:`repro.perf.PERF`;
@@ -32,14 +33,14 @@ Select a backend globally with ``FLAGS.kernel_backend`` (``"auto"``,
 from .adjacency import (KernelCOO, KernelCSR, as_adjacency,
                         block_attention_edges, full_graph_adjacency,
                         normalized_block_adjacency, transpose_csr)
-from .autograd import edge_softmax, gsddmm, gspmm
+from .autograd import edge_softmax, gat_attention, gsddmm, gspmm
 from .registry import (GSDDMM_OPS, GSPMM_OPS, REDUCES,
                        available_backends, edge_softmax_forward,
                        gsddmm_forward, gspmm_forward, register_backend,
                        resolve_backend)
 
 __all__ = [
-    "gspmm", "gsddmm", "edge_softmax",
+    "gspmm", "gsddmm", "edge_softmax", "gat_attention",
     "gspmm_forward", "gsddmm_forward", "edge_softmax_forward",
     "KernelCSR", "KernelCOO", "as_adjacency", "transpose_csr",
     "normalized_block_adjacency", "block_attention_edges",

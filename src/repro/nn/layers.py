@@ -8,9 +8,10 @@ with the destinations (MFG convention), a layer can read its
 destinations' own features as ``h_src[:num_dst]``.
 
 Every aggregation dispatches through :mod:`repro.kernels` — the
-mean-aggregation SpMM of GCN/SAGE, and GAT's edge-score SDDMM, edge
-softmax, and attention-weighted SpMM — so the layers hold no sparse
-loops of their own and ``FLAGS.kernel_backend`` selects the engine.
+mean-aggregation SpMM of GCN/SAGE, and GAT's attention (edge scores,
+edge softmax and attention-weighted SpMM, one ``gat_attention`` node
+per head) — so the layers hold no sparse loops of their own and
+``FLAGS.kernel_backend`` selects the engine.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import numpy as np
 
 from ..analysis.sanitize import check_finite
 from ..errors import TrainingError
-from ..kernels import (block_attention_edges, edge_softmax, gsddmm,
-                       gspmm, normalized_block_adjacency)
+from ..kernels import (block_attention_edges, gat_attention, gspmm,
+                       normalized_block_adjacency)
 from ..perf import FLAGS
 from .init import xavier_uniform, zeros
 from .tensor import Tensor
@@ -250,9 +251,12 @@ class GATConv(Module):
         if heads < 1 or out_dim % heads:
             raise TrainingError(
                 f"out_dim {out_dim} must split evenly over {heads} heads")
+        self.negative_slope = float(negative_slope)
+        if not np.isfinite(self.negative_slope):
+            raise TrainingError(
+                f"negative_slope must be finite, got {negative_slope}")
         self.heads = int(heads)
         self.head_dim = out_dim // self.heads
-        self.negative_slope = float(negative_slope)
         self.weights = [xavier_uniform(in_dim, self.head_dim, rng)
                         for _head in range(self.heads)]
         self.attn_src = [xavier_uniform(self.head_dim, 1, rng)
@@ -264,30 +268,20 @@ class GATConv(Module):
     def forward_block(self, block, h_src):
         """Attention-weighted aggregation over the block's edges.
 
-        The whole sparse path runs through :mod:`repro.kernels`: the
-        per-edge score is a ``gsddmm`` add over the block's edge list
-        (a :class:`~repro.kernels.KernelCOO`, whose edge *order* —
-        block CSR edges then appended self-loops — is part of the
-        numerical contract), the attention coefficients come from
-        ``edge_softmax``, and the output is an attention-weighted
-        ``gspmm`` over the same edges
-        (:func:`~repro.kernels.block_attention_edges`, memoized on the
-        block with its segment views).
+        Each head is one :func:`~repro.kernels.gat_attention` node over
+        the block's edge list (a :class:`~repro.kernels.KernelCOO`,
+        whose edge *order* — block CSR edges then appended self-loops —
+        is part of the numerical contract;
+        :func:`~repro.kernels.block_attention_edges`, memoized on the
+        block with its segment views): scores, LeakyReLU, edge softmax
+        and the attention-weighted ``gspmm`` run through
+        :mod:`repro.kernels`.
         """
         edges = block_attention_edges(block)
-        outputs = []
-        for weight, a_src, a_dst in zip(self.weights, self.attn_src,
-                                        self.attn_dst):
-            transformed = h_src @ weight              # (S, d_head)
-            score_src = (transformed @ a_src)         # (S, 1)
-            # Destinations are the leading block sources (MFG
-            # convention), so the dst-side operand is the leading rows.
-            score_dst = (transformed @ a_dst).leading_rows(
-                block.num_dst)                        # (D, 1)
-            scores = gsddmm(edges, score_dst, score_src, op="add")
-            alpha = edge_softmax(edges, scores.reshape(-1).leaky_relu(
-                self.negative_slope))
-            outputs.append(gspmm(edges, transformed, values=alpha))
+        outputs = [gat_attention(edges, h_src @ weight, a_src, a_dst,
+                                 self.negative_slope)
+                   for weight, a_src, a_dst in zip(
+                       self.weights, self.attn_src, self.attn_dst)]
         out = outputs[0]
         for extra in outputs[1:]:
             out = out.concat(extra, axis=1)

@@ -114,6 +114,14 @@ class TestGATConv:
         with pytest.raises(TrainingError):
             GATConv(8, 10, np.random.default_rng(0), heads=3)
 
+    @pytest.mark.parametrize("slope", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_negative_slope_rejected(self, slope):
+        """A non-finite slope made every output row NaN, silently
+        unless the sanitizer was armed."""
+        with pytest.raises(TrainingError, match="negative_slope"):
+            GATConv(8, 8, np.random.default_rng(0), negative_slope=slope)
+
     def test_parameters_include_attention(self):
         conv = GATConv(8, 8, np.random.default_rng(0), heads=2)
         # 2 heads x (W, a_src, a_dst) + bias

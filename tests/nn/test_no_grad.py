@@ -1,5 +1,5 @@
 """Inference without a tape: under ``no_grad`` every op that ends in
-``Tensor._result`` — the tensor ops, the fused losses and the three
+``Tensor._result`` — the tensor ops, the fused losses and the
 differentiable kernels — computes the same bytes and records nothing
 (no parent tuple, no kept backward closure).  The flag is restored
 after nesting and after an exception, the two inference entry points
@@ -15,7 +15,8 @@ import pytest
 
 from repro import load_dataset
 from repro.core.trainer import evaluate_model
-from repro.kernels import KernelCOO, KernelCSR, edge_softmax, gsddmm, gspmm
+from repro.kernels import (KernelCOO, KernelCSR, autograd, edge_softmax,
+                           gat_attention, gsddmm, gspmm)
 from repro.nn import (Tensor, binary_cross_entropy_with_logits,
                       build_model, no_grad, softmax_cross_entropy)
 from repro.nn import tensor as tensor_module
@@ -43,6 +44,7 @@ class Operands:
         self.w, self.b = tracked(3, 2), tracked(2)
         self.pos = tracked(4, 3, positive=True)
         self.edges = tracked(6)
+        self.attn = tracked(3, 1)
 
 
 #: Every op of ``Tensor`` by attribute name, plus the losses and kernels.
@@ -82,6 +84,7 @@ OPS = {
     "gspmm (coo)": lambda t: gspmm(COO, t.x, values=t.edges),
     "gsddmm": lambda t: gsddmm(COO, t.x, t.y, op="dot"),
     "edge_softmax": lambda t: edge_softmax(COO, t.edges),
+    "gat_attention": lambda t: gat_attention(COO, t.x, t.attn, t.attn, 0.2),
 }
 
 #: ``Tensor`` callables that are not ops.
@@ -90,9 +93,13 @@ NOT_OPS = {"__init__", "__len__", "__repr__", "item", "numpy",
 
 
 def test_the_table_names_every_tensor_op():
+    """Every ``Tensor`` op and every differentiable kernel (a table key
+    may add a `` (layout)`` suffix)."""
     callables = {name for name, value in vars(Tensor).items()
                  if callable(value)}
     assert callables - NOT_OPS <= set(OPS), callables - NOT_OPS - set(OPS)
+    named = {name.split(" ")[0] for name in OPS}
+    assert set(autograd.__all__) <= named, set(autograd.__all__) - named
 
 
 @pytest.mark.parametrize("name", sorted(OPS))
