@@ -240,7 +240,8 @@ class FleetEngine:
         """Hedge delay from the observed latency quantile, or ``None``
         while too few completions are on record to estimate it.
         ``latencies`` must be ascending (the run keeps it so with
-        ``insort``): this is read once per routed request."""
+        ``insort``); the run re-reads it for a request's first copy
+        only when a latency has been added since the last read."""
         if len(latencies) < hedge.min_observations:
             return None
         return max(hedge.min_delay,
@@ -359,6 +360,8 @@ class _FleetRun:
         self.hedge_target = {}   # request_id -> the hedge copy's replica
         self.done = set()        # first-response-wins dedup
         self.latencies = []      # completed latencies, kept ascending
+        self._delay = None       # the hedge delay at ...
+        self._delay_observed = -1    # ... this many latencies
         self.hedges_launched = 0
         self.hedges_won = 0
         self.hedges_wasted = 0
@@ -490,26 +493,30 @@ class _FleetRun:
                 FAULT, "snapshot")
 
     # -- RESPONSE phase (hedging only) ---------------------------------
-    def on_response(self, response):
-        """The first copy back wins, a later twin is wasted work, and
-        the winner cancels any copy still queued elsewhere."""
-        rid = response.request.request_id
-        if rid in self.done:
-            self.hedges_wasted += 1
-            return
-        self.done.add(rid)
-        self.lost.pop(rid, None)     # an earlier copy may have been lost
-        insort(self.latencies, response.latency)
-        self.loop.responses.append(response)
-        target = self.hedge_target.get(rid)
-        if target is None:
-            return
-        if response.replica == target:
-            self.hedges_won += 1
-        for other in self.assigned[rid]:
-            if other != response.replica \
-                    and self.replicas[other].cancel(rid):
-                self.hedges_cancelled += 1
+    def on_response(self, responses):
+        """One batch's responses land, in batch order: the first copy
+        back wins, a later twin is wasted work, and the winner cancels
+        any copy still queued elsewhere."""
+        done, lost, hedge_target = self.done, self.lost, self.hedge_target
+        latencies, answered = self.latencies, self.loop.responses
+        for response in responses:
+            rid = response.request.request_id
+            if rid in done:
+                self.hedges_wasted += 1
+                continue
+            done.add(rid)
+            if rid in lost:          # an earlier copy may have been lost
+                del lost[rid]
+            insort(latencies, response.completion - response.request.arrival)
+            answered.append(response)
+            if rid not in hedge_target:
+                continue
+            if response.replica == hedge_target[rid]:
+                self.hedges_won += 1
+            for other in self.assigned[rid]:
+                if other != response.replica \
+                        and self.replicas[other].cancel(rid):
+                    self.hedges_cancelled += 1
 
     # -- ADMIT phase ---------------------------------------------------
     def on_admit(self, request):
@@ -532,19 +539,26 @@ class _FleetRun:
     def on_admit_hedged(self, request):
         """:meth:`on_admit`, remembering who holds a copy and arming the
         hedge timer on a request's first copy."""
-        if request.request_id in self.done:
+        rid = request.request_id
+        if rid in self.done:
             return  # a hedge twin already answered it
         replica = self.on_admit(request)
         if replica is None:
             return
-        copies = self.assigned.setdefault(request.request_id, [])
-        copies.append(replica.replica_id)
-        if len(copies) == 1:
-            delay = FleetEngine._hedge_delay(self.hedge_policy,
-                                             self.latencies)
-            if delay is not None:
-                self.loop.schedule(self.loop.clock + delay, TIMER,
-                                   "hedge", request)
+        if rid in self.assigned:
+            self.assigned[rid].append(replica.replica_id)
+            return
+        self.assigned[rid] = [replica.replica_id]
+        # The delay is a function of ``latencies``, which only grows:
+        # recomputed only once it has.
+        observed = len(self.latencies)
+        if observed != self._delay_observed:
+            self._delay_observed = observed
+            self._delay = FleetEngine._hedge_delay(self.hedge_policy,
+                                                   self.latencies)
+        if self._delay is not None:
+            self.loop.schedule(self.loop.clock + self._delay, TIMER,
+                               "hedge", request)
 
     def rescale(self, _request):
         self.autoscaler.evaluate(self.loop.clock)
@@ -575,9 +589,15 @@ class _FleetRun:
             self.loop.clock)
 
     def defer_responses(self, dispatched):
-        for response in dispatched[1]:
-            self.loop.schedule(response.completion, RESPONSE,
-                               "response", response)
+        """One ``response`` event per batch, not one per response: the
+        batch's responses share a completion instant, one event each
+        would take consecutive ``seq`` numbers (nothing can sort
+        between them), and :meth:`on_response` schedules nothing — so
+        landing them together, in batch order, is the same run."""
+        responses = dispatched[1]
+        if responses:
+            self.loop.schedule(responses[0].completion, RESPONSE,
+                               "response", responses)
 
     def settle_drains(self, _):
         self.autoscaler.finalize_drains(self.loop.clock)

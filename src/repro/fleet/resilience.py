@@ -96,14 +96,14 @@ class DetectorPolicy:
     dead_phi: float = 4.0
 
     def __post_init__(self):
-        if self.heartbeat_interval <= 0:
+        if not self.heartbeat_interval > 0:
             raise FleetError(
                 f"heartbeat_interval must be > 0, got "
                 f"{self.heartbeat_interval}")
-        if self.suspect_phi <= 0:
+        if not self.suspect_phi > 0:
             raise FleetError(
                 f"suspect_phi must be > 0, got {self.suspect_phi}")
-        if self.dead_phi <= self.suspect_phi:
+        if not self.dead_phi > self.suspect_phi:
             raise FleetError(
                 f"dead_phi ({self.dead_phi}) must exceed suspect_phi "
                 f"({self.suspect_phi})")
@@ -191,7 +191,7 @@ class BreakerPolicy:
     half_open_successes: int = 2
 
     def __post_init__(self):
-        if self.reset_timeout <= 0:
+        if not self.reset_timeout > 0:
             raise FleetError(
                 f"reset_timeout must be > 0, got {self.reset_timeout}")
         if self.half_open_successes < 1:
@@ -274,7 +274,7 @@ class HedgePolicy:
             raise FleetError(
                 f"delay_quantile must be in (0, 100), got "
                 f"{self.delay_quantile}")
-        if self.min_delay <= 0:
+        if not self.min_delay > 0:
             raise FleetError(
                 f"min_delay must be > 0, got {self.min_delay}")
         if self.min_observations < 1:
@@ -301,7 +301,7 @@ class ResiliencePolicy:
     retry_budget: int = 3
 
     def __post_init__(self):
-        if self.retry_budget < 1:
+        if not self.retry_budget >= 1:
             raise FleetError(
                 f"retry_budget must be >= 1, got {self.retry_budget}")
 
@@ -330,7 +330,7 @@ class ReplicaRecovery:
 
     def __init__(self, root, snapshot_interval=2e-3):
         from pathlib import Path
-        if snapshot_interval <= 0:
+        if not snapshot_interval > 0:
             raise FleetError(
                 f"snapshot_interval must be > 0, got "
                 f"{snapshot_interval}")

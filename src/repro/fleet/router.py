@@ -61,7 +61,7 @@ class RoutingPolicy:
             raise FleetError(
                 f"spill_threshold must be >= 1 or None, got "
                 f"{self.spill_threshold}")
-        if self.remote_penalty < 0:
+        if not self.remote_penalty >= 0:
             raise FleetError(
                 f"remote_penalty must be >= 0, got "
                 f"{self.remote_penalty}")
@@ -91,16 +91,22 @@ class Router:
         self.replicas = list(replicas)
         self.policy = policy or RoutingPolicy()
         self.breakers = breakers
+        self._replicated = getattr(shards, "replicated", False)
         self.spillovers = 0
         self.failovers = 0
         self.backup_routed = 0
 
     def _admits(self, replica, now):
         """Accepting, and (when circuit breakers are wired in) the
-        replica's breaker lets a request through at ``now``."""
-        return replica.accepting and (
-            self.breakers is None
-            or self.breakers[replica.replica_id].allows(now))
+        replica's breaker lets a request through at ``now`` — only an
+        open breaker needs asking (:meth:`CircuitBreaker.allows` is
+        ``True`` without side effect otherwise)."""
+        if not replica.accepting:
+            return False
+        if self.breakers is None:
+            return True
+        breaker = self.breakers[replica.replica_id]
+        return breaker.state != "open" or breaker.allows(now)
 
     def _candidates(self, now):
         return [r for r in self.replicas if self._admits(r, now)]
@@ -108,7 +114,7 @@ class Router:
     def _backups(self, vertex):
         """Ids of the non-owner replicas holding ``vertex``'s row —
         none unless the partition replicates rows."""
-        if getattr(self.shards, "replicated", False):
+        if self._replicated:
             return self.shards.backups(vertex)
         return ()
 
@@ -134,21 +140,27 @@ class Router:
         the request id so the engine can surface dropped requests.
 
         The owner is asked first; the candidate list is only built to
-        spill or fail over.  With circuit breakers wired in every
-        replica is still polled, in id order, before the owner-first
-        return: :meth:`CircuitBreaker.allows` is where an open breaker
-        lapses into half-open, so *when* it is polled is part of the
-        run.  (A second poll at the same ``now`` returns the same
-        answer and changes nothing.)"""
+        spill or fail over.  With circuit breakers wired in, every
+        *open* breaker of an *accepting* replica is polled, in id
+        order, before the owner-first return:
+        :meth:`CircuitBreaker.allows` is where an open breaker lapses
+        into half-open, so *when* it is polled is part of the run.  A
+        closed or half-open breaker's answer has no side effect, and a
+        replica that is not accepting was never asked (its breaker must
+        not lapse while it is down), so neither is polled.  (A second
+        poll at the same ``now`` returns the same answer and changes
+        nothing.)"""
         vertex = request.vertex
         owner = self.replicas[self.shards.owner(vertex)]
-        if self.breakers is None:
+        breakers = self.breakers
+        if breakers is None:
             owner_admits = owner.accepting
         else:
-            owner_admits = False
-            for replica in self.replicas:
-                if self._admits(replica, now) and replica is owner:
-                    owner_admits = True
+            for replica, breaker in zip(self.replicas, breakers):
+                if breaker.state == "open" and replica.accepting:
+                    breaker.allows(now)
+            owner_admits = owner.accepting \
+                and breakers[owner.replica_id].state != "open"
 
         if owner_admits:
             threshold = self.policy.spill_threshold
@@ -216,14 +228,14 @@ class AutoscalePolicy:
         if self.min_replicas < 1:
             raise FleetError(
                 f"min_replicas must be >= 1, got {self.min_replicas}")
-        if self.low_watermark < 0:
+        if not self.low_watermark >= 0:
             raise FleetError(
                 f"low_watermark must be >= 0, got {self.low_watermark}")
-        if self.high_watermark <= self.low_watermark:
+        if not self.high_watermark > self.low_watermark:
             raise FleetError(
                 f"high_watermark ({self.high_watermark}) must exceed "
                 f"low_watermark ({self.low_watermark})")
-        if self.cooldown < 0:
+        if not self.cooldown >= 0:
             raise FleetError(
                 f"cooldown must be >= 0, got {self.cooldown}")
 

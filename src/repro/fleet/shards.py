@@ -57,6 +57,7 @@ class ShardMap:
         self._halos = {}
         # The router's per-request query, answered by one list index.
         self._owner_of = self.assignment.tolist()
+        self._backups = {}      # vertex -> backups(vertex), filled on use
 
     @property
     def num_vertices(self):
@@ -80,17 +81,27 @@ class ShardMap:
 
     def holders(self, vertex):
         """Every shard holding ``vertex``'s row locally, owner first,
-        backups in ascending shard id.  Without a replica matrix this
-        is just ``[owner]`` — the single-owner fleet."""
-        owner = self.partition.owner(vertex)
-        if not self.replicated:
-            return [owner]
-        held = np.flatnonzero(self.partition.replicas[:, int(vertex)])
-        return [owner] + [int(s) for s in held if s != owner]
+        backups in ascending shard id, as a tuple.  Without a replica
+        matrix this is just ``(owner,)`` — the single-owner fleet."""
+        return (self._owner_of[int(vertex)],) + self.backups(vertex)
 
     def backups(self, vertex):
-        """The non-owner shards holding ``vertex`` (ascending ids)."""
-        return self.holders(vertex)[1:]
+        """The non-owner shards holding ``vertex`` (ascending ids), as
+        a tuple.  The router asks on every spill and failover, so the
+        answer is memoized per vertex the first time it is asked (the
+        replica matrix never changes under a built map)."""
+        try:
+            return self._backups[vertex]
+        except KeyError:
+            pass
+        vertex = int(vertex)
+        owner = self._owner_of[vertex]
+        backups = ()
+        if self.partition.replicas is not None:
+            held = np.flatnonzero(self.partition.replicas[:, vertex])
+            backups = tuple(held[held != owner].tolist())
+        self._backups[vertex] = backups
+        return backups
 
     def shard_vertices(self, shard):
         """Vertex ids owned by ``shard`` (sorted ascending)."""

@@ -16,7 +16,7 @@ EWMA service-time estimate) and straggler / slow-link stretching.
 each instant the phases run in a fixed order::
 
     FAULT     crash / recover / suspect / dead / snapshot
-    RESPONSE  a (hedged) response lands at its completion time
+    RESPONSE  a (hedged) batch's responses land at their completion
     ADMIT     trace arrivals, then failover re-submissions
     TIMER     hedge timers
     dispatch  every ready node, in node-id order

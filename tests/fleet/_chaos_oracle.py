@@ -1,0 +1,182 @@
+"""The resilience handlers the fleet asked every question with, kept
+verbatim as the oracle.
+
+Until the fleet stopped re-asking questions whose answers had not
+changed, ``Router.route`` polled every replica's circuit breaker on
+every request, ``_FleetRun.defer_responses`` pushed one ``response``
+event per response, ``_FleetRun.on_admit_hedged`` recomputed the hedge
+delay (a percentile of every latency so far) on every first copy, and
+``ShardMap.holders`` / ``backups`` ran ``flatnonzero`` over the replica
+matrix on every spill and failover.  The shipped code polls only open
+breakers of accepting replicas, lands a batch's responses as one event,
+reuses the hedge delay until a latency is added, and memoizes each
+vertex's backups; what it must reproduce is this code, run for run:
+every response, every report field, every ``resilience`` counter.
+``tests/serve/test_loop_invariants.py`` compares the two over generated
+``FleetEngine`` configurations.  Do not "fix" or speed up anything
+here.
+
+:func:`chaos_oracle` swaps all of it into the shipped classes.
+"""
+
+from bisect import insort
+from contextlib import contextmanager
+
+import numpy as np
+import pytest
+
+from repro.errors import FleetError
+from repro.fleet.engine import FleetEngine, _FleetRun
+from repro.fleet.router import Router
+from repro.fleet.shards import ShardMap
+from repro.serve.loop import RESPONSE, TIMER
+
+
+# -- Router ------------------------------------------------------------
+def _admits(self, replica, now):
+    """Accepting, and (when circuit breakers are wired in) the
+    replica's breaker lets a request through at ``now``."""
+    return replica.accepting and (
+        self.breakers is None
+        or self.breakers[replica.replica_id].allows(now))
+
+
+def _backups(self, vertex):
+    """Ids of the non-owner replicas holding ``vertex``'s row —
+    none unless the partition replicates rows."""
+    if getattr(self.shards, "replicated", False):
+        return self.shards.backups(vertex)
+    return ()
+
+
+def route(self, request, now=0.0):
+    """Pick ``(replica, is_owner)`` for one request.  Raises
+    :class:`~repro.errors.FleetError` when no replica is accepting
+    (every node crashed or drained away) — the error message names
+    the request id so the engine can surface dropped requests.
+
+    The owner is asked first; the candidate list is only built to
+    spill or fail over.  With circuit breakers wired in every
+    replica is still polled, in id order, before the owner-first
+    return: :meth:`CircuitBreaker.allows` is where an open breaker
+    lapses into half-open, so *when* it is polled is part of the
+    run.  (A second poll at the same ``now`` returns the same
+    answer and changes nothing.)"""
+    vertex = request.vertex
+    owner = self.replicas[self.shards.owner(vertex)]
+    if self.breakers is None:
+        owner_admits = owner.accepting
+    else:
+        owner_admits = False
+        for replica in self.replicas:
+            if self._admits(replica, now) and replica is owner:
+                owner_admits = True
+
+    if owner_admits:
+        threshold = self.policy.spill_threshold
+        if threshold is None or owner.queue_depth < threshold:
+            return owner, True
+        chosen = self._cheapest(self._candidates(now), owner, vertex)
+        if chosen is not owner:
+            self.spillovers += 1
+        return chosen, chosen is owner
+
+    # Owner down, draining, or circuit-broken: failover to the
+    # cheapest survivor — a backup holder of the vertex when the
+    # partition replicates rows (it serves from its local copy).
+    candidates = self._candidates(now)
+    if not candidates:
+        raise FleetError(
+            f"request {request.request_id} is unroutable: no "
+            f"replica is accepting")
+    chosen = self._cheapest(candidates, owner, vertex)
+    self.failovers += 1
+    if chosen.replica_id in self._backups(vertex):
+        self.backup_routed += 1
+    return chosen, False
+
+
+# -- _FleetRun ---------------------------------------------------------
+def on_response(self, response):
+    """The first copy back wins, a later twin is wasted work, and
+    the winner cancels any copy still queued elsewhere."""
+    rid = response.request.request_id
+    if rid in self.done:
+        self.hedges_wasted += 1
+        return
+    self.done.add(rid)
+    self.lost.pop(rid, None)     # an earlier copy may have been lost
+    insort(self.latencies, response.latency)
+    self.loop.responses.append(response)
+    target = self.hedge_target.get(rid)
+    if target is None:
+        return
+    if response.replica == target:
+        self.hedges_won += 1
+    for other in self.assigned[rid]:
+        if other != response.replica \
+                and self.replicas[other].cancel(rid):
+            self.hedges_cancelled += 1
+
+
+def on_admit_hedged(self, request):
+    """:meth:`on_admit`, remembering who holds a copy and arming the
+    hedge timer on a request's first copy."""
+    if request.request_id in self.done:
+        return  # a hedge twin already answered it
+    replica = self.on_admit(request)
+    if replica is None:
+        return
+    copies = self.assigned.setdefault(request.request_id, [])
+    copies.append(replica.replica_id)
+    if len(copies) == 1:
+        delay = FleetEngine._hedge_delay(self.hedge_policy,
+                                         self.latencies)
+        if delay is not None:
+            self.loop.schedule(self.loop.clock + delay, TIMER,
+                               "hedge", request)
+
+
+def defer_responses(self, dispatched):
+    for response in dispatched[1]:
+        self.loop.schedule(response.completion, RESPONSE,
+                           "response", response)
+
+
+# -- ShardMap ----------------------------------------------------------
+def holders(self, vertex):
+    """Every shard holding ``vertex``'s row locally, owner first,
+    backups in ascending shard id.  Without a replica matrix this
+    is just ``[owner]`` — the single-owner fleet."""
+    owner = self.partition.owner(vertex)
+    if not self.replicated:
+        return [owner]
+    held = np.flatnonzero(self.partition.replicas[:, int(vertex)])
+    return [owner] + [int(s) for s in held if s != owner]
+
+
+def backups(self, vertex):
+    """The non-owner shards holding ``vertex`` (ascending ids)."""
+    return self.holders(vertex)[1:]
+
+
+_PATCHES = (
+    (Router, "_admits", _admits),
+    (Router, "_backups", _backups),
+    (Router, "route", route),
+    (_FleetRun, "on_response", on_response),
+    (_FleetRun, "on_admit_hedged", on_admit_hedged),
+    (_FleetRun, "defer_responses", defer_responses),
+    (ShardMap, "holders", holders),
+    (ShardMap, "backups", backups),
+)
+
+
+@contextmanager
+def chaos_oracle():
+    """Run ``FleetEngine`` on the pre-memo resilience handlers within
+    the ``with`` block."""
+    with pytest.MonkeyPatch.context() as patch:
+        for owner, name, function in _PATCHES:
+            patch.setattr(owner, name, function)
+        yield

@@ -16,10 +16,10 @@ from repro import load_dataset
 from repro.errors import (CheckpointError, FaultError, FleetError,
                           TransferError)
 from repro.faults.plan import FaultEvent, FaultPlan
-from repro.fleet import (BreakerPolicy, CircuitBreaker, DetectorPolicy,
-                         FailureDetector, FleetEngine, FleetSchedule,
-                         HedgePolicy, ReplicaRecovery, ResiliencePolicy,
-                         RoutingPolicy)
+from repro.fleet import (AutoscalePolicy, BreakerPolicy, CircuitBreaker,
+                         DetectorPolicy, FailureDetector, FleetEngine,
+                         FleetSchedule, HedgePolicy, ReplicaRecovery,
+                         ResiliencePolicy, RoutingPolicy)
 from repro.nn import build_model
 from repro.serve import BatchPolicy, LayerwiseEmbeddings, \
     LoadGenerator, ServeEngine
@@ -171,6 +171,39 @@ class TestPolicyValidation:
     def test_resilience_policy_budget(self):
         with pytest.raises(FleetError, match="retry_budget"):
             ResiliencePolicy(retry_budget=0)
+        with pytest.raises(FleetError, match="retry_budget"):
+            ResiliencePolicy(retry_budget=math.nan)
+        # An unbounded budget stays legal (the resilience-off run).
+        assert ResiliencePolicy(retry_budget=math.inf).retry_budget \
+            == math.inf
+
+    # A NaN passes every ``x <= 0`` check; as a delay it would push
+    # ``clock + nan`` onto the event heap, as a penalty it would make
+    # the router's ``min`` arbitrary.
+    @pytest.mark.parametrize("field, build", [
+        ("min_delay", lambda _: HedgePolicy(min_delay=math.nan)),
+        ("reset_timeout",
+         lambda _: BreakerPolicy(reset_timeout=math.nan)),
+        ("heartbeat_interval",
+         lambda _: DetectorPolicy(heartbeat_interval=math.nan)),
+        ("remote_penalty",
+         lambda _: RoutingPolicy(remote_penalty=math.nan)),
+        ("high_watermark",
+         lambda _: AutoscalePolicy(high_watermark=math.nan)),
+        ("cooldown", lambda _: AutoscalePolicy(cooldown=math.nan)),
+        ("low_watermark",
+         lambda _: AutoscalePolicy(low_watermark=math.nan)),
+        ("suspect_phi", lambda _: DetectorPolicy(suspect_phi=math.nan)),
+        ("dead_phi", lambda _: DetectorPolicy(dead_phi=math.nan)),
+        ("snapshot_interval",
+         lambda root: ReplicaRecovery(root, snapshot_interval=math.nan)),
+    ], ids=["min_delay", "reset_timeout", "heartbeat_interval",
+            "remote_penalty", "high_watermark", "cooldown",
+            "low_watermark", "suspect_phi", "dead_phi",
+            "snapshot_interval"])
+    def test_nan_knob_rejected(self, tmp_path, field, build):
+        with pytest.raises(FleetError, match=field):
+            build(tmp_path)
 
     def test_members_default_on_and_none_disables(self):
         policy = ResiliencePolicy()

@@ -290,6 +290,50 @@ class TestBreakerRouting:
         with pytest.raises(FleetError, match="unroutable"):
             router.route(request(vertex=0), now=1e-4)
 
+    def test_crashed_replicas_breaker_does_not_lapse_while_down(self):
+        router, replicas, breakers = self.make([0, 0],
+                                               reset_timeout=1e-3)
+        breakers[0].trip(0.0)
+        replicas[0].alive = False
+        # Well past reset_timeout, but replica 0 is not accepting:
+        # routing never asks its breaker, so it stays open.
+        for now in (1e-3, 5e-3, 9e-3):
+            replica, _ = router.route(request(vertex=1), now=now)
+            assert replica is replicas[1]
+        assert breakers[0].state == "open"
+        assert breakers[0].half_opens == 0
+
+    def test_recovered_replicas_breaker_lapses_on_first_route(self):
+        router, replicas, breakers = self.make([0, 0],
+                                               reset_timeout=1e-3)
+        breakers[0].trip(0.0)
+        replicas[0].alive = False
+        router.route(request(vertex=1), now=5e-4)
+        replicas[0].alive = True
+        # Accepting again, but reset_timeout has not passed.
+        router.route(request(vertex=1), now=9e-4)
+        assert breakers[0].state == "open"
+        # The first route at reset_timeout lapses it, whichever
+        # replica the request is for, and counts one half-open.
+        replica, _ = router.route(request(vertex=1), now=1e-3)
+        assert replica is replicas[1]
+        assert breakers[0].state == "half-open"
+        assert breakers[0].half_opens == 1
+        assert breakers[1].state == "closed"
+        assert breakers[1].half_opens == 0
+
+    def test_second_route_at_the_same_instant_changes_nothing(self):
+        router, replicas, breakers = self.make([0, 0, 0],
+                                               reset_timeout=1e-3)
+        breakers[0].trip(0.0)
+        breakers[2].trip(5e-4)
+        first = router.route(request(vertex=0), now=1e-3)
+        states = [(b.state, b.half_opens) for b in breakers]
+        assert states == [("half-open", 1), ("closed", 0),
+                          ("open", 0)]
+        assert router.route(request(vertex=0), now=1e-3) == first
+        assert [(b.state, b.half_opens) for b in breakers] == states
+
 
 class TestRouteHedge:
     def test_excludes_assigned_replicas(self):

@@ -8,6 +8,7 @@ from repro.core import make_partitioner
 from repro.errors import FleetError
 from repro.fleet import ShardMap
 from repro.graph import from_edges
+from repro.partition.replication import k_redundant_replication
 
 PARTITIONERS = ["hash", "metis-v", "metis-ve", "metis-vet"]
 
@@ -118,6 +119,49 @@ class TestHaloSets:
             reached |= frontier
         expected = np.array(sorted(reached - owned))
         assert np.array_equal(shards.halo(2, hops=2), expected)
+
+
+def replicated_map(data, source, k):
+    part = make_partitioner(source).partition(
+        data.graph, 4, split=data.split, rng=np.random.default_rng(0))
+    if k is not None:
+        part = k_redundant_replication(part, k)
+    return ShardMap(part, data.graph)
+
+
+class TestHolders:
+    """``holders`` / ``backups`` read a per-vertex memo; the definition
+    they must keep is one ``flatnonzero`` over the replica matrix."""
+
+    @staticmethod
+    def definition(shards, vertex):
+        owner = int(shards.assignment[vertex])
+        held = np.flatnonzero(shards.partition.replicas[:, vertex])
+        return [owner] + [int(s) for s in held if s != owner]
+
+    @pytest.mark.parametrize("source, k", [
+        ("metis-v", 2), ("hash", 3), ("stream-v", None)],
+        ids=["metis-v+k2", "hash+k3", "stream-v"])
+    @pytest.mark.parametrize("kind", [int, np.int64])
+    def test_holders_match_the_replica_matrix(self, data, source, k,
+                                              kind):
+        shards = replicated_map(data, source, k)
+        assert shards.replicated
+        # Twice over: the second pass reads the memo the first filled.
+        for _ in range(2):
+            for vertex in range(shards.num_vertices):
+                expected = self.definition(shards, vertex)
+                holders = shards.holders(kind(vertex))
+                assert list(holders) == expected
+                assert list(shards.backups(kind(vertex))) \
+                    == expected[1:]
+                assert all(type(s) is int for s in holders)
+
+    def test_single_owner_map_has_no_backups(self, data):
+        shards = shard_map(data, "metis-v")
+        for vertex in (0, np.int64(1), shards.num_vertices - 1):
+            assert shards.holders(vertex) == (shards.owner(int(vertex)),)
+            assert shards.backups(vertex) == ()
 
 
 class TestValidation:

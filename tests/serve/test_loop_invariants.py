@@ -15,6 +15,12 @@ shipped one replaced (``_loop_oracle.py``) and must come out identical
 ``FLAGS.sanitize`` on, under which the loop re-derives every node's
 cached dispatch time every iteration (``test_ready_cache.py`` has the
 directed cases and the mutations these two gates were checked against).
+Every generated fleet configuration is run a third time on the
+resilience handlers that re-asked every question per request
+(``tests/fleet/_chaos_oracle.py``: every breaker polled, one
+``response`` event per response, the hedge delay and a vertex's backup
+holders recomputed on every read), and must again come out identical,
+``resilience`` counters included.
 """
 
 import tempfile
@@ -33,6 +39,7 @@ from repro.perf import percentile
 from repro.serve import (BatchPolicy, LayerwiseEmbeddings, LoadGenerator,
                          ServeEngine)
 
+from ..fleet._chaos_oracle import chaos_oracle
 from ._loop_oracle import polling_loop
 
 
@@ -211,6 +218,8 @@ def check_fleet_run(world, replicas, partitioner, spill, schedule,
             sum(latencies) / len(latencies), rel=1e-12)
     assert fingerprint(run()) == fingerprint(report)
     with polling_loop():
+        assert fingerprint(run()) == fingerprint(report)
+    with chaos_oracle():
         assert fingerprint(run()) == fingerprint(report)
 
 
