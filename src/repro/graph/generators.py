@@ -20,6 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import GraphError
+from ..perf.unique import sorted_unique
+from ..perf.weighted import WeightedChoice
 from .build import from_edges
 
 __all__ = [
@@ -39,7 +41,7 @@ def power_law_weights(n, exponent, rng):
     over a random permutation of ranks, so high-weight vertices are spread
     across vertex ids (and therefore across communities).
     """
-    if exponent <= 1.0:
+    if not exponent > 1.0:  # nan too
         raise GraphError(f"power-law exponent must exceed 1, got {exponent}")
     ranks = rng.permutation(n) + 1.0
     return ranks ** (-1.0 / (exponent - 1.0))
@@ -59,7 +61,8 @@ def community_configuration_graph(num_vertices, num_edges, communities,
         ``2 * num_edges`` directed edges; duplicates and self-loops are
         dropped, so slightly fewer).
     communities:
-        ``int`` array of length ``n`` with community ids ``0..C-1``.
+        ``int`` array of length ``n`` with community ids (usually
+        ``0..C-1``; any integers work, drawn in ascending id order).
     weights:
         Positive sampling weights of length ``n``.
     mixing:
@@ -76,43 +79,68 @@ def community_configuration_graph(num_vertices, num_edges, communities,
         raise GraphError("communities/weights must have length num_vertices")
     if not 0.0 <= mixing <= 1.0:
         raise GraphError(f"mixing must be in [0, 1], got {mixing}")
+    if not np.isfinite(weights.sum()):  # nan, +-inf, or an overflowing sum
+        raise GraphError("weights must be finite")
     if np.any(weights <= 0):
         raise GraphError("weights must be positive")
     if m <= 0 or n <= 1:
         return from_edges([], [], n, symmetrize_edges=True)
 
-    probs = weights / weights.sum()
+    # Every distribution is tabled once (``WeightedChoice``) and drawn
+    # from in every round.  ``rank[v]`` is the position of ``v``'s
+    # community among the distinct community ids, ascending by value.
+    anywhere = WeightedChoice(weights / weights.sum())
+    _, rank, sizes = np.unique(communities, return_inverse=True,
+                               return_counts=True)
+    members_of = np.split(np.argsort(rank, kind="stable"),
+                          np.cumsum(sizes)[:-1])
+    within = [anywhere if len(members) < 2 else WeightedChoice(
+        weights[members] / weights[members].sum(), members)
+        for members in members_of]
 
     def draw_edges(count):
         """Draw ``count`` candidate edges honoring the mixing parameter."""
-        src = rng.choice(n, size=count, p=probs)
+        src = anywhere.draw(rng, count)
         dst = np.empty(count, dtype=np.int64)
         intra = rng.random(count) >= mixing
         n_inter = int((~intra).sum())
         if n_inter:
             # Inter-community (community-blind) destinations.
-            dst[~intra] = rng.choice(n, size=n_inter, p=probs)
-        if intra.any():
-            # Intra-community destinations: per-community weighted choice.
-            comm_of_src = communities[src]
-            for c in np.unique(comm_of_src[intra]):
-                members = np.flatnonzero(communities == c)
-                take = intra & (comm_of_src == c)
-                picks = int(take.sum())
-                if len(members) < 2:
-                    dst[take] = rng.choice(n, size=picks, p=probs)
-                    continue
-                local = weights[members]
-                dst[take] = members[rng.choice(
-                    len(members), size=picks, p=local / local.sum())]
+            dst[~intra] = anywhere.draw(rng, n_inter)
+        if n_inter < count:
+            # Intra-community destinations: per-community weighted draws,
+            # communities ascending, positions ascending within each.
+            # Positions are distinct, so one sort of packed
+            # ``(rank << width) | position`` keys is that stable order.
+            width = count.bit_length()
+            key = np.flatnonzero(intra)
+            key |= rank[src[key]] << width
+            key.sort()
+            at = key & ((1 << width) - 1)
+            key >>= width
+            bounds = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(),
+                      len(key)]
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                dst[at[lo:hi]] = within[key[lo]].draw(rng, hi - lo)
         return src, dst
 
+    shift = max(n - 1, 1).bit_length()
+
+    def distinct_pairs(src, dst):
+        """Sorted packed keys of the distinct undirected non-loop pairs:
+        half the edge count of the symmetrized, deduplicated graph."""
+        keep = src != dst
+        src, dst = src[keep], dst[keep]
+        return sorted_unique((np.minimum(src, dst) << shift)
+                             | np.maximum(src, dst))
+
     # Hubs collide often, so a single oversampled draw can fall well short
-    # of the target after dedup.  Top up until within 5% or out of rounds.
+    # of the target after dedup.  Top up until within 5% or out of rounds;
+    # the rounds count pairs, and the graph is built once, at the end.
     all_src, all_dst = draw_edges(int(m * 1.15) + 16)
-    graph = from_edges(all_src, all_dst, n, symmetrize_edges=True)
+    pairs = distinct_pairs(all_src, all_dst)
     for _round in range(4):
-        have = graph.num_edges // 2
+        have = len(pairs)
         if have >= 0.95 * m:
             break
         retention = max(have / max(len(all_src), 1), 0.05)
@@ -120,8 +148,16 @@ def community_configuration_graph(num_vertices, num_edges, communities,
             int((m - have) / retention) + 16)
         all_src = np.concatenate([all_src, extra_src])
         all_dst = np.concatenate([all_dst, extra_dst])
-        graph = from_edges(all_src, all_dst, n, symmetrize_edges=True)
-    return graph
+        pairs = sorted_unique(np.concatenate(
+            [pairs, distinct_pairs(extra_src, extra_dst)]))
+    return from_edges(all_src, all_dst, n, symmetrize_edges=True)
+
+
+def _edge_target(n, avg_degree):
+    """Undirected edge count for ``n`` vertices of ``avg_degree``."""
+    if not np.isfinite(avg_degree):
+        raise GraphError(f"avg_degree must be finite, got {avg_degree}")
+    return max(1, int(n * avg_degree / 2))
 
 
 def power_law_graph(num_vertices, avg_degree, rng, exponent=2.3,
@@ -132,7 +168,7 @@ def power_law_graph(num_vertices, avg_degree, rng, exponent=2.3,
     generated directed edge count is roughly ``num_vertices * avg_degree``.
     """
     n = int(num_vertices)
-    m = max(1, int(n * avg_degree / 2))
+    m = _edge_target(n, avg_degree)
     weights = power_law_weights(n, exponent, rng)
     communities = assign_communities(n, num_communities, rng)
     return community_configuration_graph(n, m, communities, weights,
@@ -148,7 +184,7 @@ def flat_graph(num_vertices, avg_degree, rng, num_communities=1,
     frequency and degree-based caching loses its edge.
     """
     n = int(num_vertices)
-    m = max(1, int(n * avg_degree / 2))
+    m = _edge_target(n, avg_degree)
     weights = 1.0 + weight_jitter * rng.random(n)
     communities = assign_communities(n, num_communities, rng)
     return community_configuration_graph(n, m, communities, weights,

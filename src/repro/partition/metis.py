@@ -57,7 +57,8 @@ __all__ = ["metis_partition", "MetisPartitioner", "metis_clusters"]
 
 def _weighted_adjacency(graph):
     """The graph as a symmetric weighted scipy CSR matrix (weight 1 per
-    edge, symmetrized so matching sees every neighbor)."""
+    edge, symmetrized so matching sees every neighbor), self-loops
+    dropped by a mask; every other entry keeps its place in its row."""
     if sp is None:
         raise PartitionError(
             "metis-style partitioning requires scipy; use the hash or "
@@ -68,9 +69,24 @@ def _weighted_adjacency(graph):
                          graph.indptr.astype(np.int64)), shape=(n, n))
     if not graph.is_symmetric:
         adj = adj.maximum(adj.T)
-    adj.setdiag(0)
-    adj.eliminate_zeros()
-    return adj
+    rows = np.repeat(np.arange(n, dtype=adj.indices.dtype),
+                     np.diff(adj.indptr))
+    loop = adj.indices == rows
+    if not loop.any():
+        return adj
+    if (np.diff(rows[loop]) == 0).any():
+        # A row holding its self-loop twice (a symmetrized multigraph)
+        # has always had every duplicate entry summed first: the
+        # weights matching sees are that merge's.
+        adj.sum_duplicates()
+        rows = np.repeat(np.arange(n, dtype=adj.indices.dtype),
+                         np.diff(adj.indptr))
+        loop = adj.indices == rows
+    keep = ~loop
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[keep], minlength=n), out=indptr[1:])
+    return sp.csr_matrix((adj.data[keep], adj.indices[keep], indptr),
+                         shape=(n, n))
 
 
 def _heavy_edge_matching(adj, rng):
@@ -123,23 +139,23 @@ def _contract(adj, weights, cmap, num_coarse):
     """Contract matched pairs: sum adjacency weights and constraint rows.
 
     Fine edges map through ``cmap``; edges inside a pair drop out, and
-    one sort of packed ``(row << shift) | col`` keys groups the rest
-    into canonical coarse rows, each key run's weights summed.  The
-    weights are sums of unit edges, so every sum is exact in any order.
+    one sort of packed ``(row << shift) | col`` keys, each repeated by
+    its weight, groups the rest into canonical coarse rows.  The weights
+    are sums of unit edges, so a run's length is its exact weight sum.
     """
     shift = max(num_coarse - 1, 1).bit_length()
-    # Built in place and filtered by rebinding: at most three arrays of
-    # the level's size are alive at once.
     key = np.repeat(cmap << shift, np.diff(adj.indptr))
     key |= cmap[adj.indices]
     cross = (key >> shift) != (key & ((1 << shift) - 1))
-    key = key[cross]
-    order = key.argsort()
-    key = key[order]
+    # Each key repeated by its (integer) weight, so one in-place sort
+    # groups the coarse pairs and each run's length is its summed
+    # weight.
+    key = np.repeat(key[cross], adj.data[cross].astype(np.int64))
+    key.sort()
     fresh = np.ones(len(key), dtype=bool)
     np.not_equal(key[1:], key[:-1], out=fresh[1:])
     starts = np.flatnonzero(fresh)
-    data = np.add.reduceat(adj.data[cross][order], starts)
+    data = np.diff(starts, append=len(key)).astype(np.float64)
     indptr, indices = packed_csr(key[starts], num_coarse, shift)
     coarse = sp.csr_matrix((data, indices, indptr),
                            shape=(num_coarse, num_coarse))
@@ -231,12 +247,8 @@ class _Level:
         """Which of ``rows`` (an index array) are tied more heavily to
         some other part than to their own — the only vertices a
         positive-gain move exists for."""
-        reach = self.conn[rows]
-        own = self.assignment[rows]
-        lanes = np.arange(len(rows))
-        home = reach[lanes, own]
-        reach[lanes, own] = -np.inf
-        return reach.max(axis=1) > home
+        conn = self.conn
+        return conn[rows].max(axis=1) > conn[rows, self.assignment[rows]]
 
     def move(self, v, target):
         """Reassign ``v`` to ``target``; returns the neighbors whose
@@ -336,7 +348,7 @@ def metis_partition(graph, num_parts, constraints=None, rng=None,
     num_parts:
         Number of parts ``k``.
     constraints:
-        ``(n, c)`` non-negative weight matrix to balance.  A unit
+        ``(n, c)`` finite non-negative weight matrix to balance.  A unit
         vertex-count column is always prepended, so ``None`` balances
         vertex counts only.
     rng:
@@ -363,9 +375,10 @@ def metis_partition(graph, num_parts, constraints=None, rng=None,
         constraints = np.asarray(constraints, dtype=np.float64)
         if constraints.ndim == 1:
             constraints = constraints[:, None]
-        if constraints.shape[0] != n or np.any(constraints < 0):
+        if (constraints.shape[0] != n or np.any(constraints < 0)
+                or not np.isfinite(constraints).all()):
             raise PartitionError(
-                "constraints must be a non-negative (n, c) matrix")
+                "constraints must be a finite non-negative (n, c) matrix")
         weights = np.hstack([unit, constraints])
     if coarsen_to is None:
         coarsen_to = max(128, 16 * num_parts)

@@ -5,7 +5,7 @@ Everything here is about *real* wall time (the python hot paths), not
 the simulated cluster seconds of the cost model.  The layer measures
 the hot paths (:data:`PERF`), makes them fast without changing their
 math (:class:`Workspace`, :class:`EvalSubgraphCache`,
-:func:`sorted_unique`), and holds the two switches with a shipped
+:func:`sorted_unique`, :class:`WeightedChoice`), and holds the two switches with a shipped
 alternative (:data:`FLAGS`: kernel backend, sanitizers).  The slow
 paths the fast ones replaced are test oracles
 (``tests/sampling/_block_oracle.py``), not flags.
@@ -16,6 +16,7 @@ from .flags import FLAGS, PerfFlags, perf_overrides
 from .profiler import (PERF, StageProfiler, percentile, summarize,
                        wall_clock)
 from .unique import sorted_unique
+from .weighted import WeightedChoice
 from .workspace import Workspace, get_workspace
 
 __all__ = [
@@ -23,5 +24,5 @@ __all__ = [
     "FLAGS", "PerfFlags", "perf_overrides",
     "Workspace", "get_workspace",
     "EvalSubgraphCache",
-    "sorted_unique",
+    "sorted_unique", "WeightedChoice",
 ]

@@ -19,6 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import ServingError
+from ..perf.weighted import WeightedChoice
 
 __all__ = ["InferenceRequest", "InferenceResponse", "LoadGenerator"]
 
@@ -120,8 +121,8 @@ class LoadGenerator:
             ranks = np.arange(1, len(shuffled) + 1, dtype=np.float64)
             weights = ranks ** -self.skew
             weights /= weights.sum()
-            vertices = rng.choice(shuffled, size=self.num_requests,
-                                  p=weights)
+            vertices = WeightedChoice(weights, shuffled).draw(
+                rng, self.num_requests)
         else:
             vertices = rng.choice(self.population,
                                   size=self.num_requests)

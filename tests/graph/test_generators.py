@@ -7,7 +7,8 @@ from repro.errors import GraphError
 from repro.graph import (degree_gini, erdos_renyi_graph, flat_graph,
                          planted_partition_graph, power_law_graph,
                          power_law_weights)
-from repro.graph.generators import assign_communities
+from repro.graph.generators import (assign_communities,
+                                    community_configuration_graph)
 
 
 class TestPowerLawGraph:
@@ -88,6 +89,33 @@ class TestCommunityStructure:
     def test_zero_communities_raises(self):
         with pytest.raises(GraphError):
             assign_communities(10, 0, np.random.default_rng(0))
+
+
+class TestNonFiniteInputs:
+    """Each used to surface as numpy's ``ValueError`` (``Probabilities
+    contain NaN``) or as ``ValueError`` / ``OverflowError`` from
+    ``int()``, or — a nan exponent — not at all.  (A negative weight
+    was, and is, a ``GraphError`` of its own.)"""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_weights(self, bad):
+        weights = np.ones(50)
+        weights[7] = bad
+        with pytest.raises(GraphError, match="finite"):
+            community_configuration_graph(50, 100, np.zeros(50), weights,
+                                          0.2, np.random.default_rng(0))
+
+    def test_exponent(self):
+        with pytest.raises(GraphError, match="exponent"):
+            power_law_weights(10, np.nan, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("make", [power_law_graph, flat_graph],
+                             ids=["power-law", "flat"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_avg_degree(self, make, bad):
+        with pytest.raises(GraphError, match="avg_degree"):
+            make(100, bad, np.random.default_rng(0))
 
 
 class TestDeterminism:

@@ -14,14 +14,41 @@ coarse level was built from one sort of packed ``(row << shift) | col``
 keys: ``tocoo`` → ``csr_matrix((data, (row, col)))`` (which sums
 duplicates) → ``setdiag(0)`` → ``eliminate_zeros``.  It defines the
 coarse ``indptr`` / ``indices`` / ``data`` the shipped one must return.
+
+``_weighted_adjacency`` is the level-0 adjacency shipped before the
+diagonal was dropped with a mask: ``setdiag(0)`` (scipy's insert or
+COO round-trip path on a graph without self-loops, and a
+``sum_duplicates`` first when a row holds its self-loop twice) then
+``eliminate_zeros``.  It defines the ``indptr`` / ``indices`` / ``data``
+the shipped one must return.
 """
 
 import numpy as np
+
+from repro.errors import PartitionError
 
 try:
     import scipy.sparse as sp
 except ImportError:  # pragma: no cover - the scipy cases skip themselves
     sp = None
+
+
+def _weighted_adjacency(graph):
+    """The graph as a symmetric weighted scipy CSR matrix (weight 1 per
+    edge, symmetrized so matching sees every neighbor)."""
+    if sp is None:
+        raise PartitionError(
+            "metis-style partitioning requires scipy; use the hash or "
+            "range partitioner instead")
+    n = graph.num_vertices
+    data = np.ones(graph.num_edges, dtype=np.float64)
+    adj = sp.csr_matrix((data, graph.indices.astype(np.int32),
+                         graph.indptr.astype(np.int64)), shape=(n, n))
+    if not graph.is_symmetric:
+        adj = adj.maximum(adj.T)
+    adj.setdiag(0)
+    adj.eliminate_zeros()
+    return adj
 
 
 def _contract(adj, weights, cmap, num_coarse):

@@ -65,6 +65,16 @@ class TestMetisPartition:
             metis_partition(graph, 2,
                             constraints=-np.ones(graph.num_vertices))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_constraints(self, community_graph, bad):
+        """A nan column weight used to slip past the ``< 0`` check and
+        skew the parts (107/31/31/31 at n=200, k=4); inf was accepted."""
+        graph, _ = community_graph
+        constraints = np.ones((graph.num_vertices, 2))
+        constraints[17, 1] = bad
+        with pytest.raises(PartitionError, match="finite"):
+            metis_partition(graph, 4, constraints=constraints)
+
     def test_every_vertex_assigned(self, community_graph):
         graph, _ = community_graph
         assignment = metis_partition(graph, 3,

@@ -1,7 +1,8 @@
 """Differential test: table-driven METIS against the loops it replaced.
 
-``_metis_oracle.py`` holds the old ``_heavy_edge_matching``, ``_refine``
-and ``_balance_pass`` verbatim.  On generated graphs the shipped
+``_metis_oracle.py`` holds the old ``_weighted_adjacency``,
+``_contract``, ``_heavy_edge_matching``, ``_refine`` and
+``_balance_pass`` verbatim.  On generated graphs the shipped
 partitioner must return the same assignment *and* leave the generator
 in the same state (so every ``permutation`` / ``choice`` was drawn at
 the same point with the same arguments), and after every ``_refine``
@@ -13,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.graph import from_edges, planted_partition_graph, power_law_graph
@@ -40,7 +41,10 @@ def _oracle_refine(level, caps, rng, passes):
 def _oracle_partition(graph, k, **kwargs):
     with mock.patch.object(metis, "_refine", _oracle_refine), \
             mock.patch.object(metis, "_heavy_edge_matching",
-                              oracle._heavy_edge_matching):
+                              oracle._heavy_edge_matching), \
+            mock.patch.object(metis, "_weighted_adjacency",
+                              oracle._weighted_adjacency), \
+            mock.patch.object(metis, "_contract", oracle._contract):
         return metis_partition(graph, k, **kwargs)
 
 
@@ -99,6 +103,19 @@ def _directed_graph(n, degree, rng):
     return from_edges(rng.integers(0, n, m), rng.integers(0, n, m), n)
 
 
+def _looped_multigraph(n, degree, rng):
+    """Symmetric, every edge twice, a self-loop on every fifth vertex:
+    rows hold their self-loop twice, so the old ``setdiag`` summed every
+    duplicate before dropping the diagonal."""
+    m = n * degree
+    src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
+    loops = np.arange(0, n, 5)
+    return from_edges(np.tile(np.concatenate([src, loops]), 2),
+                      np.tile(np.concatenate([dst, loops]), 2), n,
+                      symmetrize_edges=True, dedup=False,
+                      drop_self_loops=False)
+
+
 GRAPH_KINDS = {
     "power-law": lambda n, d, rng: power_law_graph(
         n, d, rng, num_communities=4)[0],
@@ -106,6 +123,7 @@ GRAPH_KINDS = {
         n, 4, d, rng, mixing=0.1)[0],
     "disconnected": _disconnected_graph,
     "directed": _directed_graph,
+    "looped-multigraph": _looped_multigraph,
 }
 
 
@@ -303,3 +321,75 @@ class TestContractMatchesOracle:
         pair = from_edges([0], [1], 2, symmetrize_edges=True)
         _assert_same_contraction(_weighted_adjacency(pair), np.ones((2, 1)),
                                  np.zeros(2, dtype=np.int64), 1)
+
+
+# ----------------------------------------------------------------------
+# _weighted_adjacency on its own: a diagonal mask vs setdiag(0)
+# ----------------------------------------------------------------------
+def _assert_same_adjacency(graph):
+    got = _weighted_adjacency(graph)
+    want = oracle._weighted_adjacency(graph)
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        mine, theirs = getattr(got, name), getattr(want, name)
+        assert mine.dtype == theirs.dtype, name
+        np.testing.assert_array_equal(mine, theirs, err_msg=name)
+
+
+@st.composite
+def loopy_graphs(draw):
+    """Graphs built every way ``from_edges`` allows: self-loops kept or
+    dropped, multigraphs, directed, isolated vertices, ``n`` of 0 and 1;
+    ids lean on ``0`` and ``n - 1`` so loops and duplicates are common."""
+    n = draw(st.one_of(st.integers(0, 12), st.integers(13, 300)))
+    if n == 0:
+        src = dst = np.zeros(0, dtype=np.int64)
+    else:
+        ids = st.one_of(st.just(0), st.just(n - 1), st.integers(0, n - 1))
+        pairs = draw(st.lists(st.tuples(ids, ids), max_size=200))
+        src = np.array([a for a, _ in pairs], dtype=np.int64)
+        dst = np.array([b for _, b in pairs], dtype=np.int64)
+    return from_edges(src, dst, n, symmetrize_edges=draw(st.booleans()),
+                      dedup=draw(st.booleans()),
+                      drop_self_loops=draw(st.booleans()))
+
+
+def _everything_with_loops(n, looped, directed=False):
+    """Every off-diagonal pair once, plus self-loops on ``looped``."""
+    src, dst = np.divmod(np.arange(n * n), n)
+    off = src != dst
+    src = np.concatenate([src[off], looped])
+    dst = np.concatenate([dst[off], looped])
+    return from_edges(src, dst, n, symmetrize_edges=not directed,
+                      drop_self_loops=False)
+
+
+class TestAdjacencyMatchesOracle:
+    @given(graph=loopy_graphs())
+    @settings(max_examples=150, deadline=None)
+    @example(graph=from_edges([], [], 0))
+    @example(graph=from_edges([], [], 1))
+    @example(graph=from_edges([0], [0], 1, drop_self_loops=False))
+    @example(graph=from_edges([0, 0, 1], [0, 0, 2], 4, symmetrize_edges=True,
+                              dedup=False, drop_self_loops=False))
+    def test_generated_graphs(self, graph):
+        _assert_same_adjacency(graph)
+
+    @pytest.mark.parametrize("looped, directed", [
+        (np.arange(40), False),       # every diagonal present: in place
+        (np.arange(39), False),       # one missing in 1.6 k: insert path
+        (np.arange(39), True),        # the same through ``maximum``
+        (np.arange(0, 40, 3), False),  # many missing: COO round trip
+    ], ids=["all-present", "insert", "insert-directed", "coo"])
+    def test_every_setdiag_path(self, looped, directed):
+        """scipy's ``setdiag`` writes present diagonals in place, inserts
+        missing ones below 0.1 % of nnz, and round-trips through COO
+        above; a 40-vertex complete graph puts each case in reach."""
+        _assert_same_adjacency(_everything_with_loops(40, looped, directed))
+
+    def test_multigraph_rows_holding_their_loop_twice(self):
+        graph = _looped_multigraph(200, 6, np.random.default_rng(6))
+        adj = _weighted_adjacency(graph)
+        assert adj.has_canonical_format and adj.data.max() > 1, \
+            "duplicates were not summed"
+        _assert_same_adjacency(graph)
