@@ -124,9 +124,11 @@ class FleetEngine:
         straggler/slowlink windows scale dispatch service times.
     recovery:
         Optional :class:`~repro.fleet.resilience.ReplicaRecovery` (or
-        a directory path): snapshots every replica's cache on a
-        cadence; a crash then cold-starts the cache and recovery
-        re-warms it from the newest valid snapshot.
+        a directory path): snapshots every live replica's cache on a
+        cadence, one commit per round; a crash then cold-starts the
+        cache and recovery re-warms it from the newest valid round.
+        Its rounds and counters belong to one run: every
+        :meth:`run` starts it afresh.
     replication:
         Optional redundancy factor ``k``: the partition is extended via
         :func:`~repro.partition.replication.k_redundant_replication`
@@ -375,6 +377,7 @@ class _FleetRun:
         for time, replica_id, down in engine.schedule.crashes:
             self.loop.schedule(time, FAULT, "crash", (replica_id, down))
         if self.recovery is not None:
+            self.recovery.reset()
             self.loop.schedule(self.recovery.snapshot_interval, FAULT,
                                "snapshot")
 
@@ -463,7 +466,7 @@ class _FleetRun:
         self.detector.heartbeat(replica_id, self.loop.clock)
 
     def rewarm(self, replica_id):
-        """Re-warm the cold cache from the newest valid snapshot (falls
+        """Re-warm the cold cache from the newest valid round (falls
         back to the previous one if the last save was torn)."""
         self.recovery.restore(self.replicas[replica_id])
 
@@ -473,7 +476,7 @@ class _FleetRun:
 
     def trip_breaker(self, replica_id):
         if not self.replicas[replica_id].alive:
-            self.breakers[replica_id].trip(self.loop.clock)
+            self.router.trip(replica_id, self.loop.clock)
 
     def on_dead(self, replica_id):
         if not self.replicas[replica_id].alive:
@@ -484,9 +487,8 @@ class _FleetRun:
             self.autoscaler.replace(self.loop.clock, replica_id)
 
     def on_snapshot(self, _):
-        for replica in self.replicas:
-            if replica.alive:
-                self.recovery.save(replica, self.loop.clock)
+        self.recovery.save(*(r for r in self.replicas if r.alive),
+                           clock=self.loop.clock)
         if not self.loop.draining:
             self.loop.schedule(
                 self.loop.clock + self.recovery.snapshot_interval,

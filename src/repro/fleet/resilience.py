@@ -41,11 +41,12 @@ configured** (the engine's baseline path stays bit-identical):
 :class:`ReplicaRecovery`
     Deterministic crash recovery built on the hardened
     :class:`~repro.faults.Checkpointer`: the engine snapshots every
-    replica's :class:`~repro.transfer.tiered.TieredCache` residency on
-    a fixed cadence, a crash cold-starts the cache, and the recovering
-    node restores the last committed snapshot
+    live replica's :class:`~repro.transfer.tiered.TieredCache`
+    residency on a fixed cadence, one commit per round, a crash
+    cold-starts the cache, and the recovering node restores its state
+    from the last committed round
     (:meth:`~repro.faults.Checkpointer.load_latest` falls back to the
-    previous generation if the newest save was torn).
+    previous round if the newest save was torn).
 
 :class:`FleetSchedule`
     The fleet-side consumer of the shared fault grammar
@@ -59,6 +60,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
+from pathlib import Path
 
 from ..errors import CheckpointError, FaultError, FleetError
 from ..faults.checkpoint import Checkpointer
@@ -69,6 +72,14 @@ __all__ = ["DetectorPolicy", "FailureDetector", "BreakerPolicy",
            "ReplicaRecovery", "FleetSchedule"]
 
 _LN10 = math.log(10.0)
+
+
+def _check_count(name, value):
+    """A count knob must be an integer >= 1: ``nan`` and ``1.5`` pass
+    a bare ``value < 1`` test, and then a breaker never closes or
+    hedging arms with no latency on record."""
+    if not isinstance(value, Integral) or value < 1:
+        raise FleetError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 # ----------------------------------------------------------------------
@@ -96,9 +107,11 @@ class DetectorPolicy:
     dead_phi: float = 4.0
 
     def __post_init__(self):
-        if not self.heartbeat_interval > 0:
+        # An infinite interval makes the suspect/dead instants
+        # ``0 * inf`` = NaN, which the event heap cannot order.
+        if not 0 < self.heartbeat_interval < math.inf:
             raise FleetError(
-                f"heartbeat_interval must be > 0, got "
+                f"heartbeat_interval must be finite and > 0, got "
                 f"{self.heartbeat_interval}")
         if not self.suspect_phi > 0:
             raise FleetError(
@@ -194,10 +207,7 @@ class BreakerPolicy:
         if not self.reset_timeout > 0:
             raise FleetError(
                 f"reset_timeout must be > 0, got {self.reset_timeout}")
-        if self.half_open_successes < 1:
-            raise FleetError(
-                f"half_open_successes must be >= 1, got "
-                f"{self.half_open_successes}")
+        _check_count("half_open_successes", self.half_open_successes)
 
 
 class CircuitBreaker:
@@ -277,10 +287,7 @@ class HedgePolicy:
         if not self.min_delay > 0:
             raise FleetError(
                 f"min_delay must be > 0, got {self.min_delay}")
-        if self.min_observations < 1:
-            raise FleetError(
-                f"min_observations must be >= 1, got "
-                f"{self.min_observations}")
+        _check_count("min_observations", self.min_observations)
 
 
 @dataclass(frozen=True)
@@ -315,65 +322,78 @@ class ReplicaRecovery:
     Parameters
     ----------
     root:
-        Directory for the per-replica checkpoint files
+        Directory for the round checkpoint (``rounds.ckpt`` and the
+        :class:`~repro.faults.Checkpointer`'s sidecar and ``.prev``
+        pair).
     snapshot_interval:
         Simulated seconds between fleet-wide cache snapshots.
 
-    The engine drives it: :meth:`save` on the snapshot cadence,
-    :meth:`restore` when a crashed replica rejoins.  Restoration uses
-    :meth:`~repro.faults.Checkpointer.load_latest`, so a snapshot torn
-    by the crash itself falls back to the previous committed one —
-    the recovered cache state is always a residency the replica
-    actually had, making the post-recovery hit/miss sequence
-    deterministic.
+    The engine drives it: :meth:`reset` when a run starts, :meth:`save`
+    with every live replica on the snapshot cadence, :meth:`restore`
+    when a crashed replica rejoins.  A snapshot *round* is one commit
+    holding every replica's newest state: the live replicas' fresh
+    ones and, for a replica that is down, the last state collected
+    while it was up.  Restoration reads the replica's entry from
+    :meth:`~repro.faults.Checkpointer.load_latest`, so a round torn by
+    the crash itself falls back to the previous committed round — the
+    recovered cache state is always a residency the replica actually
+    had, making the post-recovery hit/miss sequence deterministic.
     """
 
     def __init__(self, root, snapshot_interval=2e-3):
-        from pathlib import Path
         if not snapshot_interval > 0:
             raise FleetError(
                 f"snapshot_interval must be > 0, got "
                 f"{snapshot_interval}")
         self.root = Path(root)
         self.snapshot_interval = float(snapshot_interval)
-        self._checkpointers = {}
+        self._checkpointer = Checkpointer(self.root / "rounds.ckpt")
+        self.reset()
+
+    def reset(self):
+        """Start a run: zero the counters and forget every round, so a
+        crash before the run's first snapshot cold-starts."""
+        self._checkpointer.delete()
+        self._states = {}        # replica id -> last collected state
         self.snapshots = 0
         self.recoveries = 0
         self.cold_recoveries = 0
 
-    def _checkpointer(self, replica_id):
-        if replica_id not in self._checkpointers:
-            self._checkpointers[replica_id] = Checkpointer(
-                self.root / f"replica-{replica_id}.ckpt")
-        return self._checkpointers[replica_id]
-
-    def save(self, replica, clock):
-        """Snapshot ``replica``'s cache residency at ``clock``; a no-op
-        for replicas without a cache."""
-        cache = replica.executor.cache
-        if cache is None:
-            return False
-        self._checkpointer(replica.replica_id).save({
-            "clock": float(clock),
-            "replica": replica.replica_id,
-            "cache": cache.snapshot(),
-        })
-        self.snapshots += 1
-        return True
+    def save(self, *replicas, clock):
+        """Snapshot the cache residency of every one of ``replicas``
+        that has a cache at ``clock`` and commit them, with the
+        carried states of every other replica, as one round; returns
+        how many states were collected (no round without one)."""
+        states = self._states
+        collected = 0
+        for replica in replicas:
+            cache = replica.executor.cache
+            if cache is not None:
+                states[replica.replica_id] = cache.snapshot()
+                collected += 1
+        if collected:
+            self._checkpointer.save({"clock": float(clock),
+                                     "caches": states})
+            self.snapshots += collected
+        return collected
 
     def restore(self, replica):
-        """Re-warm ``replica``'s cache from its newest valid snapshot;
-        returns whether a snapshot was applied (False = cold start)."""
+        """Re-warm ``replica``'s cache from its entry in the newest
+        valid round; returns whether a snapshot was applied (False =
+        cold start)."""
         cache = replica.executor.cache
         if cache is None:
             return False
         self.recoveries += 1
         try:
-            state = self._checkpointer(replica.replica_id).load_latest()
+            caches = self._checkpointer.load_latest()["caches"]
         except CheckpointError:
+            caches = {}
+        state = caches.get(replica.replica_id)
+        if state is None:
             self.cold_recoveries += 1
             return False
-        cache.restore(state["cache"])
+        cache.restore(state)
         return True
 
 

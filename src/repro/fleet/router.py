@@ -30,9 +30,11 @@ fixed; only the *active replica set* changes.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 
-from ..errors import FleetError
+from ..errors import FleetError, SanitizerError
+from ..perf import FLAGS
 
 __all__ = ["RoutingPolicy", "Router", "AutoscalePolicy", "Autoscaler"]
 
@@ -80,6 +82,12 @@ class Router:
     policy:
         A :class:`RoutingPolicy`; default is owner-first with no
         spillover.
+    breakers:
+        Optional per-replica
+        :class:`~repro.fleet.resilience.CircuitBreaker` list.  The
+        router owns the ids of the open ones: breakers are tripped
+        through :meth:`trip`, and every :meth:`~CircuitBreaker.allows`
+        that lapses one to half-open is asked here.
     """
 
     def __init__(self, shards, replicas, policy=None, breakers=None):
@@ -91,10 +99,26 @@ class Router:
         self.replicas = list(replicas)
         self.policy = policy or RoutingPolicy()
         self.breakers = breakers
+        self._open = []          # ids of the open breakers, ascending
+        self._sanitize = FLAGS.sanitize
         self._replicated = getattr(shards, "replicated", False)
         self.spillovers = 0
         self.failovers = 0
         self.backup_routed = 0
+
+    def trip(self, replica_id, now):
+        """Open ``replica_id``'s breaker (the detector suspects it)."""
+        self.breakers[replica_id].trip(now)
+        if replica_id not in self._open:
+            insort(self._open, replica_id)
+
+    def _lapses(self, replica_id, now):
+        """Ask the open breaker of ``replica_id``; whether it lapsed
+        into half-open (and left the open set)."""
+        if self.breakers[replica_id].allows(now):
+            self._open.remove(replica_id)
+            return True
+        return False
 
     def _admits(self, replica, now):
         """Accepting, and (when circuit breakers are wired in) the
@@ -103,10 +127,18 @@ class Router:
         ``True`` without side effect otherwise)."""
         if not replica.accepting:
             return False
-        if self.breakers is None:
-            return True
-        breaker = self.breakers[replica.replica_id]
-        return breaker.state != "open" or breaker.allows(now)
+        rid = replica.replica_id
+        return rid not in self._open or self._lapses(rid, now)
+
+    def _check_open(self):
+        """Sanitizer: the open set must be what the breakers say."""
+        derived = [rid for rid, breaker in enumerate(self.breakers)
+                   if breaker.state == "open"]
+        if derived != self._open:
+            raise SanitizerError(
+                f"router holds open breakers {self._open} but the "
+                f"breakers say {derived}; a breaker was tripped or "
+                f"lapsed outside Router.trip / Router._admits")
 
     def _candidates(self, now):
         return [r for r in self.replicas if self._admits(r, now)]
@@ -147,20 +179,25 @@ class Router:
         into half-open, so *when* it is polled is part of the run.  A
         closed or half-open breaker's answer has no side effect, and a
         replica that is not accepting was never asked (its breaker must
-        not lapse while it is down), so neither is polled.  (A second
-        poll at the same ``now`` returns the same answer and changes
-        nothing.)"""
+        not lapse while it is down), so neither is polled; with no
+        breaker open, none is asked.  (A second poll at the same
+        ``now`` returns the same answer and changes nothing.)  Under
+        ``FLAGS.sanitize`` the open set is re-derived from the
+        breakers first."""
         vertex = request.vertex
         owner = self.replicas[self.shards.owner(vertex)]
-        breakers = self.breakers
-        if breakers is None:
+        if self.breakers is None:
             owner_admits = owner.accepting
         else:
-            for replica, breaker in zip(self.replicas, breakers):
-                if breaker.state == "open" and replica.accepting:
-                    breaker.allows(now)
+            if self._sanitize:
+                self._check_open()
+            opened = self._open
+            if opened:
+                for rid in tuple(opened):
+                    if self.replicas[rid].accepting:
+                        self._lapses(rid, now)
             owner_admits = owner.accepting \
-                and breakers[owner.replica_id].state != "open"
+                and owner.replica_id not in opened
 
         if owner_admits:
             threshold = self.policy.spill_threshold

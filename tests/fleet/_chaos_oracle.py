@@ -7,11 +7,17 @@ every request, ``_FleetRun.defer_responses`` pushed one ``response``
 event per response, ``_FleetRun.on_admit_hedged`` recomputed the hedge
 delay (a percentile of every latency so far) on every first copy, and
 ``ShardMap.holders`` / ``backups`` ran ``flatnonzero`` over the replica
-matrix on every spill and failover.  The shipped code polls only open
-breakers of accepting replicas, lands a batch's responses as one event,
-reuses the hedge delay until a latency is added, and memoizes each
-vertex's backups; what it must reproduce is this code, run for run:
-every response, every report field, every ``resilience`` counter.
+matrix on every spill and failover.  Until snapshot rounds committed
+once, ``ReplicaRecovery`` kept one checkpoint file per replica, saved
+each live replica on its own and restored a replica from its own file
+(``_replica_checkpointer`` is the old ``_checkpointer`` method, renamed
+because the shipped class holds its round ``Checkpointer`` under that
+name), and breakers were tripped directly.  The shipped code polls only
+the open breakers the router tracks, lands a batch's responses as one
+event, reuses the hedge delay until a latency is added, memoizes each
+vertex's backups and commits one round file per snapshot event; what it
+must reproduce is this code, run for run: every response, every report
+field, every ``resilience`` counter.
 ``tests/serve/test_loop_invariants.py`` compares the two over generated
 ``FleetEngine`` configurations.  Do not "fix" or speed up anything
 here.
@@ -26,10 +32,13 @@ import numpy as np
 import pytest
 
 from repro.errors import FleetError
+from repro.errors import CheckpointError
+from repro.faults.checkpoint import Checkpointer
 from repro.fleet.engine import FleetEngine, _FleetRun
+from repro.fleet.resilience import ReplicaRecovery
 from repro.fleet.router import Router
 from repro.fleet.shards import ShardMap
-from repro.serve.loop import RESPONSE, TIMER
+from repro.serve.loop import FAULT, RESPONSE, TIMER
 
 
 # -- Router ------------------------------------------------------------
@@ -96,7 +105,63 @@ def route(self, request, now=0.0):
     return chosen, False
 
 
+# -- ReplicaRecovery --------------------------------------------------
+def _replica_checkpointer(self, replica_id):
+    checkpointers = self.__dict__.setdefault("_checkpointers", {})
+    if replica_id not in checkpointers:
+        checkpointers[replica_id] = Checkpointer(
+            self.root / f"replica-{replica_id}.ckpt")
+    return checkpointers[replica_id]
+
+
+def save(self, replica, clock):
+    """Snapshot ``replica``'s cache residency at ``clock``; a no-op
+    for replicas without a cache."""
+    cache = replica.executor.cache
+    if cache is None:
+        return False
+    self._replica_checkpointer(replica.replica_id).save({
+        "clock": float(clock),
+        "replica": replica.replica_id,
+        "cache": cache.snapshot(),
+    })
+    self.snapshots += 1
+    return True
+
+
+def restore(self, replica):
+    """Re-warm ``replica``'s cache from its newest valid snapshot;
+    returns whether a snapshot was applied (False = cold start)."""
+    cache = replica.executor.cache
+    if cache is None:
+        return False
+    self.recoveries += 1
+    try:
+        state = self._replica_checkpointer(
+            replica.replica_id).load_latest()
+    except CheckpointError:
+        self.cold_recoveries += 1
+        return False
+    cache.restore(state["cache"])
+    return True
+
+
 # -- _FleetRun ---------------------------------------------------------
+def trip_breaker(self, replica_id):
+    if not self.replicas[replica_id].alive:
+        self.breakers[replica_id].trip(self.loop.clock)
+
+
+def on_snapshot(self, _):
+    for replica in self.replicas:
+        if replica.alive:
+            self.recovery.save(replica, self.loop.clock)
+    if not self.loop.draining:
+        self.loop.schedule(
+            self.loop.clock + self.recovery.snapshot_interval,
+            FAULT, "snapshot")
+
+
 def on_response(self, response):
     """The first copy back wins, a later twin is wasted work, and
     the winner cancels any copy still queued elsewhere."""
@@ -164,6 +229,10 @@ _PATCHES = (
     (Router, "_admits", _admits),
     (Router, "_backups", _backups),
     (Router, "route", route),
+    (ReplicaRecovery, "save", save),
+    (ReplicaRecovery, "restore", restore),
+    (_FleetRun, "trip_breaker", trip_breaker),
+    (_FleetRun, "on_snapshot", on_snapshot),
     (_FleetRun, "on_response", on_response),
     (_FleetRun, "on_admit_hedged", on_admit_hedged),
     (_FleetRun, "defer_responses", defer_responses),
@@ -179,4 +248,6 @@ def chaos_oracle():
     with pytest.MonkeyPatch.context() as patch:
         for owner, name, function in _PATCHES:
             patch.setattr(owner, name, function)
+        patch.setattr(ReplicaRecovery, "_replica_checkpointer",
+                      _replica_checkpointer, raising=False)
         yield

@@ -205,6 +205,36 @@ class TestPolicyValidation:
         with pytest.raises(FleetError, match=field):
             build(tmp_path)
 
+    # ``heartbeat_interval=inf`` makes the suspect / dead instants
+    # ``0 * inf`` = NaN; a NaN or fractional count never equals the
+    # counter it is compared with (a breaker that never closes) or, as
+    # ``min_observations``, arms hedging on an empty latency list.
+    @pytest.mark.parametrize("field, build", [
+        ("heartbeat_interval",
+         lambda: DetectorPolicy(heartbeat_interval=math.inf)),
+        ("half_open_successes",
+         lambda: BreakerPolicy(half_open_successes=math.nan)),
+        ("half_open_successes",
+         lambda: BreakerPolicy(half_open_successes=1.5)),
+        ("min_observations",
+         lambda: HedgePolicy(min_observations=math.nan)),
+        ("min_observations",
+         lambda: HedgePolicy(min_observations=2.5)),
+    ], ids=["heartbeat_interval-inf", "half_open_successes-nan",
+            "half_open_successes-fraction", "min_observations-nan",
+            "min_observations-fraction"])
+    def test_infinite_interval_and_non_integer_count_rejected(
+            self, field, build):
+        with pytest.raises(FleetError, match=field):
+            build()
+
+    def test_infinite_delays_still_mean_never(self):
+        assert HedgePolicy(min_delay=math.inf).min_delay == math.inf
+        assert BreakerPolicy(reset_timeout=math.inf).reset_timeout \
+            == math.inf
+        assert BreakerPolicy(half_open_successes=np.int64(3)) \
+            .half_open_successes == 3
+
     def test_members_default_on_and_none_disables(self):
         policy = ResiliencePolicy()
         assert policy.detector is not None
@@ -306,6 +336,25 @@ def _warmed_cache(num_vertices=32, lookups=3):
     return cache
 
 
+def _assert_same_state(state, reference):
+    assert state.keys() == reference.keys()
+    for key, value in reference.items():
+        assert np.array_equal(state[key], value), key
+
+
+def _count_commits(monkeypatch):
+    """Record the path of every ``Checkpointer.save``."""
+    from repro.faults import Checkpointer
+    commits = []
+    save = Checkpointer.save
+
+    def counted(self, state):
+        commits.append(self.path)
+        return save(self, state)
+    monkeypatch.setattr(Checkpointer, "save", counted)
+    return commits
+
+
 class TestReplicaRecovery:
     def test_round_trip_restores_residency(self, tmp_path):
         recovery = ReplicaRecovery(tmp_path)
@@ -339,12 +388,98 @@ class TestReplicaRecovery:
         assert not recovery.restore(replica)
         assert recovery.snapshots == 0
 
-    def test_per_replica_files_are_separate(self, tmp_path):
+    def test_one_round_file_holds_every_replica(self, tmp_path,
+                                                monkeypatch):
+        commits = _count_commits(monkeypatch)
         recovery = ReplicaRecovery(tmp_path)
-        recovery.save(_stub_replica(0, _warmed_cache()), clock=0.0)
-        recovery.save(_stub_replica(1, _warmed_cache()), clock=0.0)
-        assert (tmp_path / "replica-0.ckpt").exists()
-        assert (tmp_path / "replica-1.ckpt").exists()
+        caches = [_warmed_cache(lookups=1), _warmed_cache(lookups=3)]
+        references = [cache.snapshot() for cache in caches]
+        assert recovery.save(_stub_replica(0, caches[0]),
+                             _stub_replica(1, caches[1]),
+                             clock=0.001) == 2
+        assert commits == [tmp_path / "rounds.ckpt"]
+        assert recovery.snapshots == 2
+        assert sorted(path.name for path in tmp_path.iterdir()) \
+            == ["rounds.ckpt", "rounds.ckpt.sha256"]
+        for replica_id, cache in enumerate(caches):
+            cache.evict_all()
+            assert recovery.restore(_stub_replica(replica_id, cache))
+            _assert_same_state(cache.snapshot(), references[replica_id])
+
+    def test_down_replica_restores_its_last_live_state(self, tmp_path):
+        recovery = ReplicaRecovery(tmp_path)
+        up, down = _warmed_cache(lookups=1), _warmed_cache(lookups=2)
+        recovery.save(_stub_replica(0, up), _stub_replica(1, down),
+                      clock=0.001)
+        last_live = down.snapshot()
+        # Replica 1 is down for the next two rounds: not collected, so
+        # nothing its cache does meanwhile reaches a round.
+        down.lookup(np.arange(8, 16))
+        for clock in (0.002, 0.003):
+            up.lookup(np.arange(4, 12))
+            assert recovery.save(_stub_replica(0, up), clock=clock) == 1
+        newest = up.snapshot()
+        assert recovery.snapshots == 4
+        down.evict_all()
+        assert recovery.restore(_stub_replica(1, down))
+        _assert_same_state(down.snapshot(), last_live)
+        up.evict_all()
+        assert recovery.restore(_stub_replica(0, up))
+        _assert_same_state(up.snapshot(), newest)
+
+    @pytest.mark.parametrize("tear", ["truncated-payload",
+                                      "missing-sidecar"])
+    def test_torn_newest_round_falls_back_for_every_replica(
+            self, tmp_path, tear):
+        recovery = ReplicaRecovery(tmp_path)
+        caches = [_warmed_cache(lookups=1), _warmed_cache(lookups=2)]
+        replicas = [_stub_replica(i, c) for i, c in enumerate(caches)]
+        recovery.save(*replicas, clock=0.001)
+        previous = [cache.snapshot() for cache in caches]
+        for cache in caches:
+            cache.lookup(np.arange(8, 24))
+        recovery.save(*replicas, clock=0.002)
+        newest = tmp_path / "rounds.ckpt"
+        if tear == "truncated-payload":
+            newest.write_bytes(newest.read_bytes()[:-7])
+        else:
+            (tmp_path / "rounds.ckpt.sha256").unlink()
+        for replica, reference in zip(replicas, previous):
+            replica.executor.cache.evict_all()
+            assert recovery.restore(replica)
+            _assert_same_state(replica.executor.cache.snapshot(),
+                               reference)
+        assert recovery.cold_recoveries == 0
+
+    def test_replica_without_cache_is_neither_collected_nor_counted(
+            self, tmp_path, monkeypatch):
+        commits = _count_commits(monkeypatch)
+        recovery = ReplicaRecovery(tmp_path)
+        bare = _stub_replica(1, None)
+        assert recovery.save(bare, clock=0.0) == 0
+        assert commits == [] and recovery.snapshots == 0
+        assert recovery.save(_stub_replica(0, _warmed_cache()), bare,
+                             clock=0.001) == 1
+        assert len(commits) == 1 and recovery.snapshots == 1
+        from repro.faults import Checkpointer
+        assert set(Checkpointer(tmp_path / "rounds.ckpt")
+                   .load_latest()["caches"]) == {0}
+        assert not recovery.restore(bare)
+        assert recovery.recoveries == 0
+
+    def test_reset_forgets_counters_and_rounds(self, tmp_path):
+        recovery = ReplicaRecovery(tmp_path)
+        cache = _warmed_cache()
+        replica = _stub_replica(0, cache)
+        recovery.save(replica, clock=0.001)
+        recovery.save(replica, clock=0.002)
+        assert recovery.restore(replica)
+        recovery.reset()
+        assert (recovery.snapshots, recovery.recoveries,
+                recovery.cold_recoveries) == (0, 0, 0)
+        assert list(tmp_path.iterdir()) == []
+        assert not recovery.restore(replica)
+        assert recovery.cold_recoveries == 1
 
     def test_snapshot_interval_validated(self, tmp_path):
         with pytest.raises(FleetError, match="snapshot_interval"):
@@ -387,6 +522,61 @@ class TestBaselineReduction:
             FleetEngine(data, model, partition="metis-v",
                         num_replicas=4, mode="precomputed",
                         embeddings=embeddings, replication=5)
+
+
+def _storm_engine(data, model, embeddings, trace, root, interval):
+    """Four replicas under a two-crash storm, recovery snapshots every
+    ``interval`` of the trace span."""
+    from repro.fleet.chaos import crash_storm
+    span = trace[-1].arrival
+    return FleetEngine(
+        data, model, partition="metis-v", num_replicas=4,
+        mode="precomputed", policy=POLICY, embeddings=embeddings,
+        cache_policy="lfu", cache_ratio=0.1, warm_ratio=0.1, seed=3,
+        routing=RoutingPolicy(spill_threshold=64),
+        schedule=crash_storm(4, start=0.25 * span, down=0.2 * span,
+                             count=2, spacing=0.05 * span),
+        replication=2, resilience=ResiliencePolicy(),
+        recovery=ReplicaRecovery(root,
+                                 snapshot_interval=interval * span))
+
+
+def _storm_run(data, model, embeddings, trace, root, interval):
+    return _storm_engine(data, model, embeddings, trace, root,
+                         interval).run(trace)
+
+
+class TestRecoveryBelongsToOneRun:
+    """Both crashes land before the first snapshot (at 0.4 of the
+    span), so each run's recoveries are cold — unless a run re-warms
+    from rounds an earlier run committed, or counts on top of it."""
+
+    def test_first_run_recovers_cold(self, data, model, embeddings,
+                                     trace, tmp_path):
+        stats = _storm_run(data, model, embeddings, trace, tmp_path,
+                           interval=0.4).resilience
+        assert stats["recoveries"] == stats["cold_recoveries"] == 2
+        assert stats["snapshots"] > 0
+
+    def test_second_run_of_the_engine_reports_identically(
+            self, data, model, embeddings, trace, tmp_path):
+        engine = _storm_engine(data, model, embeddings, trace, tmp_path,
+                               interval=0.4)
+        first = engine.run(trace)
+        second = engine.run(trace)
+        assert second.resilience == first.resilience
+        assert second.to_dict() == first.to_dict()
+        assert answers(second) == answers(first)
+
+    def test_fresh_engine_over_the_same_directory_reports_identically(
+            self, data, model, embeddings, trace, tmp_path):
+        first = _storm_run(data, model, embeddings, trace, tmp_path,
+                           interval=0.4)
+        again = _storm_run(data, model, embeddings, trace, tmp_path,
+                           interval=0.4)
+        assert again.resilience == first.resilience
+        assert again.to_dict() == first.to_dict()
+        assert answers(again) == answers(first)
 
 
 class TestResilientRuns:
@@ -479,6 +669,25 @@ class TestResilientRuns:
         assert stats["snapshots"] > 0
         assert stats["recoveries"] == 1
         assert report.completed + report.rejected >= len(trace)
+
+    def test_one_commit_per_snapshot_round(self, data, model,
+                                           embeddings, trace, tmp_path,
+                                           monkeypatch):
+        """Every round is one ``Checkpointer.save`` however many live
+        replicas it collects."""
+        commits = _count_commits(monkeypatch)
+        rounds = []
+        save = ReplicaRecovery.save
+
+        def counted(self, *replicas, clock):
+            rounds.append(len(replicas))
+            return save(self, *replicas, clock=clock)
+        monkeypatch.setattr(ReplicaRecovery, "save", counted)
+        report = _storm_run(data, model, embeddings, trace, tmp_path,
+                            interval=0.1)
+        assert len(commits) == len(rounds) >= 9
+        assert report.resilience["snapshots"] == sum(rounds) \
+            > len(commits)
 
     def test_hedging_launches_and_wins(self, data, model, embeddings):
         """Under a straggler window, hedge twins launch on healthy

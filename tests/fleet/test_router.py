@@ -3,7 +3,7 @@ against lightweight replica stubs (no model, no dataset)."""
 
 import pytest
 
-from repro.errors import FleetError
+from repro.errors import FleetError, SanitizerError
 from repro.fleet import AutoscalePolicy, Autoscaler, Router, \
     RoutingPolicy
 from repro.serve.requests import InferenceRequest
@@ -268,7 +268,7 @@ class TestBreakerRouting:
 
     def test_open_breaker_excludes_owner(self):
         router, replicas, breakers = self.make([0, 3])
-        breakers[0].trip(0.0)
+        router.trip(0, 0.0)
         replica, is_owner = router.route(request(vertex=0), now=5e-4)
         assert replica is replicas[1]
         assert not is_owner
@@ -277,7 +277,7 @@ class TestBreakerRouting:
     def test_half_open_probe_after_reset_timeout(self):
         router, replicas, breakers = self.make([0, 3],
                                                reset_timeout=1e-3)
-        breakers[0].trip(0.0)
+        router.trip(0, 0.0)
         replica, is_owner = router.route(request(vertex=0), now=1.5e-3)
         assert replica is replicas[0]
         assert is_owner
@@ -285,15 +285,15 @@ class TestBreakerRouting:
 
     def test_all_breakers_open_is_unroutable(self):
         router, replicas, breakers = self.make([0, 0])
-        for breaker in breakers:
-            breaker.trip(0.0)
+        for rid in range(len(breakers)):
+            router.trip(rid, 0.0)
         with pytest.raises(FleetError, match="unroutable"):
             router.route(request(vertex=0), now=1e-4)
 
     def test_crashed_replicas_breaker_does_not_lapse_while_down(self):
         router, replicas, breakers = self.make([0, 0],
                                                reset_timeout=1e-3)
-        breakers[0].trip(0.0)
+        router.trip(0, 0.0)
         replicas[0].alive = False
         # Well past reset_timeout, but replica 0 is not accepting:
         # routing never asks its breaker, so it stays open.
@@ -306,7 +306,7 @@ class TestBreakerRouting:
     def test_recovered_replicas_breaker_lapses_on_first_route(self):
         router, replicas, breakers = self.make([0, 0],
                                                reset_timeout=1e-3)
-        breakers[0].trip(0.0)
+        router.trip(0, 0.0)
         replicas[0].alive = False
         router.route(request(vertex=1), now=5e-4)
         replicas[0].alive = True
@@ -325,14 +325,111 @@ class TestBreakerRouting:
     def test_second_route_at_the_same_instant_changes_nothing(self):
         router, replicas, breakers = self.make([0, 0, 0],
                                                reset_timeout=1e-3)
-        breakers[0].trip(0.0)
-        breakers[2].trip(5e-4)
+        router.trip(0, 0.0)
+        router.trip(2, 5e-4)
         first = router.route(request(vertex=0), now=1e-3)
         states = [(b.state, b.half_opens) for b in breakers]
         assert states == [("half-open", 1), ("closed", 0),
                           ("open", 0)]
         assert router.route(request(vertex=0), now=1e-3) == first
         assert [(b.state, b.half_opens) for b in breakers] == states
+
+
+class TestOpenSet:
+    """The router owns the ids of the open breakers: a trip through it
+    adds one, every ``allows`` that lapses one (in ``route``, in
+    ``_admits``, in ``route_hedge``) removes it, and a request asks no
+    breaker while none is open."""
+
+    make = TestBreakerRouting.make
+
+    @staticmethod
+    def record_polls(breakers):
+        polled = []
+        for rid, breaker in enumerate(breakers):
+            def allows(now, rid=rid, ask=breaker.allows):
+                polled.append(rid)
+                return ask(now)
+            breaker.allows = allows
+        return polled
+
+    def test_trip_adds_the_id_in_ascending_order(self):
+        router, _, breakers = self.make([0, 0, 0, 0])
+        assert router._open == []
+        router.trip(3, 0.0)
+        router.trip(1, 1e-4)
+        router.trip(3, 2e-4)          # re-trip: still one entry
+        assert router._open == [1, 3]
+        assert [b.state for b in breakers] == \
+            ["closed", "open", "closed", "open"]
+        assert breakers[3].trips == 1
+
+    def test_lapse_through_route_removes_the_id(self):
+        router, replicas, breakers = self.make([0, 0],
+                                               reset_timeout=1e-3)
+        router.trip(1, 0.0)
+        router.route(request(vertex=0), now=5e-4)
+        assert router._open == [1]
+        router.route(request(vertex=0), now=1e-3)
+        assert router._open == []
+        assert breakers[1].state == "half-open"
+
+    def test_lapse_through_admits_removes_the_id(self):
+        router, replicas, breakers = self.make([0, 0],
+                                               reset_timeout=1e-3)
+        router.trip(0, 0.0)
+        assert not router._admits(replicas[0], 5e-4)
+        assert router._open == [0]
+        assert router._admits(replicas[0], 1e-3)
+        assert router._open == []
+        assert breakers[0].state == "half-open"
+
+    def test_lapse_through_route_hedge_removes_the_id(self):
+        router, replicas, breakers = self.make([0, 0, 0],
+                                               reset_timeout=1e-3)
+        router.trip(2, 0.0)
+        replica, _ = router.route_hedge(request(vertex=0),
+                                        exclude={0, 1}, now=1e-3)
+        assert replica is replicas[2]
+        assert router._open == []
+        assert breakers[2].half_opens == 1
+
+    def test_no_breaker_is_asked_while_none_is_open(self):
+        router, replicas, breakers = self.make([0, 0, 0])
+        polled = self.record_polls(breakers)
+        for vertex in range(6):
+            router.route(request(vertex=vertex), now=1e-3 * vertex)
+        assert polled == []
+
+    def test_open_breakers_of_accepting_replicas_polled_in_id_order(self):
+        router, replicas, breakers = self.make([0, 0, 0, 0, 0],
+                                               reset_timeout=1e-3)
+        for rid, when in ((4, 0.0), (1, 1e-4), (3, 2e-4), (2, 3e-4)):
+            router.trip(rid, when)
+        replicas[3].alive = False
+        polled = self.record_polls(breakers)
+        router.route(request(vertex=0), now=5e-4)
+        assert polled == [1, 2, 4]
+        assert router._open == [1, 2, 3, 4]
+        del polled[:]
+        # At 1.15 ms breakers 4 and 1 have lapsed, 2 has not: polled in
+        # id order, lapsed ids leave, the down replica's stays.
+        router.route(request(vertex=0), now=1.15e-3)
+        assert polled == [1, 2, 4]
+        assert router._open == [2, 3]
+
+    def test_sanitizer_catches_a_trip_outside_the_router(self):
+        router, _, breakers = self.make([0, 0])
+        breakers[1].trip(0.0)
+        with pytest.raises(SanitizerError, match=r"open breakers \[\]"):
+            router.route(request(vertex=0), now=1e-4)
+
+    def test_sanitizer_catches_a_lapse_outside_the_router(self):
+        router, _, breakers = self.make([0, 0], reset_timeout=1e-3)
+        router.trip(1, 0.0)
+        assert breakers[1].allows(2e-3)
+        with pytest.raises(SanitizerError, match="breakers say"):
+            router.route(request(vertex=0), now=2e-3)
 
 
 class TestRouteHedge:
