@@ -1,54 +1,38 @@
 """Full-batch distributed training and Sancus-style staleness.
 
-Trains the same full-graph GCN three ways — synchronous full-batch
-(boundary embeddings exchanged every epoch), staleness 1, and
-staleness 3 — and prints the epoch-time / accuracy trade Sancus's
-communication avoidance buys.
+Trains the same full-graph GCN on the one training harness three ways
+— synchronous full-batch (boundary embeddings exchanged every epoch),
+staleness 1, and staleness 3 — and prints the epoch-time / accuracy
+trade Sancus's communication avoidance buys.
 
 Usage::
 
     python examples/fullbatch_staleness.py
 """
 
-import numpy as np
-
-from repro import load_dataset
+from repro import Trainer, TrainingConfig, load_dataset
 from repro.core import format_table
-from repro.dist import FullBatchEngine, FullGraphGCN
-from repro.nn import Adam
-from repro.partition import MetisPartitioner
-from repro.transfer import DEFAULT_SPEC
+from repro.dist import FullGraph
 
 EPOCHS = 25
 
 
-def run(dataset, partition, staleness):
-    model = FullGraphGCN(dataset.feature_dim, 128, dataset.num_classes,
-                         2, np.random.default_rng(1))
-    engine = FullBatchEngine(dataset, partition, model,
-                             Adam(model.parameters(), lr=0.003),
-                             spec=DEFAULT_SPEC, staleness=staleness)
-    elapsed, best, comm_bytes = 0.0, 0.0, 0
-    for _epoch in range(EPOCHS):
-        stats = engine.run_epoch()
-        elapsed += stats.epoch_seconds
-        comm_bytes += stats.remote_feature_bytes
-        best = max(best, engine.evaluate(dataset.val_ids))
+def run(dataset, staleness):
+    result = Trainer(dataset, TrainingConfig(
+        sampler=FullGraph(staleness), partitioner="metis-ve",
+        epochs=EPOCHS)).run()
+    comm_bytes = sum(s.remote_feature_bytes for s in result.epoch_stats)
     return {
         "staleness": staleness,
-        "best val acc": round(best, 3),
-        "mean epoch (sim ms)": round(1e3 * elapsed / EPOCHS, 4),
+        "best val acc": round(result.best_val_accuracy, 3),
+        "mean epoch (sim ms)": round(1e3 * result.mean_epoch_seconds, 4),
         "boundary traffic (MB)": round(comm_bytes / 1e6, 2),
     }
 
 
 def main():
     dataset = load_dataset("ogb-arxiv", scale=0.5)
-    partition = MetisPartitioner("ve").partition(
-        dataset.graph, 4, split=dataset.split,
-        rng=np.random.default_rng(0))
-    rows = [run(dataset, partition, staleness)
-            for staleness in (0, 1, 3)]
+    rows = [run(dataset, staleness) for staleness in (0, 1, 3)]
     print(format_table(rows, title="Full-batch training with "
                                    "staleness-aware communication"))
     fresh, stale = rows[0], rows[-1]

@@ -14,11 +14,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..batching.schedule import BatchSizeSchedule, FixedBatchSize
+from ..dist import FullGraph
 from ..errors import TrainingError, TransferError
 from ..partition import (HashPartitioner, MetisPartitioner,
                          StreamBPartitioner, StreamVPartitioner)
 from ..sampling import (HybridSampler, LayerWiseSampler, NeighborSampler,
-                        RateSampler, Sampler, SubgraphSampler)
+                        RateSampler, SubgraphSampler)
 from ..transfer import (DEFAULT_SPEC, HardwareSpec, TransferMethod,
                         backing_for, make_tiered_cache, make_transfer)
 
@@ -47,7 +48,9 @@ def make_partitioner(name, **kwargs):
 
 
 def make_sampler(name, fanout=(25, 10), rate=0.1, num_layers=2, **kwargs):
-    """Sampler factory: fanout / rate / hybrid / layerwise / subgraph."""
+    """Sampler factory: fanout / rate / hybrid / layerwise / subgraph,
+    or "full-graph" — the :class:`~repro.dist.FullGraph` batch policy
+    (no sampling; every vertex, one update per epoch)."""
     key = name.lower()
     if key == "fanout":
         return NeighborSampler(fanout)
@@ -59,6 +62,8 @@ def make_sampler(name, fanout=(25, 10), rate=0.1, num_layers=2, **kwargs):
         return LayerWiseSampler(num_layers=num_layers, **kwargs)
     if key == "subgraph":
         return SubgraphSampler(num_layers=num_layers, **kwargs)
+    if key == "full-graph":
+        return FullGraph()
     raise TrainingError(f"unknown sampler {name!r}")
 
 
@@ -119,7 +124,7 @@ class TrainingConfig:
     learning_rate: float = 0.003
     # Batch preparation.
     batch_size: object = 512            # int or BatchSizeSchedule
-    sampler: object = "fanout"          # name or Sampler
+    sampler: object = "fanout"          # name, Sampler or FullGraph
     fanout: tuple = (25, 10)
     sample_rate: float = 0.1
     # Cluster + data management.
@@ -162,8 +167,8 @@ class TrainingConfig:
         return FixedBatchSize(int(self.batch_size))
 
     def build_sampler(self):
-        """The sampler instance (built from a name if needed)."""
-        if isinstance(self.sampler, Sampler):
+        """The sampler or batch policy (built from a name if needed)."""
+        if not isinstance(self.sampler, str):
             return self.sampler
         return make_sampler(self.sampler, fanout=self.fanout,
                             rate=self.sample_rate,

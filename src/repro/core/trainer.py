@@ -5,8 +5,11 @@ training pipeline of Figure 1.
 
 1. partitions the graph (data partitioning step, timed);
 2. builds per-worker GPU caches if configured;
-3. trains with the synchronous engine epoch by epoch (batch
-   preparation, data transferring, NN computation — all metered);
+3. trains epoch by epoch with the synchronous mini-batch engine
+   (batch preparation, data transferring, NN computation — all
+   metered) or, when ``config.sampler`` is the
+   :class:`~repro.dist.FullGraph` policy, with the full-graph engine
+   (one update per epoch, boundary exchange metered);
 4. evaluates validation accuracy each epoch (real numpy inference) and
    finally reports test accuracy at the best-validation checkpoint.
 
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dist.engine import SyncEngine
+from ..dist import FullBatchEngine, FullGraph, SyncEngine
 from ..errors import CheckpointError, TrainingError
 from ..nn import Adam, build_model, no_grad
 from ..perf import PERF, EvalSubgraphCache, wall_clock
@@ -180,12 +183,16 @@ class Trainer:
         config = self.config
         dataset = self.dataset
 
+        sampler = config.build_sampler()
+        full_graph = isinstance(sampler, FullGraph)
+        if full_graph:
+            self._check_full_graph(injector)
+
         partitioner = config.build_partitioner()
         partition = partitioner.partition(
             dataset.graph, config.num_workers, split=dataset.split,
             rng=config.rng(salt=1))
 
-        sampler = config.build_sampler()
         if config.replication_budget > 0:
             from ..partition.replication import partition_aware_replication
             partition = partition_aware_replication(
@@ -198,6 +205,10 @@ class Trainer:
                             rng=config.rng(salt=2),
                             dropout=config.dropout)
         optimizer = Adam(model.parameters(), lr=config.learning_rate)
+        if full_graph:
+            engine = FullBatchEngine(dataset, partition, model, optimizer,
+                                     config.spec, sampler.staleness)
+            return engine, partition, sampler, model, optimizer
 
         caches = []
         train_ids = dataset.train_ids
@@ -213,11 +224,24 @@ class Trainer:
             dataset, partition, sampler, model, optimizer,
             spec=config.spec, transfer=config.build_transfer(),
             caches=caches, pipeline_mode=config.pipeline,
-            hidden_dim=config.hidden_dim,
-            num_classes=dataset.num_classes,
             injector=injector, retry=retry,
             crash_policy=config.crash_policy)
         return engine, partition, sampler, model, optimizer
+
+    def _check_full_graph(self, injector):
+        """Reject the steps full-graph training does not have: every
+        feature is resident (no cache, no replication) and there is no
+        fault clock."""
+        config = self.config
+        for name, value in (("cache_policy", config.cache_policy),
+                            ("cache_ratio", config.cache_ratio),
+                            ("cache_warm_ratio", config.cache_warm_ratio),
+                            ("replication_budget", config.replication_budget),
+                            ("faults", injector)):
+            if value is not None and value != 0:
+                raise TrainingError(
+                    f"{name}: full-graph training has no feature cache, "
+                    f"replication or fault replay")
 
     def _memory_batch_cap(self, sampler):
         """Largest batch the simulated GPU fits (None = no cap).
@@ -249,7 +273,7 @@ class Trainer:
         config = self.config
         model = config.model if isinstance(config.model, str) \
             else type(config.model).__name__
-        return {
+        fingerprint = {
             "dataset": self.dataset.name,
             "num_vertices": int(self.dataset.num_vertices),
             "model": model,
@@ -258,6 +282,11 @@ class Trainer:
             "num_workers": config.num_workers,
             "seed": config.seed,
         }
+        policy = config.build_sampler()
+        if isinstance(policy, FullGraph):
+            # Stale stores resume only into the same refresh cadence.
+            fingerprint["full_graph_staleness"] = policy.staleness
+        return fingerprint
 
     @staticmethod
     def _build_injector(faults):
@@ -300,6 +329,7 @@ class Trainer:
         injector = self._build_injector(faults)
         engine, partition, sampler, model, optimizer = \
             self._build_engine(injector=injector, retry=retry)
+        full_graph = isinstance(engine, FullBatchEngine)
         schedule = config.build_schedule()
         batch_cap = self._memory_batch_cap(sampler)
         rng = config.rng(salt=100)
@@ -309,6 +339,17 @@ class Trainer:
         # — prepare them once and replay (keyed on sampler/batch
         # size/seed, so any change invalidates).
         eval_cache = EvalSubgraphCache()
+        if full_graph:
+            def evaluate(vertex_ids, _seed):
+                return engine.evaluate(vertex_ids)
+        else:
+            def evaluate(vertex_ids, seed):
+                # evaluate_model is looked up at call time, so a probe
+                # patched onto this module sees every call.
+                return evaluate_model(
+                    model, self.dataset, vertex_ids, sampler,
+                    np.random.default_rng(seed), cache=eval_cache,
+                    cache_token=seed)
         perf_before = PERF.snapshot()
 
         curve = TrainingCurve()
@@ -338,6 +379,8 @@ class Trainer:
             best_state = state["best_state"]
             stale = state["stale"]
             start_epoch = state["epoch"]
+            if full_graph:
+                engine.stale_stores = state["stale_stores"]
             if injector is not None:
                 # The halt that killed the previous incarnation already
                 # happened; it must not re-fire on the replayed epochs
@@ -355,16 +398,13 @@ class Trainer:
             epoch_stats.append(stats)
 
             if epoch % config.eval_every == 0 or epoch == config.epochs - 1:
-                val_acc = evaluate_model(
-                    model, self.dataset, self.dataset.val_ids, sampler,
-                    np.random.default_rng(eval_rng_seed),
-                    cache=eval_cache, cache_token=eval_rng_seed)
+                val_acc = evaluate(self.dataset.val_ids, eval_rng_seed)
             else:
                 val_acc = curve.val_accuracies[-1] if curve.num_epochs \
                     else 0.0
             schedule.observe(epoch, val_acc)
             curve.record(val_acc, stats.loss, stats.epoch_seconds, wall,
-                         batch_size)
+                         stats.batch_size)
 
             if val_acc > best_val:
                 best_val = val_acc
@@ -379,7 +419,7 @@ class Trainer:
             if checkpointer is not None and (
                     checkpointer.due(epoch) or stopping
                     or epoch == config.epochs - 1):
-                checkpointer.save({
+                payload = {
                     "fingerprint": self._fingerprint(),
                     "epoch": epoch + 1,
                     "model": model.state_dict(),
@@ -392,16 +432,16 @@ class Trainer:
                     "best_val": best_val,
                     "best_state": best_state,
                     "stale": stale,
-                })
+                }
+                if full_graph:
+                    payload["stale_stores"] = engine.stale_stores
+                checkpointer.save(payload)
             if stopping:
                 break
 
         if best_state is not None:
             model.load_state_dict(best_state)
-        test_acc = evaluate_model(
-            model, self.dataset, self.dataset.test_ids, sampler,
-            np.random.default_rng(eval_rng_seed + 1),
-            cache=eval_cache, cache_token=eval_rng_seed + 1)
+        test_acc = evaluate(self.dataset.test_ids, eval_rng_seed + 1)
         return TrainingResult(
             curve=curve, test_accuracy=test_acc,
             partition_seconds=partition.seconds,

@@ -5,6 +5,8 @@ Every remote interaction in the simulated cluster funnels through a
 and the meter converts volumes into network seconds using the hardware
 spec.  Keeping this a separate ledger makes the communication totals of
 Figure 5 and the network component of epoch time auditable.
+:func:`ring_allreduce_seconds` is the one gradient all-reduce model
+both training engines bill.
 """
 
 from __future__ import annotations
@@ -13,7 +15,18 @@ import numpy as np
 
 from ..errors import TransferError
 
-__all__ = ["CommMeter"]
+__all__ = ["CommMeter", "ring_allreduce_seconds"]
+
+
+def ring_allreduce_seconds(spec, num_bytes, num_machines):
+    """Seconds of one ring all-reduce of ``num_bytes`` across
+    ``num_machines`` (zero for a single machine): each ships
+    ``2 (k - 1) / k`` of the vector in ``2 (k - 1)`` messages."""
+    k = num_machines
+    if k <= 1:
+        return 0.0
+    volume = 2.0 * (k - 1) / k * num_bytes
+    return spec.network_time(volume, messages=2 * (k - 1))
 
 
 class CommMeter:

@@ -49,10 +49,28 @@ from ..partition.workload import BYTES_PER_EDGE
 from ..transfer.hardware import estimate_flops
 from ..transfer.methods import BatchStats
 from ..transfer.pipeline import simulate_pipeline
-from .comm import CommMeter
+from .comm import CommMeter, ring_allreduce_seconds
 from .worker import BatchWork, Worker
 
 __all__ = ["SyncEngine", "EpochStats"]
+
+#: (EpochStats field, the BatchWork field it sums over every worker's
+#: batches of the epoch).
+_SUMMED = (("bp_seconds", "bp_seconds"), ("dt_seconds", "dt_seconds"),
+           ("nn_seconds", "nn_seconds"),
+           ("involved_vertices", "input_vertices"),
+           ("involved_edges", "sampled_edges"),
+           ("remote_feature_bytes", "remote_feature_bytes"),
+           ("retries", "retries"), ("giveups", "giveups"),
+           ("fault_seconds", "fault_seconds"))
+
+
+def _model_widths(model):
+    """``(hidden, classes)``: the in-width of ``model``'s head and the
+    out-width of its last layer — the widths the engines' FLOP and
+    byte meters bill."""
+    return (model.head.layers[0].weight.shape[0],
+            model.head.layers[-1].weight.shape[1])
 
 
 @dataclass
@@ -118,7 +136,8 @@ class SyncEngine:
     sampler:
         Batch-preparation sampler.
     model, optimizer:
-        The shared model and its optimizer.
+        The shared model and its optimizer; the FLOPs estimate reads
+        the hidden and class widths off the model's head.
     spec:
         :class:`~repro.transfer.hardware.HardwareSpec` cost model.
     transfer:
@@ -127,8 +146,6 @@ class SyncEngine:
         Optional list of per-worker GPU caches (parallel to workers).
     pipeline_mode:
         "none", "bp", or "bp+dt" (§7.3.2).
-    hidden_dim, num_classes:
-        Model dimensions for the FLOPs estimate.
     injector:
         Optional :class:`~repro.faults.plan.FaultInjector` replaying a
         seeded fault schedule against the epoch clock.
@@ -147,8 +164,7 @@ class SyncEngine:
 
     def __init__(self, dataset, partition, sampler, model, optimizer,
                  spec, transfer, caches=None, pipeline_mode="bp+dt",
-                 hidden_dim=128, num_classes=None, injector=None,
-                 retry=None, crash_policy="redistribute"):
+                 injector=None, retry=None, crash_policy="redistribute"):
         if crash_policy not in self.CRASH_POLICIES:
             raise TrainingError(
                 f"unknown crash_policy {crash_policy!r}; "
@@ -161,9 +177,7 @@ class SyncEngine:
         self.spec = spec
         self.transfer = transfer
         self.pipeline_mode = pipeline_mode
-        self.hidden_dim = hidden_dim
-        self.num_classes = (num_classes if num_classes is not None
-                            else dataset.num_classes)
+        self._hidden_dim, self._num_classes = _model_widths(model)
         self.comm = CommMeter(partition.num_parts)
 
         train_ids = dataset.train_ids
@@ -328,7 +342,7 @@ class SyncEngine:
         tier_seconds = breakdown.tier_seconds
 
         flops = estimate_flops(subgraph, self.dataset.feature_dim,
-                               self.hidden_dim, self.num_classes)
+                               self._hidden_dim, self._num_classes)
         nn = spec.compute_time(flops)
 
         # Injected faults: flaky remote fetches pay retry timeouts and
@@ -360,12 +374,8 @@ class SyncEngine:
     def _allreduce_seconds(self):
         """Ring all-reduce of the gradient vector across the *surviving*
         workers (the ring shrinks when a worker crashes)."""
-        k = len(self.alive_workers)
-        if k <= 1:
-            return 0.0
-        volume = 2.0 * (k - 1) / k * self._grad_bytes
-        return self._epoch_spec.network_time(volume,
-                                             messages=2 * (k - 1))
+        return ring_allreduce_seconds(self._epoch_spec, self._grad_bytes,
+                                      len(self.alive_workers))
 
     # ------------------------------------------------------------------
     # Training
@@ -434,9 +444,7 @@ class SyncEngine:
         # Simulated epoch time: slowest worker's pipelined makespan plus
         # the synchronous all-reduce per step.
         makespans = []
-        bp = dt = nn = fault_seconds = 0.0
-        vertices = edges = remote_bytes = 0
-        retries = giveups = 0
+        totals = {name: 0 for name, _work_name in _SUMMED}
         tier_seconds = {"hot": 0.0, "warm": 0.0, "cold": 0.0}
         tiered_fetches = False
         for worker, count in zip(self.workers, batches_this_epoch):
@@ -446,15 +454,8 @@ class SyncEngine:
             makespans.append(simulate_pipeline(
                 stage_times, self.pipeline_mode).makespan)
             recent = worker.work_log[-count:]
-            bp += sum(w.bp_seconds for w in recent)
-            dt += sum(w.dt_seconds for w in recent)
-            nn += sum(w.nn_seconds for w in recent)
-            vertices += sum(w.input_vertices for w in recent)
-            edges += sum(w.sampled_edges for w in recent)
-            remote_bytes += sum(w.remote_feature_bytes for w in recent)
-            retries += sum(w.retries for w in recent)
-            giveups += sum(w.giveups for w in recent)
-            fault_seconds += sum(w.fault_seconds for w in recent)
+            for name, work_name in _SUMMED:
+                totals[name] += sum(getattr(w, work_name) for w in recent)
             for work in recent:
                 if work.dt_tier_seconds is not None:
                     tiered_fetches = True
@@ -476,18 +477,12 @@ class SyncEngine:
         return EpochStats(
             loss=float(np.mean(losses)),
             epoch_seconds=epoch_seconds,
-            bp_seconds=bp, dt_seconds=dt, nn_seconds=nn,
             allreduce_seconds=allreduce,
             num_steps=num_steps,
-            involved_vertices=vertices,
-            involved_edges=edges,
-            remote_feature_bytes=remote_bytes,
             batch_size=batch_size,
-            retries=retries, giveups=giveups,
-            fault_seconds=fault_seconds,
             alive_workers=len(self.alive_workers),
             dropped_vertices=self._dropped,
-            perf=perf)
+            perf=perf, **totals)
 
     def _cache_tier_stats(self):
         """Aggregate tier hit statistics across the workers' caches

@@ -8,7 +8,12 @@ previous layer's embeddings of its *boundary* in-neighbors (vertices it
 aggregates from but does not own) — the communication that dominates
 full-graph training.
 
-Two modes:
+Full-graph training is a batch policy of the one training harness:
+set ``TrainingConfig(sampler=FullGraph(staleness=s))`` (or the name
+``"full-graph"``) and :class:`~repro.core.Trainer` drives a
+:class:`FullBatchEngine` over ``build_model``'s GCN with the same
+partition, seeds, evaluation cadence, curve and checkpoints as
+mini-batch training.  Two modes:
 
 * ``staleness=0`` — plain synchronous full-batch (NeutronStar-style):
   boundary embeddings are exchanged every layer, every epoch.
@@ -24,55 +29,38 @@ staleness is measured, not assumed.
 
 from __future__ import annotations
 
+import numbers
+from dataclasses import dataclass
+
 import numpy as np
 
 from ..errors import TrainingError
 from ..kernels import full_graph_adjacency
-from ..nn import Tensor, softmax_cross_entropy
-from ..nn.layers import GCNConv, MLP, Module
-from .engine import EpochStats
+from ..nn import Tensor, no_grad, softmax_cross_entropy
+from ..nn.layers import GCNConv
+from ..partition import halo_vertices
+from .comm import ring_allreduce_seconds
+from .engine import EpochStats, _model_widths
 
-__all__ = ["FullGraphGCN", "FullBatchEngine", "full_aggregation_matrix"]
-
-
-def full_aggregation_matrix(graph, self_loops=True):
-    """Row-normalized (mean) aggregation operator of the whole graph.
-
-    A :class:`~repro.kernels.adjacency.KernelCSR` from the kernel seam
-    — bit-identical to the historical scipy ``diags @ (csr + identity)``
-    construction, but scipy-free, so full-batch training runs on every
-    kernel backend.
-    """
-    return full_graph_adjacency(graph, self_loops=self_loops)
+__all__ = ["FullGraph", "FullBatchEngine"]
 
 
-class FullGraphGCN(Module):
-    """GCN over the whole graph (no sampling): L GCNConv layers + MLP
-    head, mirroring the mini-batch architecture for fair comparison."""
+@dataclass(frozen=True)
+class FullGraph:
+    """The full-graph batch policy, set as ``TrainingConfig.sampler``:
+    every vertex in every layer, one parameter update per epoch.
+    ``staleness`` is the number of epochs boundary embeddings are
+    reused between refreshes (0 = refresh every epoch)."""
 
-    def __init__(self, in_dim, hidden_dim, num_classes, num_layers, rng,
-                 dropout=0.1):
-        super().__init__()
-        if num_layers < 1:
-            raise TrainingError("need at least one GNN layer")
-        dims = [in_dim] + [hidden_dim] * num_layers
-        self.convs = [GCNConv(dims[i], dims[i + 1], rng)
-                      for i in range(num_layers)]
-        self.head = MLP([hidden_dim, num_classes], rng)
-        self.dropout_p = float(dropout)
-        self.rng = rng
-        self.num_layers = num_layers
+    staleness: int = 0
 
-    def forward(self, adjacency, features):
-        """Plain full-graph forward (used by tests and single-machine
-        runs; the engine drives the layers itself for stale mode)."""
-        h = features if isinstance(features, Tensor) else Tensor(features)
-        for i, conv in enumerate(self.convs):
-            h = conv.forward(adjacency, h).relu()
-            if i < len(self.convs) - 1:
-                h = h.dropout(self.dropout_p, self.rng,
-                              training=self.training)
-        return self.head.forward(h)
+    def __post_init__(self):
+        staleness = self.staleness
+        if (isinstance(staleness, bool)
+                or not isinstance(staleness, numbers.Integral)
+                or staleness < 0):
+            raise TrainingError(
+                f"staleness must be an integer >= 0, got {staleness!r}")
 
 
 class FullBatchEngine:
@@ -83,7 +71,9 @@ class FullBatchEngine:
     dataset, partition:
         The data and its machine assignment.
     model:
-        :class:`FullGraphGCN` (or anything with ``convs``/``head``).
+        A GCN (``convs`` of :class:`~repro.nn.layers.GCNConv` and an
+        MLP ``head``, as ``build_model("gcn", ...)`` builds); the cost
+        model reads its widths off the head.
     optimizer:
         Optimizer over the model parameters.
     spec:
@@ -95,126 +85,108 @@ class FullBatchEngine:
     """
 
     def __init__(self, dataset, partition, model, optimizer, spec,
-                 staleness=0, hidden_dim=128):
-        if staleness < 0:
-            raise TrainingError(f"staleness must be >= 0, got {staleness}")
+                 staleness=0):
+        self.staleness = int(FullGraph(staleness).staleness)
+        for conv in model.convs:
+            if not isinstance(conv, GCNConv):
+                raise TrainingError(
+                    f"model: full-graph training runs GCNConv layers "
+                    f"only, got {type(conv).__name__}")
         self.dataset = dataset
         self.partition = partition
         self.model = model
         self.optimizer = optimizer
         self.spec = spec
-        self.staleness = int(staleness)
-        self.hidden_dim = hidden_dim
-        self.adjacency = full_aggregation_matrix(dataset.graph)
+        self.adjacency = full_graph_adjacency(dataset.graph)
+        hidden, self._num_classes = _model_widths(model)
+        self._dims = [dataset.feature_dim] + [hidden] * model.num_layers
 
-        n = dataset.num_vertices
-        assignment = partition.assignment
-        self.owned = [np.flatnonzero(assignment == p)
+        self.owned = [partition.part_vertices(p)
                       for p in range(partition.num_parts)]
         # Boundary in-neighbors per machine: aggregated-from but not
         # owned (drives the per-layer communication volume).
-        in_indptr, in_indices = dataset.graph.in_csr()
-        self.boundary = []
-        for p, owned in enumerate(self.owned):
-            chunks = [in_indices[in_indptr[v]:in_indptr[v + 1]]
-                      for v in owned]
-            sources = np.unique(np.concatenate(chunks)) if chunks else \
-                np.empty(0, dtype=np.int64)
-            self.boundary.append(
-                sources[assignment[sources] != p])
+        self.boundary = [halo_vertices(dataset.graph, partition.assignment,
+                                       p)
+                         for p in range(partition.num_parts)]
         # Per-machine aggregation row slices (for compute metering and
         # stale-mode row-wise forward).
         self.row_slices = [self.adjacency.take_rows(owned)
                            for owned in self.owned]
         self.edges_per_machine = np.array(
             [rows.nnz for rows in self.row_slices])
-        # Stale stores: inputs to conv layer l (l >= 1).
-        self._stores = [None] * model.num_layers
-        self._epoch_index = 0
+        # Stale stores: inputs to conv layer l (l >= 1), written by
+        # refreshing epochs and carried by the Trainer's checkpoints.
+        self.stale_stores = [None] * model.num_layers
         self._grad_bytes = sum(p.data.size
                                for p in model.parameters()) * 4
 
     # ------------------------------------------------------------------
     # Cost accounting
     # ------------------------------------------------------------------
-    def _layer_dims(self):
-        in_dim = self.dataset.feature_dim
-        return [in_dim] + [self.hidden_dim] * self.model.num_layers
-
     def _compute_seconds(self):
         """Slowest machine's FLOP time for one full forward+backward."""
-        dims = self._layer_dims()
-        worst = 0.0
+        dims, worst = self._dims, 0.0
         for p, owned in enumerate(self.owned):
             flops = 0.0
             for l in range(self.model.num_layers):
                 flops += 2.0 * self.edges_per_machine[p] * dims[l]
                 flops += 2.0 * len(owned) * dims[l] * dims[l + 1]
-            flops += 2.0 * len(owned) * self.hidden_dim \
-                * self.dataset.num_classes
+            flops += 2.0 * len(owned) * dims[-1] * self._num_classes
             worst = max(worst, self.spec.compute_time(3.0 * flops))
         return worst
 
-    def _comm_seconds(self, refresh):
-        """Boundary-exchange time for the epoch."""
-        if self.partition.num_parts == 1:
+    def _comm_seconds(self, refresh, epoch):
+        """Boundary-exchange time and bytes for ``epoch``."""
+        k = self.partition.num_parts
+        if k == 1:
             return 0.0, 0
-        dims = self._layer_dims()
         total_bytes = 0
         worst = 0.0
-        for p in range(self.partition.num_parts):
-            boundary = len(self.boundary[p])
+        for boundary in map(len, self.boundary):
             layer_bytes = 0
-            if self._epoch_index == 0:
+            if epoch == 0:
                 # Feature (layer-0) boundary exchange happens once ever.
-                layer_bytes += boundary * dims[0] * 4
+                layer_bytes += boundary * self._dims[0] * 4
             if refresh:
                 for l in range(1, self.model.num_layers):
                     # Forward broadcast + backward gradient return.
-                    layer_bytes += 2 * boundary * dims[l] * 4
+                    layer_bytes += 2 * boundary * self._dims[l] * 4
             total_bytes += layer_bytes
             if layer_bytes:
                 worst = max(worst, self.spec.network_time(
-                    layer_bytes,
-                    messages=2 * (self.partition.num_parts - 1)))
+                    layer_bytes, messages=2 * (k - 1)))
         return worst, total_bytes
-
-    def _allreduce_seconds(self):
-        k = self.partition.num_parts
-        if k == 1:
-            return 0.0
-        volume = 2.0 * (k - 1) / k * self._grad_bytes
-        return self.spec.network_time(volume, messages=2 * (k - 1))
 
     # ------------------------------------------------------------------
     # Training
     # ------------------------------------------------------------------
-    def _forward(self, refresh):
-        """One full-graph forward, fresh or with stale boundaries."""
-        n = self.dataset.num_vertices
+    def _forward(self, refresh, record=True):
+        """One full-graph forward, fresh or with stale boundaries; a
+        refreshing pass with ``record`` writes the stale stores."""
+        stores = self.stale_stores
         h = Tensor(self.dataset.features)
         for l, conv in enumerate(self.model.convs):
-            if refresh or l == 0 or self._stores[l] is None:
+            if refresh or l == 0 or stores[l] is None:
                 # Fresh layer (features, layer 0, are constants anyway).
                 out = conv.forward(self.adjacency, h)
             else:
-                pieces = []
-                for p, owned in enumerate(self.owned):
-                    mixed = h.mask_rows(owned, self._stores[l])
-                    pieces.append(conv.forward(self.row_slices[p], mixed))
-                out = Tensor.assemble_rows(pieces, self.owned, n)
+                pieces = [conv.forward(rows, h.mask_rows(owned, stores[l]))
+                          for owned, rows in zip(self.owned,
+                                                 self.row_slices)]
+                out = Tensor.assemble_rows(pieces, self.owned,
+                                           self.dataset.num_vertices)
             h = out.relu()
-            if l + 1 < self.model.num_layers:
-                # Record this activation as the (stale) input of the
-                # next conv layer when refreshing.
-                if refresh:
-                    self._stores[l + 1] = h.data.copy()
+            if refresh and record and l + 1 < self.model.num_layers:
+                stores[l + 1] = h.data.copy()
         return self.model.head.forward(h)
 
-    def run_epoch(self):
-        """One full-batch epoch (exactly one parameter update)."""
+    def run_epoch(self, batch_size, rng, epoch):
+        """One full-batch epoch (exactly one parameter update) at
+        ``epoch`` on the refresh clock.  ``batch_size`` and ``rng`` are
+        the Trainer's per-epoch arguments; the batch is every training
+        vertex and nothing is drawn."""
         refresh = (self.staleness == 0
-                   or self._epoch_index % (self.staleness + 1) == 0)
+                   or epoch % (self.staleness + 1) == 0)
         self.model.train()
         logits = self._forward(refresh)
         train_ids = self.dataset.train_ids
@@ -225,9 +197,9 @@ class FullBatchEngine:
         self.optimizer.step()
 
         compute = self._compute_seconds()
-        comm, comm_bytes = self._comm_seconds(refresh)
-        allreduce = self._allreduce_seconds()
-        self._epoch_index += 1
+        comm, comm_bytes = self._comm_seconds(refresh, epoch)
+        allreduce = ring_allreduce_seconds(self.spec, self._grad_bytes,
+                                           self.partition.num_parts)
         return EpochStats(
             loss=loss.item(),
             epoch_seconds=compute + comm + allreduce,
@@ -244,14 +216,13 @@ class FullBatchEngine:
             batch_size=len(train_ids))
 
     def evaluate(self, vertex_ids):
-        """Full-graph inference accuracy on ``vertex_ids``."""
-        self.model.eval()
-        logits = self.model.forward(self.adjacency,
-                                    self.dataset.features)
-        predictions = logits.data.argmax(axis=-1)
-        self.model.train()
+        """Accuracy on ``vertex_ids`` of a fresh full-graph forward
+        (no tape; the stale stores are left as they are)."""
         vertex_ids = np.asarray(vertex_ids, dtype=np.int64)
         if len(vertex_ids) == 0:
             return 0.0
-        return float((predictions[vertex_ids]
+        with no_grad():
+            logits = self._forward(refresh=True, record=False)
+        predictions = logits.data[vertex_ids].argmax(axis=-1)
+        return float((predictions
                       == self.dataset.labels[vertex_ids]).mean())

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import FleetError
-from ..partition.base import PartitionResult
+from ..partition.base import PartitionResult, halo_vertices
 
 __all__ = ["ShardMap"]
 
@@ -141,35 +141,9 @@ class ShardMap:
             raise FleetError(f"hops must be >= 0, got {hops}")
         key = (int(shard), int(hops))
         if key not in self._halos:
-            self._halos[key] = self._compute_halo(shard, hops)
+            self._halos[key] = halo_vertices(self.graph, self.assignment,
+                                             shard, hops)
         return self._halos[key]
-
-    def _compute_halo(self, shard, hops):
-        in_indptr, in_indices = self.graph.in_csr()
-        reached = self.assignment == shard
-        owned = reached.copy()
-        frontier = np.flatnonzero(reached)
-        for _ in range(hops):
-            if len(frontier) == 0:
-                break
-            counts = in_indptr[frontier + 1] - in_indptr[frontier]
-            total = int(counts.sum())
-            if total == 0:
-                break
-            # Gather the concatenated in-neighbor lists of the
-            # frontier: element j of the output, falling in frontier
-            # group g at within-group offset o, reads
-            # in_indices[starts[g] + o].
-            starts = in_indptr[frontier]
-            group_base = np.concatenate(
-                [[0], np.cumsum(counts)[:-1]])
-            offsets = (np.repeat(starts - group_base, counts)
-                       + np.arange(total, dtype=np.int64))
-            neighbors = in_indices[offsets]
-            new = np.unique(neighbors[~reached[neighbors]])
-            reached[new] = True
-            frontier = new
-        return np.flatnonzero(reached & ~owned)
 
     def locality(self, shard, vertices):
         """Fraction of ``vertices`` owned by ``shard`` (1.0 for an

@@ -1,6 +1,7 @@
 """Data partitioning: methods, quality metrics, workload accounting."""
 
-from .base import PartitionResult, Partitioner, check_num_parts
+from .base import (PartitionResult, Partitioner, check_num_parts,
+                   halo_vertices)
 from .hashing import HashPartitioner, hash_vertices
 from .metis import MetisPartitioner, metis_clusters, metis_partition
 from .quality import (balance_ratio, clustering_coefficient_variance,
@@ -15,7 +16,7 @@ from .workload import (BYTES_PER_EDGE, MachineWorkload, WorkloadReport,
                        measure_workload)
 
 __all__ = [
-    "PartitionResult", "Partitioner", "check_num_parts",
+    "PartitionResult", "Partitioner", "check_num_parts", "halo_vertices",
     "HashPartitioner", "hash_vertices",
     "MetisPartitioner", "metis_partition", "metis_clusters",
     "StreamVPartitioner", "StreamBPartitioner", "l_hop_neighborhood",

@@ -18,7 +18,8 @@ import numpy as np
 from ..errors import PartitionError
 from ..perf.profiler import wall_clock
 
-__all__ = ["PartitionResult", "Partitioner", "check_num_parts"]
+__all__ = ["PartitionResult", "Partitioner", "check_num_parts",
+           "halo_vertices"]
 
 
 def check_num_parts(num_vertices, num_parts):
@@ -28,6 +29,36 @@ def check_num_parts(num_vertices, num_parts):
     if num_parts > num_vertices:
         raise PartitionError(
             f"cannot split {num_vertices} vertices into {num_parts} parts")
+
+
+def halo_vertices(graph, assignment, part, hops=1):
+    """Foreign vertex ids within ``hops`` in-edge steps of the vertices
+    ``assignment`` gives to ``part`` (sorted ascending; never an owned
+    vertex).  At one hop these are the boundary in-neighbors a GNN layer
+    over ``part``'s vertices aggregates from another machine."""
+    in_indptr, in_indices = graph.in_csr()
+    reached = np.asarray(assignment) == part
+    owned = reached.copy()
+    frontier = np.flatnonzero(reached)
+    for _ in range(hops):
+        if len(frontier) == 0:
+            break
+        counts = in_indptr[frontier + 1] - in_indptr[frontier]
+        total = int(counts.sum())
+        if total == 0:
+            break
+        # Gather the concatenated in-neighbor lists of the frontier:
+        # element j of the output, falling in frontier group g at
+        # within-group offset o, reads in_indices[starts[g] + o].
+        starts = in_indptr[frontier]
+        group_base = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        offsets = (np.repeat(starts - group_base, counts)
+                   + np.arange(total, dtype=np.int64))
+        neighbors = in_indices[offsets]
+        new = np.unique(neighbors[~reached[neighbors]])
+        reached[new] = True
+        frontier = new
+    return np.flatnonzero(reached & ~owned)
 
 
 @dataclass

@@ -51,9 +51,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..analysis.sanitize import check_finite
-from ..dist.fullbatch import full_aggregation_matrix
 from ..errors import ServingError
-from ..kernels import gspmm_forward
+from ..kernels import full_graph_adjacency, gspmm_forward
 from ..nn.layers import GCNConv, SAGEConv
 from ..nn.tensor import Tensor
 from .loop import eval_mode
@@ -156,7 +155,7 @@ class LayerwiseEmbeddings:
         for conv in self.convs:
             loops = isinstance(conv, GCNConv)
             if loops not in self._operators:
-                self._operators[loops] = full_aggregation_matrix(
+                self._operators[loops] = full_graph_adjacency(
                     graph, self_loops=loops)
 
         # Offline table build: the full-graph pass every vertex shares.

@@ -3,12 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.dist import FullBatchEngine, FullGraphGCN, full_aggregation_matrix
+from repro import Trainer, TrainingConfig, make_sampler
+from repro.dist import FullBatchEngine, FullGraph, SyncEngine
 from repro.errors import TrainingError
 from repro.graph import load_dataset
-from repro.nn import Adam, Tensor
+from repro.kernels import full_graph_adjacency
+from repro.nn import Adam, Tensor, build_model
 from repro.partition import HashPartitioner, MetisPartitioner
-from repro.transfer import DEFAULT_SPEC
+from repro.sampling import NeighborSampler
+from repro.transfer import DEFAULT_SPEC, ZeroCopy
+
+from ._fullbatch_oracle import FullBatchEngine as OracleEngine
 
 
 @pytest.fixture(scope="module")
@@ -24,22 +29,28 @@ def partition(dataset):
 
 
 def build_engine(dataset, partition, staleness=0, seed=1, lr=0.01):
-    model = FullGraphGCN(dataset.feature_dim, 64, dataset.num_classes, 2,
-                         np.random.default_rng(seed))
+    model = build_model("gcn", dataset.feature_dim, dataset.num_classes,
+                        num_layers=2, hidden_dim=64,
+                        rng=np.random.default_rng(seed))
     return FullBatchEngine(dataset, partition, model,
                            Adam(model.parameters(), lr=lr),
-                           spec=DEFAULT_SPEC, staleness=staleness,
-                           hidden_dim=64)
+                           spec=DEFAULT_SPEC, staleness=staleness)
+
+
+def run(engine, epochs):
+    """Per-epoch stats of ``epochs`` full-batch epochs from epoch 0."""
+    return [engine.run_epoch(None, None, epoch=epoch)
+            for epoch in range(epochs)]
 
 
 class TestAggregationMatrix:
     def test_rows_sum_to_one(self, dataset):
-        matrix = full_aggregation_matrix(dataset.graph)
+        matrix = full_graph_adjacency(dataset.graph)
         sums = np.asarray(matrix.sum(axis=1)).ravel()
         assert np.allclose(sums, 1.0, atol=1e-5)
 
     def test_shape(self, dataset):
-        matrix = full_aggregation_matrix(dataset.graph)
+        matrix = full_graph_adjacency(dataset.graph)
         n = dataset.num_vertices
         assert matrix.shape == (n, n)
 
@@ -66,7 +77,7 @@ class TestAggregationMatrix:
         scale = sp.diags((1.0 / degree).astype(np.float32))
         reference = (scale @ reference).tocsr()
 
-        matrix = full_aggregation_matrix(graph, self_loops=self_loops)
+        matrix = full_graph_adjacency(graph, self_loops=self_loops)
         assert matrix.shape == reference.shape
         assert np.array_equal(matrix.indptr, reference.indptr)
         assert np.array_equal(matrix.indices, reference.indices)
@@ -76,23 +87,20 @@ class TestAggregationMatrix:
 class TestFullBatchEngine:
     def test_one_update_per_epoch(self, dataset, partition):
         engine = build_engine(dataset, partition)
-        stats = engine.run_epoch()
+        stats, = run(engine, 1)
         assert stats.num_steps == 1
         assert stats.batch_size == len(dataset.train_ids)
 
     def test_learns(self, dataset, partition):
         engine = build_engine(dataset, partition)
-        for _epoch in range(15):
-            stats = engine.run_epoch()
+        run(engine, 15)
         accuracy = engine.evaluate(dataset.val_ids)
         assert accuracy > 5.0 / dataset.num_classes
 
     def test_loss_decreases(self, dataset, partition):
         engine = build_engine(dataset, partition)
-        first = engine.run_epoch().loss
-        for _epoch in range(8):
-            last = engine.run_epoch().loss
-        assert last < first
+        losses = [stats.loss for stats in run(engine, 9)]
+        assert losses[-1] < losses[0]
 
     def test_boundary_sets_are_remote(self, dataset, partition):
         engine = build_engine(dataset, partition)
@@ -103,7 +111,7 @@ class TestFullBatchEngine:
         solo = HashPartitioner().partition(dataset.graph, 1,
                                            rng=np.random.default_rng(0))
         engine = build_engine(dataset, solo)
-        stats = engine.run_epoch()
+        stats, = run(engine, 1)
         assert stats.dt_seconds == 0.0
         assert stats.allreduce_seconds == 0.0
 
@@ -115,14 +123,13 @@ class TestFullBatchEngine:
 class TestStaleness:
     def test_stale_epochs_skip_comm(self, dataset, partition):
         engine = build_engine(dataset, partition, staleness=2)
-        fresh = engine.run_epoch()       # epoch 0: refresh
-        stale = engine.run_epoch()       # epoch 1: stale
+        fresh, stale = run(engine, 2)    # epoch 0: refresh, 1: stale
         assert stale.dt_seconds == 0.0
         assert fresh.dt_seconds > 0.0
 
     def test_refresh_cadence(self, dataset, partition):
         engine = build_engine(dataset, partition, staleness=1)
-        dt = [engine.run_epoch().dt_seconds for _epoch in range(4)]
+        dt = [stats.dt_seconds for stats in run(engine, 4)]
         # refresh, stale, refresh, stale
         assert dt[0] > 0 and dt[2] > 0
         assert dt[1] == 0 and dt[3] == 0
@@ -130,25 +137,23 @@ class TestStaleness:
     def test_staleness_reduces_mean_epoch_time(self, dataset, partition):
         plain = build_engine(dataset, partition, staleness=0)
         stale = build_engine(dataset, partition, staleness=3)
-        plain_time = np.mean([plain.run_epoch().epoch_seconds
-                              for _epoch in range(8)])
-        stale_time = np.mean([stale.run_epoch().epoch_seconds
-                              for _epoch in range(8)])
+        plain_time = np.mean([stats.epoch_seconds
+                              for stats in run(plain, 8)])
+        stale_time = np.mean([stats.epoch_seconds
+                              for stats in run(stale, 8)])
         assert stale_time < plain_time
 
     def test_stale_training_still_learns(self, dataset, partition):
         engine = build_engine(dataset, partition, staleness=3)
-        for _epoch in range(15):
-            engine.run_epoch()
+        run(engine, 15)
         accuracy = engine.evaluate(dataset.val_ids)
         assert accuracy > 5.0 / dataset.num_classes
 
     def test_stale_close_to_fresh_accuracy(self, dataset, partition):
         fresh = build_engine(dataset, partition, staleness=0, seed=2)
         stale = build_engine(dataset, partition, staleness=3, seed=2)
-        for _epoch in range(15):
-            fresh.run_epoch()
-            stale.run_epoch()
+        run(fresh, 15)
+        run(stale, 15)
         fresh_acc = fresh.evaluate(dataset.val_ids)
         stale_acc = stale.evaluate(dataset.val_ids)
         assert stale_acc > fresh_acc - 0.15
@@ -188,3 +193,114 @@ class TestNewTensorOps:
         a = Tensor(np.ones((2, 3)))
         with pytest.raises(TrainingError):
             Tensor.assemble_rows([a], [[0, 0]], 2)
+
+
+class TestWidthsFromModel:
+    """Both engines meter the model they are given: there is no width
+    knob that can disagree with it."""
+
+    def test_fullbatch_meters_the_model_widths(self, dataset, partition):
+        engine = build_engine(dataset, partition)          # 64 wide
+        oracle = OracleEngine(dataset, partition, engine.model,
+                              engine.optimizer, spec=DEFAULT_SPEC,
+                              hidden_dim=64)
+        ours, = run(engine, 1)
+        assert ours.nn_seconds == oracle._compute_seconds()
+        assert (ours.dt_seconds, ours.remote_feature_bytes) \
+            == oracle._comm_seconds(refresh=True)
+        boundary = sum(len(b) for b in engine.boundary)
+        assert ours.remote_feature_bytes \
+            == boundary * (dataset.feature_dim + 2 * 64) * 4
+
+    def test_sync_engine_meters_the_model_widths(self, dataset, partition,
+                                                 monkeypatch):
+        import repro.dist.engine as engine_module
+        widths = []
+        real = engine_module.estimate_flops
+
+        def spy(subgraph, feature_dim, hidden_dim, num_classes):
+            widths.append((hidden_dim, num_classes))
+            return real(subgraph, feature_dim, hidden_dim, num_classes)
+
+        monkeypatch.setattr(engine_module, "estimate_flops", spy)
+        model = build_model("gcn", dataset.feature_dim, dataset.num_classes,
+                            hidden_dim=64, rng=np.random.default_rng(1))
+        engine = SyncEngine(dataset, partition, NeighborSampler((5, 5)),
+                            model, Adam(model.parameters(), lr=0.003),
+                            spec=DEFAULT_SPEC, transfer=ZeroCopy())
+        engine.run_epoch(512, np.random.default_rng(0), epoch=0)
+        assert widths and set(widths) == {(64, dataset.num_classes)}
+
+    @pytest.mark.parametrize("knob", ["hidden_dim", "num_classes"])
+    def test_no_width_parameters(self, dataset, partition, knob):
+        model = build_model("gcn", dataset.feature_dim, dataset.num_classes,
+                            rng=np.random.default_rng(1))
+        optimizer = Adam(model.parameters(), lr=0.003)
+        with pytest.raises(TypeError):
+            FullBatchEngine(dataset, partition, model, optimizer,
+                            DEFAULT_SPEC, **{knob: 64})
+        with pytest.raises(TypeError):
+            SyncEngine(dataset, partition, NeighborSampler((5, 5)), model,
+                       optimizer, DEFAULT_SPEC, ZeroCopy(), **{knob: 64})
+
+
+class TestRejectsWhatItCannotRun:
+    @pytest.mark.parametrize("name", ["graphsage", "gat"])
+    def test_non_gcn_model(self, dataset, partition, name):
+        model = build_model(name, dataset.feature_dim, dataset.num_classes,
+                            rng=np.random.default_rng(1))
+        with pytest.raises(TrainingError, match="model"):
+            FullBatchEngine(dataset, partition, model,
+                            Adam(model.parameters(), lr=0.01), DEFAULT_SPEC)
+
+    @pytest.mark.parametrize("staleness", [1.5, True, float("nan"),
+                                           float("inf"), "2", -1])
+    def test_staleness_not_an_integer_at_least_zero(self, dataset,
+                                                    partition, staleness):
+        with pytest.raises(TrainingError, match="staleness"):
+            FullGraph(staleness)
+        with pytest.raises(TrainingError, match="staleness"):
+            build_engine(dataset, partition, staleness=staleness)
+
+    def test_numpy_integer_staleness_accepted(self, dataset, partition):
+        assert FullGraph(np.int64(2)).staleness == 2
+        assert build_engine(dataset, partition,
+                            staleness=np.int64(2)).staleness == 2
+
+
+class TestFullGraphPolicy:
+    """Full-graph training through the Trainer's ``sampler`` field."""
+
+    def config(self, **overrides):
+        return TrainingConfig(**{"sampler": FullGraph(), "num_workers": 3,
+                                 "hidden_dim": 32, "epochs": 2,
+                                 **overrides})
+
+    def test_named_policy(self, dataset):
+        assert make_sampler("full-graph") == FullGraph()
+        named = Trainer(dataset, self.config(sampler="full-graph")).run()
+        policy = Trainer(dataset, self.config()).run()
+        assert named.curve.losses == policy.curve.losses
+        assert named.curve.batch_sizes == [len(dataset.train_ids)] * 2
+
+    @pytest.mark.parametrize("name", ["graphsage", "gat"])
+    def test_non_gcn_model_rejected(self, dataset, name):
+        with pytest.raises(TrainingError, match="model"):
+            Trainer(dataset, self.config(model=name)).run()
+
+    @pytest.mark.parametrize("overrides", [
+        dict(cache_policy="degree", cache_ratio=0.1),
+        dict(cache_policy="lru", cache_ratio=0.05, cache_warm_ratio=0.1),
+    ])
+    def test_cache_rejected(self, dataset, overrides):
+        with pytest.raises(TrainingError, match="cache_policy"):
+            Trainer(dataset, self.config(**overrides)).run()
+
+    def test_replication_rejected(self, dataset):
+        with pytest.raises(TrainingError, match="replication_budget"):
+            Trainer(dataset, self.config(replication_budget=0.05)).run()
+
+    def test_faults_rejected(self, dataset):
+        with pytest.raises(TrainingError, match="faults"):
+            Trainer(dataset, self.config()).run(faults="crash@1:w1")
+

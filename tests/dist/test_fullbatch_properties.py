@@ -5,15 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dist import FullBatchEngine, FullGraphGCN
+from repro.dist import FullBatchEngine
+from repro.fleet import ShardMap
 from repro.graph import power_law_graph, split_vertices
 from repro.graph.datasets import DATASET_SPECS, Dataset
-from repro.nn import Adam
-from repro.partition import HashPartitioner
+from repro.nn import Adam, build_model
+from repro.partition import HashPartitioner, MetisPartitioner
 from repro.transfer import DEFAULT_SPEC
 
+from ._fullbatch_oracle import FullBatchEngine as OracleEngine
 
-def build_case(n, degree, parts, seed):
+
+def build_case(n, degree, parts, seed, partitioner=None):
     rng = np.random.default_rng(seed)
     graph, comm = power_law_graph(n, degree, rng, num_communities=4)
     features = rng.normal(size=(n, 8)).astype(np.float32)
@@ -21,13 +24,13 @@ def build_case(n, degree, parts, seed):
     dataset = Dataset(spec=DATASET_SPECS["ogb-arxiv"], graph=graph,
                       features=features, labels=labels,
                       split=split_vertices(n, rng), communities=comm)
-    partition = HashPartitioner().partition(
-        graph, parts, rng=np.random.default_rng(seed))
-    model = FullGraphGCN(8, 16, 4, 2, np.random.default_rng(seed),
-                         dropout=0.0)
+    partition = (partitioner or HashPartitioner()).partition(
+        graph, parts, split=dataset.split, rng=np.random.default_rng(seed))
+    model = build_model("gcn", 8, 4, num_layers=2, hidden_dim=16,
+                        rng=np.random.default_rng(seed), dropout=0.0)
     engine = FullBatchEngine(dataset, partition, model,
                              Adam(model.parameters(), lr=0.01),
-                             spec=DEFAULT_SPEC, hidden_dim=16)
+                             spec=DEFAULT_SPEC)
     return dataset, partition, engine
 
 
@@ -63,7 +66,7 @@ class TestFullBatchInvariants:
     def test_epoch_accounting_consistent(self, case):
         n, degree, parts, seed = case
         _dataset, _partition, engine = build_case(n, degree, parts, seed)
-        stats = engine.run_epoch()
+        stats = engine.run_epoch(None, None, epoch=0)
         assert stats.epoch_seconds == pytest.approx(
             stats.nn_seconds + stats.dt_seconds
             + stats.allreduce_seconds)
@@ -78,3 +81,35 @@ class TestFullBatchInvariants:
         covered = np.concatenate(engine.owned)
         assert len(covered) == n
         assert len(np.unique(covered)) == n
+
+    @given(engine_cases(), st.sampled_from(["hash", "metis-ve"]))
+    @settings(max_examples=10, deadline=None)
+    def test_boundaries_are_the_one_hop_halo(self, case, method):
+        """The vectorized halo equals the per-vertex in-neighbor walk
+        it replaced and the fleet's ``ShardMap.halo(p, 1)``."""
+        n, degree, parts, seed = case
+        partitioner = (HashPartitioner() if method == "hash"
+                       else MetisPartitioner("ve"))
+        dataset, partition, engine = build_case(n, degree, parts, seed,
+                                                partitioner)
+        walk = OracleEngine(dataset, partition, engine.model,
+                            engine.optimizer, spec=DEFAULT_SPEC)
+        shards = ShardMap(partition, dataset.graph)
+        for part in range(parts):
+            assert np.array_equal(engine.boundary[part],
+                                  walk.boundary[part])
+            assert np.array_equal(engine.boundary[part],
+                                  shards.halo(part, 1))
+
+
+@pytest.mark.parametrize("method", ["hash", "metis-ve"])
+@pytest.mark.parametrize("n", [550, 2200])
+def test_boundaries_are_the_one_hop_halo_at_size(method, n):
+    partitioner = (HashPartitioner() if method == "hash"
+                   else MetisPartitioner("ve"))
+    dataset, partition, engine = build_case(n, 5, 4, 11, partitioner)
+    walk = OracleEngine(dataset, partition, engine.model, engine.optimizer,
+                        spec=DEFAULT_SPEC)
+    for part in range(4):
+        assert np.array_equal(engine.boundary[part], walk.boundary[part])
+
