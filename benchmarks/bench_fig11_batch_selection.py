@@ -10,51 +10,44 @@ visible as a higher variance of the per-batch subgraph density.
 import numpy as np
 
 from repro import Trainer
-from repro.batching import ClusterBatchSelector, RandomBatchSelector
 from repro.core import format_table
-from repro.dist.engine import SyncEngine
 from repro.graph.metrics import local_clustering_coefficients
 
 from common import bench_dataset, quick_config, run_once
 
 DATASET = "ogb-products"
 EPOCHS = 20
+#: Row label -> TrainingConfig.batch_selection.
+SELECTIONS = {"random": "random", "cluster-based": "cluster"}
 
 
-def run_with_selector(dataset, selector_name):
-    """Train with a batch selector and also collect batch-density stats."""
+def run_with_selection(dataset, selection):
+    """Train with a batch selection and also collect batch-density
+    stats."""
     config = quick_config(epochs=EPOCHS, batch_size=128, num_workers=1,
-                          partitioner="hash", fanout=(10, 10))
-    trainer = Trainer(dataset, config)
-    # Re-run the training loop manually to thread the selector through.
-    engine, partition, sampler, model, _opt = trainer._build_engine()
-    selector = (RandomBatchSelector() if selector_name == "random"
-                else ClusterBatchSelector(dataset.graph))
-    rng = config.rng(salt=100)
-    from repro.core.trainer import evaluate_model
-    curve = []
-    times = []
-    for _epoch in range(EPOCHS):
-        stats = engine.run_epoch(128, rng, selector=selector)
-        val = evaluate_model(model, dataset, dataset.val_ids, sampler,
-                             np.random.default_rng(99))
-        curve.append(val)
-        times.append(stats.epoch_seconds)
+                          partitioner="hash", fanout=(10, 10),
+                          batch_selection=selection)
+    # Build the selector once: training and the density probe below
+    # share its (cached) clustering.
+    selector = config.build_selector(dataset.graph)
+    curve = Trainer(dataset, config.with_overrides(
+        batch_selection=selector)).run().curve
     # Batch density variance: clustering coefficient of each batch's
-    # seed-set, variance across batches of the last epoch.
+    # seed-set, variance across the batches of one epoch.
     coeffs = local_clustering_coefficients(dataset.graph)
     densities = []
     batch_rng = np.random.default_rng(7)
     for batch in selector.batches(dataset.train_ids, 128, batch_rng):
         densities.append(float(coeffs[batch].mean()))
-    return curve, times, float(np.var(densities))
+    return curve.val_accuracies, curve.epoch_seconds, \
+        float(np.var(densities))
 
 
 def build_rows():
     dataset = bench_dataset(DATASET)
     rows = []
-    for name in ("random", "cluster-based"):
-        curve, times, density_var = run_with_selector(dataset, name)
+    for name, selection in SELECTIONS.items():
+        curve, times, density_var = run_with_selection(dataset, selection)
         rows.append({
             "selection": name,
             "best val acc": round(max(curve), 3),

@@ -9,25 +9,21 @@ half, because clustered seeds share sampled neighbors.
 import numpy as np
 
 from repro import Trainer
-from repro.batching import ClusterBatchSelector, RandomBatchSelector
 from repro.core import format_table
 
 from common import bench_dataset, quick_config, run_once
 
 DATASETS = ("ogb-products", "reddit")
 EPOCHS = 4
+#: Row label -> TrainingConfig.batch_selection.
+SELECTIONS = {"random": "random", "cluster-based": "cluster"}
 
 
-def measure(dataset, selector_name):
+def measure(dataset, selection):
     config = quick_config(epochs=EPOCHS, batch_size=128, num_workers=1,
-                          partitioner="hash", fanout=(10, 10))
-    trainer = Trainer(dataset, config)
-    engine, _partition, _sampler, _model, _opt = trainer._build_engine()
-    selector = (RandomBatchSelector() if selector_name == "random"
-                else ClusterBatchSelector(dataset.graph))
-    rng = config.rng(salt=100)
-    stats = [engine.run_epoch(128, rng, selector=selector)
-             for _epoch in range(EPOCHS)]
+                          partitioner="hash", fanout=(10, 10),
+                          batch_selection=selection)
+    stats = Trainer(dataset, config).run().epoch_stats
     return {
         "epoch time (sim s)": float(np.mean(
             [s.epoch_seconds for s in stats])),
@@ -41,10 +37,10 @@ def build_rows():
     rows = []
     for dataset_name in DATASETS:
         dataset = bench_dataset(dataset_name)
-        for selector_name in ("random", "cluster-based"):
-            row = {"dataset": dataset_name, "method": selector_name}
+        for label, selection in SELECTIONS.items():
+            row = {"dataset": dataset_name, "method": label}
             row.update({k: round(v, 6)
-                        for k, v in measure(dataset, selector_name).items()})
+                        for k, v in measure(dataset, selection).items()})
             rows.append(row)
     return rows
 

@@ -44,8 +44,8 @@ def build_rows():
         trainer = Trainer(dataset, config)
         engine, _partition, _sampler, model, _opt = trainer._build_engine()
         rng = config.rng(salt=100)
-        for _epoch in range(EPOCHS):
-            engine.run_epoch(128, rng)
+        for epoch in range(EPOCHS):
+            engine.run_epoch(128, rng, epoch=epoch)
         eval_rng = np.random.default_rng(55)
         label = f"fanout{fanout}"
         low_row[label] = round(evaluate_model(

@@ -25,8 +25,8 @@ def main():
     trainer = Trainer(dataset, config)
     engine, _partition, sampler, model, _opt = trainer._build_engine()
     rng = config.rng(100)
-    for _epoch in range(config.epochs):
-        engine.run_epoch(128, rng)
+    for epoch in range(config.epochs):
+        engine.run_epoch(128, rng, epoch=epoch)
 
     untrained = build_model("gcn", dataset.feature_dim,
                             dataset.num_classes,

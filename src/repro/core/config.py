@@ -14,6 +14,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..batching.schedule import BatchSizeSchedule, FixedBatchSize
+from ..batching.selection import (BatchSelector, ClusterBatchSelector,
+                                  RandomBatchSelector)
 from ..dist import FullGraph
 from ..errors import TrainingError, TransferError
 from ..partition import (HashPartitioner, MetisPartitioner,
@@ -124,6 +126,9 @@ class TrainingConfig:
     learning_rate: float = 0.003
     # Batch preparation.
     batch_size: object = 512            # int or BatchSizeSchedule
+    # Which training vertices form each batch (§6.3.2): "random",
+    # "cluster" or a BatchSelector.
+    batch_selection: object = "random"
     sampler: object = "fanout"          # name, Sampler or FullGraph
     fanout: tuple = (25, 10)
     sample_rate: float = 0.1
@@ -165,6 +170,19 @@ class TrainingConfig:
         if isinstance(self.batch_size, BatchSizeSchedule):
             return self.batch_size
         return FixedBatchSize(int(self.batch_size))
+
+    def build_selector(self, graph):
+        """The batch selector (built from a name if needed); "cluster"
+        clusters ``graph`` with this config's seed."""
+        if isinstance(self.batch_selection, BatchSelector):
+            return self.batch_selection
+        if self.batch_selection == "random":
+            return RandomBatchSelector()
+        if self.batch_selection == "cluster":
+            return ClusterBatchSelector(graph, seed=self.seed)
+        raise TrainingError(
+            f"unknown batch_selection {self.batch_selection!r}; known: "
+            f"'random', 'cluster' or a BatchSelector")
 
     def build_sampler(self):
         """The sampler or batch policy (built from a name if needed)."""

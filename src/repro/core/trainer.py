@@ -6,10 +6,11 @@ training pipeline of Figure 1.
 1. partitions the graph (data partitioning step, timed);
 2. builds per-worker GPU caches if configured;
 3. trains epoch by epoch with the synchronous mini-batch engine
-   (batch preparation, data transferring, NN computation — all
-   metered) or, when ``config.sampler`` is the
-   :class:`~repro.dist.FullGraph` policy, with the full-graph engine
-   (one update per epoch, boundary exchange metered);
+   (batch selection by ``config.batch_selection``, batch preparation,
+   data transferring, NN computation — all metered) or, when
+   ``config.sampler`` is the :class:`~repro.dist.FullGraph` policy,
+   with the full-graph engine (one update per epoch, boundary exchange
+   metered);
 4. evaluates validation accuracy each epoch (real numpy inference) and
    finally reports test accuracy at the best-validation checkpoint.
 
@@ -225,23 +226,27 @@ class Trainer:
             spec=config.spec, transfer=config.build_transfer(),
             caches=caches, pipeline_mode=config.pipeline,
             injector=injector, retry=retry,
-            crash_policy=config.crash_policy)
+            crash_policy=config.crash_policy,
+            selector=config.build_selector(dataset.graph))
         return engine, partition, sampler, model, optimizer
 
     def _check_full_graph(self, injector):
-        """Reject the steps full-graph training does not have: every
-        feature is resident (no cache, no replication) and there is no
-        fault clock."""
+        """Reject the steps full-graph training does not have: there
+        are no batches to select, every feature is resident (no cache,
+        no replication) and there is no fault clock."""
         config = self.config
-        for name, value in (("cache_policy", config.cache_policy),
+        for name, value in (("batch_selection",
+                             config.batch_selection != "random"),
+                            ("cache_policy", config.cache_policy),
                             ("cache_ratio", config.cache_ratio),
                             ("cache_warm_ratio", config.cache_warm_ratio),
                             ("replication_budget", config.replication_budget),
                             ("faults", injector)):
             if value is not None and value != 0:
                 raise TrainingError(
-                    f"{name}: full-graph training has no feature cache, "
-                    f"replication or fault replay")
+                    f"{name}: full-graph training has no batch "
+                    f"selection, feature cache, replication or fault "
+                    f"replay")
 
     def _memory_batch_cap(self, sampler):
         """Largest batch the simulated GPU fits (None = no cap).

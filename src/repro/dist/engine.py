@@ -19,14 +19,21 @@ Remote work accounting per batch:
 * features not in the worker's GPU cache -> PCIe bytes (via the
   configured transfer method).
 
+Batch selection (§6.3.2) is the engine's ``selector``: a
+:class:`~repro.batching.selection.BatchSelector` splits every worker's
+own training vertices into the epoch's seed batches (random by
+default, cluster-based for Table 6 / Figure 11).
+
 Fault tolerance (``repro.faults``): the engine optionally takes a
 :class:`~repro.faults.plan.FaultInjector` and a
-:class:`~repro.faults.retry.RetryPolicy`.  Stragglers multiply a
-worker's stage times, degraded links scale the network bandwidth for the
-epoch, and flaky remote fetches pay retry timeouts/backoff in simulated
-time (counted on :class:`EpochStats`; the training math is unaffected —
-a fetch that exhausts its budget is served by a fail-slow fallback, so
-faulty and healthy runs share one loss curve).  A permanent worker crash
+:class:`~repro.faults.retry.RetryPolicy`, and reads crashes and window
+multipliers off the plan's timeline at the epoch it is given.
+Stragglers multiply a worker's stage times, degraded links scale the
+network bandwidth for the epoch, and flaky remote fetches pay retry
+timeouts/backoff in simulated time (counted on :class:`EpochStats`; the
+training math is unaffected — a fetch that exhausts its budget is
+served by a fail-slow fallback, so faulty and healthy runs share one
+loss curve).  A permanent worker crash
 removes the machine: its training vertices are either redistributed to
 survivors (``crash_policy="redistribute"``) or dropped
 (``crash_policy="drop"``), and the all-reduce ring shrinks to the
@@ -42,6 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..batching.selection import RandomBatchSelector
 from ..errors import FaultError, TrainingError
 from ..nn import softmax_cross_entropy
 from ..perf import PERF, sorted_unique
@@ -135,6 +143,10 @@ class SyncEngine:
         ownership (and replication).
     sampler:
         Batch-preparation sampler.
+    selector:
+        :class:`~repro.batching.selection.BatchSelector` forming each
+        worker's seed batches; default
+        :class:`~repro.batching.selection.RandomBatchSelector`.
     model, optimizer:
         The shared model and its optimizer; the FLOPs estimate reads
         the hidden and class widths off the model's head.
@@ -164,7 +176,8 @@ class SyncEngine:
 
     def __init__(self, dataset, partition, sampler, model, optimizer,
                  spec, transfer, caches=None, pipeline_mode="bp+dt",
-                 injector=None, retry=None, crash_policy="redistribute"):
+                 injector=None, retry=None, crash_policy="redistribute",
+                 selector=None):
         if crash_policy not in self.CRASH_POLICIES:
             raise TrainingError(
                 f"unknown crash_policy {crash_policy!r}; "
@@ -172,6 +185,7 @@ class SyncEngine:
         self.dataset = dataset
         self.partition = partition
         self.sampler = sampler
+        self.selector = selector or RandomBatchSelector()
         self.model = model
         self.optimizer = optimizer
         self.spec = spec
@@ -198,7 +212,6 @@ class SyncEngine:
             from ..faults.retry import RetryPolicy
             retry = RetryPolicy()
         self.retry = retry
-        self._epoch_counter = 0
         self._dropped = 0
         # Per-epoch fault state, refreshed by run_epoch().
         self._epoch_spec = spec
@@ -217,19 +230,18 @@ class SyncEngine:
         """Kill workers whose scheduled crash epoch has arrived and
         redistribute or drop their training vertices.
 
-        Crashes are processed in ``(epoch, worker)`` order so that a
+        The plan's ``crashes`` are in ``(time, worker)`` order, so a
         resumed run — which applies several past crashes in one call —
         reproduces the exact redistribution sequence of the original.
         """
-        events = sorted((e for e in self.injector.plan
-                         if e.kind == "crash" and e.epoch <= epoch),
-                        key=lambda e: (e.epoch, e.worker))
-        for event in events:
-            if event.worker >= len(self.workers):
+        for time, worker_id, _down in self.injector.plan.crashes:
+            if time > epoch:
+                break
+            if worker_id >= len(self.workers):
                 raise FaultError(
-                    f"crash fault targets worker {event.worker} but the "
+                    f"crash fault targets worker {worker_id} but the "
                     f"cluster has {len(self.workers)} workers")
-            worker = self.workers[event.worker]
+            worker = self.workers[worker_id]
             if not worker.alive:
                 continue
             surrendered = worker.crash()
@@ -257,12 +269,13 @@ class SyncEngine:
             return
         self.injector.begin_epoch(epoch)
         self._apply_crashes(epoch)
-        bandwidth = self.injector.bandwidth_multiplier()
+        plan = self.injector.plan
+        _, bandwidth = plan.multipliers(None, epoch)
         if bandwidth != 1.0:
             self._epoch_spec = self.spec.with_overrides(
                 network_bandwidth=self.spec.network_bandwidth * bandwidth)
         for worker in self.alive_workers:
-            multiplier = self.injector.stage_multiplier(worker.worker_id)
+            multiplier, _ = plan.multipliers(worker.worker_id, epoch)
             if multiplier != 1.0:
                 self._stage_multipliers[worker.worker_id] = multiplier
 
@@ -380,21 +393,17 @@ class SyncEngine:
     # ------------------------------------------------------------------
     # Training
     # ------------------------------------------------------------------
-    def run_epoch(self, batch_size, rng, selector=None, epoch=None):
+    def run_epoch(self, batch_size, rng, epoch):
         """One synchronous epoch; returns :class:`EpochStats`.
 
-        ``selector`` optionally overrides each worker's batch formation
-        (e.g. cluster-based selection); it is applied per worker to the
-        worker's own training vertices.
-
-        ``epoch`` is the global epoch index on the fault clock; when
-        omitted, an internal counter is used.  A resumed trainer passes
-        the absolute epoch so the fault schedule replays at the right
-        positions.
+        Each worker's seed batches come from :attr:`selector` over the
+        worker's own training vertices.  ``epoch`` is the global epoch
+        index on the fault clock: a resumed trainer passes the absolute
+        epoch so the fault schedule replays at the right positions.
         """
-        if epoch is None:
-            epoch = self._epoch_counter
-        self._epoch_counter = epoch + 1
+        if batch_size < 1:
+            raise TrainingError(
+                f"batch_size must be >= 1, got {batch_size}")
         self._begin_epoch_faults(epoch)
 
         graph = self.dataset.graph
@@ -402,17 +411,10 @@ class SyncEngine:
         features = self.dataset.features
         perf_before = PERF.snapshot()
 
-        per_worker_batches = []
-        for worker in self.workers:
-            if worker.num_train == 0:
-                per_worker_batches.append([])
-                continue
-            if selector is None:
-                batches = worker.epoch_batches(batch_size, rng)
-            else:
-                batches = list(selector.batches(worker.train_ids,
-                                                batch_size, rng))
-            per_worker_batches.append(batches)
+        per_worker_batches = [
+            list(self.selector.batches(worker.train_ids, batch_size, rng))
+            if worker.num_train else []
+            for worker in self.workers]
 
         num_steps = max((len(b) for b in per_worker_batches), default=0)
         if num_steps == 0:

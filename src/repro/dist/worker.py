@@ -83,15 +83,6 @@ class Worker:
     def num_train(self):
         return len(self.train_ids)
 
-    def epoch_batches(self, batch_size, rng):
-        """This epoch's seed batches over the worker's own vertices."""
-        if batch_size < 1:
-            raise TrainingError(
-                f"batch_size must be >= 1, got {batch_size}")
-        order = rng.permutation(self.train_ids)
-        return [order[start:start + batch_size]
-                for start in range(0, len(order), batch_size)]
-
     def log(self, work):
         """Record one batch's accounting."""
         self.work_log.append(work)

@@ -12,16 +12,19 @@ times — and a run resumed from an epoch-boundary checkpoint replays the
 exact same draws, because every stream is reseeded at epoch start from
 ``(plan seed, epoch, worker)`` alone.
 
-The grammar is shared infrastructure: :meth:`FaultPlan.parse` is the
+The plan is shared infrastructure: :meth:`FaultPlan.parse` is the
 *single* schedule parser for both the training side (``repro train
 --faults`` and the ``repro bench faults`` scenarios, times = integer
 epochs) and the serving-fleet chaos harness (``repro bench fleet-chaos
 --schedule``, times = simulated seconds, fractional allowed; ``worker``
-then names a replica).  Each consumer validates the
-clock semantics it needs — :class:`FaultInjector` rejects fractional
-epochs, :class:`repro.fleet.resilience.FleetSchedule` rejects
-epoch-only kinds — but the token syntax, field validation, and seeding
-are defined once, here.
+then names a replica), and a plan compiles its events once into the
+*single* timeline both clocks read: sorted ``crashes`` plus window
+tuples answered by :meth:`FaultPlan.multipliers` and
+:meth:`FaultPlan.failure_prob`.  Each consumer validates the clock
+semantics it needs — :class:`FaultInjector` rejects non-integer
+epochs, :class:`~repro.fleet.engine.FleetEngine` rejects epoch-only
+kinds — but the token syntax, field validation, seeding and the order
+in which overlapping windows multiply are defined once, here.
 
 Event kinds
 -----------
@@ -49,6 +52,7 @@ Event kinds
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,6 +77,15 @@ def _number(text):
         return int(text)
     except ValueError:
         return float(text)
+
+
+def _integral(value):
+    """Whether ``value`` is a whole number (a time on the epoch clock);
+    ``nan`` and the infinities are not."""
+    try:
+        return value == int(value)
+    except (OverflowError, ValueError):
+        return False
 
 
 @dataclass(frozen=True)
@@ -111,6 +124,14 @@ class FaultEvent:
         if self.kind not in FAULT_KINDS:
             raise FaultError(
                 f"unknown fault kind {self.kind!r}; known: {FAULT_KINDS}")
+        # ``nan`` passes every ``<`` / ``<=`` test below (``nan < 0`` is
+        # False), so it is refused first.
+        for name in ("epoch", "duration", "magnitude"):
+            value = getattr(self, name)
+            if value != value:
+                raise FaultError(f"fault {name} must be a number, got nan")
+        if self.epoch == math.inf:
+            raise FaultError("fault epoch must be finite, got inf")
         if self.epoch < 0:
             raise FaultError(f"fault epoch must be >= 0, got {self.epoch}")
         if self.duration <= 0:
@@ -134,12 +155,6 @@ class FaultEvent:
                 f"slowlink bandwidth multiplier must be in (0, 1], "
                 f"got {self.magnitude}")
 
-    def active(self, epoch):
-        """Whether this (windowed) event covers ``epoch``."""
-        if self.kind in _WINDOW_KINDS:
-            return self.epoch <= epoch < self.epoch + self.duration
-        return self.epoch == epoch
-
     def describe(self):
         """Compact spec-string form (inverse of :meth:`FaultPlan.parse`)."""
         token = f"{self.kind}@{self.epoch:g}"
@@ -159,11 +174,19 @@ class FaultEvent:
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """A seeded, immutable schedule of faults.
+    """A seeded, immutable schedule of faults and its compiled timeline.
 
     ``seed`` drives every probabilistic draw the injector makes (flaky
     fetch outcomes); the events themselves are fully explicit, so the
     timeline of *scheduled* faults needs no randomness at all.
+
+    The events compile once, at construction, into ``crashes`` —
+    ``(time, worker, duration)`` tuples in ascending order — and sorted
+    ``(start, end, ...)`` window tuples.  :meth:`multipliers` and
+    :meth:`failure_prob` walk those tuples at a time ``t`` on either
+    clock (the fleet asks on every dispatch), multiplying overlapping
+    windows in their sorted order, so an integer epoch and the same
+    simulated second see bit-equal answers.
     """
 
     events: tuple = field(default_factory=tuple)
@@ -171,11 +194,52 @@ class FaultPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(self.events))
+        crashes, straggles, flakies, slowlinks = [], [], [], []
         for event in self.events:
             if not isinstance(event, FaultEvent):
                 raise FaultError(
                     f"fault plan entries must be FaultEvent, "
                     f"got {type(event).__name__}")
+            start = float(event.epoch)
+            end = start + float(event.duration)
+            magnitude = float(event.magnitude)
+            if event.kind == "crash":
+                crashes.append((start, event.worker,
+                                float(event.duration)))
+            elif event.kind == "straggler":
+                straggles.append((start, end, event.worker, magnitude))
+            elif event.kind == "flaky":
+                flakies.append((start, end, event.worker, magnitude))
+            elif event.kind == "slowlink":
+                slowlinks.append((start, end, magnitude))
+        object.__setattr__(self, "crashes", tuple(sorted(crashes)))
+        object.__setattr__(self, "_straggles", tuple(sorted(straggles)))
+        object.__setattr__(self, "_flakies", tuple(sorted(flakies)))
+        object.__setattr__(self, "_slowlinks", tuple(sorted(slowlinks)))
+
+    def multipliers(self, worker, t):
+        """``(straggle, slowlink)`` multipliers active for ``worker`` at
+        time ``t`` — both 1.0 outside any window, so billing is
+        untouched on the healthy path.  Slowlinks are cluster-wide;
+        ``worker=None`` asks for them alone."""
+        straggle = 1.0
+        for start, end, target, magnitude in self._straggles:
+            if target == worker and start <= t < end:
+                straggle *= magnitude
+        slowlink = 1.0
+        for start, end, magnitude in self._slowlinks:
+            if start <= t < end:
+                slowlink *= magnitude
+        return straggle, slowlink
+
+    def failure_prob(self, worker, t):
+        """Probability that one of ``worker``'s remote fetch messages
+        fails at time ``t`` (independent flaky windows compose)."""
+        success = 1.0
+        for start, end, target, probability in self._flakies:
+            if target == worker and start <= t < end:
+                success *= 1.0 - probability
+        return 1.0 - success
 
     @classmethod
     def parse(cls, spec, seed=0):
@@ -217,17 +281,27 @@ class FaultPlan:
             worker = None
             magnitude = 1.0
             for part in (p for p in rest.split(":") if p):
-                if part.startswith("w"):
-                    worker = int(part[1:])
-                elif part.startswith(("x", "p")):
-                    magnitude = float(part[1:])
-                else:
+                if not part.startswith(("w", "x", "p")):
                     raise FaultError(
                         f"bad fault token {token!r}: unknown field "
                         f"{part!r} (expected wN, xM, or pP)")
-            events.append(FaultEvent(kind=kind, epoch=epoch, worker=worker,
-                                     duration=duration,
-                                     magnitude=magnitude))
+                try:
+                    if part.startswith("w"):
+                        worker = int(part[1:])
+                    else:
+                        magnitude = float(part[1:])
+                except ValueError:
+                    needs = "an integer" if part[0] == "w" else "a number"
+                    raise FaultError(
+                        f"bad fault token {token!r}: field {part!r} "
+                        f"needs {needs}") from None
+            try:
+                events.append(FaultEvent(
+                    kind=kind, epoch=epoch, worker=worker,
+                    duration=duration, magnitude=magnitude))
+            except FaultError as exc:
+                raise FaultError(f"bad fault token {token!r}: {exc}") \
+                    from None
         return cls(events=tuple(events), seed=seed)
 
     def describe(self):
@@ -245,11 +319,13 @@ class FaultPlan:
 class FaultInjector:
     """Replays a :class:`FaultPlan` against the simulated epoch clock.
 
-    The engine calls :meth:`begin_epoch` once per epoch, then queries
-    multipliers / crash sets / fetch outcomes.  All randomness lives in
-    per-``(seed, epoch, worker)`` streams created at ``begin_epoch``, so
-    the answer sequence is a pure function of the plan and the epoch —
-    replayable across crash/resume and across runs.
+    The engine calls :meth:`begin_epoch` once per epoch (which fires
+    scheduled halts), reads crashes and multipliers off the plan's
+    timeline at that epoch, and draws fetch outcomes here.  All
+    randomness lives in per-``(seed, epoch, worker)`` streams created
+    at ``begin_epoch``, so the answer sequence is a pure function of
+    the plan and the epoch — replayable across crash/resume and across
+    runs.
     """
 
     def __init__(self, plan):
@@ -262,13 +338,13 @@ class FaultInjector:
         for event in plan:
             # The shared grammar also serves the fleet's seconds clock;
             # the training injector runs on integer epochs only.
-            if (event.epoch != int(event.epoch)
-                    or event.duration != int(event.duration)):
+            if not (_integral(event.epoch)
+                    and _integral(event.duration)):
                 raise FaultError(
-                    f"fault {event.describe()!r} uses fractional times; "
-                    f"the training injector runs on the integer epoch "
-                    f"clock (fractional seconds belong to the fleet "
-                    f"schedule)")
+                    f"fault {event.describe()!r} uses fractional times "
+                    f"(or an infinite one); the training injector runs "
+                    f"on the integer epoch clock (fractional seconds "
+                    f"belong to the fleet schedule)")
         self.plan = plan
         self.epoch = None
         self._fetch_rngs = {}
@@ -324,44 +400,13 @@ class FaultInjector:
             raise FaultError("FaultInjector used before begin_epoch()")
 
     # ------------------------------------------------------------------
-    # Scheduled-fault queries
+    # Flaky fetches
     # ------------------------------------------------------------------
-    def crashed_workers(self, epoch=None):
-        """Workers whose permanent crash happened at or before ``epoch``
-        (default: the current epoch)."""
-        epoch = self.epoch if epoch is None else epoch
-        return frozenset(e.worker for e in self.plan
-                         if e.kind == "crash" and e.epoch <= epoch)
-
-    def stage_multiplier(self, worker):
-        """Combined straggler slowdown of ``worker`` this epoch."""
-        self._require_epoch()
-        multiplier = 1.0
-        for event in self.plan:
-            if (event.kind == "straggler" and event.worker == worker
-                    and event.active(self.epoch)):
-                multiplier *= event.magnitude
-        return multiplier
-
-    def bandwidth_multiplier(self):
-        """Combined network-bandwidth degradation this epoch."""
-        self._require_epoch()
-        multiplier = 1.0
-        for event in self.plan:
-            if event.kind == "slowlink" and event.active(self.epoch):
-                multiplier *= event.magnitude
-        return multiplier
-
     def fetch_failure_prob(self, worker):
         """Probability that one of ``worker``'s remote fetch messages
-        fails this epoch (independent flaky events compose)."""
+        fails this epoch (the plan's timeline at :attr:`epoch`)."""
         self._require_epoch()
-        success = 1.0
-        for event in self.plan:
-            if (event.kind == "flaky" and event.worker == worker
-                    and event.active(self.epoch)):
-                success *= 1.0 - event.magnitude
-        return 1.0 - success
+        return self.plan.failure_prob(worker, self.epoch)
 
     def fetch_attempt_fails(self, worker):
         """Draw one fetch-attempt outcome for ``worker`` this epoch.

@@ -31,8 +31,8 @@ from .engine import FleetEngine
 from .metrics import FleetReport, ReplicaReport
 from .replica import ReplicaServer, ShardExecutor
 from .resilience import (BreakerPolicy, CircuitBreaker, DetectorPolicy,
-                         FailureDetector, FleetSchedule, HedgePolicy,
-                         ReplicaRecovery, ResiliencePolicy)
+                         FailureDetector, HedgePolicy, ReplicaRecovery,
+                         ResiliencePolicy)
 from .router import Autoscaler, AutoscalePolicy, Router, RoutingPolicy
 from .shards import ShardMap
 
@@ -42,7 +42,7 @@ __all__ = [
     "Autoscaler", "AutoscalePolicy",
     "DetectorPolicy", "FailureDetector", "BreakerPolicy",
     "CircuitBreaker", "HedgePolicy", "ResiliencePolicy",
-    "ReplicaRecovery", "FleetSchedule",
+    "ReplicaRecovery",
 ]
 
 from .bench import run_fleet_bench  # noqa: E402  (engine types first)

@@ -166,6 +166,8 @@ def run_fleet_chaos_bench(dataset="ogb-arxiv", scale=0.3, model="gcn",
             f"{replication}")
     if slo <= 0:
         raise ServingError(f"slo must be > 0, got {slo}")
+    # A bad spec is a FaultError before any training.
+    custom = None if schedule is None else FaultPlan.parse(schedule)
 
     rate = base_rate * rate_multiplier
     data, result, trace, embeddings = prepare_serving(
@@ -196,7 +198,7 @@ def run_fleet_chaos_bench(dataset="ogb-arxiv", scale=0.3, model="gcn",
     storm = crash_storm(num_replicas, start=0.25 * span,
                         down=0.35 * span, count=2,
                         spacing=0.05 * span) \
-        if schedule is None else FaultPlan.parse(schedule)
+        if custom is None else custom
     scenarios = [
         ("crash_storm", storm),
         ("rolling_stragglers",

@@ -22,7 +22,8 @@
   breakers, p95-delay hedged requests with first-response-wins
   cancellation, per-request retry budgets, k-replicated shard
   ownership (``replication=k``), checkpointed cache recovery, and
-  straggler/slowlink windows from a :class:`FleetSchedule`.  Every
+  straggler/slowlink windows from the fault plan's timeline
+  (:meth:`~repro.faults.plan.FaultPlan.multipliers`).  Every
   mechanism defaults off; its handlers are subscribed only when it is
   configured (:meth:`_FleetRun.handlers`), so the off path runs none
   of its code.
@@ -44,7 +45,7 @@ from bisect import insort
 import numpy as np
 
 from ..core.config import make_partitioner
-from ..errors import FleetError, ServingError
+from ..errors import FaultError, FleetError, ServingError
 from ..faults.plan import FaultPlan
 from ..faults.retry import RetryPolicy
 from ..partition.base import PartitionResult
@@ -60,12 +61,16 @@ from ..serve.precompute import LayerwiseEmbeddings
 from ..transfer.hardware import DEFAULT_SPEC
 from .metrics import FleetReport
 from .replica import ReplicaServer, ShardExecutor
-from .resilience import (CircuitBreaker, FailureDetector, FleetSchedule,
+from .resilience import (CircuitBreaker, FailureDetector,
                          ReplicaRecovery, ResiliencePolicy)
 from .router import Autoscaler, Router
 from .shards import ShardMap
 
 __all__ = ["FleetEngine"]
+
+#: The fault kinds a fleet schedule runs (the rest need the epoch
+#: clock).
+_FLEET_KINDS = ("crash", "straggler", "slowlink")
 
 #: Resilience off: no detector, breakers or hedging, and a crash
 #: orphan is re-routed however often its replica dies.
@@ -112,15 +117,18 @@ class FleetEngine:
         the retry budget.  ``None`` (default) is the PR 7 baseline,
         bit for bit.
     schedule:
-        The fault timeline: a
-        :class:`~repro.fleet.resilience.FleetSchedule`, or a
-        ``faults.plan`` spec string / :class:`FaultPlan` compiled into
-        one (``"crash@0.005+0.01:w0"`` takes replica 0 down at 5 ms
-        for 10 ms).  A crashed replica's queued requests are re-routed
-        after ``retry.timeout`` simulated seconds (the
-        failure-detection delay) — or at the failure detector's
-        *suspicion* instant when ``resilience`` wires one in — and it
-        rejoins, empty-queued, when its down time ends;
+        The fault timeline: a :class:`~repro.faults.plan.FaultPlan` or
+        a spec string parsed into one, in simulated seconds with ``wN``
+        naming replicas (``"crash@0.005+0.01:w0"`` takes replica 0
+        down at 5 ms for 10 ms).  The fleet runs ``crash``,
+        ``straggler`` and ``slowlink``; the training-only kinds
+        (``halt``, ``flaky``) are a :class:`~repro.errors.FaultError`
+        and a replica id beyond the fleet a
+        :class:`~repro.errors.FleetError`.  A crashed replica's queued
+        requests are re-routed after ``retry.timeout`` simulated
+        seconds (the failure-detection delay) — or at the failure
+        detector's *suspicion* instant when ``resilience`` wires one
+        in — and it rejoins, empty-queued, when its down time ends;
         straggler/slowlink windows scale dispatch service times.
     recovery:
         Optional :class:`~repro.fleet.resilience.ReplicaRecovery` (or
@@ -188,10 +196,25 @@ class FleetEngine:
                 f"resilience must be a ResiliencePolicy, got "
                 f"{type(resilience).__name__}")
         self.resilience = resilience
-        self.schedule = schedule \
-            if isinstance(schedule, FleetSchedule) \
-            else FleetSchedule(schedule or FaultPlan(),
-                               self.num_replicas)
+        plan = FaultPlan() if schedule is None else schedule
+        if isinstance(plan, str):
+            plan = FaultPlan.parse(plan)
+        if not isinstance(plan, FaultPlan):
+            raise FaultError(
+                f"schedule needs a FaultPlan or spec string, got "
+                f"{type(plan).__name__}")
+        for event in plan:
+            if event.kind not in _FLEET_KINDS:
+                raise FaultError(
+                    f"fault {event.describe()!r} is training-only "
+                    f"(epoch clock); the fleet runs {_FLEET_KINDS} — "
+                    f"use `repro train --faults` for the rest")
+            if event.worker is not None \
+                    and event.worker >= self.num_replicas:
+                raise FleetError(
+                    f"fault {event.describe()!r} names replica "
+                    f"{event.worker}; the fleet has {self.num_replicas}")
+        self.schedule = plan
         self.recovery = None
         if recovery is not None:
             self.recovery = recovery \

@@ -1,5 +1,4 @@
-"""Fleet resilience: failure detection, circuit breaking, hedging,
-crash recovery, and the fault schedule driving chaos runs.
+"""Fleet resilience: failure detection, breakers, hedging, recovery.
 
 PR 7's fleet detects a crashed replica only when the
 :class:`~repro.faults.RetryPolicy` timeout expires — a 10 ms blind spot
@@ -48,12 +47,9 @@ configured** (the engine's baseline path stays bit-identical):
     (:meth:`~repro.faults.Checkpointer.load_latest` falls back to the
     previous round if the newest save was torn).
 
-:class:`FleetSchedule`
-    The fleet-side consumer of the shared fault grammar
-    (:meth:`~repro.faults.plan.FaultPlan.parse`): ``crash`` becomes a
-    replica outage with a down time, ``straggler``/``slowlink`` become
-    service-time windows, and the training-only kinds (``halt``,
-    ``flaky``) are rejected with a pointer to ``repro train --faults``.
+The faults these mechanisms answer come from a
+:class:`~repro.faults.plan.FaultPlan` — the timeline training reads
+too — passed as ``FleetEngine(schedule=...)``.
 """
 
 from __future__ import annotations
@@ -63,13 +59,12 @@ from dataclasses import dataclass, field
 from numbers import Integral
 from pathlib import Path
 
-from ..errors import CheckpointError, FaultError, FleetError
+from ..errors import CheckpointError, FleetError
 from ..faults.checkpoint import Checkpointer
-from ..faults.plan import FaultPlan
 
 __all__ = ["DetectorPolicy", "FailureDetector", "BreakerPolicy",
            "CircuitBreaker", "HedgePolicy", "ResiliencePolicy",
-           "ReplicaRecovery", "FleetSchedule"]
+           "ReplicaRecovery"]
 
 _LN10 = math.log(10.0)
 
@@ -396,88 +391,3 @@ class ReplicaRecovery:
         cache.restore(state)
         return True
 
-
-# ----------------------------------------------------------------------
-# Fault schedules on the fleet clock
-# ----------------------------------------------------------------------
-class FleetSchedule:
-    """A :class:`~repro.faults.plan.FaultPlan` compiled for the fleet.
-
-    Shares the spec grammar with ``repro train --faults`` (see
-    :meth:`FaultPlan.parse`); here times are simulated seconds
-    (fractions allowed) and ``worker`` ids name replicas.  Supported
-    kinds: ``crash`` (replica down for its duration), ``straggler``
-    (service-time multiplier window), ``slowlink`` (network-bandwidth
-    multiplier window — remote fetches stretch by ``1/m``).  The
-    training-only kinds ``halt`` and ``flaky`` are rejected.
-
-    This is the fleet's one fault timeline
-    (``FleetEngine(schedule=...)``), so it is also where a timeline is
-    validated: the grammar (:class:`~repro.faults.plan.FaultEvent`)
-    already refuses a negative time or a non-positive duration with
-    :class:`~repro.errors.FaultError`; the schedule adds what only the
-    fleet knows — a replica id beyond the fleet size is a
-    :class:`~repro.errors.FleetError`.
-    """
-
-    _FLEET_KINDS = ("crash", "straggler", "slowlink")
-
-    def __init__(self, plan, num_replicas):
-        if isinstance(plan, str):
-            plan = FaultPlan.parse(plan)
-        if not isinstance(plan, FaultPlan):
-            raise FaultError(
-                f"FleetSchedule needs a FaultPlan or spec string, got "
-                f"{type(plan).__name__}")
-        self.plan = plan
-        self.num_replicas = int(num_replicas)
-        self.crashes = []
-        self._straggles = []
-        self._slowlinks = []
-        for event in plan:
-            if event.kind not in self._FLEET_KINDS:
-                raise FaultError(
-                    f"fault {event.describe()!r} is training-only "
-                    f"(epoch clock); the fleet schedule supports "
-                    f"{self._FLEET_KINDS} — use `repro train --faults` "
-                    f"for the rest")
-            if event.worker is not None \
-                    and event.worker >= self.num_replicas:
-                raise FleetError(
-                    f"fault {event.describe()!r} names replica "
-                    f"{event.worker}; the fleet has "
-                    f"{self.num_replicas}")
-            start = float(event.epoch)
-            duration = float(event.duration)
-            if event.kind == "crash":
-                self.crashes.append((start, event.worker, duration))
-            elif event.kind == "straggler":
-                self._straggles.append(
-                    (start, start + duration, event.worker,
-                     float(event.magnitude)))
-            else:
-                self._slowlinks.append(
-                    (start, start + duration, float(event.magnitude)))
-        self.crashes.sort()
-        self._straggles.sort()
-        self._slowlinks.sort()
-
-    def multipliers(self, replica_id, clock):
-        """``(straggle, slowlink)`` multipliers active for
-        ``replica_id`` at simulated time ``clock`` — both 1.0 outside
-        any window, so billing is untouched on the healthy path."""
-        straggle = 1.0
-        for start, end, worker, magnitude in self._straggles:
-            if worker == replica_id and start <= clock < end:
-                straggle *= magnitude
-        slowlink = 1.0
-        for start, end, magnitude in self._slowlinks:
-            if start <= clock < end:
-                slowlink *= magnitude
-        return straggle, slowlink
-
-    def describe(self):
-        return self.plan.describe()
-
-    def __len__(self):
-        return len(self.plan)

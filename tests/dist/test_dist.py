@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.dist import CommMeter, EpochStats, SyncEngine, Worker
+from repro.batching import RandomBatchSelector
+from repro.dist import CommMeter, EpochStats, SyncEngine
 from repro.errors import TrainingError, TransferError
 from repro.graph import load_dataset
 from repro.nn import Adam, build_model
@@ -67,23 +68,44 @@ class TestCommMeter:
         assert meter.total_bytes == 0
 
 
-class TestWorker:
-    def test_epoch_batches_cover_train_ids(self):
-        worker = Worker(0, np.arange(10))
-        batches = worker.epoch_batches(4, np.random.default_rng(0))
-        assert sorted(np.concatenate(batches)) == list(range(10))
-        assert [len(b) for b in batches] == [4, 4, 2]
+class _RecordingSelector(RandomBatchSelector):
+    """Random selection that remembers every batch it formed."""
 
-    def test_invalid_batch_size(self):
-        worker = Worker(0, np.arange(4))
-        with pytest.raises(TrainingError):
-            worker.epoch_batches(0, np.random.default_rng(0))
+    def __init__(self):
+        self.formed = []
+
+    def batches(self, train_ids, batch_size, rng):
+        for batch in super().batches(train_ids, batch_size, rng):
+            self.formed.append(batch)
+            yield batch
+
+
+class TestBatchSelection:
+    def test_default_selector_is_random(self, dataset):
+        assert isinstance(build_engine(dataset).selector,
+                          RandomBatchSelector)
+
+    def test_selector_forms_every_batch(self, dataset):
+        selector = _RecordingSelector()
+        engine = build_engine(dataset, selector=selector)
+        stats = engine.run_epoch(64, np.random.default_rng(0), epoch=0)
+        assert sorted(np.concatenate(selector.formed).tolist()) \
+            == sorted(dataset.train_ids.tolist())
+        assert sum(w.batches_done for w in engine.workers) \
+            == len(selector.formed)
+        assert stats.num_steps == max(w.batches_done
+                                      for w in engine.workers)
+
+    def test_invalid_batch_size(self, dataset):
+        with pytest.raises(TrainingError, match="batch_size"):
+            build_engine(dataset).run_epoch(
+                0, np.random.default_rng(0), epoch=0)
 
 
 class TestSyncEngine:
     def test_epoch_returns_stats(self, dataset):
         engine = build_engine(dataset)
-        stats = engine.run_epoch(64, np.random.default_rng(0))
+        stats = engine.run_epoch(64, np.random.default_rng(0), epoch=0)
         assert isinstance(stats, EpochStats)
         assert stats.loss > 0
         assert stats.epoch_seconds > 0
@@ -93,34 +115,34 @@ class TestSyncEngine:
     def test_loss_decreases_over_epochs(self, dataset):
         engine = build_engine(dataset)
         rng = np.random.default_rng(0)
-        first = engine.run_epoch(64, rng).loss
-        for _epoch in range(5):
-            last = engine.run_epoch(64, rng).loss
+        first = engine.run_epoch(64, rng, epoch=0).loss
+        for epoch in range(1, 6):
+            last = engine.run_epoch(64, rng, epoch=epoch).loss
         assert last < first
 
     def test_breakdown_sums_to_one(self, dataset):
         engine = build_engine(dataset)
-        stats = engine.run_epoch(64, np.random.default_rng(0))
+        stats = engine.run_epoch(64, np.random.default_rng(0), epoch=0)
         assert sum(stats.breakdown().values()) == pytest.approx(1.0)
 
     def test_single_worker_no_allreduce(self, dataset):
         engine = build_engine(dataset, num_parts=1)
-        stats = engine.run_epoch(64, np.random.default_rng(0))
+        stats = engine.run_epoch(64, np.random.default_rng(0), epoch=0)
         assert stats.allreduce_seconds == 0.0
         assert engine.comm.total_bytes == 0
 
     def test_multi_worker_comm_recorded(self, dataset):
         engine = build_engine(dataset, num_parts=2)
-        engine.run_epoch(64, np.random.default_rng(0))
+        engine.run_epoch(64, np.random.default_rng(0), epoch=0)
         assert engine.comm.total_bytes > 0
 
     def test_stream_v_reduces_comm(self, dataset):
         hash_engine = build_engine(dataset, num_parts=2)
-        hash_engine.run_epoch(64, np.random.default_rng(0))
+        hash_engine.run_epoch(64, np.random.default_rng(0), epoch=0)
         stream_engine = build_engine(
             dataset, partitioner=StreamVPartitioner(hop_cap=None),
             num_parts=2)
-        stream_engine.run_epoch(64, np.random.default_rng(0))
+        stream_engine.run_epoch(64, np.random.default_rng(0), epoch=0)
         assert (stream_engine.comm.total_bytes
                 < 0.05 * hash_engine.comm.total_bytes)
 
@@ -139,6 +161,8 @@ class TestSyncEngine:
     def test_pipeline_mode_speeds_epoch(self, dataset):
         sequential = build_engine(dataset, pipeline_mode="none")
         pipelined = build_engine(dataset, pipeline_mode="bp+dt")
-        seq_stats = sequential.run_epoch(64, np.random.default_rng(0))
-        pipe_stats = pipelined.run_epoch(64, np.random.default_rng(0))
+        seq_stats = sequential.run_epoch(64, np.random.default_rng(0),
+                                         epoch=0)
+        pipe_stats = pipelined.run_epoch(64, np.random.default_rng(0),
+                                         epoch=0)
         assert pipe_stats.epoch_seconds <= seq_stats.epoch_seconds

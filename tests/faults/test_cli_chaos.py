@@ -109,3 +109,14 @@ class TestChaosCommand:
         ``--halt-epoch``, which nothing checked) is a typed error."""
         with pytest.raises(FaultError):
             run_fault_bench(dataset="no-such-dataset", **sweep)
+
+    @pytest.mark.parametrize("spec", ["crash@1:wx", "straggler@0:w0:xfoo",
+                                      "crash@1:w1.5", "crash@nan:w0"])
+    def test_bad_schedule_is_an_error_line(self, spec, capsys):
+        """A malformed ``--schedule`` field is a FaultError, printed as
+        ``error:`` before anything trains — not a traceback."""
+        code = main(["bench", "fleet-chaos", "--quick", "--schedule",
+                     spec])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and spec in err

@@ -33,14 +33,36 @@ class TestFaultEvent:
             FaultEvent(kind="slowlink", epoch=0, magnitude=0.0)
 
     def test_window_active(self):
-        event = FaultEvent(kind="straggler", epoch=2, worker=0,
-                           duration=3, magnitude=2.0)
-        assert [event.active(e) for e in range(6)] == \
-            [False, False, True, True, True, False]
+        plan = FaultPlan(events=(FaultEvent(
+            kind="straggler", epoch=2, worker=0, duration=3,
+            magnitude=2.0),))
+        assert [plan.multipliers(0, e)[0] for e in range(6)] == \
+            [1.0, 1.0, 2.0, 2.0, 2.0, 1.0]
 
     def test_instantaneous_active(self):
-        event = FaultEvent(kind="crash", epoch=2, worker=1)
-        assert event.active(2) and not event.active(3)
+        # A crash is one instant on the timeline: (time, worker, down).
+        plan = FaultPlan(events=(FaultEvent(kind="crash", epoch=2,
+                                            worker=1),))
+        assert plan.crashes == ((2.0, 1, 1.0),)
+        assert plan.multipliers(1, 2) == (1.0, 1.0)
+
+    @pytest.mark.parametrize("field", ["epoch", "duration", "magnitude"])
+    def test_nan_rejected(self, field):
+        values = dict(kind="straggler", epoch=0, worker=0, duration=1,
+                      magnitude=2.0)
+        values[field] = float("nan")
+        with pytest.raises(FaultError, match="nan"):
+            FaultEvent(**values)
+
+    def test_infinite_start_rejected(self):
+        with pytest.raises(FaultError, match="finite"):
+            FaultEvent(kind="crash", epoch=float("inf"), worker=0)
+
+    def test_infinite_duration_is_a_fleet_window(self):
+        event = FaultEvent(kind="straggler", epoch=1, worker=0,
+                           duration=float("inf"), magnitude=3.0)
+        plan = FaultPlan(events=(event,))
+        assert plan.multipliers(0, 1e12) == (3.0, 1.0)
 
     def test_fault_error_is_repro_error(self):
         assert issubclass(FaultError, ReproError)
@@ -70,6 +92,26 @@ class TestFaultPlanParse:
                      "crash@1"):
             with pytest.raises(FaultError):
                 FaultPlan.parse(spec)
+
+    def test_non_integer_worker_field(self):
+        with pytest.raises(FaultError, match="'wx' needs an integer"):
+            FaultPlan.parse("crash@1:wx")
+
+    def test_non_numeric_magnitude_field(self):
+        with pytest.raises(FaultError, match="'xfoo' needs a number"):
+            FaultPlan.parse("straggler@0:w0:xfoo")
+
+    def test_fractional_worker_field(self):
+        with pytest.raises(FaultError, match="'w1.5' needs an integer"):
+            FaultPlan.parse("crash@1:w1.5")
+
+    @pytest.mark.parametrize("spec", ["crash@nan:w0",
+                                      "straggler@0:w0:xnan",
+                                      "straggler@0+nan:w0:x2",
+                                      "crash@inf:w0"])
+    def test_nan_and_infinite_start_rejected(self, spec):
+        with pytest.raises(FaultError):
+            FaultPlan.parse(spec)
 
     def test_plan_is_immutable(self):
         plan = FaultPlan.parse("halt@1")
@@ -102,25 +144,18 @@ class TestFaultInjector:
             injector.begin_epoch(5)
 
     def test_crashed_workers_accumulate(self):
-        injector = FaultInjector("crash@1:w0,crash@3:w2")
-        injector.begin_epoch(0)
-        assert injector.crashed_workers() == frozenset()
-        injector.begin_epoch(1)
-        assert injector.crashed_workers() == {0}
-        injector.begin_epoch(3)
-        assert injector.crashed_workers() == {0, 2}
+        # Crashes compile in time order, whatever the spec order.
+        plan = FaultInjector("crash@3:w2,crash@1:w0").plan
+        assert plan.crashes == ((1.0, 0, 1.0), (3.0, 2, 1.0))
 
     def test_multipliers_compose(self):
-        injector = FaultInjector(
+        plan = FaultInjector(
             "straggler@0+2:w1:x2,straggler@1:w1:x3,slowlink@0+2:x0.5,"
-            "slowlink@1:x0.5")
-        injector.begin_epoch(0)
-        assert injector.stage_multiplier(1) == 2.0
-        assert injector.stage_multiplier(0) == 1.0
-        assert injector.bandwidth_multiplier() == 0.5
-        injector.begin_epoch(1)
-        assert injector.stage_multiplier(1) == 6.0
-        assert injector.bandwidth_multiplier() == 0.25
+            "slowlink@1:x0.5").plan
+        assert plan.multipliers(1, 0) == (2.0, 0.5)
+        assert plan.multipliers(0, 0) == (1.0, 0.5)
+        assert plan.multipliers(None, 0) == (1.0, 0.5)
+        assert plan.multipliers(1, 1) == (6.0, 0.25)
 
     def test_flaky_probability_composes(self):
         injector = FaultInjector("flaky@0:w0:p0.5,flaky@0:w0:p0.5")
@@ -129,9 +164,9 @@ class TestFaultInjector:
         assert injector.fetch_failure_prob(1) == 0.0
 
     def test_queries_before_begin_epoch_rejected(self):
-        injector = FaultInjector("slowlink@0:x0.5")
+        injector = FaultInjector("flaky@0:w0:p0.5")
         with pytest.raises(FaultError):
-            injector.stage_multiplier(0)
+            injector.fetch_failure_prob(0)
 
     def test_fetch_draws_deterministic_per_epoch(self):
         def draws(seed, epoch, n=32):
@@ -190,6 +225,13 @@ class TestFractionalTimes:
         plan = FaultPlan.parse("straggler@2+0.5:w0:x4")
         with pytest.raises(FaultError, match="fractional times"):
             FaultInjector(plan)
+
+    @pytest.mark.parametrize("spec", ["straggler@0+inf:w0:x2",
+                                      "slowlink@1+inf:x0.5"])
+    def test_injector_rejects_infinite_duration(self, spec):
+        # Fine on the fleet's seconds clock; not an epoch count.
+        with pytest.raises(FaultError, match="fractional times"):
+            FaultInjector(FaultPlan.parse(spec))
 
     def test_injector_accepts_integral_floats(self):
         # 2.0 == int(2.0): integral floats are fine on the epoch clock.

@@ -8,7 +8,6 @@ import pytest
 
 from repro.errors import ServingError
 from repro.faults.plan import FaultPlan
-from repro.fleet import FleetSchedule
 from repro.fleet.chaos import (QUICK_OVERRIDES, crash_storm, flapping,
                                rolling_stragglers,
                                run_fleet_chaos_bench, slowlink_window)
@@ -106,9 +105,8 @@ class TestGrammarRoundTrip:
     def test_composed_plans_compile_to_fleet_schedules(self):
         plan = rolling_stragglers(4, start=0.001, duration=0.002,
                                   magnitude=4.0)
-        schedule = FleetSchedule(plan, 4)
-        assert schedule.multipliers(2, 0.006) == (4.0, 1.0)
-        assert schedule.multipliers(2, 0.009) == (1.0, 1.0)
+        assert plan.multipliers(2, 0.006) == (4.0, 1.0)
+        assert plan.multipliers(2, 0.009) == (1.0, 1.0)
 
 
 class TestBenchValidation:

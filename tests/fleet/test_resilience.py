@@ -1,5 +1,5 @@
 """The fleet resilience layer: detector math, breaker transitions,
-fleet schedules, crash recovery, and the engine-level guarantees
+the fleet's fault schedule checks, crash recovery, and the engine-level guarantees
 (k=1 / resilience-off reduce to the baseline bit-for-bit; hedging,
 budgets, and recovery actually run when configured)."""
 
@@ -18,8 +18,8 @@ from repro.errors import (CheckpointError, FaultError, FleetError,
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.fleet import (AutoscalePolicy, BreakerPolicy, CircuitBreaker,
                          DetectorPolicy, FailureDetector, FleetEngine,
-                         FleetSchedule, HedgePolicy, ReplicaRecovery,
-                         ResiliencePolicy, RoutingPolicy)
+                         HedgePolicy, ReplicaRecovery, ResiliencePolicy,
+                         RoutingPolicy)
 from repro.nn import build_model
 from repro.serve import BatchPolicy, LayerwiseEmbeddings, \
     LoadGenerator, ServeEngine
@@ -284,40 +284,51 @@ class TestHedgeDelay:
 # Fleet schedules (the shared fault grammar, seconds clock)
 # ----------------------------------------------------------------------
 class TestFleetSchedule:
-    def test_compiles_spec_string(self):
-        schedule = FleetSchedule(
+    """The fleet's schedule is the plan itself (one compiled timeline);
+    FleetEngine adds the checks only the fleet can make."""
+
+    def fleet(self, data, model, embeddings, schedule, replicas=4):
+        return FleetEngine(data, model, partition="hash",
+                           num_replicas=replicas, embeddings=embeddings,
+                           schedule=schedule)
+
+    def test_compiles_spec_string(self, data, model, embeddings):
+        schedule = self.fleet(
+            data, model, embeddings,
             "crash@0.001+0.002:w0,straggler@0.001+0.004:w1:x8,"
-            "slowlink@0.002+0.002:x0.5", 4)
-        assert schedule.crashes == [(0.001, 0, 0.002)]
+            "slowlink@0.002+0.002:x0.5").schedule
+        assert isinstance(schedule, FaultPlan)
+        assert schedule.crashes == ((0.001, 0, 0.002),)
         assert schedule.multipliers(1, 0.003) == (8.0, 0.5)
         assert schedule.multipliers(1, 0.006) == (1.0, 1.0)
         assert schedule.multipliers(2, 0.003) == (1.0, 0.5)
 
     def test_windows_are_half_open(self):
-        schedule = FleetSchedule("straggler@0.001+0.002:w0:x4", 2)
+        schedule = FaultPlan.parse("straggler@0.001+0.002:w0:x4")
         assert schedule.multipliers(0, 0.001) == (4.0, 1.0)
         assert schedule.multipliers(0, 0.003) == (1.0, 1.0)
 
-    def test_rejects_training_only_kinds(self):
-        with pytest.raises(FaultError, match="training-only"):
-            FleetSchedule("halt@2", 4)
-        with pytest.raises(FaultError, match="training-only"):
-            FleetSchedule("flaky@0+2:w0:p0.3", 4)
+    def test_rejects_training_only_kinds(self, data, model, embeddings):
+        for spec in ("halt@2", "flaky@0+2:w0:p0.3"):
+            with pytest.raises(FaultError, match="training-only"):
+                self.fleet(data, model, embeddings, spec)
 
-    def test_rejects_out_of_range_replica(self):
+    def test_rejects_out_of_range_replica(self, data, model, embeddings):
         with pytest.raises(FleetError, match="replica 7"):
-            FleetSchedule("crash@0.001+0.001:w7", 4)
+            self.fleet(data, model, embeddings, "crash@0.001+0.001:w7")
 
-    def test_describe_and_plan_passthrough(self):
+    def test_describe_and_plan_passthrough(self, data, model,
+                                           embeddings):
         plan = FaultPlan.parse("crash@0.001+0.002:w0")
-        schedule = FleetSchedule(plan, 2)
-        assert schedule.plan is plan
+        schedule = self.fleet(data, model, embeddings, plan,
+                              replicas=2).schedule
+        assert schedule is plan
         assert "crash@0.001" in schedule.describe()
         assert len(schedule) == 1
 
-    def test_needs_plan_or_spec(self):
+    def test_needs_plan_or_spec(self, data, model, embeddings):
         with pytest.raises(FaultError, match="FaultPlan or spec"):
-            FleetSchedule(42, 4)
+            self.fleet(data, model, embeddings, 42)
 
 
 # ----------------------------------------------------------------------

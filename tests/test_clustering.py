@@ -98,8 +98,8 @@ class TestClusterDataset:
         trainer = Trainer(dataset, config)
         engine, _p, sampler, model, _opt = trainer._build_engine()
         rng = config.rng(100)
-        for _epoch in range(5):
-            engine.run_epoch(128, rng)
+        for epoch in range(5):
+            engine.run_epoch(128, rng, epoch=epoch)
         result = cluster_dataset(dataset, model, sampler,
                                  rng=np.random.default_rng(0))
         # Planted communities are recoverable from embeddings: far

@@ -84,7 +84,7 @@ class TestTraceFromRealRun:
                                 num_workers=2, partitioner="hash")
         trainer = Trainer(dataset, config)
         engine, _p, _s, _m, _opt = trainer._build_engine()
-        engine.run_epoch(64, np.random.default_rng(0))
+        engine.run_epoch(64, np.random.default_rng(0), epoch=0)
         stage_lists = [w.epoch_stage_times(w.batches_done)
                        for w in engine.workers]
         events = worker_trace(stage_lists, mode="bp+dt")
