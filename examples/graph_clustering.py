@@ -22,11 +22,8 @@ def main():
     dataset = load_dataset("ogb-arxiv", scale=0.5)
     config = TrainingConfig(epochs=10, batch_size=128, fanout=(8, 8),
                             num_workers=1, partitioner="hash")
-    trainer = Trainer(dataset, config)
-    engine, _partition, sampler, model, _opt = trainer._build_engine()
-    rng = config.rng(100)
-    for epoch in range(config.epochs):
-        engine.run_epoch(128, rng, epoch=epoch)
+    model = Trainer(dataset, config).run().model
+    sampler = config.build_sampler()
 
     untrained = build_model("gcn", dataset.feature_dim,
                             dataset.num_classes,

@@ -55,40 +55,31 @@ def evaluate_model(model, dataset, vertex_ids, sampler, rng,
     vertex_ids = np.asarray(vertex_ids, dtype=np.int64)
     if len(vertex_ids) == 0:
         return 0.0
-    was_training = model.training
-    model.eval()
-    try:
-        prepared = None
+    prepared = None
+    if cache is not None:
+        key = cache.make_key(sampler, vertex_ids, batch_size, cache_token)
+        prepared = cache.get(key)
+    replay = prepared is not None
+    if not replay:
+        prepared = []
+        with PERF.timed("eval_sampling"):
+            for start in range(0, len(vertex_ids), batch_size):
+                batch = vertex_ids[start:start + batch_size]
+                prepared.append(sampler.sample(dataset.graph, batch, rng))
         if cache is not None:
-            key = cache.make_key(sampler, vertex_ids, batch_size,
-                                 cache_token)
-            prepared = cache.get(key)
-        replay = prepared is not None
-        if not replay:
-            prepared = []
-            with PERF.timed("eval_sampling"):
-                for start in range(0, len(vertex_ids), batch_size):
-                    batch = vertex_ids[start:start + batch_size]
-                    prepared.append(
-                        sampler.sample(dataset.graph, batch, rng))
-            if cache is not None:
-                cache.put(key, prepared)
+            cache.put(key, prepared)
 
-        correct = 0
-        with no_grad():
-            for subgraph in prepared:
-                # Offline accuracy eval sits outside the transfer cost
-                # model on purpose: nothing here is billed or benched.
-                rows = subgraph.input_nodes
-                logits = model.forward(
-                    subgraph, dataset.features[rows])  # repro: noqa[ARC003]
-                predictions = logits.data.argmax(axis=-1)
-                correct += int((predictions
-                                == dataset.labels[subgraph.seeds]).sum())
-    finally:
-        # Restore whatever mode the caller had the model in (the old
-        # behaviour unconditionally flipped it into training mode).
-        model.train() if was_training else model.eval()
+    correct = 0
+    with no_grad():
+        for subgraph in prepared:
+            # Offline accuracy eval sits outside the transfer cost
+            # model on purpose: nothing here is billed or benched.
+            rows = subgraph.input_nodes
+            logits = model.forward(
+                subgraph, dataset.features[rows])  # repro: noqa[ARC003]
+            predictions = logits.data.argmax(axis=-1)
+            correct += int(
+                (predictions == dataset.labels[subgraph.seeds]).sum())
     return correct / len(vertex_ids)
 
 

@@ -51,7 +51,7 @@ import numpy as np
 
 from ..batching.selection import RandomBatchSelector
 from ..errors import FaultError, TrainingError
-from ..nn import softmax_cross_entropy
+from ..nn import model_widths, softmax_cross_entropy
 from ..perf import PERF, sorted_unique
 from ..partition.workload import BYTES_PER_EDGE
 from ..transfer.hardware import estimate_flops
@@ -71,14 +71,6 @@ _SUMMED = (("bp_seconds", "bp_seconds"), ("dt_seconds", "dt_seconds"),
            ("remote_feature_bytes", "remote_feature_bytes"),
            ("retries", "retries"), ("giveups", "giveups"),
            ("fault_seconds", "fault_seconds"))
-
-
-def _model_widths(model):
-    """``(hidden, classes)``: the in-width of ``model``'s head and the
-    out-width of its last layer — the widths the engines' FLOP and
-    byte meters bill."""
-    return (model.head.layers[0].weight.shape[0],
-            model.head.layers[-1].weight.shape[1])
 
 
 @dataclass
@@ -191,7 +183,7 @@ class SyncEngine:
         self.spec = spec
         self.transfer = transfer
         self.pipeline_mode = pipeline_mode
-        self._hidden_dim, self._num_classes = _model_widths(model)
+        self._hidden_dim, self._num_classes = model_widths(model)
         self.comm = CommMeter(partition.num_parts)
 
         train_ids = dataset.train_ids
@@ -420,7 +412,6 @@ class SyncEngine:
         if num_steps == 0:
             raise TrainingError("epoch with zero batches")
 
-        self.model.train()
         losses = []
         batches_this_epoch = [0] * len(self.workers)
         for step in range(num_steps):

@@ -36,11 +36,11 @@ import numpy as np
 
 from ..errors import TrainingError
 from ..kernels import full_graph_adjacency
-from ..nn import Tensor, no_grad, softmax_cross_entropy
+from ..nn import Tensor, model_widths, no_grad, softmax_cross_entropy
 from ..nn.layers import GCNConv
 from ..partition import halo_vertices
 from .comm import ring_allreduce_seconds
-from .engine import EpochStats, _model_widths
+from .engine import EpochStats
 
 __all__ = ["FullGraph", "FullBatchEngine"]
 
@@ -98,7 +98,7 @@ class FullBatchEngine:
         self.optimizer = optimizer
         self.spec = spec
         self.adjacency = full_graph_adjacency(dataset.graph)
-        hidden, self._num_classes = _model_widths(model)
+        hidden, self._num_classes = model_widths(model)
         self._dims = [dataset.feature_dim] + [hidden] * model.num_layers
 
         self.owned = [partition.part_vertices(p)
@@ -187,7 +187,6 @@ class FullBatchEngine:
         vertex and nothing is drawn."""
         refresh = (self.staleness == 0
                    or epoch % (self.staleness + 1) == 0)
-        self.model.train()
         logits = self._forward(refresh)
         train_ids = self.dataset.train_ids
         loss = softmax_cross_entropy(logits.gather_rows(train_ids),

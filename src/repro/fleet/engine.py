@@ -48,14 +48,14 @@ from ..core.config import make_partitioner
 from ..errors import FaultError, FleetError, ServingError
 from ..faults.plan import FaultPlan
 from ..faults.retry import RetryPolicy
+from ..nn import no_grad
 from ..partition.base import PartitionResult
 from ..partition.replication import k_redundant_replication
 from ..perf import percentile
 from ..serve.batcher import BatchPolicy
 from ..serve.executor import SERVE_MODES
 from ..serve.loop import (ADMIT, FAULT, RESPONSE, TIMER, EventLoop,
-                          cache_hit_rates, check_trace, eval_mode,
-                          run_totals)
+                          cache_hit_rates, check_trace, run_totals)
 from ..serve.metrics import summary_fields
 from ..serve.precompute import LayerwiseEmbeddings
 from ..transfer.hardware import DEFAULT_SPEC
@@ -256,7 +256,7 @@ class FleetEngine:
         vertex the graph does not have is a :class:`ServingError`
         before anything is served."""
         run = _FleetRun(self, requests)
-        with eval_mode(self.model):
+        with no_grad():
             run.loop.run(run.handlers())
         return self._report(run)
 

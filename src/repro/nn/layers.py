@@ -27,14 +27,16 @@ from .init import xavier_uniform, zeros
 from .tensor import Tensor
 
 __all__ = ["Module", "Linear", "Dropout", "MLP", "GCNConv", "SAGEConv",
-           "GATConv", "GCN", "GraphSAGE", "GAT", "build_model"]
+           "GATConv", "GCN", "GraphSAGE", "GAT", "build_model",
+           "model_widths"]
 
 
 class Module:
-    """Base class: parameter collection and train/eval mode."""
+    """Base class: parameter collection, checkpoint state and rngs.
 
-    def __init__(self):
-        self.training = True
+    There is no train / eval mode: dropout draws exactly while a tape is
+    recorded, so inference is ``with no_grad():``
+    (:class:`~repro.nn.tensor.no_grad`)."""
 
     def parameters(self):
         """All trainable tensors of this module and its children."""
@@ -56,24 +58,6 @@ class Module:
         """Clear the gradients of all parameters."""
         for param in self.parameters():
             param.grad = None
-
-    def train(self):
-        """Switch this module (and children) to training mode."""
-        self._set_mode(True)
-
-    def eval(self):
-        """Switch this module (and children) to inference mode."""
-        self._set_mode(False)
-
-    def _set_mode(self, training):
-        self.training = training
-        for value in self.__dict__.values():
-            if isinstance(value, Module):
-                value._set_mode(training)
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Module):
-                        item._set_mode(training)
 
     def num_parameters(self):
         """Total scalar parameter count."""
@@ -135,7 +119,6 @@ class Linear(Module):
     """Affine layer ``x @ W + b``."""
 
     def __init__(self, in_dim, out_dim, rng, bias=True):
-        super().__init__()
         self.weight = xavier_uniform(in_dim, out_dim, rng)
         self.bias = zeros(out_dim) if bias else None
 
@@ -145,23 +128,21 @@ class Linear(Module):
 
 
 class Dropout(Module):
-    """Inverted dropout; identity in eval mode."""
+    """Inverted dropout; the identity under ``no_grad``."""
 
     def __init__(self, p, rng):
-        super().__init__()
         self.p = float(p)
         self.rng = rng
 
     def forward(self, x):
-        """Randomly zero entries (training mode only)."""
-        return x.dropout(self.p, self.rng, training=self.training)
+        """Randomly zero entries (only while a tape is recorded)."""
+        return x.dropout(self.p, self.rng)
 
 
 class MLP(Module):
     """Multi-layer perceptron with ReLU between layers."""
 
     def __init__(self, dims, rng, dropout=0.0):
-        super().__init__()
         if len(dims) < 2:
             raise TrainingError("MLP needs at least input and output dims")
         self.layers = [Linear(dims[i], dims[i + 1], rng)
@@ -185,7 +166,6 @@ class GCNConv(Module):
     MFGs)."""
 
     def __init__(self, in_dim, out_dim, rng):
-        super().__init__()
         self.weight = xavier_uniform(in_dim, out_dim, rng)
         self.bias = zeros(out_dim)
 
@@ -210,7 +190,6 @@ class SAGEConv(Module):
     """
 
     def __init__(self, in_dim, out_dim, rng, normalize=False):
-        super().__init__()
         self.weight_self = xavier_uniform(in_dim, out_dim, rng)
         self.weight_neigh = xavier_uniform(in_dim, out_dim, rng)
         self.bias = zeros(out_dim)
@@ -247,7 +226,6 @@ class GATConv(Module):
 
     def __init__(self, in_dim, out_dim, rng, heads=1,
                  negative_slope=0.2):
-        super().__init__()
         if heads < 1 or out_dim % heads:
             raise TrainingError(
                 f"out_dim {out_dim} must split evenly over {heads} heads")
@@ -301,7 +279,6 @@ class _GNNBase(Module):
 
     def __init__(self, in_dim, hidden_dim, num_classes, num_layers, rng,
                  dropout=0.1, mlp_hidden=None):
-        super().__init__()
         if num_layers < 1:
             raise TrainingError("need at least one GNN layer")
         dims = [in_dim] + [hidden_dim] * num_layers
@@ -376,3 +353,11 @@ def build_model(name, in_dim, num_classes, num_layers=2, hidden_dim=128,
             f"unknown model {name!r}; known: gcn, graphsage, gat")
     return models[key](in_dim, hidden_dim, num_classes, num_layers, rng,
                        dropout=dropout)
+
+
+def model_widths(model):
+    """``(hidden, classes)``: the in-width of ``model``'s head and the
+    out-width of its last layer — the widths FLOP and byte meters bill
+    (every model of :func:`build_model`, GAT included, has a head)."""
+    return (model.head.layers[0].weight.shape[0],
+            model.head.layers[-1].weight.shape[1])

@@ -15,7 +15,8 @@ gradient on unchanged — ``__add__``, ``reshape``, ``concat``, the array
 a caller gives ``backward`` — copy at their own site.
 
 Inside ``with no_grad():`` (inference: serving, evaluation) ops compute
-the same arrays but record nothing — no parent tuple, no kept closure.
+the same arrays but record nothing — no parent tuple, no kept closure —
+and dropout is the identity: the context is the only inference switch.
 
 The engine is deliberately small and explicit — every op's backward rule
 is a few lines of numpy, which lets the test suite verify all of them
@@ -302,11 +303,13 @@ class Tensor:
 
         return self._result(self.data * scale, (self,), backward)
 
-    def dropout(self, p, rng, training=True):
-        """Inverted dropout with keep-prob scaling."""
+    def dropout(self, p, rng):
+        """Inverted dropout with keep-prob scaling while a tape is
+        recorded; under :class:`no_grad` (inference) the input itself,
+        drawing nothing from ``rng``."""
         if not 0.0 <= p < 1.0:
             raise TrainingError(f"dropout p must be in [0, 1), got {p}")
-        if not training or p == 0.0:
+        if not _taping or p == 0.0:
             return self
         # The draw stays float64 (the rng stream is part of the
         # contract) and the keep-scale is rounded once from float64;

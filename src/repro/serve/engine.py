@@ -56,11 +56,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ServingError
+from ..nn import no_grad
 from ..transfer.hardware import DEFAULT_SPEC
 from .batcher import BatchPolicy
 from .executor import SERVE_MODES, BatchExecutor
 from .loop import (EventLoop, ServeNode, cache_hit_rates, check_trace,
-                   eval_mode, run_totals)
+                   run_totals)
 from .metrics import ServeReport, summary_fields
 
 __all__ = ["ServeEngine", "SERVE_MODES"]
@@ -178,7 +179,7 @@ class ServeEngine:
                          rng=np.random.default_rng(self.seed),
                          deadline=self.deadline, fallback=self.fallback)
         loop = EventLoop([node], requests)
-        with eval_mode(self.model):
+        with no_grad():
             responses = loop.run()
         return self._report(node, responses, len(requests))
 

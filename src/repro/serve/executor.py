@@ -30,25 +30,16 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ServingError, TransferError
+from ..nn import model_widths
 from ..perf import sorted_unique
 from ..sampling import NeighborSampler
 from ..transfer.hardware import DEFAULT_SPEC, estimate_flops
 from ..transfer.tiered import TieredCache, backing_for, make_tiered_cache
 from .precompute import LayerwiseEmbeddings
 
-__all__ = ["BatchExecutor", "SERVE_MODES", "model_hidden_dim"]
+__all__ = ["BatchExecutor", "SERVE_MODES"]
 
 SERVE_MODES = ("sampled", "full", "precomputed")
-
-
-def model_hidden_dim(model):
-    """Output width of the model's conv stack (for FLOP estimates)."""
-    conv = model.convs[-1]
-    for attr in ("weight", "weight_self"):
-        weight = getattr(conv, attr, None)
-        if weight is not None:
-            return weight.data.shape[1]
-    return 128
 
 
 class BatchExecutor:
@@ -84,7 +75,7 @@ class BatchExecutor:
                 f"warm_ratio must be non-negative, got {warm_ratio}")
         self.cache_policy = cache_policy
         self.cache_scores = cache_scores
-        self.hidden_dim = model_hidden_dim(model)
+        self.hidden_dim = model_widths(model)[0]
         self._feat_bytes = (dataset.feature_dim
                             * dataset.features.itemsize)
 

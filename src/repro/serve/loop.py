@@ -50,19 +50,17 @@ Nothing here reads a wall clock.
 from __future__ import annotations
 
 import heapq
-from contextlib import contextmanager
 from operator import attrgetter
 
 import numpy as np
 
 from ..errors import AdmissionError, SanitizerError, ServingError
-from ..nn.tensor import no_grad
 from ..perf import FLAGS
 from .batcher import MicroBatcher
 from .requests import InferenceResponse
 
 __all__ = ["ServeNode", "EventLoop", "FAULT", "RESPONSE", "ADMIT",
-           "TIMER", "cache_hit_rates", "check_trace", "eval_mode",
+           "TIMER", "cache_hit_rates", "check_trace",
            "run_totals"]
 
 #: Event phases, in the order they run within one simulated instant.
@@ -491,18 +489,3 @@ def run_totals(responses, labels):
             "duration_seconds": duration,
             "throughput": completed / duration if duration else 0.0,
             "accuracy": correct / completed if completed else 0.0}
-
-
-@contextmanager
-def eval_mode(model):
-    """Serve with ``model`` in eval mode, recording no tape.
-
-    Enters :class:`~repro.nn.tensor.no_grad`; restores the model's mode
-    after."""
-    was_training = model.training
-    model.eval()
-    try:
-        with no_grad():
-            yield
-    finally:
-        model.train() if was_training else model.eval()

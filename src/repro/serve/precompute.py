@@ -27,15 +27,16 @@ The two are **bit-identical by construction**, not just numerically
 close.  Floating-point addition is order-sensitive, so equality needs
 both paths to execute the same per-row operations in the same order:
 
-* both aggregate through one shared CSR operator per layer, dispatched
-  through :mod:`repro.kernels` — the on-demand path multiplies *row
-  slices* of that operator, and every registered backend evaluates a
-  sliced row's dot product over the same stored non-zeros in the same
-  order as the full product;
-* the on-demand path scatters its intermediate rows into full-width
-  ``(num_vertices, dim)`` buffers before every dense transform, so each
-  GEMM has exactly the table build's shape and each output row depends
-  only on its own (identical) input row.
+* both run the model's own ``conv.forward`` (under
+  :class:`~repro.nn.no_grad`) over one shared CSR operator per layer,
+  dispatched through :mod:`repro.kernels` — the on-demand path's
+  operator is that one with every row outside the needed set emptied,
+  and every registered backend evaluates a kept row's dot product over
+  the same stored non-zeros in the same order as the full product;
+* that operator keeps full height, and the on-demand path keeps its
+  intermediate rows in full-width ``(num_vertices, dim)`` buffers, so
+  each GEMM has exactly the table build's shape and each output row
+  depends only on its own (identical) input row.
 
 The full-width buffers make the on-demand path as *computationally*
 expensive as a full-graph pass — which is the point it demonstrates:
@@ -52,10 +53,9 @@ import numpy as np
 
 from ..analysis.sanitize import check_finite
 from ..errors import ServingError
-from ..kernels import full_graph_adjacency, gspmm_forward
+from ..kernels import KernelCSR, full_graph_adjacency
 from ..nn.layers import GCNConv, SAGEConv
-from ..nn.tensor import Tensor
-from .loop import eval_mode
+from ..nn.tensor import Tensor, no_grad
 
 __all__ = ["LayerwiseEmbeddings", "OndemandStats"]
 
@@ -86,6 +86,18 @@ class OndemandStats:
         return len(self.input_ids)
 
 
+def _keep_rows(operator, rows):
+    """``operator`` with every row outside ``rows`` emptied: the same
+    shape, each kept row's stored entries in their original order."""
+    keep = np.zeros(operator.shape[0], dtype=bool)
+    keep[rows] = True
+    degrees = operator.row_degrees()
+    entries = np.repeat(keep, degrees)
+    indptr = np.concatenate(([0], np.cumsum(np.where(keep, degrees, 0))))
+    return KernelCSR(indptr, operator.indices[entries],
+                     operator.data[entries], operator.shape)
+
+
 def _relu(x):
     """The rectifier both paths share (rows are independent, so the
     table build and the on-demand path produce identical bits)."""
@@ -106,13 +118,10 @@ class LayerwiseEmbeddings:
     graph, features:
         The graph and raw input features served against.
 
-    The build runs eval-mode semantics (dropout is identity), matching
-    what on-demand inference computes: the conv stack is evaluated from
-    the raw weights, and the head is switched to eval mode for its pass
-    and put back as it was found (``Trainer.run()`` hands the model
-    over with ``training=True``; a head with dropout would otherwise
-    bake random masks into every answer and advance the dropout rng
-    that bit-exact resume checkpoints).
+    The build runs the model's own convs and head under
+    :class:`~repro.nn.no_grad`, so it records no tape and dropout is
+    the identity: no random mask is baked into an answer, and the
+    dropout rng that bit-exact resume checkpoints does not move.
 
     Both tables are a *snapshot* of the model at build time — conv
     weights and head alike.  A model trained further afterwards is
@@ -171,8 +180,7 @@ class LayerwiseEmbeddings:
         # The head is the offline pass's last layer: every vertex is
         # its own (1, d) pass, handed to numpy as one stacked
         # (N, 1, d) operand (see rowwise_logits).
-        with eval_mode(head):
-            logits = self._head_logits(self.table[:, None, :])
+        logits = self._head_logits(self.table[:, None, :])
         self.logit_table = check_finite(
             logits[:, 0], name="precomputed logit table")
 
@@ -187,26 +195,17 @@ class LayerwiseEmbeddings:
 
         ``h_in`` must be a ``(num_vertices, d_in)`` buffer whose rows
         are valid for ``dst`` and every in-neighbor of ``dst``; the
-        returned buffer's rows are valid exactly for ``dst``.  All
-        shapes are full-width so the per-row float operations match the
-        table build bit-for-bit.
+        returned buffer's rows are valid exactly for ``dst``.  The
+        operator keeps only ``dst``'s rows but stays full height, so
+        every shape is the table build's and the per-row float
+        operations match it bit for bit.
         """
         operator = self._operator(conv)
-        rows = operator.take_rows(dst) \
-            if len(dst) < self.num_vertices else operator
-        aggregated = gspmm_forward(rows, h_in)
-        full = np.zeros((self.num_vertices, aggregated.shape[1]),
-                        dtype=aggregated.dtype)
-        full[dst] = aggregated
-        edges = int(rows.nnz)
-        if isinstance(conv, GCNConv):
-            out = full @ conv.weight.data + conv.bias.data
-        else:
-            out = (h_in @ conv.weight_self.data
-                   + full @ conv.weight_neigh.data + conv.bias.data)
-            if conv.normalize:
-                norms = np.sqrt((out * out).sum(axis=1, keepdims=True))
-                out = out / np.maximum(norms, 1e-12)
+        if len(dst) < self.num_vertices:
+            operator = _keep_rows(operator, dst)
+        with no_grad():
+            out = conv.forward(operator, Tensor(h_in)).data
+        edges = operator.nnz
         d_in = h_in.shape[1]
         d_out = out.shape[1]
         flops = 2.0 * edges * d_in + 2.0 * len(dst) * d_in * d_out
@@ -220,7 +219,9 @@ class LayerwiseEmbeddings:
         """Classifier head over gathered embedding rows (one shared
         code path, so both serving modes transform identical inputs
         identically)."""
-        return self.head.forward(Tensor(np.ascontiguousarray(rows))).data
+        with no_grad():
+            return self.head.forward(
+                Tensor(np.ascontiguousarray(rows))).data
 
     def head_flops(self, batch_size):
         """Forward FLOPs of the MLP head for ``batch_size`` rows."""

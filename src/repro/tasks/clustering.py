@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import TrainingError
+from ..nn import no_grad
 
 __all__ = ["kmeans", "normalized_mutual_information", "cluster_embeddings",
            "ClusteringResult", "cluster_dataset"]
@@ -139,14 +140,13 @@ def cluster_dataset(dataset, model, sampler, num_clusters=None, rng=None,
     vertices = np.arange(dataset.num_vertices)
     embeddings = np.zeros((dataset.num_vertices, 0))
     chunks = []
-    model.eval()
-    for start in range(0, len(vertices), batch_size):
-        batch = vertices[start:start + batch_size]
-        subgraph = sampler.sample(dataset.graph, batch, rng)
-        h = model.embed(subgraph,
-                        dataset.features[subgraph.input_nodes])
-        chunks.append((subgraph.seeds, h.data))
-    model.train()
+    with no_grad():
+        for start in range(0, len(vertices), batch_size):
+            batch = vertices[start:start + batch_size]
+            subgraph = sampler.sample(dataset.graph, batch, rng)
+            h = model.embed(subgraph,
+                            dataset.features[subgraph.input_nodes])
+            chunks.append((subgraph.seeds, h.data))
     width = chunks[0][1].shape[1]
     embeddings = np.zeros((dataset.num_vertices, width))
     for seeds, values in chunks:

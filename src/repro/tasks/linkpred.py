@@ -28,7 +28,7 @@ import numpy as np
 from ..errors import TrainingError
 from ..graph.build import from_edges
 from ..nn import (Adam, Tensor, binary_cross_entropy_with_logits,
-                  build_model, roc_auc)
+                  build_model, no_grad, roc_auc)
 
 __all__ = ["EdgeSplit", "split_edges", "sample_negative_edges",
            "LinkPredictionResult", "train_link_prediction",
@@ -138,11 +138,10 @@ def _evaluate_auc(model, dataset, split, sampler, positives, rng):
     subgraph = sampler.sample(split.train_graph, seeds, rng)
     seed_index_of = np.full(dataset.num_vertices, -1, dtype=np.int64)
     seed_index_of[subgraph.seeds] = np.arange(len(subgraph.seeds))
-    model.eval()
-    embeddings = model.embed(subgraph,
-                             dataset.features[subgraph.input_nodes])
-    model.train()
-    scores = score_pairs(embeddings, seed_index_of, pairs)
+    with no_grad():
+        embeddings = model.embed(subgraph,
+                                 dataset.features[subgraph.input_nodes])
+        scores = score_pairs(embeddings, seed_index_of, pairs)
     return roc_auc(scores.data, labels)
 
 

@@ -1,11 +1,15 @@
-"""Evaluation-subgraph caching and ``evaluate_model`` mode handling."""
+"""Evaluation-subgraph caching and ``evaluate_model`` leaving the model
+as it found it."""
+
+import contextlib
 
 import numpy as np
 import pytest
 
 from repro import TrainingConfig, Trainer, evaluate_model
 from repro.graph import load_dataset
-from repro.nn import build_model
+from repro.nn import build_model, no_grad
+from repro.nn import tensor as tensor_module
 from repro.perf import PERF, EvalSubgraphCache
 from repro.sampling import NeighborSampler
 
@@ -99,19 +103,15 @@ class TestEvalSubgraphCache:
 
 class TestEvaluateModelMode:
     def test_restores_eval_mode(self, dataset, model):
-        """The old behaviour flipped an eval-mode model into training
-        mode on exit; the prior mode must be restored instead."""
+        """There is no train / eval mode: the one switch is the tape
+        flag.  Evaluating must leave it, and the dropout rng, as they
+        were — inside ``no_grad`` or not."""
         sampler = NeighborSampler((4, 4))
-        model.eval()
-        evaluate(model, dataset, sampler, None)
-        assert model.training is False
-        model.train()
-        evaluate(model, dataset, sampler, None)
-        assert model.training is True
-
-    def test_children_follow_restored_mode(self, dataset, model):
-        sampler = NeighborSampler((4, 4))
-        model.eval()
-        evaluate(model, dataset, sampler, None)
-        assert all(not conv.training for conv in model.convs)
-        model.train()
+        rng_before = model.rng_state()
+        for outer in (no_grad, contextlib.nullcontext):
+            with outer():
+                before = tensor_module._taping
+                evaluate(model, dataset, sampler, None)
+                assert tensor_module._taping is before
+            assert tensor_module._taping
+            assert model.rng_state() == rng_before

@@ -8,6 +8,7 @@ from repro.core import (Trainer, TrainingConfig, adaptive_batch_training,
 from repro.errors import TrainingError
 from repro.graph import load_dataset
 from repro.nn import build_model
+from repro.nn import tensor as tensor_module
 from repro.sampling import NeighborSampler
 
 
@@ -114,12 +115,16 @@ class TestEvaluate:
                               np.random.default_rng(0)) == 0.0
 
     def test_restores_train_mode(self, dataset):
+        """Training resumes taping after evaluation, and evaluation
+        drew no dropout mask."""
         model = build_model("gcn", dataset.feature_dim,
                             dataset.num_classes,
-                            rng=np.random.default_rng(0))
+                            rng=np.random.default_rng(0), dropout=0.5)
+        rng_before = model.rng_state()
         evaluate_model(model, dataset, dataset.val_ids[:16],
                        NeighborSampler((3, 3)), np.random.default_rng(0))
-        assert model.training
+        assert tensor_module._taping
+        assert model.rng_state() == rng_before
 
 
 class TestSweepAndAdaptive:

@@ -2,8 +2,10 @@
 the :class:`~repro.core.Trainer`: its own GCN class, engine (own epoch
 counter, all-reduce and evaluation forward) and hand-rolled epoch loop.
 
-Kept verbatim (the deleted ``full_aggregation_matrix`` pass-through
-aside: it calls ``full_graph_adjacency`` directly) as the reference
+Kept verbatim (two ports aside: the deleted ``full_aggregation_matrix``
+pass-through — it calls ``full_graph_adjacency`` directly — and the
+deleted train / eval mode — dropout draws while a tape is recorded, so
+the evaluation forward runs under ``no_grad``) as the reference
 ``test_fullbatch_oracle.py`` holds the Trainer's ``FullGraph`` policy
 to bit for bit; the other full-batch tests compare its width-explicit
 cost model and per-vertex boundary walk.  Used only as a reference.
@@ -16,7 +18,7 @@ import numpy as np
 from repro.dist import EpochStats
 from repro.errors import TrainingError
 from repro.kernels import full_graph_adjacency
-from repro.nn import Adam, Tensor, softmax_cross_entropy
+from repro.nn import Adam, Tensor, no_grad, softmax_cross_entropy
 from repro.nn.layers import GCNConv, MLP, Module
 
 
@@ -26,7 +28,6 @@ class FullGraphGCN(Module):
 
     def __init__(self, in_dim, hidden_dim, num_classes, num_layers, rng,
                  dropout=0.1):
-        super().__init__()
         if num_layers < 1:
             raise TrainingError("need at least one GNN layer")
         dims = [in_dim] + [hidden_dim] * num_layers
@@ -44,8 +45,7 @@ class FullGraphGCN(Module):
         for i, conv in enumerate(self.convs):
             h = conv.forward(adjacency, h).relu()
             if i < len(self.convs) - 1:
-                h = h.dropout(self.dropout_p, self.rng,
-                              training=self.training)
+                h = h.dropout(self.dropout_p, self.rng)
         return self.head.forward(h)
 
 
@@ -189,7 +189,6 @@ class FullBatchEngine:
         """One full-batch epoch (exactly one parameter update)."""
         refresh = (self.staleness == 0
                    or self._epoch_index % (self.staleness + 1) == 0)
-        self.model.train()
         logits = self._forward(refresh)
         train_ids = self.dataset.train_ids
         loss = softmax_cross_entropy(logits.gather_rows(train_ids),
@@ -219,11 +218,10 @@ class FullBatchEngine:
 
     def evaluate(self, vertex_ids):
         """Full-graph inference accuracy on ``vertex_ids``."""
-        self.model.eval()
-        logits = self.model.forward(self.adjacency,
-                                    self.dataset.features)
+        with no_grad():
+            logits = self.model.forward(self.adjacency,
+                                        self.dataset.features)
         predictions = logits.data.argmax(axis=-1)
-        self.model.train()
         vertex_ids = np.asarray(vertex_ids, dtype=np.int64)
         if len(vertex_ids) == 0:
             return 0.0

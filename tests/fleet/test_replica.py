@@ -11,7 +11,7 @@ from repro.core import make_partitioner
 from repro.errors import FleetError
 from repro.fleet import ReplicaServer, ShardExecutor, ShardMap
 from repro.fleet.metrics import ReplicaReport
-from repro.nn import build_model
+from repro.nn import build_model, no_grad
 from repro.serve import BatchPolicy
 from repro.serve.executor import BatchExecutor
 from repro.serve.requests import InferenceRequest
@@ -95,14 +95,15 @@ class TestSingleShardReduction:
 
     def test_sampled_flat_billing_reduces(self, data, model):
         shards = make_shards(data, 1, name="hash")
-        model.eval()   # engines do this in run(); we call execute raw
         base = BatchExecutor(data, model, mode="sampled",
                              cache_ratio=0.2)
         sharded = ShardExecutor(shards, 0, data, model, mode="sampled",
                                 cache_ratio=0.2)
         vertices = data.test_ids[:16]
-        want = base.execute(vertices, np.random.default_rng(5))
-        got = sharded.execute(vertices, np.random.default_rng(5))
+        # Engines enter no_grad in run(); we call execute raw.
+        with no_grad():
+            want = base.execute(vertices, np.random.default_rng(5))
+            got = sharded.execute(vertices, np.random.default_rng(5))
         assert np.array_equal(want[0], got[0])
         assert want[1:] == got[1:]
 

@@ -76,8 +76,7 @@ def test_gat_forward_backward_bit_identical(backend):
                               np.random.default_rng(5))
     model = build_model("gat", dataset.feature_dim,
                         dataset.num_classes,
-                        rng=np.random.default_rng(11))
-    model.eval()
+                        rng=np.random.default_rng(11), dropout=0.0)
     logits = model.forward(subgraph,
                            dataset.features[subgraph.input_nodes])
     loss = softmax_cross_entropy(logits, dataset.labels[seeds])

@@ -8,7 +8,7 @@ import numpy as np
 from repro.graph.build import from_edges
 from repro.kernels import (block_attention_edges,
                            normalized_block_adjacency)
-from repro.nn import build_model
+from repro.nn import build_model, no_grad
 from repro.perf import PERF
 from repro.sampling import NeighborSampler, build_block
 
@@ -93,11 +93,11 @@ class TestForwardEquivalence:
         for name in ("gcn", "graphsage", "gat"):
             model = build_model(name, 16, 4, num_layers=2, hidden_dim=8,
                                 rng=np.random.default_rng(1), dropout=0.0)
-            model.eval()
-            memoized = model.forward(subgraph, features).data
-            # Second call hits every cache; still identical.
-            again = model.forward(subgraph, features).data
-            with slow_paths():
-                fresh = model.forward(subgraph, features).data
+            with no_grad():
+                memoized = model.forward(subgraph, features).data
+                # Second call hits every cache; still identical.
+                again = model.forward(subgraph, features).data
+                with slow_paths():
+                    fresh = model.forward(subgraph, features).data
             assert np.array_equal(memoized, again), name
             assert np.array_equal(memoized, fresh), name

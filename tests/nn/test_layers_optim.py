@@ -7,7 +7,7 @@ from repro.errors import TrainingError
 from repro.graph import load_dataset
 from repro.kernels import normalized_block_adjacency
 from repro.nn import (GCN, MLP, SGD, Adam, GraphSAGE, Linear, Tensor,
-                      accuracy, build_model, softmax,
+                      accuracy, build_model, no_grad, softmax,
                       softmax_cross_entropy, zeros)
 from repro.sampling import NeighborSampler
 
@@ -129,10 +129,10 @@ class TestModels:
     def test_eval_mode_is_deterministic(self, dataset, subgraph):
         model = build_model("gcn", dataset.feature_dim, dataset.num_classes,
                             rng=np.random.default_rng(0), dropout=0.5)
-        model.eval()
         feats = dataset.features[subgraph.input_nodes]
-        a = model.forward(subgraph, feats).data
-        b = model.forward(subgraph, feats).data
+        with no_grad():
+            a = model.forward(subgraph, feats).data
+            b = model.forward(subgraph, feats).data
         assert np.array_equal(a, b)
 
     def test_gcn_class_alias(self):

@@ -1,11 +1,13 @@
 """Inference without a tape: under ``no_grad`` every op that ends in
 ``Tensor._result`` — the tensor ops, the fused losses and the
 differentiable kernels — computes the same bytes and records nothing
-(no parent tuple, no kept backward closure).  The flag is restored
+(no parent tuple, no kept backward closure); dropout, the one op whose
+inference value differs, hands back its input.  The flag is restored
 after nesting and after an exception, the two inference entry points
-(``serve.loop.eval_mode``, ``core.trainer.evaluate_model``) leave it as
-they found it, and training after an untaped pass gets the gradients
-of training that never entered the context.
+(``serve.ServeEngine.run``, ``core.trainer.evaluate_model``) leave it
+as they found it (every inference entry point is held to that
+in ``test_dropout_switch.py``), and training after an untaped pass
+gets the gradients of training that never entered the context.
 """
 
 import contextlib
@@ -21,7 +23,7 @@ from repro.nn import (Tensor, binary_cross_entropy_with_logits,
                       build_model, no_grad, softmax_cross_entropy)
 from repro.nn import tensor as tensor_module
 from repro.sampling import NeighborSampler
-from repro.serve.loop import eval_mode
+from repro.serve import LoadGenerator, ServeEngine
 
 CSR = KernelCSR(np.array([0, 2, 3, 5, 6]), np.array([0, 1, 2, 1, 3, 0]),
                 np.ones(6), (4, 4))
@@ -106,8 +108,13 @@ def test_the_table_names_every_tensor_op():
 def test_no_op_records_a_tape_under_no_grad(name):
     taped = OPS[name](Operands())
     assert taped._parents and taped._backward is not None
+    operands = Operands()
     with no_grad():
-        untaped = OPS[name](Operands())
+        untaped = OPS[name](operands)
+    if name == "dropout":
+        # Inference dropout is the identity: the input, drawing nothing.
+        assert untaped is operands.x
+        return
     assert untaped._parents == ()
     assert untaped._backward is None
     assert not untaped.requires_grad
@@ -145,16 +152,40 @@ def model_for(data, seed=5):
 
 
 @pytest.mark.parametrize("outer", [False, True], ids=["taping", "no_grad"])
-def test_eval_mode_enters_no_grad_and_restores_the_flag(data, outer):
+def test_eval_mode_enters_no_grad_and_restores_the_flag(data, outer,
+                                                        monkeypatch):
+    """Serving's inference mode is ``no_grad`` itself: ``ServeEngine.run``
+    forwards untaped and restores the flag, also when the forward
+    raises."""
     model = model_for(data)
+    trace = LoadGenerator(data.test_ids, rate=2000.0, num_requests=20,
+                          seed=1).generate()
+    seen = []
+    forward = type(model).forward
+
+    def spy(self, *args):
+        seen.append(tensor_module._taping)
+        return forward(self, *args)
+
+    def serve():
+        ServeEngine(data, model, mode="sampled", fanout=(4, 4),
+                    seed=0).run(trace)
+
+    monkeypatch.setattr(type(model), "forward", spy)
     with no_grad() if outer else contextlib.nullcontext():
         before = tensor_module._taping
-        with eval_mode(model):
-            assert not tensor_module._taping
+        serve()
+        assert seen and not any(seen)
         assert tensor_module._taping is before
+
+        def raising(self, *args):
+            seen.append(tensor_module._taping)
+            raise RuntimeError("inside")
+
+        monkeypatch.setattr(type(model), "forward", raising)
         with pytest.raises(RuntimeError):
-            with eval_mode(model):
-                raise RuntimeError("inside")
+            serve()
+        assert not seen[-1]
         assert tensor_module._taping is before
     assert tensor_module._taping
 
@@ -189,7 +220,7 @@ def test_gradients_after_the_context_equal_a_run_that_never_entered_it(
     def gradients(untaped_first):
         model = model_for(data)
         if untaped_first:
-            with eval_mode(model):
+            with no_grad():
                 model.forward(subgraph, features)
         loss = softmax_cross_entropy(model.forward(subgraph, features),
                                      data.labels[subgraph.seeds])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.errors import TrainingError
-from repro.nn import Tensor, softmax_cross_entropy
+from repro.nn import Tensor, no_grad, softmax_cross_entropy
 
 from ._tensor_oracle import spmm
 
@@ -154,13 +154,14 @@ class TestMechanics:
 
     def test_dropout_eval_is_identity(self):
         x = Tensor(np.ones((4, 4)), requires_grad=True)
-        out = x.dropout(0.5, np.random.default_rng(0), training=False)
+        with no_grad():
+            out = x.dropout(0.5, np.random.default_rng(0))
         assert out is x
 
     def test_dropout_scales(self):
         rng = np.random.default_rng(0)
         x = Tensor(np.ones((2000, 10)))
-        out = x.dropout(0.5, rng, training=True)
+        out = x.dropout(0.5, rng)  # taping: the mask is drawn
         # Inverted dropout preserves the expectation.
         assert abs(out.data.mean() - 1.0) < 0.05
 

@@ -7,8 +7,9 @@ through the classifier head, so a row's bits cannot depend on the batch
 it rode in.  The library now builds the same rows once, as one stacked
 ``(N, 1, d)`` head pass; that the two agree is a property of numpy's
 matmul dispatch, which is why ``test_logit_table.py`` checks it over
-generated models on every numpy of the CI matrix.  Call it with the
-model in eval mode (the engines always did).
+generated models on every numpy of the CI matrix.  Each head pass runs
+under ``no_grad`` (``_head_logits`` enters it), as the engines' head
+passes always did.
 """
 
 import numpy as np

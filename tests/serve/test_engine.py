@@ -1,6 +1,7 @@
 """The serving engine: the bit-match invariant, determinism, caching,
 backpressure, and report plumbing."""
 
+import contextlib
 import json
 
 import numpy as np
@@ -8,9 +9,13 @@ import pytest
 
 from repro import load_dataset
 from repro.errors import ServingError
-from repro.nn import build_model
+from repro.nn import build_model, no_grad
+from repro.nn import tensor as tensor_module
+from repro.sampling import NeighborSampler
 from repro.serve import (BatchPolicy, LayerwiseEmbeddings, LoadGenerator,
                          ServeEngine)
+from repro.serve.executor import BatchExecutor
+from repro.transfer.hardware import DEFAULT_SPEC, estimate_flops
 
 
 @pytest.fixture(scope="module")
@@ -151,12 +156,16 @@ class TestServing:
             assert key in payload
 
     def test_model_mode_restored(self, data, model, trace):
-        model.train()
-        ServeEngine(data, model, mode="sampled", seed=0).run(trace)
-        assert model.training
-        model.eval()
-        ServeEngine(data, model, mode="sampled", seed=0).run(trace)
-        assert not model.training
+        """There is no train / eval mode to flip: serving leaves the tape
+        flag and the model's dropout rng as it found them."""
+        rng_before = model.rng_state()
+        for outer in (contextlib.nullcontext, no_grad):
+            with outer():
+                before = tensor_module._taping
+                ServeEngine(data, model, mode="sampled", seed=0).run(trace)
+                assert tensor_module._taping is before
+            assert tensor_module._taping
+            assert model.rng_state() == rng_before
 
     def test_unknown_mode_rejected(self, data, model):
         with pytest.raises(ServingError):
@@ -165,3 +174,21 @@ class TestServing:
     def test_empty_trace_rejected(self, data, model):
         with pytest.raises(ServingError):
             ServeEngine(data, model, mode="sampled").run([])
+
+
+@pytest.mark.parametrize("name", ["gcn", "graphsage", "gat"])
+def test_sampled_serving_bills_the_models_hidden_width(data, name):
+    """The nn seconds of a sampled batch are the FLOPs of the model's
+    own width — GAT included, which has no ``weight`` to read one off."""
+    model = build_model(name, data.feature_dim, data.num_classes,
+                        hidden_dim=64, rng=np.random.default_rng(7))
+    executor = BatchExecutor(data, model, mode="sampled", fanout=(4, 4))
+    vertices = data.test_ids[:8]
+    with no_grad():
+        _predictions, _bp, _dt, nn = executor.execute(
+            vertices, np.random.default_rng(3))
+    subgraph = NeighborSampler((4, 4)).sample(
+        data.graph, vertices, np.random.default_rng(3))
+    assert nn == DEFAULT_SPEC.compute_time(estimate_flops(
+        subgraph, data.feature_dim, 64, data.num_classes,
+        backward_factor=1.0))

@@ -1,6 +1,6 @@
 """The head is the offline pass's last layer: the per-vertex logit
 table against the per-request row loop it replaced
-(``_rowwise_oracle.py``), the eval-mode rule of the build, and the
+(``_rowwise_oracle.py``), the untaped build, and the
 vertex-id validation that keeps a hostile trace away from the gather.
 """
 
@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from repro import load_dataset
 from repro.errors import ServingError
 from repro.fleet import FleetEngine
-from repro.nn import build_model
+from repro.nn import build_model, no_grad
+from repro.nn import tensor as tensor_module
 from repro.nn.layers import GCN, MLP, GraphSAGE
 from repro.serve import InferenceRequest, LayerwiseEmbeddings, ServeEngine
 
@@ -50,10 +51,10 @@ def test_logit_table_is_the_row_loop(data, model_cls, hidden, classes,
                                      mids, dtype, seed):
     model, features = build(data, model_cls, hidden, classes, mids,
                             dtype, seed)
-    model.eval()
-    embeddings = LayerwiseEmbeddings(model, data.graph, features)
     everyone = np.arange(data.num_vertices)
-    oracle = rowwise_logits(embeddings, everyone)
+    with no_grad():
+        embeddings = LayerwiseEmbeddings(model, data.graph, features)
+        oracle = rowwise_logits(embeddings, everyone)
 
     # (a) the table itself, over every vertex.
     table = embeddings.logit_table
@@ -88,21 +89,19 @@ def test_served_rows_are_copies(data):
 
 
 # ----------------------------------------------------------------------
-# The build runs the head in eval mode and hands the model back as found
+# The build runs the head untaped and leaves the dropout rng alone
 # ----------------------------------------------------------------------
 def test_training_mode_model_builds_the_eval_table(data):
     model, features = build(data, GCN, 16, 7, [12], np.float32, 5,
                             dropout=0.5)
-    assert model.training and model.head.dropout.training
     rng_before = model.rng_state()
     trained = LayerwiseEmbeddings(model, data.graph, features)
-    assert model.training and model.head.training \
-        and model.head.dropout.training
+    assert tensor_module._taping
     assert model.rng_state() == rng_before
 
-    model.eval()
-    evaluated = LayerwiseEmbeddings(model, data.graph, features)
-    assert not model.training and not model.head.dropout.training
+    with no_grad():
+        evaluated = LayerwiseEmbeddings(model, data.graph, features)
+    assert tensor_module._taping
     assert model.rng_state() == rng_before
     assert trained.logit_table.tobytes() \
         == evaluated.logit_table.tobytes()

@@ -44,11 +44,10 @@ from repro.fleet import (FleetEngine, ReplicaRecovery, ResiliencePolicy,
                          RoutingPolicy)
 from repro.fleet.chaos import crash_storm
 from repro.graph import load_dataset
-from repro.nn import build_model
+from repro.nn import build_model, no_grad
 from repro.perf import perf_overrides
 from repro.serve import (BatchPolicy, LayerwiseEmbeddings, LoadGenerator,
                          ServeEngine)
-from repro.serve.loop import eval_mode
 
 #: (row label, file suffix, function name) of the cumulative table.
 LAYERS = (
@@ -151,7 +150,7 @@ def calls_per_execute(engine, batch_size=2, batches=20, seed=0):
     path), after one untimed warm-up batch."""
     rng = np.random.default_rng(seed)
     counts = []
-    with perf_overrides(sanitize=False), eval_mode(engine.model):
+    with perf_overrides(sanitize=False), no_grad():
         for _ in range(batches + 1):
             batch = rng.choice(engine.dataset.num_vertices,
                                size=batch_size, replace=False)

@@ -69,9 +69,9 @@ def gat_forward_backward():
     seeds = dataset.train_ids[:24]
     subgraph = sampler.sample(dataset.graph, seeds,
                               np.random.default_rng(5))
+    # No dropout: the forward must be a pure function.
     model = build_model("gat", dataset.feature_dim, dataset.num_classes,
-                        rng=np.random.default_rng(11))
-    model.eval()  # no dropout: the forward must be a pure function
+                        rng=np.random.default_rng(11), dropout=0.0)
     logits = model.forward(subgraph,
                            dataset.features[subgraph.input_nodes])
     loss = softmax_cross_entropy(logits, dataset.labels[seeds])
