@@ -548,15 +548,14 @@ class _FleetRun:
         """Route one arrival or re-submission; returns the replica that
         queued it, or ``None`` when it was rejected."""
         try:
-            replica, is_owner = self.router.route(request,
-                                                  now=self.loop.clock)
+            replica, _ = self.router.route(request, self.loop.clock)
         except FleetError:
             # Every replica is down: open-loop load cannot wait for
             # the cluster — the request is lost (dropped, and surfaced
             # as such in the report).
             self._lose(request.request_id, "unroutable")
             return None
-        if not replica.submit(request, is_owner):
+        if not replica.submit(request):
             self._lose(request.request_id, "queue-full")
             return None
         return replica
@@ -601,8 +600,8 @@ class _FleetRun:
             now=self.loop.clock)
         if routed is None:
             return
-        replica, is_owner = routed
-        if not replica.submit(request, is_owner):
+        replica, _ = routed
+        if not replica.submit(request):
             return
         self.assigned[rid].append(replica.replica_id)
         self.hedge_target[rid] = replica.replica_id

@@ -161,26 +161,38 @@ class ReplicaServer(ServeNode):
             rng=np.random.default_rng((int(seed), int(replica_id))))
         self.replica_id = self.node_id
         self.shards = shards
-        self.active = True          # False while scaled down
+        self._active = True
+        #: Whether the router may send this node new requests: alive,
+        #: active and not draining.  Kept rather than derived, because
+        #: the router reads it once a request: ``crash`` / ``recover``
+        #: (the only writers of ``alive``) and the ``active`` /
+        #: ``draining`` setters set it again.
+        self.accepting = True
 
+        # Counted by the router where it picks this node.
         self.owner_routed = 0
         self.spill_routed = 0
         self.crashes = 0
         self.down_seconds = 0.0
 
-    @property
-    def accepting(self):
-        """Whether the router may send this node new requests."""
-        return self.alive and self.active and not self._draining
+    def _gate(self):
+        self.accepting = self.alive and self._active \
+            and not self._draining
 
-    def submit(self, request, is_owner):
-        """Enqueue one routed request; returns False (and counts a
-        rejection) when the admission queue is full."""
-        if is_owner:
-            self.owner_routed += 1
-        else:
-            self.spill_routed += 1
-        return super().submit(request)
+    @property
+    def active(self):
+        """False while scaled down."""
+        return self._active
+
+    @active.setter
+    def active(self, value):
+        self._active = value
+        self._gate()
+
+    @ServeNode.draining.setter
+    def draining(self, value):
+        ServeNode.draining.fset(self, value)
+        self._gate()
 
     def crash(self, clock, down_seconds, cold=False):
         """Take the node down at ``clock``; returns the queued requests
@@ -188,7 +200,7 @@ class ReplicaServer(ServeNode):
         in-memory cache residency with the process (the fleet's
         recovery layer then re-warms it from a snapshot on rejoin);
         the default keeps PR 7's process-restart semantics."""
-        self.alive = False
+        self.alive = self.accepting = False
         self.crashes += 1
         self.down_seconds += down_seconds
         # An in-flight batch is lost with the node; queued-but-unserved
@@ -203,6 +215,7 @@ class ReplicaServer(ServeNode):
         """Bring the node back (empty queue, cache state retained —
         a process restart, not a cold node)."""
         self.alive = True
+        self._gate()
         self.free_at = max(self.free_at, clock)
         self.ready_at = None
 

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 from ..errors import FleetError, SanitizerError
 from ..perf import FLAGS
+from .resilience import _check_count
 
 __all__ = ["RoutingPolicy", "Router", "AutoscalePolicy", "Autoscaler"]
 
@@ -59,10 +60,10 @@ class RoutingPolicy:
     remote_penalty: float = 8.0
 
     def __post_init__(self):
-        if self.spill_threshold is not None and self.spill_threshold < 1:
-            raise FleetError(
-                f"spill_threshold must be >= 1 or None, got "
-                f"{self.spill_threshold}")
+        # A NaN threshold fails every ``depth < threshold``: each
+        # request the owner would admit goes down the spill path.
+        if self.spill_threshold is not None:
+            _check_count("spill_threshold", self.spill_threshold)
         if not self.remote_penalty >= 0:
             raise FleetError(
                 f"remote_penalty must be >= 0, got "
@@ -75,10 +76,12 @@ class Router:
     Parameters
     ----------
     shards:
-        The fleet's :class:`~repro.fleet.shards.ShardMap` (owner
-        queries).
+        The fleet's :class:`~repro.fleet.shards.ShardMap`; the router
+        holds its :attr:`~repro.fleet.shards.ShardMap.owner_of` list.
     replicas:
-        ``replicas[i]`` serves shard ``i``.
+        ``replicas[i]`` serves shard ``i``.  The router reads a
+        replica's queue depth as ``len(replica._queue)`` and counts
+        each pick on it (``owner_routed`` / ``spill_routed``).
     policy:
         A :class:`RoutingPolicy`; default is owner-first with no
         spillover.
@@ -97,6 +100,7 @@ class Router:
                 f"shards; the fleet needs exactly one per shard")
         self.shards = shards
         self.replicas = list(replicas)
+        self._owner_of = shards.owner_of
         self.policy = policy or RoutingPolicy()
         self.breakers = breakers
         self._open = []          # ids of the open breakers, ascending
@@ -140,6 +144,17 @@ class Router:
                 f"breakers say {derived}; a breaker was tripped or "
                 f"lapsed outside Router.trip / Router._admits")
 
+    def _check_accepting(self):
+        """Sanitizer: every replica's kept ``accepting`` must be what
+        its flags say."""
+        for r in self.replicas:
+            if r.accepting != (r.alive and r.active and not r.draining):
+                raise SanitizerError(
+                    f"replica {r.replica_id} holds accepting="
+                    f"{r.accepting} but alive={r.alive}, active="
+                    f"{r.active}, draining={r.draining}; a flag was "
+                    f"written without setting accepting again")
+
     def _candidates(self, now):
         return [r for r in self.replicas if self._admits(r, now)]
 
@@ -161,12 +176,25 @@ class Router:
 
         def cost(r):
             free = r is owner or r.replica_id in backups
-            return (r.queue_depth + (0.0 if free else penalty),
+            return (len(r._queue) + (0.0 if free else penalty),
                     r.replica_id)
         return min(candidates, key=cost)
 
+    @staticmethod
+    def _picked(chosen, owner):
+        """Count the pick on ``chosen``; returns ``(chosen,
+        is_owner)``.  (A failover never picks the owner: it is not
+        admitting at ``now``.)"""
+        if chosen is owner:
+            chosen.owner_routed += 1
+            return chosen, True
+        chosen.spill_routed += 1
+        return chosen, False
+
     def route(self, request, now=0.0):
-        """Pick ``(replica, is_owner)`` for one request.  Raises
+        """Pick ``(replica, is_owner)`` for one request and count the
+        pick on the replica (``owner_routed`` when it owns the vertex,
+        ``spill_routed`` otherwise).  Raises
         :class:`~repro.errors.FleetError` when no replica is accepting
         (every node crashed or drained away) — the error message names
         the request id so the engine can surface dropped requests.
@@ -182,15 +210,17 @@ class Router:
         not lapse while it is down), so neither is polled; with no
         breaker open, none is asked.  (A second poll at the same
         ``now`` returns the same answer and changes nothing.)  Under
-        ``FLAGS.sanitize`` the open set is re-derived from the
-        breakers first."""
+        ``FLAGS.sanitize`` every replica's ``accepting`` and the open
+        set are re-derived first."""
         vertex = request.vertex
-        owner = self.replicas[self.shards.owner(vertex)]
+        owner = self.replicas[self._owner_of[vertex]]
+        if self._sanitize:
+            self._check_accepting()
+            if self.breakers is not None:
+                self._check_open()
         if self.breakers is None:
             owner_admits = owner.accepting
         else:
-            if self._sanitize:
-                self._check_open()
             opened = self._open
             if opened:
                 for rid in tuple(opened):
@@ -201,12 +231,13 @@ class Router:
 
         if owner_admits:
             threshold = self.policy.spill_threshold
-            if threshold is None or owner.queue_depth < threshold:
+            if threshold is None or len(owner._queue) < threshold:
+                owner.owner_routed += 1
                 return owner, True
             chosen = self._cheapest(self._candidates(now), owner, vertex)
             if chosen is not owner:
                 self.spillovers += 1
-            return chosen, chosen is owner
+            return self._picked(chosen, owner)
 
         # Owner down, draining, or circuit-broken: failover to the
         # cheapest survivor — a backup holder of the vertex when the
@@ -220,14 +251,15 @@ class Router:
         self.failovers += 1
         if chosen.replica_id in self._backups(vertex):
             self.backup_routed += 1
-        return chosen, False
+        return self._picked(chosen, owner)
 
     def route_hedge(self, request, exclude, now=0.0):
         """Route a hedge copy of ``request`` to a replica *not* in
-        ``exclude`` (the ids already holding a copy); returns
-        ``(replica, is_owner)`` or ``None`` when no distinct replica
-        can take it (never raises — a hedge is opportunistic)."""
-        owner = self.replicas[self.shards.owner(request.vertex)]
+        ``exclude`` (the ids already holding a copy), counted as in
+        :meth:`route`; returns ``(replica, is_owner)`` or ``None`` when
+        no distinct replica can take it (never raises — a hedge is
+        opportunistic)."""
+        owner = self.replicas[self._owner_of[request.vertex]]
         candidates = [r for r in self.replicas
                       if r.replica_id not in exclude
                       and self._admits(r, now)]
@@ -236,7 +268,7 @@ class Router:
         chosen = self._cheapest(candidates, owner, request.vertex)
         if chosen.replica_id in self._backups(request.vertex):
             self.backup_routed += 1
-        return chosen, chosen is owner
+        return self._picked(chosen, owner)
 
 
 @dataclass(frozen=True)

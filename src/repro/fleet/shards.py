@@ -55,8 +55,10 @@ class ShardMap:
         self.assignment = partition.assignment
         self.num_shards = partition.num_parts
         self._halos = {}
-        # The router's per-request query, answered by one list index.
-        self._owner_of = self.assignment.tolist()
+        #: The owning shard of every vertex, as a python list: the
+        #: router holds it and answers its per-request query with one
+        #: index.
+        self.owner_of = self.assignment.tolist()
         self._backups = {}      # vertex -> backups(vertex), filled on use
 
     @property
@@ -75,15 +77,13 @@ class ShardMap:
 
     def owner(self, vertices):
         """Owning shard of ``vertices`` (scalar in, scalar out)."""
-        if vertices.__class__ is int:
-            return self._owner_of[vertices]
         return self.partition.owner(vertices)
 
     def holders(self, vertex):
         """Every shard holding ``vertex``'s row locally, owner first,
         backups in ascending shard id, as a tuple.  Without a replica
         matrix this is just ``(owner,)`` — the single-owner fleet."""
-        return (self._owner_of[int(vertex)],) + self.backups(vertex)
+        return (self.owner_of[int(vertex)],) + self.backups(vertex)
 
     def backups(self, vertex):
         """The non-owner shards holding ``vertex`` (ascending ids), as
@@ -95,7 +95,7 @@ class ShardMap:
         except KeyError:
             pass
         vertex = int(vertex)
-        owner = self._owner_of[vertex]
+        owner = self.owner_of[vertex]
         backups = ()
         if self.partition.replicas is not None:
             held = np.flatnonzero(self.partition.replicas[:, vertex])

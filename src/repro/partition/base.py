@@ -110,8 +110,8 @@ class PartitionResult:
 
     def owner(self, vertices):
         """Owning partition of ``vertices`` — a scalar for a scalar id,
-        an ``int64`` array for an array (the shard-ownership query the
-        serving fleet's router answers per request)."""
+        an ``int64`` array for an array (the serving fleet's
+        shard-ownership query)."""
         owners = self.assignment[np.asarray(vertices, dtype=np.int64)]
         return owners if owners.ndim else int(owners)
 

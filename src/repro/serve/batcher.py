@@ -21,10 +21,20 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from numbers import Integral
 
 from ..errors import AdmissionError, ServingError
 
 __all__ = ["BatchPolicy", "MicroBatcher"]
+
+
+def _check_count(name, value):
+    """A count knob must be an integer >= 1: ``nan`` and ``2.5`` pass
+    a bare ``value < 1`` test, and then ``take`` cannot size a batch or
+    the queue bound never holds."""
+    if not isinstance(value, Integral) or value < 1:
+        raise ServingError(
+            f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -45,12 +55,10 @@ class BatchPolicy:
     max_wait: float = 2e-3
 
     def __post_init__(self):
-        if self.max_batch_size < 1:
+        _check_count("max_batch_size", self.max_batch_size)
+        if not self.max_wait >= 0:
             raise ServingError(
-                f"max_batch_size must be >= 1, got {self.max_batch_size}")
-        if self.max_wait < 0:
-            raise ServingError(
-                f"max_wait must be >= 0, got {self.max_wait}")
+                f"max_wait must be >= 0, got {self.max_wait!r}")
 
     def describe(self):
         """Short policy label used in reports and benchmark tables."""
@@ -73,9 +81,8 @@ class MicroBatcher:
 
     def __init__(self, policy=None, max_queue=None):
         self.policy = policy or BatchPolicy()
-        if max_queue is not None and max_queue < 1:
-            raise ServingError(
-                f"max_queue must be >= 1 or None, got {max_queue}")
+        if max_queue is not None:
+            _check_count("max_queue", max_queue)
         self.max_queue = max_queue
         #: The waiting requests, oldest first.  Always the same deque,
         #: so a node may hold it and read its length directly; only the
@@ -132,7 +139,13 @@ class MicroBatcher:
     def take(self):
         """Pop the next batch (up to ``max_batch_size`` requests, FIFO
         order).  Raises :class:`ServingError` on an empty queue."""
-        if not self.queue:
+        queue = self.queue
+        if not queue:
             raise ServingError("take() from an empty batch queue")
-        size = min(len(self.queue), self.policy.max_batch_size)
-        return [self.queue.popleft() for _ in range(size)]
+        size = self.policy.max_batch_size
+        if len(queue) <= size:
+            # The whole queue: one copy, not one ``popleft`` a request.
+            batch = list(queue)
+            queue.clear()
+            return batch
+        return [queue.popleft() for _ in range(size)]

@@ -31,7 +31,9 @@ order they were scheduled.  The loop does work when state changes, not
 when the clock ticks: the sorted trace never enters the heap — its
 head is merged in as ``(arrival, ADMIT, trace_index)`` — and a node's
 dispatch time is cached on the node (:attr:`ServeNode.ready_at`) until
-something that writes one of its inputs resets it.
+something that writes one of its inputs resets it.  An arrival instant
+that leaves every cached time in place and later than the next arrival
+skips its dispatch phase (:meth:`EventLoop.run` has the rule).
 
 An event is ``(kind, payload)``; :meth:`EventLoop.run` takes the
 ``{kind: [handler, ...]}`` mapping saying who it is handed to.  The
@@ -336,8 +338,16 @@ class EventLoop:
         phase.  Any other kind is whatever the caller passes to
         :meth:`schedule`; a kind nobody handles is dropped.
 
+        An instant whose dispatch phase could only find nothing to do
+        is passed straight to the next arrival.  That takes all of: no
+        ``"dispatched"`` handler; a dispatch phase has run since the
+        loop-wide flag last changed; every node's dispatch time still
+        cached (nothing reset one since that phase took ``soonest``,
+        so ``soonest`` is still their minimum); and the next arrival
+        strictly before ``soonest`` and before the heap's next event.
+
         Under ``FLAGS.sanitize`` every node's cached dispatch time is
-        re-derived every iteration."""
+        re-derived at every instant, passed ones included."""
         on = {"admit": [self.nodes[0].submit], "batch": [self.collect]}
         on.update(handlers)
         on_admit, on_batch = on["admit"], on["batch"]
@@ -363,21 +373,40 @@ class EventLoop:
             while True:
                 if cursor < arrivals:
                     request = trace[cursor]
-                    if request.arrival <= clock and (
-                            not heap or (request.arrival, ADMIT, cursor)
-                            < heap[0]):
+                    arrival = request.arrival
+                    if arrival <= clock and (
+                            not heap
+                            or (arrival, ADMIT, cursor) < heap[0]):
                         cursor += 1
                         self._admissions -= 1
                         for handler in on_admit:
                             handler(request)
                         continue
-                if not heap or heap[0][0] > clock:
+                if heap and heap[0][0] <= clock:
+                    _, phase, _, kind, payload = heapq.heappop(heap)
+                    if phase == ADMIT:
+                        self._admissions -= 1
+                    for handler in on.get(kind, ()):
+                        handler(payload)
+                    continue
+                # Nothing else is due now.  Pass an instant with
+                # nothing to dispatch straight to the next arrival (the
+                # rule in the docstring).  With an arrival outstanding
+                # the loop-wide flag is off, so ``flushing is False``
+                # says it has not changed since ``soonest`` was taken.
+                if cursor == arrivals or after_dispatch \
+                        or flushing is not False or arrival >= soonest \
+                        or (heap and heap[0][0] <= arrival):
                     break
-                _, phase, _, kind, payload = heapq.heappop(heap)
-                if phase == ADMIT:
-                    self._admissions -= 1
-                for handler in on.get(kind, ()):
-                    handler(payload)
+                for node in nodes:
+                    if node.ready_at is None:
+                        break
+                else:
+                    if sanitize:
+                        _check_ready_times(nodes, False)
+                    self.clock = clock = arrival
+                    continue
+                break
 
             # A fault handler's re-submission can turn the loop-wide
             # flag back off, so it is compared every iteration.

@@ -20,7 +20,10 @@ must reproduce is this code, run for run: every response, every report
 field, every ``resilience`` counter.
 ``tests/serve/test_loop_invariants.py`` compares the two over generated
 ``FleetEngine`` configurations.  Do not "fix" or speed up anything
-here.
+here.  The one addition to the old ``route`` is the ``owner_routed`` /
+``spill_routed`` count on the picked replica: the router counts its
+picks since ``ReplicaServer.submit`` stopped taking ``is_owner``, and
+the replica reports compared carry those counters.
 
 :func:`chaos_oracle` swaps all of it into the shipped classes.
 """
@@ -84,10 +87,14 @@ def route(self, request, now=0.0):
     if owner_admits:
         threshold = self.policy.spill_threshold
         if threshold is None or owner.queue_depth < threshold:
+            owner.owner_routed += 1
             return owner, True
         chosen = self._cheapest(self._candidates(now), owner, vertex)
         if chosen is not owner:
             self.spillovers += 1
+            chosen.spill_routed += 1
+        else:
+            owner.owner_routed += 1
         return chosen, chosen is owner
 
     # Owner down, draining, or circuit-broken: failover to the
@@ -100,6 +107,7 @@ def route(self, request, now=0.0):
             f"replica is accepting")
     chosen = self._cheapest(candidates, owner, vertex)
     self.failovers += 1
+    chosen.spill_routed += 1
     if chosen.replica_id in self._backups(vertex):
         self.backup_routed += 1
     return chosen, False

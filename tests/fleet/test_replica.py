@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from repro import load_dataset
 from repro.core import make_partitioner
-from repro.errors import FleetError
-from repro.fleet import ReplicaServer, ShardExecutor, ShardMap
+from repro.errors import FleetError, SanitizerError
+from repro.fleet import ReplicaServer, Router, ShardExecutor, ShardMap
 from repro.fleet.metrics import ReplicaReport
 from repro.nn import build_model, no_grad
 from repro.serve import BatchPolicy
@@ -184,8 +184,7 @@ class TestReplicaServer:
         owned = shards.shard_vertices(1)
         for i in range(4):
             ok = replica.submit(
-                InferenceRequest(i, int(owned[i]), arrival=i * 1e-4),
-                is_owner=True)
+                InferenceRequest(i, int(owned[i]), arrival=i * 1e-4))
             assert ok
         assert replica.next_dispatch_time(False) == 0.0  # full batch
         responses = replica.dispatch(clock=5e-4)
@@ -199,16 +198,50 @@ class TestReplicaServer:
         shards = make_shards(data, 1, name="hash")
         replica = self.make_replica(data, model, shards, max_queue=2)
         for i in range(2):
-            assert replica.submit(InferenceRequest(i, 0, 0.0), True)
-        assert not replica.submit(InferenceRequest(9, 0, 0.0), True)
+            assert replica.submit(InferenceRequest(i, 0, 0.0))
+        assert not replica.submit(InferenceRequest(9, 0, 0.0))
         assert replica.rejected == 1
         assert replica.queue_depth == 2
+
+    def test_accepting_follows_every_flag_writer(self, data, model):
+        """``accepting`` is kept, not derived: ``crash`` / ``recover``
+        and the ``active`` / ``draining`` setters each set it again."""
+        shards = make_shards(data, 1, name="hash")
+        replica = self.make_replica(data, model, shards)
+
+        def derived():
+            return replica.alive and replica.active \
+                and not replica.draining
+
+        assert replica.accepting
+        for write in (lambda: setattr(replica, "active", False),
+                      lambda: setattr(replica, "active", True),
+                      lambda: setattr(replica, "draining", True),
+                      lambda: replica.crash(1e-3, 5e-3),
+                      lambda: setattr(replica, "draining", False),
+                      lambda: replica.recover(6e-3),
+                      lambda: setattr(replica, "active", False),
+                      lambda: replica.crash(7e-3, 1e-3),
+                      lambda: replica.recover(8e-3)):
+            write()
+            assert replica.accepting == derived()
+        assert not replica.accepting              # still inactive
+
+    def test_router_sanitizer_names_a_stale_accepting(self, data, model):
+        """A direct ``alive`` write skips ``crash``: the router's
+        sanitizer (on for the suite) names the replica."""
+        shards = make_shards(data, 1, name="hash")
+        replica = self.make_replica(data, model, shards)
+        router = Router(shards, [replica])
+        replica.alive = False
+        with pytest.raises(SanitizerError, match="replica 0"):
+            router.route(InferenceRequest(0, 0, 0.0))
 
     def test_crash_drains_queue_and_stops_accepting(self, data, model):
         shards = make_shards(data, 1, name="hash")
         replica = self.make_replica(data, model, shards)
         for i in range(3):
-            replica.submit(InferenceRequest(i, 0, 0.0), True)
+            replica.submit(InferenceRequest(i, 0, 0.0))
         orphans = replica.crash(clock=1e-3, down_seconds=5e-3)
         assert [r.request_id for r in orphans] == [0, 1, 2]
         assert replica.queue_depth == 0
@@ -227,11 +260,11 @@ class TestReplicaServer:
         request handed to the node while it was down."""
         shards = make_shards(data, 1, name="hash")
         replica = self.make_replica(data, model, shards)
-        replica.submit(InferenceRequest(0, 0, arrival=0.0), True)
+        replica.submit(InferenceRequest(0, 0, arrival=0.0))
         assert replica.refresh(False) == pytest.approx(1e-3)
         replica.crash(clock=5e-4, down_seconds=5e-3)
         assert replica.ready_at is None
-        replica.submit(InferenceRequest(1, 0, arrival=6e-4), True)
+        replica.submit(InferenceRequest(1, 0, arrival=6e-4))
         assert replica.refresh(False) == float("inf")   # down
         replica.recover(clock=5.5e-3)
         assert replica.ready_at is None
@@ -240,7 +273,7 @@ class TestReplicaServer:
     def test_partial_batch_waits_for_deadline(self, data, model):
         shards = make_shards(data, 1, name="hash")
         replica = self.make_replica(data, model, shards)
-        replica.submit(InferenceRequest(0, 0, arrival=2e-3), True)
+        replica.submit(InferenceRequest(0, 0, arrival=2e-3))
         # Not draining: flush at arrival + max_wait.
         assert replica.next_dispatch_time(False) \
             == pytest.approx(3e-3)

@@ -1,6 +1,8 @@
 """Router dispatch rules and the queue-depth autoscaler, exercised
 against lightweight replica stubs (no model, no dataset)."""
 
+import math
+
 import pytest
 
 from repro.errors import FleetError, SanitizerError
@@ -14,6 +16,7 @@ class StubShards:
 
     def __init__(self, num_shards):
         self.num_shards = num_shards
+        self.owner_of = [v % num_shards for v in range(64)]
 
     def owner(self, vertex):
         return int(vertex) % self.num_shards
@@ -26,6 +29,16 @@ class StubReplica:
         self.alive = True
         self.active = True
         self.draining = False
+        self.owner_routed = 0
+        self.spill_routed = 0
+
+    @property
+    def queue_depth(self):
+        return len(self._queue)
+
+    @queue_depth.setter
+    def queue_depth(self, depth):
+        self._queue = [None] * depth
 
     @property
     def accepting(self):
@@ -110,6 +123,14 @@ class TestRouting:
             RoutingPolicy(spill_threshold=0)
         with pytest.raises(FleetError):
             RoutingPolicy(remote_penalty=-1.0)
+
+    # A NaN threshold fails every ``depth < threshold``: each request
+    # the owner would admit would take the spill path instead.
+    @pytest.mark.parametrize("threshold", [math.nan, 2.5],
+                             ids=["nan", "fraction"])
+    def test_spill_threshold_must_be_an_integer(self, threshold):
+        with pytest.raises(FleetError, match="spill_threshold"):
+            RoutingPolicy(spill_threshold=threshold)
 
 
 class TestAutoscalePolicy:

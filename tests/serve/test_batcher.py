@@ -1,5 +1,7 @@
 """Micro-batcher flush semantics and bounded-queue backpressure."""
 
+import math
+
 import pytest
 
 from repro.errors import AdmissionError, ServingError
@@ -18,6 +20,16 @@ class TestBatchPolicy:
             BatchPolicy(max_batch_size=0)
         with pytest.raises(ServingError):
             BatchPolicy(max_wait=-1.0)
+
+    # ``nan`` and fractions pass a bare ``< 1`` / ``< 0`` test; with
+    # ``max_batch_size=2.5`` ``take`` later dies on ``range(2.5)``.
+    @pytest.mark.parametrize("field, value", [
+        ("max_wait", math.nan), ("max_batch_size", 2.5),
+        ("max_batch_size", math.nan)],
+        ids=["nan-wait", "fractional-size", "nan-size"])
+    def test_nan_or_fractional_knob_rejected(self, field, value):
+        with pytest.raises(ServingError, match=field):
+            BatchPolicy(**{field: value})
 
     def test_describe(self):
         assert BatchPolicy(32, 0.002).describe() == "b32/w2ms"
@@ -97,3 +109,11 @@ class TestBackpressure:
     def test_invalid_max_queue(self):
         with pytest.raises(ServingError):
             MicroBatcher(max_queue=0)
+
+    # A NaN bound fails every ``depth >= max_queue``: the queue would
+    # be silently unbounded.
+    @pytest.mark.parametrize("bound", [math.nan, 2.5],
+                             ids=["nan", "fractional"])
+    def test_nan_or_fractional_max_queue_rejected(self, bound):
+        with pytest.raises(ServingError, match="max_queue"):
+            MicroBatcher(max_queue=bound)

@@ -24,8 +24,8 @@ configuration (4 replicas, metis-v, precomputed, LFU 0.1 / 0.1,
 the request: interpreter calls per request of ``FleetEngine.run`` (also
 for the ``fleet-chaos`` configuration — crash storm, replication,
 detector, breakers, hedging, snapshot recovery) and the cumulative
-table of ``run`` / ``route`` / ``submit`` / ``dispatch`` / ``execute`` /
-``lookup``.  ``tests/fleet/test_call_floor.py`` gates both counts; run
+table of ``run`` / ``on_admit`` / ``route`` / ``submit`` / ``dispatch``
+/ ``execute`` / ``lookup``.  ``tests/fleet/test_call_floor.py`` gates both counts; run
 after changing anything under ``serve/loop.py`` or ``fleet/``.
 """
 
@@ -66,11 +66,13 @@ LAYERS = (
     ("loop", "serve/loop.py", "run"),
 )
 
-#: The same, for ``--fleet``.
+#: The same, for ``--fleet``: the admission path (``on_admit`` ->
+#: ``route`` -> the node's ``submit``), then the dispatch path.
 FLEET_LAYERS = (
     ("run", "fleet/engine.py", "run"),
+    ("on_admit", "fleet/engine.py", "on_admit"),
     ("route", "fleet/router.py", "route"),
-    ("submit", "fleet/replica.py", "submit"),
+    ("submit", "serve/loop.py", "submit"),
     ("dispatch", "serve/loop.py", "dispatch"),
     ("execute", "serve/executor.py", "execute"),
     ("lookup", "transfer/tiered.py", "lookup"),
@@ -179,8 +181,9 @@ def profile_run(engine, trace):
 
 
 def layer_table(stats, layers=LAYERS):
-    """``[(label, calls, cumulative seconds, self seconds)]`` for the
-    ``layers`` found in ``stats``."""
+    """``[(label, calls, cumulative seconds, self seconds)]``, one row
+    per layer of ``layers``; a layer matching no profiled function is
+    a row of zeros (printed as absent), not a missing row."""
     rows = []
     for label, suffix, name in layers:
         # Several functions may share a name (every layer's
@@ -193,6 +196,8 @@ def layer_table(stats, layers=LAYERS):
             _, calls, self_seconds, cumulative, _ = max(
                 matches, key=lambda entry: entry[3])
             rows.append((label, calls, cumulative, self_seconds))
+        else:
+            rows.append((label, 0, 0.0, 0.0))
     return rows
 
 
@@ -216,6 +221,9 @@ def print_profile(stats, layers, units, unit):
     print(f"{'layer':<12} {'calls':>7} {'cum s':>8} {'self s':>8} "
           f"{'cum us/' + unit:>15}")
     for label, calls, cumulative, self_seconds in layers:
+        if not calls:
+            print(f"{label:<12} {0:>7} {'absent':>8}")
+            continue
         print(f"{label:<12} {calls:>7} {cumulative:>8.3f} "
               f"{self_seconds:>8.3f} {1e6 * cumulative / units:>15.1f}")
     print("\ntop 25 functions by self time")
