@@ -1,16 +1,21 @@
 """Golden serving runs, pinned byte for byte.
 
-``tests/golden/serving_runs.json`` holds, per engine configuration, the
-sha256 of a whole simulated run: every response as ``(request_id,
-prediction, completion, batch_size, replica, degraded)`` sorted by
-request id, plus the report dict without its ``responses``.  The file
-was generated at the commit *before* ``ServeEngine`` and
+``tests/golden/serving_runs.json`` holds, per engine configuration:
+
+* ``responses_sha256`` — the sha256 of every response as
+  ``(request_id, prediction, completion, batch_size, replica,
+  degraded)``, sorted by request id;
+* ``report`` — the report dict (``to_dict()``, which omits the
+  responses) in clear JSON, so a change of report schema shows as
+  added or removed keys and a moved value shows as that one line;
+* ``summary`` — a short line showing that the configuration exercises
+  what its name says (sheds > 0, degraded > 0, requeued > 0, ...).
+
+The runs were first recorded at the commit *before* ``ServeEngine`` and
 ``FleetEngine`` moved onto the one serving event loop
 (:mod:`repro.serve.loop`), so the loop must reproduce both hand-rolled
 loops exactly — every completion time, batch boundary, rejection,
-shed, degraded answer, failover, hedge and scale event.  A short
-``summary`` next to each digest shows that the configuration exercises
-what its name says (sheds > 0, degraded > 0, requeued > 0, ...).
+shed, degraded answer, failover, hedge and scale event.
 
 ``InferenceResponse.batch_id`` is deliberately left out: nothing reads
 it and the two old loops numbered it differently.
@@ -19,6 +24,9 @@ Regenerate (only for an *intentional* change of simulated behaviour,
 and say so in the commit message)::
 
     PYTHONPATH=src python tests/serve/test_golden_runs.py
+
+An entry still in the older one-digest form (``sha256`` over the rows
+and the report together) is re-encoded only if that digest reproduces.
 """
 
 import hashlib
@@ -178,6 +186,8 @@ _RESILIENCE_FIELDS = ("suspicions", "hedges_launched", "hedges_won",
 
 
 def _fingerprint(name):
+    """``(entry, combined)``: the case's golden entry, and the sha256
+    of the rows and the report together (the older one-digest form)."""
     with tempfile.TemporaryDirectory(prefix="golden-serving-") as scratch:
         report = CASES[name](scratch)
     rows = sorted(
@@ -185,8 +195,9 @@ def _fingerprint(name):
          r.batch_size, r.replica, bool(r.degraded))
         for r in report.responses)
     summary = report.to_dict()
-    payload = json.dumps({"responses": rows, "report": summary},
-                         sort_keys=True)
+    combined = hashlib.sha256(json.dumps(
+        {"responses": rows, "report": summary},
+        sort_keys=True).encode()).hexdigest()
     counts = {field: summary[field] for field in _SUMMARY_FIELDS
               if field in summary}
     counts.update({field: value for field, value in
@@ -194,19 +205,39 @@ def _fingerprint(name):
                    if field in _RESILIENCE_FIELDS})
     if summary.get("scale_events"):
         counts["scale_events"] = len(summary["scale_events"])
-    return {"sha256": hashlib.sha256(payload.encode()).hexdigest(),
-            "summary": " ".join(f"{field}={value}"
-                                for field, value in counts.items())}
+    entry = {
+        "responses_sha256": hashlib.sha256(
+            json.dumps(rows).encode()).hexdigest(),
+        "report": json.loads(json.dumps(summary)),
+        "summary": " ".join(f"{field}={value}"
+                            for field, value in counts.items())}
+    return entry, combined
+
+
+def _canonical(entry):
+    return json.dumps(entry, sort_keys=True)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_run_matches_golden(name):
     golden = json.loads(GOLDEN_PATH.read_text())
-    assert _fingerprint(name) == golden[name]
+    assert _canonical(_fingerprint(name)[0]) == _canonical(golden[name])
+
+
+def regenerate():
+    old = json.loads(GOLDEN_PATH.read_text())
+    new = {}
+    for name in sorted(CASES):
+        entry, combined = _fingerprint(name)
+        if "sha256" in old.get(name, {}):
+            assert combined == old[name]["sha256"], (
+                f"{name}: the run no longer reproduces its recorded "
+                f"digest; re-encoding would hide what moved")
+        new[name] = entry
+    GOLDEN_PATH.write_text(json.dumps(new, indent=1, sort_keys=True)
+                           + "\n")
+    print(f"wrote {GOLDEN_PATH}")
 
 
 if __name__ == "__main__":
-    GOLDEN_PATH.write_text(json.dumps(
-        {name: _fingerprint(name) for name in sorted(CASES)},
-        indent=1) + "\n")
-    print(f"wrote {GOLDEN_PATH}")
+    regenerate()
