@@ -1,7 +1,8 @@
 """Sharded multi-replica serving with partition-aware routing.
 
-The fleet tier scales the single-server serving engine
-(:mod:`repro.serve`) out: a graph partition from
+The fleet tier is the serving engine (:mod:`repro.serve`) scaled
+out — a :class:`~repro.serve.engine.ServeEngine` is its 1-replica
+configuration: a graph partition from
 :mod:`repro.partition` assigns every vertex an owning shard, each
 shard is served by one :class:`~repro.fleet.replica.ReplicaServer`
 (its own micro-batch queue, cache hierarchy, and seeded sampling
@@ -11,14 +12,18 @@ least-loaded survivor (remote-fetch penalty included) when the owner
 is saturated, crashed, or drained away by the queue-depth
 :class:`~repro.fleet.router.Autoscaler`.
 
-Rows a replica does not own are billed over the cluster network
-through :class:`~repro.fleet.replica.ShardExecutor`, so the paper's
+Rows a replica does not own are billed over the cluster network by
+its shard's :class:`~repro.serve.executor.BatchExecutor`, so the
+paper's
 partition-quality story (edge cut → communication volume) becomes a
 serving-latency story: better partitions → higher routing locality →
-fewer remote rows → flatter tails.  In ``precomputed`` mode the
-fleet's answers are bit-identical to the single server's for the same
-trace (row-wise evaluation makes answers batching-invariant), which
-``repro bench fleet`` asserts as its exact-match invariant.
+fewer remote rows → flatter tails.  Every run reports one
+:class:`~repro.serve.metrics.ServeReport` carrying one
+:class:`~repro.fleet.metrics.ReplicaReport` per replica.  In
+``precomputed`` mode an N-replica fleet's answers are bit-identical to
+a 1-replica fleet's for the same trace (row-wise evaluation makes
+answers batching-invariant), which ``repro bench fleet`` asserts as its
+exact-match invariant.
 
 :mod:`repro.fleet.resilience` layers availability on top: phi-accrual
 failure detection, k-replicated shard ownership, circuit breakers,
@@ -28,8 +33,8 @@ off by default and certified under composable fault schedules by
 """
 
 from .engine import FleetEngine
-from .metrics import FleetReport, ReplicaReport
-from .replica import ReplicaServer, ShardExecutor
+from .metrics import ReplicaReport
+from .replica import ReplicaServer
 from .resilience import (BreakerPolicy, CircuitBreaker, DetectorPolicy,
                          FailureDetector, HedgePolicy, ReplicaRecovery,
                          ResiliencePolicy)
@@ -37,8 +42,8 @@ from .router import Autoscaler, AutoscalePolicy, Router, RoutingPolicy
 from .shards import ShardMap
 
 __all__ = [
-    "FleetEngine", "FleetReport", "ReplicaReport", "ReplicaServer",
-    "ShardExecutor", "ShardMap", "Router", "RoutingPolicy",
+    "FleetEngine", "ReplicaReport", "ReplicaServer",
+    "ShardMap", "Router", "RoutingPolicy",
     "Autoscaler", "AutoscalePolicy",
     "DetectorPolicy", "FailureDetector", "BreakerPolicy",
     "CircuitBreaker", "HedgePolicy", "ResiliencePolicy",

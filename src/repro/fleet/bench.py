@@ -13,12 +13,12 @@ for load one node cannot hold), then measures:
   run, demonstrating the active replica set following load and the
   router surviving a dead node.
 
-Every run checks the fleet's core invariant: for the same trace, a
-multi-replica fleet in ``precomputed`` mode must produce
-**bit-identical predictions** to the single-server
-:class:`~repro.serve.engine.ServeEngine` — routing, spillover, and
-re-batching may change *when* an answer is computed, never *what* it
-is.  Registered as ``fleet`` in :mod:`repro.bench` (``repro bench
+Every run checks the fleet's core invariant, N replicas == 1 replica:
+for the same trace, a multi-replica fleet in ``precomputed`` mode must
+produce **bit-identical predictions** to a
+:class:`~repro.serve.engine.ServeEngine` (the 1-replica fleet) —
+routing, spillover, and re-batching may change *when* an answer is
+computed, never *what* it is.  Registered as ``fleet`` in :mod:`repro.bench` (``repro bench
 fleet`` writes ``BENCH_fleet.json``).
 """
 
@@ -106,8 +106,8 @@ def run_fleet_bench(dataset="ogb-arxiv", scale=0.3, model="gcn",
     common = dict(serving, mode="precomputed", embeddings=embeddings)
 
     # ------------------------------------------------------------------
-    # Invariant: fleet answers == single-server answers, bit for bit.
-    # The reference is a plain ServeEngine on the same trace; the fleet
+    # Invariant: N-replica answers == 1-replica answers, bit for bit.
+    # The reference is a ServeEngine on the same trace; the fleet
     # runs with spillover enabled at the widest replica count, so the
     # check covers re-batched, spilled, and owner-routed requests.
     # ------------------------------------------------------------------
@@ -123,7 +123,7 @@ def run_fleet_bench(dataset="ogb-arxiv", scale=0.3, model="gcn",
                      for r in fleet_probe.responses))
     if not exact:
         raise ServingError(
-            "fleet predictions diverged from the single-server "
+            "fleet predictions diverged from the 1-replica "
             "reference (bit-match invariant violated)")
 
     # ------------------------------------------------------------------
@@ -271,6 +271,6 @@ def tables(report):
 
 
 def checks(report):
-    """Exit rule: the fleet answers exactly what one server would."""
-    return {"invariant (fleet == single server, bit-exact)":
+    """Exit rule: N replicas answer exactly what one replica would."""
+    return {"invariant (N replicas == 1 replica, bit-exact)":
             report["invariant_exact_match"]}

@@ -8,7 +8,7 @@ windows, flapping) on the simulated clock and enforces three gates:
 
 1. **Prediction exactness** — every configuration, including runs
    where answers came from backup owners or hedge winners, must
-   bit-match the single-server :class:`~repro.serve.engine.ServeEngine`
+   bit-match the 1-replica :class:`~repro.serve.engine.ServeEngine`
    predictions for the same trace.
 2. **Availability** — under the identical crash storm, k-replicated
    shards + the failure detector + hedging must sustain *strictly
@@ -237,7 +237,7 @@ def run_fleet_chaos_bench(dataset="ogb-arxiv", scale=0.3, model="gcn",
             if not (exact(base_report) and exact(resilient_report)):
                 raise ServingError(
                     f"chaos gate failed: predictions diverged from "
-                    f"the single-server reference under {name}")
+                    f"the 1-replica reference under {name}")
             rows.append({
                 "scenario": name,
                 "schedule": plan.describe(),

@@ -1,13 +1,14 @@
 """The sharded serving fleet: N replicas, one shard each, one router.
 
-:class:`FleetEngine` runs the serving event loop
-(:class:`~repro.serve.loop.EventLoop` — the same one a single
-:class:`~repro.serve.engine.ServeEngine` runs on) over N nodes:
+:class:`FleetEngine` is the one serving engine: it runs the serving
+event loop (:class:`~repro.serve.loop.EventLoop`) over N nodes, and a
+:class:`~repro.serve.engine.ServeEngine` is its 1-replica
+configuration:
 
 * each replica owns one shard of a :mod:`repro.partition` result and
-  is a :class:`~repro.fleet.replica.ReplicaServer` node around a
-  :class:`~repro.fleet.replica.ShardExecutor` (remote rows billed over
-  the network);
+  is a :class:`~repro.fleet.replica.ReplicaServer` node around its
+  shard's :class:`~repro.serve.executor.BatchExecutor` (remote rows
+  billed over the network);
 * the ``admit`` handler is the :class:`~repro.fleet.router.Router`,
   sending every request to the owner of its seed vertex and
   spilling/failing over by penalized queue depth;
@@ -32,8 +33,8 @@ Answers in ``precomputed`` mode are a gather from the per-vertex logit
 table the shared offline pass ended with
 (:meth:`~repro.serve.precompute.LayerwiseEmbeddings.rowwise_logits`) —
 a pure function of the queried vertex, and therefore *bit-identical*
-to the single server's for the same trace, regardless of how routing
-re-batched the requests: the fleet-vs-single-server invariant the
+for every fleet size on the same trace, regardless of how routing
+re-batched the requests: the N-replicas-vs-1-replica invariant the
 benchmark asserts.  No replica runs the model on the host; each is
 still billed the embedding rows it fetches and the head's FLOPs.
 """
@@ -41,6 +42,7 @@ still billed the embedding rows it fetches and the head's FLOPs.
 from __future__ import annotations
 
 from bisect import insort
+from numbers import Real
 
 import numpy as np
 
@@ -53,14 +55,13 @@ from ..partition.base import PartitionResult
 from ..partition.replication import k_redundant_replication
 from ..perf import percentile
 from ..serve.batcher import BatchPolicy
-from ..serve.executor import SERVE_MODES
+from ..serve.executor import SERVE_MODES, BatchExecutor
 from ..serve.loop import (ADMIT, FAULT, RESPONSE, TIMER, EventLoop,
                           cache_hit_rates, check_trace, run_totals)
-from ..serve.metrics import summary_fields
+from ..serve.metrics import ServeReport, summary_fields
 from ..serve.precompute import LayerwiseEmbeddings
 from ..transfer.hardware import DEFAULT_SPEC
-from .metrics import FleetReport
-from .replica import ReplicaServer, ShardExecutor
+from .replica import ReplicaServer
 from .resilience import (CircuitBreaker, FailureDetector,
                          ReplicaRecovery, ResiliencePolicy)
 from .router import Autoscaler, Router
@@ -96,11 +97,13 @@ class FleetEngine:
         Fleet size; only needed (and then required) when ``partition``
         is a name.
     mode, policy, max_queue, fanout, cache_policy, cache_ratio,
-    warm_ratio, cache_scores, spec, seed, embeddings:
+    warm_ratio, cache_scores, spec, seed, embeddings, deadline,
+    fallback:
         As in ``ServeEngine`` — applied per replica (each replica gets
         its own cache with the same budgets; ``cache_ratio`` remains a
-        fraction of the *full* row universe).  A precomputed/full
-        embedding table is built once and shared by every replica.
+        fraction of the *full* row universe).  The embedding table
+        (``precomputed``/``full`` mode, or the ``fallback`` path) is
+        built once and shared by every replica.
     routing:
         A :class:`~repro.fleet.router.RoutingPolicy` (default:
         owner-first, no spillover).
@@ -152,10 +155,25 @@ class FleetEngine:
                  cache_ratio=0.0, warm_ratio=0.0, cache_scores=None,
                  spec=None, seed=0, embeddings=None, routing=None,
                  autoscale=None, retry=None, resilience=None,
-                 schedule=None, recovery=None, replication=None):
+                 schedule=None, recovery=None, replication=None,
+                 deadline=None, fallback=False):
         if mode not in SERVE_MODES:
             raise ServingError(
                 f"unknown serve mode {mode!r}; known: {SERVE_MODES}")
+        # ``nan`` passes a bare ``deadline <= 0`` test and then sheds
+        # every request; a string fails it with an untyped TypeError.
+        if deadline is not None and (not isinstance(deadline, Real)
+                                     or not deadline > 0):
+            raise ServingError(
+                f"deadline must be a positive number, got {deadline!r}")
+        if fallback and mode != "sampled":
+            raise ServingError(
+                "fallback degradation only applies to 'sampled' mode "
+                f"(mode {mode!r} already serves from the table)")
+        if fallback and deadline is None:
+            raise ServingError(
+                "fallback degradation needs a deadline to degrade "
+                "against")
         if isinstance(partition, PartitionResult):
             if num_replicas is not None \
                     and num_replicas != partition.num_parts:
@@ -185,6 +203,8 @@ class FleetEngine:
         self.max_queue = max_queue
         self.spec = spec or DEFAULT_SPEC
         self.seed = int(seed)
+        self.deadline = None if deadline is None else float(deadline)
+        self.fallback = bool(fallback)
         self.shards = ShardMap(partition, dataset.graph)
         self.num_replicas = self.shards.num_shards
         self.routing = routing
@@ -225,25 +245,28 @@ class FleetEngine:
         # once and replicates them (they are read-only), so the offline
         # cost is charged once, not per replica.
         self.embeddings = embeddings
-        if mode != "sampled" and self.embeddings is None:
+        if self.embeddings is None and (mode != "sampled" or fallback):
             self.embeddings = LayerwiseEmbeddings(
                 model, dataset.graph, dataset.features)
         self._executor_kwargs = dict(
             mode=mode, fanout=fanout, cache_policy=cache_policy,
             cache_ratio=cache_ratio, warm_ratio=warm_ratio,
             cache_scores=cache_scores, spec=self.spec,
-            embeddings=self.embeddings)
-        self.replicas = []
+            embeddings=self.embeddings, need_embeddings=self.fallback)
+        # Built here so a bad cache configuration fails at
+        # construction; every run starts from fresh ones.
+        self._build_replicas()
 
     def _build_replicas(self):
         """Fresh replicas (cold caches, empty queues) for one run."""
         self.replicas = [
             ReplicaServer(
                 i, self.shards,
-                ShardExecutor(self.shards, i, self.dataset, self.model,
+                BatchExecutor(self.shards, i, self.dataset, self.model,
                               **self._executor_kwargs),
                 policy=self.policy, max_queue=self.max_queue,
-                seed=self.seed)
+                seed=self.seed, deadline=self.deadline,
+                fallback=self.fallback)
             for i in range(self.num_replicas)]
         return self.replicas
 
@@ -252,9 +275,11 @@ class FleetEngine:
     # ------------------------------------------------------------------
     def run(self, requests):
         """Serve a request trace (sorted by arrival); returns a
-        :class:`~repro.fleet.metrics.FleetReport`.  A request for a
-        vertex the graph does not have is a :class:`ServingError`
-        before anything is served."""
+        :class:`~repro.serve.metrics.ServeReport`.  A request for a
+        vertex the graph does not have, or a trace out of arrival
+        order, is a :class:`ServingError` before anything is served.
+        Every run starts from fresh replicas (cold caches, empty
+        queues), so running one engine twice reports the same run."""
         run = _FleetRun(self, requests)
         with no_grad():
             run.loop.run(run.handlers())
@@ -279,8 +304,9 @@ class FleetEngine:
     def _report(self, run):
         replicas, router, autoscaler = \
             run.replicas, run.router, run.autoscaler
+        executors = [r.executor for r in replicas]
         responses = run.loop.responses
-        # Fleet-wide: the replicas' columns in replica order (``sum``
+        # Run-wide: the replicas' columns in replica order (``sum``
         # order is part of ``latency_mean``'s bits) — except under
         # hedging, where those also hold the twins that lost the race
         # and the run's record of the winners is per answered request.
@@ -291,11 +317,14 @@ class FleetEngine:
         completed = totals["completed"]
 
         zero_remote = sum(r.zero_remote_completed for r in replicas)
-        local_rows = sum(r.executor.local_rows for r in replicas)
-        remote_rows = sum(r.executor.remote_rows for r in replicas)
+        local_rows = sum(e.local_rows for e in executors)
+        remote_rows = sum(e.remote_rows for e in executors)
         total_rows = local_rows + remote_rows
-        hit_rate, warm_rate, _ = cache_hit_rates(
-            r.executor.cache for r in replicas)
+        num_batches = sum(r.num_batches for r in replicas)
+        mean_batch_size = sum(r.completed for r in replicas) \
+            / num_batches if num_batches else 0.0
+        hit_rate, warm_rate, tiered = cache_hit_rates(
+            e.cache for e in executors)
         dropped = [rid for rid, why in run.lost.items()
                    if why != "queue-full"]
 
@@ -305,7 +334,7 @@ class FleetEngine:
         if self.resilience is not None or self.recovery is not None \
                 or self.shards.replicated:
             resilience_stats = run.resilience_stats()
-        return FleetReport(
+        return ServeReport(
             mode=self.mode,
             policy=self.policy.describe(),
             partitioner=self.shards.partition.method,
@@ -317,20 +346,39 @@ class FleetEngine:
             requeued=run.requeued,
             **totals,
             **summary_fields("latency", latencies),
+            num_batches=num_batches,
+            mean_batch_size=mean_batch_size,
+            batch_occupancy=(mean_batch_size
+                             / self.policy.max_batch_size),
+            **summary_fields("queue_depth",
+                             [depth for replica in replicas
+                              for depth in replica.queue_depths],
+                             0.0, ("mean", "max")),
             bp_seconds=sum(r.bp_seconds for r in replicas),
             dt_seconds=sum(r.dt_seconds for r in replicas),
             nn_seconds=sum(r.nn_seconds for r in replicas),
-            remote_seconds=sum(r.executor.remote_seconds
-                               for r in replicas),
-            precompute_seconds=replicas[0].executor.precompute_seconds,
+            remote_seconds=sum(e.remote_seconds for e in executors),
+            precompute_seconds=executors[0].precompute_seconds,
             routing_locality=(zero_remote / completed
                               if completed else 1.0),
             remote_row_fraction=(remote_rows / total_rows
                                  if total_rows else 0.0),
+            cache_policy=executors[0].cache_policy,
+            cache_ratio=executors[0].cache_ratio,
+            warm_ratio=executors[0].warm_ratio,
             cache_hit_rate=hit_rate,
-            hot_hit_rate=hit_rate,
+            hot_hit_rate=hit_rate if tiered else 0.0,
             warm_hit_rate=warm_rate,
-            cache_policy=self._executor_kwargs["cache_policy"],
+            tier_seconds={tier: sum(e.tier_seconds[tier]
+                                    for e in executors)
+                          for tier in ("hot", "warm", "cold")}
+            if tiered else {},
+            deadline=self.deadline or 0.0,
+            shed=sum(r.shed for r in replicas),
+            degraded=sum(r.degraded for r in replicas),
+            deadline_misses=(sum(
+                1 for r in responses if r.latency > self.deadline)
+                if self.deadline is not None else 0),
             scale_events=list(autoscaler.events)
             if autoscaler is not None else [],
             replicas_active_max=autoscaler.active_max

@@ -124,13 +124,6 @@ class ShardMap:
             return self.assignment[vertices] != shard
         return ~self.partition.is_local(shard, vertices)
 
-    def split_local_remote(self, shard, vertices):
-        """Partition ``vertices`` into ``(local, remote)`` id arrays by
-        ownership on ``shard`` (order within each side preserved)."""
-        vertices = np.asarray(vertices, dtype=np.int64)
-        remote = self.remote_mask(shard, vertices)
-        return vertices[~remote], vertices[remote]
-
     def halo(self, shard, hops=1):
         """Foreign vertex ids within ``hops`` in-edge steps of
         ``shard``'s owned set (sorted ascending; never includes owned

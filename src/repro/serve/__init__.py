@@ -17,24 +17,27 @@ Pieces:
   backpressure (:class:`~repro.errors.AdmissionError`);
 * :mod:`~repro.serve.precompute` — :class:`LayerwiseEmbeddings`,
   bit-identical precomputed vs on-demand full-fanout inference;
+* :mod:`~repro.serve.executor` — :class:`BatchExecutor`, the one
+  executor: sampling, cache fetches billed by shard, the forward;
 * :mod:`~repro.serve.loop` — the one serving event loop:
   :class:`ServeNode` (queue + executor + ``dispatch``, where deadline
   shedding and degraded fallback live) and :class:`EventLoop` (one
   simulated clock, one phase-ordered event queue, handlers per event
-  kind), shared with :mod:`repro.fleet`;
+  kind), which :mod:`repro.fleet` drives;
 * :mod:`~repro.serve.engine` — the :class:`ServeEngine` simulated
-  single-node server with three execution modes: that loop over one
-  router-less node;
-* :mod:`~repro.serve.metrics` — :class:`ServeReport` latency/throughput
-  digests of each node's latency and queue-depth columns
-  (:func:`repro.perf.summarize`);
+  single-node server with three execution modes: a 1-replica
+  :class:`~repro.fleet.engine.FleetEngine`;
+* :mod:`~repro.serve.metrics` — :class:`ServeReport`, the one run
+  report: latency/throughput digests of every node's latency and
+  queue-depth columns (:func:`repro.perf.summarize`);
 * :mod:`~repro.serve.bench` — the ``repro bench serve`` sweep, and the
   prelude every serving bench shares.
 """
 
 from .batcher import BatchPolicy, MicroBatcher
 from .bench import run_serve_bench
-from .engine import SERVE_MODES, ServeEngine
+from .engine import ServeEngine
+from .executor import SERVE_MODES
 from .loop import EventLoop, ServeNode
 from .metrics import ServeReport
 from .precompute import LayerwiseEmbeddings, OndemandStats

@@ -63,7 +63,7 @@ def prepare_serving(dataset, scale, model, train_epochs, fanout, rate,
 
 
 def reference_predictions(data, model, trace, embeddings, **engine):
-    """``request_id -> prediction`` from one single-server
+    """``request_id -> prediction`` from one 1-replica
     precomputed-mode run over the trace — what every fleet
     configuration must reproduce bit for bit."""
     report = ServeEngine(data, model, mode="precomputed",

@@ -1,14 +1,10 @@
 """The online inference engine: a single simulated serving node.
 
-Ties the layer together: an admission queue + micro-batcher
-(:mod:`repro.serve.batcher`) feeds a :class:`~repro.serve.executor.
-BatchExecutor`, and every byte/edge/FLOP a batch touches is converted
-to simulated seconds through the same
-:class:`~repro.transfer.hardware.HardwareSpec` cost model the training
-engines use.  The executor is a separate layer on purpose: the fleet
-tier (:mod:`repro.fleet`) runs one executor per graph shard behind a
-partition-aware router, while this engine is the single-server
-baseline the fleet must bit-match.
+An admission queue + micro-batcher (:mod:`repro.serve.batcher`) feeds
+a :class:`~repro.serve.executor.BatchExecutor`, and every
+byte/edge/FLOP a batch touches is converted to simulated seconds
+through the same :class:`~repro.transfer.hardware.HardwareSpec` cost
+model the training engines use.
 
 Execution modes
 ---------------
@@ -33,13 +29,17 @@ Execution modes
     (batching-invariant — see
     :meth:`~repro.serve.precompute.LayerwiseEmbeddings.rowwise_logits`).
 
-The engine has no loop of its own: :meth:`ServeEngine.run` is
-:class:`~repro.serve.loop.EventLoop` over one router-less
-:class:`~repro.serve.loop.ServeNode` with no handlers registered — the
-single-node configuration of the loop the fleet runs on.  It is
+The engine is the one serving engine in its 1-replica configuration:
+:class:`ServeEngine` builds a :class:`~repro.fleet.engine.FleetEngine`
+over a one-part partition (no partitioner runs; the one shard holds
+every row, so nothing is billed over the network) and :meth:`run` is
+that fleet's run — the same event loop, node, executor and
+:class:`~repro.serve.metrics.ServeReport` as any fleet.  It is
 deterministic: simulated arrivals come from a seeded
 :class:`~repro.serve.requests.LoadGenerator` trace, sampling uses one
-seeded rng, and no wall clock is ever read on the simulated-time path.
+seeded rng (the replica's ``default_rng((seed, 0))``, the stream
+``default_rng(seed)`` draws), no wall clock is ever read on the
+simulated-time path, and every run starts from a cold cache.
 
 Graceful degradation (``deadline``/``fallback``): with a per-request
 deadline, requests that are already past it at dispatch are *shed*
@@ -48,27 +48,23 @@ need), and in ``sampled`` mode with ``fallback=True`` a batch whose
 predicted sampled-path service time would miss the deadline is served
 from precomputed layer-wise embeddings instead (exact-but-stale beats
 sampled-but-late).  Sheds, degraded answers, and residual deadline
-misses are all reported on :class:`~repro.serve.metrics.ServeReport`.
+misses are all reported on :class:`~repro.serve.metrics.ServeReport`
+(validated, and applied per replica, by the fleet).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ServingError
-from ..nn import no_grad
-from ..transfer.hardware import DEFAULT_SPEC
-from .batcher import BatchPolicy
-from .executor import SERVE_MODES, BatchExecutor
-from .loop import (EventLoop, ServeNode, cache_hit_rates, check_trace,
-                   run_totals)
-from .metrics import ServeReport, summary_fields
+from ..partition.base import PartitionResult
 
-__all__ = ["ServeEngine", "SERVE_MODES"]
+__all__ = ["ServeEngine"]
 
 
 class ServeEngine:
-    """Single-node online inference over a trained model.
+    """Single-node online inference over a trained model: a 1-replica
+    :class:`~repro.fleet.engine.FleetEngine` (whose parameters are a
+    superset of these).
 
     Parameters
     ----------
@@ -78,7 +74,7 @@ class ServeEngine:
         A trained block-stack model (``GCN``/``GraphSAGE``; ``sampled``
         mode also accepts ``GAT``).
     mode:
-        One of :data:`SERVE_MODES`.
+        One of :data:`~repro.serve.executor.SERVE_MODES`.
     policy, max_queue:
         Micro-batching policy and admission bound (see
         :class:`~repro.serve.batcher.MicroBatcher`).
@@ -107,7 +103,8 @@ class ServeEngine:
         Optional prebuilt :class:`LayerwiseEmbeddings` to share across
         engines (skips the offline pass).
     deadline:
-        Optional per-request deadline in simulated seconds.  At
+        Optional per-request deadline in simulated seconds, a positive
+        number (``nan`` or a string is a :class:`ServingError`).  At
         dispatch, requests already past their deadline are *shed*
         (dropped without an answer — serving a guaranteed-stale reply
         wastes capacity the queued requests need); completed requests
@@ -126,38 +123,18 @@ class ServeEngine:
                  cache_ratio=0.0, warm_ratio=0.0, cache_scores=None,
                  spec=None, seed=0, embeddings=None, deadline=None,
                  fallback=False):
-        if deadline is not None and deadline <= 0:
-            raise ServingError(
-                f"deadline must be positive, got {deadline}")
-        if fallback and mode != "sampled":
-            raise ServingError(
-                "fallback degradation only applies to 'sampled' mode "
-                f"(mode {mode!r} already serves from the table)")
-        if fallback and deadline is None:
-            raise ServingError(
-                "fallback degradation needs a deadline to degrade "
-                "against")
-        self.dataset = dataset
-        self.model = model
-        self.mode = mode
-        self.policy = policy or BatchPolicy()
-        self.max_queue = max_queue
-        self.spec = spec or DEFAULT_SPEC
-        self.seed = int(seed)
-        self.deadline = None if deadline is None else float(deadline)
-        self.fallback = bool(fallback)
-        self.executor = BatchExecutor(
-            dataset, model, mode=mode, fanout=fanout,
+        from ..fleet.engine import FleetEngine
+        whole = PartitionResult(
+            np.zeros(dataset.num_vertices, dtype=np.int64), 1, "single")
+        #: The 1-replica :class:`~repro.fleet.engine.FleetEngine` this
+        #: engine is; ``fleet.replicas[0]`` is the node of the last run.
+        self.fleet = FleetEngine(
+            dataset, model, partition=whole, mode=mode, policy=policy,
+            max_queue=max_queue, fanout=fanout,
             cache_policy=cache_policy, cache_ratio=cache_ratio,
-            warm_ratio=warm_ratio, cache_scores=cache_scores,
-            spec=self.spec, embeddings=embeddings,
-            need_embeddings=self.fallback)
-
-    @property
-    def cache(self):
-        """The executor's feature / embedding cache (``None`` when
-        caching is off)."""
-        return self.executor.cache
+            warm_ratio=warm_ratio, cache_scores=cache_scores, spec=spec,
+            seed=seed, embeddings=embeddings, deadline=deadline,
+            fallback=fallback)
 
     def run(self, requests):
         """Serve a request trace; returns a
@@ -170,51 +147,7 @@ class ServeEngine:
         queueing simulation: arrivals at time ``t`` are admitted (in
         order) before any dispatch decision at ``t``; a batch launches
         when the server is free and the batcher is ready (full, past
-        the oldest deadline, or draining).
+        the oldest deadline, or draining).  Every run starts from a
+        cold cache, so two runs of one engine report the same run.
         """
-        requests = list(requests)
-        check_trace(requests, self.dataset.num_vertices)
-        self.executor.reset_counters()
-        node = ServeNode(self.executor, self.policy, self.max_queue,
-                         rng=np.random.default_rng(self.seed),
-                         deadline=self.deadline, fallback=self.fallback)
-        loop = EventLoop([node], requests)
-        with no_grad():
-            responses = loop.run()
-        return self._report(node, responses, len(requests))
-
-    def _report(self, node, responses, num_requests):
-        executor = self.executor
-        hit_rate, warm_rate, tiered = cache_hit_rates([executor.cache])
-        return ServeReport(
-            mode=self.mode,
-            policy=self.policy.describe(),
-            cache_ratio=executor.cache_ratio,
-            num_requests=num_requests,
-            rejected=node.rejected,
-            **run_totals(responses, self.dataset.labels),
-            **summary_fields("latency", node.latencies, 0.0),
-            num_batches=node.num_batches,
-            mean_batch_size=node.mean_batch_size,
-            batch_occupancy=(node.mean_batch_size
-                             / self.policy.max_batch_size),
-            **summary_fields("queue_depth", node.queue_depths, 0.0,
-                             ("mean", "max")),
-            cache_hit_rate=hit_rate,
-            bp_seconds=node.bp_seconds,
-            dt_seconds=node.dt_seconds,
-            nn_seconds=node.nn_seconds,
-            precompute_seconds=executor.precompute_seconds,
-            deadline=self.deadline or 0.0,
-            shed=node.shed,
-            degraded=node.degraded,
-            deadline_misses=(sum(
-                1 for r in responses if r.latency > self.deadline)
-                if self.deadline is not None else 0),
-            cache_policy=executor.cache_policy,
-            warm_ratio=executor.warm_ratio,
-            hot_hit_rate=hit_rate if tiered else 0.0,
-            warm_hit_rate=warm_rate,
-            tier_seconds=dict(executor.tier_seconds) if tiered else {},
-            responses=responses,
-        )
+        return self.fleet.run(requests)

@@ -1,6 +1,8 @@
-"""The serving event loop: one simulated clock for every engine.
+"""The serving event loop: one simulated clock for every serving run.
 
-Both serving engines are configurations of the two classes here.
+The serving engine (:class:`~repro.fleet.engine.FleetEngine`, and
+:class:`~repro.serve.engine.ServeEngine` as its 1-replica
+configuration) drives the two classes here.
 
 :class:`ServeNode` is one server: a
 :class:`~repro.serve.batcher.MicroBatcher` in front of a
@@ -41,10 +43,9 @@ loop never stores the mapping, so the handlers (bound methods of
 whatever drives the loop) and the loop do not keep each other alive
 after the run.  With no handlers the loop is a
 single router-less server — ``admit`` submits to ``nodes[0]`` and
-``batch`` collects the responses — which is all
-:class:`~repro.serve.engine.ServeEngine` is.
-:class:`~repro.fleet.engine.FleetEngine` replaces ``admit`` with its
-router and subscribes a handler per configured policy.
+``batch`` collects the responses — the bare harness a node can be
+tested in.  :class:`~repro.fleet.engine.FleetEngine` replaces ``admit``
+with its router and subscribes a handler per configured policy.
 
 Nothing here reads a wall clock.
 """
@@ -449,7 +450,7 @@ def _check_ready_times(nodes, draining):
 
 
 # ----------------------------------------------------------------------
-# Helpers shared by ServeEngine and FleetEngine
+# Run-level helpers of the serving engine
 # ----------------------------------------------------------------------
 def check_trace(requests, num_vertices):
     """Reject a trace with an unknown vertex or a bad arrival time.
@@ -503,8 +504,7 @@ def cache_hit_rates(caches):
 
 
 def run_totals(responses, labels):
-    """The report fields both engines derive from the answered
-    responses: ``completed``, ``duration_seconds`` (the last
+    """The report fields a run derives from the answered responses: ``completed``, ``duration_seconds`` (the last
     completion, measured from time 0 — not from the first arrival),
     ``throughput`` and ``accuracy``."""
     completed = len(responses)

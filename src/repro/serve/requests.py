@@ -51,7 +51,7 @@ class InferenceResponse(NamedTuple):
     precomputed-embedding fallback because the sampled path would have
     missed the request's deadline (see ``ServeEngine``).  ``replica``
     identifies the fleet replica that served the answer (always 0 on a
-    single-server :class:`~repro.serve.engine.ServeEngine`).
+    :class:`~repro.serve.engine.ServeEngine`, the 1-replica fleet).
     """
 
     request: InferenceRequest

@@ -23,8 +23,10 @@ TOOL = Path(__file__).resolve().parents[2] / "tools" / "floor_profile.py"
 #: iteration and observed through ``StageProfiler``; 19.3 while a
 #: request went through ``ShardMap.owner``, ``queue_depth``,
 #: ``accepting`` and ``ReplicaServer.submit`` on its way to the queue
-#: and a batch was taken one ``popleft`` a request; 14.3 now.  The
-#: budget keeps 12.7 calls of headroom.
+#: and a batch was taken one ``popleft`` a request; 14.3 while each
+#: fetch split its cold rows through ``ShardMap.split_local_remote``
+#: and built a ``TierBill``; 13.4 now.  The budget keeps 12.7 calls of
+#: headroom over 14.3.
 STEADY_BUDGET = 27
 #: The same under the crash storm with every resilience mechanism on:
 #: 164.9 while the loop polled, 76.9 while the router polled every

@@ -10,11 +10,10 @@ import pytest
 
 from repro import load_dataset
 from repro.errors import FaultError, FleetError, ServingError
-from repro.fleet import AutoscalePolicy, FleetEngine, FleetReport, \
-    RoutingPolicy
+from repro.fleet import AutoscalePolicy, FleetEngine, RoutingPolicy
 from repro.nn import build_model
 from repro.serve import BatchPolicy, LayerwiseEmbeddings, \
-    LoadGenerator, ServeEngine
+    LoadGenerator, ServeEngine, ServeReport
 
 POLICY = BatchPolicy(max_batch_size=16, max_wait=0.002)
 
@@ -150,7 +149,7 @@ class TestReport:
                             cache_policy="lfu", cache_ratio=0.1,
                             warm_ratio=0.1, seed=2)
         report = fleet.run(trace)
-        assert isinstance(report, FleetReport)
+        assert isinstance(report, ServeReport)
         payload = json.loads(json.dumps(report.to_dict()))
         assert payload["num_replicas"] == 2
         assert payload["partitioner"] == "metis-ve"

@@ -1,5 +1,5 @@
-"""ShardExecutor billing (local/remote split, single-shard reduction)
-and the ReplicaServer queueing shell."""
+"""The executor's shard-aware billing (local/remote split, single-shard
+reduction) and the ReplicaServer queueing shell."""
 
 import numpy as np
 import pytest
@@ -9,14 +9,16 @@ from hypothesis import strategies as st
 from repro import load_dataset
 from repro.core import make_partitioner
 from repro.errors import FleetError, SanitizerError
-from repro.fleet import ReplicaServer, Router, ShardExecutor, ShardMap
+from repro.fleet import ReplicaServer, Router, ShardMap
 from repro.fleet.metrics import ReplicaReport
 from repro.nn import build_model, no_grad
+from repro.perf import sorted_unique
 from repro.serve import BatchPolicy
 from repro.serve.executor import BatchExecutor
 from repro.serve.requests import InferenceRequest
 from repro.transfer import make_tiered_cache
 from repro.transfer.hardware import DEFAULT_SPEC
+from repro.transfer.tiered import TieredCache, backing_for
 
 
 @pytest.fixture(scope="module")
@@ -37,9 +39,21 @@ def make_shards(data, parts, name="metis-v"):
     return ShardMap(part, data.graph)
 
 
+def twin_cache(data, cache_policy="lru", cache_ratio=0.0,
+               warm_ratio=0.0):
+    """A cache configured like an executor's (a pass-through one when
+    caching is off), to bill the same lookups on its own."""
+    if cache_ratio <= 0 and warm_ratio <= 0:
+        return TieredCache(0, 0, 0, backing="host")
+    return make_tiered_cache(cache_policy, data.graph, cache_ratio,
+                             warm_ratio,
+                             backing=backing_for(cache_policy,
+                                                 warm_ratio))
+
+
 class TestSingleShardReduction:
-    """With one shard everything is local: the shard executor must
-    charge *bit-identical* seconds to the base executor."""
+    """With one shard everything is local: the executor must charge
+    *bit-identical* seconds to the cache's own bill."""
 
     @pytest.mark.parametrize("kwargs", [
         dict(cache_policy="lfu", cache_ratio=0.1, warm_ratio=0.1),
@@ -48,20 +62,24 @@ class TestSingleShardReduction:
     ])
     def test_precomputed_billing_reduces(self, data, model, kwargs):
         shards = make_shards(data, 1, name="hash")
-        base = BatchExecutor(data, model, mode="precomputed", **kwargs)
-        sharded = ShardExecutor(shards, 0, data, model,
-                                mode="precomputed",
-                                embeddings=base.embeddings, **kwargs)
+        executor = BatchExecutor(shards, 0, data, model,
+                                 mode="precomputed", **kwargs)
+        table = executor.embeddings.table
+        row_bytes = table.shape[1] * table.itemsize
+        cache = twin_cache(data, **kwargs)
         rng = np.random.default_rng(0)
         vertices = rng.choice(data.test_ids, size=48)
         for batch in np.split(vertices, 3):
-            want = base.execute(batch, np.random.default_rng(1))
-            got = sharded.execute(batch, np.random.default_rng(1))
-            assert np.array_equal(want[0], got[0])
-            assert want[1:] == got[1:]       # bp/dt/nn, bit-exact
-        assert sharded.remote_rows == 0
-        assert sharded.remote_seconds == 0.0
-        assert sharded.local_rows > 0
+            _, bp, dt, nn = executor.execute(batch,
+                                             np.random.default_rng(1))
+            bill = cache.bill(cache.lookup(sorted_unique(batch)),
+                              row_bytes, DEFAULT_SPEC)
+            assert (bp, dt, nn) == (
+                0.0, bill.total_seconds, DEFAULT_SPEC.compute_time(
+                    executor.embeddings.head_flops(len(batch))))
+        assert executor.remote_rows == 0
+        assert executor.remote_seconds == 0.0
+        assert executor.local_rows > 0
 
     @settings(max_examples=40, deadline=None)
     @given(policy=st.sampled_from(["lru", "lfu", "degree"]),
@@ -79,7 +97,7 @@ class TestSingleShardReduction:
         executor's ``(total, warm, cold)`` is ``TieredCache.bill``'s,
         bit for bit."""
         shards = make_shards(data, 1, name="hash")
-        executor = ShardExecutor(shards, 0, data, model,
+        executor = BatchExecutor(shards, 0, data, model,
                                  mode="precomputed", cache_ratio=0.0)
         cache = make_tiered_cache(policy, data.graph, hot, warm,
                                   backing=backing)
@@ -95,17 +113,19 @@ class TestSingleShardReduction:
 
     def test_sampled_flat_billing_reduces(self, data, model):
         shards = make_shards(data, 1, name="hash")
-        base = BatchExecutor(data, model, mode="sampled",
-                             cache_ratio=0.2)
-        sharded = ShardExecutor(shards, 0, data, model, mode="sampled",
-                                cache_ratio=0.2)
+        executor = BatchExecutor(shards, 0, data, model, mode="sampled",
+                                 cache_ratio=0.2)
+        cache = twin_cache(data, cache_ratio=0.2)
         vertices = data.test_ids[:16]
         # Engines enter no_grad in run(); we call execute raw.
         with no_grad():
-            want = base.execute(vertices, np.random.default_rng(5))
-            got = sharded.execute(vertices, np.random.default_rng(5))
-        assert np.array_equal(want[0], got[0])
-        assert want[1:] == got[1:]
+            _, _, dt, _ = executor.execute(vertices,
+                                           np.random.default_rng(5))
+        subgraph = executor.sampler.sample(data.graph, vertices,
+                                           np.random.default_rng(5))
+        row_bytes = data.feature_dim * data.features.itemsize
+        assert dt == cache.bill(cache.lookup(subgraph.input_nodes),
+                                row_bytes, DEFAULT_SPEC).total_seconds
 
 
 class TestRemoteBilling:
@@ -113,7 +133,7 @@ class TestRemoteBilling:
         """The same cold fetch priced remotely must cost at least the
         network latency more than priced locally."""
         shards = make_shards(data, 4)
-        executor = ShardExecutor(shards, 0, data, model,
+        executor = BatchExecutor(shards, 0, data, model,
                                  mode="precomputed", cache_ratio=0.0)
         local = shards.shard_vertices(0)[:8]
         remote = shards.shard_vertices(1)[:8]
@@ -132,7 +152,7 @@ class TestRemoteBilling:
         """Remote rows spread over three owner shards pay three
         network messages; the same count from one shard pays one."""
         shards = make_shards(data, 4)
-        executor = ShardExecutor(shards, 0, data, model,
+        executor = BatchExecutor(shards, 0, data, model,
                                  mode="precomputed", cache_ratio=0.0)
         one_owner = shards.shard_vertices(1)[:6]
         three_owners = np.concatenate([
@@ -147,7 +167,7 @@ class TestRemoteBilling:
 
     def test_tiered_cold_split_accumulates_tiers(self, data, model):
         shards = make_shards(data, 4)
-        executor = ShardExecutor(shards, 0, data, model,
+        executor = BatchExecutor(shards, 0, data, model,
                                  mode="precomputed",
                                  cache_policy="lfu", cache_ratio=0.05,
                                  warm_ratio=0.05)
@@ -164,13 +184,13 @@ class TestRemoteBilling:
     def test_replica_id_validated(self, data, model):
         shards = make_shards(data, 2)
         with pytest.raises(FleetError):
-            ShardExecutor(shards, 5, data, model, mode="precomputed")
+            BatchExecutor(shards, 5, data, model, mode="precomputed")
 
 
 class TestReplicaServer:
     def make_replica(self, data, model, shards, replica_id=0,
                      **kwargs):
-        executor = ShardExecutor(shards, replica_id, data, model,
+        executor = BatchExecutor(shards, replica_id, data, model,
                                  mode="precomputed", cache_ratio=0.0)
         return ReplicaServer(replica_id, shards, executor,
                              policy=BatchPolicy(max_batch_size=4,
@@ -297,7 +317,7 @@ class TestReplicaServer:
 
     def test_executor_shard_mismatch_rejected(self, data, model):
         shards = make_shards(data, 2)
-        executor = ShardExecutor(shards, 0, data, model,
+        executor = BatchExecutor(shards, 0, data, model,
                                  mode="precomputed")
         with pytest.raises(FleetError):
             ReplicaServer(1, shards, executor)

@@ -54,15 +54,14 @@ class TestOwnershipRoundTrip:
         shards = shard_map(data, name)
         assert shards.shard_sizes().sum() == data.graph.num_vertices
 
-    def test_split_local_remote_partitions_input(self, data):
+    def test_remote_mask_is_the_ownership_test(self, data):
+        """Without a replica matrix a row is remote on a shard exactly
+        when another shard owns it (the mask an executor bills by)."""
         shards = shard_map(data, "metis-v")
         query = np.arange(0, data.graph.num_vertices, 3)
-        local, remote = shards.split_local_remote(1, query)
-        assert len(local) + len(remote) == len(query)
-        assert (shards.owner(local) == 1).all()
-        assert (shards.owner(remote) != 1).all()
-        both = np.sort(np.concatenate([local, remote]))
-        assert np.array_equal(both, np.sort(query))
+        remote = shards.remote_mask(1, query)
+        assert np.array_equal(remote, shards.owner(query) != 1)
+        assert remote.any() and not remote.all()
 
 
 class TestHaloSets:

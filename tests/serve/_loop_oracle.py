@@ -107,9 +107,9 @@ class PollingLoop(EventLoop):
 
 @contextmanager
 def polling_loop():
-    """Run ``ServeEngine`` and ``FleetEngine`` on :class:`PollingLoop`
-    within the ``with`` block."""
+    """Run ``FleetEngine`` — and so ``ServeEngine``, its 1-replica
+    configuration — on :class:`PollingLoop` within the ``with``
+    block."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("repro.serve.engine.EventLoop", PollingLoop)
         patch.setattr("repro.fleet.engine.EventLoop", PollingLoop)
         yield

@@ -40,6 +40,16 @@ class TestValidation:
         with pytest.raises(ServingError):
             make_engine(data, model, deadline=0.0)
 
+    def test_rejects_nan_deadline(self, data, model):
+        """``nan <= 0`` is false: a NaN deadline used to pass and then
+        shed every request."""
+        with pytest.raises(ServingError, match="positive number"):
+            make_engine(data, model, deadline=float("nan"))
+
+    def test_rejects_string_deadline(self, data, model):
+        with pytest.raises(ServingError, match="positive number"):
+            make_engine(data, model, deadline="0.001")
+
     def test_fallback_needs_deadline(self, data, model):
         with pytest.raises(ServingError):
             make_engine(data, model, fallback=True)

@@ -9,8 +9,10 @@ import pytest
 
 from repro import load_dataset
 from repro.errors import ServingError
+from repro.fleet import ShardMap
 from repro.nn import build_model, no_grad
 from repro.nn import tensor as tensor_module
+from repro.partition.base import PartitionResult
 from repro.sampling import NeighborSampler
 from repro.serve import (BatchPolicy, LayerwiseEmbeddings, LoadGenerator,
                          ServeEngine)
@@ -92,6 +94,17 @@ class TestDeterminism:
                     for r in report.responses]
 
         assert latencies() == latencies()
+
+    @pytest.mark.parametrize("mode", ["sampled", "precomputed"])
+    def test_a_second_run_starts_cold(self, data, model, mode):
+        """Running one engine twice reports the same run: the second
+        run does not start from the cache the first one warmed."""
+        trace = LoadGenerator(data.test_ids, rate=2000.0,
+                              num_requests=200, seed=1,
+                              skew=0.8).generate()
+        engine = ServeEngine(data, model, mode=mode, cache_ratio=0.1,
+                             seed=0)
+        assert engine.run(trace).to_dict() == engine.run(trace).to_dict()
 
 
 class TestServing:
@@ -182,7 +195,10 @@ def test_sampled_serving_bills_the_models_hidden_width(data, name):
     own width — GAT included, which has no ``weight`` to read one off."""
     model = build_model(name, data.feature_dim, data.num_classes,
                         hidden_dim=64, rng=np.random.default_rng(7))
-    executor = BatchExecutor(data, model, mode="sampled", fanout=(4, 4))
+    whole = PartitionResult(np.zeros(data.num_vertices, dtype=np.int64),
+                            1, "single")
+    executor = BatchExecutor(ShardMap(whole, data.graph), 0, data, model,
+                             mode="sampled", fanout=(4, 4))
     vertices = data.test_ids[:8]
     with no_grad():
         _predictions, _bp, _dt, nn = executor.execute(

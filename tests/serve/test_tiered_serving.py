@@ -37,8 +37,8 @@ class TestTieredServeEngine:
         engine = ServeEngine(data, model, mode="precomputed",
                              cache_policy="lfu", cache_ratio=0.05,
                              warm_ratio=0.1, seed=2)
-        assert engine.cache.backing == "disk"
         report = engine.run(trace)
+        assert engine.fleet.replicas[0].executor.cache.backing == "disk"
         assert report.cache_policy == "lfu"
         assert report.warm_ratio == 0.1
         assert set(report.tier_seconds) == {"hot", "warm", "cold"}
@@ -64,8 +64,8 @@ class TestTieredServeEngine:
     def test_flat_reports_stay_empty(self, data, model, trace):
         engine = ServeEngine(data, model, mode="precomputed",
                              cache_ratio=0.2, seed=2)
-        assert engine.cache.backing == "host"
         report = engine.run(trace)
+        assert engine.fleet.replicas[0].executor.cache.backing == "host"
         assert report.warm_ratio == 0.0
         assert report.tier_seconds == {}
         assert report.hot_hit_rate == 0.0

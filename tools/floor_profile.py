@@ -11,7 +11,9 @@ the benchmark of record (GraphSAGE, fanout 10/10, LRU cache at 10 %):
   events of a ``sys.setprofile`` hook, median over the batches.  The
   count is deterministic for a given numpy, so it can be gated where a
   wall-clock number cannot (``tests/serve/test_call_floor.py``);
-* the per-layer cumulative table of a cProfile'd ``ServeEngine.run``;
+* the per-layer cumulative table of a cProfile'd ``ServeEngine.run``
+  (a 1-replica fleet run, so its admission goes through ``on_admit``
+  and ``Router.route`` like any fleet's);
 * the top functions by self time of the same profile.
 
 Run after changing anything under a sampled batch::
@@ -23,7 +25,8 @@ configuration (4 replicas, metis-v, precomputed, LFU 0.1 / 0.1,
 ``BatchPolicy(16, 0.5 ms)``, spill 64, 100 k req/s), where the unit is
 the request: interpreter calls per request of ``FleetEngine.run`` (also
 for the ``fleet-chaos`` configuration — crash storm, replication,
-detector, breakers, hedging, snapshot recovery) and the cumulative
+detector, breakers, hedging, snapshot recovery — and for the
+``serve-sampled`` ``ServeEngine.run`` above) and the cumulative
 table of ``run`` / ``on_admit`` / ``route`` / ``submit`` / ``dispatch``
 / ``execute`` / ``lookup``.  ``tests/fleet/test_call_floor.py`` gates both counts; run
 after changing anything under ``serve/loop.py`` or ``fleet/``.
@@ -61,7 +64,7 @@ LAYERS = (
     ("affine", "nn/tensor.py", "affine"),
     ("fetch", "serve/executor.py", "fetch_seconds"),
     ("lookup", "transfer/tiered.py", "lookup"),
-    ("bill", "transfer/tiered.py", "bill"),
+    ("bill", "serve/executor.py", "_bill"),
     ("dispatch", "serve/loop.py", "dispatch"),
     ("loop", "serve/loop.py", "run"),
 )
@@ -148,16 +151,17 @@ def count_calls(function, *args):
 
 def calls_per_execute(engine, batch_size=2, batches=20, seed=0):
     """Median :func:`count_calls` of ``batches`` executes of
-    ``batch_size`` distinct seeds, sanitizers off (the benchmarked
-    path), after one untimed warm-up batch."""
+    ``batch_size`` distinct seeds on the executor of the engine's node,
+    sanitizers off (the benchmarked path), after one untimed warm-up
+    batch."""
+    executor = engine.fleet.replicas[0].executor
     rng = np.random.default_rng(seed)
     counts = []
     with perf_overrides(sanitize=False), no_grad():
         for _ in range(batches + 1):
-            batch = rng.choice(engine.dataset.num_vertices,
+            batch = rng.choice(executor.dataset.num_vertices,
                                size=batch_size, replace=False)
-            counts.append(count_calls(engine.executor.execute, batch,
-                                      rng))
+            counts.append(count_calls(executor.execute, batch, rng))
     return int(np.median(counts[1:]))
 
 
@@ -238,6 +242,8 @@ def fleet_main(scale, seed):
     with tempfile.TemporaryDirectory(prefix="floor-chaos-") as scratch:
         print(f"calls per request, fleet-chaos: "
               f"{calls_per_request(*build_fleet(scale, seed, scratch)):.1f}")
+    print(f"calls per request, serve-sampled: "
+          f"{calls_per_request(*build_engine(scale, seed)):.1f}")
 
     stats = profile_run(engine, trace)
     print(f"\ncProfile of FleetEngine.run: {len(trace)} requests "
@@ -260,7 +266,7 @@ def main(argv=None):
 
     engine, trace = build_engine(args.scale, args.seed)
     print(f"calls per 2-seed execute: {calls_per_execute(engine)}")
-    large = min(512, engine.dataset.num_vertices)
+    large = min(512, engine.fleet.dataset.num_vertices)
     print(f"calls per {large}-seed execute: "
           f"{calls_per_execute(engine, batch_size=large, batches=3)}")
 
