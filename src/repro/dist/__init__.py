@@ -1,10 +1,9 @@
-"""Simulated distributed runtime: workers, communication, the mini-batch
-and full-graph engines."""
+"""Simulated distributed runtime: workers, the all-reduce cost model,
+the mini-batch and full-graph engines."""
 
-from .comm import CommMeter
 from .engine import EpochStats, SyncEngine
 from .fullbatch import FullBatchEngine, FullGraph
 from .worker import BatchWork, Worker
 
-__all__ = ["CommMeter", "Worker", "BatchWork", "SyncEngine", "EpochStats",
+__all__ = ["Worker", "BatchWork", "SyncEngine", "EpochStats",
            "FullBatchEngine", "FullGraph"]

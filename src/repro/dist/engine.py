@@ -11,11 +11,14 @@ simulated epoch time:
     epoch = max over workers of pipeline(BP, DT, NN batches)
             + all-reduce time per step
 
-Remote work accounting per batch:
+Remote work accounting per batch reads
+:func:`~repro.partition.workload.batch_traffic`, the count behind
+Figures 4/5:
 
-* sampled vertices whose owner is another machine -> a remote sampling
-  request; the returned sub-adjacency counts as network bytes,
+* sampled vertices not readable locally -> remote sampling requests;
+  the returned sub-adjacency counts as network bytes,
 * input features not owned/replicated locally -> network bytes,
+* its request messages -> the flaky-fetch retry draws,
 * features not in the worker's GPU cache -> PCIe bytes (via the
   configured transfer method).
 
@@ -52,12 +55,12 @@ import numpy as np
 from ..batching.selection import RandomBatchSelector
 from ..errors import FaultError, TrainingError
 from ..nn import model_widths, softmax_cross_entropy
-from ..perf import PERF, sorted_unique
-from ..partition.workload import BYTES_PER_EDGE
+from ..perf import PERF
+from ..partition.workload import BYTES_PER_EDGE, batch_traffic
 from ..transfer.hardware import estimate_flops
 from ..transfer.methods import BatchStats
 from ..transfer.pipeline import simulate_pipeline
-from .comm import CommMeter, ring_allreduce_seconds
+from .comm import ring_allreduce_seconds
 from .worker import BatchWork, Worker
 
 __all__ = ["SyncEngine", "EpochStats"]
@@ -184,7 +187,6 @@ class SyncEngine:
         self.transfer = transfer
         self.pipeline_mode = pipeline_mode
         self._hidden_dim, self._num_classes = model_widths(model)
-        self.comm = CommMeter(partition.num_parts)
 
         train_ids = dataset.train_ids
         owners = partition.assignment[train_ids]
@@ -301,40 +303,19 @@ class SyncEngine:
         """Meter one sampled batch on ``worker`` and return its
         :class:`BatchWork`."""
         part = worker.worker_id
-        assignment = self.partition.assignment
         feat_bytes = (self.dataset.feature_dim
                       * self.dataset.features.itemsize)
 
-        # Remote sampling requests: expansions of vertices stored
-        # elsewhere; the sampled sub-adjacency comes back over the wire.
-        remote_edges = 0
-        remote_requests = 0
-        rpc_messages = 0
-        for block in subgraph.blocks:
-            local = self.partition.is_local(part, block.dst_nodes)
-            remote_dst = block.dst_nodes[~local]
-            if len(remote_dst):
-                remote_requests += len(remote_dst)
-                returned = int(block.degrees()[~local].sum())
-                remote_edges += returned
-                for owner in sorted_unique(assignment[remote_dst]):
-                    self.comm.record(owner, part,
-                                     returned * BYTES_PER_EDGE, messages=1)
-                    rpc_messages += 1
-
-        # Remote feature fetches (network), deduplicated per batch.
-        inputs = subgraph.input_nodes
-        remote_inputs = inputs[~self.partition.is_local(part, inputs)]
-        remote_feat_bytes = len(remote_inputs) * feat_bytes
-        if len(remote_inputs):
-            for owner in sorted_unique(assignment[remote_inputs]):
-                count = int((assignment[remote_inputs] == owner).sum())
-                self.comm.record(owner, part, count * feat_bytes,
-                                 messages=1)
-                rpc_messages += 1
+        # Remote sampling requests (the sampled sub-adjacency comes back
+        # over the wire) and remote feature fetches, deduplicated per
+        # batch.
+        traffic = batch_traffic(self.partition, part, subgraph)
+        remote_requests = int(traffic.served.sum())
+        remote_feat_bytes = len(traffic.remote_inputs) * feat_bytes
 
         spec = self._epoch_spec
-        network_bytes = remote_feat_bytes + remote_edges * BYTES_PER_EDGE
+        network_bytes = (remote_feat_bytes
+                         + traffic.remote_edges * BYTES_PER_EDGE)
         network_msgs = remote_requests // 64 + (2 if remote_feat_bytes else 0)
         bp = (spec.sample_time(subgraph.total_edges)
               + spec.network_time(network_bytes,
@@ -354,7 +335,7 @@ class SyncEngine:
         # backoff (batch-preparation time), stragglers stretch every
         # stage of this worker's batch.
         fault_seconds, retries, giveups = self._retry_overhead(
-            part, rpc_messages)
+            part, traffic.messages)
         bp += fault_seconds
         multiplier = self._stage_multipliers.get(part, 1.0)
         if multiplier != 1.0:
@@ -368,7 +349,7 @@ class SyncEngine:
         return BatchWork(
             seeds=len(subgraph.seeds),
             sampled_edges=subgraph.total_edges,
-            input_vertices=len(inputs),
+            input_vertices=len(subgraph.input_nodes),
             remote_feature_bytes=remote_feat_bytes,
             remote_sample_requests=remote_requests,
             bp_seconds=bp, dt_seconds=dt, nn_seconds=nn,

@@ -12,8 +12,8 @@ from .replication import (k_redundant_replication,
                           remote_access_frequencies)
 from .streaming import (StreamBPartitioner, StreamVPartitioner,
                         build_bfs_blocks, l_hop_neighborhood)
-from .workload import (BYTES_PER_EDGE, MachineWorkload, WorkloadReport,
-                       measure_workload)
+from .workload import (BYTES_PER_EDGE, BatchTraffic, MachineWorkload,
+                       WorkloadReport, batch_traffic, measure_workload)
 
 __all__ = [
     "PartitionResult", "Partitioner", "check_num_parts", "halo_vertices",
@@ -24,7 +24,7 @@ __all__ = [
     "edge_cut", "edge_cut_fraction", "balance_ratio", "partition_subgraphs",
     "clustering_coefficient_variance", "quality_report",
     "MachineWorkload", "WorkloadReport", "measure_workload",
-    "BYTES_PER_EDGE",
+    "BYTES_PER_EDGE", "BatchTraffic", "batch_traffic",
     "k_redundant_replication", "partition_aware_replication",
     "remote_access_frequencies",
     "all_partitioners",

@@ -16,6 +16,7 @@ import numpy as np
 
 from ..errors import PartitionError
 from .base import PartitionResult
+from .workload import _machine_batches
 
 __all__ = ["k_redundant_replication", "partition_aware_replication",
            "remote_access_frequencies"]
@@ -72,29 +73,17 @@ def k_redundant_replication(partition, k):
 def remote_access_frequencies(dataset, partition, sampler, rng, epochs=2,
                               batch_size=512):
     """Per-machine access counts of *remote* vertices, measured by
-    pre-sampling each machine's own training workload.
+    pre-sampling each machine's own training workload (``epochs`` and
+    ``batch_size`` both ``>= 1``).
 
     Returns an ``(k, n)`` int64 matrix; row ``p`` counts how often
     machine ``p`` requested each vertex it does not hold locally.
     """
-    graph = dataset.graph
-    k = partition.num_parts
-    n = dataset.num_vertices
-    counts = np.zeros((k, n), dtype=np.int64)
-    train_ids = dataset.train_ids
-    owners = partition.assignment[train_ids]
-    for part in range(k):
-        own_train = train_ids[owners == part]
-        if len(own_train) == 0:
-            continue
-        for _epoch in range(epochs):
-            order = rng.permutation(own_train)
-            for start in range(0, len(order), batch_size):
-                batch = order[start:start + batch_size]
-                subgraph = sampler.sample(graph, batch, rng)
-                inputs = subgraph.input_nodes
-                remote = inputs[~partition.is_local(part, inputs)]
-                np.add.at(counts[part], remote, 1)
+    counts = np.zeros((partition.num_parts, dataset.num_vertices),
+                      dtype=np.int64)
+    for part, _subgraph, traffic in _machine_batches(
+            dataset, partition, sampler, batch_size, rng, epochs=epochs):
+        np.add.at(counts[part], traffic.remote_inputs, 1)
     return counts
 
 
@@ -111,6 +100,9 @@ def partition_aware_replication(dataset, partition, sampler, budget_ratio,
         Replication budget per machine, as a fraction of ``|V|``.
     rng:
         Generator for the pre-sampling pass.
+    epochs, batch_size:
+        Pre-sampling passes and seeds per batch (both ``>= 1``),
+        handed to :func:`remote_access_frequencies`.
 
     Returns
     -------

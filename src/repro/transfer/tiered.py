@@ -518,7 +518,11 @@ class TieredCache:
 def presample_frequencies(graph, sampler, seeds, rng, epochs=3,
                           batch_size=512):
     """Feature-request frequency of every vertex, measured by running
-    ``epochs`` of sampling exactly as training would."""
+    ``epochs`` of sampling exactly as training would (``epochs`` and
+    ``batch_size`` both ``>= 1``)."""
+    for name, value in (("batch_size", batch_size), ("epochs", epochs)):
+        if value < 1:
+            raise TransferError(f"{name} must be >= 1, got {value}")
     seeds = np.asarray(seeds, dtype=np.int64)
     frequency = np.zeros(graph.num_vertices, dtype=np.int64)
     for _epoch in range(epochs):

@@ -1,11 +1,11 @@
-"""Unit tests for the distributed runtime (comm meter, worker, engine)."""
+"""Unit tests for the distributed runtime (worker, engine)."""
 
 import numpy as np
 import pytest
 
 from repro.batching import RandomBatchSelector
-from repro.dist import CommMeter, EpochStats, SyncEngine
-from repro.errors import TrainingError, TransferError
+from repro.dist import EpochStats, SyncEngine
+from repro.errors import TrainingError
 from repro.graph import load_dataset
 from repro.nn import Adam, build_model
 from repro.partition import HashPartitioner, StreamVPartitioner
@@ -31,41 +31,11 @@ def build_engine(dataset, partitioner=None, num_parts=2, **kwargs):
                       **kwargs)
 
 
-class TestCommMeter:
-    def test_record_and_totals(self):
-        meter = CommMeter(3)
-        meter.record(0, 1, 100)
-        meter.record(2, 1, 50, messages=2)
-        assert meter.received_bytes(1) == 150
-        assert meter.sent_bytes(0) == 100
-        assert meter.total_bytes == 150
-        assert meter.total_messages == 3
-
-    def test_local_traffic_free(self):
-        meter = CommMeter(2)
-        meter.record(0, 0, 1000)
-        assert meter.total_bytes == 0
-
-    def test_imbalance(self):
-        meter = CommMeter(2)
-        meter.record(0, 1, 100)
-        assert meter.imbalance() == pytest.approx(2.0)  # all to machine 1
-
-    def test_receive_time_uses_spec(self):
-        meter = CommMeter(2)
-        meter.record(0, 1, int(1.25e9))  # one second of bandwidth
-        assert meter.receive_time(1, DEFAULT_SPEC) == pytest.approx(
-            1.0 + DEFAULT_SPEC.network_latency, rel=1e-3)
-
-    def test_invalid_machine_count(self):
-        with pytest.raises(TransferError):
-            CommMeter(0)
-
-    def test_reset(self):
-        meter = CommMeter(2)
-        meter.record(0, 1, 10)
-        meter.reset()
-        assert meter.total_bytes == 0
+def remote_sample_requests(engine):
+    """Remote sampling requests summed over every batch the engine's
+    workers have prepared."""
+    return sum(work.remote_sample_requests for worker in engine.workers
+               for work in worker.work_log)
 
 
 class _RecordingSelector(RandomBatchSelector):
@@ -129,22 +99,28 @@ class TestSyncEngine:
         engine = build_engine(dataset, num_parts=1)
         stats = engine.run_epoch(64, np.random.default_rng(0), epoch=0)
         assert stats.allreduce_seconds == 0.0
-        assert engine.comm.total_bytes == 0
+        assert stats.remote_feature_bytes == 0
+        assert remote_sample_requests(engine) == 0
 
     def test_multi_worker_comm_recorded(self, dataset):
         engine = build_engine(dataset, num_parts=2)
-        engine.run_epoch(64, np.random.default_rng(0), epoch=0)
-        assert engine.comm.total_bytes > 0
+        stats = engine.run_epoch(64, np.random.default_rng(0), epoch=0)
+        assert stats.remote_feature_bytes > 0
+        assert remote_sample_requests(engine) > 0
 
     def test_stream_v_reduces_comm(self, dataset):
         hash_engine = build_engine(dataset, num_parts=2)
-        hash_engine.run_epoch(64, np.random.default_rng(0), epoch=0)
+        hash_stats = hash_engine.run_epoch(64, np.random.default_rng(0),
+                                           epoch=0)
         stream_engine = build_engine(
             dataset, partitioner=StreamVPartitioner(hop_cap=None),
             num_parts=2)
-        stream_engine.run_epoch(64, np.random.default_rng(0), epoch=0)
-        assert (stream_engine.comm.total_bytes
-                < 0.05 * hash_engine.comm.total_bytes)
+        stream_stats = stream_engine.run_epoch(
+            64, np.random.default_rng(0), epoch=0)
+        assert (stream_stats.remote_feature_bytes
+                < 0.05 * hash_stats.remote_feature_bytes)
+        assert (remote_sample_requests(stream_engine)
+                < 0.05 * remote_sample_requests(hash_engine))
 
     def test_cache_slot_mismatch(self, dataset):
         partition = HashPartitioner().partition(
