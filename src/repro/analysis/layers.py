@@ -62,14 +62,14 @@ CONTRACT = {
             "modules": ["src/repro/dist/engine.py",
                         "src/repro/core/trainer.py"],
             "store_attrs": ["features", "embeddings", "table",
-                            "logit_table"],
+                            "logit_table", "answer_table"],
             "billing_calls": ["fetch_seconds", "lookup", "bill",
                               "_batch_work"],
             # precompute.py IS the embedding store; reads there are the
             # billed lookup's own implementation.  That includes the
-            # logit table: an answer gathered from it (rowwise_logits)
-            # stands for embedding rows the simulated node fetched, so
-            # the caller bills them.
+            # logit and answer tables: an answer gathered from them
+            # (answers) stands for embedding rows the simulated node
+            # fetched, so the caller bills them.
             "allow_files": ["src/repro/serve/precompute.py"],
         },
         "ARC004": {

@@ -29,9 +29,9 @@ configuration:
   configured (:meth:`_FleetRun.handlers`), so the off path runs none
   of its code.
 
-Answers in ``precomputed`` mode are a gather from the per-vertex logit
+Answers in ``precomputed`` mode are a gather from the per-vertex answer
 table the shared offline pass ended with
-(:meth:`~repro.serve.precompute.LayerwiseEmbeddings.rowwise_logits`) —
+(:meth:`~repro.serve.precompute.LayerwiseEmbeddings.answers`) —
 a pure function of the queried vertex, and therefore *bit-identical*
 for every fleet size on the same trace, regardless of how routing
 re-batched the requests: the N-replicas-vs-1-replica invariant the

@@ -24,10 +24,10 @@ Execution modes
     Layer-wise precomputed embeddings: the simulated server looks the
     batch's embedding rows up (through an LRU *historical-embedding
     cache*) and runs the MLP head; the host reads the answers from the
-    logit table the offline pass ended with, one ``(1, d)`` head pass
-    per vertex, so each is a pure function of the queried vertex
-    (batching-invariant — see
-    :meth:`~repro.serve.precompute.LayerwiseEmbeddings.rowwise_logits`).
+    answer table the offline pass ended with, one ``(1, d)`` head pass
+    and argmax per vertex, so each is a pure function of the queried
+    vertex (batching-invariant — see
+    :meth:`~repro.serve.precompute.LayerwiseEmbeddings.answers`).
 
 The engine is the one serving engine in its 1-replica configuration:
 :class:`ServeEngine` builds a :class:`~repro.fleet.engine.FleetEngine`

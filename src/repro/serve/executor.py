@@ -16,12 +16,14 @@ The executor is deliberately ignorant of queueing, clocks, and
 routing: it maps a vertex batch to ``(predictions, bp, dt, nn)``
 simulated stage seconds, and accumulates cache/tier/locality counters.
 Answers in ``precomputed`` mode are gathered by
-:meth:`~repro.serve.precompute.LayerwiseEmbeddings.rowwise_logits` from
-the logit table the offline pass ended with, so they are a pure
-function of the queried vertex — independent of how requests were
-batched, spilled, or failed over — and the host runs no model at serve
-time.  The *simulated* node still does: every batch is billed the
-embedding rows it fetches through the cache and the head's FLOPs.
+:meth:`~repro.serve.precompute.LayerwiseEmbeddings.answers` from the
+answer table the offline pass ended with, so they are a pure function
+of the queried vertex — independent of how requests were batched,
+spilled, or failed over — and the host runs no model and takes no
+argmax at serve time.  The *simulated* node still does: every batch is
+billed the embedding rows it fetches through the cache and the head's
+FLOPs.  A bill reads only the lookup's tier counts, and splits rows by
+shard only when some are cold (only a cold row can be remote).
 """
 
 from __future__ import annotations
@@ -169,8 +171,10 @@ class BatchExecutor:
         reproduces :meth:`TieredCache.bill` bit for bit."""
         spec = self.spec
         vertices = lookup.vertices
-        remote = vertices[self._remote[vertices] & lookup.cold_mask]
-        num_remote = remote.size
+        num_remote = 0
+        if lookup.num_cold:     # only a cold row can be remote
+            remote = vertices[self._remote[vertices] & lookup.cold_mask]
+            num_remote = remote.size
         num_local_cold = lookup.num_cold - num_remote
         self.last_remote_rows = num_remote
         self.remote_rows += num_remote
@@ -240,12 +244,11 @@ class BatchExecutor:
             nn = self.spec.compute_time(stats.flops)
             return predictions, bp, dt, nn
 
-        # precomputed: the answers are a gather from the logit table
-        # (batching-invariant — see LayerwiseEmbeddings.rowwise_logits);
-        # the simulated node fetches the batch's embedding rows through
-        # its cache and runs the head.
-        logits = self.embeddings.rowwise_logits(vertices)
-        predictions = logits.argmax(axis=-1)
+        # precomputed: the answers are a gather from the answer table
+        # (batching-invariant — see LayerwiseEmbeddings.answers); the
+        # simulated node fetches the batch's embedding rows through its
+        # cache and runs the head.
+        predictions = self.embeddings.answers(vertices)
         dt = self.fetch_seconds(
             sorted_unique(np.array(vertices, dtype=np.int64)),
             self._row_bytes)
@@ -257,8 +260,7 @@ class BatchExecutor:
         """Degraded-mode batch: answer from the precomputed table
         instead of sampling (no feature cache involved — the fallback
         table rows are fetched directly)."""
-        logits = self.embeddings.rowwise_logits(vertices)
-        predictions = logits.argmax(axis=-1)
+        predictions = self.embeddings.answers(vertices)
         num_bytes = len(sorted_unique(
             np.array(vertices, dtype=np.int64))) * self._row_bytes
         dt = (self.spec.gather_time(num_bytes)

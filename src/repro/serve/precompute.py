@@ -11,13 +11,14 @@ no longer explodes with depth.
 
 :class:`LayerwiseEmbeddings` implements both sides:
 
-* :meth:`rowwise_logits` — the serving path: one gather from a
-  per-vertex *logit table*.  The classifier head is the offline pass's
-  last layer: the build ends by running it over every row of the
-  embedding table, each row as its own ``(1, d)`` pass, so an answer
-  is a pure function of the queried vertex and serving never runs the
-  model (:meth:`logits`, the batched ``(m, d)`` head over gathered
-  embedding rows, stays as the on-demand path's bit-match partner);
+* :meth:`answers` — the serving path: one gather from a per-vertex
+  *answer table*.  The classifier head is the offline pass's last
+  layer: the build ends by running it over every row of the embedding
+  table, each row as its own ``(1, d)`` pass, and by taking each
+  row's argmax, so an answer is a pure function of the queried vertex
+  and serving never runs the model (:meth:`logits`, the batched
+  ``(m, d)`` head over gathered embedding rows, stays as the on-demand
+  path's bit-match partner);
 * :meth:`ondemand_logits` — the reference path: expand the query's full
   (every-neighbor) L-hop neighborhood and compute embeddings from raw
   features at query time, metering the edges/vertices/FLOPs a real
@@ -133,10 +134,12 @@ class LayerwiseEmbeddings:
         ``(num_vertices, hidden)`` final-layer embeddings — the rows a
         serving node caches and is billed for.
     logit_table:
-        ``(num_vertices, num_classes)`` head outputs, the answers
-        themselves; ``num_classes / hidden`` of ``table``'s memory on
-        top (352 KB beside 1.1 MB for 2 200 vertices, 40 classes,
-        width 128).  Read it through :meth:`rowwise_logits`.
+        ``(num_vertices, num_classes)`` head outputs;
+        ``num_classes / hidden`` of ``table``'s memory on top (352 KB
+        beside 1.1 MB for 2 200 vertices, 40 classes, width 128).
+    answer_table:
+        ``(num_vertices,)`` int64 ``logit_table.argmax(axis=-1)``, the
+        answers themselves.  Serving reads it through :meth:`answers`.
     """
 
     def __init__(self, model, graph, features):
@@ -179,10 +182,12 @@ class LayerwiseEmbeddings:
         self.table = check_finite(h, name="precomputed embedding table")
         # The head is the offline pass's last layer: every vertex is
         # its own (1, d) pass, handed to numpy as one stacked
-        # (N, 1, d) operand (see rowwise_logits).
+        # (N, 1, d) operand (see answers), and the pass ends at the
+        # answer.
         logits = self._head_logits(self.table[:, None, :])
         self.logit_table = check_finite(
             logits[:, 0], name="precomputed logit table")
+        self.answer_table = self.logit_table.argmax(axis=-1)
 
     # ------------------------------------------------------------------
     # Shared layer math
@@ -239,8 +244,8 @@ class LayerwiseEmbeddings:
         vertices = np.asarray(vertices, dtype=np.int64)
         return self._head_logits(self.table[vertices])
 
-    def rowwise_logits(self, vertices):
-        """Precomputed-mode logits: a gather from the logit table.
+    def answers(self, vertices):
+        """Precomputed-mode answers: a gather from the answer table.
 
         BLAS dispatches different kernels for ``(1, d)`` and ``(m, d)``
         operands, so the *bits* of a row's logits through
@@ -260,16 +265,25 @@ class LayerwiseEmbeddings:
         elementwise, so that is N independent ``(1, d)`` passes — the
         same bits as a python loop over rows (kept as the oracle
         ``tests/serve/_rowwise_oracle.py``), with no python per row.
-        Serving is then an index: the *simulated* server still fetches
-        embedding rows through its cache and is billed the head's
-        FLOPs per batch (:meth:`head_flops`); only the host stops
-        re-deriving bits it already has.
+        The argmax of a row is as fixed as the row, so the build takes
+        it too, and serving is an index: the *simulated* server still
+        fetches embedding rows through its cache and is billed the
+        head's FLOPs per batch (:meth:`head_flops`); only the host
+        stops re-deriving what it already has.
 
         ``vertices`` must lie in ``[0, num_vertices)`` (the engines
         validate a trace once per run — a negative id would otherwise
-        alias a row from the end of the table).  The returned rows are
-        copies in the head's output dtype.
+        alias a row from the end of the table).  The returned answers
+        are an int64 copy.
         """
+        vertices = np.asarray(vertices, dtype=np.int64)
+        if len(vertices) == 0:
+            raise ServingError("cannot serve an empty query batch")
+        return self.answer_table[vertices]
+
+    def rowwise_logits(self, vertices):
+        """The logit-table rows behind :meth:`answers` (copies, same
+        validation), for callers that want logits rather than answers."""
         vertices = np.asarray(vertices, dtype=np.int64)
         if len(vertices) == 0:
             raise ServingError("cannot serve an empty query batch")

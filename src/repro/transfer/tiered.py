@@ -54,6 +54,7 @@ goldens (``tests/golden/serving_runs.json``) and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,32 +96,34 @@ def select_lowest(ids, scores, k):
     return np.concatenate([below, tied[:k - len(below)]])
 
 
-@dataclass(frozen=True)
-class TierLookup:
+class TierLookup(NamedTuple):
     """Per-tier split of one batched lookup.
 
-    ``hot_mask``/``warm_mask``/``cold_mask`` are parallel to
-    ``vertices`` (duplicates keep their own entry: accounting is per
-    request, not per distinct row).
+    ``tiers`` holds each row's tier code where it was found (cold 0,
+    warm 1, hot 2), parallel to ``vertices`` (duplicates keep their
+    own entry: accounting is per request, not per distinct row), and
+    the three counts are its tallies.  The masks and id arrays are
+    derived from ``tiers`` when read, so a caller that needs only the
+    counts — every bill — pays for none of them.
     """
 
     vertices: np.ndarray
-    hot_mask: np.ndarray
-    warm_mask: np.ndarray
-    cold_mask: np.ndarray
-    #: Rows per tier — the mask sums.  :meth:`TieredCache.lookup` has
-    #: them from one ``bincount`` of the tier codes; given all three or
-    #: none, and without them they are summed here.
-    num_hot: int = None
-    num_warm: int = None
-    num_cold: int = None
+    tiers: np.ndarray
+    num_hot: int
+    num_warm: int
+    num_cold: int
 
-    def __post_init__(self):
-        if self.num_hot is None:
-            for name, mask in (("num_hot", self.hot_mask),
-                               ("num_warm", self.warm_mask),
-                               ("num_cold", self.cold_mask)):
-                object.__setattr__(self, name, int(mask.sum()))
+    @property
+    def hot_mask(self):
+        return self.tiers == _HOT
+
+    @property
+    def warm_mask(self):
+        return self.tiers == _WARM
+
+    @property
+    def cold_mask(self):
+        return self.tiers == _COLD
 
     @property
     def hot_ids(self):
@@ -384,9 +387,8 @@ class TieredCache:
         vertices = np.asarray(vertices, dtype=np.int64)
         if not self.enabled:
             # Zero-cost pass-through: no residency, no score updates.
-            none = np.zeros(len(vertices), dtype=bool)
             self.cold_misses += len(vertices)
-            return TierLookup(vertices, none, none, ~none,
+            return TierLookup(vertices, np.zeros(len(vertices), np.int8),
                               0, 0, len(vertices))
 
         tiers = self._tier[vertices]
@@ -399,20 +401,21 @@ class TieredCache:
         self.cold_misses += num_cold
 
         if self.dynamic and len(vertices):
-            self._admit(vertices, tiers, num_warm)
-        return TierLookup(vertices, tiers == _HOT, tiers == _WARM,
-                          tiers == _COLD, num_hot, num_warm, num_cold)
+            self._admit(vertices, tiers, num_hot, num_warm)
+        return TierLookup(vertices, tiers, num_hot, num_warm, num_cold)
 
-    def _admit(self, vertices, tiers, num_warm):
+    def _admit(self, vertices, tiers, num_hot, num_warm):
         """Promote every row touched this call (``tiers``: where each
-        was found, ``num_warm`` of them in the warm tier) to the hot
-        tier, cascading demotions/evictions down the hierarchy (batched
-        array ops throughout)."""
+        was found, ``num_hot`` / ``num_warm`` of them in the hot / warm
+        tier) to the hot tier, cascading demotions/evictions down the
+        hierarchy (batched array ops throughout)."""
         self._clock += 1
         if self.policy == "lru":
             self._score[vertices] = self._clock
         else:  # lfu: each access counts, duplicates included
             np.add.at(self._score, vertices, 1)
+        if num_hot == vertices.size:
+            return      # every row is already hot: nothing to promote
 
         if self.hot_capacity == 0:
             # Degenerate warm-only configuration: admit the rows not
@@ -539,8 +542,10 @@ def backing_for(policy, warm_ratio):
     cache: one GPU tier over host-resident features is the paper's
     §7.3.3 setting; a warm tier — or ``lfu``, which only the
     hierarchy's systems use — means the out-of-core one, features on
-    disk."""
-    return "host" if warm_ratio == 0 and policy != "lfu" else "disk"
+    disk.  The policy name is read in any case, as
+    :func:`make_tiered_cache` reads it."""
+    lfu = str(policy).lower() == "lfu"
+    return "host" if warm_ratio == 0 and not lfu else "disk"
 
 
 def make_tiered_cache(policy, graph, hot_ratio, warm_ratio,

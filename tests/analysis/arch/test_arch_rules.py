@@ -211,8 +211,8 @@ class TestARC003Billing:
 
     def test_checked_in_contract_guards_the_logit_table(self, tmp_path):
         # With the *real* contract's store list: a serve/ read of the
-        # precomputed logit table that skips lookup + bill is flagged;
-        # going through rowwise_logits and billing the rows is clean.
+        # precomputed logit or answer table that skips lookup + bill is
+        # flagged; going through answers and billing the rows is clean.
         options = load_arch_config().rule("ARC003")
         files = {
             "__init__.py": "",
@@ -222,9 +222,12 @@ class TestARC003Billing:
                     def peek(self, vertex):
                         return self.embeddings.logit_table[vertex]
 
+                    def guess(self, vertices):
+                        return self.embeddings.answer_table[vertices]
+
                     def execute(self, vertices):
-                        logits = self.embeddings.rowwise_logits(vertices)
-                        return logits, self.fetch_seconds(vertices)
+                        answers = self.embeddings.answers(vertices)
+                        return answers, self.fetch_seconds(vertices)
             """,
         }
         contract = {"rules": {"ARC003": {
@@ -233,9 +236,12 @@ class TestARC003Billing:
             "billing_calls": options["billing_calls"]}}}
         result = run_rule(tmp_path, "ARC003", files=files,
                           contract=contract)
-        (finding,) = result.new_findings
-        assert "logit_table" in finding.message
-        assert "Executor.peek" in finding.message
+        guess, peek = sorted(result.new_findings,
+                             key=lambda finding: finding.message)
+        assert "answer_table" in guess.message
+        assert "Executor.guess" in guess.message
+        assert "logit_table" in peek.message
+        assert "Executor.peek" in peek.message
 
 
 class TestARC004SimulatedClock:

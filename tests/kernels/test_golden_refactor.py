@@ -104,7 +104,7 @@ def test_serving_tables_bit_identical(backend, model_name):
                                      dataset.features)
     probe = dataset.test_ids[:32]
     logits = embeddings.logits(probe)
-    rowwise = embeddings.rowwise_logits(probe[:8])
+    rowwise = embeddings.logit_table[probe[:8]]
     ondemand, stats = embeddings.ondemand_logits(probe[:8])
 
     expected = GOLDEN["serving"][model_name]

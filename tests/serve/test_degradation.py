@@ -120,14 +120,26 @@ class TestDegradedFallback:
         plain = make_engine(data, model).run(trace)
         embeddings = LayerwiseEmbeddings(model, data.graph,
                                          data.features)
+        # Degraded batches answer through the answer table's one read.
+        served = []
+        answers = embeddings.answers
+
+        def spy(vertices):
+            served.extend(vertices)
+            return answers(vertices)
+
+        embeddings.answers = spy
         report = make_engine(data, model, deadline=plain.latency_p50,
                              fallback=True,
                              embeddings=embeddings).run(trace)
         flagged = [r for r in report.responses if r.degraded]
         assert flagged
         vertices = np.array([r.request.vertex for r in flagged])
+        assert sorted(served) == sorted(vertices.tolist())
         expected = embeddings.logits(vertices).argmax(axis=-1)
         assert [r.prediction for r in flagged] == list(expected)
+        assert [r.prediction for r in flagged] \
+            == answers(vertices).tolist()
 
     def test_degraded_run_is_deterministic(self, data, model, trace):
         def run():

@@ -62,30 +62,36 @@ def test_logit_table_is_the_row_loop(data, model_cls, hidden, classes,
     assert table.shape == oracle.shape == (data.num_vertices, classes)
     assert table.tobytes() == oracle.tobytes()
 
-    # (b) any batch — permuted, with duplicates — cut any way.
+    # (b) any batch — permuted, with duplicates — cut any way: the
+    # served answers are the row loop's argmax, its logits the rows.
     rng = np.random.default_rng(seed)
     batch = np.concatenate([rng.permutation(everyone)[:40],
                             rng.integers(0, data.num_vertices, 40)])
-    expected = oracle[batch].tobytes()
+    expected = oracle[batch].argmax(axis=-1).tobytes()
     for chunk in (1, 8, 16, len(batch)):
         served = np.concatenate([
-            embeddings.rowwise_logits(batch[i:i + chunk])
+            embeddings.answers(batch[i:i + chunk])
             for i in range(0, len(batch), chunk)])
-        assert served.dtype == dtype
+        assert served.dtype == np.int64
         assert served.tobytes() == expected
-    assert rowwise_logits(embeddings, batch).tobytes() == expected
+    assert embeddings.rowwise_logits(batch).tobytes() \
+        == rowwise_logits(embeddings, batch).tobytes()
 
     # (c) the empty batch is still refused.
-    with pytest.raises(ServingError, match="empty query batch"):
-        embeddings.rowwise_logits([])
+    for read in (embeddings.answers, embeddings.rowwise_logits):
+        with pytest.raises(ServingError, match="empty query batch"):
+            read([])
 
 
 def test_served_rows_are_copies(data):
     model, features = build(data, GCN, 8, 5, [], np.float32, 0)
     embeddings = LayerwiseEmbeddings(model, data.graph, features)
-    before = embeddings.logit_table.copy()
+    logits = embeddings.logit_table.copy()
+    answers = embeddings.answer_table.copy()
     embeddings.rowwise_logits([3, 3, 7])[:] = np.nan
-    assert np.array_equal(embeddings.logit_table, before)
+    embeddings.answers([3, 3, 7])[:] = -1
+    assert np.array_equal(embeddings.logit_table, logits)
+    assert np.array_equal(embeddings.answer_table, answers)
 
 
 # ----------------------------------------------------------------------

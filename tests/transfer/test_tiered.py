@@ -179,10 +179,8 @@ class TestTieredBilling:
 
     def test_cold_rows_cost_more_than_warm(self):
         spec = DEFAULT_SPEC
-        warm = TierLookup(np.arange(10), np.zeros(10, bool),
-                          np.ones(10, bool), np.zeros(10, bool))
-        cold = TierLookup(np.arange(10), np.zeros(10, bool),
-                          np.zeros(10, bool), np.ones(10, bool))
+        warm = TierLookup(np.arange(10), np.ones(10, np.int8), 0, 10, 0)
+        cold = TierLookup(np.arange(10), np.zeros(10, np.int8), 0, 0, 10)
         cache = TieredCache(100, 10, 10, policy="lfu")
         assert cache.bill(cold, 256, spec).total_seconds \
             > cache.bill(warm, 256, spec).total_seconds

@@ -98,7 +98,7 @@ def serving_tables():
                                          dataset.features)
         probe = dataset.test_ids[:32]
         logits = embeddings.logits(probe)
-        rowwise = embeddings.rowwise_logits(probe[:8])
+        rowwise = embeddings.logit_table[probe[:8]]
         ondemand, stats = embeddings.ondemand_logits(probe[:8])
         out[model_name] = {
             "table_sha256": _digest(embeddings.table),
