@@ -30,15 +30,17 @@ balance pass alike, patches it along the moved vertex's row
 (:class:`_Level`).  Edge weights are sums of unit edges, so the table
 is integer-valued, each patch is exact whatever the order, and a gain
 read from it equals the one a fresh scan of the row would sum.  FM
-visits only vertices the table shows tied more heavily to another part
-than to their own; the balance pass scores its sampled candidates with
-one gather.  The loops this replaced live on, verbatim, as the oracle
+visits only vertices a conservative flag list says may be tied more
+heavily to another part than to their own, and scores each as python
+floats; the balance pass scores its sampled candidates with one
+gather.  The loops this replaced live on, verbatim, as the oracle
 in ``tests/partition/_metis_oracle.py``: assignments and the order of
 every ``rng`` draw are byte-identical to theirs.
 """
 
 from __future__ import annotations
 
+import numbers
 from collections import deque
 
 import numpy as np
@@ -48,8 +50,9 @@ try:  # METIS-style coarsening needs scipy; hash/range partitioners don't.
 except ImportError:  # pragma: no cover - exercised by the no-scipy CI job
     sp = None
 
-from ..errors import PartitionError
+from ..errors import PartitionError, SanitizerError
 from ..graph.csr import packed_csr
+from ..perf import FLAGS
 from .base import PartitionResult, Partitioner
 
 __all__ = ["metis_partition", "MetisPartitioner", "metis_clusters"]
@@ -96,43 +99,56 @@ def _heavy_edge_matching(adj, rng):
     count.  Unmatched vertices map to their own coarse vertex.  Each
     choice depends on every earlier one, so the walk is scalar; it runs
     over python lists, which index several times faster than arrays.
+    A row's scan stops at the first free neighbor carrying the row's
+    heaviest weight: a later one could only tie, and ties keep the
+    first.  In a row whose weights all tie (every row of an unweighted
+    level 0) that is the first free neighbor, found without reading
+    the weights.
     """
     n = adj.shape[0]
     match = [-1] * n
-    indptr, indices, data = adj.indptr.tolist(), adj.indices, adj.data
+    indptr, indices, data = adj.indptr, adj.indices, adj.data
+    filled = indptr[1:] > indptr[:-1]
+    starts = indptr[:-1][filled]
+    heaviest, even = np.zeros(n), np.ones(n, dtype=bool)
+    heaviest[filled] = np.maximum.reduceat(data, starts)
+    even[filled] = heaviest[filled] == np.minimum.reduceat(data, starts)
+    heaviest, even, indptr = heaviest.tolist(), even.tolist(), indptr.tolist()
     for v in rng.permutation(n).tolist():
         if match[v] != -1:
             continue
         row = slice(indptr[v], indptr[v + 1])
-        best, best_w = -1, 0.0
-        for u, w in zip(indices[row].tolist(), data[row].tolist()):
-            if match[u] == -1 and u != v and w > best_w:
-                best, best_w = u, w
+        best, best_w, top = -1, 0.0, heaviest[v]
+        if even[v]:
+            best = next((u for u in indices[row].tolist()
+                         if match[u] == -1 and u != v), -1)
+        else:
+            for u, w in zip(indices[row].tolist(), data[row].tolist()):
+                if match[u] == -1 and u != v and w > best_w:
+                    best, best_w = u, w
+                    if w == top:
+                        break
         if best == -1:
             match[v] = v
         else:
             match[v] = best
             match[best] = v
 
-    cmap = [-1] * n
-    next_id = 0
-    for v in range(n):
-        if cmap[v] != -1:
-            continue
-        cmap[v] = next_id
-        partner = match[v]
-        if partner != v and cmap[partner] == -1:
-            cmap[partner] = next_id
-        next_id += 1
-    return np.array(cmap, dtype=np.int64), next_id
+    # Coarse ids follow each pair's lower end (a single is its own), in
+    # ascending order.
+    lower = np.minimum(np.array(match, dtype=np.int64), np.arange(n))
+    lead = lower == np.arange(n)
+    return np.cumsum(lead, dtype=np.int64)[lower] - 1, int(lead.sum())
 
 
 def _group_sums(weights, groups, num_groups):
     """Rows of ``weights`` summed per group: the ``(k, c)`` constraint
-    weight each part holds, or a coarse level's constraint matrix."""
-    sums = np.zeros((num_groups, weights.shape[1]))
-    np.add.at(sums, groups, weights)
-    return sums
+    weight each part holds, or a coarse level's constraint matrix.
+    ``bincount`` adds in index order, as ``np.add.at`` does, so the
+    sums are the same floats."""
+    return np.column_stack([
+        np.bincount(groups, column, minlength=num_groups)
+        for column in weights.T])
 
 
 def _contract(adj, weights, cmap, num_coarse):
@@ -243,12 +259,12 @@ class _Level:
         self.conn = adj @ onehot
         self.loads = _group_sums(weights, assignment, num_parts)
 
-    def pulled_away(self, rows):
-        """Which of ``rows`` (an index array) are tied more heavily to
-        some other part than to their own — the only vertices a
-        positive-gain move exists for."""
+    def pulled_away(self):
+        """Which vertices are tied more heavily to some other part than
+        to their own — the only vertices a positive-gain move exists
+        for."""
         conn = self.conn
-        return conn[rows].max(axis=1) > conn[rows, self.assignment[rows]]
+        return conn.max(axis=1) > conn[np.arange(len(conn)), self.assignment]
 
     def move(self, v, target):
         """Reassign ``v`` to ``target``; returns the neighbors whose
@@ -270,28 +286,48 @@ class _Level:
 
 def _refine(level, caps, rng, passes):
     """Boundary FM refinement: greedy positive-gain moves under all
-    capacity constraints, then the balance pass."""
-    conn, loads = level.conn, level.loads
-    assignment, weights = level.assignment, level.weights
-    n = len(assignment)
-    # Kept current for a moved vertex and its neighbors only.
-    pulled = level.pulled_away(np.arange(n))
+    capacity constraints, then the balance pass.
+
+    A visit reads ``v``'s table row as python floats.  Its candidates
+    are the parts ``v`` is tied to more heavily than to its own, best
+    gain first and the lower part id on a tie (``argmax``'s order:
+    float subtraction is sign-symmetric), and ``v`` moves to the first
+    whose capacities all hold.  ``maybe`` flags a superset of the
+    pulled vertices (:meth:`_Level.pulled_away`): it is exact at the
+    start, a move flags every neighbor outside the target part (one
+    inside it only gained on its own part), and a visit clears the flag
+    once no part beats its own.  Visiting a vertex that is not pulled
+    moves nothing, so the moves are the exact set's, in the same order.
+    """
+    conn, loads, weights = level.conn, level.loads, level.weights
+    n, part, cap = len(conn), level.assignment.tolist(), caps.tolist()
+    maybe = level.pulled_away().tolist()
     for _pass in range(passes):
         moved = 0
         for v in rng.permutation(n).tolist():
-            if not pulled[v]:
+            if not maybe[v]:
                 continue  # interior, or no part beats its own
-            cur = assignment[v]
-            gain = conn[v] - conn[v, cur]
-            gain[cur] = -np.inf
-            # Capacity check for every candidate part.
-            fits = (loads + weights[v] <= caps).all(axis=1)
-            gain[~fits] = -np.inf
-            target = int(gain.argmax())
-            if gain[target] > 0:
-                touched = np.append(level.move(v, target), v)
-                pulled[touched] = level.pulled_away(touched)
-                moved += 1
+            row = conn[v].tolist()
+            own = row[part[v]]
+            if max(row) <= own:
+                maybe[v] = False
+                continue
+            w = weights[v].tolist()
+            for _loss, target in sorted(
+                    (own - g, p) for p, g in enumerate(row) if g > own):
+                if all(held + x <= c for held, x, c
+                       in zip(loads[target].tolist(), w, cap)):
+                    break
+            else:
+                continue  # no better part has room
+            for u in level.move(v, target).tolist():
+                if part[u] != target:
+                    maybe[u] = True
+            part[v] = target
+            moved += 1
+        if FLAGS.sanitize and (level.pulled_away() > maybe).any():
+            raise SanitizerError("FM's flags lost a vertex that another "
+                                 "part pulls away")
         if moved == 0:
             break
     _balance_pass(level, rng)
@@ -337,6 +373,24 @@ def _balance_pass(level, rng, floor_ratio=0.85, max_moves_factor=0.25):
             level.move(int(sample[score.argmin()]), needy)
 
 
+def _check_knobs(imbalance, refine_passes, coarsen_to=None, num_parts=1):
+    """Raise :class:`PartitionError` naming the first METIS knob out of
+    range.  Unchecked, a ``nan`` imbalance skews the part sizes, a
+    negative pass count skips FM and a ``nan`` ``coarsen_to`` never
+    coarsens, all silently.  ``coarsen_to=None`` means the default."""
+    whole = numbers.Integral
+    for name, value, kind, least in (
+            ("num_parts", num_parts, whole, 1),
+            ("imbalance", imbalance, numbers.Real, 0),
+            ("refine_passes", refine_passes, whole, 0),
+            ("coarsen_to", 1 if coarsen_to is None else coarsen_to, whole, 1)):
+        if isinstance(value, bool) or not isinstance(value, kind) \
+                or not least <= value < np.inf:
+            rule = "an integer" if kind is whole else "a finite number"
+            raise PartitionError(
+                f"{name} must be {rule} >= {least}, got {value!r}")
+
+
 def metis_partition(graph, num_parts, constraints=None, rng=None,
                     imbalance=0.1, coarsen_to=None, refine_passes=3):
     """Multilevel multi-constraint partitioning.
@@ -346,7 +400,7 @@ def metis_partition(graph, num_parts, constraints=None, rng=None,
     graph:
         :class:`~repro.graph.csr.CSRGraph`.
     num_parts:
-        Number of parts ``k``.
+        Number of parts ``k`` (an integer >= 1).
     constraints:
         ``(n, c)`` finite non-negative weight matrix to balance.  A unit
         vertex-count column is always prepended, so ``None`` balances
@@ -354,17 +408,25 @@ def metis_partition(graph, num_parts, constraints=None, rng=None,
     rng:
         :class:`numpy.random.Generator` (default: seeded fresh).
     imbalance:
-        Allowed relative imbalance ``epsilon`` per constraint.
+        Allowed relative imbalance ``epsilon`` per constraint (a finite
+        number >= 0).
     coarsen_to:
-        Stop coarsening below this many vertices
-        (default ``max(128, 16 * num_parts)``).
+        Stop coarsening below this many vertices (an integer >= 1;
+        default ``max(128, 16 * num_parts)``).
     refine_passes:
-        FM passes per uncoarsening level.
+        FM passes per uncoarsening level (an integer >= 0).
 
     Returns
     -------
     ``int64 (n,)`` assignment array.
+
+    Raises
+    ------
+    PartitionError
+        A knob out of range (named in the message) or a malformed
+        constraint matrix.
     """
+    _check_knobs(imbalance, refine_passes, coarsen_to, num_parts)
     n = graph.num_vertices
     if rng is None:
         rng = np.random.default_rng(0)
@@ -427,7 +489,13 @@ class MetisPartitioner(Partitioner):
         ``"v"`` (balance train vertices), ``"ve"`` (train vertices +
         degrees), or ``"vet"`` (train/val/test vertices + degrees).
     imbalance:
-        Allowed relative imbalance per constraint.
+        Allowed relative imbalance per constraint (a finite number
+        >= 0).
+    refine_passes:
+        FM passes per uncoarsening level (an integer >= 0).
+
+    Knobs out of range raise :class:`PartitionError` here, not at the
+    first partition.
     """
 
     VARIANTS = ("v", "ve", "vet")
@@ -436,6 +504,7 @@ class MetisPartitioner(Partitioner):
         if variant not in self.VARIANTS:
             raise PartitionError(
                 f"variant must be one of {self.VARIANTS}, got {variant!r}")
+        _check_knobs(imbalance, refine_passes)
         self.variant = variant
         self.imbalance = imbalance
         self.refine_passes = refine_passes
