@@ -8,7 +8,7 @@ help:
 	@echo "lint        the static analyzer (RPR per-file + ARC architectural rules)"
 	@echo "bench       run every table/figure benchmark (includes serving)"
 	@echo "bench-NAME  run one registered bench and rewrite BENCH_NAME.json"
-	@echo "            (repro bench NAME: serve fleet faults fleet-chaos kernels)"
+	@echo "            (repro bench NAME: serve fleet faults fleet-chaos)"
 	@echo "bench-cache run the tiered feature-cache benchmark alone"
 	@echo "examples    run all runnable examples"
 	@echo "docs        regenerate docs/api.md"

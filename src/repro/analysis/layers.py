@@ -48,9 +48,9 @@ CONTRACT = {
             # scipy.sparse and no ufunc-.at scatter loops.
             "packages": ["nn", "dist", "serve", "fleet", "core",
                          "sampling", "batching", "tasks"],
-            # nn/tensor.py is the autograd substrate the kernels'
-            # reference backend itself builds on; its scatter primitives
-            # ARE the seam.
+            # nn/tensor.py is the autograd substrate the kernels
+            # themselves build on; its row-gather backward's scatter is
+            # part of the seam.
             "allow_files": ["src/repro/nn/tensor.py"],
         },
         "ARC003": {

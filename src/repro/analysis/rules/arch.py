@@ -142,11 +142,11 @@ class KernelSeamBypass(_ProjectRule):
     rule_id = "ARC002"
     title = "kernel-seam bypass"
     hint = ("route sparse aggregation through repro.kernels "
-            "(gspmm/gsddmm/edge_softmax) so backend selection, autograd, "
-            "and bit-identity guarantees apply")
+            "(gspmm/gsddmm/edge_softmax) so its compiled kernels, "
+            "counters, autograd and bit-identity guarantees apply")
     rationale = ("repro.kernels is the single aggregation seam; a stray "
-                 "scipy matmul or ufunc-.at scatter silently skips backend "
-                 "dispatch and the conformance suite")
+                 "scipy matmul or ufunc-.at scatter silently skips the "
+                 "kernel counters and the conformance suite")
 
     def findings(self, graph, contract):
         for info in _scoped_modules(graph, contract.rule("ARC002")):

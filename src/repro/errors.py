@@ -47,9 +47,9 @@ class TrainingError(ReproError):
 
 
 class KernelError(ReproError):
-    """Raised for invalid sparse-kernel dispatch: unknown backend or
-    op/reduce names, an explicitly requested backend that is not
-    importable, or adjacency/operand shape mismatches."""
+    """Raised for invalid sparse-kernel calls: unknown op/reduce names,
+    adjacency/operand shape mismatches, or edge values wider than the
+    features."""
 
 
 class TransferError(ReproError):

@@ -12,11 +12,7 @@ The paper leans on two metrics repeatedly:
 from __future__ import annotations
 
 import numpy as np
-
-try:  # clustering metrics need scipy; the rest of the package does not.
-    import scipy.sparse as sp
-except ImportError:  # pragma: no cover - exercised by the no-scipy CI job
-    sp = None
+import scipy.sparse as sp
 
 __all__ = [
     "to_scipy",
@@ -31,9 +27,6 @@ __all__ = [
 
 def to_scipy(graph):
     """The graph's adjacency as a ``scipy.sparse.csr_matrix`` of 0/1."""
-    if sp is None:
-        raise ImportError(
-            "graph clustering metrics require scipy")
     n = graph.num_vertices
     data = np.ones(graph.num_edges, dtype=np.float64)
     return sp.csr_matrix((data, graph.indices, graph.indptr), shape=(n, n))

@@ -1,4 +1,4 @@
-"""Adjacency containers for the kernel registry.
+"""Adjacency containers for the sparse kernels.
 
 Two layouts cover every aggregation in the library:
 
@@ -24,12 +24,11 @@ Bit-exactness notes (pinned by ``tests/kernels/``):
 
 * :func:`transpose_csr` (stable argsort by column) produces byte-for-
   byte the same ``indptr``/``indices``/``data`` as scipy's
-  ``.T.tocsr()``, so the reference and scipy backends share one
-  transpose layout.
+  ``.T.tocsr()``.
 * :func:`normalized_block_adjacency` reproduces the exact stored
   layout scipy's historical construction emitted — including the
   *descending* per-row column order that scipy's SMMP-based
-  ``diags @ csr`` product leaves behind — so reference-backend runs are
+  ``diags @ csr`` product leaves behind — so aggregations are
   bit-identical to the pre-registry implementation.  Within-row
   summation order defines the float bits, so that order is kept, by
   *constructing* rows in it (one gather over the block's canonical
@@ -210,8 +209,8 @@ class KernelCSR:
     def to_scipy(self):
         """The same operator as a scipy CSR (cached; the original
         object when this wrapper was built from one).  A conversion
-        for tests and foreign callers: the scipy backend multiplies
-        straight off ``indptr`` / ``indices`` / ``data``."""
+        for tests and foreign callers: ``gspmm`` multiplies straight
+        off ``indptr`` / ``indices`` / ``data``."""
         if self._scipy is None:
             import scipy.sparse as sp
             self._scipy = sp.csr_matrix(
@@ -439,8 +438,8 @@ def full_graph_adjacency(graph, self_loops=True):
     vertex ``v`` (plus ``v`` itself when ``self_loops``), built from
     ``graph.in_csr()`` without scipy.  Replaces the historical
     ``diags @ (csr + identity)`` construction in the full-batch engine
-    bit-for-bit, so full-graph training and precomputed serving run
-    identically on every kernel backend.  A raw multigraph's rows may
+    bit-for-bit, so full-graph training and precomputed serving keep
+    their pre-registry bits.  A raw multigraph's rows may
     repeat or be unordered, so this path (built once per graph) keeps
     the canonicalising sort — duplicate edges summed — in front of the
     tail it shares with the block operator, :func:`_mean_operator`.

@@ -1,8 +1,8 @@
-"""The thin autograd boundary over the kernel registry.
+"""The thin autograd boundary over the forward kernels.
 
 Follows the HGL-proto ``GSPMMFunction``/``GSDDMMFunction`` shape: each
-public function runs its forward through the registry dispatch and
-records a backward closure built from the *same* registry primitives —
+public function runs its forward kernel and records a backward closure
+built from the *same* kernels —
 
 * ``gspmm`` backward routes the output gradient source-ward through
   the explicitly materialized, memoized transposed CSR
@@ -12,7 +12,7 @@ records a backward closure built from the *same* registry primitives —
 * ``gsddmm`` backward scatter-adds the edge gradient back to the
   destination- and source-side operands — as a ``copy_rhs`` ``gspmm``
   over the edge list's segment-view selection matrix, so the scatter
-  is a registry kernel like every other aggregation;
+  is the compiled row walk like every other aggregation;
 * ``edge_softmax`` backward applies the per-segment Jacobian
   ``p * (g - sum_segment(g * p))`` with the same float64 segment
   accumulators as the forward (``np.bincount`` adds its weights in
@@ -65,33 +65,28 @@ def _split(operand, tensor_cls):
     return None, (None if operand is None else np.asarray(operand))
 
 
-def _scatter_rows(edges, contribution, backend):
+def _scatter_rows(edges, contribution):
     """Sum per-edge ``contribution`` rows into ``edges``' destination
     rows, each row's edges in list order (the pinned accumulation
     order): ``selection @ contribution``."""
     return gspmm_forward(edges.segments().selection, contribution,
-                         op="copy_rhs", backend=backend)
+                         op="copy_rhs")
 
 
-def gspmm(adj, x, values=None, op="mul", reduce="sum", backend=None):
+def gspmm(adj, x, values=None, op="mul", reduce="sum"):
     """Differentiable generalized SpMM (see
     :func:`~repro.kernels.registry.gspmm_forward` for semantics).
 
     Gradients flow into ``x`` and — when given as a Tensor — the
-    per-edge ``values`` (GAT's attention coefficients).  The ``max``
-    reduction is forward-only.
+    per-edge ``values`` (GAT's attention coefficients).
     """
     tensor_cls = _tensor_cls()
     adj = as_adjacency(adj)
     x_t, x_arr = _split(x, tensor_cls)
     v_t, v_arr = _split(values, tensor_cls)
-    out = gspmm_forward(adj, x_arr, v_arr, op=op, reduce=reduce,
-                        backend=backend)
+    out = gspmm_forward(adj, x_arr, v_arr, op=op, reduce=reduce)
     if x_t is None and v_t is None:
         return out
-    if reduce == "max" and (x_t is not None and x_t.requires_grad
-                            or v_t is not None and v_t.requires_grad):
-        raise KernelError("gspmm reduce='max' is forward-only")
 
     def backward(grad):
         grad = grad if grad.ndim == 2 else grad[:, None]
@@ -99,8 +94,7 @@ def gspmm(adj, x, values=None, op="mul", reduce="sum", backend=None):
             grad = grad / _row_counts(adj, grad.dtype)[:, None]
         if x_t is not None and x_t.requires_grad:
             if isinstance(adj, KernelCOO):
-                routed = gspmm_forward(adj.reverse(), grad, v_arr,
-                                       op=op, backend=backend)
+                routed = gspmm_forward(adj.reverse(), grad, v_arr, op=op)
             else:
                 # Explicit values ride in the *original* storage order;
                 # the transpose's stored edges are permuted, so the
@@ -108,20 +102,18 @@ def gspmm(adj, x, values=None, op="mul", reduce="sum", backend=None):
                 v_routed = None if v_arr is None else \
                     v_arr[adj.transpose_permutation()]
                 routed = gspmm_forward(adj.transpose(), grad, v_routed,
-                                       op=op, backend=backend)
+                                       op=op)
             x_t._accumulate(routed if x_arr.ndim == 2
                             else routed[:, 0])
         if v_t is not None and v_t.requires_grad:
             features = x_arr if x_arr.ndim == 2 else x_arr[:, None]
-            v_t._accumulate(
-                gsddmm_forward(adj, grad, features, op="dot",
-                               backend=backend))
+            v_t._accumulate(gsddmm_forward(adj, grad, features, op="dot"))
 
     parents = tuple(p for p in (x_t, v_t) if p is not None)
     return tensor_cls._result(out, parents, backward)
 
 
-def gsddmm(adj, q, k, op="add", backend=None):
+def gsddmm(adj, q, k, op="add"):
     """Differentiable generalized SDDMM: per stored edge ``(i, j)``,
     ``s[e] = op(q[i], k[j])`` (``q`` destination-side, ``k``
     source-side).  The backward scatter-adds the edge gradient back to
@@ -130,7 +122,7 @@ def gsddmm(adj, q, k, op="add", backend=None):
     adj = as_adjacency(adj)
     q_t, q_arr = _split(q, tensor_cls)
     k_t, k_arr = _split(k, tensor_cls)
-    out = gsddmm_forward(adj, q_arr, k_arr, op=op, backend=backend)
+    out = gsddmm_forward(adj, q_arr, k_arr, op=op)
     if q_t is None and k_t is None:
         return out
 
@@ -147,8 +139,7 @@ def gsddmm(adj, q, k, op="add", backend=None):
                     grad2, (adj.nnz, k2.shape[1]))
             else:  # mul, dot
                 contribution = grad2 * q2[edge_dst]
-            routed = _scatter_rows(edges.reverse(), contribution,
-                                   backend)
+            routed = _scatter_rows(edges.reverse(), contribution)
             k_t._accumulate(routed if k_arr.ndim == 2
                             else routed[:, 0])
         if q_t is not None and q_t.requires_grad:
@@ -157,7 +148,7 @@ def gsddmm(adj, q, k, op="add", backend=None):
                     grad2, (adj.nnz, q2.shape[1]))
             else:  # mul, dot
                 contribution = grad2 * k2[edge_src]
-            routed = _scatter_rows(edges, contribution, backend)
+            routed = _scatter_rows(edges, contribution)
             q_t._accumulate(routed if q_arr.ndim == 2
                             else routed[:, 0])
 
@@ -169,13 +160,13 @@ def gsddmm(adj, q, k, op="add", backend=None):
     return tensor_cls._result(out, parents, backward)
 
 
-def edge_softmax(adj, scores, backend=None):
+def edge_softmax(adj, scores):
     """Differentiable per-destination softmax over 1-D edge scores
     (GAT's attention normalization)."""
     tensor_cls = _tensor_cls()
     adj = as_adjacency(adj)
     s_t, s_arr = _split(scores, tensor_cls)
-    probs = edge_softmax_forward(adj, s_arr, backend=backend)
+    probs = edge_softmax_forward(adj, s_arr)
     if s_t is None:
         return probs
 
@@ -221,8 +212,7 @@ def _add_outer_products(out, src_grad, attn_src, dst_grad, attn_dst):
             out[start:stop] += product
 
 
-def gat_attention(edges, transformed, attn_src, attn_dst, negative_slope,
-                  backend=None):
+def gat_attention(edges, transformed, attn_src, attn_dst, negative_slope):
     """One GAT attention head over an edge list, as one tape node.
 
     Per stored edge ``e = (i, j)``: the score ``LeakyReLU((transformed
@@ -273,8 +263,8 @@ def gat_attention(edges, transformed, attn_src, attn_dst, negative_slope,
     scale = np.where(raw > 0, raw.dtype.type(1),
                      raw.dtype.type(negative_slope))
     scores = raw * scale
-    alpha = edge_softmax_forward(edges, scores, backend=backend)
-    out = gspmm_forward(edges, features, alpha, op="mul", backend=backend)
+    alpha = edge_softmax_forward(edges, scores)
+    out = gspmm_forward(edges, features, alpha, op="mul")
     if t_t is None and src_t is None and dst_t is None:
         return out
 
@@ -285,8 +275,8 @@ def gat_attention(edges, transformed, attn_src, attn_dst, negative_slope,
         # Each intermediate gradient is cast to its tensor's dtype, as
         # the composed tape's _accumulate did on arrival.
         alpha_grad = np.asarray(
-            gsddmm_forward(edges, grad, features, op="dot",
-                           backend=backend), dtype=alpha.dtype)
+            gsddmm_forward(edges, grad, features, op="dot"),
+            dtype=alpha.dtype)
         seg_dot = np.bincount(edge_dst, weights=alpha_grad * alpha,
                               minlength=num_dst)
         raw_grad = np.asarray(alpha * (alpha_grad - seg_dot[edge_dst]),
@@ -294,20 +284,20 @@ def gat_attention(edges, transformed, attn_src, attn_dst, negative_slope,
         raw_grad = raw_grad[:, None]
         if need_src:
             src_grad = np.asarray(
-                _scatter_rows(edges.reverse(), raw_grad, backend),
+                _scatter_rows(edges.reverse(), raw_grad),
                 dtype=score_src.dtype)
             if src_t is not None and src_t.requires_grad:
                 src_t._accumulate(features.T @ src_grad)
         if need_dst:
             dst_grad = np.zeros_like(score_dst_full)
             # ``+=`` into zeros, as leading_rows did: -0.0 becomes +0.0.
-            dst_grad[:num_dst] += _scatter_rows(edges, raw_grad, backend)
+            dst_grad[:num_dst] += _scatter_rows(edges, raw_grad)
             if dst_t is not None and dst_t.requires_grad:
                 dst_t._accumulate(features.T @ dst_grad)
         if need_t:
             t_grad = np.asarray(
-                gspmm_forward(edges.reverse(), grad, alpha, op="mul",
-                              backend=backend), dtype=features.dtype)
+                gspmm_forward(edges.reverse(), grad, alpha, op="mul"),
+                dtype=features.dtype)
             _add_outer_products(t_grad, src_grad, a_src,
                                 dst_grad[:num_dst], a_dst)
             t_t._accumulate(t_grad)

@@ -1,50 +1,43 @@
-"""Backend registry and forward-dispatch for the sparse kernels.
+"""The forward sparse kernels: one compiled path per op.
 
-One seam for every aggregation in the library.  A backend is an object
-with ``name``, ``available()``, ``supports(kind)`` and the kernel
-methods (each taking either adjacency layout); :func:`register_backend`
-adds it, and dispatch resolves the active one from
-``FLAGS.kernel_backend``:
+The one seam every aggregation in the library runs through.  Each
+kernel validates its operands, bills its call and FLOPs to
+:data:`repro.perf.PERF` and runs one implementation:
 
-* ``"auto"`` (default) — the first available backend in priority order
-  (accelerated backends first, reference last);
-* a backend name — that backend, raising :class:`KernelError` if it is
-  not importable (an explicit request must not silently degrade);
-* per-call ``backend=`` overrides the flag for one dispatch.
+* ``gspmm`` hands the operator's ``indptr`` / ``indices`` / ``data``
+  straight to scipy's ``csr_matvecs`` — the loop ``csr_matrix @ x``
+  ends in, without constructing and validating a ``csr_matrix`` per
+  operator.  It walks each row's stored entries sequentially, so its
+  bits are those of an ``np.add.at`` scatter in storage order (the
+  oracle in ``tests/kernels/_reference_oracle.py``).  A COO edge list
+  (GAT's layout) rides the same kernel through its memoized
+  destination-sorted :meth:`~repro.kernels.adjacency.KernelCOO.segments`
+  view: the stable sort keeps each row's edges in list order, so the
+  row walk *is* the list-order scatter.  ``mean`` divides that sum by
+  the stored row degrees.
+* ``edge_softmax`` reduces over the same view (``np.maximum.reduceat``
+  per row; the float64 sums are a list-order ``np.bincount``, which
+  accumulates like ``np.add.at``).
+* ``gsddmm`` is a per-edge gather with no accumulation order.
 
-A resolved backend that does not support the requested kernel — or is
-handed edge values wider than the features (float64 on float32), whose
-mixed-precision accumulation only ``np.add.at`` reproduces — falls back
-to the reference.  The reference defines the semantics, so fallback
-changes speed, never bits, and it is counted (``kernel_fallbacks``) so
-benchmarks and tests can see exactly what ran.  Per-backend call and
-FLOP counters flow through :data:`repro.perf.PERF`.
-
-Only the order-sensitive kernels are backend capabilities.  ``gsddmm``
-is a per-edge gather with no accumulation order, so one shared
-implementation lives here and never counts as a fallback.
-
-``reduce`` is layered here rather than per-backend: every backend
-implements the sum reduction, ``mean`` divides the shared sum by the
-stored row degrees, and ``max`` always runs the reference extremum
-scan (a ``kernel_fallbacks`` detour like any other whenever a
-non-reference backend was resolved).  One normalization code path
-means backends cannot drift apart on the reductions.
+``csr_matvecs`` lives in a private scipy module; the public
+``csr_matrix(...) @ x`` gives the same bytes but builds and validates
+a matrix per product (122 profiled calls against 7).
+``tests/kernels/test_matvecs_pin.py`` names the function and the
+``scipy`` floor it needs.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse._sparsetools import csr_matvecs
 
 from ..analysis.sanitize import check_csr, check_finite
 from ..errors import KernelError
 from ..perf import FLAGS, PERF
 from .adjacency import KernelCOO, as_adjacency
-from .reference import ReferenceBackend
-from .scipy_backend import ScipyBackend
 
-__all__ = ["register_backend", "available_backends", "resolve_backend",
-           "gspmm_forward", "gsddmm_forward", "edge_softmax_forward",
+__all__ = ["gspmm_forward", "gsddmm_forward", "edge_softmax_forward",
            "GSPMM_OPS", "GSDDMM_OPS", "REDUCES"]
 
 #: Bytes of one gathered operand per pass of ``gsddmm``'s ``dot``, so
@@ -54,77 +47,7 @@ DOT_CHUNK_BYTES = 1 << 18
 
 GSPMM_OPS = ("mul", "copy_rhs")
 GSDDMM_OPS = ("add", "mul", "dot")
-REDUCES = ("sum", "mean", "max")
-
-#: name -> backend instance, insertion-ordered.
-_BACKENDS = {}
-#: "auto" resolution order: accelerated first, reference as the floor.
-_PRIORITY = []
-#: kernel kind or backend name -> its ``kernel_*_calls`` counter, named
-#: once rather than formatted per dispatch.
-_CALL_COUNTERS = {kind: f"kernel_{kind}_calls"
-                  for kind in ("gspmm", "edge_softmax")}
-
-
-def register_backend(backend, accelerated=True):
-    """Add ``backend`` to the registry.
-
-    ``accelerated`` backends are preferred by ``"auto"`` resolution (in
-    registration order); the reference stays the fallback floor.
-    """
-    name = backend.name
-    _BACKENDS[name] = backend
-    _CALL_COUNTERS[name] = f"kernel_{name}_calls"
-    if name in _PRIORITY:
-        _PRIORITY.remove(name)
-    if accelerated:
-        _PRIORITY.insert(0, name)
-    else:
-        _PRIORITY.append(name)
-    return backend
-
-
-_REFERENCE = register_backend(ReferenceBackend(), accelerated=False)
-register_backend(ScipyBackend())
-
-
-def available_backends():
-    """Names of the backends importable in this environment."""
-    return [name for name, backend in _BACKENDS.items()
-            if backend.available()]
-
-
-def resolve_backend(backend=None):
-    """The backend instance a dispatch will use (before op fallback)."""
-    name = backend if backend is not None else FLAGS.kernel_backend
-    if name == "auto":
-        for candidate in _PRIORITY:
-            if _BACKENDS[candidate].available():
-                return _BACKENDS[candidate]
-        return _REFERENCE  # pragma: no cover - reference is always there
-    chosen = _BACKENDS.get(name)
-    if chosen is None:
-        raise KernelError(
-            f"unknown kernel backend {name!r}; registered: "
-            f"{', '.join(_BACKENDS)}")
-    if not chosen.available():
-        raise KernelError(
-            f"kernel backend {name!r} was requested but is not "
-            f"importable here")
-    return chosen
-
-
-def _pick(kind, backend, lowerable=True):
-    """Resolve, apply capability fallback, count the call.
-    ``lowerable=False`` marks a dispatch only the reference can run."""
-    chosen = resolve_backend(backend)
-    if chosen is not _REFERENCE \
-            and not (lowerable and chosen.supports(kind)):
-        PERF.count("kernel_fallbacks")
-        chosen = _REFERENCE
-    PERF.count(_CALL_COUNTERS[kind])
-    PERF.count(_CALL_COUNTERS[chosen.name])
-    return chosen
+REDUCES = ("sum", "mean")
 
 
 def _as_matrix(x):
@@ -144,15 +67,16 @@ def _sanitize_adj(adj, name):
         check_finite(adj.data, name=f"{name} values")
 
 
-def gspmm_forward(adj, x, values=None, op="mul", reduce="sum",
-                  backend=None):
+def gspmm_forward(adj, x, values=None, op="mul", reduce="sum"):
     """Generalized SpMM: ``y[i] = reduce over edges (i, j) of
     values[e] (*) x[j]`` over the adjacency's stored edges.
 
     ``adj`` may be a :class:`~repro.kernels.adjacency.KernelCSR`, a
     :class:`~repro.kernels.adjacency.KernelCOO` (``values`` required
-    for ``op='mul'`` unless stored), or a scipy CSR matrix.  Arrays in,
-    arrays out; the autograd boundary lives in
+    for ``op='mul'`` unless stored), or a scipy CSR matrix.  Edge
+    ``values`` that ``op='mul'`` multiplies may not be wider than ``x``
+    (a float64 product cannot accumulate into a float32 output).
+    Arrays in, arrays out; the autograd boundary lives in
     :mod:`repro.kernels.autograd`.
     """
     if op not in GSPMM_OPS:
@@ -176,31 +100,51 @@ def gspmm_forward(adj, x, values=None, op="mul", reduce="sum",
 
     if op == "mul" and values is None and isinstance(adj, KernelCOO):
         raise KernelError("gspmm op='mul' needs edge values")
-    if values is not None and len(values) != adj.nnz:
-        # Compiled kernels walk the value array unchecked.
-        raise KernelError(
-            f"gspmm got {len(values)} edge values for {adj.nnz} "
-            f"stored edges")
-    if reduce == "max":
-        # The extremum scan (and its argmax map) is reference-only.
-        chosen = _pick("gspmm", backend, lowerable=False)
-        out, _argmax = chosen.gspmm_max(adj, x, values, op)
-    else:
-        # Values wider than the features make the reference accumulate
-        # wide products into a narrow output; no compiled product does.
-        same_precision = values is None or np.can_cast(
-            np.asarray(values).dtype, x.dtype)
-        chosen = _pick("gspmm", backend, lowerable=same_precision)
-        out = chosen.gspmm(adj, x, values, op)
-        if reduce == "mean":
-            out = out / _row_counts(adj, out.dtype)[:, None]
+    if values is not None:
+        values = np.asarray(values)
+        if len(values) != adj.nnz:
+            # The compiled kernel walks the value array unchecked.
+            raise KernelError(
+                f"gspmm got {len(values)} edge values for {adj.nnz} "
+                f"stored edges")
+        if op == "mul" and not np.can_cast(values.dtype, x.dtype):
+            raise KernelError(
+                f"gspmm edge values ({values.dtype}) are wider than the "
+                f"features ({x.dtype}); cast one of them first")
+    PERF.count("kernel_gspmm_calls")
+    out = _spmm(adj, x, values, op)
+    if reduce == "mean":
+        out = out / _row_counts(adj, out.dtype)[:, None]
     PERF.count("kernel_flops", 2 * adj.nnz * x.shape[1])
     return out[:, 0] if squeeze else out
 
 
+def _spmm(adj, x, values, op):
+    """The sum-reduce product: one ``csr_matvecs`` row walk."""
+    if isinstance(adj, KernelCOO):
+        view = adj.segments()
+        adj = view.operator
+        if values is not None:
+            values = values[view.order]
+    if op == "copy_rhs":
+        data = np.ones(adj.nnz, dtype=x.dtype)
+    elif values is not None:
+        data = values
+    else:
+        data = adj.data
+    # The promotion ``csr_matrix @ x`` applies (a float32 operator on a
+    # float64 operand accumulates in float64); csr_matvecs casts its
+    # inputs up to the output's type.
+    out = np.zeros((adj.shape[0], x.shape[1]),
+                   dtype=np.result_type(data, x))
+    csr_matvecs(adj.shape[0], adj.shape[1], x.shape[1], adj.indptr,
+                adj.indices, data, x.ravel(), out.ravel())
+    return out
+
+
 def _row_counts(adj, dtype):
     """Stored edges per destination row, zero-degree rows clamped to 1
-    (the mean-reduce divisor every backend shares)."""
+    (the mean-reduce divisor)."""
     if isinstance(adj, KernelCOO):
         counts = np.bincount(adj.edge_dst, minlength=adj.shape[0])
     else:
@@ -210,11 +154,10 @@ def _row_counts(adj, dtype):
     return counts
 
 
-def gsddmm_forward(adj, q, k, op="add", backend=None):
+def gsddmm_forward(adj, q, k, op="add"):
     """Generalized SDDMM: ``s[e] = op(q[dst_e], k[src_e])`` per stored
     edge.  ``dot`` contracts the feature axis (returns one scalar per
-    edge); ``add``/``mul`` are elementwise.  Order-free, so every
-    ``backend`` runs this one implementation."""
+    edge); ``add``/``mul`` are elementwise."""
     if op not in GSDDMM_OPS:
         raise KernelError(
             f"unknown gsddmm op {op!r}; known: {', '.join(GSDDMM_OPS)}")
@@ -234,7 +177,6 @@ def gsddmm_forward(adj, q, k, op="add", backend=None):
         check_finite(q, name="kernels.gsddmm lhs")
         check_finite(k, name="kernels.gsddmm rhs")
 
-    resolve_backend(backend)  # a bad name fails here like anywhere
     PERF.count("kernel_gsddmm_calls")
     edges = adj.edges()
     edge_dst, edge_src = edges.edge_dst, edges.edge_src
@@ -263,7 +205,7 @@ def _product(lhs, rhs):
                        out=lhs if lhs.dtype == rhs.dtype else None)
 
 
-def edge_softmax_forward(adj, scores, backend=None):
+def edge_softmax_forward(adj, scores):
     """Per-destination softmax over 1-D edge scores."""
     adj = as_adjacency(adj)
     scores = np.asarray(scores)
@@ -273,6 +215,26 @@ def edge_softmax_forward(adj, scores, backend=None):
             f"({adj.nnz}), got shape {scores.shape}")
     if FLAGS.sanitize:
         check_finite(scores, name="kernels.edge_softmax scores")
-    out = _pick("edge_softmax", backend).edge_softmax(adj, scores)
+    PERF.count("kernel_edge_softmax_calls")
+    out = _edge_softmax(adj, scores)
     PERF.count("kernel_flops", 5 * adj.nnz)
     return out
+
+
+def _edge_softmax(adj, scores):
+    """Segment max, list-order float64 sums, probabilities cast back."""
+    edges = adj.edges()
+    view = edges.segments()
+    edge_dst, indptr = edges.edge_dst, view.operator.indptr
+    count = adj.shape[0]
+    # reduceat cannot express an empty segment, so reduce over the
+    # populated rows only (each runs to the next populated start).
+    seg_max = np.full(count, -np.inf, dtype=np.float64)
+    populated = np.flatnonzero(indptr[1:] > indptr[:-1])
+    if len(populated):
+        seg_max[populated] = np.maximum.reduceat(
+            scores[view.order], indptr[populated])
+    exp = np.exp(scores - seg_max[edge_dst])
+    seg_sum = np.bincount(edge_dst, weights=exp, minlength=count)
+    seg_sum[seg_sum == 0] = 1.0
+    return (exp / seg_sum[edge_dst]).astype(scores.dtype)

@@ -10,8 +10,7 @@ destinations' own features as ``h_src[:num_dst]``.
 Every aggregation dispatches through :mod:`repro.kernels` — the
 mean-aggregation SpMM of GCN/SAGE, and GAT's attention (edge scores,
 edge softmax and attention-weighted SpMM, one ``gat_attention`` node
-per head) — so the layers hold no sparse loops of their own and
-``FLAGS.kernel_backend`` selects the engine.
+per head) — so the layers hold no sparse loops of their own.
 """
 
 from __future__ import annotations

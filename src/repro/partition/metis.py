@@ -44,11 +44,7 @@ import numbers
 from collections import deque
 
 import numpy as np
-
-try:  # METIS-style coarsening needs scipy; hash/range partitioners don't.
-    import scipy.sparse as sp
-except ImportError:  # pragma: no cover - exercised by the no-scipy CI job
-    sp = None
+import scipy.sparse as sp
 
 from ..errors import PartitionError, SanitizerError
 from ..graph.csr import packed_csr
@@ -62,10 +58,6 @@ def _weighted_adjacency(graph):
     """The graph as a symmetric weighted scipy CSR matrix (weight 1 per
     edge, symmetrized so matching sees every neighbor), self-loops
     dropped by a mask; every other entry keeps its place in its row."""
-    if sp is None:
-        raise PartitionError(
-            "metis-style partitioning requires scipy; use the hash or "
-            "range partitioner instead")
     n = graph.num_vertices
     data = np.ones(graph.num_edges, dtype=np.float64)
     adj = sp.csr_matrix((data, graph.indices.astype(np.int32),

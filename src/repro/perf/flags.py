@@ -1,10 +1,10 @@
 """Process-wide switches that select a real alternative.
 
 The batch-preparation fast paths (fused block assembly, memoized
-aggregation operators, the evaluation-subgraph cache) are simply how
-the library works; the implementations they replaced live in
-``tests/`` as oracles.  What stays switchable is what has two shipped
-behaviours: which sparse-kernel backend runs, and whether the runtime
+aggregation operators, the evaluation-subgraph cache) and the compiled
+sparse kernels are simply how the library works; the implementations
+they replaced live in ``tests/`` as oracles.  What stays switchable is
+the one thing with two shipped behaviours: whether the runtime
 sanitizers are armed.
 """
 
@@ -22,13 +22,6 @@ class PerfFlags:
 
     Attributes
     ----------
-    kernel_backend:
-        Which sparse-kernel backend :mod:`repro.kernels` dispatches
-        aggregations to: ``"auto"`` (first importable accelerated
-        backend, reference as the floor), ``"reference"`` or
-        ``"scipy"``.  Every backend is bit-identical
-        to the reference (the conformance suite pins it), so this
-        flag changes wall time, never math.
     sanitize:
         Arm the runtime sanitizers (``repro.analysis.sanitize``):
         NaN/Inf scans on activations and gradients, CSR structure
@@ -40,7 +33,6 @@ class PerfFlags:
         hot loops.
     """
 
-    kernel_backend: str = "auto"
     sanitize: bool = False
 
 
@@ -52,18 +44,15 @@ FLAGS = PerfFlags()
 def perf_overrides(**overrides):
     """Temporarily override :data:`FLAGS` fields within a ``with``.
 
-    >>> with perf_overrides(kernel_backend="reference"):
-    ...     ...  # pinned numpy kernels
+    >>> with perf_overrides(sanitize=True):
+    ...     ...  # sanitizers armed
     """
     saved = {}
     for name, value in overrides.items():
         if not hasattr(FLAGS, name):
             raise AttributeError(f"unknown perf flag {name!r}")
         saved[name] = getattr(FLAGS, name)
-        # Boolean flags coerce; string-valued flags (kernel_backend)
-        # pass through unchanged.
-        setattr(FLAGS, name,
-                bool(value) if isinstance(saved[name], bool) else value)
+        setattr(FLAGS, name, bool(value))
     try:
         yield FLAGS
     finally:

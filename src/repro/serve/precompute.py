@@ -32,8 +32,8 @@ both paths to execute the same per-row operations in the same order:
   :class:`~repro.nn.no_grad`) over one shared CSR operator per layer,
   dispatched through :mod:`repro.kernels` — the on-demand path's
   operator is that one with every row outside the needed set emptied,
-  and every registered backend evaluates a kept row's dot product over
-  the same stored non-zeros in the same order as the full product;
+  and the kernel evaluates a kept row's dot product over the same
+  stored non-zeros in the same order as the full product;
 * that operator keeps full height, and the on-demand path keeps its
   intermediate rows in full-width ``(num_vertices, dim)`` buffers, so
   each GEMM has exactly the table build's shape and each output row

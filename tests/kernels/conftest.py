@@ -97,24 +97,3 @@ def coo_case(request):
     """One named COO adjacency per parametrized run."""
     return coo_cases()[request.param]
 
-
-def have_scipy():
-    """True when scipy is importable (try-import, not ``find_spec``,
-    so collection survives ``sys.meta_path`` import blockers)."""
-    try:
-        import scipy.sparse  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def backend_params():
-    """Every registered backend name, skipping the unavailable ones."""
-    from repro.kernels import available_backends
-    from repro.kernels.registry import _BACKENDS
-    available = set(available_backends())
-    return [pytest.param(name,
-                         marks=() if name in available else
-                         pytest.mark.skip(reason=f"{name} backend "
-                                                 f"not importable"))
-            for name in _BACKENDS]

@@ -12,7 +12,6 @@ cannot cancel out.
 import numpy as np
 import pytest
 
-from repro.errors import KernelError
 from repro.kernels import edge_softmax, gsddmm, gspmm
 from repro.nn import Tensor
 
@@ -195,25 +194,6 @@ class TestEdgeSoftmaxGrads:
 
 
 class TestForwardOnlyAndArrays:
-    def test_max_reduce_is_forward_only(self):
-        adj = CSR["block_loops"]
-        x = Tensor(np.ones((adj.shape[1], 2)), requires_grad=True)
-        with pytest.raises(KernelError, match="forward-only"):
-            gspmm(adj, x, reduce="max")
-
-    def test_max_reduce_forward_matches_stored_entries(self):
-        adj = CSR["rect_weighted"]
-        x = np.random.default_rng(20).normal(size=(adj.shape[1], 2))
-        out = gspmm(adj, x, reduce="max")
-        for i in range(adj.shape[0]):
-            start, end = adj.indptr[i], adj.indptr[i + 1]
-            if start == end:
-                assert np.all(out[i] == 0.0)
-            else:
-                contributions = (adj.data[start:end, None]
-                                 * x[adj.indices[start:end]])
-                assert np.allclose(out[i], contributions.max(axis=0))
-
     def test_array_inputs_return_arrays(self):
         adj = CSR["block_loops"]
         x = np.ones((adj.shape[1], 2), dtype=np.float32)

@@ -19,12 +19,8 @@ as oracles (``tests/sampling/_block_oracle.py``,
   construction's;
 * GAT's edge list and closed-form ``SegmentView`` equal a freshly
   sorted ``KernelCOO(...).segments()``;
-* the scipy backend's direct ``csr_matvecs`` product equals
-  ``to_scipy() @ x`` written out here, and the reference backend.
-
-Without scipy (the ``kernels-no-scipy`` CI job) the scipy comparisons
-skip themselves and everything else still runs: the block operator must
-be byte-identical with no accelerated backend importable.
+* the kernel's direct ``csr_matvecs`` product equals
+  ``to_scipy() @ x`` written out here, and the reference oracle.
 """
 
 import numpy as np
@@ -32,10 +28,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import KernelError
 from repro.graph.build import from_edges
-from repro.kernels import (available_backends, block_attention_edges,
-                           full_graph_adjacency, gspmm_forward,
-                           normalized_block_adjacency)
+from repro.kernels import (block_attention_edges, full_graph_adjacency,
+                           gspmm_forward, normalized_block_adjacency)
 from repro.sampling import (HybridSampler, LayerWiseSampler,
                             NeighborSampler, RateSampler,
                             SubgraphSampler)
@@ -44,7 +40,7 @@ from ..sampling._block_oracle import slow_paths
 from ._operator_oracle import (attention_edges_reference,
                                block_operator_reference,
                                full_graph_operator_reference)
-from .conftest import have_scipy
+from ._reference_oracle import reference_kernels
 from .test_construction import _scipy_construction
 
 SETTINGS = dict(max_examples=60, deadline=None)
@@ -119,12 +115,11 @@ def test_pipeline_matches_the_sort_based_oracles(case):
             _same_arrays(operator,
                          block_operator_reference(block, self_loops),
                          CSR_FIELDS)
-            if have_scipy():
-                theirs = _scipy_construction(block, self_loops)
-                for name in CSR_FIELDS:
-                    dtype = getattr(operator, name).dtype
-                    assert getattr(operator, name).tobytes() == \
-                        getattr(theirs, name).astype(dtype).tobytes()
+            theirs = _scipy_construction(block, self_loops)
+            for name in CSR_FIELDS:
+                dtype = getattr(operator, name).dtype
+                assert getattr(operator, name).tobytes() == \
+                    getattr(theirs, name).astype(dtype).tobytes()
 
         edges = block_attention_edges(block)
         fresh = attention_edges_reference(block)
@@ -148,8 +143,6 @@ def test_full_graph_operator_matches_the_oracle(graph, self_loops):
                  CSR_FIELDS)
 
 
-@pytest.mark.skipif("scipy" not in available_backends(),
-                    reason="scipy backend not importable")
 @given(case=sampled(), self_loops=st.booleans(),
        dtype=st.sampled_from([np.float32, np.float64]),
        dim=st.sampled_from([None, 1, 3]),
@@ -159,7 +152,8 @@ def test_direct_matvecs_equals_the_scipy_product(case, self_loops, dtype,
                                                  dim, values_dtype):
     """``csr_matvecs`` on the operator's own arrays against the
     ``csr_matrix @ x`` it replaced (dtype promotion included) and
-    against the reference scatter."""
+    against the reference scatter; values wider than the features are
+    a typed error."""
     graph, sampler, seeds, rng_seed = case
     rng = np.random.default_rng(rng_seed)
     block = sampler.sample(graph, seeds, rng).blocks[0]
@@ -169,16 +163,18 @@ def test_direct_matvecs_equals_the_scipy_product(case, self_loops, dtype,
     values = None if values_dtype is None else \
         rng.standard_normal(operator.nnz).astype(values_dtype)
 
-    out = gspmm_forward(operator, x, values=values, backend="scipy")
-    reference = gspmm_forward(operator, x, values=values,
-                              backend="reference")
+    if values is not None and not np.can_cast(values_dtype, dtype):
+        with pytest.raises(KernelError, match="wider than"):
+            gspmm_forward(operator, x, values=values)
+        return
+    out = gspmm_forward(operator, x, values=values)
+    with reference_kernels():
+        reference = gspmm_forward(operator, x, values=values)
     assert out.dtype == reference.dtype
     assert out.tobytes() == reference.tobytes()
-    if values is None or np.can_cast(values_dtype, dtype):
-        # (Wider values than features run on the reference either way.)
-        matrix = operator.to_scipy().copy()
-        if values is not None:
-            matrix.data = values
-        product = matrix @ x
-        assert out.dtype == product.dtype
-        assert out.tobytes() == product.tobytes()
+    matrix = operator.to_scipy().copy()
+    if values is not None:
+        matrix.data = values
+    product = matrix @ x
+    assert out.dtype == product.dtype
+    assert out.tobytes() == product.tobytes()

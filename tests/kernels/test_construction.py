@@ -1,11 +1,11 @@
 """The pure-numpy operator construction replicates scipy's layout.
 
-:func:`~repro.kernels.normalized_block_adjacency` exists so sampled
-training can run without scipy, but the *stored layout* must stay
+:func:`~repro.kernels.normalized_block_adjacency` builds the operator
+without a scipy product, but the *stored layout* must stay
 byte-for-byte what the historical scipy construction produced
 (canonical duplicate-summed CSR, rows emitted in descending column
-order by scipy's ``diags @ csr`` product) — otherwise reference-backend
-runs would drift from every pre-registry result.
+order by scipy's ``diags @ csr`` product) — otherwise every aggregation
+would drift from every pre-registry result.
 """
 
 import numpy as np
@@ -14,10 +14,6 @@ import pytest
 from repro.kernels import (as_adjacency, normalized_block_adjacency)
 from repro.errors import KernelError
 from repro.sampling import build_block
-
-from .conftest import have_scipy
-
-HAVE_SCIPY = have_scipy()
 
 
 def _random_block(rng):
@@ -47,7 +43,6 @@ def _scipy_construction(block, self_loops):
     return (scale @ matrix).tocsr()
 
 
-@pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not importable")
 @pytest.mark.parametrize("self_loops", [True, False])
 def test_layout_matches_scipy_construction(self_loops):
     rng = np.random.default_rng(0)
@@ -89,7 +84,6 @@ def test_duplicate_self_loop_collapses():
     assert np.allclose(sorted(operator.data), [1.0 / 3.0, 2.0 / 3.0])
 
 
-@pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not importable")
 def test_as_adjacency_wraps_and_caches_scipy():
     import scipy.sparse as sp
     matrix = sp.csr_matrix(

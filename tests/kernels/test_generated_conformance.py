@@ -3,21 +3,18 @@
 The fixed cases in ``conftest.py`` pin a handful of shapes; here
 hypothesis generates the edge lists — duplicate edges, empty rows,
 unsorted ``edge_dst``, rectangular shapes, ``nnz = 0``, 1-D operands,
-edge values wider or narrower than the features — and every kernel is
-held, forward *and* backward, to a scatter specification written out
-literally in this file (``np.add.at`` in list order).  Both the pinned
-``reference`` backend and whatever ``auto`` resolves to must match it
-byte for byte, so the destination-sorted segment view (which the
-accelerated forward, and every backend's ``gsddmm`` backward, runs on)
-cannot drift from the list-order scatter it replaces.
+edge values narrower than the features — and every kernel is held,
+forward *and* backward, to a scatter specification written out
+literally in this file (``np.add.at`` in list order).  Both the
+``reference`` oracle swapped into the seam and the shipped (``auto``)
+compiled path must match it byte for byte, so the destination-sorted
+segment view (which the compiled forward, and every ``gsddmm``
+backward, runs on) cannot drift from the list-order scatter it
+replaces.  ``mul`` values wider than the features are a typed error.
 
 Gradients are taken under an explicit random upstream gradient — a
 weighted loss — so a mis-routed or mis-ordered edge cannot cancel out
-(the PR 9 bug class).
-
-Nothing here needs scipy: without it ``auto`` is the reference, and the
-view path is still exercised by the backward scatter and by
-:func:`test_view_regroups_edges_stably`.
+(a silently wrong x-gradient once passed a looser suite).
 """
 
 import numpy as np
@@ -28,13 +25,17 @@ from hypothesis.extra import numpy as hnp
 
 from repro import load_dataset
 from repro.core.trainer import evaluate_model
+from repro.errors import KernelError
 from repro.kernels import (KernelCOO, edge_softmax, gsddmm, gspmm,
                            gspmm_forward)
 from repro.nn import Tensor, build_model
 from repro.nn.loss import softmax_cross_entropy
-from repro.perf import PERF, EvalSubgraphCache, perf_overrides
+from repro.perf import PERF, EvalSubgraphCache
 from repro.sampling import NeighborSampler
 
+from ._reference_oracle import kernel_path, reference_kernels
+
+#: The oracle in the seam, and the shipped path.
 BACKENDS = ["reference", "auto"]
 FLOATS = (np.float32, np.float64)
 SETTINGS = dict(max_examples=60, deadline=None)
@@ -100,9 +101,14 @@ def test_gspmm_matches_the_scatter(backend, reduce, op, case,
 
     x_t = Tensor(x.copy(), requires_grad=True)
     v_t = Tensor(values.copy(), requires_grad=True)
-    out = gspmm(coo, x_t, values=v_t, op=op, reduce=reduce,
-                backend=backend)
-    out.backward(upstream)
+    if op == "mul" and not np.can_cast(values_dtype, dtype):
+        with kernel_path(backend), \
+                pytest.raises(KernelError, match="wider than"):
+            gspmm(coo, x_t, values=v_t, op=op, reduce=reduce)
+        return
+    with kernel_path(backend):
+        out = gspmm(coo, x_t, values=v_t, op=op, reduce=reduce)
+        out.backward(upstream)
 
     expected = _scatter(dst, np.asarray(weights * _columns(x)[src]),
                         coo.shape[0], dtype)
@@ -128,8 +134,9 @@ def test_edge_softmax_matches_the_scatter(backend, case):
     dst, count = coo.edge_dst, coo.shape[0]
 
     s_t = Tensor(scores.copy(), requires_grad=True)
-    probs = edge_softmax(coo, s_t, backend=backend)
-    probs.backward(upstream)
+    with kernel_path(backend):
+        probs = edge_softmax(coo, s_t)
+        probs.backward(upstream)
 
     seg_max = np.full(count, -np.inf)
     np.maximum.at(seg_max, dst, scores)
@@ -164,8 +171,9 @@ def test_gsddmm_matches_the_scatter(backend, op, case):
 
     q_t = Tensor(q.copy(), requires_grad=True)
     k_t = Tensor(k.copy(), requires_grad=True)
-    out = gsddmm(coo, q_t, k_t, op=op, backend=backend)
-    out.backward(upstream)
+    with kernel_path(backend):
+        out = gsddmm(coo, q_t, k_t, op=op)
+        out.backward(upstream)
 
     _same_bytes(out.data, expected)
     grad = _columns(upstream)
@@ -185,7 +193,7 @@ def test_view_regroups_edges_stably(case):
     """The view is a stable regrouping — rows ascending, list order
     kept inside a row — and the *reference* kernel run over it equals
     the reference run over the list: the ordering argument itself,
-    checked with no accelerated backend in the loop."""
+    checked with no compiled kernel in the loop."""
     coo, rng, _dim, dtype = case
     view = coo.segments()
     assert coo.segments() is view
@@ -202,10 +210,10 @@ def test_view_regroups_edges_stably(case):
 
     x = _dense(rng, coo.shape[1], 3, dtype)
     values = rng.standard_normal(coo.nnz).astype(np.float32)
-    _same_bytes(
-        gspmm_forward(view.operator, x, values=values[view.order],
-                      backend="reference"),
-        gspmm_forward(coo, x, values=values, backend="reference"))
+    with reference_kernels():
+        _same_bytes(
+            gspmm_forward(view.operator, x, values=values[view.order]),
+            gspmm_forward(coo, x, values=values))
 
 
 @pytest.mark.parametrize("bound", [7, 1 << 16, (1 << 16) + 1, 1 << 20])
@@ -234,7 +242,7 @@ def test_view_built_once_per_block(backend):
     subgraph = sampler.sample(dataset.graph, seeds, rng)
     features = dataset.features[subgraph.input_nodes]
     cache = EvalSubgraphCache()
-    with perf_overrides(kernel_backend=backend):
+    with kernel_path(backend):
         before = PERF.snapshot()
         for _step in range(3):
             loss = softmax_cross_entropy(

@@ -6,8 +6,9 @@
 recipes — sampled training curves, a seeded GAT forward/backward, the
 layer-wise serving tables and their three read paths — and compare
 against the stored fingerprints with sha256 over raw bytes (``atol=0``
-by construction): the refactor must change *nothing*, under the pinned
-reference backend and under whatever backend ``"auto"`` resolves to.
+by construction): the refactor must change *nothing*, with the
+reference oracle swapped into the seam and on the shipped compiled
+path.
 """
 
 import hashlib
@@ -18,22 +19,18 @@ import numpy as np
 import pytest
 
 from repro import Trainer, TrainingConfig, load_dataset
-from repro.kernels import available_backends
 from repro.nn import build_model
 from repro.nn.loss import softmax_cross_entropy
-from repro.perf import perf_overrides
 from repro.sampling import NeighborSampler
 from repro.serve import LayerwiseEmbeddings
 
-from .conftest import have_scipy
+from ._reference_oracle import kernel_path
 
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "golden" \
     / "kernel_refactor.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
 
-#: The reference backend always runs; "auto" additionally pins whatever
-#: accelerated backend the environment resolves (scipy, where
-#: importable) to the same bits end to end.
+#: The scatter oracle in the seam, and the shipped (``auto``) path.
 BACKENDS = ["reference", "auto"]
 
 
@@ -46,10 +43,7 @@ def _digest(array):
 
 @pytest.fixture(scope="module", params=BACKENDS)
 def backend(request):
-    if request.param != "reference" \
-            and available_backends() == ["reference"]:
-        pytest.skip("no accelerated backend importable")
-    with perf_overrides(kernel_backend=request.param):
+    with kernel_path(request.param):
         yield request.param
 
 
@@ -92,8 +86,6 @@ def test_gat_forward_backward_bit_identical(backend):
     assert _digest(grads) == expected["grads_sha256"]
 
 
-@pytest.mark.skipif(not have_scipy(),
-                    reason="serving tables build on scipy operators")
 @pytest.mark.parametrize("model_name", ["gcn", "graphsage"])
 def test_serving_tables_bit_identical(backend, model_name):
     dataset = load_dataset("ogb-arxiv", scale=0.1)

@@ -19,7 +19,7 @@ from repro.perf import PERF
 from repro.sampling import build_block
 
 from ._operator_oracle import block_operator_reference
-from .conftest import csr_cases, have_scipy
+from .conftest import csr_cases
 
 
 def _random_csr_arrays(seed, num_rows=9, num_cols=13, density=0.3):
@@ -60,8 +60,6 @@ class TestTransposeRoundtrip:
         assert transpose.shape == (adj.shape[1], adj.shape[0])
         assert np.array_equal(transpose.toarray(), adj.toarray().T)
 
-    @pytest.mark.skipif(not have_scipy(),
-                        reason="scipy not importable")
     def test_transpose_matches_scipy_layout(self):
         import scipy.sparse as sp
         for seed in range(6):

@@ -23,17 +23,16 @@ from repro.nn import layers
 
 
 def composed_attention(edges, transformed, attn_src, attn_dst,
-                       negative_slope, backend=None):
+                       negative_slope):
     score_src = (transformed @ attn_src)         # (S, 1)
     # Destinations are the leading block sources (MFG
     # convention), so the dst-side operand is the leading rows.
     score_dst = (transformed @ attn_dst).leading_rows(
         edges.shape[0])                          # (D, 1)
-    scores = gsddmm(edges, score_dst, score_src, op="add",
-                    backend=backend)
+    scores = gsddmm(edges, score_dst, score_src, op="add")
     alpha = edge_softmax(edges, scores.reshape(-1).leaky_relu(
-        negative_slope), backend=backend)
-    return gspmm(edges, transformed, values=alpha, backend=backend)
+        negative_slope))
+    return gspmm(edges, transformed, values=alpha)
 
 
 @contextmanager

@@ -4,9 +4,9 @@ values, the ``h_src`` / ``W`` / ``a_src`` / ``a_dst`` / ``bias``
 gradients and the rng state must be the same **bytes** on generated
 blocks — 1-3 heads, ``D == S``, destinations with no sampled in-edge, a
 destination that sampled itself, single-edge blocks, both dtypes,
-slopes 0 / 0.2 / 1.0 — on the reference and ``auto`` backends, taped
-and under ``no_grad``, with four workers adding into one
-``param.grad``.
+slopes 0 / 0.2 / 1.0 — with the reference oracle in the kernel seam
+and on the shipped compiled path, taped and under ``no_grad``, with
+four workers adding into one ``param.grad``.
 
 That the destinations' scores are the leading rows of a gemv over all
 ``S`` rows, that ``einsum``'s outer product is the broadcast product up
@@ -23,12 +23,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import KernelError, SanitizerError
-from repro.kernels import (available_backends, block_attention_edges,
-                           gat_attention)
+from repro.kernels import block_attention_edges, gat_attention
 from repro.nn import GATConv, Tensor, no_grad
 from repro.perf import PERF, perf_overrides
 from repro.sampling import build_block
 
+from ..kernels._reference_oracle import PATHS, kernel_path
 from ._gat_oracle import composed_gat
 
 UNIVERSE = 40
@@ -87,9 +87,6 @@ def four_workers(heads, head_dim, d_in, shape, dtype, slope, seed, taped):
     return snapshot(*arrays), rng.bit_generator.state
 
 
-BACKENDS = ["reference"] + (["auto"] if available_backends()
-                            != ["reference"] else [])
-
 SHAPES = st.tuples(st.sampled_from([1, 2, 5, 9]),          # num_dst
                    st.sampled_from([0, 1, 2, 30]),         # num_edges
                    st.sampled_from(["dst", "universe"]),   # sources
@@ -120,8 +117,8 @@ SHAPES = st.tuples(st.sampled_from([1, 2, 5, 9]),          # num_dst
 def test_fused_attention_is_the_composed_chain(heads, head_dim, d_in, shape,
                                                dtype, slope, seed):
     runs = {}
-    for backend in BACKENDS:
-        with perf_overrides(kernel_backend=backend):
+    for backend in PATHS:
+        with kernel_path(backend):
             for taped in (True, False):
                 args = (heads, head_dim, d_in, shape, dtype, slope, seed,
                         taped)
@@ -130,7 +127,7 @@ def test_fused_attention_is_the_composed_chain(heads, head_dim, d_in, shape,
                     oracle = four_workers(*args)
                 assert shipped == oracle, (backend, taped)
                 runs[backend, taped] = shipped
-    # Every backend gives the reference's bytes (the kernels' contract).
+    # Both paths give the reference's bytes (the kernels' contract).
     for (_backend, taped), shipped in runs.items():
         assert shipped == runs["reference", taped]
     # The untaped forward is the taped one.

@@ -167,11 +167,11 @@ class TestPerfOverrides:
         assert FLAGS.sanitize
 
     def test_restores_on_exception(self):
-        assert FLAGS.kernel_backend == "auto"
+        assert FLAGS.sanitize
         with pytest.raises(RuntimeError):
-            with perf_overrides(kernel_backend="reference"):
+            with perf_overrides(sanitize=False):
                 raise RuntimeError
-        assert FLAGS.kernel_backend == "auto"
+        assert FLAGS.sanitize
 
 
 class TestEvalSubgraphCacheUnit:

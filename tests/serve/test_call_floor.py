@@ -15,16 +15,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.kernels import resolve_backend
-
 TOOL = Path(__file__).resolve().parents[2] / "tools" / "floor_profile.py"
 
-#: Calls per 2-seed ``execute`` by kernel backend: what inference
-#: without a tape reached (424 / 438 on python 3.11 + numpy 2.4; 448 /
-#: 462 with the tape, 671 / 693 before the per-call floor rules) plus
-#: ~5 % for the numpy each CI python installs; 421 / 435 since the
-#: executor prices a lookup itself.  Never above 550.
-BUDGET = {"scipy": 445, "reference": 460}
+#: Calls per 2-seed ``execute``: 410 on python 3.11 + numpy 2.4 + scipy
+#: 1.17, plus 23 calls of headroom for the numpy each CI python
+#: installs.  Never above 550.
+BUDGET = 433
 
 
 @pytest.fixture(scope="module")
@@ -47,11 +43,10 @@ def two_seed_calls(floor_profile, engine):
 
 
 def test_two_seed_execute_stays_under_the_call_budget(two_seed_calls):
-    backend = resolve_backend().name
-    print(f"calls per 2-seed execute ({backend}): {two_seed_calls}")
-    assert two_seed_calls <= BUDGET[backend] <= 550, (
+    print(f"calls per 2-seed execute: {two_seed_calls}")
+    assert two_seed_calls <= BUDGET <= 550, (
         f"{two_seed_calls} interpreter calls per 2-seed execute, budget "
-        f"{BUDGET[backend]}: run tools/floor_profile.py for the map")
+        f"{BUDGET}: run tools/floor_profile.py for the map")
 
 
 def test_a_training_sized_batch_runs_the_same_lines(floor_profile, engine,

@@ -89,11 +89,11 @@ class TestExitCodes:
 
     def test_violated_check_exits_one(self, monkeypatch, tmp_path,
                                       capsys):
-        import repro.kernels.bench as kernels_bench
-        monkeypatch.setattr(kernels_bench, "checks",
-                            lambda report: {"gate spmm_speedup": False})
+        import repro.fleet.bench as fleet_bench
+        monkeypatch.setattr(fleet_bench, "checks",
+                            lambda report: {"gate bit_match": False})
         out = tmp_path / "report.json"
-        code = main(["bench", "kernels", "--quick", "--out", str(out)])
+        code = main(["bench", "fleet", "--quick", "--out", str(out)])
         assert code == 1
-        assert "gate spmm_speedup: VIOLATED" in capsys.readouterr().out
+        assert "gate bit_match: VIOLATED" in capsys.readouterr().out
         assert out.exists()     # the measured rows are still recorded

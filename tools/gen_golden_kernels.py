@@ -4,10 +4,10 @@
 ``tests/golden/kernel_refactor.json`` pins the exact (bit-level)
 numerical behaviour of the aggregation paths: training curves for the
 sampled trainer, a seeded GAT forward/backward, and the layer-wise
-serving tables that the fleet answers from.  The kernel-registry
-conformance tests compare the current tree against these fingerprints
-with ``atol=0``, so a refactor of the aggregation seam must reproduce
-the recorded runs bit-for-bit under the reference backend.
+serving tables that the fleet answers from.  The kernel golden tests
+compare the current tree against these fingerprints with ``atol=0``,
+so a refactor of the aggregation seam must reproduce the recorded runs
+bit-for-bit, on the compiled kernels and on the reference oracle.
 
 Run from the repo root::
 
