@@ -20,15 +20,15 @@ Quickstart::
 """
 
 from .core import (Trainer, TrainingConfig, TrainingResult,
-                   adaptive_batch_training, compare_partitioners,
-                   evaluate_model, make_partitioner, make_sampler, sweep)
+                   adaptive_batch_training, evaluate_model,
+                   make_partitioner, make_sampler)
 from .errors import (AdmissionError, CheckpointError, DatasetError,
                      FaultError, GraphError, PartitionError, ReproError,
                      SamplingError, ServingError, TrainingError,
                      TransferError)
 from .faults import Checkpointer, FaultInjector, FaultPlan, RetryPolicy
 from .graph import CSRGraph, Dataset, dataset_names, load_dataset
-from .partition import all_partitioners, measure_workload
+from .partition import measure_workload
 from .perf import FLAGS, PERF, perf_overrides
 from .sampling import (HybridSampler, LayerWiseSampler, NeighborSampler,
                        RateSampler, SubgraphSampler)
@@ -42,10 +42,9 @@ __version__ = "1.0.0"
 __all__ = [
     "__version__",
     "Trainer", "TrainingConfig", "TrainingResult", "evaluate_model",
-    "adaptive_batch_training", "compare_partitioners", "sweep",
-    "make_partitioner", "make_sampler",
+    "adaptive_batch_training", "make_partitioner", "make_sampler",
     "CSRGraph", "Dataset", "load_dataset", "dataset_names",
-    "all_partitioners", "measure_workload",
+    "measure_workload",
     "NeighborSampler", "RateSampler", "HybridSampler", "LayerWiseSampler",
     "SubgraphSampler",
     "HardwareSpec", "DEFAULT_SPEC", "train_link_prediction",

@@ -1,12 +1,11 @@
 """Batch selection and batch-size scheduling."""
 
 from .schedule import (BatchSizeSchedule, FixedBatchSize,
-                       PlateauAdaptiveBatchSize, StepGrowthBatchSize)
+                       PlateauAdaptiveBatchSize)
 from .selection import (BatchSelector, ClusterBatchSelector,
                         RandomBatchSelector)
 
 __all__ = [
     "BatchSelector", "RandomBatchSelector", "ClusterBatchSelector",
-    "BatchSizeSchedule", "FixedBatchSize", "StepGrowthBatchSize",
-    "PlateauAdaptiveBatchSize",
+    "BatchSizeSchedule", "FixedBatchSize", "PlateauAdaptiveBatchSize",
 ]

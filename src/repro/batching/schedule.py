@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import TrainingError
 
-__all__ = ["BatchSizeSchedule", "FixedBatchSize", "StepGrowthBatchSize",
+__all__ = ["BatchSizeSchedule", "FixedBatchSize",
            "PlateauAdaptiveBatchSize"]
 
 
@@ -49,33 +49,6 @@ class FixedBatchSize(BatchSizeSchedule):
 
     def __repr__(self):
         return f"FixedBatchSize({self.batch_size})"
-
-
-class StepGrowthBatchSize(BatchSizeSchedule):
-    """Grow the batch size by a fixed factor every ``grow_every`` epochs.
-
-    The simplest instantiation of the paper's adaptive method: e.g. start
-    at 512 and double every few epochs until 8192 (their Reddit recipe).
-    """
-
-    def __init__(self, start, maximum, factor=2.0, grow_every=5):
-        if start < 1 or maximum < start:
-            raise TrainingError(
-                f"need 1 <= start <= maximum, got {start}, {maximum}")
-        if factor <= 1.0 or grow_every < 1:
-            raise TrainingError("factor must be > 1 and grow_every >= 1")
-        self.start = int(start)
-        self.maximum = int(maximum)
-        self.factor = float(factor)
-        self.grow_every = int(grow_every)
-
-    def size(self, epoch):
-        steps = epoch // self.grow_every
-        return int(min(self.start * self.factor ** steps, self.maximum))
-
-    def __repr__(self):
-        return (f"StepGrowthBatchSize({self.start}->{self.maximum} "
-                f"x{self.factor}/{self.grow_every}ep)")
 
 
 class PlateauAdaptiveBatchSize(BatchSizeSchedule):

@@ -14,9 +14,9 @@ Commands
     Inspect a dataset and recommend data-management techniques using
     the paper's lessons learned (see :mod:`repro.core.advisor`).
 ``bench``
-    Run one registered benchmark — ``serve``, ``fleet``, ``faults``,
-    ``fleet-chaos`` or ``kernels`` (the table in :mod:`repro.bench`) —
-    print its tables and checks, and write its ``BENCH_<name>.json``.
+    Run one registered benchmark (a name in the table
+    :data:`repro.bench.BENCHES`), print its tables and checks, and
+    write its ``BENCH_<name>.json``.
     Exits 1 when a check is violated or the driver fails.  Sweeps other
     than the tracked one go through the driver's keywords in Python,
     not through flags.

@@ -3,17 +3,13 @@ reporting."""
 
 from .adaptive import adaptive_batch_training, compare_adaptive_to_fixed
 from .advisor import AdviceReport, Recommendation, advise
-from .artifacts import (compare_records, load_record, result_to_record,
-                        save_result)
 from .config import (PARTITIONER_NAMES, TrainingConfig,
                      config_for_platform, make_cache, make_partitioner,
                      make_sampler)
 from .convergence import TrainingCurve, time_to_accuracy
-from .experiment import (RepeatedResult, compare_partitioners, repeat,
-                         run_config, sweep)
-from .report import format_bar, format_series, format_table
+from .experiment import RepeatedResult, repeat
+from .report import format_series, format_table
 from .taxonomy import (PARTITIONING_GOALS, SYSTEMS, SystemEntry,
-                       systems_by_platform, systems_with_cache,
                        table1_rows, table3_rows, table5_rows)
 from .trainer import Trainer, TrainingResult, evaluate_model
 
@@ -23,12 +19,9 @@ __all__ = [
     "Trainer", "TrainingResult", "evaluate_model",
     "TrainingCurve", "time_to_accuracy",
     "adaptive_batch_training", "compare_adaptive_to_fixed",
-    "sweep", "compare_partitioners", "run_config", "repeat",
-    "RepeatedResult",
+    "repeat", "RepeatedResult",
     "SystemEntry", "SYSTEMS", "PARTITIONING_GOALS", "table1_rows",
-    "table3_rows", "table5_rows", "systems_by_platform",
-    "systems_with_cache",
-    "format_table", "format_series", "format_bar",
+    "table3_rows", "table5_rows",
+    "format_table", "format_series",
     "advise", "AdviceReport", "Recommendation",
-    "result_to_record", "save_result", "load_record", "compare_records",
 ]

@@ -53,12 +53,6 @@ class TrainingCurve:
         return max(self.val_accuracies)
 
     @property
-    def best_epoch(self):
-        if not self.val_accuracies:
-            raise TrainingError("empty curve")
-        return int(np.argmax(self.val_accuracies))
-
-    @property
     def mean_epoch_seconds(self):
         if not self.epoch_seconds:
             return 0.0

@@ -1,4 +1,4 @@
-"""Experiment sweep helpers used by the benchmark suite."""
+"""Repeated runs of one configuration: mean ± std over seeds."""
 
 from __future__ import annotations
 
@@ -7,34 +7,7 @@ import numpy as np
 from ..errors import TrainingError
 from .trainer import Trainer
 
-__all__ = ["sweep", "compare_partitioners", "run_config", "repeat",
-           "RepeatedResult"]
-
-
-def run_config(dataset, config):
-    """Train one configuration; returns its TrainingResult."""
-    return Trainer(dataset, config).run()
-
-
-def sweep(dataset, base_config, field_name, values):
-    """Run ``base_config`` once per value of ``field_name``.
-
-    Returns ``{value: TrainingResult}`` in input order.
-    """
-    if not values:
-        raise TrainingError("sweep needs at least one value")
-    results = {}
-    for value in values:
-        config = base_config.with_overrides(**{field_name: value})
-        results[value] = Trainer(dataset, config).run()
-    return results
-
-
-def compare_partitioners(dataset, base_config,
-                         methods=("hash", "metis-v", "metis-ve",
-                                  "metis-vet", "stream-v", "stream-b")):
-    """§5.3's main sweep: one training run per partitioning method."""
-    return sweep(dataset, base_config, "partitioner", list(methods))
+__all__ = ["repeat", "RepeatedResult"]
 
 
 class RepeatedResult:

@@ -6,7 +6,7 @@ report; these helpers keep that output aligned and consistent.
 
 from __future__ import annotations
 
-__all__ = ["format_table", "format_series", "format_bar"]
+__all__ = ["format_table", "format_series"]
 
 
 def _cell(value):
@@ -51,18 +51,4 @@ def format_series(points, label="series", x_name="x", y_name="y"):
     for x, y in points:
         lines.append(f"  {x_name}={_cell(float(x)):>10s}  "
                      f"{y_name}={_cell(float(y))}")
-    return "\n".join(lines)
-
-
-def format_bar(values, label="", width=40):
-    """Render a dict of name -> value as a text bar chart."""
-    if not values:
-        return "(empty)"
-    peak = max(abs(v) for v in values.values()) or 1.0
-    name_width = max(len(str(k)) for k in values)
-    lines = [label] if label else []
-    for name, value in values.items():
-        bar = "#" * int(round(width * abs(value) / peak))
-        lines.append(f"  {str(name).ljust(name_width)} "
-                     f"{_cell(float(value)):>10s} |{bar}")
     return "\n".join(lines)

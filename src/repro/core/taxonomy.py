@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 __all__ = ["SystemEntry", "SYSTEMS", "table1_rows", "table3_rows",
-           "table5_rows", "systems_by_platform", "systems_with_cache",
-           "PARTITIONING_GOALS"]
+           "table5_rows", "PARTITIONING_GOALS"]
 
 
 @dataclass(frozen=True)
@@ -152,13 +151,3 @@ def table5_rows():
         {"system": "SALIENT++", "batch_size": 1024,
          "fanout": "(25, 15) / (15, 10, 5)", "sampling_rate": None},
     ]
-
-
-def systems_by_platform(platform):
-    """Systems deployed on the given platform."""
-    return [s for s in SYSTEMS if platform.lower() in s.platform.lower()]
-
-
-def systems_with_cache():
-    """Systems that cache vertex features in GPU memory."""
-    return [s for s in SYSTEMS if s.cache]

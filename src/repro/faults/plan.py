@@ -368,16 +368,6 @@ class FaultInjector:
                     f"injected process halt at epoch {self.epoch} "
                     f"(fault plan: {event.describe()})")
 
-    def disarm_halts_through(self, epoch):
-        """Disarm ``halt`` events at or before ``epoch``.
-
-        A halt models the process dying *once*; after the trainer
-        resumes from a checkpoint taken before the halt epoch, the
-        crash already happened and must not re-fire on replay."""
-        for event in self.plan:
-            if event.kind == "halt" and event.epoch <= epoch:
-                self._disarmed_halts.add(event.epoch)
-
     def disarm_for_resume(self, start_epoch):
         """Disarm the halts a resumed run has already survived.
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import FleetError
-from ..partition.base import PartitionResult, halo_vertices
+from ..partition.base import PartitionResult
 
 __all__ = ["ShardMap"]
 
@@ -54,7 +54,6 @@ class ShardMap:
         self.graph = graph
         self.assignment = partition.assignment
         self.num_shards = partition.num_parts
-        self._halos = {}
         #: The owning shard of every vertex, as a python list: the
         #: router holds it and answers its per-request query with one
         #: index.
@@ -78,12 +77,6 @@ class ShardMap:
     def owner(self, vertices):
         """Owning shard of ``vertices`` (scalar in, scalar out)."""
         return self.partition.owner(vertices)
-
-    def holders(self, vertex):
-        """Every shard holding ``vertex``'s row locally, owner first,
-        backups in ascending shard id, as a tuple.  Without a replica
-        matrix this is just ``(owner,)`` — the single-owner fleet."""
-        return (self.owner_of[int(vertex)],) + self.backups(vertex)
 
     def backups(self, vertex):
         """The non-owner shards holding ``vertex`` (ascending ids), as
@@ -123,20 +116,6 @@ class ShardMap:
         if self.partition.replicas is None:
             return self.assignment[vertices] != shard
         return ~self.partition.is_local(shard, vertices)
-
-    def halo(self, shard, hops=1):
-        """Foreign vertex ids within ``hops`` in-edge steps of
-        ``shard``'s owned set (sorted ascending; never includes owned
-        vertices).  Memoized per ``(shard, hops)``: the fleet asks for
-        every batch, the BFS runs once."""
-        self._check_shard(shard)
-        if hops < 0:
-            raise FleetError(f"hops must be >= 0, got {hops}")
-        key = (int(shard), int(hops))
-        if key not in self._halos:
-            self._halos[key] = halo_vertices(self.graph, self.assignment,
-                                             shard, hops)
-        return self._halos[key]
 
     def locality(self, shard, vertices):
         """Fraction of ``vertices`` owned by ``shard`` (1.0 for an

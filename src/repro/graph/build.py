@@ -15,7 +15,7 @@ from ..perf.flags import FLAGS
 from ..perf.unique import sorted_unique
 from .csr import CSRGraph, packed_csr
 
-__all__ = ["from_edges", "symmetrize", "remove_self_loops", "relabel"]
+__all__ = ["from_edges"]
 
 #: The largest ``num_vertices``: ``(n - 1) << shift | (n - 1)`` with
 #: ``shift = (n - 1).bit_length()`` must stay below ``2**63``.
@@ -88,38 +88,3 @@ def _vertex_ids(values):
     if values.dtype.kind not in "biu" and not np.array_equal(ids, values):
         raise GraphError(f"vertex ids must be integers, got {values.dtype}")
     return ids
-
-
-def symmetrize(graph):
-    """Return the undirected version of ``graph`` (edges in both
-    directions, deduplicated)."""
-    if graph.is_symmetric:
-        return graph
-    src, dst = graph.edges()
-    return from_edges(src, dst, graph.num_vertices, symmetrize_edges=True)
-
-
-def remove_self_loops(graph):
-    """Return a copy of ``graph`` with self-loop edges removed."""
-    src, dst = graph.edges()
-    keep = src != dst
-    return from_edges(src[keep], dst[keep], graph.num_vertices,
-                      symmetrize_edges=False, dedup=False,
-                      drop_self_loops=False)
-
-
-def relabel(graph, permutation):
-    """Relabel vertices: new id of old vertex ``v`` is ``permutation[v]``.
-
-    ``permutation`` must be a permutation of ``0..n-1``; raises
-    :class:`GraphError` otherwise.
-    """
-    perm = np.asarray(permutation, dtype=np.int64)
-    n = graph.num_vertices
-    if len(perm) != n or not np.array_equal(np.sort(perm), np.arange(n)):
-        raise GraphError("permutation must be a permutation of 0..n-1")
-    src, dst = graph.edges()
-    rebuilt = from_edges(perm[src], perm[dst], n, dedup=False,
-                         drop_self_loops=False)
-    rebuilt.is_symmetric = graph.is_symmetric
-    return rebuilt

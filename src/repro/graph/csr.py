@@ -55,7 +55,7 @@ class CSRGraph:
     """
 
     __slots__ = ("indptr", "indices", "is_symmetric", "_n", "_in_indptr",
-                 "_in_indices", "_out_degrees", "_in_degrees")
+                 "_in_indices", "_out_degrees")
 
     def __init__(self, indptr, indices, num_vertices=None,
                  is_symmetric=False, validate=True):
@@ -67,7 +67,6 @@ class CSRGraph:
         self._in_indptr = None
         self._in_indices = None
         self._out_degrees = None
-        self._in_degrees = None
         if validate:
             self._validate()
 
@@ -112,16 +111,6 @@ class CSRGraph:
             self._out_degrees = np.diff(self.indptr)
         return self._out_degrees
 
-    @property
-    def in_degrees(self):
-        """``int64`` array of in-degrees."""
-        if self.is_symmetric:
-            return self.out_degrees
-        if self._in_degrees is None:
-            self._in_degrees = np.bincount(
-                self.indices, minlength=self._n).astype(np.int64)
-        return self._in_degrees
-
     # ------------------------------------------------------------------
     # Adjacency access
     # ------------------------------------------------------------------
@@ -164,30 +153,6 @@ class CSRGraph:
     # ------------------------------------------------------------------
     # Derived graphs
     # ------------------------------------------------------------------
-    def induced_subgraph(self, vertices):
-        """The subgraph induced on ``vertices``.
-
-        Returns ``(subgraph, local_ids)`` where ``local_ids`` maps the input
-        vertices to ``0..k-1`` in the subgraph (position in the sorted
-        unique vertex array).
-        """
-        vertices = np.unique(np.asarray(vertices, dtype=np.int64))
-        if len(vertices) and (vertices[0] < 0 or vertices[-1] >= self._n):
-            raise GraphError("subgraph vertex id out of range")
-        lookup = np.full(self._n, -1, dtype=np.int64)
-        lookup[vertices] = np.arange(len(vertices), dtype=np.int64)
-        src, dst = self.edges()
-        keep = (lookup[src] >= 0) & (lookup[dst] >= 0)
-        sub_src = lookup[src[keep]]
-        sub_dst = lookup[dst[keep]]
-        k = len(vertices)
-        shift = max(k - 1, 1).bit_length()
-        key = (sub_src << shift) | sub_dst
-        key.sort()
-        indptr, indices = packed_csr(key, k, shift)
-        sub = CSRGraph(indptr, indices, num_vertices=k,
-                       is_symmetric=self.is_symmetric, validate=False)
-        return sub, vertices
 
     def reverse(self):
         """The graph with every edge reversed."""

@@ -28,8 +28,6 @@ __all__ = [
     "community_configuration_graph",
     "power_law_graph",
     "flat_graph",
-    "erdos_renyi_graph",
-    "planted_partition_graph",
     "power_law_weights",
 ]
 
@@ -189,21 +187,6 @@ def flat_graph(num_vertices, avg_degree, rng, num_communities=1,
     communities = assign_communities(n, num_communities, rng)
     return community_configuration_graph(n, m, communities, weights,
                                          mixing, rng), communities
-
-
-def erdos_renyi_graph(num_vertices, avg_degree, rng):
-    """Uniform random graph: flat degrees, no communities."""
-    graph, _ = flat_graph(num_vertices, avg_degree, rng,
-                          num_communities=1, mixing=1.0, weight_jitter=0.0)
-    return graph
-
-
-def planted_partition_graph(num_vertices, num_communities, avg_degree,
-                            rng, mixing=0.1):
-    """Classic planted-partition (stochastic block) graph with equal-size
-    communities and flat degrees; returns ``(graph, communities)``."""
-    return flat_graph(num_vertices, avg_degree, rng,
-                      num_communities=num_communities, mixing=mixing)
 
 
 def assign_communities(num_vertices, num_communities, rng,

@@ -1,9 +1,10 @@
 """Saving/loading graphs and datasets, and bring-your-own-data
 ingestion.
 
-Besides the ``.npz`` round-trip used by the test-suite, this module is
-the door for real data: :func:`load_edge_list` parses the ubiquitous
-whitespace-separated edge-list text format (SNAP/KONECT downloads), and
+Besides the ``.npz`` round trip of graphs and datasets (built-in or
+user-provided), this module is the door for real data:
+:func:`load_edge_list` parses the ubiquitous whitespace-separated
+edge-list text format (SNAP/KONECT downloads), and
 :func:`dataset_from_arrays` wraps any graph + feature/label arrays as a
 :class:`Dataset`, so every experiment in the library runs unchanged on
 user-supplied graphs.
@@ -22,6 +23,15 @@ from .splits import Split, split_vertices
 __all__ = ["save_graph", "load_graph", "save_dataset",
            "load_dataset_file", "load_edge_list", "dataset_from_arrays"]
 
+#: ``DatasetSpec.kind`` of a dataset built from the caller's arrays.
+USER_PROVIDED = "user-provided"
+#: The arrays every file of :func:`save_graph` / :func:`save_dataset`
+#: holds (a user-provided dataset also holds ``kind`` and
+#: ``num_classes``).
+_GRAPH_ARRAYS = ("indptr", "indices", "num_vertices", "is_symmetric")
+_DATASET_ARRAYS = ("name", *_GRAPH_ARRAYS, "features", "labels",
+                   "train_mask", "val_mask", "test_mask", "communities")
+
 
 def load_edge_list(path, symmetrize_edges=True, comment_chars="#%"):
     """Parse a whitespace-separated edge-list text file into a graph.
@@ -31,20 +41,22 @@ def load_edge_list(path, symmetrize_edges=True, comment_chars="#%"):
     non-negative integers (compacted to ``0..n-1``).
 
     Returns ``(graph, original_ids)`` where ``original_ids[i]`` is the
-    file's id of compacted vertex ``i``.
+    file's id of compacted vertex ``i``.  A line without two integer ids
+    raises :class:`GraphError` naming the file and the line number.
     """
     sources, destinations = [], []
     with open(path) as handle:
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             stripped = line.strip()
             if not stripped or stripped[0] in comment_chars:
                 continue
-            parts = stripped.split()
-            if len(parts) < 2:
-                raise GraphError(
-                    f"{path}: malformed edge line {stripped!r}")
-            sources.append(int(parts[0]))
-            destinations.append(int(parts[1]))
+            try:   # fewer than two ids fails the unpacking
+                source, destination = map(int, stripped.split()[:2])
+            except ValueError:
+                raise GraphError(f"{path}:{number}: malformed edge line "
+                                 f"{stripped!r}") from None
+            sources.append(source)
+            destinations.append(destination)
     if not sources:
         raise GraphError(f"{path} contains no edges")
     src = np.asarray(sources, dtype=np.int64)
@@ -97,14 +109,22 @@ def dataset_from_arrays(graph, features, labels, num_classes=None,
         split = split_vertices(
             n, rng if rng is not None else np.random.default_rng(0))
     split.validate()
-    spec = DatasetSpec(
-        name=name, kind="user-provided", paper_vertices=str(n),
-        paper_edges=str(graph.num_edges),
-        feature_dim=features.shape[1], num_classes=num_classes,
-        num_vertices=n, avg_degree=graph.num_edges / max(n, 1),
-        power_law=False, labeled=True)
-    return Dataset(spec=spec, graph=graph, features=features,
-                   labels=labels, split=split, communities=communities)
+    return Dataset(spec=_user_spec(name, graph, features.shape[1],
+                                   num_classes),
+                   graph=graph, features=features, labels=labels,
+                   split=split, communities=communities)
+
+
+def _user_spec(name, graph, feature_dim, num_classes):
+    """The :class:`DatasetSpec` of a dataset built from the caller's
+    arrays: everything follows from the graph and the two widths."""
+    n = graph.num_vertices
+    return DatasetSpec(
+        name=name, kind=USER_PROVIDED, paper_vertices=str(n),
+        paper_edges=str(graph.num_edges), feature_dim=int(feature_dim),
+        num_classes=int(num_classes), num_vertices=n,
+        avg_degree=graph.num_edges / max(n, 1), power_law=False,
+        labeled=True)
 
 
 def save_graph(graph, path):
@@ -115,22 +135,30 @@ def save_graph(graph, path):
         is_symmetric=np.bool_(graph.is_symmetric))
 
 
+def _check_arrays(data, path, names, what):
+    """Raise :class:`GraphError` naming ``path`` and every array of
+    ``names`` the archive ``data`` lacks."""
+    missing = [name for name in names if name not in data]
+    if missing:
+        raise GraphError(f"{path} is not a saved {what}: missing "
+                         f"{', '.join(map(repr, missing))}")
+
+
 def load_graph(path):
     """Read a :class:`CSRGraph` previously written by :func:`save_graph`."""
     with np.load(path) as data:
-        try:
-            return CSRGraph(data["indptr"], data["indices"],
-                            num_vertices=int(data["num_vertices"]),
-                            is_symmetric=bool(data["is_symmetric"]))
-        except KeyError as exc:
-            raise GraphError(f"{path} is not a saved graph: missing {exc}")
+        _check_arrays(data, path, _GRAPH_ARRAYS, "graph")
+        return CSRGraph(data["indptr"], data["indices"],
+                        num_vertices=int(data["num_vertices"]),
+                        is_symmetric=bool(data["is_symmetric"]))
 
 
 def save_dataset(dataset, path):
     """Write a full :class:`Dataset` (graph + features + labels + split)."""
     np.savez_compressed(
         path,
-        name=np.str_(dataset.spec.name),
+        name=np.str_(dataset.spec.name), kind=np.str_(dataset.spec.kind),
+        num_classes=np.int64(dataset.spec.num_classes),
         indptr=dataset.graph.indptr, indices=dataset.graph.indices,
         num_vertices=np.int64(dataset.graph.num_vertices),
         is_symmetric=np.bool_(dataset.graph.is_symmetric),
@@ -143,18 +171,28 @@ def save_dataset(dataset, path):
 
 
 def load_dataset_file(path):
-    """Read a :class:`Dataset` previously written by :func:`save_dataset`."""
+    """Read a :class:`Dataset` previously written by :func:`save_dataset`.
+
+    A built-in dataset gets its registered spec back, one built by
+    :func:`dataset_from_arrays` the spec that function gave it."""
     with np.load(path) as data:
+        _check_arrays(data, path, _DATASET_ARRAYS, "dataset")
         name = str(data["name"])
-        if name not in DATASET_SPECS:
-            raise GraphError(f"{path} references unknown dataset {name!r}")
         graph = CSRGraph(data["indptr"], data["indices"],
                          num_vertices=int(data["num_vertices"]),
                          is_symmetric=bool(data["is_symmetric"]))
+        features = data["features"]
+        if "kind" in data and str(data["kind"]) == USER_PROVIDED:
+            spec = _user_spec(name, graph, features.shape[1],
+                              data["num_classes"])
+        elif name in DATASET_SPECS:
+            spec = DATASET_SPECS[name]
+        else:
+            raise GraphError(f"{path} references unknown dataset {name!r}")
         split = Split(data["train_mask"], data["val_mask"],
                       data["test_mask"])
         communities = data["communities"]
         return Dataset(
-            spec=DATASET_SPECS[name], graph=graph,
-            features=data["features"], labels=data["labels"], split=split,
+            spec=spec, graph=graph, features=features,
+            labels=data["labels"], split=split,
             communities=communities if len(communities) else None)

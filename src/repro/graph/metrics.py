@@ -17,10 +17,7 @@ import scipy.sparse as sp
 __all__ = [
     "to_scipy",
     "local_clustering_coefficients",
-    "average_clustering",
-    "clustering_variance_across",
     "degree_gini",
-    "degree_statistics",
     "is_power_law",
 ]
 
@@ -56,20 +53,6 @@ def local_clustering_coefficients(graph):
     return coeff
 
 
-def average_clustering(graph):
-    """Mean local clustering coefficient over all vertices."""
-    if graph.num_vertices == 0:
-        return 0.0
-    return float(local_clustering_coefficients(graph).mean())
-
-
-def clustering_variance_across(graphs):
-    """Variance of the average clustering coefficient across a list of
-    (sub)graphs — the paper's density-imbalance statistic (§5.3.1)."""
-    values = np.array([average_clustering(g) for g in graphs])
-    return float(values.var())
-
-
 def degree_gini(graph):
     """Gini coefficient of the out-degree distribution (0 = flat,
     approaching 1 = extremely skewed)."""
@@ -80,19 +63,6 @@ def degree_gini(graph):
         return 0.0
     ranks = np.arange(1, n + 1)
     return float((2.0 * (ranks * degrees).sum()) / (n * total) - (n + 1) / n)
-
-
-def degree_statistics(graph):
-    """Summary dict of the out-degree distribution."""
-    degrees = graph.out_degrees.astype(np.float64)
-    if len(degrees) == 0:
-        return {"mean": 0.0, "max": 0.0, "std": 0.0, "gini": 0.0}
-    return {
-        "mean": float(degrees.mean()),
-        "max": float(degrees.max()),
-        "std": float(degrees.std()),
-        "gini": degree_gini(graph),
-    }
 
 
 def is_power_law(graph, gini_threshold=0.30):

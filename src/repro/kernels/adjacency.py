@@ -91,12 +91,11 @@ class KernelCSR:
     """A weighted CSR operator with a memoized explicit transpose.
 
     Quacks enough like ``scipy.sparse.csr_matrix`` (``shape``, ``nnz``,
-    ``toarray``, ``sum(axis=1)``) for the operator-consuming tests and
-    cost metering, without importing scipy.
+    ``sum(axis=1)``) for cost metering, without importing scipy.
     """
 
     __slots__ = ("indptr", "indices", "data", "shape", "_transpose",
-                 "_transpose_perm", "_edges", "_scipy")
+                 "_transpose_perm", "_edges")
 
     def __init__(self, indptr, indices, data, shape):
         self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
@@ -116,7 +115,6 @@ class KernelCSR:
         self._transpose = None
         self._transpose_perm = None
         self._edges = None
-        self._scipy = None
 
     @property
     def nnz(self):
@@ -185,12 +183,6 @@ class KernelCSR:
                          self.data[gather],
                          (len(rows), self.shape[1]))
 
-    def toarray(self):
-        """Dense float32 copy (tests and small-case debugging only)."""
-        dense = np.zeros(self.shape, dtype=np.float32)
-        dense[self.edges().edge_dst, self.indices] = self.data
-        return dense
-
     def sum(self, axis=None):
         """Row sums (``axis=1``), column sums (``axis=0``) or the total,
         accumulated over stored entries in stored order like scipy."""
@@ -205,17 +197,6 @@ class KernelCSR:
             np.add.at(out, self.indices, self.data)
             return out
         raise KernelError(f"unsupported sum axis {axis!r}")
-
-    def to_scipy(self):
-        """The same operator as a scipy CSR (cached; the original
-        object when this wrapper was built from one).  A conversion
-        for tests and foreign callers: ``gspmm`` multiplies straight
-        off ``indptr`` / ``indices`` / ``data``."""
-        if self._scipy is None:
-            import scipy.sparse as sp
-            self._scipy = sp.csr_matrix(
-                (self.data, self.indices, self.indptr), shape=self.shape)
-        return self._scipy
 
     def __repr__(self):
         return (f"KernelCSR(shape={self.shape}, nnz={self.nnz})")
@@ -485,7 +466,6 @@ def as_adjacency(matrix):
             return cached
         wrapper = KernelCSR(matrix.indptr, matrix.indices, matrix.data,
                             matrix.shape)
-        wrapper._scipy = matrix
         try:
             matrix._kernel_csr = wrapper
         except AttributeError:  # foreign objects without attr support

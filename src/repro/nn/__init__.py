@@ -5,7 +5,7 @@ from .layers import (GAT, GCN, MLP, Dropout, GATConv, GCNConv, GraphSAGE,
                      Linear, Module, SAGEConv, build_model, model_widths)
 from .loss import (accuracy, binary_cross_entropy_with_logits, roc_auc,
                    sigmoid, softmax, softmax_cross_entropy)
-from .optim import SGD, Adam, Optimizer
+from .optim import Adam, Optimizer
 from .tensor import Tensor, no_grad
 
 __all__ = [
@@ -14,5 +14,5 @@ __all__ = [
     "GATConv", "GCN", "GraphSAGE", "GAT", "build_model", "model_widths",
     "softmax", "softmax_cross_entropy", "accuracy",
     "binary_cross_entropy_with_logits", "sigmoid", "roc_auc",
-    "Optimizer", "SGD", "Adam",
+    "Optimizer", "Adam",
 ]

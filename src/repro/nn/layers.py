@@ -58,10 +58,6 @@ class Module:
         for param in self.parameters():
             param.grad = None
 
-    def num_parameters(self):
-        """Total scalar parameter count."""
-        return int(sum(p.data.size for p in self.parameters()))
-
     def state_dict(self):
         """Flat copy of all parameter arrays (for checkpoint tests)."""
         return [p.data.copy() for p in self.parameters()]

@@ -1,4 +1,4 @@
-"""Optimizers: SGD (with momentum) and Adam."""
+"""Optimizers: Adam over the shared :class:`Optimizer` base."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from ..analysis.sanitize import check_finite
 from ..errors import TrainingError
 from ..perf.flags import FLAGS
 
-__all__ = ["Optimizer", "SGD", "Adam"]
+__all__ = ["Optimizer", "Adam"]
 
 
 class Optimizer:
@@ -56,41 +56,6 @@ class Optimizer:
         for kept, fresh in zip(saved, current):
             if kept.shape != fresh.shape:
                 raise TrainingError(f"optimizer {what} shape mismatch")
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight
-    decay."""
-
-    def __init__(self, parameters, lr=0.01, momentum=0.0, weight_decay=0.0):
-        super().__init__(parameters, lr)
-        self.momentum = float(momentum)
-        self.weight_decay = float(weight_decay)
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self):
-        self._sanitize_grads()
-        for param, velocity in zip(self.parameters, self._velocity):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                velocity *= self.momentum
-                velocity += grad
-                grad = velocity
-            param.data = param.data - self.lr * grad
-
-    def state_dict(self):
-        state = super().state_dict()
-        state["velocity"] = [v.copy() for v in self._velocity]
-        return state
-
-    def load_state_dict(self, state):
-        super().load_state_dict(state)
-        self._check_arrays(state["velocity"], self._velocity, "velocity")
-        self._velocity = [v.copy() for v in state["velocity"]]
 
 
 class Adam(Optimizer):

@@ -378,16 +378,6 @@ class Tensor:
         return self._result(self.data / other.data, (self, other),
                             backward)
 
-    def exp(self):
-        """Elementwise exponential."""
-        value = np.exp(self.data)
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(grad * value)
-
-        return self._result(value, (self,), backward)
-
     def log(self):
         """Elementwise natural logarithm (inputs must be positive)."""
         def backward(grad):
@@ -395,27 +385,6 @@ class Tensor:
                 self._accumulate(grad / self.data)
 
         return self._result(np.log(self.data), (self,), backward)
-
-    def tanh(self):
-        """Elementwise hyperbolic tangent."""
-        value = np.tanh(self.data)
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(grad * (1.0 - value * value))
-
-        return self._result(value, (self,), backward)
-
-    def pow(self, exponent):
-        """Elementwise power with a constant exponent."""
-        exponent = float(exponent)
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(
-                    grad * exponent * self.data ** (exponent - 1.0))
-
-        return self._result(self.data ** exponent, (self,), backward)
 
     def l2_normalize_rows(self, eps=1e-8):
         """Scale each row to unit L2 norm (GraphSAGE's embedding

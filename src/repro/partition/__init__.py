@@ -5,8 +5,7 @@ from .base import (PartitionResult, Partitioner, check_num_parts,
 from .hashing import HashPartitioner, hash_vertices
 from .metis import MetisPartitioner, metis_clusters, metis_partition
 from .quality import (balance_ratio, clustering_coefficient_variance,
-                      edge_cut, edge_cut_fraction, partition_subgraphs,
-                      quality_report)
+                      edge_cut, edge_cut_fraction, quality_report)
 from .replication import (k_redundant_replication,
                           partition_aware_replication,
                           remote_access_frequencies)
@@ -21,23 +20,10 @@ __all__ = [
     "MetisPartitioner", "metis_partition", "metis_clusters",
     "StreamVPartitioner", "StreamBPartitioner", "l_hop_neighborhood",
     "build_bfs_blocks",
-    "edge_cut", "edge_cut_fraction", "balance_ratio", "partition_subgraphs",
+    "edge_cut", "edge_cut_fraction", "balance_ratio",
     "clustering_coefficient_variance", "quality_report",
     "MachineWorkload", "WorkloadReport", "measure_workload",
     "BYTES_PER_EDGE", "BatchTraffic", "batch_traffic",
     "k_redundant_replication", "partition_aware_replication",
     "remote_access_frequencies",
-    "all_partitioners",
 ]
-
-
-def all_partitioners(hops=2):
-    """The paper's six evaluated methods (Table 3), ready to run."""
-    return [
-        HashPartitioner(),
-        MetisPartitioner("v"),
-        MetisPartitioner("ve"),
-        MetisPartitioner("vet"),
-        StreamVPartitioner(hops=hops),
-        StreamBPartitioner(),
-    ]

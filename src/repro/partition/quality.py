@@ -14,8 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["edge_cut", "edge_cut_fraction", "balance_ratio",
-           "partition_subgraphs", "clustering_coefficient_variance",
-           "quality_report"]
+           "clustering_coefficient_variance", "quality_report"]
 
 
 def edge_cut(graph, assignment):
@@ -47,24 +46,6 @@ def balance_ratio(assignment, num_parts, weights=None):
     if mean == 0:
         return 1.0
     return float(loads.max() / mean)
-
-
-def partition_subgraphs(graph, result):
-    """The subgraph each machine physically stores.
-
-    For replicating methods (Stream-V) that is the induced subgraph on
-    all replicated vertices; otherwise the induced subgraph on owned
-    vertices.
-    """
-    subgraphs = []
-    for part in range(result.num_parts):
-        if result.replicas is not None:
-            vertices = np.flatnonzero(result.replicas[part])
-        else:
-            vertices = result.part_vertices(part)
-        sub, _ = graph.induced_subgraph(vertices)
-        subgraphs.append(sub)
-    return subgraphs
 
 
 def clustering_coefficient_variance(graph, result):

@@ -131,10 +131,6 @@ class WorkloadReport:
     method: str
     machines: list = field(default_factory=list)
 
-    @property
-    def num_machines(self):
-        return len(self.machines)
-
     def _imbalance(self, values):
         values = np.asarray(values, dtype=np.float64)
         mean = values.mean()

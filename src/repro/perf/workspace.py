@@ -58,11 +58,6 @@ class Workspace:
         self._id_map = np.empty(0, dtype=np.int64)
         self._id_map_busy = False
 
-    @property
-    def id_map_capacity(self):
-        """Current size of the pooled id-lookup table."""
-        return len(self._id_map)
-
     def _grow_id_map(self, capacity):
         # Geometric growth so repeated slightly-larger requests don't
         # reallocate every call.

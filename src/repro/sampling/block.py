@@ -136,17 +136,6 @@ class SampledSubgraph:
         """Total aggregation work (edges across all blocks)."""
         return int(sum(block.num_edges for block in self.blocks))
 
-    @property
-    def total_vertices(self):
-        """Total vertex slots across all blocks (with inter-layer
-        duplicates, i.e. the computation footprint)."""
-        return int(sum(block.num_src for block in self.blocks))
-
-    def unique_vertices(self):
-        """Distinct global vertex ids touched anywhere in the sample."""
-        parts = [self.seeds] + [b.src_nodes for b in self.blocks]
-        return np.unique(np.concatenate(parts))
-
     def validate(self):
         """Validate every block and their layer chaining."""
         for block in self.blocks:

@@ -122,11 +122,6 @@ class LinkPredictionResult:
     test_auc: float = 0.0
     losses: list = field(default_factory=list)
 
-    @property
-    def best_val_auc(self):
-        """Highest validation AUC reached."""
-        return max(self.val_auc_curve) if self.val_auc_curve else 0.0
-
 
 def _evaluate_auc(model, dataset, split, sampler, positives, rng):
     negatives = sample_negative_edges(split.train_graph, len(positives),

@@ -20,8 +20,7 @@ import numpy as np
 
 from ..errors import TransferError
 
-__all__ = ["MemoryEstimate", "estimate_batch_memory",
-           "estimate_subgraph_memory", "max_batch_size"]
+__all__ = ["MemoryEstimate", "estimate_batch_memory", "max_batch_size"]
 
 FLOAT_BYTES = 4
 INDEX_BYTES = 8
@@ -105,22 +104,6 @@ def estimate_batch_memory(batch_size, fanout, feature_dim,
         topology_bytes=topology_bytes,
         model_bytes=_model_bytes(feature_dim, hidden_dim, num_classes,
                                  len(fanout)))
-
-
-def estimate_subgraph_memory(subgraph, feature_dim, hidden_dim=128,
-                             num_classes=40):
-    """Exact footprint of an already-sampled subgraph (no expansion
-    model needed)."""
-    feature_bytes = len(subgraph.input_nodes) * feature_dim * FLOAT_BYTES
-    activation_bytes = sum(block.num_dst * hidden_dim * FLOAT_BYTES
-                           for block in subgraph.blocks)
-    topology_bytes = 2 * subgraph.total_edges * INDEX_BYTES
-    return MemoryEstimate(
-        feature_bytes=int(feature_bytes),
-        activation_bytes=int(activation_bytes),
-        topology_bytes=int(topology_bytes),
-        model_bytes=_model_bytes(feature_dim, hidden_dim, num_classes,
-                                 len(subgraph.blocks)))
 
 
 def max_batch_size(spec, fanout, feature_dim, hidden_dim=128,

@@ -55,18 +55,6 @@ class PipelineResult:
     stage_busy: np.ndarray         # total busy seconds per resource group
     num_batches: int
 
-    @property
-    def bottleneck_group(self):
-        return int(np.argmax(self.stage_busy))
-
-    @property
-    def utilization(self):
-        """Busy fraction of the busiest resource (1.0 = perfectly
-        saturated pipeline)."""
-        if self.makespan == 0:
-            return 0.0
-        return float(self.stage_busy.max() / self.makespan)
-
 
 def simulate_pipeline(stage_times, mode="bp+dt"):
     """Simulate an epoch of batches through the (partially) pipelined

@@ -134,10 +134,6 @@ class TierLookup(NamedTuple):
         return self.vertices[self.warm_mask]
 
     @property
-    def cold_ids(self):
-        return self.vertices[self.cold_mask]
-
-    @property
     def misses(self):
         """Rows not GPU-resident, in request order."""
         return self.vertices[~self.hot_mask]
@@ -157,11 +153,6 @@ class TierBill:
     @property
     def total_seconds(self):
         return self.hot_seconds + self.warm_seconds + self.cold_seconds
-
-    @property
-    def bytes_moved(self):
-        """Bytes that crossed a boundary (hot rows never move)."""
-        return self.warm_bytes + self.cold_bytes
 
     def tier_seconds(self):
         """The per-tier seconds as a ``{"hot", "warm", "cold"}`` dict
@@ -264,11 +255,6 @@ class TieredCache:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def capacity(self):
-        """Total resident budget across hot + warm."""
-        return self.hot_capacity + self.warm_capacity
-
     def residency(self):
         """Live resident-row counts per tier (for invariant checks)."""
         if not self.enabled:
@@ -294,12 +280,6 @@ class TieredCache:
     def hit_rate(self):
         """GPU-resident hit rate (the paper's one cache hit rate)."""
         return self.hot_hit_rate
-
-    def hit_rates(self):
-        """All three tiers' request shares in one dict."""
-        return {"hot": self.hot_hit_rate, "warm": self.warm_hit_rate,
-                "cold": (self.cold_misses / self.requests
-                         if self.requests else 0.0)}
 
     def reset_stats(self):
         """Zero the hit/miss counters (residency is untouched)."""

@@ -5,8 +5,7 @@ import pytest
 
 from repro.errors import SamplingError, TrainingError
 from repro.batching import (ClusterBatchSelector, FixedBatchSize,
-                            PlateauAdaptiveBatchSize, RandomBatchSelector,
-                            StepGrowthBatchSize)
+                            PlateauAdaptiveBatchSize, RandomBatchSelector)
 from repro.graph import load_dataset
 
 
@@ -91,19 +90,6 @@ class TestSchedules:
     def test_fixed_invalid(self):
         with pytest.raises(TrainingError):
             FixedBatchSize(0)
-
-    def test_step_growth(self):
-        schedule = StepGrowthBatchSize(64, 512, factor=2.0, grow_every=2)
-        assert schedule.size(0) == 64
-        assert schedule.size(2) == 128
-        assert schedule.size(4) == 256
-        assert schedule.size(100) == 512  # capped
-
-    def test_step_growth_invalid(self):
-        with pytest.raises(TrainingError):
-            StepGrowthBatchSize(512, 64)
-        with pytest.raises(TrainingError):
-            StepGrowthBatchSize(64, 512, factor=1.0)
 
     def test_plateau_grows_on_stagnation(self):
         schedule = PlateauAdaptiveBatchSize(64, 512, factor=2.0, patience=2)

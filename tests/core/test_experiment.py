@@ -1,9 +1,8 @@
-"""Unit tests for experiment sweep and repeat helpers."""
+"""Unit tests for the experiment repeat helper."""
 
 import pytest
 
-from repro.core import (RepeatedResult, TrainingConfig,
-                        compare_partitioners, repeat, run_config)
+from repro.core import RepeatedResult, TrainingConfig, repeat
 from repro.errors import TrainingError
 from repro.graph import load_dataset
 
@@ -17,18 +16,6 @@ def dataset():
 def config():
     return TrainingConfig(epochs=2, batch_size=128, fanout=(4, 4),
                           num_workers=2, partitioner="hash")
-
-
-class TestRunAndCompare:
-    def test_run_config(self, dataset, config):
-        result = run_config(dataset, config)
-        assert result.curve.num_epochs == 2
-
-    def test_compare_partitioners_subset(self, dataset, config):
-        results = compare_partitioners(dataset, config,
-                                       methods=("hash", "metis-v"))
-        assert set(results) == {"hash", "metis-v"}
-        assert results["metis-v"].partition_method == "metis-v"
 
 
 class TestRepeat:

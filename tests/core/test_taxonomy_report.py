@@ -2,10 +2,8 @@
 
 import pytest
 
-from repro.core import (PARTITIONING_GOALS, SYSTEMS, format_bar,
-                        format_series, format_table, systems_by_platform,
-                        systems_with_cache, table1_rows, table3_rows,
-                        table5_rows)
+from repro.core import (PARTITIONING_GOALS, SYSTEMS, format_series,
+                        format_table, table1_rows, table3_rows, table5_rows)
 
 
 class TestTaxonomy:
@@ -32,12 +30,12 @@ class TestTaxonomy:
         assert all(s.sample for s in minibatch)
 
     def test_platform_queries(self):
-        cpu = systems_by_platform("CPU-cluster")
+        cpu = [s for s in SYSTEMS if "cpu-cluster" in s.platform.lower()]
         assert {s.name for s in cpu} >= {"AliGraph", "AGL", "DistDGL",
                                          "DistGNN", "ByteGNN"}
 
     def test_cache_systems(self):
-        names = {s.name for s in systems_with_cache()}
+        names = {s.name for s in SYSTEMS if s.cache}
         assert names == {"PaGraph", "GNNLab", "Sancus", "Legion",
                          "SALIENT++", "BGL"}
 
@@ -77,12 +75,3 @@ class TestReport:
         text = format_series([(0.5, 0.9)], label="acc", x_name="t",
                              y_name="acc")
         assert "[acc]" in text and "t=" in text
-
-    def test_format_bar(self):
-        text = format_bar({"hash": 10.0, "metis": 5.0}, label="compute")
-        lines = text.splitlines()
-        assert lines[0] == "compute"
-        assert lines[1].count("#") == 2 * lines[2].count("#")
-
-    def test_format_bar_empty(self):
-        assert format_bar({}) == "(empty)"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import (Trainer, TrainingConfig, adaptive_batch_training,
-                        evaluate_model, sweep)
+                        evaluate_model)
 from repro.errors import TrainingError
 from repro.graph import load_dataset
 from repro.nn import build_model
@@ -131,15 +131,12 @@ class TestSweepAndAdaptive:
     def test_sweep_over_batch_sizes(self, dataset):
         config = TrainingConfig(epochs=2, num_workers=2, fanout=(4, 4),
                                 partitioner="hash")
-        results = sweep(dataset, config, "batch_size", [64, 256])
+        results = {size: Trainer(dataset, config.with_overrides(
+            batch_size=size)).run() for size in (64, 256)}
         assert set(results) == {64, 256}
         # Smaller batches -> more steps per epoch.
         assert (results[64].epoch_stats[0].num_steps
                 > results[256].epoch_stats[0].num_steps)
-
-    def test_sweep_empty_values(self, dataset):
-        with pytest.raises(TrainingError):
-            sweep(dataset, TrainingConfig(), "batch_size", [])
 
     def test_adaptive_batch_training_grows(self, dataset):
         config = TrainingConfig(epochs=10, num_workers=2, fanout=(4, 4),

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dist import FullBatchEngine
-from repro.fleet import ShardMap
 from repro.graph import power_law_graph, split_vertices
 from repro.graph.datasets import DATASET_SPECS, Dataset
 from repro.nn import Adam, build_model
@@ -86,7 +85,7 @@ class TestFullBatchInvariants:
     @settings(max_examples=10, deadline=None)
     def test_boundaries_are_the_one_hop_halo(self, case, method):
         """The vectorized halo equals the per-vertex in-neighbor walk
-        it replaced and the fleet's ``ShardMap.halo(p, 1)``."""
+        it replaced."""
         n, degree, parts, seed = case
         partitioner = (HashPartitioner() if method == "hash"
                        else MetisPartitioner("ve"))
@@ -94,12 +93,9 @@ class TestFullBatchInvariants:
                                                 partitioner)
         walk = OracleEngine(dataset, partition, engine.model,
                             engine.optimizer, spec=DEFAULT_SPEC)
-        shards = ShardMap(partition, dataset.graph)
         for part in range(parts):
             assert np.array_equal(engine.boundary[part],
                                   walk.boundary[part])
-            assert np.array_equal(engine.boundary[part],
-                                  shards.halo(part, 1))
 
 
 @pytest.mark.parametrize("method", ["hash", "metis-ve"])

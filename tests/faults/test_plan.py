@@ -128,11 +128,6 @@ class TestFaultInjector:
             injector.begin_epoch(2)
         assert injector.halts_fired == 1
 
-    def test_disarmed_halt_does_not_refire(self):
-        injector = FaultInjector("halt@2")
-        injector.disarm_halts_through(2)
-        injector.begin_epoch(2)  # must not raise
-
     def test_disarm_for_resume_covers_killing_halt(self):
         # Sparse-checkpoint resume: the run restarts at epoch 2, before
         # the halt@3 that killed it; the replayed halt must not re-fire

@@ -230,7 +230,7 @@ def holders(self, vertex):
 
 def backups(self, vertex):
     """The non-owner shards holding ``vertex`` (ascending ids)."""
-    return self.holders(vertex)[1:]
+    return holders(self, vertex)[1:]
 
 
 _PATCHES = (
@@ -244,7 +244,6 @@ _PATCHES = (
     (_FleetRun, "on_response", on_response),
     (_FleetRun, "on_admit_hedged", on_admit_hedged),
     (_FleetRun, "defer_responses", defer_responses),
-    (ShardMap, "holders", holders),
     (ShardMap, "backups", backups),
 )
 

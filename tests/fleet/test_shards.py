@@ -8,6 +8,7 @@ from repro.core import make_partitioner
 from repro.errors import FleetError
 from repro.fleet import ShardMap
 from repro.graph import from_edges
+from repro.partition.base import halo_vertices
 from repro.partition.replication import k_redundant_replication
 
 PARTITIONERS = ["hash", "metis-v", "metis-ve", "metis-vet"]
@@ -16,6 +17,10 @@ PARTITIONERS = ["hash", "metis-v", "metis-ve", "metis-vet"]
 @pytest.fixture(scope="module")
 def data():
     return load_dataset("ogb-arxiv", scale=0.15)
+
+
+def halo(shards, shard, hops=1):
+    return halo_vertices(shards.graph, shards.assignment, shard, hops)
 
 
 def shard_map(data, name, parts=4):
@@ -78,29 +83,25 @@ class TestHaloSets:
         shards = self.make_map()
         # Shard 0 owns {0, 1}; in-neighbors reachable in one hop are
         # {1, 3} u {0, 2} => foreign part {2, 3}.
-        assert np.array_equal(shards.halo(0, hops=1), [2, 3])
+        assert np.array_equal(halo(shards, 0, hops=1), [2, 3])
         # Shard 1 owns {2, 3}; one hop reaches {1, 3} u {2, 0} =>
         # foreign part {0, 1}.
-        assert np.array_equal(shards.halo(1, hops=1), [0, 1])
+        assert np.array_equal(halo(shards, 1, hops=1), [0, 1])
 
     def test_zero_hops_is_empty(self):
         shards = self.make_map()
-        assert len(shards.halo(0, hops=0)) == 0
-
-    def test_halo_is_memoized(self):
-        shards = self.make_map()
-        assert shards.halo(0, hops=1) is shards.halo(0, hops=1)
+        assert len(halo(shards, 0, hops=0)) == 0
 
     def test_halo_never_contains_owned_vertices(self, data):
         shards = shard_map(data, "metis-v")
         for shard in range(shards.num_shards):
-            halo = shards.halo(shard, hops=2)
-            assert (shards.owner(halo) != shard).all()
+            foreign = halo(shards, shard, hops=2)
+            assert (shards.owner(foreign) != shard).all()
 
     def test_halo_grows_with_hops(self, data):
         shards = shard_map(data, "metis-v")
-        one = shards.halo(0, hops=1)
-        two = shards.halo(0, hops=2)
+        one = halo(shards, 0, hops=1)
+        two = halo(shards, 0, hops=2)
         assert set(one) <= set(two)
 
     def test_halo_matches_bruteforce_bfs(self, data):
@@ -117,7 +118,7 @@ class TestHaloSets:
             } - reached
             reached |= frontier
         expected = np.array(sorted(reached - owned))
-        assert np.array_equal(shards.halo(2, hops=2), expected)
+        assert np.array_equal(halo(shards, 2, hops=2), expected)
 
 
 def replicated_map(data, source, k):
@@ -129,8 +130,8 @@ def replicated_map(data, source, k):
 
 
 class TestHolders:
-    """``holders`` / ``backups`` read a per-vertex memo; the definition
-    they must keep is one ``flatnonzero`` over the replica matrix."""
+    """``backups`` reads a per-vertex memo; the holders it must keep
+    (owner first) are one ``flatnonzero`` over the replica matrix."""
 
     @staticmethod
     def definition(shards, vertex):
@@ -150,16 +151,13 @@ class TestHolders:
         for _ in range(2):
             for vertex in range(shards.num_vertices):
                 expected = self.definition(shards, vertex)
-                holders = shards.holders(kind(vertex))
-                assert list(holders) == expected
-                assert list(shards.backups(kind(vertex))) \
-                    == expected[1:]
-                assert all(type(s) is int for s in holders)
+                backups = shards.backups(kind(vertex))
+                assert [shards.owner(int(vertex)), *backups] == expected
+                assert all(type(s) is int for s in backups)
 
     def test_single_owner_map_has_no_backups(self, data):
         shards = shard_map(data, "metis-v")
         for vertex in (0, np.int64(1), shards.num_vertices - 1):
-            assert shards.holders(vertex) == (shards.owner(int(vertex)),)
             assert shards.backups(vertex) == ()
 
 
@@ -179,13 +177,6 @@ class TestValidation:
         shards = shard_map(data, "hash")
         with pytest.raises(FleetError):
             shards.shard_vertices(99)
-        with pytest.raises(FleetError):
-            shards.halo(-1)
-
-    def test_rejects_negative_hops(self, data):
-        shards = shard_map(data, "hash")
-        with pytest.raises(FleetError):
-            shards.halo(0, hops=-1)
 
     def test_locality_of_owned_query_is_one(self, data):
         shards = shard_map(data, "metis-v")

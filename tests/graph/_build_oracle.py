@@ -1,14 +1,12 @@
 """The two-key lexsort graph construction, kept verbatim as the oracle.
 
-``from_edges_reference`` and ``induced_subgraph_reference`` below are
-the bodies ``repro.graph.build.from_edges`` and
-``CSRGraph.induced_subgraph`` shipped before edge lists became CSR by
-one sort of packed ``(src << shift) | dst`` keys: a ``np.lexsort`` over
-the two id arrays, a two-array neighbour compare to dedup, and
-``bincount`` / ``cumsum`` for ``indptr``.  They define the CSR arrays
-(row order, column order, dedup) the shipped builders must reproduce
-byte for byte; ``test_build_oracle.py`` runs both on generated edge
-lists.  Do not "fix" or speed up anything here.
+``from_edges_reference`` below is the body of
+``repro.graph.build.from_edges`` before edge lists became CSR by one
+sort of packed ``(src << shift) | dst`` keys: a ``np.lexsort`` over the
+two id arrays, a two-array neighbour compare to dedup, and ``bincount``
+/ ``cumsum`` for ``indptr``.  It defines the CSR arrays (row order,
+column order, dedup) the shipped builder must reproduce byte for byte;
+``test_build_oracle.py`` runs both on generated edge lists.  Do not "fix" or speed up anything here.
 """
 
 import numpy as np
@@ -59,27 +57,3 @@ def from_edges_reference(src, dst, num_vertices, symmetrize_edges=False,
                   sorted_rows=bool(len(src)))
     return CSRGraph(indptr, dst, num_vertices=n,
                     is_symmetric=symmetrize_edges, validate=False)
-
-
-def induced_subgraph_reference(graph, vertices):
-    """Lexsort-based :meth:`repro.graph.CSRGraph.induced_subgraph`
-    (``self`` is ``graph``)."""
-    vertices = np.unique(np.asarray(vertices, dtype=np.int64))
-    if len(vertices) and (vertices[0] < 0
-                          or vertices[-1] >= graph.num_vertices):
-        raise GraphError("subgraph vertex id out of range")
-    lookup = np.full(graph.num_vertices, -1, dtype=np.int64)
-    lookup[vertices] = np.arange(len(vertices), dtype=np.int64)
-    src, dst = graph.edges()
-    keep = (lookup[src] >= 0) & (lookup[dst] >= 0)
-    sub_src = lookup[src[keep]]
-    sub_dst = lookup[dst[keep]]
-    k = len(vertices)
-    order = np.lexsort((sub_dst, sub_src))
-    sub_src = sub_src[order]
-    sub_dst = sub_dst[order]
-    counts = np.bincount(sub_src, minlength=k)
-    indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-    sub = CSRGraph(indptr, sub_dst, num_vertices=k,
-                   is_symmetric=graph.is_symmetric, validate=False)
-    return sub, vertices

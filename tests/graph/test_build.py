@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphError
-from repro.graph import from_edges, relabel, remove_self_loops, symmetrize
+from repro.graph import from_edges
 
 
 class TestFromEdges:
@@ -67,40 +67,3 @@ class TestFromEdges:
         g = from_edges([1, 0, 1, 0], [0, 2, 2, 1], 3)
         assert list(g.out_neighbors(0)) == [1, 2]
         assert list(g.out_neighbors(1)) == [0, 2]
-
-
-class TestTransforms:
-    def test_symmetrize(self):
-        g = symmetrize(from_edges([0, 1], [1, 2], 3))
-        assert g.is_symmetric
-        assert g.num_edges == 4
-
-    def test_symmetrize_idempotent(self):
-        g = from_edges([0], [1], 2, symmetrize_edges=True)
-        assert symmetrize(g) is g
-
-    def test_remove_self_loops(self):
-        g = from_edges([0, 0], [0, 1], 2, drop_self_loops=False)
-        cleaned = remove_self_loops(g)
-        assert cleaned.num_edges == 1
-        assert not cleaned.has_edge(0, 0)
-
-    def test_relabel(self):
-        g = from_edges([0, 1], [1, 2], 3)
-        swapped = relabel(g, [2, 1, 0])  # 0<->2
-        assert swapped.has_edge(2, 1)
-        assert swapped.has_edge(1, 0)
-
-    def test_relabel_bad_permutation(self):
-        g = from_edges([0], [1], 2)
-        with pytest.raises(GraphError):
-            relabel(g, [0, 0])
-
-    def test_relabel_preserves_degree_multiset(self):
-        rng = np.random.default_rng(3)
-        src = rng.integers(0, 50, 300)
-        dst = rng.integers(0, 50, 300)
-        g = from_edges(src, dst, 50)
-        perm = rng.permutation(50)
-        h = relabel(g, perm)
-        assert sorted(g.out_degrees) == sorted(h.out_degrees)

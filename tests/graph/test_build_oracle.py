@@ -1,21 +1,21 @@
 """Differential test: packed-key graph construction against the lexsort
 construction it replaced.
 
-``_build_oracle.py`` holds the old ``from_edges`` and
-``induced_subgraph`` verbatim.  On generated edge lists — duplicates,
-self-loops, empty input, ``n = 1``, ids at ``n - 1``, shifts from 1 to
-20 bits — and every combination of ``symmetrize_edges`` / ``dedup`` /
-``drop_self_loops``, the shipped builders must return the same
-``indptr`` and ``indices``, dtype and bytes.  Needs numpy only.
+``_build_oracle.py`` holds the old ``from_edges`` verbatim.  On
+generated edge lists — duplicates, self-loops, empty input, ``n = 1``,
+ids at ``n - 1``, shifts from 1 to 20 bits — and every combination of
+``symmetrize_edges`` / ``dedup`` / ``drop_self_loops``, the shipped
+builder must return the same ``indptr`` and ``indices``, dtype and
+bytes.  Needs numpy only.
 """
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.graph import CSRGraph, from_edges
+from repro.graph import from_edges
 
-from ._build_oracle import from_edges_reference, induced_subgraph_reference
+from ._build_oracle import from_edges_reference
 
 
 def _assert_same_graph(got, want):
@@ -74,35 +74,3 @@ class TestFromEdgesMatchesOracle:
                       {"drop_self_loops": False, "dedup": False}):
             _assert_same_graph(from_edges(src, dst, n, **flags),
                                from_edges_reference(src, dst, n, **flags))
-
-
-def _shuffle_rows(graph, seed):
-    """The same graph with each row's columns in random order — what a
-    ``CSRGraph`` built straight from arrays may hold."""
-    rng = np.random.default_rng(seed)
-    rows = np.repeat(np.arange(graph.num_vertices), graph.out_degrees)
-    order = np.lexsort((rng.random(graph.num_edges), rows))
-    return CSRGraph(graph.indptr, graph.indices[order],
-                    num_vertices=graph.num_vertices,
-                    is_symmetric=graph.is_symmetric)
-
-
-class TestInducedSubgraphMatchesOracle:
-    @given(edges=edge_lists(), symmetric=st.booleans(),
-           picks=st.lists(st.integers(0, 1 << 20), max_size=30),
-           shuffle_seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)))
-    @settings(max_examples=100, deadline=None)
-    def test_generated_subsets(self, edges, symmetric, picks, shuffle_seed):
-        src, dst, n = edges
-        if n == 0:
-            picks = []
-        graph = from_edges_reference(src, dst, n, symmetrize_edges=symmetric,
-                                     dedup=False, drop_self_loops=False)
-        if shuffle_seed is not None:
-            graph = _shuffle_rows(graph, shuffle_seed)
-        # Unsorted, repeated, and always including the top id when any.
-        vertices = [p % n for p in picks] + ([n - 1] if picks else [])
-        got, got_ids = graph.induced_subgraph(vertices)
-        want, want_ids = induced_subgraph_reference(graph, vertices)
-        _assert_same_graph(got, want)
-        np.testing.assert_array_equal(got_ids, want_ids)

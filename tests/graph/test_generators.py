@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphError
-from repro.graph import (degree_gini, erdos_renyi_graph, flat_graph,
-                         planted_partition_graph, power_law_graph,
+from repro.graph import (degree_gini, flat_graph, power_law_graph,
                          power_law_weights)
 from repro.graph.generators import (assign_communities,
                                     community_configuration_graph)
@@ -51,22 +50,18 @@ class TestFlatGraph:
         g, _ = flat_graph(1500, 20, np.random.default_rng(5))
         assert degree_gini(g) < 0.2
 
-    def test_erdos_renyi(self):
-        g = erdos_renyi_graph(800, 12, np.random.default_rng(6))
-        avg = g.num_edges / g.num_vertices
-        assert 9 <= avg <= 14
-
 
 class TestCommunityStructure:
     def test_mixing_controls_intra_fraction(self):
         rng = np.random.default_rng(7)
-        g, comm = planted_partition_graph(1200, 8, 20, rng, mixing=0.05)
+        g, comm = flat_graph(1200, 20, rng, num_communities=8, mixing=0.05)
         src, dst = g.edges()
         intra = (comm[src] == comm[dst]).mean()
         assert intra > 0.8
 
         rng = np.random.default_rng(7)
-        g2, comm2 = planted_partition_graph(1200, 8, 20, rng, mixing=0.9)
+        g2, comm2 = flat_graph(1200, 20, rng, num_communities=8,
+                               mixing=0.9)
         src2, dst2 = g2.edges()
         intra2 = (comm2[src2] == comm2[dst2]).mean()
         assert intra2 < 0.4
@@ -138,8 +133,10 @@ class TestSanitizedConstruction:
     @pytest.mark.parametrize("make", [
         lambda rng: power_law_graph(600, 12, rng)[0],
         lambda rng: flat_graph(600, 12, rng)[0],
-        lambda rng: erdos_renyi_graph(600, 12, rng),
-        lambda rng: planted_partition_graph(600, 4, 12, rng)[0],
+        lambda rng: flat_graph(600, 12, rng, mixing=1.0,
+                               weight_jitter=0.0)[0],
+        lambda rng: flat_graph(600, 12, rng, num_communities=4,
+                               mixing=0.1)[0],
     ])
     def test_generated_csr_well_formed(self, make):
         from repro.analysis.sanitize import check_csr

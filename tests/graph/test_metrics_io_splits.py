@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.errors import DatasetError
-from repro.graph import (average_clustering, clustering_variance_across,
-                         community_features_and_labels, degree_gini,
+from repro.errors import DatasetError, GraphError
+from repro.graph import (community_features_and_labels, dataset_from_arrays,
+                         degree_gini,
                          from_edges, load_dataset, load_dataset_file,
                          load_graph, local_clustering_coefficients,
                          random_features_and_labels, save_dataset,
@@ -24,7 +24,7 @@ class TestClustering:
 
     def test_star_graph_coefficient_zero(self):
         g = from_edges([0, 0, 0], [1, 2, 3], 4, symmetrize_edges=True)
-        assert average_clustering(g) == 0.0
+        assert np.all(local_clustering_coefficients(g) == 0.0)
 
     def test_triangle_plus_pendant(self):
         # Triangle 0-1-2 plus pendant 3 attached to 0.
@@ -34,15 +34,9 @@ class TestClustering:
         assert coeffs[0] == pytest.approx(1.0 / 3.0)
         assert coeffs[3] == 0.0
 
-    def test_variance_across_subgraphs(self):
-        dense = complete_graph(6)
-        sparse = from_edges([0, 1, 2], [1, 2, 3], 6, symmetrize_edges=True)
-        assert clustering_variance_across([dense, sparse]) > 0.2
-        assert clustering_variance_across([dense, dense]) == 0.0
-
     def test_empty_graph(self):
         g = from_edges([], [], 0)
-        assert average_clustering(g) == 0.0
+        assert len(local_clustering_coefficients(g)) == 0
 
 
 class TestDegreeGini:
@@ -128,3 +122,37 @@ class TestIO:
         assert np.array_equal(loaded.features, ds.features)
         assert np.array_equal(loaded.labels, ds.labels)
         assert np.array_equal(loaded.split.train_mask, ds.split.train_mask)
+
+    def test_user_dataset_roundtrip(self, tmp_path):
+        """A dataset built from the caller's arrays comes back with the
+        same arrays, split and spec (it used to be rejected as an
+        unknown dataset)."""
+        rng = np.random.default_rng(4)
+        graph = from_edges(rng.integers(0, 40, 120), rng.integers(0, 40, 120),
+                           40, symmetrize_edges=True)
+        ds = dataset_from_arrays(graph, rng.normal(size=(40, 6)),
+                                 rng.integers(0, 3, 40), num_classes=5,
+                                 name="mine",
+                                 communities=rng.integers(0, 2, 40))
+        path = tmp_path / "mine.npz"
+        save_dataset(ds, path)
+        loaded = load_dataset_file(path)
+        assert loaded.spec == ds.spec
+        assert loaded.graph == ds.graph
+        for name in ("features", "labels", "communities"):
+            mine, theirs = getattr(loaded, name), getattr(ds, name)
+            assert mine.dtype == theirs.dtype
+            assert mine.tobytes() == theirs.tobytes()
+        for mask in ("train_mask", "val_mask", "test_mask"):
+            assert np.array_equal(getattr(loaded.split, mask),
+                                  getattr(ds.split, mask))
+
+    def test_dataset_file_missing_array_is_a_graph_error(self, tmp_path):
+        ds = load_dataset("ogb-arxiv", scale=0.25)
+        path = tmp_path / "ds.npz"
+        save_dataset(ds, path)
+        with np.load(path) as data:
+            kept = {key: data[key] for key in data.files if key != "labels"}
+        np.savez(path, **kept)
+        with pytest.raises(GraphError, match=r"ds\.npz.*'labels'"):
+            load_dataset_file(path)

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import from_edges, relabel, split_vertices
+from repro.graph import from_edges, split_vertices
 
 
 @st.composite
@@ -51,21 +51,9 @@ class TestCSRInvariants:
     def test_in_degrees_sum_matches(self, case):
         n, src, dst = case
         g = from_edges(src, dst, n)
-        assert g.in_degrees.sum() == g.num_edges
+        assert g.reverse().out_degrees.sum() == g.num_edges
         # transpose twice = identity
         assert g.reverse().reverse() == g
-
-    @given(edge_lists(), st.integers(0, 2**31 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_relabel_is_isomorphism(self, case, seed):
-        n, src, dst = case
-        g = from_edges(src, dst, n)
-        perm = np.random.default_rng(seed).permutation(n)
-        h = relabel(g, perm)
-        assert h.num_edges == g.num_edges
-        inverse = np.empty(n, dtype=np.int64)
-        inverse[perm] = np.arange(n)
-        assert relabel(h, inverse) == g
 
 
 class TestSplitInvariants:

@@ -9,10 +9,17 @@ first, appended self-loops last) is part of the numerical contract.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.kernels import (KernelCOO, KernelCSR,
                            normalized_block_adjacency)
 from repro.sampling import build_block
+
+
+def scipy_of(operator):
+    """The same operator as a fresh scipy CSR matrix."""
+    return sp.csr_matrix((operator.data, operator.indices, operator.indptr),
+                         shape=operator.shape)
 
 
 def _block(seed, num_seeds=6, num_edges=18, universe=40):

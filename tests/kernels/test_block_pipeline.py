@@ -20,7 +20,8 @@ as oracles (``tests/sampling/_block_oracle.py``,
 * GAT's edge list and closed-form ``SegmentView`` equal a freshly
   sorted ``KernelCOO(...).segments()``;
 * the kernel's direct ``csr_matvecs`` product equals
-  ``to_scipy() @ x`` written out here, and the reference oracle.
+  the scipy product ``csr_matrix(operator) @ x`` written out here, and
+  the reference oracle.
 """
 
 import numpy as np
@@ -41,6 +42,7 @@ from ._operator_oracle import (attention_edges_reference,
                                block_operator_reference,
                                full_graph_operator_reference)
 from ._reference_oracle import reference_kernels
+from .conftest import scipy_of
 from .test_construction import _scipy_construction
 
 SETTINGS = dict(max_examples=60, deadline=None)
@@ -172,7 +174,7 @@ def test_direct_matvecs_equals_the_scipy_product(case, self_loops, dtype,
         reference = gspmm_forward(operator, x, values=values)
     assert out.dtype == reference.dtype
     assert out.tobytes() == reference.tobytes()
-    matrix = operator.to_scipy().copy()
+    matrix = scipy_of(operator)
     if values is not None:
         matrix.data = values
     product = matrix @ x

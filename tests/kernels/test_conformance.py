@@ -196,14 +196,13 @@ class TestScipyDispatchCaching:
     """Repeated dispatch through a persistent operator must not build
     scipy matrices (regression: the ``copy_rhs`` and explicit-values
     paths once allocated a fresh ``csr_matrix`` on every call; now the
-    kernel hands the operator's own arrays to ``csr_matvecs`` and the
-    ``to_scipy()`` conversion is never triggered by dispatch)."""
+    kernel hands the operator's own arrays to ``csr_matvecs``, and the
+    operator has no scipy conversion left to trigger)."""
 
     def test_copy_rhs_matrix_is_cached(self, csr_case):
         x = _features(csr_case, np.float32)
         first = gspmm_forward(csr_case, x, op="copy_rhs")
         again = gspmm_forward(csr_case, x, op="copy_rhs")
-        assert csr_case._scipy is None
         _assert_bytes_equal(again, first)
         with reference_kernels():
             _assert_bytes_equal(first, gspmm_forward(csr_case, x,
@@ -215,7 +214,6 @@ class TestScipyDispatchCaching:
         v2 = np.linspace(-2.0, 2.0, csr_case.nnz).astype(np.float32)
         out1 = gspmm_forward(csr_case, x, values=v1)
         out2 = gspmm_forward(csr_case, x, values=v2)
-        assert csr_case._scipy is None
         stored = csr_case.data.copy()
         with reference_kernels():
             _assert_bytes_equal(out1, gspmm_forward(csr_case, x,

@@ -15,6 +15,8 @@ from repro.kernels import (as_adjacency, normalized_block_adjacency)
 from repro.errors import KernelError
 from repro.sampling import build_block
 
+from .conftest import scipy_of
+
 
 def _random_block(rng):
     num_dst = int(rng.integers(1, 12))
@@ -77,7 +79,7 @@ def test_duplicate_self_loop_collapses():
                         np.array([4, 9]))
     operator = normalized_block_adjacency(block, self_loops=True)
     assert operator.nnz == 2
-    dense = operator.toarray()
+    dense = scipy_of(operator).toarray()
     # Three incidences (edge to self, edge to 9, appended loop), so the
     # self entry carries 2/3 and the neighbor 1/3.
     assert np.allclose(dense[0, 0], 2.0 / 3.0)
@@ -91,8 +93,7 @@ def test_as_adjacency_wraps_and_caches_scipy():
          np.array([0, 1]), np.array([0, 1, 2])), shape=(2, 2))
     wrapped = as_adjacency(matrix)
     assert as_adjacency(matrix) is wrapped
-    assert wrapped.to_scipy() is matrix
-    assert np.array_equal(wrapped.toarray(), matrix.toarray())
+    assert np.array_equal(scipy_of(wrapped).toarray(), matrix.toarray())
 
 
 def test_as_adjacency_rejects_foreign_objects():

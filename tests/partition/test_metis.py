@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.errors import PartitionError
-from repro.graph import load_dataset, planted_partition_graph
+from repro.graph import flat_graph, load_dataset
 from repro.partition import (HashPartitioner, MetisPartitioner,
                              balance_ratio, edge_cut_fraction,
                              metis_clusters, metis_partition)
@@ -13,8 +13,8 @@ from repro.partition import (HashPartitioner, MetisPartitioner,
 
 @pytest.fixture(scope="module")
 def community_graph():
-    graph, comm = planted_partition_graph(
-        800, 4, 16, np.random.default_rng(0), mixing=0.05)
+    graph, comm = flat_graph(800, 16, np.random.default_rng(0),
+                             num_communities=4, mixing=0.05)
     return graph, comm
 
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.graph import from_edges, planted_partition_graph, power_law_graph
+from repro.graph import flat_graph, from_edges, power_law_graph
 from repro.partition import metis
 from repro.partition.metis import (_Level, _heavy_edge_matching, _refine,
                                    _weighted_adjacency, metis_partition)
@@ -119,8 +119,8 @@ def _looped_multigraph(n, degree, rng):
 GRAPH_KINDS = {
     "power-law": lambda n, d, rng: power_law_graph(
         n, d, rng, num_communities=4)[0],
-    "planted": lambda n, d, rng: planted_partition_graph(
-        n, 4, d, rng, mixing=0.1)[0],
+    "planted": lambda n, d, rng: flat_graph(
+        n, d, rng, num_communities=4, mixing=0.1)[0],
     "disconnected": _disconnected_graph,
     "directed": _directed_graph,
     "looped-multigraph": _looped_multigraph,

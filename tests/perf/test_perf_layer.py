@@ -121,16 +121,16 @@ class TestWorkspace:
         with workspace.id_map(10) as lookup:
             assert len(lookup) >= 10
             assert np.all(lookup == -1)
-        first_capacity = workspace.id_map_capacity
+        first_capacity = len(workspace._id_map)
         with workspace.id_map(5) as lookup:
             pass
-        assert workspace.id_map_capacity == first_capacity
+        assert len(workspace._id_map) == first_capacity
 
     def test_grow_on_larger_request(self):
         workspace = Workspace()
         with workspace.id_map(10):
             pass
-        small = workspace.id_map_capacity
+        small = len(workspace._id_map)
         with workspace.id_map(10 * small) as lookup:
             assert len(lookup) >= 10 * small
 

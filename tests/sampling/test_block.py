@@ -156,10 +156,6 @@ class TestSampledSubgraph:
         sg = self.build_two_layer()
         assert sg.total_edges == 4
 
-    def test_unique_vertices(self):
-        sg = self.build_two_layer()
-        assert set(sg.unique_vertices()) == {1, 2, 3, 4, 5}
-
     def test_broken_chain_detected(self):
         outer = build_block([1], [1], [2])
         inner = build_block([9, 9], [], [])  # wrong dst set

@@ -92,7 +92,7 @@ class TestBuildBlockEquivalence:
         with pytest.raises(SamplingError):
             build_block([1], [2], [3])
         workspace = get_workspace()
-        assert workspace.id_map_capacity > 0
+        assert len(workspace._id_map) > 0
         with workspace.id_map(1) as lookup:
             assert np.all(lookup == -1)
 

@@ -6,8 +6,7 @@ import pytest
 from repro.core import make_partitioner
 from repro.errors import GraphError
 from repro.graph import from_edges, load_dataset, load_graph
-from repro.partition import (StreamVPartitioner, partition_subgraphs,
-                             quality_report)
+from repro.partition import StreamVPartitioner, quality_report
 from repro.sampling import NeighborSampler
 from repro.transfer import BatchStats, HybridTransfer, DEFAULT_SPEC
 
@@ -21,17 +20,16 @@ class TestPartitionSubgraphs:
     def test_owned_subgraphs_partition_vertices(self, dataset):
         result = make_partitioner("hash").partition(
             dataset.graph, 3, rng=np.random.default_rng(0))
-        subs = partition_subgraphs(dataset.graph, result)
-        assert len(subs) == 3
-        assert sum(s.num_vertices for s in subs) == dataset.num_vertices
+        owned = [result.part_vertices(part) for part in range(3)]
+        assert sum(len(vertices) for vertices in owned) \
+            == dataset.num_vertices
 
     def test_replicated_subgraphs_overlap(self, dataset):
         result = StreamVPartitioner(hop_cap=4).partition(
             dataset.graph, 3, split=dataset.split,
             rng=np.random.default_rng(0))
-        subs = partition_subgraphs(dataset.graph, result)
         # Replication: stored vertices exceed the vertex count.
-        assert sum(s.num_vertices for s in subs) > dataset.num_vertices
+        assert result.replicas.sum() > dataset.num_vertices
 
 
 class TestHashEdgeFactory:

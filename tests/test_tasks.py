@@ -104,7 +104,7 @@ class TestTraining:
         result = train_link_prediction(
             dataset, NeighborSampler((5, 5)), epochs=10,
             batch_edges=256, seed=0)
-        assert result.best_val_auc > 0.55
+        assert max(result.val_auc_curve) > 0.55
         assert result.test_auc > 0.55
         assert len(result.val_auc_curve) == 10
 

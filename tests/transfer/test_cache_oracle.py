@@ -51,7 +51,8 @@ def _assert_same_stream(flat, cache, stream):
         lookup = cache.lookup(batch)
         np.testing.assert_array_equal(lookup.hot_ids, hits)
         np.testing.assert_array_equal(lookup.misses, misses)
-        np.testing.assert_array_equal(lookup.cold_ids, misses)
+        np.testing.assert_array_equal(lookup.vertices[lookup.cold_mask],
+                                      misses)
         resident = np.sort(cache._hot_ids) if cache.enabled \
             else np.empty(0, dtype=np.int64)
         np.testing.assert_array_equal(resident, flat.resident_ids())

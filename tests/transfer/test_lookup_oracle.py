@@ -30,6 +30,8 @@ from repro.transfer import BACKING_STORES, TieredCache, TierLookup
 from . import _lookup_oracle as oracle
 
 CODES = {"cold": 0, "warm": 1, "hot": 2}
+#: The tiers a lookup hands out id arrays for.
+ID_VIEWS = ("hot", "warm")
 
 
 @pytest.fixture(scope="module")
@@ -80,8 +82,9 @@ def assert_properties(lookup):
     for name, code in CODES.items():
         mask = tiers == code
         assert getattr(lookup, f"{name}_mask").tobytes() == mask.tobytes()
-        assert getattr(lookup, f"{name}_ids").tobytes() \
-            == vertices[mask].tobytes()
+        if name in ID_VIEWS:
+            assert getattr(lookup, f"{name}_ids").tobytes() \
+                == vertices[mask].tobytes()
         assert getattr(lookup, f"num_{name}") == int(mask.sum())
     assert lookup.misses.tobytes() == vertices[tiers != CODES["hot"]] \
         .tobytes()
@@ -92,8 +95,9 @@ def assert_same_lookup(new, old):
     for name in CODES:
         assert getattr(new, f"{name}_mask").tobytes() \
             == getattr(old, f"{name}_mask").tobytes()
-        assert getattr(new, f"{name}_ids").tobytes() \
-            == getattr(old, f"{name}_ids").tobytes()
+        if name in ID_VIEWS:
+            assert getattr(new, f"{name}_ids").tobytes() \
+                == getattr(old, f"{name}_ids").tobytes()
         assert getattr(new, f"num_{name}") == getattr(old, f"num_{name}")
     assert new.misses.tobytes() == old.misses.tobytes()
 

@@ -34,11 +34,11 @@ class TestLRUCache:
         rng = np.random.default_rng(0)
         for _round in range(20):
             cache.lookup(rng.integers(0, graph.num_vertices, 50))
-        assert cache.residency()["hot"] <= cache.capacity
+        assert cache.residency()["hot"] <= cache.hot_capacity
 
     def test_evicts_least_recently_used(self, graph):
         cache = lru_cache(graph, 2 / graph.num_vertices)  # capacity 2
-        assert cache.capacity == 2
+        assert cache.hot_capacity == 2
         cache.lookup([0])
         cache.lookup([1])
         cache.lookup([0])      # refresh 0
@@ -95,6 +95,13 @@ class TestEdgeListIngestion:
         path = tmp_path / "edges.txt"
         path.write_text("42\n")
         with pytest.raises(GraphError):
+            load_edge_list(path)
+
+    def test_non_integer_id_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_text("# ids\n0 1\n2 x\n")
+        with pytest.raises(GraphError,
+                           match=r"edges\.txt:3: malformed edge line '2 x'"):
             load_edge_list(path)
 
     def test_empty_file(self, tmp_path):

@@ -1,18 +1,9 @@
 """Unit tests for the GPU memory footprint model."""
 
-import numpy as np
 import pytest
 
 from repro.errors import TransferError
-from repro.graph import load_dataset
-from repro.sampling import NeighborSampler
-from repro.transfer import (DEFAULT_SPEC, estimate_batch_memory,
-                            estimate_subgraph_memory, max_batch_size)
-
-
-@pytest.fixture(scope="module")
-def dataset():
-    return load_dataset("reddit", scale=0.25)
+from repro.transfer import DEFAULT_SPEC, estimate_batch_memory, max_batch_size
 
 
 class TestEstimates:
@@ -49,16 +40,6 @@ class TestEstimates:
             estimate_batch_memory(8, (), 16)
         with pytest.raises(TransferError):
             estimate_batch_memory(8, (5,), 16, dedup_factor=0.0)
-
-    def test_exact_subgraph_estimate(self, dataset):
-        sampler = NeighborSampler((10, 5))
-        subgraph = sampler.sample(dataset.graph, dataset.train_ids[:128],
-                                  np.random.default_rng(0))
-        estimate = estimate_subgraph_memory(subgraph, dataset.feature_dim)
-        expected_features = (len(subgraph.input_nodes)
-                             * dataset.feature_dim * 4)
-        assert estimate.feature_bytes == expected_features
-        assert estimate.topology_bytes == 16 * subgraph.total_edges
 
     def test_fits_respects_headroom(self):
         estimate = estimate_batch_memory(512, (10, 10), 128)

@@ -44,13 +44,18 @@ def docstring_lines(tree):
     return lines
 
 
-def count_source(text):
-    """Counted lines of one file's source ``text``."""
+def counted_lines(text):
+    """Line numbers (1-based) that count in one file's source ``text``."""
     code = set()
     for token in tokenize.generate_tokens(io.StringIO(text).readline):
         if token.type not in _LAYOUT:
             code.update(range(token.start[0], token.end[0] + 1))
-    return len(code - docstring_lines(ast.parse(text)))
+    return code - docstring_lines(ast.parse(text))
+
+
+def count_source(text):
+    """Counted lines of one file's source ``text``."""
+    return len(counted_lines(text))
 
 
 def count_tree(root):
