@@ -95,8 +95,8 @@ class WallClockInSimulatedPath(Rule):
     rule_id = "RPR002"
     severity = "error"
     title = "wall-clock read in a simulated path"
-    hint = ("use repro.perf.profiler.wall_clock() (or PERF.timed) so "
-            "real-time reads stay auditable in one module")
+    hint = ("use repro.perf.profiler.wall_clock() so real-time reads "
+            "stay auditable in one module")
     rationale = ("the cost model runs on simulated seconds; a stray "
                  "perf_counter silently mixes host timing into results "
                  "that must replay bit-identically")

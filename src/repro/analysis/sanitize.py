@@ -62,7 +62,7 @@ def check_finite(array, name="array"):
     data = np.asarray(data)
     if data.dtype.kind not in "fc":
         return array
-    PERF.count("sanitize_finite_checks")
+    PERF.counters["sanitize_finite_checks"] += 1
     if not np.isfinite(data).all():
         nans = int(np.isnan(data).sum())
         infs = int(np.isinf(data).sum())
@@ -95,7 +95,7 @@ def check_csr(indptr, indices, num_rows, name="csr",
     """
     if not FLAGS.sanitize:
         return
-    PERF.count("sanitize_csr_checks")
+    PERF.counters["sanitize_csr_checks"] += 1
     indptr = np.asarray(indptr)
     indices = np.asarray(indices)
     n = int(num_rows)
@@ -159,7 +159,7 @@ def check_contract(shape=None, dtype=None):
         def wrapper(*args, **kwargs):
             result = fn(*args, **kwargs)
             if FLAGS.sanitize:
-                PERF.count("sanitize_contract_checks")
+                PERF.counters["sanitize_contract_checks"] += 1
                 _check_value(result, fn.__qualname__)
             return result
 

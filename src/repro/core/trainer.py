@@ -62,10 +62,9 @@ def evaluate_model(model, dataset, vertex_ids, sampler, rng,
     replay = prepared is not None
     if not replay:
         prepared = []
-        with PERF.timed("eval_sampling"):
-            for start in range(0, len(vertex_ids), batch_size):
-                batch = vertex_ids[start:start + batch_size]
-                prepared.append(sampler.sample(dataset.graph, batch, rng))
+        for start in range(0, len(vertex_ids), batch_size):
+            batch = vertex_ids[start:start + batch_size]
+            prepared.append(sampler.sample(dataset.graph, batch, rng))
         if cache is not None:
             cache.put(key, prepared)
 
@@ -93,9 +92,9 @@ class TrainingResult:
     partition_method: str
     epoch_stats: list = field(repr=False, default_factory=list)
     config: TrainingConfig = None
-    # Measured (not simulated) hot-path profile of this run: wall
-    # seconds and counters from ``repro.perf.PERF`` — block assembly,
-    # aggregation-matrix builds, eval-subgraph cache hits/misses.
+    # Measured (not simulated) hot-path counters of this run, from
+    # ``repro.perf.PERF`` — kernel FLOPs, transpose and eval-subgraph
+    # cache hits/misses.
     perf: dict = field(repr=False, default=None)
     # The trained model at the best-validation checkpoint — what the
     # serving layer (``repro.serve``) answers queries against.

@@ -13,7 +13,7 @@ Layers (top to bottom):
   ``gat_attention``, one GAT head's attention as a single node;
 * :mod:`~repro.kernels.registry` — the forward kernels: one compiled
   path per op (scipy's ``csr_matvecs`` row walk for both layouts, a
-  segment-reduction edge softmax), call/FLOP counters via
+  segment-reduction edge softmax), FLOP counters via
   :data:`repro.perf.PERF`;
 * :mod:`~repro.kernels.adjacency` — :class:`KernelCSR` /
   :class:`KernelCOO` containers, the memoized transpose and

@@ -156,9 +156,9 @@ class KernelCSR:
         ``kernel_transpose_misses`` count the reuse).
         """
         if self._transpose is not None:
-            PERF.count("kernel_transpose_hits")
+            PERF.counters["kernel_transpose_hits"] += 1
             return self._transpose
-        PERF.count("kernel_transpose_misses")
+        PERF.counters["kernel_transpose_misses"] += 1
         t_indptr, t_indices, t_data = transpose_csr(
             self.indptr, self.indices, self.data,
             num_cols=self.shape[1],
@@ -274,7 +274,6 @@ class KernelCOO:
     def _install_segments(self, order, indptr):
         """Memoize the view whose edge ``p`` is list edge ``order[p]``
         and whose row ``i`` is ``[indptr[i], indptr[i + 1])``."""
-        PERF.count("kernel_segment_builds")
         ones = np.ones(self.nnz, dtype=np.float32)
         self._segments = SegmentView(
             order,
@@ -368,17 +367,13 @@ def normalized_block_adjacency(block, self_loops=True):
     key = bool(self_loops)
     cached = block._views.get(key)
     if cached is not None:
-        PERF.count("agg_matrix_hits")
         return cached
-    PERF.count("agg_matrix_misses")
-    with PERF.timed("spmm_build"):
-        if self_loops:
-            rows = _insert_self_loops(block.indptr, block.indices)
-            degree = block.degrees() + 1
-        else:
-            rows, degree = (block.indptr, block.indices, None), None
-        matrix = _mean_operator(*rows, degree,
-                                (block.num_dst, block.num_src))
+    if self_loops:
+        rows = _insert_self_loops(block.indptr, block.indices)
+        degree = block.degrees() + 1
+    else:
+        rows, degree = (block.indptr, block.indices, None), None
+    matrix = _mean_operator(*rows, degree, (block.num_dst, block.num_src))
     block._views[key] = matrix
     return matrix
 

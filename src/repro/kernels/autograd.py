@@ -259,7 +259,7 @@ def gat_attention(edges, transformed, attn_src, attn_dst, negative_slope):
         check_finite(score_src, name="kernels.gat_attention src scores")
     edge_dst, edge_src = edges.edge_dst, edges.edge_src
     raw = score_dst[:, 0][edge_dst] + score_src[:, 0][edge_src]
-    PERF.count("kernel_flops", edges.nnz)   # the add gsddmm billed
+    PERF.counters["kernel_flops"] += edges.nnz   # the add gsddmm billed
     scale = np.where(raw > 0, raw.dtype.type(1),
                      raw.dtype.type(negative_slope))
     scores = raw * scale

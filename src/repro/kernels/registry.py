@@ -1,7 +1,7 @@
 """The forward sparse kernels: one compiled path per op.
 
 The one seam every aggregation in the library runs through.  Each
-kernel validates its operands, bills its call and FLOPs to
+kernel validates its operands, bills its FLOPs to
 :data:`repro.perf.PERF` and runs one implementation:
 
 * ``gspmm`` hands the operator's ``indptr`` / ``indices`` / ``data``
@@ -111,11 +111,10 @@ def gspmm_forward(adj, x, values=None, op="mul", reduce="sum"):
             raise KernelError(
                 f"gspmm edge values ({values.dtype}) are wider than the "
                 f"features ({x.dtype}); cast one of them first")
-    PERF.count("kernel_gspmm_calls")
     out = _spmm(adj, x, values, op)
     if reduce == "mean":
         out = out / _row_counts(adj, out.dtype)[:, None]
-    PERF.count("kernel_flops", 2 * adj.nnz * x.shape[1])
+    PERF.counters["kernel_flops"] += 2 * adj.nnz * x.shape[1]
     return out[:, 0] if squeeze else out
 
 
@@ -177,7 +176,6 @@ def gsddmm_forward(adj, q, k, op="add"):
         check_finite(q, name="kernels.gsddmm lhs")
         check_finite(k, name="kernels.gsddmm rhs")
 
-    PERF.count("kernel_gsddmm_calls")
     edges = adj.edges()
     edge_dst, edge_src = edges.edge_dst, edges.edge_src
     if op == "dot":
@@ -192,8 +190,8 @@ def gsddmm_forward(adj, q, k, op="add"):
         out = _product(q[edge_dst], k[edge_src])
     else:
         out = q[edge_dst] + k[edge_src]
-    PERF.count("kernel_flops",
-               (2 if op == "dot" else 1) * adj.nnz * q.shape[1])
+    PERF.counters["kernel_flops"] += ((2 if op == "dot" else 1)
+                                      * adj.nnz * q.shape[1])
     if op != "dot" and squeeze_q and squeeze_k:
         return out[:, 0]
     return out
@@ -215,9 +213,8 @@ def edge_softmax_forward(adj, scores):
             f"({adj.nnz}), got shape {scores.shape}")
     if FLAGS.sanitize:
         check_finite(scores, name="kernels.edge_softmax scores")
-    PERF.count("kernel_edge_softmax_calls")
     out = _edge_softmax(adj, scores)
-    PERF.count("kernel_flops", 5 * adj.nnz)
+    PERF.counters["kernel_flops"] += 5 * adj.nnz
     return out
 
 

@@ -2,10 +2,11 @@
 process-wide switches, and prepared-batch caches.
 
 Everything here is about *real* wall time (the python hot paths), not
-the simulated cluster seconds of the cost model.  The layer measures
-the hot paths (:data:`PERF`), makes them fast without changing their
-math (:class:`Workspace`, :class:`EvalSubgraphCache`,
-:func:`sorted_unique`, :class:`WeightedChoice`), and holds the one
+the simulated cluster seconds of the cost model.  The layer counts
+what the benchmark of record reads (:data:`PERF`), makes the hot
+paths fast without changing their math (:class:`Workspace`,
+:class:`EvalSubgraphCache`, :func:`sorted_unique`,
+:class:`WeightedChoice`), and holds the one
 switch with a shipped alternative (:data:`FLAGS`: the sanitizers).
 The slow paths the fast ones replaced are test oracles
 (``tests/sampling/_block_oracle.py``), not flags.

@@ -56,9 +56,9 @@ class EvalSubgraphCache:
         """The stored batch list for ``key``, or ``None`` on miss."""
         batches = self._entries.get(key)
         if batches is None:
-            PERF.count("eval_subgraph_misses")
+            PERF.counters["eval_subgraph_misses"] += 1
             return None
-        PERF.count("eval_subgraph_hits")
+        PERF.counters["eval_subgraph_hits"] += 1
         return batches
 
     def put(self, key, batches):
@@ -70,17 +70,11 @@ class EvalSubgraphCache:
         depend on, so two puts under one key carry equivalent payloads
         — replacing is harmless — while a caller that re-prepared after
         a miss-then-race deserves its fresher object to be the one
-        served.  Replacement keeps the entry's eviction position and is
-        counted under ``eval_subgraph_replacements``.
+        served.  Replacement keeps the entry's eviction position.
         """
-        if key in self._entries:
-            PERF.count("eval_subgraph_replacements")
-            self._entries[key] = list(batches)
-            return
-        while len(self._entries) >= self.max_entries:
-            oldest = next(iter(self._entries))
-            del self._entries[oldest]
-            PERF.count("eval_subgraph_evictions")
+        if key not in self._entries:
+            while len(self._entries) >= self.max_entries:
+                del self._entries[next(iter(self._entries))]
         self._entries[key] = list(batches)
 
     def clear(self):

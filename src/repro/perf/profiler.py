@@ -1,24 +1,23 @@
-"""Lightweight wall-clock stage profiler for the batch-preparation
-hot paths.
+"""Hot-path counters, the wall-clock read and the column digest.
 
 Unlike the simulated cost model (``repro.transfer.hardware``), which
-converts *counts* into hypothetical cluster seconds, this profiler
-measures the *actual* python wall time spent in the hot kernels —
-block assembly, aggregation-matrix construction, evaluation sampling —
-plus hit/miss counters for the memoization layers.  Engines snapshot the
-profiler around an epoch and attach the delta to their
-:class:`~repro.dist.engine.EpochStats`, so benchmarks can see real time
-next to simulated time.
-
-The module-level :data:`PERF` singleton is what the hot paths write to;
-its overhead is two ``perf_counter`` calls per timed region, negligible
-next to the numpy work inside.
+converts *counts* into hypothetical cluster seconds, this module is
+about the host.  The module-level :data:`PERF` singleton holds the
+counters the benchmark of record reads — kernel FLOPs and the memo hits
+of the transposed operators and evaluation subgraphs — plus the
+sanitizers' checks.  Engines snapshot it around an epoch and attach
+the delta to their :class:`~repro.dist.engine.EpochStats`.  Nothing
+else on a sampled batch writes to it: a counter that no report reads
+is per-call work for nobody.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections import defaultdict
+
+import numpy as np
 
 __all__ = ["StageProfiler", "PERF", "percentile", "summarize",
            "wall_clock"]
@@ -56,7 +55,7 @@ def percentile(values, q, default=_RAISE, presorted=False):
     kept ordered with ``bisect.insort``) and skips the sort, so a
     running quantile costs O(1) per read instead of O(n log n).
     """
-    if not values:
+    if len(values) == 0:
         if default is not _RAISE:
             return default
         raise ValueError("percentile of an empty observation list")
@@ -77,13 +76,25 @@ def summarize(values):
     """count/mean/p50/p95/p99/max digest of a column of observations
     (a node's request latencies or queue depths), or ``None`` for an
     empty one.  The mean sums ``values`` in the order given — that
-    order is part of its bits — and every figure is a ``float``."""
-    if not values:
+    order is part of its bits — and every figure is a ``float``.
+
+    The percentiles read a float64 copy sorted by numpy, not
+    ``sorted()`` over python objects (a fleet run's 60 000 latencies
+    took most of its report time that way).  For a finite column the
+    bits are ``sorted()``'s: the only equal values that differ in bits
+    are ``0.0`` and ``-0.0``, and their run is put back in input order,
+    where a stable sort leaves it.
+    """
+    if len(values) == 0:
         return None
-    ordered = sorted(values)
+    column = np.asarray(values, dtype=np.float64)
+    ordered = np.sort(column)
+    zeros = column == 0.0
+    if zeros.any():
+        ordered[ordered == 0.0] = column[zeros]
     return {
         "count": len(values),
-        "mean": sum(values) / len(values),
+        "mean": float(sum(values) / len(values)),
         "p50": percentile(ordered, 50.0, presorted=True),
         "p95": percentile(ordered, 95.0, presorted=True),
         "p99": percentile(ordered, 99.0, presorted=True),
@@ -91,67 +102,26 @@ def summarize(values):
     }
 
 
-class _Timed:
-    """What :meth:`StageProfiler.timed` returns.  A class, not a
-    ``contextlib`` generator: the hot paths open a handful per sampled
-    block, and a generator-based manager makes six interpreter calls
-    before the first ``perf_counter``."""
-
-    __slots__ = ("_profiler", "_name", "_start")
-
-    def __init__(self, profiler, name):
-        self._profiler = profiler
-        self._name = name
-
-    def __enter__(self):
-        self._start = time.perf_counter()
-
-    def __exit__(self, *_exc):
-        self._profiler.add_seconds(self._name,
-                                   time.perf_counter() - self._start)
-
-
 class StageProfiler:
-    """Accumulates named counters and named wall-clock timers.
+    """Accumulates named counters.
 
-    Counters and timers live in separate namespaces: ``count(name)``
-    increments ``counters[name]``; ``timed(name)`` adds elapsed seconds
-    to ``seconds[name]`` and bumps ``counters[name + "_calls"]``.
+    ``counters`` is a ``defaultdict(int)``; every site writes
+    ``PERF.counters[name] += n``, which makes no interpreter call.
     Distributions are not kept here: a serving node appends to plain
     lists and :func:`summarize` digests them.
     """
 
     def __init__(self):
-        self.counters = {}
-        self.seconds = {}
-
-    # -- counters ------------------------------------------------------
-    def count(self, name, value=1):
-        """Add ``value`` to counter ``name``."""
-        self.counters[name] = self.counters.get(name, 0) + int(value)
-
-    def add_seconds(self, name, seconds):
-        """Add measured ``seconds`` to timer ``name``."""
-        self.seconds[name] = self.seconds.get(name, 0.0) + float(seconds)
-        self.count(name + "_calls")
-
-    def timed(self, name):
-        """Time a ``with`` block into timer ``name`` (also when the
-        block raises)."""
-        return _Timed(self, name)
+        self.counters = defaultdict(int)
 
     # -- reading -------------------------------------------------------
     def snapshot(self):
-        """A flat copy of all counters and timers (timers suffixed
-        ``_seconds``)."""
-        out = dict(self.counters)
-        for name, value in self.seconds.items():
-            out[name + "_seconds"] = value
-        return out
+        """A copy of every counter."""
+        return dict(self.counters)
 
     def delta(self, before):
-        """Counters/timers accumulated since ``before = snapshot()``,
-        dropping entries that did not move."""
+        """Counters accumulated since ``before = snapshot()``, dropping
+        entries that did not move."""
         now = self.snapshot()
         out = {}
         for name, value in now.items():
@@ -161,9 +131,8 @@ class StageProfiler:
         return out
 
     def reset(self):
-        """Zero every counter and timer."""
+        """Zero every counter."""
         self.counters.clear()
-        self.seconds.clear()
 
 
 #: Process-wide profiler written to by the hot paths.

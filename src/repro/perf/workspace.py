@@ -7,48 +7,19 @@ dense int64 lookup table sized to the largest id it has seen.  Allocating
 restores only the entries it touched — an O(touched) reset instead of an
 O(num_vertices) refill.
 
-The table's invariant between borrows is *all entries equal -1*; the
-:meth:`Workspace.id_map` context manager enforces it even when the
-kernel raises mid-way.
+The table's invariant between borrows is *all entries equal -1*.  A
+borrow is two plain calls, :meth:`Workspace.borrow` and
+:meth:`Workspace.release`, not a context manager: a sampled block
+borrows once per layer, and the manager's object and ``__enter__`` /
+``__exit__`` frames cost more calls than the borrow.  The caller's
+``try`` / ``finally`` restores the entries it wrote and releases.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .profiler import PERF
-
 __all__ = ["Workspace", "get_workspace"]
-
-
-class _IdMapBorrow:
-    """What :meth:`Workspace.id_map` returns: the borrow as a class
-    instead of a ``contextlib`` generator, whose helper / ``next``
-    machinery made more interpreter calls per block than the borrow
-    itself.  All the work happens in ``__enter__``, as the generator's
-    did."""
-
-    __slots__ = ("_workspace", "_capacity", "_pooled")
-
-    def __init__(self, workspace, capacity):
-        self._workspace = workspace
-        self._capacity = capacity
-
-    def __enter__(self):
-        workspace = self._workspace
-        self._pooled = not workspace._id_map_busy
-        if not self._pooled:
-            PERF.count("workspace_id_map_contended")
-            return np.full(int(self._capacity), -1, dtype=np.int64)
-        if self._capacity > len(workspace._id_map):
-            workspace._grow_id_map(self._capacity)
-        workspace._id_map_busy = True
-        PERF.count("workspace_id_map_borrows")
-        return workspace._id_map
-
-    def __exit__(self, *_exc):
-        if self._pooled:
-            self._workspace._id_map_busy = False
 
 
 class Workspace:
@@ -58,23 +29,32 @@ class Workspace:
         self._id_map = np.empty(0, dtype=np.int64)
         self._id_map_busy = False
 
-    def _grow_id_map(self, capacity):
-        # Geometric growth so repeated slightly-larger requests don't
-        # reallocate every call.
-        new_size = max(int(capacity), 2 * len(self._id_map), 1024)
-        self._id_map = np.full(new_size, -1, dtype=np.int64)
-        PERF.count("workspace_id_map_grows")
+    def borrow(self, capacity):
+        """The ``-1``-filled int64 lookup table, at least ``capacity``
+        entries long.
 
-    def id_map(self, capacity):
-        """Borrow the ``-1``-filled int64 lookup table, at least
-        ``capacity`` entries long.
-
-        The caller may write any entries; on exit the caller must have
-        restored them to -1 (the usual pattern: assign positions, use,
-        then re-assign -1 at the same indices).  Re-entrant borrows fall
-        back to a fresh allocation so nested samplers stay correct.
+        The caller may write any entries; before :meth:`release` it must
+        have restored them to -1 (the usual pattern: assign positions,
+        use, then re-assign -1 at the same indices, in a ``finally``).
+        A borrow while the pooled table is lent out gets a fresh table,
+        so nested samplers stay correct.
         """
-        return _IdMapBorrow(self, capacity)
+        if self._id_map_busy:
+            return np.full(capacity, -1, dtype=np.int64)
+        if capacity > len(self._id_map):
+            # Geometric growth so repeated slightly-larger requests
+            # don't reallocate every call.
+            self._id_map = np.full(
+                max(capacity, 2 * len(self._id_map), 1024), -1,
+                dtype=np.int64)
+        self._id_map_busy = True
+        return self._id_map
+
+    def release(self, table):
+        """Hand back a table :meth:`borrow` returned (a fresh one from a
+        nested borrow is simply dropped)."""
+        if table is self._id_map:
+            self._id_map_busy = False
 
 
 #: Process-wide workspace shared by the sampling kernels.

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..analysis.sanitize import check_csr
 from ..errors import SamplingError
-from ..perf import FLAGS, PERF, get_workspace, sorted_unique
+from ..perf import FLAGS, get_workspace, sorted_unique
 
 __all__ = ["SampledBlock", "SampledSubgraph", "build_block"]
 
@@ -27,6 +27,7 @@ __all__ = ["SampledBlock", "SampledSubgraph", "build_block"]
 _UMAX = np.maximum.reduce
 _MAX_ID = np.iinfo(np.int64).max
 _NO_IDS = np.empty(0, dtype=np.int64)
+_POOL = get_workspace()
 
 
 @dataclass
@@ -173,72 +174,72 @@ def build_block(dst_nodes, edge_dst, edge_src):
     ``tests/sampling/_block_oracle.py``; both produce bit-identical
     blocks.
     """
-    with PERF.timed("block_assembly"):
-        dst_nodes = np.asarray(dst_nodes, dtype=np.int64)
-        edge_dst = np.asarray(edge_dst, dtype=np.int64)
-        edge_src = np.asarray(edge_src, dtype=np.int64)
-        num_dst, num_edges = len(dst_nodes), len(edge_dst)
-        if num_edges != len(edge_src):
-            raise SamplingError("edge arrays must have equal length")
+    dst_nodes = np.asarray(dst_nodes, dtype=np.int64)
+    edge_dst = np.asarray(edge_dst, dtype=np.int64)
+    edge_src = np.asarray(edge_src, dtype=np.int64)
+    num_dst, num_edges = len(dst_nodes), len(edge_dst)
+    if num_edges != len(edge_src):
+        raise SamplingError("edge arrays must have equal length")
 
-        # One reduction per array: read as unsigned, a negative id is
-        # larger than every valid one, so the maximum is both the
-        # range check and the table size.
-        top = 0
-        if num_dst:
-            top = int(_UMAX(dst_nodes.view(np.uint64)))
-        if num_edges:
-            top = max(top, int(_UMAX(edge_src.view(np.uint64))),
-                      int(_UMAX(edge_dst.view(np.uint64))))
-        if top > _MAX_ID:
-            raise SamplingError("vertex ids must be non-negative")
+    # One reduction per array: read as unsigned, a negative id is
+    # larger than every valid one, so the maximum is both the
+    # range check and the table size.
+    top = 0
+    if num_dst:
+        top = int(_UMAX(dst_nodes.view(np.uint64)))
+    if num_edges:
+        top = max(top, int(_UMAX(edge_src.view(np.uint64))),
+                  int(_UMAX(edge_dst.view(np.uint64))))
+    if top > _MAX_ID:
+        raise SamplingError("vertex ids must be non-negative")
 
-        extra = _NO_IDS
-        with get_workspace().id_map(top + 1) as lookup:
-            try:
-                lookup[dst_nodes] = np.arange(num_dst, dtype=np.int64)
-                dst_local = lookup[edge_dst]
-                if num_edges and np.minimum.reduce(dst_local) < 0:
-                    raise SamplingError(
-                        "edge destination not found in block vertices")
-                src_local = lookup[edge_src]
-                # Both the emptiness test and the index (a boolean
-                # gather is ~4x slower on a mask this mixed).
-                fresh = (src_local < 0).nonzero()[0]
-                if len(fresh):
-                    # Sources not already destinations, sorted unique —
-                    # the same ordering ``np.setdiff1d`` yields.
-                    extra = sorted_unique(edge_src[fresh])
-                    lookup[extra] = np.arange(
-                        num_dst, num_dst + len(extra), dtype=np.int64)
-                    src_local = lookup[edge_src]
-            finally:
-                # Restore the pool invariant (all -1), touching only
-                # the entries this call wrote.
-                lookup[dst_nodes] = -1
-                if len(extra):
-                    lookup[extra] = -1
+    extra = _NO_IDS
+    lookup = _POOL.borrow(top + 1)
+    try:
+        lookup[dst_nodes] = np.arange(num_dst, dtype=np.int64)
+        dst_local = lookup[edge_dst]
+        if num_edges and np.minimum.reduce(dst_local) < 0:
+            raise SamplingError(
+                "edge destination not found in block vertices")
+        src_local = lookup[edge_src]
+        # Both the emptiness test and the index (a boolean gather is
+        # ~4x slower on a mask this mixed).
+        fresh = (src_local < 0).nonzero()[0]
+        if len(fresh):
+            # Sources not already destinations, sorted unique — the
+            # same ordering ``np.setdiff1d`` yields.
+            extra = sorted_unique(edge_src[fresh])
+            lookup[extra] = np.arange(
+                num_dst, num_dst + len(extra), dtype=np.int64)
+            src_local = lookup[edge_src]
+    finally:
+        # Restore the pool invariant (all -1), touching only the
+        # entries this call wrote, and hand the table back.
+        lookup[dst_nodes] = -1
+        if len(extra):
+            lookup[extra] = -1
+        _POOL.release(lookup)
 
-        num_src = num_dst + len(extra)
-        # The one sort of the block's edges.  Packed with a shift, so
-        # the source unpacks with a mask and a destination's row is the
-        # key range [i << shift, (i + 1) << shift).  Safe in int64:
-        # num_dst * num_src is far below 2**62 for any block this
-        # library builds.  Tie order is irrelevant — equal keys are
-        # equal (dst, src) pairs, and the mask keeps one of each.
-        shift = max(num_src - 1, 1).bit_length()
-        key = sorted_unique((dst_local << shift) | src_local)
-        indices = key & ((1 << shift) - 1)
-        indptr = key.searchsorted(
-            np.arange(num_dst + 1, dtype=np.int64) << shift)
-        block = SampledBlock(dst_nodes=dst_nodes,
-                             src_nodes=np.concatenate([dst_nodes, extra]),
-                             indptr=indptr, indices=indices)
-        if FLAGS.sanitize:
-            # Guarded at the call site so the off path costs one
-            # attribute read in this hot loop.  Block CSRs are
-            # rectangular: destination rows, source columns.
-            check_csr(indptr, indices, num_dst, name="build_block",
-                      sorted_rows=True, num_cols=num_src)
-            block.validate()
-        return block
+    num_src = num_dst + len(extra)
+    # The one sort of the block's edges.  Packed with a shift, so
+    # the source unpacks with a mask and a destination's row is the
+    # key range [i << shift, (i + 1) << shift).  Safe in int64:
+    # num_dst * num_src is far below 2**62 for any block this
+    # library builds.  Tie order is irrelevant — equal keys are
+    # equal (dst, src) pairs, and the mask keeps one of each.
+    shift = max(num_src - 1, 1).bit_length()
+    key = sorted_unique((dst_local << shift) | src_local)
+    indices = key & ((1 << shift) - 1)
+    indptr = key.searchsorted(
+        np.arange(num_dst + 1, dtype=np.int64) << shift)
+    block = SampledBlock(dst_nodes=dst_nodes,
+                         src_nodes=np.concatenate([dst_nodes, extra]),
+                         indptr=indptr, indices=indices)
+    if FLAGS.sanitize:
+        # Guarded at the call site so the off path costs one
+        # attribute read in this hot loop.  Block CSRs are
+        # rectangular: destination rows, source columns.
+        check_csr(indptr, indices, num_dst, name="build_block",
+                  sorted_rows=True, num_cols=num_src)
+        block.validate()
+    return block

@@ -455,14 +455,15 @@ def _check_ready_times(nodes, draining):
 def check_trace(requests, num_vertices):
     """Reject a trace with an unknown vertex or a bad arrival time.
 
-    A trace must query vertices the graph has, at finite arrival times
-    in non-decreasing order; :class:`ServingError` names the first
-    request that does not.  One pass per run, before any batch is cut:
-    inside a batch an id past the end is a bare ``IndexError`` and a
-    negative one silently answers for a vertex counted from the end of
-    the table, and the loop's arrival merge assumes a sorted trace (a
-    ``nan`` or ``inf`` arrival is never due, so the request would
-    vanish)."""
+    A trace must query vertices the graph has, at finite, non-negative
+    arrival times in non-decreasing order; :class:`ServingError` names
+    the first request that does not.  One pass per run, before any
+    batch is cut: inside a batch an id past the end is a bare
+    ``IndexError`` and a negative one silently answers for a vertex
+    counted from the end of the table, and the loop's arrival merge
+    assumes a sorted trace (a ``nan`` or ``inf`` arrival is never due,
+    so the request would vanish; one before 0 is served at clock 0 and
+    reports the head start as latency)."""
     vertices = np.fromiter(map(attrgetter("vertex"), requests),
                            dtype=np.int64, count=len(requests))
     bad = (vertices < 0) | (vertices >= num_vertices)
@@ -474,14 +475,14 @@ def check_trace(requests, num_vertices):
             f"0..{num_vertices - 1}")
     arrivals = np.fromiter(map(attrgetter("arrival"), requests),
                            dtype=np.float64, count=len(requests))
-    ordered = np.isfinite(arrivals)
+    ordered = np.isfinite(arrivals) & (arrivals >= 0.0)
     ordered[1:] &= arrivals[1:] >= arrivals[:-1]
     if not ordered.all():
         request = requests[int(ordered.argmin())]
         raise ServingError(
             f"request {request.request_id} arrives at "
             f"{request.arrival}; a trace needs finite arrival times in "
-            f"non-decreasing order")
+            f"non-decreasing order, none before 0")
 
 
 def cache_hit_rates(caches):

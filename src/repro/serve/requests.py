@@ -14,12 +14,14 @@ delay by slowing down with the server).
 
 from __future__ import annotations
 
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
 
 from ..errors import ServingError
 from ..perf.weighted import WeightedChoice
+from .batcher import _check_count
 
 __all__ = ["InferenceRequest", "InferenceResponse", "LoadGenerator"]
 
@@ -97,8 +99,12 @@ class LoadGenerator:
         if not 0 < rate < np.inf:
             raise ServingError(f"arrival rate must be positive and "
                                f"finite, got {rate}")
-        if num_requests < 1:
-            raise ServingError("need at least one request")
+        # Integers, not anything ``int()`` accepts: 2.5 requests or
+        # seed 1.7 would be truncated without a word.
+        _check_count("num_requests", num_requests)
+        if not isinstance(seed, Integral) or seed < 0:
+            raise ServingError(
+                f"seed must be an integer >= 0, got {seed!r}")
         if not skew >= 0:   # nan too
             raise ServingError(f"skew must be >= 0, got {skew}")
         self.rate = float(rate)

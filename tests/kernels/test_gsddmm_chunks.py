@@ -2,8 +2,8 @@
 pairwise sum never crosses a chunk, so every edge count around a chunk
 boundary must give the bytes of the one-pass expression
 (``_operator_oracle.gsddmm_dot_reference``) — for both adjacency
-layouts, equal and mixed operand dtypes — with the sanitizer and the
-counters behaving as before.
+layouts, equal and mixed operand dtypes — with the sanitizer, the call
+count and the FLOP counter behaving as before.
 
 That ``sum(axis=1)`` of a row block does not depend on how many rows the
 block has is a property of the installed numpy: run this file after any
@@ -17,6 +17,7 @@ from repro.errors import SanitizerError
 from repro.kernels import KernelCOO, KernelCSR, gsddmm_forward, registry
 from repro.perf import PERF
 
+from ._call_spy import kernel_calls
 from ._operator_oracle import gsddmm_dot_reference
 
 ROWS, COLS = 37, 53
@@ -67,13 +68,14 @@ def test_every_chunk_boundary_gives_the_one_pass_bytes(layout, width,
         adj = layout(nnz, rng)
         assert adj.nnz == nnz
         before = PERF.snapshot()
-        out = gsddmm_forward(adj, q, k, op="dot")
+        with kernel_calls() as calls:
+            out = gsddmm_forward(adj, q, k, op="dot")
         delta = PERF.delta(before)
         expected = gsddmm_dot_reference(adj, q, k)
         assert out.dtype == expected.dtype == promoted
         assert out.shape == expected.shape == (nnz,)
         assert out.tobytes() == expected.tobytes()
-        assert delta["kernel_gsddmm_calls"] == 1
+        assert calls == {"gsddmm": 1}
         assert delta.get("kernel_flops", 0) == 2 * nnz * width
 
 

@@ -6,14 +6,16 @@ from dataclasses import replace
 import numpy as np
 
 from repro.graph.build import from_edges
-from repro.kernels import (block_attention_edges,
+from repro.kernels import (adjacency, block_attention_edges,
                            normalized_block_adjacency)
 from repro.nn import build_model, no_grad
-from repro.perf import PERF
 from repro.sampling import NeighborSampler, build_block
 
 from ..kernels._operator_oracle import block_operator_reference
 from ..sampling._block_oracle import slow_paths
+
+
+mean_operator = adjacency._mean_operator
 
 
 def small_block():
@@ -34,15 +36,20 @@ class TestAggregationMemo:
         assert with_loops is not without
         assert normalized_block_adjacency(block, self_loops=False) is without
 
-    def test_hit_and_miss_counters(self):
+    def test_hit_and_miss_counters(self, monkeypatch):
+        """One build (the miss), then two hits that hand back the built
+        operator itself."""
+        built = []
+
+        def build(*args):
+            built.append(mean_operator(*args))
+            return built[-1]
+
+        monkeypatch.setattr(adjacency, "_mean_operator", build)
         block = small_block()
-        before = PERF.snapshot()
-        normalized_block_adjacency(block)
-        normalized_block_adjacency(block)
-        normalized_block_adjacency(block)
-        delta = PERF.delta(before)
-        assert delta.get("agg_matrix_misses") == 1
-        assert delta.get("agg_matrix_hits") == 2
+        calls = [normalized_block_adjacency(block) for _ in range(3)]
+        assert len(built) == 1
+        assert all(matrix is built[0] for matrix in calls)
 
     def test_memoized_matrix_matches_fresh_build(self):
         block = small_block()

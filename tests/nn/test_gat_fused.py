@@ -28,6 +28,7 @@ from repro.nn import GATConv, Tensor, no_grad
 from repro.perf import PERF, perf_overrides
 from repro.sampling import build_block
 
+from ..kernels._call_spy import kernel_calls
 from ..kernels._reference_oracle import PATHS, kernel_path
 from ._gat_oracle import composed_gat
 
@@ -200,20 +201,21 @@ def test_counters_are_the_composed_chains_less_the_forward_gsddmm(heads):
     def billed():
         conv, block, h = _layer(heads, np.random.default_rng(7))
         before = PERF.snapshot()
-        out = conv.forward_block(block, h)
-        out.backward(np.ones(out.shape, dtype=np.float32))
-        return {name: value for name, value in PERF.delta(before).items()
-                if not name.endswith("_seconds")}
+        with kernel_calls() as calls:
+            out = conv.forward_block(block, h)
+            out.backward(np.ones(out.shape, dtype=np.float32))
+        return calls, PERF.delta(before)
 
-    shipped = billed()
+    shipped_calls, shipped = billed()
     with composed_gat():
-        oracle = billed()
+        oracle_calls, oracle = billed()
     # The per-edge add is billed in flops still, but is no dispatch.
-    assert oracle.pop("kernel_gsddmm_calls") \
-        == shipped.pop("kernel_gsddmm_calls") + heads
+    assert oracle_calls.pop("gsddmm") \
+        == shipped_calls.pop("gsddmm") + heads
+    assert shipped_calls == oracle_calls
     assert shipped == oracle
-    assert shipped["kernel_edge_softmax_calls"] == heads
-    assert shipped["kernel_gspmm_calls"] == 4 * heads
+    assert shipped_calls["edge_softmax"] == heads
+    assert shipped_calls["gspmm"] == 4 * heads
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SamplingError
-from repro.perf import PERF, get_workspace
+from repro.perf import Workspace, get_workspace
 from repro.sampling import SampledSubgraph, build_block
 
 
@@ -59,9 +59,12 @@ UNEQUAL = "edge arrays must have equal length"
 
 def pool_is_clean():
     """The pooled id map is free again and all -1."""
-    with get_workspace().id_map(1) as lookup:
-        return lookup is get_workspace()._id_map and bool(
-            np.all(lookup == -1))
+    workspace = get_workspace()
+    lookup = workspace.borrow(1)
+    try:
+        return lookup is workspace._id_map and bool(np.all(lookup == -1))
+    finally:
+        workspace.release(lookup)
 
 
 class TestBuildBlockErrorContract:
@@ -111,16 +114,28 @@ class TestBuildBlockErrorContract:
         slots were written: ``finally`` must still clear them."""
         with pytest.raises(SamplingError, match=UNKNOWN_DST):
             build_block([11, 13, 17], [11, 12], [13, 19])
-        with get_workspace().id_map(20) as lookup:
+        workspace = get_workspace()
+        lookup = workspace.borrow(20)
+        try:
             assert np.all(lookup[:20] == -1)
+        finally:
+            workspace.release(lookup)
 
-    def test_nested_borrow_takes_the_contended_path(self):
+    def test_nested_borrow_takes_the_contended_path(self, monkeypatch):
         """A block built while the pool is lent out works on a private
         table; its error leaves the lender's entries alone and the pool
-        still busy, and the lender's exit frees it."""
+        still busy, and the lender's release frees it."""
         workspace = get_workspace()
-        before = PERF.snapshot()
-        with workspace.id_map(32) as outer:
+        lent = []
+        borrow = Workspace.borrow
+
+        def spy(pool, capacity):
+            lent.append(borrow(pool, capacity))
+            return lent[-1]
+
+        monkeypatch.setattr(Workspace, "borrow", spy)
+        outer = workspace.borrow(32)
+        try:
             outer[7] = 5
             inner = build_block([7, 8], [7, 8], [9, 7])
             assert list(inner.src_nodes) == [7, 8, 9]
@@ -131,10 +146,12 @@ class TestBuildBlockErrorContract:
             assert workspace._id_map_busy
             assert outer[7] == 5 and np.all(outer[8:32] == -1)
             outer[7] = -1
-        moved = PERF.delta(before)
-        # The range check comes before the borrow.
-        assert moved["workspace_id_map_contended"] == 2
-        assert moved["workspace_id_map_borrows"] == 1
+        finally:
+            workspace.release(outer)
+        # The range check comes before the borrow: two nested borrows,
+        # each on a fresh table.
+        assert len(lent) == 3 and lent[0] is workspace._id_map
+        assert all(table is not outer for table in lent[1:])
         assert pool_is_clean()
 
 

@@ -93,8 +93,11 @@ class TestBuildBlockEquivalence:
             build_block([1], [2], [3])
         workspace = get_workspace()
         assert len(workspace._id_map) > 0
-        with workspace.id_map(1) as lookup:
+        lookup = workspace.borrow(1)
+        try:
             assert np.all(lookup == -1)
+        finally:
+            workspace.release(lookup)
 
 
 class TestNonCanonicalBlocksAreLoud:

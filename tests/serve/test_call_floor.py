@@ -17,10 +17,12 @@ import pytest
 
 TOOL = Path(__file__).resolve().parents[2] / "tools" / "floor_profile.py"
 
-#: Calls per 2-seed ``execute``: 410 on python 3.11 + numpy 2.4 + scipy
+#: Calls per 2-seed ``execute``: 348 on python 3.11 + numpy 2.4 + scipy
 #: 1.17, plus 23 calls of headroom for the numpy each CI python
-#: installs.  Never above 550.
-BUDGET = 433
+#: installs.  Never above 550.  History: 410 (budget 433) until the
+#: ``PERF`` timers, the counters no report read and the id map's
+#: context manager left the per-block path.
+BUDGET = 371
 
 
 @pytest.fixture(scope="module")

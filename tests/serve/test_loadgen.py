@@ -70,6 +70,33 @@ class TestLoadGenerator:
         with pytest.raises(ServingError, match="must be"):
             LoadGenerator(POPULATION, rate, 10, skew=skew)
 
+    @pytest.mark.parametrize("num_requests", [
+        2.5, float("nan"), "3", None, 0, -1, np.float64(4.0)],
+        ids=["fraction", "nan", "string", "none", "zero", "negative",
+             "numpy-float"])
+    def test_request_count_must_be_an_integer(self, num_requests):
+        # 2.5 generated 2 requests, nan raised a bare ValueError and
+        # "3" a TypeError.
+        with pytest.raises(ServingError,
+                           match="num_requests must be an integer >= 1"):
+            LoadGenerator(POPULATION, 100.0, num_requests)
+
+    @pytest.mark.parametrize("seed", [1.7, float("nan"), "3", None, -1],
+                             ids=["fraction", "nan", "string", "none",
+                                  "negative"])
+    def test_seed_must_be_an_integer(self, seed):
+        # 1.7 was truncated to seed 1 without a word.
+        with pytest.raises(ServingError,
+                           match="seed must be an integer >= 0"):
+            LoadGenerator(POPULATION, 100.0, 10, seed=seed)
+
+    def test_numpy_integers_are_integers(self):
+        gen = LoadGenerator(POPULATION, 100.0, np.int64(12),
+                            seed=np.uint32(5))
+        assert (gen.num_requests, gen.seed) == (12, 5)
+        assert type(gen.num_requests) is int and type(gen.seed) is int
+        assert len(gen.generate()) == 12
+
     def test_request_ids_dense(self):
         trace = LoadGenerator(POPULATION, 100.0, 50, seed=6).generate()
         assert [r.request_id for r in trace] == list(range(50))

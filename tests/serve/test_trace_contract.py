@@ -1,10 +1,12 @@
 """The trace and record contract of both serving engines.
 
-A trace's arrivals must be finite and non-decreasing (the event loop
-merges the sorted trace past its heap): ``check_trace`` rejects any
-other trace with a :class:`ServingError` naming the first bad request,
-before anything is served, where a ``nan`` or ``inf`` arrival used to
-make requests vanish from the report.  The records are named tuples
+A trace's arrivals must be finite, non-negative and non-decreasing (the
+event loop merges the sorted trace past its heap and starts its clock
+at 0): ``check_trace`` rejects any other trace with a
+:class:`ServingError` naming the first bad request, before anything is
+served, where a ``nan`` or ``inf`` arrival used to make requests vanish
+from the report and one at -1 s was served at clock 0 with a second of
+latency it never waited.  The records are named tuples
 built by ``tuple.__new__`` at the two bulk sites, and must still be
 exactly their classes: immutable, hashable, equal by value, with the
 same fields, order, defaults and ``latency``.
@@ -47,7 +49,8 @@ ENGINES = ["serve", "fleet"]
 
 
 # ----------------------------------------------------------------------
-# Arrivals: finite and non-decreasing, or a typed error up front
+# Arrivals: finite, non-negative and non-decreasing, or a typed error
+# up front
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("kind", ENGINES)
 @pytest.mark.parametrize("arrivals, bad", [
@@ -56,7 +59,10 @@ ENGINES = ["serve", "fleet"]
     ([NAN, NAN, NAN], 0),
     ([0.0, 2e-3, 1e-3], 2),
     ([0.0, 1e-3, -INF], 2),
-], ids=["nan", "inf", "all-nan", "decreasing", "minus-inf"])
+    ([-1.0, 0.0, 1e-3], 0),
+    ([-1e-3, -1e-3, 0.0], 0),
+], ids=["nan", "inf", "all-nan", "decreasing", "minus-inf", "negative",
+        "negative-ties"])
 def test_bad_arrivals_are_a_serving_error(data, model, kind, arrivals,
                                           bad):
     trace = [InferenceRequest(i, i, arrival)

@@ -26,19 +26,25 @@ configuration (4 replicas, metis-v, precomputed, LFU 0.1 / 0.1,
 the request: interpreter calls per request of ``FleetEngine.run`` (also
 for the ``fleet-chaos`` configuration — crash storm, replication,
 detector, breakers, hedging, snapshot recovery — and for the
-``serve-sampled`` ``ServeEngine.run`` above) and the cumulative
-table of ``run`` / ``on_admit`` / ``route`` / ``submit`` / ``dispatch``
-/ ``execute`` / ``lookup``.  ``tests/fleet/test_call_floor.py`` gates both counts; run
-after changing anything under ``serve/loop.py`` or ``fleet/``.
+``serve-sampled`` ``ServeEngine.run`` above), the share of a
+``fleet-steady`` run's process CPU time spent assembling its report,
+and the cumulative table of ``run`` / ``on_admit`` / ``route`` /
+``submit`` / ``dispatch`` / ``execute`` / ``lookup``.  The call count
+cannot see a per-element C loop (``sorted()`` over the run's 60 000
+latencies is one call), which is why the report is timed instead.
+``tests/fleet/test_call_floor.py`` gates both counts; run after
+changing anything under ``serve/loop.py`` or ``fleet/``.
 """
 
 from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import pstats
 import sys
 import tempfile
+import time
 
 import numpy as np
 
@@ -172,6 +178,37 @@ def calls_per_request(engine, trace):
         return count_calls(engine.run, trace) / len(trace)
 
 
+def report_share(engine, trace, repeat=3):
+    """``(report seconds, run seconds)`` of process CPU time for one
+    ``engine.run(trace)`` (a :class:`FleetEngine`), sanitizers off and
+    garbage collected first; the run with the median total of
+    ``repeat``.  It reads the host's CPU clock on purpose."""
+    report = engine._report
+    spent = []
+
+    def timed(run):
+        start = time.process_time()  # repro: noqa[RPR002]
+        try:
+            return report(run)
+        finally:
+            spent.append(time.process_time() - start)  # repro: noqa[RPR002]
+
+    engine._report = timed
+    runs = []
+    try:
+        with perf_overrides(sanitize=False):
+            for _ in range(repeat):
+                gc.collect()
+                start = time.process_time()  # repro: noqa[RPR002]
+                engine.run(trace)
+                total = time.process_time() - start  # repro: noqa[RPR002]
+                runs.append((total, spent[-1]))
+    finally:
+        del engine._report
+    total, seconds = sorted(runs)[len(runs) // 2]
+    return seconds, total
+
+
 def profile_run(engine, trace):
     """``pstats.Stats`` of one cProfile'd ``engine.run(trace)``."""
     profiler = cProfile.Profile()
@@ -244,6 +281,9 @@ def fleet_main(scale, seed):
               f"{calls_per_request(*build_fleet(scale, seed, scratch)):.1f}")
     print(f"calls per request, serve-sampled: "
           f"{calls_per_request(*build_engine(scale, seed)):.1f}")
+    seconds, total = report_share(engine, trace)
+    print(f"report, fleet-steady: {1e3 * seconds:.1f} ms of "
+          f"{1e3 * total:.1f} ms CPU ({100 * seconds / total:.1f} %)")
 
     stats = profile_run(engine, trace)
     print(f"\ncProfile of FleetEngine.run: {len(trace)} requests "
