@@ -376,8 +376,8 @@ class FleetEngine:
             deadline=self.deadline or 0.0,
             shed=sum(r.shed for r in replicas),
             degraded=sum(r.degraded for r in replicas),
-            deadline_misses=(sum(
-                1 for r in responses if r.latency > self.deadline)
+            deadline_misses=(int(np.count_nonzero(
+                responses.latencies() > self.deadline))
                 if self.deadline is not None else 0),
             scale_events=list(autoscaler.events)
             if autoscaler is not None else [],
@@ -566,30 +566,35 @@ class _FleetRun:
                 FAULT, "snapshot")
 
     # -- RESPONSE phase (hedging only) ---------------------------------
-    def on_response(self, responses):
+    def on_response(self, row):
         """One batch's responses land, in batch order: the first copy
         back wins, a later twin is wasted work, and the winner cancels
-        any copy still queued elsewhere."""
+        any copy still queued elsewhere.  The winners go into the
+        ledger, the whole row when every copy in it won."""
         done, lost, hedge_target = self.done, self.lost, self.hedge_target
-        latencies, answered = self.latencies, self.loop.responses
-        for response in responses:
-            rid = response.request.request_id
+        latencies, completion, replica = \
+            self.latencies, row.completion, row.replica
+        wasted = []
+        for position, request in enumerate(row.requests):
+            rid = request.request_id
             if rid in done:
-                self.hedges_wasted += 1
+                wasted.append(position)
                 continue
             done.add(rid)
             if rid in lost:          # an earlier copy may have been lost
                 del lost[rid]
-            insort(latencies, response.completion - response.request.arrival)
-            answered.append(response)
+            insort(latencies, completion - request.arrival)
             if rid not in hedge_target:
                 continue
-            if response.replica == hedge_target[rid]:
+            if replica == hedge_target[rid]:
                 self.hedges_won += 1
             for other in self.assigned[rid]:
-                if other != response.replica \
-                        and self.replicas[other].cancel(rid):
+                if other != replica and self.replicas[other].cancel(rid):
                     self.hedges_cancelled += 1
+        if wasted:
+            self.hedges_wasted += len(wasted)
+            row = row.without(wasted)
+        self.loop.responses.add(row)
 
     # -- ADMIT phase ---------------------------------------------------
     def on_admit(self, request):
@@ -666,10 +671,9 @@ class _FleetRun:
         would take consecutive ``seq`` numbers (nothing can sort
         between them), and :meth:`on_response` schedules nothing — so
         landing them together, in batch order, is the same run."""
-        responses = dispatched[1]
-        if responses:
-            self.loop.schedule(responses[0].completion, RESPONSE,
-                               "response", responses)
+        row = dispatched[1]
+        if row.requests:
+            self.loop.schedule(row.completion, RESPONSE, "response", row)
 
     def settle_drains(self, _):
         self.autoscaler.finalize_drains(self.loop.clock)

@@ -29,7 +29,9 @@ Pieces:
   :class:`~repro.fleet.engine.FleetEngine`;
 * :mod:`~repro.serve.metrics` — :class:`ServeReport`, the one run
   report: latency/throughput digests of every node's latency and
-  queue-depth columns (:func:`repro.perf.summarize`);
+  queue-depth columns (:func:`repro.perf.summarize`), and the
+  :class:`~repro.serve.metrics.ResponseLedger` its answers are kept
+  in, one :class:`~repro.serve.metrics.BatchRow` per dispatch;
 * :mod:`~repro.serve.bench` — the ``repro bench serve`` sweep, and the
   prelude every serving bench shares.
 """

@@ -60,7 +60,7 @@ import numpy as np
 from ..errors import AdmissionError, SanitizerError, ServingError
 from ..perf import FLAGS
 from .batcher import MicroBatcher
-from .requests import InferenceResponse
+from .metrics import BatchRow, ResponseLedger
 
 __all__ = ["ServeNode", "EventLoop", "FAULT", "RESPONSE", "ADMIT",
            "TIMER", "cache_hit_rates", "check_trace",
@@ -188,12 +188,13 @@ class ServeNode:
 
     def dispatch(self, clock, straggle=1.0, slowlink=1.0):
         """Serve one micro-batch at simulated time ``clock``; returns
-        the responses (stamped with this node's id).
+        its answers as one :class:`~repro.serve.metrics.BatchRow`
+        (stamped with this node's id).
 
         With a deadline, requests already past it are *shed* first —
         they cannot be answered in time however fast the batch runs, so
         the capacity goes to requests that can still make it (an empty
-        list comes back when the whole batch was shed) — and with
+        row comes back when the whole batch was shed) — and with
         ``fallback`` a batch whose predicted sampled-path service time
         would push its oldest request past the deadline is answered
         from the precomputed table instead.
@@ -210,18 +211,20 @@ class ServeNode:
                     if clock <= r.arrival + self.deadline]
             self.shed += len(batch) - len(live)
             batch = live
-            if not batch:
-                return []
+        vertices = np.array([r.vertex for r in batch], dtype=np.int64)
+        if not batch:
+            return BatchRow(batch, vertices, vertices, clock,
+                            self.num_batches, 0, False, self.node_id)
         degrade = (
             self.fallback and self._service_estimate is not None
             and clock + self._service_estimate
             > min(r.arrival for r in batch) + self.deadline)
 
-        vertices = np.array([r.vertex for r in batch], dtype=np.int64)
+        size = len(batch)
         if degrade:
             predictions, bp, dt, nn = \
                 self.executor.execute_degraded(vertices)
-            self.degraded += len(batch)
+            self.degraded += size
         else:
             predictions, bp, dt, nn = self.executor.execute(vertices,
                                                             self.rng)
@@ -238,26 +241,18 @@ class ServeNode:
         completion = clock + service
         self.free_at = completion
 
-        self.completed += len(batch)
+        self.completed += size
         self.bp_seconds += bp
         self.dt_seconds += dt
         self.nn_seconds += nn
         if self.executor.last_remote_rows == 0:
-            self.zero_remote_completed += len(batch)
+            self.zero_remote_completed += size
 
         self.latencies.extend([completion - r.arrival for r in batch])
-        batch_id, batch_size, node_id = \
-            self.num_batches, len(batch), self.node_id
+        batch_id = self.num_batches
         self.num_batches += 1
-        # ``tolist``: python ints in one call, not one ``int()`` each;
-        # ``tuple.__new__``: one C call per record, not the namedtuple's
-        # python ``__new__``.
-        new = tuple.__new__
-        return [new(InferenceResponse, (request, prediction, completion,
-                                        batch_id, batch_size, degrade,
-                                        node_id))
-                for request, prediction
-                in zip(batch, predictions.tolist())]
+        return BatchRow(batch, predictions, vertices, completion,
+                        batch_id, size, degrade, self.node_id)
 
     @property
     def mean_batch_size(self):
@@ -288,7 +283,8 @@ class EventLoop:
     clock:
         The simulated time, for handlers to read.
     responses:
-        The answered responses, in the order they were collected.
+        The answered responses, in the order they were collected: a
+        :class:`~repro.serve.metrics.ResponseLedger`.
     """
 
     def __init__(self, nodes, requests, multipliers=_healthy):
@@ -298,7 +294,7 @@ class EventLoop:
         self.nodes = list(nodes)
         self.multipliers = multipliers
         self.clock = 0.0
-        self.responses = []
+        self.responses = ResponseLedger()
         # Scheduled events only: trace arrivals are merged in by
         # ``run`` with their trace index as seq, so everything
         # scheduled here sorts after a same-instant arrival.
@@ -324,7 +320,7 @@ class EventLoop:
     def collect(self, dispatched):
         """Default ``batch`` handler: the responses count as answered
         the moment their batch is dispatched."""
-        self.responses.extend(dispatched[1])
+        self.responses.add(dispatched[1])
 
     def run(self, handlers=()):
         """Run until no event is queued and no node holds a request;
@@ -334,7 +330,7 @@ class EventLoop:
         callables its payload is handed to.  Two kinds have a default
         the mapping may replace: ``"admit"`` (payload: the request —
         submit it to ``nodes[0]``) and ``"batch"`` (payload: ``(node,
-        responses)`` of one dispatch — :meth:`collect` them).
+        row)`` of one dispatch — :meth:`collect` the row).
         ``"dispatched"`` (payload ``None``) fires after every dispatch
         phase.  Any other kind is whatever the caller passes to
         :meth:`schedule`; a kind nobody handles is dropped.
@@ -453,17 +449,19 @@ def _check_ready_times(nodes, draining):
 # Run-level helpers of the serving engine
 # ----------------------------------------------------------------------
 def check_trace(requests, num_vertices):
-    """Reject a trace with an unknown vertex or a bad arrival time.
+    """Reject a trace with an unknown vertex, a bad arrival or a reused id.
 
     A trace must query vertices the graph has, at finite, non-negative
-    arrival times in non-decreasing order; :class:`ServingError` names
-    the first request that does not.  One pass per run, before any
-    batch is cut: inside a batch an id past the end is a bare
-    ``IndexError`` and a negative one silently answers for a vertex
-    counted from the end of the table, and the loop's arrival merge
-    assumes a sorted trace (a ``nan`` or ``inf`` arrival is never due,
-    so the request would vanish; one before 0 is served at clock 0 and
-    reports the head start as latency)."""
+    arrival times in non-decreasing order, under request ids that are
+    all different; :class:`ServingError` names the first request that
+    does not.  One pass per run, before any batch is cut: inside a
+    batch an id past the end is a bare ``IndexError`` and a negative
+    one silently answers for a vertex counted from the end of the
+    table, and the loop's arrival merge assumes a sorted trace (a
+    ``nan`` or ``inf`` arrival is never due, so the request would
+    vanish; one before 0 is served at clock 0 and reports the head
+    start as latency).  The fleet keys its bookkeeping by request id,
+    so a repeated id would be answered once and counted nowhere."""
     vertices = np.fromiter(map(attrgetter("vertex"), requests),
                            dtype=np.int64, count=len(requests))
     bad = (vertices < 0) | (vertices >= num_vertices)
@@ -483,6 +481,17 @@ def check_trace(requests, num_vertices):
             f"request {request.request_id} arrives at "
             f"{request.arrival}; a trace needs finite arrival times in "
             f"non-decreasing order, none before 0")
+    ids = np.fromiter(map(attrgetter("request_id"), requests),
+                      dtype=np.int64, count=len(requests))
+    # A generated trace numbers its requests in order: one comparison.
+    if not (ids[1:] > ids[:-1]).all():
+        first = np.zeros(len(ids), dtype=bool)
+        first[np.unique(ids, return_index=True)[1]] = True
+        if not first.all():
+            request = requests[int(first.argmin())]
+            raise ServingError(
+                f"request id {request.request_id} appears more than "
+                f"once in the trace; every request needs its own id")
 
 
 def cache_hit_rates(caches):
@@ -505,16 +514,17 @@ def cache_hit_rates(caches):
 
 
 def run_totals(responses, labels):
-    """The report fields a run derives from the answered responses: ``completed``, ``duration_seconds`` (the last
-    completion, measured from time 0 — not from the first arrival),
-    ``throughput`` and ``accuracy``."""
+    """The report fields a run derives from its answered responses.
+
+    ``responses`` is the run's
+    :class:`~repro.serve.metrics.ResponseLedger`; the fields are
+    ``completed``, ``duration_seconds`` (the last completion, measured
+    from time 0 — not from the first arrival), ``throughput`` and
+    ``accuracy``."""
     completed = len(responses)
-    duration = max(map(attrgetter("completion"), responses), default=0.0)
-    predictions = np.fromiter(map(attrgetter("prediction"), responses),
-                              dtype=np.int64, count=completed)
-    vertices = np.fromiter(map(attrgetter("request.vertex"), responses),
-                           dtype=np.int64, count=completed)
-    correct = int(np.count_nonzero(predictions == labels[vertices]))
+    duration = float(responses.completions().max()) if completed else 0.0
+    correct = int(np.count_nonzero(
+        responses.predictions() == labels[responses.vertices()]))
     return {"completed": completed,
             "duration_seconds": duration,
             "throughput": completed / duration if duration else 0.0,

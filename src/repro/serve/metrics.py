@@ -9,15 +9,176 @@ Every serving run — a :class:`~repro.serve.engine.ServeEngine` is a
 ``queue_depths`` (one per admitted request) — and the reports digest
 them with :func:`repro.perf.summarize`, so the serving layer's
 percentile math is the perf layer's, unit-tested there.
+
+The answers themselves are columns too.  A dispatch returns one
+:class:`BatchRow`, and the run collects the rows into one
+:class:`ResponseLedger`: flat columns, extended once per batch, so a
+run leaves no Python object per answer behind.  Reading the ledger
+builds each :class:`~repro.serve.requests.InferenceResponse` on the
+fly, in C.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import attrgetter, index
+
+import numpy as np
 
 from ..perf import summarize
+from .requests import InferenceResponse
 
-__all__ = ["ServeReport", "summary_fields"]
+__all__ = ["BatchRow", "ResponseLedger", "ServeReport", "summary_fields"]
+
+_new = tuple.__new__
+_NONE = np.empty(0, dtype=np.int64)
+#: The values a row shares, in ``InferenceResponse`` field order.
+_SHARED = ("completion", "batch_id", "batch_size", "degraded", "replica")
+
+
+class BatchRow:
+    """The answers of one dispatched batch, as columns.
+
+    ``requests`` and the ``predictions`` and ``vertices`` arrays hold
+    one entry per answered request, in batch order; ``completion``,
+    ``batch_id``, ``batch_size``, ``degraded`` and ``replica`` are
+    shared by the whole batch.  ``batch_size`` is the size the batch
+    was served at, so it stays that of the whole batch in a row that
+    keeps only part of it (:meth:`without`).  Iterating a row yields
+    its responses, each an
+    :class:`~repro.serve.requests.InferenceResponse`.
+    """
+
+    __slots__ = ("requests", "predictions", "vertices") + _SHARED
+
+    def __init__(self, requests, predictions, vertices, completion,
+                 batch_id, batch_size, degraded, replica):
+        self.requests = requests
+        self.predictions = predictions
+        self.vertices = vertices
+        self.completion = completion
+        self.batch_id = batch_id
+        self.batch_size = batch_size
+        self.degraded = degraded
+        self.replica = replica
+
+    def __iter__(self):
+        return map(_new, repeat(InferenceResponse), zip(
+            self.requests, self.predictions.tolist(),
+            *map(repeat, (self.completion, self.batch_id,
+                          self.batch_size, self.degraded,
+                          self.replica))))
+
+    def without(self, positions):
+        """This row minus the answers at ``positions``."""
+        keep = [i for i in range(len(self.requests))
+                if i not in positions]
+        return BatchRow([self.requests[i] for i in keep],
+                        self.predictions[keep], self.vertices[keep],
+                        self.completion, self.batch_id, self.batch_size,
+                        self.degraded, self.replica)
+
+
+class ResponseLedger(Sequence):
+    """The answered responses of one run, kept as flat columns.
+
+    A read-only sequence of
+    :class:`~repro.serve.requests.InferenceResponse`.
+    :meth:`add` takes a :class:`BatchRow` with three ``extend`` calls:
+    the row's requests, its vertex and prediction arrays, and its five
+    shared values.  Nothing is kept per answer but a reference to the
+    trace's request, so a run leaves no object per answer for the
+    garbage collector to track.  ``len`` and ``[i]`` behave as on a
+    list; iteration builds each response in C, with the python values
+    and in the order :meth:`add` / :meth:`append` received them, from
+    per-answer columns the first read expands once.  The numpy
+    readers (:meth:`predictions`, :meth:`vertices`,
+    :meth:`completions`, :meth:`latencies`) are what the report's
+    totals are computed from.
+    """
+
+    def __init__(self):
+        self._requests = []     # one per answer
+        self._arrays = []       # per row: its vertices, its predictions
+        self._shared = []       # per row: its ``_SHARED`` values
+        # What a reader reads, one column per response field, and the
+        # number of rows it was built from.
+        self._read = (0, ())
+
+    def add(self, row):
+        """Append every answer of ``row`` (a :class:`BatchRow`)."""
+        self._requests.extend(row.requests)
+        self._arrays.extend((row.vertices, row.predictions))
+        self._shared.extend((row.completion, row.batch_id, row.batch_size,
+                             row.degraded, row.replica))
+
+    def append(self, response):
+        """Append one :class:`~repro.serve.requests.InferenceResponse`."""
+        request = response.request
+        self.add(BatchRow(
+            (request,), np.array([response.prediction], dtype=np.int64),
+            np.array([request.vertex], dtype=np.int64),
+            response.completion, response.batch_id, response.batch_size,
+            response.degraded, response.replica))
+
+    def __len__(self):
+        return len(self._requests)
+
+    def _columns(self):
+        """The response fields as python columns, built on the first
+        read after a row was added: the predictions as python ints, and
+        each shared value repeated once per answer of its row."""
+        rows, columns = self._read
+        if rows != len(self._arrays):
+            counts = list(map(len, self._arrays[::2]))
+            width = len(_SHARED)
+            columns = (self._requests, self.predictions().tolist(),
+                       *(list(chain.from_iterable(
+                           map(repeat, self._shared[k::width], counts)))
+                         for k in range(width)))
+            self._read = len(self._arrays), columns
+        return columns
+
+    def __iter__(self):
+        return map(_new, repeat(InferenceResponse), zip(*self._columns()))
+
+    def __getitem__(self, position):
+        size = len(self._requests)
+        position = index(position)
+        if position < 0:
+            position += size
+        if not 0 <= position < size:
+            raise IndexError("response index out of range")
+        return _new(InferenceResponse,
+                    [column[position] for column in self._columns()])
+
+    def _column(self, start):
+        return np.concatenate(self._arrays[start::2] or [_NONE])
+
+    def predictions(self):
+        """Every answer's prediction, as one array."""
+        return self._column(1)
+
+    def vertices(self):
+        """Every answer's queried vertex, as one array."""
+        return self._column(0)
+
+    def completions(self):
+        """Every answer's completion time, as float64."""
+        return np.repeat(
+            np.array(self._shared[::len(_SHARED)], dtype=np.float64),
+            list(map(len, self._arrays[::2])))
+
+    def latencies(self):
+        """Every answer's ``completion - request.arrival``, as
+        float64 (the float arithmetic of
+        :attr:`~repro.serve.requests.InferenceResponse.latency`)."""
+        arrivals = np.fromiter(map(attrgetter("arrival"),
+                                   self._requests),
+                               dtype=np.float64, count=len(self))
+        return self.completions() - arrivals
 
 
 def summary_fields(prefix, column, empty=None,
@@ -70,6 +231,9 @@ class ServeReport:
     budget) are a subset of ``rejected``; ``resilience`` holds the
     detector / hedge / breaker / recovery counters, ``None`` on a run
     without them.
+
+    ``responses`` is the run's :class:`ResponseLedger`: every answered
+    request once, in the order the run collected it.
     """
 
     mode: str
@@ -120,7 +284,7 @@ class ServeReport:
     replication_factor: float
     resilience: dict | None
     replicas: list
-    responses: list = field(repr=False)
+    responses: ResponseLedger = field(repr=False)
 
     @property
     def reject_rate(self):

@@ -207,12 +207,18 @@ class TestReplicaServer:
                 InferenceRequest(i, int(owned[i]), arrival=i * 1e-4))
             assert ok
         assert replica.next_dispatch_time(False) == 0.0  # full batch
-        responses = replica.dispatch(clock=5e-4)
-        assert [r.request.request_id for r in responses] == [0, 1, 2, 3]
-        assert all(r.replica == 1 for r in responses)
-        assert all(r.completion > 5e-4 for r in responses)
+        row = replica.dispatch(clock=5e-4)
+        assert [r.request_id for r in row.requests] == [0, 1, 2, 3]
+        assert row.vertices.tolist() == [int(v) for v in owned[:4]]
+        assert len(row.predictions) == 4 and row.batch_size == 4
+        assert row.replica == 1 and row.completion > 5e-4
         assert replica.completed == 4
-        assert replica.free_at == responses[0].completion
+        assert replica.free_at == row.completion
+        # The row reads as the responses the dispatch answered.
+        responses = list(row)
+        assert [r.request.request_id for r in responses] == [0, 1, 2, 3]
+        assert all(r.replica == 1 and r.completion == row.completion
+                   for r in responses)
 
     def test_bounded_queue_rejects(self, data, model):
         shards = make_shards(data, 1, name="hash")

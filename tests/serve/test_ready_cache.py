@@ -97,7 +97,9 @@ class TestWhoResetsTheCache:
         assert n.refresh(False) == 0.0
         n.submit(request(3, 0.8))             # already full: unchanged
         assert n.ready_at == 0.0
-        n.dispatch(0.7)
+        row = n.dispatch(0.7)
+        assert [r.request_id for r in row.requests] == [0, 1, 2]
+        assert row.completion == 0.7 + SERVICE and row.batch_size == 3
         assert n.ready_at is None
         assert n.refresh(False) == 1.8        # request 3 waits from 0.8
 

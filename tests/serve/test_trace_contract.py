@@ -6,7 +6,10 @@ at 0): ``check_trace`` rejects any other trace with a
 :class:`ServingError` naming the first bad request, before anything is
 served, where a ``nan`` or ``inf`` arrival used to make requests vanish
 from the report and one at -1 s was served at clock 0 with a second of
-latency it never waited.  The records are named tuples
+latency it never waited.  Request ids must all differ (the fleet
+keys its bookkeeping by them): a hedged fleet used to answer one of
+two requests sharing an id and count the other nowhere.  The records
+are named tuples
 built by ``tuple.__new__`` at the two bulk sites, and must still be
 exactly their classes: immutable, hashable, equal by value, with the
 same fields, order, defaults and ``latency``.
@@ -19,7 +22,7 @@ import pytest
 
 from repro import load_dataset
 from repro.errors import ServingError
-from repro.fleet import FleetEngine
+from repro.fleet import FleetEngine, ResiliencePolicy
 from repro.nn import build_model
 from repro.serve import (InferenceRequest, InferenceResponse,
                          LoadGenerator, ServeEngine)
@@ -81,6 +84,48 @@ def test_equal_and_integer_arrivals_are_served(data, model, kind):
              InferenceRequest(2, 2, 1e-3), InferenceRequest(3, 3, 1e-3)]
     report = make_engine(kind, data, model).run(trace)
     assert report.completed == 4
+
+
+# ----------------------------------------------------------------------
+# Request ids: all different, or a typed error up front
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("kind", ENGINES)
+@pytest.mark.parametrize("ids, repeated", [
+    ([0, 1, 1, 2], 1),
+    ([3, 2, 3], 3),
+    ([5, 0, 9, 0, 5], 0),
+    ([4, 4, 4], 4),
+], ids=["adjacent", "after-a-descent", "first-repeat-wins", "all-equal"])
+def test_repeated_request_ids_are_a_serving_error(data, model, kind, ids,
+                                                  repeated):
+    trace = [InferenceRequest(rid, i, 1e-4 * i)
+             for i, rid in enumerate(ids)]
+    with pytest.raises(ServingError, match=(
+            f"^request id {repeated} appears more than once")):
+        make_engine(kind, data, model).run(trace)
+
+
+@pytest.mark.parametrize("kind", ENGINES)
+def test_distinct_ids_in_any_order_are_served(data, model, kind):
+    trace = [InferenceRequest(rid, i, 1e-4 * i)
+             for i, rid in enumerate([7, 2, 9, 0])]
+    assert make_engine(kind, data, model).run(trace).completed == 4
+
+
+def test_a_hedged_fleet_does_not_lose_repeated_ids_silently(data,
+                                                            model):
+    """Every odd request of a 200-request trace under id 7: a hedged
+    fleet answered one of them and counted the other 99 nowhere
+    (``completed`` 101, ``rejected`` 0)."""
+    trace = LoadGenerator(data.test_ids, rate=5000.0, num_requests=200,
+                          seed=0).generate()
+    trace = [r._replace(request_id=7) if r.request_id % 2 else r
+             for r in trace]
+    engine = FleetEngine(data, model, partition="hash", num_replicas=2,
+                         mode="precomputed",
+                         resilience=ResiliencePolicy())
+    with pytest.raises(ServingError, match="^request id 7 appears"):
+        engine.run(trace)
 
 
 # ----------------------------------------------------------------------

@@ -28,6 +28,9 @@ for the ``fleet-chaos`` configuration — crash storm, replication,
 detector, breakers, hedging, snapshot recovery — and for the
 ``serve-sampled`` ``ServeEngine.run`` above), the share of a
 ``fleet-steady`` run's process CPU time spent assembling its report,
+the garbage collector's passes per generation and milliseconds inside
+each of 15 consecutive ``fleet-steady`` runs (a ``gc.callbacks``
+probe; no collection between runs, as in the record's harness),
 and the cumulative table of ``run`` / ``on_admit`` / ``route`` /
 ``submit`` / ``dispatch`` / ``execute`` / ``lookup``.  The call count
 cannot see a per-element C loop (``sorted()`` over the run's 60 000
@@ -209,6 +212,39 @@ def report_share(engine, trace, repeat=3):
     return seconds, total
 
 
+def gc_passes(engine, trace, runs=15):
+    """``[(gen-0, gen-1, gen-2 passes, GC seconds)]`` inside each of
+    ``runs`` consecutive ``engine.run(trace)`` calls, sanitizers off.
+    Nothing is collected between runs and each report is dropped
+    before the next run starts, as in the record's harness; GC seconds
+    are process CPU time.  It reads the host's CPU clock on purpose."""
+    rows = []
+    inside = [False]
+    began = [0.0]
+
+    def probe(phase, info):
+        if not inside[0]:
+            return
+        if phase == "start":
+            began[0] = time.process_time()  # repro: noqa[RPR002]
+            return
+        row = rows[-1]
+        row[info["generation"]] += 1
+        row[3] += time.process_time() - began[0]  # repro: noqa[RPR002]
+
+    gc.callbacks.append(probe)
+    try:
+        with perf_overrides(sanitize=False):
+            for _ in range(runs):
+                rows.append([0, 0, 0, 0.0])
+                inside[0] = True
+                engine.run(trace)
+                inside[0] = False
+    finally:
+        gc.callbacks.remove(probe)
+    return [tuple(row) for row in rows]
+
+
 def profile_run(engine, trace):
     """``pstats.Stats`` of one cProfile'd ``engine.run(trace)``."""
     profiler = cProfile.Profile()
@@ -284,6 +320,14 @@ def fleet_main(scale, seed):
     seconds, total = report_share(engine, trace)
     print(f"report, fleet-steady: {1e3 * seconds:.1f} ms of "
           f"{1e3 * total:.1f} ms CPU ({100 * seconds / total:.1f} %)")
+    rows = gc_passes(engine, trace)
+    print(f"\nGC inside {len(rows)} consecutive fleet-steady runs "
+          f"(passes of gen 0 / 1 / 2, CPU ms):")
+    for run, (young, middle, old, seconds) in enumerate(rows, 1):
+        print(f"  run {run:>2}: {young:>3} / {middle:>2} / {old} "
+              f"{1e3 * seconds:>7.1f} ms")
+    print(f"runs with a gen-2 pass: "
+          f"{sum(1 for row in rows if row[2])} of {len(rows)}")
 
     stats = profile_run(engine, trace)
     print(f"\ncProfile of FleetEngine.run: {len(trace)} requests "
