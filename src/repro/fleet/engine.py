@@ -42,6 +42,7 @@ still billed the embedding rows it fetches and the head's FLOPs.
 from __future__ import annotations
 
 from bisect import insort
+from itertools import chain
 from numbers import Real
 
 import numpy as np
@@ -311,8 +312,7 @@ class FleetEngine:
         # hedging, where those also hold the twins that lost the race
         # and the run's record of the winners is per answered request.
         latencies = run.latencies if run.hedge_policy is not None \
-            else [latency for replica in replicas
-                  for latency in replica.latencies]
+            else list(chain.from_iterable(r.latencies for r in replicas))
         totals = run_totals(responses, self.dataset.labels)
         completed = totals["completed"]
 
@@ -351,8 +351,8 @@ class FleetEngine:
             batch_occupancy=(mean_batch_size
                              / self.policy.max_batch_size),
             **summary_fields("queue_depth",
-                             [depth for replica in replicas
-                              for depth in replica.queue_depths],
+                             list(chain.from_iterable(
+                                 r.queue_depths for r in replicas)),
                              0.0, ("mean", "max")),
             bp_seconds=sum(r.bp_seconds for r in replicas),
             dt_seconds=sum(r.dt_seconds for r in replicas),

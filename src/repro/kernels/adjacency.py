@@ -12,10 +12,12 @@ Two layouts cover every aggregation in the library:
 
 Both are thin, immutable-by-convention wrappers over int64/float32
 numpy arrays.  :meth:`KernelCSR.transpose` materializes the transposed
-CSR explicitly and memoizes it in both directions, so every backward
-pass through a reused operator transposes once — the HGL/DGL
-``rev_sparse`` idiom.  :meth:`KernelCOO.segments` is the same idea for
-edge lists: one memoized destination-sorted :class:`SegmentView` whose
+CSR explicitly and memoizes it, so every backward pass through a reused
+operator transposes once — the HGL/DGL ``rev_sparse`` idiom; the
+transpose points back at its operator through a weak reference, so the
+pair is no reference cycle and dies with the operator.
+:meth:`KernelCOO.segments` is the same idea for edge lists: one
+memoized destination-sorted :class:`SegmentView` whose
 *stable* sort keeps every row's edges in list order — the order a
 scatter-add accumulates them in — so compiled CSR kernels can stand in
 for ``np.add.at`` bit for bit.
@@ -37,6 +39,7 @@ Bit-exactness notes (pinned by ``tests/kernels/``):
 
 from __future__ import annotations
 
+import weakref
 from collections import namedtuple
 
 import numpy as np
@@ -95,7 +98,7 @@ class KernelCSR:
     """
 
     __slots__ = ("indptr", "indices", "data", "shape", "_transpose",
-                 "_transpose_perm", "_edges")
+                 "_transpose_perm", "_edges", "__weakref__")
 
     def __init__(self, indptr, indices, data, shape):
         self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
@@ -150,14 +153,23 @@ class KernelCSR:
     def transpose(self):
         """The transposed operator as another :class:`KernelCSR`.
 
-        Built once and memoized in *both* directions, so
-        ``A.transpose().transpose() is A`` and repeated backward passes
-        reuse one materialization (``kernel_transpose_hits`` /
-        ``kernel_transpose_misses`` count the reuse).
+        Built once and memoized, so repeated backward passes reuse one
+        materialization (``kernel_transpose_hits`` /
+        ``kernel_transpose_misses`` count the reuse).  The transpose
+        holds ``A`` only weakly: ``A.transpose().transpose() is A``
+        while ``A`` lives, and the pair forms no reference cycle, so
+        dropping ``A`` frees both at once (a strong back-pointer left
+        every operator a backward transposed to the cycle collector).
+        Re-materializing the transpose of a transpose is not the same
+        operator: its rows list entries ascending where
+        :func:`normalized_block_adjacency` stores them descending.
         """
-        if self._transpose is not None:
+        memo = self._transpose
+        if type(memo) is weakref.ref:
+            memo = memo()
+        if memo is not None:
             PERF.counters["kernel_transpose_hits"] += 1
-            return self._transpose
+            return memo
         PERF.counters["kernel_transpose_misses"] += 1
         t_indptr, t_indices, t_data = transpose_csr(
             self.indptr, self.indices, self.data,
@@ -165,7 +177,7 @@ class KernelCSR:
             order=self.transpose_permutation())
         transpose = KernelCSR(t_indptr, t_indices, t_data,
                               (self.shape[1], self.shape[0]))
-        transpose._transpose = self
+        transpose._transpose = weakref.ref(self)
         self._transpose = transpose
         return transpose
 

@@ -6,7 +6,8 @@ softmax-cross-entropy loss; sparse aggregation lives in
 :mod:`repro.kernels`.  A :class:`Tensor` wraps an ndarray plus an
 optional gradient; operations record a backward closure and their parent
 tensors, and :meth:`Tensor.backward` replays the tape in reverse
-topological order.
+topological order, releasing each node's closure and parents as it goes
+(docs/architecture.md, "Memory of a training step").
 
 Gradients are *owned*: what a backward closure hands ``_accumulate`` is
 a fresh array the receiver keeps (and later adds into in place), so
@@ -92,6 +93,12 @@ def _input_grad(grad, weight):
     return grad @ weight.T
 
 
+def _released(_grad):
+    """The closure slot of a node whose backward has run: a marker
+    :meth:`Tensor.backward` refuses to walk through."""
+    raise TrainingError("backward() through a released tape")
+
+
 class Tensor:
     """An ndarray with an autograd tape (fused node: ``Tensor.affine``).
 
@@ -156,10 +163,19 @@ class Tensor:
             self.grad += grad
 
     def backward(self, grad=None):
-        """Backpropagate from this tensor.
+        """Backpropagate from this tensor, releasing the tape as it goes.
 
         ``grad`` defaults to 1 for scalars; non-scalar roots must pass an
         explicit output gradient (copied: the caller's array is theirs).
+
+        Each node drops its closure and its parents before the closure
+        runs, so an intermediate nobody else holds is freed, gradient
+        and all, as soon as its own backward has run: a step holds one
+        tape, not the previous step's as well.  A tensor the caller
+        holds keeps its ``.grad``.  A released tape cannot be walked
+        again: a second ``backward`` through it raises
+        :class:`TrainingError` rather than stop at the first released
+        node with silently wrong parameter gradients.
         """
         if grad is None:
             if self.data.size != 1:
@@ -178,14 +194,25 @@ class Tensor:
             if id(node) in visited:
                 continue
             visited.add(id(node))
+            if node._backward is _released:
+                raise TrainingError(
+                    "backward() through a tape an earlier backward() "
+                    "released; run the forward pass again")
             stack.append((node, True))
             for parent in node._parents:
                 if id(parent) not in visited:
                     stack.append((parent, False))
         self._accumulate(grad)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        # ``order`` ends at the root: popping walks it root first and
+        # drops the list's reference to each node as it goes.
+        while order:
+            node = order.pop()
+            backward = node._backward
+            if backward is None:
+                continue
+            node._backward, node._parents = _released, ()
+            if node.grad is not None:
+                backward(node.grad)
 
     @staticmethod
     def _result(data, parents, backward):

@@ -221,11 +221,17 @@ class TestRefineMatchesOracle:
            columns=st.integers(min_value=1, max_value=4),
            seed=st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=10, deadline=None)
+    @example(k=8, columns=4, seed=7610)  # 400 vertices held < 257 there
     def test_starved_part_samples_candidates(self, k, columns, seed):
         """Part ``k - 1`` starts empty and the donors hold > 256
-        candidates, so the balance pass draws its ``rng.choice``."""
+        candidates, so the balance pass draws its ``rng.choice``.
+
+        FM never moves into the empty part, so the first column-0 step
+        finds it needy.  The non-donor parts hold at most ``k - 2``
+        averages, so the donors hold at least two: ``n / k > 128``
+        makes that more than 256 candidates for every seed."""
         rng = np.random.default_rng(seed)
-        n = 400
+        n = 129 * k
         graph, _ = power_law_graph(n, 6, rng, num_communities=k)
         weights = np.hstack([np.ones((n, 1)),
                              _constraints(n, columns, False, rng)])

@@ -37,6 +37,16 @@ cannot see a per-element C loop (``sorted()`` over the run's 60 000
 latencies is one call), which is why the report is timed instead.
 ``tests/fleet/test_call_floor.py`` gates both counts; run after
 changing anything under ``serve/loop.py`` or ``fleet/``.
+
+``--memory`` prints, for the record's training and serving
+configurations (``train-sage``, ``train-gat``, ``serve-sampled``,
+``fleet-steady``, ``fleet-chaos``) at ``--scale``, the tracemalloc
+peak of one run above its start and the objects the cycle collector
+had to free, inside the run and in one collection after it
+(docs/architecture.md, "Memory of a training step";
+``tests/core/test_no_cycles.py`` holds the second column at zero)::
+
+    PYTHONPATH=src python tools/floor_profile.py --memory [--scale 0.3]
 """
 
 from __future__ import annotations
@@ -48,10 +58,13 @@ import pstats
 import sys
 import tempfile
 import time
+import tracemalloc
+from functools import partial
 
 import numpy as np
 
-from repro.core.config import make_partitioner
+from repro.core import Trainer
+from repro.core.config import TrainingConfig, make_partitioner
 from repro.fleet import (FleetEngine, ReplicaRecovery, ResiliencePolicy,
                          RoutingPolicy)
 from repro.fleet.chaos import crash_storm
@@ -138,6 +151,94 @@ def build_fleet(scale=1.0, seed=3, chaos_dir=None):
         routing=RoutingPolicy(spill_threshold=64, remote_penalty=8.0),
         **extra)
     return engine, trace
+
+
+class Prebuilt:
+    """A partitioner handing back a partition computed beforehand, so a
+    training run starts after the partitioning step, as in the record."""
+
+    def __init__(self, result):
+        self.result = result
+
+    def partition(self, graph, num_parts, split=None, rng=None):
+        return self.result
+
+
+def build_trainers(scale=1.0, seed=3):
+    """``{name: f}``, ``f()`` building a fresh :class:`Trainer` and
+    returning its bound ``run``, for the record's
+    ``train-sage`` and ``train-gat`` configurations (GraphSAGE on
+    ogb-products x2, metis-ve, presample cache 0.1, 10 epochs; GAT on
+    ogb-arxiv x2, hash, no cache, 8 epochs; both fanout 25/10, batch
+    512, 4 workers, evaluation every epoch)."""
+    builders = {}
+    for name, dataset, model, partitioner, cache, ratio, epochs in (
+            ("train-sage", "ogb-products", "graphsage", "metis-ve",
+             "presample", 0.1, 10),
+            ("train-gat", "ogb-arxiv", "gat", "hash", None, 0.0, 8)):
+        data = load_dataset(dataset, scale=2.0 * scale, seed=seed,
+                            cache=False)
+        partition = make_partitioner(partitioner).partition(
+            data.graph, 4, split=data.split,
+            rng=np.random.default_rng(seed))
+        config = TrainingConfig(
+            model=model, fanout=(25, 10), batch_size=512, num_workers=4,
+            partitioner=Prebuilt(partition), cache_policy=cache,
+            cache_ratio=ratio, epochs=epochs, eval_every=1, seed=seed)
+        builders[name] = (lambda data=data, config=config:
+                          Trainer(data, config).run)
+    return builders
+
+
+def memory_of(prepare):
+    """``(bytes, objects)`` of the zero-argument callable ``prepare()``
+    returns (built untraced, as the record builds its engines outside
+    the timed region): the tracemalloc peak of one call above its
+    start, and the objects the cycle collector freed inside the call (a
+    ``gc.callbacks`` probe) plus in one collection once the callable
+    and its result are dropped.  The collector runs as it would anyway;
+    it is emptied first, so the count is the run's own cyclic
+    garbage."""
+    run = prepare()
+    freed = [0]
+
+    def probe(phase, info):
+        if phase == "stop":
+            freed[0] += info["collected"]
+
+    gc.collect()
+    gc.callbacks.append(probe)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        with perf_overrides(sanitize=False):
+            run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.callbacks.remove(probe)
+    del run
+    return peak - start, freed[0] + gc.collect()
+
+
+def memory_main(scale, seed):
+    print(f"memory of one run at scale {scale} (tracemalloc peak above "
+          f"the run's start; objects the cycle collector freed in and "
+          f"after it)")
+    print(f"{'workload':<14} {'peak MB':>8} {'cyclic objects':>15}")
+    runs = list(build_trainers(scale, seed).items())
+    engine, trace = build_engine(scale, seed)
+    runs.append(("serve-sampled", lambda: partial(engine.run, trace)))
+    fleet, fleet_trace = build_fleet(scale, seed)
+    runs.append(("fleet-steady",
+                 lambda: partial(fleet.run, fleet_trace)))
+    with tempfile.TemporaryDirectory(prefix="floor-chaos-") as scratch:
+        chaos, chaos_trace = build_fleet(scale, seed, scratch)
+        runs.append(("fleet-chaos",
+                     lambda: partial(chaos.run, chaos_trace)))
+        for name, prepare in runs:
+            peak, freed = memory_of(prepare)
+            print(f"{name:<14} {peak / 2 ** 20:>8.1f} {freed:>15}")
 
 
 def count_calls(function, *args):
@@ -344,7 +445,12 @@ def main(argv=None):
     parser.add_argument("--fleet", action="store_true",
                         help="profile the fleet-steady / fleet-chaos "
                              "event loop per request instead")
+    parser.add_argument("--memory", action="store_true",
+                        help="print each record configuration's traced "
+                             "peak and cyclic garbage per run instead")
     args = parser.parse_args(argv)
+    if args.memory:
+        return memory_main(args.scale, args.seed)
     if args.fleet:
         return fleet_main(args.scale, args.seed)
 
