@@ -22,8 +22,8 @@ Quickstart::
 from .core import (Trainer, TrainingConfig, TrainingResult,
                    adaptive_batch_training, evaluate_model,
                    make_partitioner, make_sampler)
-from .errors import (AdmissionError, CheckpointError, DatasetError,
-                     FaultError, GraphError, PartitionError, ReproError,
+from .errors import (CheckpointError, DatasetError, FaultError,
+                     GraphError, PartitionError, ReproError,
                      SamplingError, ServingError, TrainingError,
                      TransferError)
 from .faults import Checkpointer, FaultInjector, FaultPlan, RetryPolicy
@@ -54,5 +54,5 @@ __all__ = [
     "FaultPlan", "FaultInjector", "RetryPolicy", "Checkpointer",
     "ReproError", "GraphError", "PartitionError", "SamplingError",
     "TrainingError", "TransferError", "DatasetError",
-    "ServingError", "AdmissionError", "FaultError", "CheckpointError",
+    "ServingError", "FaultError", "CheckpointError",
 ]

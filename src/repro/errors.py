@@ -15,7 +15,7 @@ incompatible configuration.
 __all__ = ["ReproError", "GraphError", "PartitionError",
            "SamplingError", "TrainingError", "KernelError",
            "TransferError", "DatasetError", "ServingError",
-           "AdmissionError", "FleetError", "FaultError",
+           "FleetError", "FaultError",
            "CheckpointError", "CheckpointIntegrityError",
            "SanitizerError"]
 
@@ -66,11 +66,6 @@ class ServingError(ReproError):
     """Raised for invalid online-serving configurations (unknown
     execution mode, a model the layer-wise precompute path cannot
     handle, malformed batching policies)."""
-
-
-class AdmissionError(ServingError):
-    """Raised when the serving admission queue is full and a new request
-    must be rejected (backpressure, §repro.serve.batcher)."""
 
 
 class FleetError(ServingError):

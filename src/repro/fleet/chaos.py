@@ -101,8 +101,7 @@ def slowlink_window(start, duration, magnitude=0.25):
 # ----------------------------------------------------------------------
 def _availability_row(report, num_requests, slo):
     """SLO-attainment metrics of one run."""
-    within = sum(1 for r in report.responses
-                 if r.completion - r.request.arrival <= slo)
+    within = sum(1 for r in report.responses if r.latency <= slo)
     duration = report.duration_seconds
     return {
         "availability": within / num_requests if num_requests else 0.0,

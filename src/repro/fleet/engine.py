@@ -42,7 +42,6 @@ still billed the embedding rows it fetches and the head's FLOPs.
 from __future__ import annotations
 
 from bisect import insort
-from itertools import chain
 from numbers import Real
 
 import numpy as np
@@ -54,12 +53,12 @@ from ..faults.retry import RetryPolicy
 from ..nn import no_grad
 from ..partition.base import PartitionResult
 from ..partition.replication import k_redundant_replication
-from ..perf import percentile
+from ..perf import ordered_sum, percentile
 from ..serve.batcher import BatchPolicy
 from ..serve.executor import SERVE_MODES, BatchExecutor
 from ..serve.loop import (ADMIT, FAULT, RESPONSE, TIMER, EventLoop,
                           cache_hit_rates, check_trace, run_totals)
-from ..serve.metrics import ServeReport, summary_fields
+from ..serve.metrics import ServeReport, depth_fields, latency_fields
 from ..serve.precompute import LayerwiseEmbeddings
 from ..transfer.hardware import DEFAULT_SPEC
 from .replica import ReplicaServer
@@ -307,12 +306,15 @@ class FleetEngine:
             run.replicas, run.router, run.autoscaler
         executors = [r.executor for r in replicas]
         responses = run.loop.responses
-        # Run-wide: the replicas' columns in replica order (``sum``
-        # order is part of ``latency_mean``'s bits) — except under
-        # hedging, where those also hold the twins that lost the race
-        # and the run's record of the winners is per answered request.
-        latencies = run.latencies if run.hedge_policy is not None \
-            else list(chain.from_iterable(r.latencies for r in replicas))
+        # Each replica's latencies become float64 once.  Run-wide: those
+        # columns in replica order (the order is part of
+        # ``latency_mean``'s bits) — except under hedging, where they
+        # also hold the twins that lost the race and the run's record
+        # of the winners is per answered request.
+        columns = [np.array(r.latencies, dtype=np.float64)
+                   for r in replicas]
+        latencies = np.array(run.latencies, dtype=np.float64) \
+            if run.hedge_policy is not None else np.concatenate(columns)
         totals = run_totals(responses, self.dataset.labels)
         completed = totals["completed"]
 
@@ -345,19 +347,17 @@ class FleetEngine:
             failovers=router.failovers,
             requeued=run.requeued,
             **totals,
-            **summary_fields("latency", latencies),
+            **latency_fields(latencies),
             num_batches=num_batches,
             mean_batch_size=mean_batch_size,
             batch_occupancy=(mean_batch_size
                              / self.policy.max_batch_size),
-            **summary_fields("queue_depth",
-                             list(chain.from_iterable(
-                                 r.queue_depths for r in replicas)),
-                             0.0, ("mean", "max")),
-            bp_seconds=sum(r.bp_seconds for r in replicas),
-            dt_seconds=sum(r.dt_seconds for r in replicas),
-            nn_seconds=sum(r.nn_seconds for r in replicas),
-            remote_seconds=sum(e.remote_seconds for e in executors),
+            **depth_fields(replicas),
+            bp_seconds=ordered_sum(r.bp_seconds for r in replicas),
+            dt_seconds=ordered_sum(r.dt_seconds for r in replicas),
+            nn_seconds=ordered_sum(r.nn_seconds for r in replicas),
+            remote_seconds=ordered_sum(e.remote_seconds
+                                       for e in executors),
             precompute_seconds=executors[0].precompute_seconds,
             routing_locality=(zero_remote / completed
                               if completed else 1.0),
@@ -369,8 +369,8 @@ class FleetEngine:
             cache_hit_rate=hit_rate,
             hot_hit_rate=hit_rate if tiered else 0.0,
             warm_hit_rate=warm_rate,
-            tier_seconds={tier: sum(e.tier_seconds[tier]
-                                    for e in executors)
+            tier_seconds={tier: ordered_sum(e.tier_seconds[tier]
+                                            for e in executors)
                           for tier in ("hot", "warm", "cold")}
             if tiered else {},
             deadline=self.deadline or 0.0,
@@ -387,7 +387,8 @@ class FleetEngine:
             dropped_request_ids=dropped,
             replication_factor=self.shards.replication_factor(),
             resilience=resilience_stats,
-            replicas=[r.report() for r in replicas],
+            replicas=[r.report(column)
+                      for r, column in zip(replicas, columns)],
             responses=responses,
         )
 

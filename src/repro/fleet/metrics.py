@@ -1,18 +1,21 @@
 """The node report: what one replica measured over a run.
 
 Each :class:`~repro.fleet.replica.ReplicaServer` keeps its own
-``latencies`` / ``queue_depths`` columns (see
-:class:`~repro.serve.loop.ServeNode`) and digests them into a
-:class:`ReplicaReport`; the run report
-(:class:`~repro.serve.metrics.ServeReport`) concatenates the columns
-in replica order and digests the union with
+``latencies`` column and settled queue-depth integers (see
+:class:`~repro.serve.loop.ServeNode` and
+:meth:`~repro.serve.batcher.MicroBatcher.depth_stats`) and digests them
+into a :class:`ReplicaReport`.  The run report
+(:class:`~repro.serve.metrics.ServeReport`) converts each replica's
+latencies to float64 once, hands that array to the replica's report,
+and digests the arrays concatenated in replica order with
 :func:`repro.perf.summarize`, so run-wide percentiles are computed over
-every replica's observations — not averaged averages.
+every replica's observations — not averaged averages.  Its depth
+fields pool the replicas' integers.
 
 Zero-traffic replicas are a real state (a cold standby the autoscaler
 never activated, a shard the load never touched): their latency fields
 are ``None`` and serialize as JSON ``null``, never a fabricated zero
-(:func:`repro.serve.metrics.summary_fields`).
+(:func:`repro.serve.metrics.latency_fields`).
 """
 
 from __future__ import annotations

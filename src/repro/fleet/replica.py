@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import FleetError
 from ..serve.loop import ServeNode, cache_hit_rates
-from ..serve.metrics import summary_fields
+from ..serve.metrics import depth_fields, latency_fields
 from .metrics import ReplicaReport
 
 __all__ = ["ReplicaServer"]
@@ -116,8 +116,12 @@ class ReplicaServer(ServeNode):
         self.free_at = max(self.free_at, clock)
         self.ready_at = None
 
-    def report(self):
-        """This node's :class:`~repro.fleet.metrics.ReplicaReport`."""
+    def report(self, latencies=None):
+        """This node's :class:`~repro.fleet.metrics.ReplicaReport`;
+        ``latencies`` is :attr:`latencies` as float64 when the caller
+        converted it already (the run report reuses that array)."""
+        if latencies is None:
+            latencies = np.array(self.latencies, dtype=np.float64)
         hit_rate, warm_rate, tiered = cache_hit_rates(
             [self.executor.cache])
         return ReplicaReport(
@@ -133,9 +137,8 @@ class ReplicaServer(ServeNode):
             degraded=self.degraded,
             num_batches=self.num_batches,
             mean_batch_size=self.mean_batch_size,
-            **summary_fields("latency", self.latencies),
-            **summary_fields("queue_depth", self.queue_depths, 0.0,
-                             ("mean", "max")),
+            **latency_fields(latencies),
+            **depth_fields([self]),
             bp_seconds=self.bp_seconds,
             dt_seconds=self.dt_seconds,
             nn_seconds=self.nn_seconds,

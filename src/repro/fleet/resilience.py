@@ -61,6 +61,7 @@ from pathlib import Path
 
 from ..errors import CheckpointError, FleetError
 from ..faults.checkpoint import Checkpointer
+from ..perf import ordered_sum
 
 __all__ = ["DetectorPolicy", "FailureDetector", "BreakerPolicy",
            "CircuitBreaker", "HedgePolicy", "ResiliencePolicy",
@@ -175,7 +176,7 @@ class FailureDetector:
     def mean_detection_delay(self):
         if not self.detection_delays:
             return None
-        return sum(self.detection_delays) / len(self.detection_delays)
+        return ordered_sum(self.detection_delays) / len(self.detection_delays)
 
 
 # ----------------------------------------------------------------------

@@ -14,14 +14,15 @@ The slow paths the fast ones replaced are test oracles
 
 from .evalcache import EvalSubgraphCache
 from .flags import FLAGS, PerfFlags, perf_overrides
-from .profiler import (PERF, StageProfiler, percentile, summarize,
-                       wall_clock)
+from .profiler import (PERF, StageProfiler, ordered_sum, percentile,
+                       summarize, wall_clock)
 from .unique import sorted_unique
 from .weighted import WeightedChoice
 from .workspace import Workspace, get_workspace
 
 __all__ = [
-    "PERF", "StageProfiler", "percentile", "summarize", "wall_clock",
+    "PERF", "StageProfiler", "ordered_sum", "percentile", "summarize",
+    "wall_clock",
     "FLAGS", "PerfFlags", "perf_overrides",
     "Workspace", "get_workspace",
     "EvalSubgraphCache",

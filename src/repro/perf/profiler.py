@@ -19,8 +19,8 @@ from collections import defaultdict
 
 import numpy as np
 
-__all__ = ["StageProfiler", "PERF", "percentile", "summarize",
-           "wall_clock"]
+__all__ = ["StageProfiler", "PERF", "ordered_sum", "percentile",
+           "summarize", "wall_clock"]
 
 
 def wall_clock():
@@ -72,11 +72,23 @@ def percentile(values, q, default=_RAISE, presorted=False):
                  + ordered[high] * fraction)
 
 
+def ordered_sum(values):
+    """The float sum of ``values``, left to right from ``0.0``: the bits
+    of python 3.11's builtin ``sum``, which the tracked reports hold.
+    From 3.12 the builtin compensates its float sums, so a report that
+    sums seconds or latencies spells the order out."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def summarize(values):
     """count/mean/p50/p95/p99/max digest of a column of observations
-    (a node's request latencies or queue depths), or ``None`` for an
-    empty one.  The mean sums ``values`` in the order given — that
-    order is part of its bits — and every figure is a ``float``.
+    (a node's request latencies, ideally already a float64 array), or
+    ``None`` for an empty one.  The mean is :func:`ordered_sum`'s over
+    ``values`` in the order given — that order is part of its bits —
+    and every figure is a ``float``.
 
     The percentiles read a float64 copy sorted by numpy, not
     ``sorted()`` over python objects (a fleet run's 60 000 latencies
@@ -92,9 +104,14 @@ def summarize(values):
     zeros = column == 0.0
     if zeros.any():
         ordered[ordered == 0.0] = column[zeros]
+    # ``accumulate`` adds strictly in order (``np.sum`` pairs); ``+ 0.0``
+    # is the ``0.0`` start, which turns an all ``-0.0`` sum positive.
+    # Like python's, the sum may overflow to ``inf`` without a word.
+    with np.errstate(over="ignore"):
+        total = float(np.add.accumulate(column)[-1]) + 0.0
     return {
         "count": len(values),
-        "mean": float(sum(values) / len(values)),
+        "mean": total / len(values),
         "p50": percentile(ordered, 50.0, presorted=True),
         "p95": percentile(ordered, 95.0, presorted=True),
         "p99": percentile(ordered, 99.0, presorted=True),
@@ -107,8 +124,8 @@ class StageProfiler:
 
     ``counters`` is a ``defaultdict(int)``; every site writes
     ``PERF.counters[name] += n``, which makes no interpreter call.
-    Distributions are not kept here: a serving node appends to plain
-    lists and :func:`summarize` digests them.
+    Distributions are not kept here: a serving node appends latencies
+    to a plain list and :func:`summarize` digests it.
     """
 
     def __init__(self):

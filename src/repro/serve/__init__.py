@@ -13,14 +13,16 @@ Pieces:
 * :mod:`~repro.serve.requests` — typed requests/responses and a seeded
   open-loop Poisson :class:`LoadGenerator` (fully reproducible traces);
 * :mod:`~repro.serve.batcher` — :class:`MicroBatcher` with
-  ``max_batch_size``/``max_wait`` flush policies and bounded-queue
-  backpressure (:class:`~repro.errors.AdmissionError`);
+  ``max_batch_size``/``max_wait`` flush policies, bounded-queue
+  backpressure (``submit`` returns ``False`` when full) and settled
+  queue-depth statistics;
 * :mod:`~repro.serve.precompute` — :class:`LayerwiseEmbeddings`,
   bit-identical precomputed vs on-demand full-fanout inference;
 * :mod:`~repro.serve.executor` — :class:`BatchExecutor`, the one
   executor: sampling, cache fetches billed by shard, the forward;
 * :mod:`~repro.serve.loop` — the one serving event loop:
-  :class:`ServeNode` (queue + executor + ``dispatch``, where deadline
+  :class:`ServeNode` (a :class:`MicroBatcher` with an executor and
+  ``dispatch``, where deadline
   shedding and degraded fallback live) and :class:`EventLoop` (one
   simulated clock, one phase-ordered event queue, handlers per event
   kind), which :mod:`repro.fleet` drives;
@@ -28,8 +30,8 @@ Pieces:
   single-node server with three execution modes: a 1-replica
   :class:`~repro.fleet.engine.FleetEngine`;
 * :mod:`~repro.serve.metrics` — :class:`ServeReport`, the one run
-  report: latency/throughput digests of every node's latency and
-  queue-depth columns (:func:`repro.perf.summarize`), and the
+  report: latency/throughput digests of every node's latency column
+  (:func:`repro.perf.summarize`) and queue-depth statistics, and the
   :class:`~repro.serve.metrics.ResponseLedger` its answers are kept
   in, one :class:`~repro.serve.metrics.BatchRow` per dispatch;
 * :mod:`~repro.serve.bench` — the ``repro bench serve`` sweep, and the

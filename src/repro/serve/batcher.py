@@ -8,10 +8,18 @@ the batch pays the wait for the last one to arrive.  The
 ``max_batch_size`` (flush when full) and ``max_wait`` (flush when the
 oldest queued request has waited long enough) — plus a bounded
 admission queue: when more requests are waiting than ``max_queue``
-allows, new arrivals are rejected with a typed
-:class:`~repro.errors.AdmissionError` instead of growing the tail
-latency without bound (open-loop load cannot be slowed down, so
-shedding is the only backpressure available).
+allows, :meth:`MicroBatcher.submit` rejects new arrivals (it returns
+``False`` and counts them) instead of growing the tail latency without
+bound (open-loop load cannot be slowed down, so shedding is the only
+backpressure available).
+
+A serving node (:class:`~repro.serve.loop.ServeNode`) *is* a
+:class:`MicroBatcher`, so :meth:`~MicroBatcher.submit` is the whole of
+admission: one frame checks the bound, queues the request and resets
+the node's cached dispatch time when the request can move it.  The
+queue-depth statistics are integers settled when the queue shrinks
+(:meth:`~MicroBatcher.depth_stats` has the rule), not one list entry
+per admission.
 
 Like :mod:`repro.dist.engine`, everything runs in *simulated* time:
 the batcher never reads a clock — callers pass ``now`` in.
@@ -23,7 +31,7 @@ from collections import deque
 from dataclasses import dataclass
 from numbers import Integral
 
-from ..errors import AdmissionError, ServingError
+from ..errors import ServingError
 
 __all__ = ["BatchPolicy", "MicroBatcher"]
 
@@ -74,9 +82,8 @@ class MicroBatcher:
         The :class:`BatchPolicy` deciding when a batch is ready.
     max_queue:
         Bound on *queued* (admitted, not yet dispatched) requests;
-        ``None`` means unbounded.  :meth:`submit` raises
-        :class:`~repro.errors.AdmissionError` when full — the request
-        is rejected, the queue is unchanged.
+        ``None`` means unbounded.  :meth:`submit` returns ``False``
+        when full — the request is rejected, the queue is unchanged.
     """
 
     def __init__(self, policy=None, max_queue=None):
@@ -84,44 +91,73 @@ class MicroBatcher:
         if max_queue is not None:
             _check_count("max_queue", max_queue)
         self.max_queue = max_queue
-        #: The waiting requests, oldest first.  Always the same deque,
-        #: so a node may hold it and read its length directly; only the
-        #: methods below change it.
-        self.queue = deque()
-        self.admitted = 0
+        #: The waiting requests, oldest first; only the methods below
+        #: change it.
+        self._queue = deque()
         self.rejected = 0
+        #: A :class:`~repro.serve.loop.ServeNode`'s cached
+        #: ``next_dispatch_time`` (``inf`` for "nothing to dispatch");
+        #: ``None`` once an input was written, as every method below
+        #: that can move it does.
+        self.ready_at = None
+        # Depth statistics as of the last settle: admissions, the sum
+        # and max of the depths they left, and the depth then.
+        self._admitted = self._depth_sum = self._depth_max = 0
+        self._base = 0
 
     def __len__(self):
-        return len(self.queue)
+        return len(self._queue)
 
     def submit(self, request):
-        """Admit ``request`` and return the queue depth it leaves
-        behind, or raise :class:`AdmissionError` if the queue is at
-        capacity."""
-        depth = len(self.queue)
-        if self.max_queue is not None and depth >= self.max_queue:
+        """Admit ``request``; returns ``False`` (and counts a
+        rejection) when the queue is at capacity."""
+        queue = self._queue
+        depth = len(queue)
+        # The queue never outgrows its bound, and no depth is ``None``.
+        if depth == self.max_queue:
             self.rejected += 1
-            raise AdmissionError(
-                f"admission queue full ({self.max_queue} waiting); "
-                f"rejecting request {request.request_id}")
-        self.queue.append(request)
-        self.admitted += 1
-        return depth + 1
+            return False
+        queue.append(request)
+        # Only the first request (its arrival starts the ``max_wait``
+        # clock) and the one filling a batch move the dispatch time.
+        if depth == 0 or depth + 1 == self.policy.max_batch_size:
+            self.ready_at = None
+        return True
+
+    def depth_stats(self):
+        """``(admitted, depth_sum, depth_max)``: how many requests were
+        admitted, and the sum and the max of the queue depths each left
+        behind, itself counted.  Exact integers, settled here — which
+        :meth:`take`, :meth:`cancel` and :meth:`drain` call before the
+        queue shrinks.  Only :meth:`submit` grows the queue, so the m
+        admitted since the last settle left ``base + 1 .. base + m``."""
+        base = self._base
+        added = len(self._queue) - base
+        if added:
+            self._admitted += added
+            self._depth_sum += added * base + added * (added + 1) // 2
+            if base + added > self._depth_max:
+                self._depth_max = base + added
+            self._base = base + added
+        return self._admitted, self._depth_sum, self._depth_max
 
     def oldest_deadline(self):
         """Simulated time at which the current head of the queue forces
         a flush, or ``None`` when the queue is empty."""
-        if not self.queue:
+        if not self._queue:
             return None
-        return self.queue[0].arrival + self.policy.max_wait
+        return self._queue[0].arrival + self.policy.max_wait
 
     def drain(self):
         """Remove and return every queued request, FIFO order.  Used by
         the fleet's crash failover: a dead replica's queue is handed
         back to the router for re-routing (the requests were admitted
         but never served, so they do not count as rejected here)."""
-        drained = list(self.queue)
-        self.queue.clear()
+        self.depth_stats()
+        drained = list(self._queue)
+        self._queue.clear()
+        self._base = 0
+        self.ready_at = None
         return drained
 
     def cancel(self, request_id):
@@ -130,22 +166,29 @@ class MicroBatcher:
         requests: when one copy of a hedged pair completes, the twin
         still sitting in another replica's queue is cancelled so it
         never consumes service time (first-response-wins)."""
-        for index, queued in enumerate(self.queue):
+        for index, queued in enumerate(self._queue):
             if queued.request_id == request_id:
-                del self.queue[index]
+                self.depth_stats()
+                del self._queue[index]
+                self._base -= 1
+                self.ready_at = None
                 return True
         return False
 
     def take(self):
         """Pop the next batch (up to ``max_batch_size`` requests, FIFO
         order).  Raises :class:`ServingError` on an empty queue."""
-        queue = self.queue
+        queue = self._queue
         if not queue:
             raise ServingError("take() from an empty batch queue")
+        self.depth_stats()
+        self.ready_at = None
         size = self.policy.max_batch_size
         if len(queue) <= size:
             # The whole queue: one copy, not one ``popleft`` a request.
             batch = list(queue)
             queue.clear()
+            self._base = 0
             return batch
+        self._base -= size
         return [queue.popleft() for _ in range(size)]

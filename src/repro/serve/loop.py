@@ -5,13 +5,15 @@ The serving engine (:class:`~repro.fleet.engine.FleetEngine`, and
 configuration) drives the two classes here.
 
 :class:`ServeNode` is one server: a
-:class:`~repro.serve.batcher.MicroBatcher` in front of a
-:class:`~repro.serve.executor.BatchExecutor`, the time the server is
-busy until (``free_at``), and the per-node counters every report is
-assembled from.  :meth:`ServeNode.dispatch` is the one place a batch is
-taken off a queue and executed, so everything that happens *to a
-batch* lives there: deadline shedding, degraded fallback (with its
-EWMA service-time estimate) and straggler / slow-link stretching.
+:class:`~repro.serve.batcher.MicroBatcher` (its admission queue — the
+node's ``submit``, ``take``, ``cancel`` and ``drain`` are the
+batcher's) in front of a :class:`~repro.serve.executor.BatchExecutor`,
+the time the server is busy until (``free_at``), and the per-node
+counters every report is assembled from.  :meth:`ServeNode.dispatch`
+is the one place a batch is taken off a queue and executed, so
+everything that happens *to a batch* lives there: deadline shedding,
+degraded fallback (with its EWMA service-time estimate) and straggler
+/ slow-link stretching.
 
 :class:`EventLoop` advances one simulated clock over one
 ``(time, phase, seq)``-ordered event queue and a list of nodes.  At
@@ -57,7 +59,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from ..errors import AdmissionError, SanitizerError, ServingError
+from ..errors import SanitizerError, ServingError
 from ..perf import FLAGS
 from .batcher import MicroBatcher
 from .metrics import BatchRow, ResponseLedger
@@ -72,8 +74,8 @@ FAULT, RESPONSE, ADMIT, TIMER = range(4)
 _INF = float("inf")
 
 
-class ServeNode:
-    """One serving node: executor + micro-batch queue + counters.
+class ServeNode(MicroBatcher):
+    """One serving node: micro-batch queue + executor + counters.
 
     Parameters
     ----------
@@ -81,7 +83,9 @@ class ServeNode:
         The node's :class:`~repro.serve.executor.BatchExecutor`.
     policy, max_queue:
         Micro-batching policy and admission bound (see
-        :class:`~repro.serve.batcher.MicroBatcher`).
+        :class:`~repro.serve.batcher.MicroBatcher`, whose ``submit`` is
+        the node's admission: ``False`` and a ``rejected`` count when
+        the queue is full).
     rng:
         The node's sampling stream (``sampled`` mode).
     node_id:
@@ -95,11 +99,9 @@ class ServeNode:
 
     def __init__(self, executor, policy=None, max_queue=None, rng=None,
                  node_id=0, deadline=None, fallback=False):
+        super().__init__(policy, max_queue)
         self.node_id = int(node_id)
         self.executor = executor
-        self.batcher = MicroBatcher(policy, max_queue)
-        self.policy = self.batcher.policy
-        self._queue = self.batcher.queue
         self.rng = rng
         self.deadline = deadline
         self.fallback = fallback
@@ -108,12 +110,8 @@ class ServeNode:
         self.free_at = 0.0          # simulated time the node idles again
         self.alive = True           # False while a crash fault holds
         self._draining = False      # scale-down decided, queue emptying
-        #: Cached :meth:`next_dispatch_time` (``inf`` for "nothing to
-        #: dispatch"); ``None`` once one of its inputs was written.
-        self.ready_at = None
 
         self.completed = 0
-        self.rejected = 0
         self.shed = 0
         self.degraded = 0
         self.zero_remote_completed = 0
@@ -121,10 +119,16 @@ class ServeNode:
         self.bp_seconds = 0.0
         self.dt_seconds = 0.0
         self.nn_seconds = 0.0
-        # Observation columns (``repro.perf.summarize``): the latency
-        # of every copy served, the depth each admitted request left.
+        # The latency of every copy served (``repro.perf.summarize``);
+        # the queue depths are the batcher's ``depth_stats``.
         self.latencies = []
-        self.queue_depths = []
+
+    @property
+    def batcher(self):
+        """The node's admission queue: the node itself.  Spelled out
+        where "drain" could be misread as a scale-down
+        (:attr:`draining`)."""
+        return self
 
     @property
     def queue_depth(self):
@@ -140,28 +144,6 @@ class ServeNode:
         self._draining = value
         self.ready_at = None
 
-    def submit(self, request):
-        """Enqueue one request; returns False (and counts a rejection)
-        when the admission queue is full."""
-        try:
-            depth = self.batcher.submit(request)
-        except AdmissionError:
-            self.rejected += 1
-            return False
-        self.queue_depths.append(depth)
-        # Only the first request (its arrival starts the ``max_wait``
-        # clock) and the one filling a batch move the dispatch time.
-        if depth == 1 or depth == self.policy.max_batch_size:
-            self.ready_at = None
-        return True
-
-    def cancel(self, request_id):
-        """Withdraw the queued request ``request_id`` (a hedge twin
-        whose other copy was answered); returns whether it was still
-        queued here."""
-        self.ready_at = None
-        return self.batcher.cancel(request_id)
-
     def next_dispatch_time(self, draining):
         """Earliest simulated time this node can dispatch its next
         batch, or ``None`` when it has nothing to dispatch.  ``draining``
@@ -176,7 +158,7 @@ class ServeNode:
                 or self._draining:
             ready_at = 0.0
         else:
-            ready_at = self.batcher.oldest_deadline()
+            ready_at = self.oldest_deadline()
         return max(self.free_at, ready_at)
 
     def refresh(self, draining):
@@ -204,8 +186,7 @@ class ServeNode:
         remote-fetch seconds by ``1/slowlink``.  Both default to 1.0
         and are only *applied* when they differ — the healthy path's
         float arithmetic is untouched (bit-exact baseline)."""
-        batch = self.batcher.take()
-        self.ready_at = None
+        batch = self.take()
         if self.deadline is not None:
             live = [r for r in batch
                     if clock <= r.arrival + self.deadline]

@@ -4,11 +4,16 @@ Every serving run — a :class:`~repro.serve.engine.ServeEngine` is a
 1-replica :class:`~repro.fleet.engine.FleetEngine` — ends in one
 :class:`ServeReport`, which carries one node report
 (:class:`~repro.fleet.metrics.ReplicaReport`) per replica.  A
-:class:`~repro.serve.loop.ServeNode` keeps two plain columns —
-``latencies`` (one entry per served request, appended per batch) and
-``queue_depths`` (one per admitted request) — and the reports digest
-them with :func:`repro.perf.summarize`, so the serving layer's
-percentile math is the perf layer's, unit-tested there.
+:class:`~repro.serve.loop.ServeNode` keeps one plain column,
+``latencies`` (one entry per served request, appended per batch), and
+three integers of queue depth (the admissions and the sum and max of
+the depths they left, settled when its queue shrinks:
+:meth:`~repro.serve.batcher.MicroBatcher.depth_stats`).  A report
+converts each node's latency column to float64 once and digests it
+with :func:`repro.perf.summarize` (:func:`latency_fields`), so the
+serving layer's percentile math is the perf layer's, unit-tested
+there; the depth fields are integer arithmetic
+(:func:`depth_fields`).
 
 The answers themselves are columns too.  A dispatch returns one
 :class:`BatchRow`, and the run collects the rows into one
@@ -30,12 +35,14 @@ import numpy as np
 from ..perf import summarize
 from .requests import InferenceResponse
 
-__all__ = ["BatchRow", "ResponseLedger", "ServeReport", "summary_fields"]
+__all__ = ["BatchRow", "ResponseLedger", "ServeReport", "depth_fields",
+           "latency_fields"]
 
 _new = tuple.__new__
 _NONE = np.empty(0, dtype=np.int64)
 #: The values a row shares, in ``InferenceResponse`` field order.
 _SHARED = ("completion", "batch_id", "batch_size", "degraded", "replica")
+_LATENCY_STATS = ("mean", "p50", "p95", "p99", "max")
 
 
 class BatchRow:
@@ -181,21 +188,23 @@ class ResponseLedger(Sequence):
         return self.completions() - arrivals
 
 
-def summary_fields(prefix, column, empty=None,
-                   stats=("mean", "p50", "p95", "p99", "max")):
-    """The ``<prefix>_<stat>`` report fields of one observation column
-    (``summary_fields("latency", node.latencies)``); each is ``empty``
-    when nothing was observed.  Without a percentile in ``stats`` the
-    column is not sorted: the mean sums it in the given order and the
-    max is its largest value, the bits :func:`summarize` returns."""
-    if not column:
-        summary = dict.fromkeys(stats, empty)
-    elif {"mean", "max"}.issuperset(stats):
-        summary = {"mean": sum(column) / len(column),
-                   "max": float(max(column))}
-    else:
-        summary = summarize(column)
-    return {f"{prefix}_{stat}": summary[stat] for stat in stats}
+def latency_fields(column):
+    """The ``latency_*`` report fields of one float64 latency column
+    (:func:`repro.perf.summarize`); each is ``None`` when nothing was
+    served."""
+    summary = summarize(column) or dict.fromkeys(_LATENCY_STATS)
+    return {f"latency_{stat}": summary[stat] for stat in _LATENCY_STATS}
+
+
+def depth_fields(nodes):
+    """``queue_depth_mean`` / ``queue_depth_max`` over every request
+    ``nodes`` admitted (``0.0`` when none was): exact integer sums, so
+    the bits are a left-to-right sum's over the pooled depths."""
+    admitted, totals, deepest = zip(*(n.depth_stats() for n in nodes))
+    if not sum(admitted):
+        return {"queue_depth_mean": 0.0, "queue_depth_max": 0.0}
+    return {"queue_depth_mean": sum(totals) / sum(admitted),
+            "queue_depth_max": float(max(deepest))}
 
 
 @dataclass

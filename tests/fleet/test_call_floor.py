@@ -27,10 +27,13 @@ TOOL = Path(__file__).resolve().parents[2] / "tools" / "floor_profile.py"
 #: fetch split its cold rows through ``ShardMap.split_local_remote``
 #: and built a ``TierBill``; 13.0 while ``dispatch`` built one
 #: ``InferenceResponse`` per answer (a ``tuple.__new__`` call each) and
-#: the run kept them in a list; 12.0 now that a dispatch returns one
-#: ``BatchRow`` the ``ResponseLedger`` extends its columns with.  The
-#: budget keeps 12.7 calls of headroom over 12.0.
-STEADY_BUDGET = 24.7
+#: the run kept them in a list; 12.0 while the node's ``submit``
+#: forwarded to its ``MicroBatcher``'s and appended every admission's
+#: queue depth to a list; 10.2 now that the node is its batcher, whose
+#: ``submit`` is the one admission frame and whose depth statistics are
+#: integers settled when the queue shrinks.  The budget keeps 12.7
+#: calls of headroom over 10.2.
+STEADY_BUDGET = 22.9
 #: The same under the crash storm with every resilience mechanism on:
 #: 164.9 while the loop polled, 76.9 while the router polled every
 #: replica's breaker per request and every response went through the
@@ -39,10 +42,12 @@ STEADY_BUDGET = 24.7
 #: frames above, 32.5 once a snapshot round was one commit, the router
 #: asked only the open breakers it tracks — none at all while none is
 #: open — and admission was one thin path, 31.6 while every answer was
-#: an ``InferenceResponse`` appended on its own, and 29.8 now that a
-#: hedge race's winners go into the ledger as a row.  The budget keeps
-#: ``STEADY_BUDGET``'s headroom.
-CHAOS_BUDGET = 42.5
+#: an ``InferenceResponse`` appended on its own, 29.8 once a hedge
+#: race's winners went into the ledger as a row, and 27.9 now that
+#: admission and a hedge twin's cancel are the batcher's own frames,
+#: not the node's wrappers.  The budget keeps ``STEADY_BUDGET``'s
+#: headroom.
+CHAOS_BUDGET = 40.6
 
 
 @pytest.fixture(scope="module")

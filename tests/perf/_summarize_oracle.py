@@ -1,8 +1,9 @@
 """The column digest as it was before it sorted with numpy: python's
-``sorted()`` over the observation objects.  Kept verbatim as the oracle
+``sorted()`` over the observation objects.  Kept as the oracle
 ``tests/perf/test_summarize_oracle.py`` holds
 :func:`repro.perf.summarize` / :func:`repro.perf.percentile` to, byte
-for byte."""
+for byte — verbatim but for the mean, whose left-to-right sum is
+spelled out so that the oracle means the same on every python."""
 
 import math
 
@@ -52,9 +53,14 @@ def summarize(values):
     if not values:
         return None
     ordered = sorted(values)
+    # Left to right from 0.0, spelled out: the builtin ``sum`` is
+    # compensated from python 3.12, and 3.11's bits are the contract.
+    total = 0.0
+    for value in values:
+        total += value
     return {
         "count": len(values),
-        "mean": sum(values) / len(values),
+        "mean": total / len(values),
         "p50": percentile(ordered, 50.0, presorted=True),
         "p95": percentile(ordered, 95.0, presorted=True),
         "p99": percentile(ordered, 99.0, presorted=True),

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.perf import (FLAGS, PERF, EvalSubgraphCache, StageProfiler,
-                        Workspace, percentile, perf_overrides, summarize)
+                        Workspace, ordered_sum, percentile, perf_overrides,
+                        summarize)
 from repro.sampling import NeighborSampler
 
 
@@ -79,14 +80,14 @@ class TestObservations:
     def test_mean_sums_in_the_order_given(self):
         # Float addition is not associative: the column's order is part
         # of the mean's bits, so ``summarize`` must not sum its sorted
-        # copy.
+        # copy — nor compensate, as the builtin ``sum`` does from 3.12.
         values = [1e16, 1.0, -1e16, 1.0]
-        assert summarize(values)["mean"] == sum(values) / 4
-        assert summarize(values)["mean"] != sum(sorted(values)) / 4
+        assert summarize(values)["mean"] == ordered_sum(values) / 4 == 0.25
+        assert summarize(values)["mean"] != ordered_sum(sorted(values)) / 4
 
     def test_integer_column_reports_floats(self):
-        # Queue depths are appended as ints; the report (and the JSON
-        # bytes of every tracked BENCH file) carries floats.
+        # An integer column digests to floats, as the report (and the
+        # JSON bytes of every tracked BENCH file) carries them.
         summary = summarize([3, 1, 2])
         assert summary["max"] == 3.0 and isinstance(summary["max"], float)
         assert summary["p50"] == 2.0 and isinstance(summary["p50"], float)

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.errors import AdmissionError, ServingError
+from repro.errors import ServingError
 from repro.serve import BatchPolicy, MicroBatcher
 from repro.serve.loop import ServeNode
 from repro.serve.requests import InferenceRequest
@@ -87,15 +87,14 @@ class TestFlushSemantics:
 
 
 class TestBackpressure:
-    def test_overflow_raises_admission_error(self):
+    def test_overflow_is_rejected(self):
         batcher = MicroBatcher(BatchPolicy(8, 1.0), max_queue=2)
-        batcher.submit(request(0, 0.0))
-        batcher.submit(request(1, 0.0))
-        with pytest.raises(AdmissionError):
-            batcher.submit(request(2, 0.0))
+        assert batcher.submit(request(0, 0.0)) is True
+        assert batcher.submit(request(1, 0.0)) is True
+        assert batcher.submit(request(2, 0.0)) is False
         # The rejected request did not corrupt the queue.
         assert len(batcher) == 2
-        assert batcher.admitted == 2
+        assert batcher.depth_stats() == (2, 1 + 2, 2)   # admitted 2
         assert batcher.rejected == 1
 
     def test_take_frees_capacity(self):
@@ -103,7 +102,7 @@ class TestBackpressure:
         batcher.submit(request(0, 0.0))
         batcher.submit(request(1, 0.0))
         batcher.take()
-        batcher.submit(request(2, 0.0))   # no raise
+        assert batcher.submit(request(2, 0.0))
         assert len(batcher) == 1
 
     def test_invalid_max_queue(self):

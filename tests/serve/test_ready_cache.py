@@ -109,7 +109,8 @@ class TestWhoResetsTheCache:
         assert n.submit(request(0, 0.0))
         n.refresh(False)
         assert not n.submit(request(1, 0.1))
-        assert n.ready_at == 1.0 and n.queue_depths == [1]
+        assert n.ready_at == 1.0 and n.rejected == 1
+        assert n.depth_stats() == (1, 1, 1)   # one admission, depth 1
 
     def test_cancel_resets_the_cache(self):
         n = node(max_batch_size=4)

@@ -36,7 +36,8 @@ and the cumulative table of ``run`` / ``on_admit`` / ``route`` /
 cannot see a per-element C loop (``sorted()`` over the run's 60 000
 latencies is one call), which is why the report is timed instead.
 ``tests/fleet/test_call_floor.py`` gates both counts; run after
-changing anything under ``serve/loop.py`` or ``fleet/``.
+changing anything under ``serve/loop.py``, ``serve/batcher.py`` or
+``fleet/``.
 
 ``--memory`` prints, for the record's training and serving
 configurations (``train-sage``, ``train-gat``, ``serve-sampled``,
@@ -92,12 +93,13 @@ LAYERS = (
 )
 
 #: The same, for ``--fleet``: the admission path (``on_admit`` ->
-#: ``route`` -> the node's ``submit``), then the dispatch path.
+#: ``route`` -> the node's ``submit``, which is ``MicroBatcher``'s),
+#: then the dispatch path.
 FLEET_LAYERS = (
     ("run", "fleet/engine.py", "run"),
     ("on_admit", "fleet/engine.py", "on_admit"),
     ("route", "fleet/router.py", "route"),
-    ("submit", "serve/loop.py", "submit"),
+    ("submit", "serve/batcher.py", "submit"),
     ("dispatch", "serve/loop.py", "dispatch"),
     ("execute", "serve/executor.py", "execute"),
     ("lookup", "transfer/tiered.py", "lookup"),
