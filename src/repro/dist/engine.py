@@ -55,7 +55,7 @@ import numpy as np
 from ..batching.selection import RandomBatchSelector
 from ..errors import FaultError, TrainingError
 from ..nn import model_widths, softmax_cross_entropy
-from ..perf import PERF
+from ..perf import PERF, ordered_sum
 from ..partition.workload import BYTES_PER_EDGE, batch_traffic
 from ..transfer.hardware import estimate_flops
 from ..transfer.methods import BatchStats
@@ -66,14 +66,17 @@ from .worker import BatchWork, Worker
 __all__ = ["SyncEngine", "EpochStats"]
 
 #: (EpochStats field, the BatchWork field it sums over every worker's
-#: batches of the epoch).
-_SUMMED = (("bp_seconds", "bp_seconds"), ("dt_seconds", "dt_seconds"),
-           ("nn_seconds", "nn_seconds"),
-           ("involved_vertices", "input_vertices"),
-           ("involved_edges", "sampled_edges"),
-           ("remote_feature_bytes", "remote_feature_bytes"),
-           ("retries", "retries"), ("giveups", "giveups"),
-           ("fault_seconds", "fault_seconds"))
+#: batches of the epoch, the sum): counts add exactly, seconds left to
+#: right on every python (``ordered_sum``; the builtin ``sum``
+#: compensates float sums from 3.12).
+_SUMMED = (("bp_seconds", "bp_seconds", ordered_sum),
+           ("dt_seconds", "dt_seconds", ordered_sum),
+           ("nn_seconds", "nn_seconds", ordered_sum),
+           ("involved_vertices", "input_vertices", sum),
+           ("involved_edges", "sampled_edges", sum),
+           ("remote_feature_bytes", "remote_feature_bytes", sum),
+           ("retries", "retries", sum), ("giveups", "giveups", sum),
+           ("fault_seconds", "fault_seconds", ordered_sum))
 
 
 @dataclass
@@ -418,7 +421,7 @@ class SyncEngine:
         # Simulated epoch time: slowest worker's pipelined makespan plus
         # the synchronous all-reduce per step.
         makespans = []
-        totals = {name: 0 for name, _work_name in _SUMMED}
+        totals = {name: 0 for name, _work_name, _add in _SUMMED}
         tier_seconds = {"hot": 0.0, "warm": 0.0, "cold": 0.0}
         tiered_fetches = False
         for worker, count in zip(self.workers, batches_this_epoch):
@@ -428,8 +431,8 @@ class SyncEngine:
             makespans.append(simulate_pipeline(
                 stage_times, self.pipeline_mode).makespan)
             recent = worker.work_log[-count:]
-            for name, work_name in _SUMMED:
-                totals[name] += sum(getattr(w, work_name) for w in recent)
+            for name, work_name, add in _SUMMED:
+                totals[name] += add(getattr(w, work_name) for w in recent)
             for work in recent:
                 if work.dt_tier_seconds is not None:
                     tiered_fetches = True

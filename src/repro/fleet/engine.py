@@ -41,7 +41,7 @@ still billed the embedding rows it fetches and the head's FLOPs.
 
 from __future__ import annotations
 
-from bisect import insort
+from heapq import heappop, heappush
 from numbers import Real
 
 import numpy as np
@@ -72,6 +72,8 @@ __all__ = ["FleetEngine"]
 #: The fault kinds a fleet schedule runs (the rest need the epoch
 #: clock).
 _FLEET_KINDS = ("crash", "straggler", "slowlink")
+
+_INF = float("inf")
 
 #: Resilience off: no detector, breakers or hedging, and a crash
 #: orphan is re-routed however often its replica dies.
@@ -289,9 +291,10 @@ class FleetEngine:
     def _hedge_delay(hedge, latencies):
         """Hedge delay from the observed latency quantile, or ``None``
         while too few completions are on record to estimate it.
-        ``latencies`` must be ascending (the run keeps it so with
-        ``insort``); the run re-reads it for a request's first copy
-        only when a latency has been added since the last read."""
+        ``latencies`` must read as an ascending list (the run's
+        :class:`_LatencyRanks`, or a list kept sorted); the run re-reads
+        it for a request's first copy only when a latency has been
+        added since the last read."""
         if len(latencies) < hedge.min_observations:
             return None
         return max(hedge.min_delay,
@@ -310,10 +313,11 @@ class FleetEngine:
         # columns in replica order (the order is part of
         # ``latency_mean``'s bits) — except under hedging, where they
         # also hold the twins that lost the race and the run's record
-        # of the winners is per answered request.
+        # of the winners is per answered request, summed in ascending
+        # order.
         columns = [np.array(r.latencies, dtype=np.float64)
                    for r in replicas]
-        latencies = np.array(run.latencies, dtype=np.float64) \
+        latencies = np.sort(np.array(run.latencies, dtype=np.float64)) \
             if run.hedge_policy is not None else np.concatenate(columns)
         totals = run_totals(responses, self.dataset.labels)
         completed = totals["completed"]
@@ -393,6 +397,55 @@ class FleetEngine:
         )
 
 
+class _LatencyRanks:
+    """A run's latency list, appended to as answers land, read as the
+    ascending list it would be if kept sorted — at the ranks around one
+    percentile: ``percentile(ranks, q, presorted=True)`` is
+    ``percentile(sorted(values), q)``, bit for bit.
+
+    The values sit in two heaps: the smallest in a max-heap (``_below``,
+    negated, which is exact) and the rest in a min-heap (``_above``),
+    every value of the first at most every value of the second.  A read
+    first pushes the values appended since the last one (one
+    ``heappush`` each, where a sorted list cost an ``insort`` whose
+    memmove grows with the list), then moves values across until
+    ``_below`` holds the ``i + 1`` smallest: ``[i]`` is its largest and
+    ``[i + 1]`` the smallest of ``_above``.  A percentile read after a
+    few more answers moves one or two.
+    """
+
+    __slots__ = ("_values", "_seen", "_below", "_above")
+
+    def __init__(self, values):
+        self._values = values
+        self._seen = 0
+        self._below, self._above = [], []
+
+    def __len__(self):
+        return len(self._values)
+
+    def __getitem__(self, rank):
+        below, above = self._below, self._above
+        fresh = self._values[self._seen:]
+        if fresh:
+            self._seen += len(fresh)
+            for value in fresh:
+                if below and value < -below[0]:
+                    heappush(below, -value)
+                else:
+                    heappush(above, value)
+        size = len(below)
+        if rank == size:
+            return above[0]
+        while size > rank + 1:
+            heappush(above, -heappop(below))
+            size -= 1
+        while size <= rank:
+            heappush(below, -heappop(above))
+            size += 1
+        return -below[0]
+
+
 class _FleetRun:
     """The state of one :meth:`FleetEngine.run` and its event handlers.
 
@@ -433,9 +486,19 @@ class _FleetRun:
         self.assigned = {}       # request_id -> replica ids with a copy
         self.hedge_target = {}   # request_id -> the hedge copy's replica
         self.done = set()        # first-response-wins dedup
-        self.latencies = []      # completed latencies, kept ascending
+        self.latencies = []      # completed latencies, in answer order
+        self._ranks = _LatencyRanks(self.latencies)   # ... read sorted
         self._delay = None       # the hedge delay at ...
         self._delay_observed = -1    # ... this many latencies
+        # The hedge lane: one ``(fire_time, lane_seq, request)`` per
+        # armed first copy, a heap; the loop holds a ``hedges`` event
+        # at each finite time in ``_armed_times`` (a heap of different
+        # times over an ``inf`` that never fires), the earliest of which
+        # is at or before the lane's head whenever the lane holds
+        # anything.
+        self._lane = []
+        self._lane_seq = 0
+        self._armed_times = [_INF]
         self.hedges_launched = 0
         self.hedges_won = 0
         self.hedges_wasted = 0
@@ -479,6 +542,9 @@ class _FleetRun:
             on["admit"] = [self.on_admit_hedged]
             on["batch"][-1] = self.defer_responses
             on["response"] = [self.on_response]
+            on["hedges"] = [self.on_hedges]
+            # One timer event per request, the scheduling the lane
+            # replaced (tests/fleet/_chaos_oracle.py still uses it).
             on["hedge"] = [self.on_hedge]
         if self.autoscaler is not None:
             on["admit"].append(self.rescale)
@@ -584,7 +650,7 @@ class _FleetRun:
             done.add(rid)
             if rid in lost:          # an earlier copy may have been lost
                 del lost[rid]
-            insort(latencies, completion - request.arrival)
+            latencies.append(completion - request.arrival)
             if rid not in hedge_target:
                 continue
             if replica == hedge_target[rid]:
@@ -615,8 +681,9 @@ class _FleetRun:
         return replica
 
     def on_admit_hedged(self, request):
-        """:meth:`on_admit`, remembering who holds a copy and arming the
-        hedge timer on a request's first copy."""
+        """:meth:`on_admit`, remembering who holds a copy and putting a
+        request's first copy on the hedge lane; a copy due before the
+        lane's armed event arms an earlier one."""
         rid = request.request_id
         if rid in self.done:
             return  # a hedge twin already answered it
@@ -633,19 +700,49 @@ class _FleetRun:
         if observed != self._delay_observed:
             self._delay_observed = observed
             self._delay = FleetEngine._hedge_delay(self.hedge_policy,
-                                                   self.latencies)
+                                                   self._ranks)
         if self._delay is not None:
-            self.loop.schedule(self.loop.clock + self._delay, TIMER,
-                               "hedge", request)
+            due = self.loop.clock + self._delay
+            self._lane_seq += 1
+            heappush(self._lane, (due, self._lane_seq, request))
+            if due < self._armed_times[0]:
+                self._arm(due)
 
     def rescale(self, _request):
         self.autoscaler.evaluate(self.loop.clock)
 
     # -- TIMER phase (hedging only) ------------------------------------
+    def _arm(self, time):
+        """Queue a ``hedges`` event at ``time``, now the earliest."""
+        self.loop.schedule(time, TIMER, "hedges")
+        heappush(self._armed_times, time)
+
+    def on_hedges(self, _):
+        """The hedge lane's event: every timer due now goes to
+        :meth:`on_hedge`, in the order per-request timers would have
+        fired (fire time, then arming order).  The answered requests at
+        the head are then dropped without their instants being visited,
+        and an event is armed at the new head unless one is already
+        queued at or before it.  The instants skipped are ones where
+        :meth:`on_hedge` would have done nothing and scheduled
+        nothing."""
+        lane, clock = self._lane, self.loop.clock
+        armed = self._armed_times
+        heappop(armed)           # this event's own time: ``clock``
+        while lane and lane[0][0] <= clock:
+            self.on_hedge(heappop(lane)[2])
+        done = self.done
+        while lane and lane[0][2].request_id in done:
+            heappop(lane)
+        if lane and lane[0][0] < armed[0]:
+            self._arm(lane[0][0])
+
     def on_hedge(self, request):
         """Launch a second copy of a still-unanswered request on a
         replica not already holding one (opportunistic — silently
-        skipped when impossible)."""
+        skipped when impossible).  Handed each lane timer as it falls
+        due by :meth:`on_hedges`; an answered request costs nothing
+        here and schedules nothing."""
         rid = request.request_id
         if rid in self.done:
             return

@@ -22,7 +22,7 @@ each instant the phases run in a fixed order::
     FAULT     crash / recover / suspect / dead / snapshot
     RESPONSE  a (hedged) batch's responses land at their completion
     ADMIT     trace arrivals, then failover re-submissions
-    TIMER     hedge timers
+    TIMER     hedge timers (a fleet run's lane: every timer due now)
     dispatch  every ready node, in node-id order
 
 so a fault at time ``t`` is visible to routing at ``t``, every request
@@ -499,11 +499,12 @@ def run_totals(responses, labels):
 
     ``responses`` is the run's
     :class:`~repro.serve.metrics.ResponseLedger`; the fields are
-    ``completed``, ``duration_seconds`` (the last completion, measured
-    from time 0 — not from the first arrival), ``throughput`` and
+    ``completed``, ``duration_seconds`` (the last completion of an
+    answer, measured from time 0 — not from the first arrival; read off
+    the rows, not the per-answer column), ``throughput`` and
     ``accuracy``."""
     completed = len(responses)
-    duration = float(responses.completions().max()) if completed else 0.0
+    duration = responses.last_completion()
     correct = int(np.count_nonzero(
         responses.predictions() == labels[responses.vertices()]))
     return {"completed": completed,

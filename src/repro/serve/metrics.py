@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from operator import attrgetter, index
 
 import numpy as np
@@ -102,8 +102,9 @@ class ResponseLedger(Sequence):
     and in the order :meth:`add` / :meth:`append` received them, from
     per-answer columns the first read expands once.  The numpy
     readers (:meth:`predictions`, :meth:`vertices`,
-    :meth:`completions`, :meth:`latencies`) are what the report's
-    totals are computed from.
+    :meth:`completions`, :meth:`latencies`) and
+    :meth:`last_completion` are what the report's totals are computed
+    from.
     """
 
     def __init__(self):
@@ -177,6 +178,14 @@ class ResponseLedger(Sequence):
         return np.repeat(
             np.array(self._shared[::len(_SHARED)], dtype=np.float64),
             list(map(len, self._arrays[::2])))
+
+    def last_completion(self):
+        """The latest completion of any answer, ``0.0`` with none: the
+        largest per-row value over the rows holding an answer (a hedged
+        row whose every copy lost holds none)."""
+        return float(max(compress(self._shared[::len(_SHARED)],
+                                  map(len, self._arrays[::2])),
+                         default=0.0))
 
     def latencies(self):
         """Every answer's ``completion - request.arrival``, as

@@ -245,9 +245,54 @@ class TestPolicyValidation:
 
 
 class TestHedgeDelay:
-    """The run loop keeps completed latencies ascending with ``insort``
-    and reads the quantile without re-sorting; the delay must equal the
-    sort-every-time definition after every completion."""
+    """The run reads the hedge delay's quantile without re-sorting: off
+    a list kept ascending with ``insort`` (the oracles' way) or off the
+    run's ``_LatencyRanks`` over its answer-order list; either must
+    equal the sort-every-time definition after every completion."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(latencies=st.lists(st.sampled_from([0.0, 1e-6, 2e-4, 2e-4,
+                                               3e-3, 0.25, 1.0])
+                              | st.floats(0.0, 1.0), max_size=80),
+           quantile=st.floats(0.5, 99.5),
+           min_observations=st.integers(1, 25),
+           reads=st.lists(st.booleans(), min_size=80, max_size=80))
+    def test_ranks_equal_percentile_on_the_prefixes_read(
+            self, latencies, quantile, min_observations, reads):
+        """Answers land between reads, a few or many at a time, with
+        ties and zeros."""
+        from repro.fleet.engine import FleetEngine, _LatencyRanks
+        from repro.perf.profiler import percentile
+        hedge = HedgePolicy(delay_quantile=quantile, min_delay=1e-4,
+                            min_observations=min_observations)
+        values = []
+        ranks = _LatencyRanks(values)
+        assert FleetEngine._hedge_delay(hedge, ranks) is None
+        for count, (latency, read) in enumerate(zip(latencies, reads),
+                                                start=1):
+            values.append(latency)
+            if not read:
+                continue
+            delay = FleetEngine._hedge_delay(hedge, ranks)
+            if count < min_observations:
+                assert delay is None
+            else:
+                assert delay == max(
+                    hedge.min_delay,
+                    percentile(latencies[:count], quantile))
+
+    @settings(max_examples=50, deadline=None)
+    @given(latencies=st.lists(st.floats(0.0, 1.0), min_size=1,
+                              max_size=40),
+           order=st.randoms(use_true_random=False))
+    def test_any_rank_reads_as_the_sorted_list(self, latencies, order):
+        from repro.fleet.engine import _LatencyRanks
+        ranks = _LatencyRanks(list(latencies))
+        positions = list(range(len(latencies)))
+        order.shuffle(positions)
+        ordered = sorted(latencies)
+        for position in positions:
+            assert ranks[position] == ordered[position]
 
     @settings(max_examples=100, deadline=None)
     @given(latencies=st.lists(st.floats(1e-6, 1.0), max_size=60),

@@ -12,7 +12,6 @@ replaced, so that one configuration can be run both ways.
 """
 
 import gc
-from bisect import insort
 from contextlib import contextmanager
 from operator import attrgetter
 
@@ -28,7 +27,7 @@ from repro.fleet.engine import _FleetRun
 from repro.nn import build_model
 from repro.serve import (BatchPolicy, InferenceRequest, InferenceResponse,
                          LayerwiseEmbeddings, LoadGenerator, ServeEngine)
-from repro.serve.loop import RESPONSE, EventLoop, ServeNode
+from repro.serve.loop import RESPONSE, EventLoop, ServeNode, run_totals
 from repro.serve.metrics import BatchRow, ResponseLedger
 
 
@@ -105,7 +104,7 @@ def _parent_on_response(self, responses):
         done.add(rid)
         if rid in lost:
             del lost[rid]
-        insort(latencies, response.completion - response.request.arrival)
+        latencies.append(response.completion - response.request.arrival)
         answered.append(response)
         if rid not in hedge_target:
             continue
@@ -140,6 +139,9 @@ class ResponseList(list):
 
     def completions(self):
         return self._column("completion", np.float64)
+
+    def last_completion(self):
+        return float(self.completions().max()) if self else 0.0
 
     def latencies(self):
         return np.array([r.latency for r in self], dtype=np.float64)
@@ -297,6 +299,19 @@ def test_len_and_indexing_behave_as_on_a_list(sizes, appended):
                           [r.latency for r in as_list])
 
 
+@settings(max_examples=30, deadline=None)
+@given(sizes=st.lists(st.integers(0, 5), max_size=8),
+       appended=st.integers(0, 3))
+def test_the_last_completion_skips_rows_without_answers(sizes, appended):
+    """``hand_ledger``'s rows complete later the later they come, so a
+    trailing empty row would be the maximum if it counted."""
+    ledger = hand_ledger(sizes, appended)
+    last = ledger.last_completion()
+    assert type(last) is float
+    assert last == (float(ledger.completions().max()) if len(ledger)
+                    else 0.0)
+
+
 def test_a_row_reads_as_its_responses():
     requests = [InferenceRequest(i, 20 + i, 0.0) for i in range(4)]
     row = BatchRow(requests, np.array([2, 0, 1, 2]),
@@ -362,3 +377,23 @@ def test_a_hedge_race_keeps_only_the_winners(world):
     assert report.resilience["hedges_wasted"] > 0
     ids = [r.request.request_id for r in report.responses]
     assert len(ids) == len(set(ids)) == report.completed
+
+
+@pytest.mark.parametrize("trace_seed", [1, 2, 4])
+def test_a_hedged_run_lasts_until_its_last_answer(world, trace_seed):
+    """Directed: hedged crash runs that add rows whose every copy lost
+    (``BatchRow.without`` left them empty).  At trace seeds 1 and 2 such
+    a row completes after every answer, so counting it would stretch
+    ``duration_seconds``."""
+    trace = trace_for(world[0], 2e5, 300, trace_seed)
+    report = fleet_run(world, trace, 2, "metis-v", hedged=True,
+                       crash=True)
+    ledger = report.responses
+    answers = list(map(len, ledger._arrays[::2]))
+    assert report.resilience["hedges_wasted"] > 0 and 0 in answers
+    last = float(ledger.completions().max())
+    assert ledger.last_completion() == last
+    assert report.duration_seconds == last
+    assert run_totals(ledger, world[0].labels)["duration_seconds"] == last
+    if trace_seed in (1, 2):
+        assert max(ledger._shared[::5]) > last

@@ -26,7 +26,9 @@ configuration (4 replicas, metis-v, precomputed, LFU 0.1 / 0.1,
 the request: interpreter calls per request of ``FleetEngine.run`` (also
 for the ``fleet-chaos`` configuration — crash storm, replication,
 detector, breakers, hedging, snapshot recovery — and for the
-``serve-sampled`` ``ServeEngine.run`` above), the share of a
+``serve-sampled`` ``ServeEngine.run`` above), the events each of the
+two fleet runs puts on the loop's heap per request, by kind (trace
+arrivals never enter it), the share of a
 ``fleet-steady`` run's process CPU time spent assembling its report,
 the garbage collector's passes per generation and milliseconds inside
 each of 15 consecutive ``fleet-steady`` runs (a ``gc.callbacks``
@@ -74,6 +76,7 @@ from repro.nn import build_model, no_grad
 from repro.perf import perf_overrides
 from repro.serve import (BatchPolicy, LayerwiseEmbeddings, LoadGenerator,
                          ServeEngine)
+from repro.serve.loop import EventLoop
 
 #: (row label, file suffix, function name) of the cumulative table.
 LAYERS = (
@@ -284,6 +287,38 @@ def calls_per_request(engine, trace):
         return count_calls(engine.run, trace) / len(trace)
 
 
+def scheduled_events(engine, trace):
+    """``{kind: events}`` one ``engine.run(trace)`` schedules on its
+    event loop (``EventLoop.schedule`` calls; trace arrivals are merged
+    in, not scheduled), sanitizers off."""
+    counts = {}
+    schedule = EventLoop.schedule
+
+    def counted(loop, time, phase, kind, payload=None):
+        counts[kind] = counts.get(kind, 0) + 1
+        return schedule(loop, time, phase, kind, payload)
+
+    EventLoop.schedule = counted
+    try:
+        with perf_overrides(sanitize=False):
+            engine.run(trace)
+    finally:
+        EventLoop.schedule = schedule
+    return counts
+
+
+def print_scheduled(name, engine, trace):
+    """One line: the events per request of :func:`scheduled_events`,
+    by kind, most first, with their total."""
+    counts = scheduled_events(engine, trace)
+    kinds = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+    parts = ", ".join(f"{kind} {count / len(trace):.3f} ({count})"
+                      for kind, count in kinds)
+    total = sum(counts.values())
+    print(f"scheduled events per request, {name}: "
+          f"{total / len(trace):.3f} ({total}): {parts or 'none'}")
+
+
 def report_share(engine, trace, repeat=3):
     """``(report seconds, run seconds)`` of process CPU time for one
     ``engine.run(trace)`` (a :class:`FleetEngine`), sanitizers off and
@@ -416,8 +451,11 @@ def fleet_main(scale, seed):
     print(f"calls per request, fleet-steady: "
           f"{calls_per_request(engine, trace):.1f}")
     with tempfile.TemporaryDirectory(prefix="floor-chaos-") as scratch:
+        chaos, chaos_trace = build_fleet(scale, seed, scratch)
         print(f"calls per request, fleet-chaos: "
-              f"{calls_per_request(*build_fleet(scale, seed, scratch)):.1f}")
+              f"{calls_per_request(chaos, chaos_trace):.1f}")
+        print_scheduled("fleet-steady", engine, trace)
+        print_scheduled("fleet-chaos", chaos, chaos_trace)
     print(f"calls per request, serve-sampled: "
           f"{calls_per_request(*build_engine(scale, seed)):.1f}")
     seconds, total = report_share(engine, trace)
