@@ -56,7 +56,7 @@ class AdviceReport:
         return kwargs
 
 
-def advise(dataset, num_workers=4, gpu_memory_headroom=0.2):
+def advise(dataset, num_workers=4):
     """Recommend data-management techniques for ``dataset``.
 
     Parameters
@@ -65,9 +65,6 @@ def advise(dataset, num_workers=4, gpu_memory_headroom=0.2):
         :class:`~repro.graph.datasets.Dataset`.
     num_workers:
         Planned machine count.
-    gpu_memory_headroom:
-        Fraction of the feature store assumed to fit in spare GPU
-        memory (drives the cache recommendation).
     """
     recommendations = []
     graph = dataset.graph
@@ -129,18 +126,16 @@ def advise(dataset, num_workers=4, gpu_memory_headroom=0.2):
 
     # Cache (§7.4, lesson 4): the biggest lever; pick the policy by
     # whether degree predicts access.
-    if gpu_memory_headroom > 0:
-        policy = "degree" if skewed else "presample"
-        extra = ("degree-based is adequate on power-law graphs and "
-                 "costs no pre-sampling pass"
-                 if skewed else
-                 "degree does not predict access on flat-degree "
-                 "graphs; pre-sampling measures the real frequency")
-        recommendations.append(Recommendation(
-            "cache_policy", policy,
-            f"GPU caching is the most significant transfer "
-            f"optimization — it removes traffic outright; {extra} "
-            f"(§7.3.3, lesson 4)."))
+    policy = "degree" if skewed else "presample"
+    extra = ("degree-based is adequate on power-law graphs and costs "
+             "no pre-sampling pass"
+             if skewed else
+             "degree does not predict access on flat-degree graphs; "
+             "pre-sampling measures the real frequency")
+    recommendations.append(Recommendation(
+        "cache_policy", policy,
+        f"GPU caching is the most significant transfer optimization — "
+        f"it removes traffic outright; {extra} (§7.3.3, lesson 4)."))
 
     # Pipeline (§7.4, lesson 3): cheap to enable, bounded benefit.
     recommendations.append(Recommendation(

@@ -152,10 +152,6 @@ class TrainingConfig:
     # "drop" for the rest of the run (see repro.faults).
     crash_policy: str = "redistribute"
     spec: HardwareSpec = field(default=DEFAULT_SPEC)
-    # The paper's batch-preparation step sizes batches "according to the
-    # GPU's available memory"; when enabled, the trainer clamps the
-    # schedule to the memory model's max batch size for the fanout.
-    enforce_gpu_memory: bool = True
     # Loop control.
     epochs: int = 30
     eval_every: int = 1

@@ -34,7 +34,7 @@ import numpy as np
 from ..dist import FullBatchEngine, FullGraph, SyncEngine
 from ..errors import CheckpointError, TrainingError
 from ..nn import Adam, build_model, no_grad
-from ..perf import PERF, EvalSubgraphCache, wall_clock
+from ..perf import PERF, EvalSubgraphCache, ordered_sum, wall_clock
 from .config import TrainingConfig, make_cache
 from .convergence import TrainingCurve
 
@@ -142,10 +142,10 @@ class TrainingResult:
         """
         if not self.epoch_stats:
             raise TrainingError("run() has not been called")
-        bp = sum(s.bp_seconds for s in self.epoch_stats)
-        dt = sum(s.dt_seconds for s in self.epoch_stats)
-        nn = sum(s.nn_seconds + s.allreduce_seconds
-                 for s in self.epoch_stats)
+        bp = ordered_sum(s.bp_seconds for s in self.epoch_stats)
+        dt = ordered_sum(s.dt_seconds for s in self.epoch_stats)
+        nn = ordered_sum(s.nn_seconds + s.allreduce_seconds
+                         for s in self.epoch_stats)
         total = bp + dt + nn
         return {
             "batch_preparation": bp / total,
@@ -238,30 +238,6 @@ class Trainer:
                     f"selection, feature cache, replication or fault "
                     f"replay")
 
-    def _memory_batch_cap(self, sampler):
-        """Largest batch the simulated GPU fits (None = no cap).
-
-        Applies the paper's "batch prepared according to the GPU's
-        available memory" rule for fanout samplers, whose expansion the
-        memory model can predict.
-        """
-        from ..sampling import NeighborSampler
-        from ..transfer.memory import max_batch_size
-        if not self.config.enforce_gpu_memory:
-            return None
-        if not isinstance(sampler, NeighborSampler):
-            return None
-        cap = max_batch_size(
-            self.config.spec, sampler.fanout, self.dataset.feature_dim,
-            hidden_dim=self.config.hidden_dim,
-            num_classes=self.dataset.num_classes,
-            num_vertices=self.dataset.num_vertices)
-        if cap < 1:
-            raise TrainingError(
-                "even a single-seed batch exceeds the simulated GPU "
-                "memory; lower the fanout or feature width")
-        return cap
-
     def _fingerprint(self):
         """Identity of (dataset, architecture, seed) a checkpoint must
         match to be resumable under this trainer."""
@@ -326,7 +302,6 @@ class Trainer:
             self._build_engine(injector=injector, retry=retry)
         full_graph = isinstance(engine, FullBatchEngine)
         schedule = config.build_schedule()
-        batch_cap = self._memory_batch_cap(sampler)
         rng = config.rng(salt=100)
         eval_rng_seed = config.seed * 7_777_777 + 13
         # The eval rng is reseeded identically every epoch, so the
@@ -385,8 +360,6 @@ class Trainer:
 
         for epoch in range(start_epoch, config.epochs):
             batch_size = schedule.size(epoch)
-            if batch_cap is not None:
-                batch_size = min(batch_size, batch_cap)
             wall_start = wall_clock()
             stats = engine.run_epoch(batch_size, rng, epoch=epoch)
             wall = wall_clock() - wall_start

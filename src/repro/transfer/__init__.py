@@ -3,7 +3,6 @@
 from .blocks import (BlockActivity, active_block_ratio, block_activity,
                      threshold_sweep)
 from .hardware import DEFAULT_SPEC, HardwareSpec, estimate_flops
-from .memory import MemoryEstimate, estimate_batch_memory, max_batch_size
 from .methods import (TOPOLOGY_BYTES_PER_EDGE, BatchStats, ExtractLoad,
                       HybridTransfer, TransferBreakdown, TransferMethod,
                       ZeroCopy, make_transfer)
@@ -31,6 +30,5 @@ __all__ = [
     "pipeline_groups",
     "Platform", "cpu_cluster", "multi_gpu", "gpu_cluster", "NoTransfer",
     "PLATFORM_NAMES",
-    "MemoryEstimate", "estimate_batch_memory", "max_batch_size",
     "epoch_trace_events", "worker_trace", "write_epoch_trace",
 ]

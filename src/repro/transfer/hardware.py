@@ -63,7 +63,6 @@ class HardwareSpec:
     # minor share of GNN training that Figure 2 reports.
     gpu_flops: float = 8.1e12
     gpu_efficiency: float = 0.85
-    gpu_memory: int = 16_000_000_000
 
     def __post_init__(self):
         positive = ("pcie_bandwidth", "cpu_gather_bandwidth",

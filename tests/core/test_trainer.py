@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core import (Trainer, TrainingConfig, adaptive_batch_training,
+from repro.core import (Trainer, TrainingConfig, TrainingCurve,
+                        TrainingResult, adaptive_batch_training,
                         evaluate_model)
+from repro.dist import EpochStats
 from repro.errors import TrainingError
 from repro.graph import load_dataset
 from repro.nn import build_model
@@ -75,35 +77,26 @@ class TestTrainer:
         assert quick_result.total_wall_seconds > 0
         assert 0 <= quick_result.partitioning_time_share() < 1
 
-    def test_gpu_memory_clamps_batch_size(self, dataset):
-        """A tiny simulated GPU forces the paper's memory-driven batch
-        sizing: the requested batch shrinks to what fits."""
-        from repro.transfer import DEFAULT_SPEC
-        tiny = DEFAULT_SPEC.with_overrides(gpu_memory=1_500_000)
-        config = TrainingConfig(epochs=1, batch_size=100_000,
-                                fanout=(10, 10), num_workers=1,
-                                partitioner="hash", spec=tiny)
-        result = Trainer(dataset, config).run()
-        assert result.curve.batch_sizes[0] < 100
-
-    def test_gpu_memory_enforcement_can_be_disabled(self, dataset):
-        from repro.transfer import DEFAULT_SPEC
-        tiny = DEFAULT_SPEC.with_overrides(gpu_memory=1_500_000)
-        config = TrainingConfig(epochs=1, batch_size=640,
-                                fanout=(10, 10), num_workers=1,
-                                partitioner="hash", spec=tiny,
-                                enforce_gpu_memory=False)
-        result = Trainer(dataset, config).run()
-        assert result.curve.batch_sizes[0] == 640
-
-    def test_impossible_memory_raises(self, dataset):
-        from repro.transfer import DEFAULT_SPEC
-        doll = DEFAULT_SPEC.with_overrides(gpu_memory=1000)
-        config = TrainingConfig(epochs=1, batch_size=64,
-                                fanout=(10, 10), num_workers=1,
-                                partitioner="hash", spec=doll)
-        with pytest.raises(TrainingError):
-            Trainer(dataset, config).run()
+    def test_breakdown_sums_left_to_right(self):
+        """The step seconds are summed in epoch order from 0.0 on every
+        python: a compensated sum (the builtin from 3.12) makes the
+        batch-preparation total 1.0000000000000002 here, and its share
+        0.5000000000000001."""
+        def epoch(bp, dt):
+            return EpochStats(loss=0.0, epoch_seconds=bp + dt,
+                              bp_seconds=bp, dt_seconds=dt,
+                              nn_seconds=0.0, allreduce_seconds=0.0,
+                              num_steps=1, involved_vertices=0,
+                              involved_edges=0, remote_feature_bytes=0,
+                              batch_size=1)
+        result = TrainingResult(
+            curve=TrainingCurve(), test_accuracy=0.0,
+            partition_seconds=0.0, partition_method="hash",
+            epoch_stats=[epoch(1.0, 1.0), epoch(1e-16, 0.0),
+                         epoch(1e-16, 0.0)])
+        assert result.step_breakdown() == {
+            "batch_preparation": 0.5, "data_transferring": 0.5,
+            "nn_computation": 0.0}
 
 
 class TestEvaluate:

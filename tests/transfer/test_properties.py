@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from repro.graph import power_law_graph
 from repro.transfer import (DEFAULT_SPEC, TieredCache, block_activity,
-                            estimate_batch_memory, make_tiered_cache,
-                            simulate_pipeline, threshold_sweep)
+                            make_tiered_cache, simulate_pipeline,
+                            threshold_sweep)
 
 
 @st.composite
@@ -91,14 +91,3 @@ class TestBlockActivityProperties:
         activity = block_activity(active, n, 64)
         values = list(threshold_sweep(activity).values())
         assert all(a >= b for a, b in zip(values, values[1:]))
-
-
-class TestMemoryProperties:
-    @given(st.integers(1, 4096), st.integers(1, 4095),
-           st.tuples(st.integers(1, 30), st.integers(1, 30)),
-           st.integers(8, 700))
-    @settings(max_examples=40, deadline=None)
-    def test_monotone_in_batch(self, batch, delta, fanout, feat_dim):
-        small = estimate_batch_memory(batch, fanout, feat_dim)
-        large = estimate_batch_memory(batch + delta, fanout, feat_dim)
-        assert large.total_bytes >= small.total_bytes
