@@ -22,12 +22,11 @@ test:
 
 # The static analyzer: per-file determinism & numerics rules (RPR) over
 # every scanned file, architectural rules (ARC) over src/repro. Fails on
-# findings not grandfathered by src/repro/analysis/baseline.json
-# (currently empty); the CI `lint` job runs the same gate and uploads
-# the JSON report.
+# any finding not marked `# repro: noqa`; the CI `lint` job runs the
+# same gate and uploads the JSON report.
 lint:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
-	  python -m repro lint --baseline
+	  python -m repro lint --out lint_report.json
 
 # The benchmarks are runnable scripts with a __main__ block (like the
 # examples); `pytest --benchmark-only` can't collect them without the

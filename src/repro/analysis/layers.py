@@ -22,7 +22,8 @@ __all__ = ["ArchConfig", "CONTRACT", "load_arch_config"]
 #: every import touching it.
 CONTRACT = {
     "layers": [
-        {"name": "foundation", "level": 0, "packages": ["errors", "perf"]},
+        {"name": "errors", "level": 0, "packages": ["errors"]},
+        {"name": "perf", "level": 1, "packages": ["perf"]},
         {"name": "analysis", "level": 1, "packages": ["analysis"]},
         {"name": "data", "level": 2, "packages": ["graph", "transfer"]},
         {"name": "sampling", "level": 3,

@@ -15,10 +15,10 @@ from .rules import rule_table
 
 __all__ = ["REPORT_VERSION", "render_json", "render_text", "write_json"]
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 
-def _finding_dict(finding, new):
+def _finding_dict(finding):
     return {
         "rule": finding.rule,
         "severity": finding.severity,
@@ -28,59 +28,39 @@ def _finding_dict(finding, new):
         "message": finding.message,
         "hint": finding.hint,
         "snippet": finding.snippet,
-        "new": bool(new),
     }
 
 
 def render_json(result):
     """The lint report as a JSON-serializable dict (stable schema)."""
-    new = set(id(f) for f in result.new_findings)
-    stale = result.stale_baseline
     return {
         "version": REPORT_VERSION,
         "files_scanned": result.files_scanned,
         "summary": {
             "total": len(result.findings),
-            "new": len(result.new_findings),
-            "baselined": result.baselined,
             "suppressed": result.suppressed,
             "parse_errors": result.parse_errors,
-            "stale_baseline": len(stale),
         },
         "clean": result.clean,
         "rules": rule_table(),
-        "findings": [_finding_dict(f, id(f) in new)
-                     for f in result.findings],
-        "stale_baseline": stale,
+        "findings": [_finding_dict(f) for f in result.findings],
     }
 
 
 def render_text(result):
     """Human-readable report: one line per finding, then a summary."""
-    new = set(id(f) for f in result.new_findings)
     lines = []
     for finding in result.findings:
-        marker = "" if id(finding) in new else " (baselined)"
         lines.append(f"{finding.location()} {finding.rule} "
-                     f"{finding.severity}: {finding.message}{marker}")
-        if finding.hint and id(finding) in new:
+                     f"{finding.severity}: {finding.message}")
+        if finding.hint:
             lines.append(f"    hint: {finding.hint}")
-    summary = (f"{result.files_scanned} files scanned: "
-               f"{len(result.findings)} findings "
-               f"({len(result.new_findings)} new, "
-               f"{result.baselined} baselined, "
-               f"{result.suppressed} suppressed)")
     if lines:
         lines.append("")
-    stale = result.stale_baseline
-    for key in stale:
-        lines.append(f"stale baseline entry (no longer matches): "
-                     f"{key}")
-    if stale:
-        lines.append(f"{len(stale)} stale baseline entries — "
-                     f"run with --update-baseline to prune")
-    lines.append(summary)
-    lines.append("lint: " + ("clean" if result.clean else "NEW FINDINGS"))
+    lines.append(f"{result.files_scanned} files scanned: "
+                 f"{len(result.findings)} findings "
+                 f"({result.suppressed} suppressed)")
+    lines.append("lint: " + ("clean" if result.clean else "FINDINGS"))
     return "\n".join(lines)
 
 

@@ -15,7 +15,7 @@ module at a time: it yields ``(node, message)`` pairs from
 rule (``project = True``, :mod:`~repro.analysis.rules.arch`) overrides
 :meth:`Rule.findings` and runs only when the package root is scanned.
 :mod:`~repro.analysis.lint` applies inline ``# repro: noqa[CODE]``
-suppressions and diffs against the checked-in baseline.
+suppressions.
 """
 
 from __future__ import annotations
@@ -33,9 +33,7 @@ SEVERITIES = ("error", "warning")
 class Finding:
     """One analyzer hit, pinned to a file position.
 
-    ``snippet`` is the stripped source line — it doubles as the
-    line-number-independent part of the baseline fingerprint, so
-    unrelated edits above a grandfathered finding do not resurface it.
+    ``snippet`` is the stripped source line the finding points at.
     """
 
     rule: str

@@ -410,19 +410,6 @@ def _exported_names(info):
     return names
 
 
-def _lazy_keys(info):
-    """String keys of module-level dict literals — the PEP 562 lazy
-    export tables consulted when the module defines ``__getattr__``."""
-    keys = set()
-    for name, (kind, payload) in info.symbols.items():
-        if kind == "assign" and isinstance(payload, ast.Dict):
-            for key in payload.keys:
-                if isinstance(key, ast.Constant) \
-                        and isinstance(key.value, str):
-                    keys.add(key.value)
-    return keys
-
-
 @register
 class PublicApiDrift(_ProjectRule):
     rule_id = "ARC006"
@@ -448,13 +435,11 @@ class PublicApiDrift(_ProjectRule):
             exports = _exported_names(info)
             if exports is None:
                 continue
-            lazy = _lazy_keys(info) if "__getattr__" in info.symbols \
-                else set()
             for name, node in exports:
-                if name not in info.symbols and name not in lazy:
+                if name not in info.symbols:
                     yield self.finding(
                         info, node, f"'{name}' is exported by __all__ but "
-                        f"not defined or lazily mapped in {module_name}")
+                        f"not defined in {module_name}")
                     continue
                 kind, payload = info.symbols.get(name, (None, None))
                 if kind in ("object", "module"):

@@ -1,4 +1,4 @@
-"""The bench table: one way to produce every tracked ``BENCH_*.json``.
+"""The bench table: one way to produce the tracked ``BENCH_*.json``.
 
 The paper's contribution is that every system is measured by *one*
 harness under the same settings; the repo's own benches follow the same
@@ -8,7 +8,10 @@ renderer (what a run prints) and its ``checks(report)`` exit rule
 (``{label: bool}``; any ``False`` fails the run).  The tracked file
 follows from the name by one rule (:func:`result_path`) and is written
 by one writer (:func:`write_report`), so a tracked result has exactly
-one byte representation and CI can regenerate and diff it.
+one byte representation and CI can regenerate and diff it.  One tracked
+file is not in the table: ``BENCH_cache.json`` comes from
+``benchmarks/bench_cache_tiers.py``, which writes it through the same
+:func:`write_report`.
 
 ``repro bench <name>`` and the ``benchmarks/bench_*.py`` wrappers are
 both :func:`run_bench`.  Non-default sweeps go through the drivers'

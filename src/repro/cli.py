@@ -27,9 +27,9 @@ Commands
     and — when ``src/repro`` is among the scanned paths — the
     whole-program architectural rules (``ARCnnn``: layering contract,
     kernel-seam and billing-seam bypasses, simulated-clock purity, RNG
-    provenance, public-API drift).  Baseline grandfathering with stale
-    entry detection, text/JSON reports; see :mod:`repro.analysis`.
-    Exits nonzero on new findings.
+    provenance, public-API drift).  Text/JSON reports; see
+    :mod:`repro.analysis`.  Exits 1 on any finding not marked
+    ``# repro: noqa``.
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ def build_parser():
     train.add_argument("--sanitize", action="store_true",
                        help="arm the runtime sanitizers (NaN/Inf and "
                             "CSR structure checks; behaviour-"
-                            "preserving, see repro.analysis.sanitize)")
+                            "preserving, see repro.perf.sanitize)")
 
     part = sub.add_parser("partition",
                           help="compare partitioning methods")
@@ -194,15 +194,6 @@ def build_parser():
     lint.add_argument("--format", default="text",
                       choices=["text", "json"],
                       help="stdout report format")
-    lint.add_argument("--baseline", action="store_true",
-                      help="grandfather findings recorded in the "
-                           "checked-in baseline; fail only on new ones")
-    lint.add_argument("--update-baseline", action="store_true",
-                      help="rewrite the baseline to cover the current "
-                           "findings and exit 0")
-    lint.add_argument("--baseline-file", default=None, metavar="PATH",
-                      help="baseline location (default: "
-                           "src/repro/analysis/baseline.json)")
     lint.add_argument("--out", default=None, metavar="PATH",
                       help="also write the JSON report to PATH")
     return parser
@@ -389,13 +380,10 @@ def _cmd_bench(args):
 
 
 def _cmd_lint(args):
-    # Imported lazily: the analysis layer is light, but the lint
-    # command must never become a reason cli startup grows heavier.
+    # Imported here: only this command needs the analyzer.
     from pathlib import Path
 
     from .analysis import lint_paths, render_json, render_text, write_json
-    from .analysis.baseline import (load_baseline, save_baseline_counts,
-                                    to_baseline)
 
     paths = args.paths or [p for p in ("src", "benchmarks", "examples",
                                        "tools", "tests")
@@ -406,26 +394,7 @@ def _cmd_lint(args):
         return 2
 
     try:
-        if args.update_baseline:
-            existing = load_baseline(args.baseline_file)
-            result = lint_paths(paths, baseline=existing)
-            current = to_baseline(result.findings)["findings"]
-            # Merge: entries no rule of this run looked at are carried
-            # over (a partial run must not wipe them); stale entries —
-            # checked-and-unmatched or file gone — are pruned along
-            # with everything the fresh counts replace.
-            stale = set(result.stale_baseline)
-            kept = {key: count for key, count in existing.items()
-                    if key not in current and key not in stale}
-            written = save_baseline_counts({**kept, **current},
-                                           path=args.baseline_file)
-            print(f"wrote {written} covering {len(result.findings)} "
-                  f"findings across {result.files_scanned} files "
-                  f"({len(stale)} stale entries pruned)")
-            return 0
-        baseline = load_baseline(args.baseline_file) if args.baseline \
-            else None
-        result = lint_paths(paths, baseline=baseline)
+        result = lint_paths(paths)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

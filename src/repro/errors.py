@@ -97,7 +97,7 @@ class CheckpointIntegrityError(CheckpointError):
 
 
 class SanitizerError(ReproError):
-    """Raised by the runtime sanitizers (``repro.analysis.sanitize``)
+    """Raised by the runtime sanitizers (``repro.perf.sanitize``)
     when a numeric invariant is violated with ``FLAGS.sanitize`` on:
     NaN/Inf in activations or gradients, a structurally malformed CSR
     array, or a broken shape/dtype contract."""

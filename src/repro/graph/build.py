@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..analysis.sanitize import check_csr
+from ..perf.sanitize import check_csr
 from ..errors import GraphError
 from ..perf.flags import FLAGS
 from ..perf.unique import sorted_unique

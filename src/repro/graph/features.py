@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..analysis.sanitize import check_contract
+from ..perf.sanitize import check_contract
 from ..errors import DatasetError
 
 __all__ = ["community_features_and_labels", "random_features_and_labels"]

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..analysis.sanitize import check_finite
+from ..perf.sanitize import check_finite
 from ..errors import KernelError
 from ..perf import FLAGS, PERF
 from .adjacency import KernelCOO, as_adjacency

@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.sparse._sparsetools import csr_matvecs
 
-from ..analysis.sanitize import check_csr, check_finite
+from ..perf.sanitize import check_csr, check_finite
 from ..errors import KernelError
 from ..perf import FLAGS, PERF
 from .adjacency import KernelCOO, as_adjacency

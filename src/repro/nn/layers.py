@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..analysis.sanitize import check_finite
+from ..perf.sanitize import check_finite
 from ..errors import TrainingError
 from ..kernels import (block_attention_edges, gat_attention, gspmm,
                        normalized_block_adjacency)

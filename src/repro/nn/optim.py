@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..analysis.sanitize import check_finite
+from ..perf.sanitize import check_finite
 from ..errors import TrainingError
 from ..perf.flags import FLAGS
 

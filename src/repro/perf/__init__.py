@@ -7,7 +7,8 @@ what the benchmark of record reads (:data:`PERF`), makes the hot
 paths fast without changing their math (:class:`Workspace`,
 :class:`EvalSubgraphCache`, :func:`sorted_unique`,
 :class:`WeightedChoice`), and holds the one
-switch with a shipped alternative (:data:`FLAGS`: the sanitizers).
+switch with a shipped alternative (:data:`FLAGS`: the runtime
+sanitizers of :mod:`~repro.perf.sanitize`).
 The slow paths the fast ones replaced are test oracles
 (``tests/sampling/_block_oracle.py``), not flags.
 """

@@ -23,7 +23,7 @@ class PerfFlags:
     Attributes
     ----------
     sanitize:
-        Arm the runtime sanitizers (``repro.analysis.sanitize``):
+        Arm the runtime sanitizers (``repro.perf.sanitize``):
         NaN/Inf scans on activations and gradients, CSR structure
         checks at graph/block construction, and shape/dtype return
         contracts.  Defaults *off*: the checks are

@@ -51,9 +51,11 @@ def percentile(values, q, default=_RAISE, presorted=False):
     requests) pass ``default=None`` so their latency fields serialize
     as JSON ``null`` rather than a fabricated number.
 
-    ``presorted=True`` promises ``values`` is already ascending (a list
-    kept ordered with ``bisect.insort``) and skips the sort, so a
-    running quantile costs O(1) per read instead of O(n log n).
+    ``presorted=True`` promises ``values`` already reads as an
+    ascending sequence — a sorted list, or the fleet's
+    ``_LatencyRanks``, whose ``[i]`` answers as the sorted list would
+    — and skips the sort, so a running quantile is not re-sorted on
+    every read.
     """
     if len(values) == 0:
         if default is not _RAISE:

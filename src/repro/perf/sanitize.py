@@ -35,17 +35,10 @@ import functools
 import numpy as np
 
 from ..errors import SanitizerError
-from ..perf.flags import FLAGS
-from ..perf.profiler import PERF
+from .flags import FLAGS
+from .profiler import PERF
 
-__all__ = ["check_finite", "check_csr", "check_contract",
-           "sanitize_active"]
-
-
-def sanitize_active():
-    """True when the sanitizer flag is on (convenience for callers that
-    guard larger blocks of checking code)."""
-    return FLAGS.sanitize
+__all__ = ["check_finite", "check_csr", "check_contract"]
 
 
 def check_finite(array, name="array"):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..analysis.sanitize import check_csr
+from ..perf.sanitize import check_csr
 from ..errors import SamplingError
 from ..perf import FLAGS, get_workspace, sorted_unique
 

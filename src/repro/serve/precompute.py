@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..analysis.sanitize import check_finite
+from ..perf.sanitize import check_finite
 from ..errors import ServingError
 from ..kernels import KernelCSR, full_graph_adjacency
 from ..nn.layers import GCNConv, SAGEConv

@@ -153,11 +153,10 @@ def arch_rules(code=None):
             and code in (None, rule.rule_id)]
 
 
-def lint_project(root, contract=None, rules=None, baseline=None):
+def lint_project(root, contract=None, rules=None):
     """``lint_paths`` over the package at ``root`` with the ARC rules
     only (default contract: :func:`clean_contract`)."""
     return lint_paths([root], root=root,
                       contract=contract if contract is not None
                       else clean_contract(),
-                      rules=rules if rules is not None else arch_rules(),
-                      baseline=baseline)
+                      rules=rules if rules is not None else arch_rules())

@@ -1,5 +1,5 @@
 """The ARC rules inside the one analyzer: live-fire injections, noqa,
-baselines (stale entries included), and the ``repro lint`` wiring.
+and the ``repro lint`` wiring.
 
 The live-fire tests are the acceptance criterion from the analyzer's
 design: inject a synthetic bypass (a scipy aggregation in a fake ``nn``
@@ -15,8 +15,7 @@ import pytest
 
 import repro.analysis.layers as layers
 import repro.analysis.lint as lint
-from repro.analysis import lint_paths, load_baseline
-from repro.analysis.baseline import save_baseline
+from repro.analysis import lint_paths
 from repro.analysis.lint import default_root
 from repro.cli import main
 from repro.perf import wall_clock
@@ -32,12 +31,6 @@ INJECTIONS = [("ARC001", INJECT_UPWARD_IMPORT),
               ("ARC004", INJECT_WALL_CLOCK)]
 
 
-def invented_entry(root):
-    """An ARC002 baseline fingerprint matching nothing in the clean
-    mini-project."""
-    return f"{(root / 'nn' / 'model.py').as_posix()}::ARC002::sp.gone(x)"
-
-
 class TestLiveFire:
     def test_clean_project_passes_every_rule(self, tmp_path):
         root = write_project(tmp_path)
@@ -51,7 +44,7 @@ class TestLiveFire:
                                                      code, overlay):
         result = lint_project(write_project(tmp_path, overlay=overlay))
         assert not result.clean
-        assert {f.rule for f in result.new_findings} == {code}
+        assert {f.rule for f in result.findings} == {code}
 
     @pytest.mark.parametrize("code,overlay", INJECTIONS)
     def test_removing_the_injection_cleans_the_pass(self, tmp_path,
@@ -66,8 +59,17 @@ class TestLiveFire:
                 encoding="utf-8")
         assert lint_project(root).clean
 
+    def test_partial_run_skips_the_arc_rules(self, tmp_path):
+        # The package root is not among the scanned paths, so the
+        # whole-program rules do not run.
+        root = write_project(tmp_path, overlay=INJECT_SCIPY_NN)
+        assert not lint_project(root).clean
+        result = lint_paths([root / "nn" / "model.py"], root=root,
+                            contract=clean_contract())
+        assert result.clean, [f.rule for f in result.findings]
 
-class TestSuppressionAndBaseline:
+
+class TestSuppression:
     def test_noqa_suppresses_and_counts(self, tmp_path):
         overlay = {"graph/csr.py": """
             from ..fleet.engine import Engine  # repro: noqa[ARC001]
@@ -92,14 +94,6 @@ class TestSuppressionAndBaseline:
         assert not result.clean
         assert result.suppressed == 0
 
-    def test_baseline_grandfathers_arch_findings(self, tmp_path):
-        root = write_project(tmp_path, overlay=INJECT_UPWARD_IMPORT)
-        baseline_path = tmp_path / "baseline.json"
-        save_baseline(lint_project(root).findings, path=baseline_path)
-        result = lint_project(root, baseline=load_baseline(baseline_path))
-        assert result.findings and result.clean
-        assert result.baselined == len(result.findings)
-
     def test_syntax_error_yields_one_rpr000(self, tmp_path):
         # Every rule runs: the broken module under the package root is
         # reported once, by the parse, not once per pass.
@@ -108,23 +102,6 @@ class TestSuppressionAndBaseline:
         result = lint_paths([root], root=root, contract=clean_contract())
         assert result.parse_errors == 1
         assert [f.rule for f in result.findings] == ["RPR000"]
-
-    def test_invented_arc_entry_is_stale(self, tmp_path):
-        root = write_project(tmp_path)
-        key = invented_entry(root)
-        result = lint_project(root, baseline={key: 1})
-        assert result.clean
-        assert result.stale_baseline == [key]
-
-    def test_partial_run_does_not_condemn_arc_entries(self, tmp_path):
-        # The package root is not among the scanned paths, so the ARC
-        # rules do not run and cannot vouch for the entry either way.
-        root = write_project(tmp_path)
-        result = lint_paths([root / "nn" / "model.py"], root=root,
-                            contract=clean_contract(),
-                            baseline={invented_entry(root): 1})
-        assert result.clean
-        assert result.stale_baseline == []
 
 
 class TestOneParse:
@@ -152,10 +129,10 @@ class TestRealTree:
 
     def test_head_is_clean_and_fast(self):
         start = wall_clock()
-        result = lint_paths([default_root()], baseline=load_baseline())
+        result = lint_paths([default_root()])
         elapsed = wall_clock() - start
         assert result.clean, [f"{f.path}:{f.line} {f.rule} {f.message}"
-                              for f in result.new_findings]
+                              for f in result.findings]
         assert result.parse_errors == 0
         assert result.files_scanned > 100
         # The annotated noqa[ARC002]/noqa[ARC003] sites: the ARC rules ran.
@@ -163,7 +140,7 @@ class TestRealTree:
         assert elapsed < 10.0, f"arch pass took {elapsed:.1f}s"
 
     def test_cli_gate_passes_at_head(self, capsys):
-        assert main(["lint", "--baseline", str(default_root())]) == 0
+        assert main(["lint", str(default_root())]) == 0
         assert "clean" in capsys.readouterr().out
 
 
@@ -184,39 +161,6 @@ class TestArchLintCli:
         root = project_cli(INJECT_SCIPY_NN)
         assert main(["lint", str(root)]) == 1
         assert "ARC002" in capsys.readouterr().out
-
-    def test_update_baseline_then_gate_passes(self, project_cli,
-                                              tmp_path, capsys):
-        root = project_cli(INJECT_SCIPY_NN)
-        baseline = tmp_path / "baseline.json"
-        assert main(["lint", str(root), "--update-baseline",
-                     "--baseline-file", str(baseline)]) == 0
-        assert baseline.exists()
-        assert main(["lint", str(root), "--baseline",
-                     "--baseline-file", str(baseline)]) == 0
-        assert "baselined" in capsys.readouterr().out
-
-    def test_stale_arc_entry_reported_then_pruned(self, project_cli,
-                                                  tmp_path, capsys):
-        root = project_cli()
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps(
-            {"version": 1, "findings": {invented_entry(root): 1}}),
-            encoding="utf-8")
-        assert main(["lint", str(root), "--baseline",
-                     "--baseline-file", str(baseline)]) == 0
-        assert "stale baseline entr" in capsys.readouterr().out
-        # A partial run keeps the entry: no ARC rule looked at it...
-        assert main(["lint", str(root / "nn" / "model.py"),
-                     "--update-baseline",
-                     "--baseline-file", str(baseline)]) == 0
-        assert "(0 stale entries pruned)" in capsys.readouterr().out
-        # ...the package-wide run prunes it.
-        assert main(["lint", str(root), "--update-baseline",
-                     "--baseline-file", str(baseline)]) == 0
-        assert "(1 stale entries pruned)" in capsys.readouterr().out
-        document = json.loads(baseline.read_text(encoding="utf-8"))
-        assert document["findings"] == {}
 
     def test_json_report_carries_arc_rule_table(self, project_cli,
                                                 tmp_path, capsys):

@@ -75,7 +75,7 @@ class TestARC001Layering:
     def test_upward_import_flagged(self, tmp_path):
         result = run_rule(tmp_path, "ARC001",
                           overlay=INJECT_UPWARD_IMPORT)
-        (finding,) = result.new_findings
+        (finding,) = result.findings
         assert "upward import" in finding.message
         assert "graph" in finding.message and "fleet" in finding.message
 
@@ -93,7 +93,7 @@ class TestARC001Layering:
             "packages": ["graph", "kernels", "nn", "fleet", "proj"]}]}
         result = run_rule(tmp_path, "ARC001", contract=contract)
         assert any("same-level" in f.message
-                   for f in result.new_findings)
+                   for f in result.findings)
 
         contract["rules"] = {"ARC001": {
             "allowed": ["kernels -> graph", "nn -> kernels"]}}
@@ -105,7 +105,7 @@ class TestARC001Layering:
             "name": "known", "level": 0,
             "packages": ["graph", "nn", "fleet", "proj"]}]}
         result = run_rule(tmp_path, "ARC001", contract=contract)
-        undeclared = [f for f in result.new_findings
+        undeclared = [f for f in result.findings
                       if "not declared" in f.message]
         assert len(undeclared) == 1
         assert "'kernels'" in undeclared[0].message
@@ -117,7 +117,7 @@ class TestARC002KernelSeam:
 
     def test_scipy_in_nn_flagged(self, tmp_path):
         result = run_rule(tmp_path, "ARC002", overlay=INJECT_SCIPY_NN)
-        messages = [f.message for f in result.new_findings]
+        messages = [f.message for f in result.findings]
         assert any("scipy import" in m for m in messages)
         assert any("sp.csr_matrix" in m for m in messages)
 
@@ -129,7 +129,7 @@ class TestARC002KernelSeam:
         """}
         result = run_rule(tmp_path, "ARC002", overlay=overlay)
         assert any("scipy import" in f.message
-                   for f in result.new_findings)
+                   for f in result.findings)
 
     def test_scatter_ufunc_in_scope_flagged(self, tmp_path):
         overlay = {"nn/model.py": """
@@ -142,7 +142,7 @@ class TestARC002KernelSeam:
         """}
         result = run_rule(tmp_path, "ARC002", overlay=overlay)
         assert any("scatter aggregation np.add.at" in f.message
-                   for f in result.new_findings)
+                   for f in result.findings)
 
     def test_scatter_through_from_import_flagged(self, tmp_path):
         overlay = {"nn/model.py": """
@@ -155,7 +155,7 @@ class TestARC002KernelSeam:
         """}
         result = run_rule(tmp_path, "ARC002", overlay=overlay)
         assert any("scatter aggregation add.at" in f.message
-                   for f in result.new_findings)
+                   for f in result.findings)
 
     def test_kernels_package_out_of_scope(self, tmp_path):
         # CLEAN_FILES already has np.add.at inside kernels/agg.py.
@@ -199,7 +199,7 @@ class TestARC003Billing:
     def test_unbilled_read_flagged_billed_read_clean(self, tmp_path):
         result = run_rule(tmp_path, "ARC003", files=self.FILES,
                           contract=self.CONTRACT)
-        (finding,) = result.new_findings
+        (finding,) = result.findings
         assert "fetch_raw" in finding.message
         assert "without a billing call" in finding.message
 
@@ -207,7 +207,7 @@ class TestARC003Billing:
         result = run_rule(tmp_path, "ARC003", files=self.FILES,
                           contract=self.CONTRACT)
         assert not any("accuracy" in f.message
-                       for f in result.new_findings)
+                       for f in result.findings)
 
     def test_checked_in_contract_guards_the_logit_table(self, tmp_path):
         # With the *real* contract's store list: a serve/ read of the
@@ -236,7 +236,7 @@ class TestARC003Billing:
             "billing_calls": options["billing_calls"]}}}
         result = run_rule(tmp_path, "ARC003", files=files,
                           contract=contract)
-        guess, peek = sorted(result.new_findings,
+        guess, peek = sorted(result.findings,
                              key=lambda finding: finding.message)
         assert "answer_table" in guess.message
         assert "Executor.guess" in guess.message
@@ -251,7 +251,7 @@ class TestARC004SimulatedClock:
     def test_wall_clock_in_reachable_helper_flagged(self, tmp_path):
         result = run_rule(tmp_path, "ARC004",
                           overlay=INJECT_WALL_CLOCK)
-        (finding,) = result.new_findings
+        (finding,) = result.findings
         assert "time.time() reads the host clock" in finding.message
         assert "reachable from proj.fleet.engine.Engine.run" \
             in finding.message
@@ -294,7 +294,7 @@ class TestARC004SimulatedClock:
                     return drain(self.queue) + rng.random() + ambient
         """}
         result = run_rule(tmp_path, "ARC004", overlay=overlay)
-        (finding,) = result.new_findings
+        (finding,) = result.findings
         assert "np.random.random()" in finding.message
 
     def test_wall_clock_helper_flagged_by_tail(self, tmp_path):
@@ -304,7 +304,7 @@ class TestARC004SimulatedClock:
                 return wall_clock()
         """}
         result = run_rule(tmp_path, "ARC004", overlay=overlay)
-        (finding,) = result.new_findings
+        (finding,) = result.findings
         assert "wall_clock() reads the host clock" in finding.message
 
 
@@ -331,7 +331,7 @@ class TestARC005RNGProvenance:
         }
         result = run_rule(tmp_path, "ARC005", files=files,
                           contract={})
-        messages = [f.message for f in result.new_findings]
+        messages = [f.message for f in result.findings]
         assert any("module-level RNG instance 'RNG'" in m
                    for m in messages)
         assert any("RNG.random(...)" in m and "proj.a.draw" in m
@@ -352,7 +352,7 @@ class TestARC005RNGProvenance:
         }
         result = run_rule(tmp_path, "ARC005", files=files,
                           contract={})
-        (finding,) = result.new_findings
+        (finding,) = result.findings
         assert "constructed once at def time" in finding.message
 
     def test_threaded_generator_clean(self, tmp_path):
@@ -404,7 +404,7 @@ class TestARC006ApiDrift:
 
             __all__ = ["helper", "ghost"]
         """
-        (finding,) = self.run(tmp_path, init).new_findings
+        (finding,) = self.run(tmp_path, init).findings
         assert "'ghost'" in finding.message
         assert "not defined" in finding.message
 
@@ -414,7 +414,7 @@ class TestARC006ApiDrift:
 
             __all__ = ["join"]
         """
-        (finding,) = self.run(tmp_path, init).new_findings
+        (finding,) = self.run(tmp_path, init).findings
         assert "re-exported from outside the package" in finding.message
         assert "os.path" in finding.message
 
@@ -425,20 +425,8 @@ class TestARC006ApiDrift:
             __all__ = ["helper"]
         """
         (finding,) = self.run(tmp_path, init,
-                              doc_body="nothing here\n").new_findings
+                              doc_body="nothing here\n").findings
         assert "not covered by" in finding.message
-
-    def test_lazy_mapping_counts_as_defined(self, tmp_path):
-        init = """
-            _LAZY = {"helper": "mod"}
-
-            __all__ = ["helper"]
-
-
-            def __getattr__(name):
-                raise AttributeError(name)
-        """
-        assert self.run(tmp_path, init).clean
 
     def test_dunder_skips_doc_check(self, tmp_path):
         init = """

@@ -76,24 +76,7 @@ class TestLintCommand:
         out = tmp_path / "report.json"
         assert main(["lint", "--out", str(out), str(path)]) == 1
         payload = json.loads(out.read_text(encoding="utf-8"))
-        assert payload["summary"]["new"] == len(EXPECTED)
-
-    def test_update_then_gate_passes(self, tmp_path, capsys):
-        path = write_fixture(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        assert main(["lint", "--update-baseline",
-                     "--baseline-file", str(baseline), str(path)]) == 0
-        assert baseline.exists()
-        # Grandfathered: same findings, gate passes.
-        assert main(["lint", "--baseline",
-                     "--baseline-file", str(baseline), str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "baselined" in out
-        # A fresh violation still fails the gate.
-        path.write_text(path.read_text(encoding="utf-8")
-                        + "\ny = np.random.rand(9)\n", encoding="utf-8")
-        assert main(["lint", "--baseline",
-                     "--baseline-file", str(baseline), str(path)]) == 1
+        assert payload["summary"]["total"] == len(EXPECTED)
 
     def test_missing_path_exits_two(self, tmp_path, capsys):
         missing = tmp_path / "nope"
@@ -111,23 +94,22 @@ class TestLintCommand:
 
 
 class TestExplicitFileArgs:
-    """Satellite: explicit file arguments must fingerprint identically
-    to tree runs, whatever their spelling, or baselines stop working."""
+    """Explicit file arguments report the same finding paths as tree
+    runs, whatever their spelling."""
 
-    def test_spellings_share_one_baseline(self, tmp_path, capsys,
-                                          monkeypatch):
+    def test_spellings_report_one_path(self, tmp_path, capsys,
+                                       monkeypatch):
         monkeypatch.chdir(tmp_path)
         write_fixture(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        # Baseline built from a directory walk...
-        assert main(["lint", "--update-baseline",
-                     "--baseline-file", str(baseline), "nn"]) == 0
-        # ...grandfathers the same file spelled three other ways.
-        for spelling in ("nn/fixture.py", "./nn/fixture.py",
+        reports = []
+        for spelling in ("nn", "nn/fixture.py", "./nn/fixture.py",
                          str(tmp_path / "nn" / "fixture.py")):
-            assert main(["lint", "--baseline",
-                         "--baseline-file", str(baseline),
-                         spelling]) == 0, spelling
+            assert main(["lint", "--format", "json", spelling]) == 1
+            findings = json.loads(capsys.readouterr().out)["findings"]
+            reports.append([(f["file"], f["line"], f["rule"])
+                            for f in findings])
+        assert {path for path, _, _ in reports[0]} == {"nn/fixture.py"}
+        assert all(report == reports[0] for report in reports), reports
 
     def test_file_and_dir_args_deduplicate(self, tmp_path, capsys,
                                            monkeypatch):
@@ -137,83 +119,8 @@ class TestExplicitFileArgs:
         assert "1 files scanned" in capsys.readouterr().out
 
 
-class TestUpdateBaselineMaintenance:
-    """Satellite: stale-entry warnings and merge-aware pruning."""
-
-    def test_fixed_findings_warn_then_prune(self, tmp_path, capsys,
-                                            monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        path = write_fixture(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        assert main(["lint", "--update-baseline",
-                     "--baseline-file", str(baseline), "nn"]) == 0
-        capsys.readouterr()
-
-        path.write_text("x = 1\n", encoding="utf-8")  # all fixed
-        assert main(["lint", "--baseline",
-                     "--baseline-file", str(baseline), "nn"]) == 0
-        out = capsys.readouterr().out
-        assert "stale baseline entr" in out
-        assert "--update-baseline" in out
-
-        assert main(["lint", "--update-baseline",
-                     "--baseline-file", str(baseline), "nn"]) == 0
-        out = capsys.readouterr().out
-        assert "stale entries pruned" in out
-        assert "(0 stale entries pruned)" not in out
-        document = json.loads(baseline.read_text(encoding="utf-8"))
-        assert document["findings"] == {}
-
-    def test_partial_update_keeps_unscanned_entries(self, tmp_path,
-                                                    capsys,
-                                                    monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        write_fixture(tmp_path)
-        other = tmp_path / "other.py"
-        other.write_text("import numpy as np\n"
-                         "x = np.random.rand(3)\n", encoding="utf-8")
-        baseline = tmp_path / "baseline.json"
-        assert main(["lint", "--update-baseline",
-                     "--baseline-file", str(baseline),
-                     "nn", "other.py"]) == 0
-
-        # Re-baselining only other.py must not wipe the nn entries...
-        assert main(["lint", "--update-baseline",
-                     "--baseline-file", str(baseline),
-                     "other.py"]) == 0
-        document = json.loads(baseline.read_text(encoding="utf-8"))
-        assert any(key.startswith("nn/") for key in
-                   document["findings"])
-        # ...so the full gate still passes afterwards.
-        assert main(["lint", "--baseline",
-                     "--baseline-file", str(baseline),
-                     "nn", "other.py"]) == 0
-
-    def test_deleted_file_entries_pruned(self, tmp_path, capsys,
-                                         monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        write_fixture(tmp_path)
-        other = tmp_path / "other.py"
-        other.write_text("import numpy as np\n"
-                         "x = np.random.rand(3)\n", encoding="utf-8")
-        baseline = tmp_path / "baseline.json"
-        assert main(["lint", "--update-baseline",
-                     "--baseline-file", str(baseline),
-                     "nn", "other.py"]) == 0
-        other.unlink()
-        # other.py is gone: even a run scoped elsewhere prunes it.
-        assert main(["lint", "--update-baseline",
-                     "--baseline-file", str(baseline), "nn"]) == 0
-        document = json.loads(baseline.read_text(encoding="utf-8"))
-        assert not any(key.startswith("other.py") for key in
-                       document["findings"])
-        assert any(key.startswith("nn/") for key in
-                   document["findings"])
-
-
 class TestRepoIsClean:
-    def test_head_lints_clean_under_checked_in_baseline(self, tmp_path,
-                                                        capsys):
+    def test_head_lints_clean(self, tmp_path, capsys):
         """The acceptance bar: `repro lint` on the repo itself passes
         (run from the repo root, as `make lint` and CI do) — every file
         parsed once, the RPR rules over all of them and the ARC rules
@@ -228,8 +135,7 @@ class TestRepoIsClean:
                  ("src", "benchmarks", "examples", "tools", "tests")]
         out = tmp_path / "report.json"
         start = wall_clock()
-        assert main(["lint", "--baseline", "--out", str(out),
-                     *paths]) == 0
+        assert main(["lint", "--out", str(out), *paths]) == 0
         elapsed = wall_clock() - start
         summary = json.loads(out.read_text(encoding="utf-8"))["summary"]
         assert summary["parse_errors"] == 0

@@ -1,13 +1,12 @@
-"""The analysis layer's import-weight contract.
+"""The analysis package's import-weight contract.
 
 Two directions, both cheap to break silently:
 
-* the linter must not pull scipy or the training stack (``repro lint``
-  runs in CI before anything heavy is warmed up), and
-* ``import repro`` — whose hot paths import
-  :mod:`repro.analysis.sanitize` — must not execute the linter modules
-  (``lint``/``rules``/``report``/``baseline`` resolve lazily via the
-  package's PEP 562 ``__getattr__``).
+* the analyzer imports only the stdlib (``repro lint`` runs in CI
+  before anything heavy is warmed up), and
+* ``import repro`` never loads the analyzer: the library's runtime
+  checks live in :mod:`repro.perf.sanitize`, and only ``repro lint``
+  and the tools import :mod:`repro.analysis`.
 """
 
 import ast
@@ -15,27 +14,14 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 import repro.analysis as analysis_pkg
 
 ANALYSIS_DIR = Path(analysis_pkg.__file__).parent
 SRC_DIR = ANALYSIS_DIR.parents[1]
 
 #: Top-level modules the analysis package may import absolutely.
-#: numpy is for the sanitizers; everything else is stdlib.
 ALLOWED_ABSOLUTE = {"__future__", "ast", "dataclasses", "functools",
-                    "importlib", "json", "numpy", "pathlib", "re"}
-
-#: repro modules the package may reach via relative imports.
-ALLOWED_RELATIVE_HEADS = {"errors", "perf", "baseline", "lint",
-                          "report", "rules", "sanitize", "determinism",
-                          "hygiene", "numerics", "graphing",
-                          "layers"}
-
-#: The analyzer's modules: none may load on ``import repro``.
-ANALYZER_MODULES = ("lint", "rules", "report", "baseline", "graphing",
-                    "layers")
+                    "json", "pathlib", "re"}
 
 
 def iter_imports(path):
@@ -50,7 +36,7 @@ def iter_imports(path):
 
 
 class TestAnalysisStaysLight:
-    def test_only_stdlib_and_numpy_imports(self):
+    def test_only_stdlib_imports(self):
         files = sorted(ANALYSIS_DIR.rglob("*.py"))
         assert files, f"no analysis sources under {ANALYSIS_DIR}"
         for path in files:
@@ -59,12 +45,13 @@ class TestAnalysisStaysLight:
                 if level == 0:
                     assert head in ALLOWED_ABSOLUTE, (
                         f"{path.name} imports {module!r}; the analysis "
-                        f"layer allows only stdlib + numpy")
+                        f"package allows only the stdlib")
                 else:
-                    assert head in ALLOWED_RELATIVE_HEADS \
-                        or module == "", (
-                        f"{path.name} relative-imports {module!r}, "
-                        f"outside the sanctioned light modules")
+                    package = path.parents[level - 1]
+                    assert package == ANALYSIS_DIR \
+                        or ANALYSIS_DIR in package.parents, (
+                        f"{path.name} relative-imports {module!r} from "
+                        f"outside the analysis package")
 
     def test_import_repro_skips_linter_modules(self):
         code = (
@@ -72,9 +59,7 @@ class TestAnalysisStaysLight:
             "import repro\n"
             "mods = sorted(m for m in sys.modules\n"
             "              if m.startswith('repro.analysis'))\n"
-            "assert 'repro.analysis.sanitize' in mods, mods\n"
-            f"for heavy in {ANALYZER_MODULES!r}:\n"
-            "    assert 'repro.analysis.' + heavy not in mods, mods\n"
+            "assert not mods, mods\n"
             "print('ok')\n"
         )
         done = subprocess.run(
@@ -82,27 +67,6 @@ class TestAnalysisStaysLight:
             text=True, env={"PYTHONPATH": str(SRC_DIR), "PATH": ""})
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "ok"
-
-    def test_lazy_names_resolve(self):
-        # PEP 562 access must hand back the real objects.
-        assert analysis_pkg.lint_paths.__module__ \
-            == "repro.analysis.lint"
-        assert analysis_pkg.check_csr.__module__ \
-            == "repro.analysis.sanitize"
-        assert analysis_pkg.all_rules.__module__ \
-            == "repro.analysis.rules"
-        assert analysis_pkg.build_project.__module__ \
-            == "repro.analysis.graphing"
-        assert analysis_pkg.load_arch_config.__module__ \
-            == "repro.analysis.layers"
-        assert analysis_pkg.CONTRACT["layers"]
-        with pytest.raises(AttributeError):
-            analysis_pkg.not_a_real_name
-
-    def test_dir_lists_public_api(self):
-        listed = dir(analysis_pkg)
-        for name in analysis_pkg.__all__:
-            assert name in listed
 
 
 class TestCliStartup:

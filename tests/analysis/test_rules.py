@@ -10,16 +10,20 @@ import textwrap
 
 import pytest
 
-from repro.analysis import all_rules, lint_file, rule_table
+from repro.analysis import all_rules, lint_paths, rule_table
 
 IN_SCOPE = "src/repro/core/example.py"
 
 
 def lint_source(tmp_path, source, display=IN_SCOPE):
-    path = tmp_path / "snippet.py"
+    path = tmp_path / display
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(textwrap.dedent(source), encoding="utf-8")
-    findings, suppressed = lint_file(path, display_path=display)
-    return findings, suppressed
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(tmp_path)  # findings carry the cwd-relative path
+        result = lint_paths([display])
+    assert all(finding.path == display for finding in result.findings)
+    return result.findings, result.suppressed
 
 
 def rules_hit(tmp_path, source, display=IN_SCOPE):

@@ -11,7 +11,7 @@ column order, dedup) the shipped builder must reproduce byte for byte;
 
 import numpy as np
 
-from repro.analysis.sanitize import check_csr
+from repro.perf.sanitize import check_csr
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
 from repro.perf.flags import FLAGS

@@ -139,7 +139,7 @@ class TestSanitizedConstruction:
                                mixing=0.1)[0],
     ])
     def test_generated_csr_well_formed(self, make):
-        from repro.analysis.sanitize import check_csr
+        from repro.perf.sanitize import check_csr
         from repro.perf import PERF
 
         before = PERF.counters.get("sanitize_csr_checks", 0)

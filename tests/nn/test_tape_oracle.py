@@ -15,7 +15,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import load_dataset
@@ -102,6 +102,10 @@ def _conv(kind, d_in, d_out, rng):
        d_in=st.sampled_from([1, 7, 16]),
        d_out=st.sampled_from([1, 2, 5, 16]),
        dtype=DTYPES, seed=SEEDS)
+# Once seen failing only in a particular test order; pinned so every
+# run checks it.
+@example(kind="gat", num_dst=1, num_edges=30, d_in=1, d_out=5,
+         dtype=np.float32, seed=0)
 def test_convs_are_the_composed_expression(kind, num_dst, num_edges, d_in,
                                            d_out, dtype, seed):
     def build():

@@ -7,10 +7,9 @@ drop it locally with ``perf_overrides(sanitize=False)``.
 import numpy as np
 import pytest
 
-from repro.analysis.sanitize import (check_contract, check_csr,
-                                     check_finite, sanitize_active)
 from repro.errors import SanitizerError
 from repro.perf import PERF, perf_overrides
+from repro.perf.sanitize import check_contract, check_csr, check_finite
 from repro.sampling import block as block_mod
 from repro.sampling.block import build_block
 
@@ -51,8 +50,6 @@ class TestCheckFinite:
             before = counter("sanitize_finite_checks")
             assert check_finite(x, name="x") is x
             assert counter("sanitize_finite_checks") == before
-            assert not sanitize_active()
-        assert sanitize_active()
 
 
 def valid_csr():
@@ -223,7 +220,6 @@ class TestTrainingBitIdentical:
         config = TrainingConfig(epochs=3, batch_size=64, num_workers=2,
                                 fanout=(4, 4), seed=7)
 
-        assert sanitize_active()
         on = Trainer(dataset, config).run()
         with perf_overrides(sanitize=False):
             off = Trainer(dataset, config).run()
