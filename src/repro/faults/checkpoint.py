@@ -30,7 +30,8 @@ header checksum, and finally the sidecar; any failure raises a typed
 error (:class:`~repro.errors.CheckpointIntegrityError` for files that
 exist but cannot be trusted).  :meth:`Checkpointer.load_latest` is the
 recovery entry point: it falls back to the previous valid checkpoint
-when the newest one fails verification.
+when the newest one fails verification or is missing (a crash between
+steps 2 and 3 leaves only the rotated ``.prev`` pair).
 
 Checkpoints are pickle files: load them only from paths you wrote
 (the usual pickle trust model; these are private training artifacts,
@@ -91,8 +92,9 @@ class Checkpointer:
         return self.path.with_name(self.path.name + ".prev.sha256")
 
     def exists(self):
-        """Whether a checkpoint file is present."""
-        return self.path.is_file()
+        """Whether a checkpoint file is present: the current one, or
+        the ``.prev`` fallback a save rotated out before it died."""
+        return self.path.is_file() or self.previous_path.is_file()
 
     def due(self, epoch):
         """Whether the trainer should save after completing ``epoch``."""
@@ -169,16 +171,19 @@ class Checkpointer:
         """Load the newest checkpoint that passes verification.
 
         The recovery entry point: tries the current checkpoint first
-        and, if it exists but fails integrity checks (e.g. the process
-        died between writing the payload and committing the sidecar),
-        falls back to the ``.prev`` pair rotated out by the last
-        successful save.  Raises the original error when no fallback
-        exists or the fallback is also bad.
+        and, if it fails integrity checks (e.g. the process died between
+        writing the payload and committing the sidecar) or is missing
+        (the process died after rotating the committed pair to
+        ``.prev`` but before renaming the new payload in), falls back
+        to the ``.prev`` pair.  Raises the original error when no
+        fallback exists or the fallback is also bad.
         """
         try:
             return self._load_verified(self.path, self.sidecar_path)
-        except CheckpointIntegrityError as exc:
-            if not self.previous_path.is_file():
+        except CheckpointError as exc:
+            torn = isinstance(exc, CheckpointIntegrityError) \
+                or not self.path.is_file()
+            if not (torn and self.previous_path.is_file()):
                 raise
             try:
                 return self._load_verified(self.previous_path,

@@ -7,12 +7,15 @@ The paper leans on two metrics repeatedly:
   (§5.3.1) and of cluster-based batches (§6.3.2);
 * **degree skew** — power-law vs. flat degree distributions separate the
   cache-policy regimes of Figure 17.
+
+Only :func:`to_scipy` and :func:`local_clustering_coefficients` use
+scipy, and they import ``scipy.sparse`` on first call: the paper-table
+scripts call them, the library's runs never do.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "to_scipy",
@@ -24,6 +27,8 @@ __all__ = [
 
 def to_scipy(graph):
     """The graph's adjacency as a ``scipy.sparse.csr_matrix`` of 0/1."""
+    import scipy.sparse as sp
+
     n = graph.num_vertices
     data = np.ones(graph.num_edges, dtype=np.float64)
     return sp.csr_matrix((data, graph.indices, graph.indptr), shape=(n, n))

@@ -20,17 +20,25 @@ kernel validates its operands, bills its FLOPs to
   accumulates like ``np.add.at``).
 * ``gsddmm`` is a per-edge gather with no accumulation order.
 
-``csr_matvecs`` lives in a private scipy module; the public
-``csr_matrix(...) @ x`` gives the same bytes but builds and validates
-a matrix per product (122 profiled calls against 7).
-``tests/kernels/test_matvecs_pin.py`` names the function and the
-``scipy`` floor it needs.
+``csr_matvecs`` lives in scipy's private compiled ``_sparsetools``
+extension; the public ``csr_matrix(...) @ x`` gives the same bytes but
+builds and validates a matrix per product (122 profiled calls against
+7).  The extension is loaded from its file under its own name: an
+``import scipy.sparse._sparsetools`` would first run
+``scipy/sparse/__init__.py``, which costs ~20 MB of RSS and ~310
+modules (the array-API layer, ``numpy.testing``, ``numpy.f2py``) for
+one C function.  ``tests/kernels/test_matvecs_pin.py`` names the
+function and the ``scipy`` floor it needs, in both import orders.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
-from scipy.sparse._sparsetools import csr_matvecs
 
 from ..perf.sanitize import check_csr, check_finite
 from ..errors import KernelError
@@ -44,6 +52,36 @@ __all__ = ["gspmm_forward", "gsddmm_forward", "edge_softmax_forward",
 #: both ``(chunk, d)`` temporaries are still in cache for the product
 #: and the row sum.  Bits do not depend on it; 128-256 KiB measured best.
 DOT_CHUNK_BYTES = 1 << 18
+
+_SPARSETOOLS = "scipy.sparse._sparsetools"
+
+
+def _sparsetools():
+    """scipy's compiled ``_sparsetools`` extension, registered in
+    ``sys.modules`` under its canonical name, so a later ``import
+    scipy.sparse`` reuses this module object (and an earlier one is
+    reused here): ``csr_matvecs`` is one function either way."""
+    module = sys.modules.get(_SPARSETOOLS)
+    if module is not None:
+        return module
+    scipy = importlib.util.find_spec("scipy")
+    folders = scipy.submodule_search_locations if scipy else None
+    for folder in folders or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = Path(folder, "sparse", "_sparsetools" + suffix)
+            if path.is_file():
+                spec = importlib.util.spec_from_file_location(
+                    _SPARSETOOLS, path)
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+                sys.modules[_SPARSETOOLS] = module
+                return module
+    raise ImportError(
+        f"repro.kernels runs on {_SPARSETOOLS}.csr_matvecs and found no "
+        f"compiled {_SPARSETOOLS} extension; install scipy>=1.10")
+
+
+csr_matvecs = _sparsetools().csr_matvecs
 
 GSPMM_OPS = ("mul", "copy_rhs")
 GSDDMM_OPS = ("add", "mul", "dot")

@@ -42,9 +42,9 @@ from __future__ import annotations
 
 import numbers
 from collections import deque
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..errors import PartitionError, SanitizerError
 from ..graph.csr import packed_csr
@@ -53,35 +53,98 @@ from .base import PartitionResult, Partitioner
 
 __all__ = ["metis_partition", "MetisPartitioner", "metis_clusters"]
 
+_INT32_MAX = np.iinfo(np.int32).max
+
+
+class _CSR(NamedTuple):
+    """One level's weighted adjacency: the four fields of a CSR matrix.
+
+    Every level reads only these, so a scipy ``csr_matrix`` passes for
+    one.  The index arrays follow scipy's dtype rule (int32 while ``n``
+    and the entry count fit), the ``data`` weights are float64 sums of
+    unit edges."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple
+
+
+def _csr(data, indices, indptr, n):
+    """A square :class:`_CSR` with scipy's index dtype."""
+    index = np.int32 if max(n, len(indices)) <= _INT32_MAX else np.int64
+    return _CSR(data, indices.astype(index), indptr.astype(index), (n, n))
+
+
+def _runs(key):
+    """Distinct values of sorted ``key`` and their run lengths, as the
+    float64 weights of unit edges summed."""
+    fresh = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=fresh[1:])
+    starts = np.flatnonzero(fresh)
+    return key[starts], np.diff(starts, append=len(key)).astype(np.float64)
+
+
+def _with_transpose(n, rows, cols):
+    """``adj.maximum(adj.T)`` of a directed 0/1 adjacency, by a union
+    of packed ``(row << shift) | col`` keys: every pair stored in either
+    direction once, weighted by the larger of its two multiplicities.
+
+    Rows come out as scipy's compiled ``csr_maximum_csr`` writes them.
+    When every row's columns strictly increase it merges, so columns
+    ascend.  Otherwise it scatters each row through a linked list, so
+    the columns only the transpose adds come first, descending, then
+    the row's own columns in reverse order of first appearance.
+    """
+    shift = max(n - 1, 1).bit_length()
+    own = (rows << shift) | cols
+    order = np.argsort(own, kind="stable")
+    own_sorted = own[order]
+    mirrored = np.sort((cols << shift) | rows)
+    key = np.union1d(own_sorted, mirrored)
+    first = own_sorted.searchsorted(key)
+    held = own_sorted.searchsorted(key, "right") - first
+    data = np.maximum(held, mirrored.searchsorted(key, "right")
+                      - mirrored.searchsorted(key)).astype(np.float64)
+    row, col = key >> shift, key & ((1 << shift) - 1)
+    if (own[1:] > own[:-1]).all():
+        return row, col, data
+    stored = held > 0
+    rank = col.copy()
+    rank[stored] = order[first[stored]]  # a stored pair's first slot
+    scatter = np.lexsort((-rank, stored, row))
+    return row[scatter], col[scatter], data[scatter]
+
 
 def _weighted_adjacency(graph):
-    """The graph as a symmetric weighted scipy CSR matrix (weight 1 per
+    """The graph as a symmetric weighted :class:`_CSR` (weight 1 per
     edge, symmetrized so matching sees every neighbor), self-loops
     dropped by a mask; every other entry keeps its place in its row."""
     n = graph.num_vertices
-    data = np.ones(graph.num_edges, dtype=np.float64)
-    adj = sp.csr_matrix((data, graph.indices.astype(np.int32),
-                         graph.indptr.astype(np.int64)), shape=(n, n))
-    if not graph.is_symmetric:
-        adj = adj.maximum(adj.T)
-    rows = np.repeat(np.arange(n, dtype=adj.indices.dtype),
-                     np.diff(adj.indptr))
-    loop = adj.indices == rows
-    if not loop.any():
-        return adj
-    if (np.diff(rows[loop]) == 0).any():
-        # A row holding its self-loop twice (a symmetrized multigraph)
-        # has always had every duplicate entry summed first: the
-        # weights matching sees are that merge's.
-        adj.sum_duplicates()
-        rows = np.repeat(np.arange(n, dtype=adj.indices.dtype),
-                         np.diff(adj.indptr))
-        loop = adj.indices == rows
-    keep = ~loop
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows[keep], minlength=n), out=indptr[1:])
-    return sp.csr_matrix((adj.data[keep], adj.indices[keep], indptr),
-                         shape=(n, n))
+    indptr, cols = graph.indptr, graph.indices
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    if graph.is_symmetric:
+        data = np.ones(len(cols))
+    else:
+        rows, cols, data = _with_transpose(n, rows, cols)
+        indptr = None
+    loop = cols == rows
+    if loop.any():
+        if (np.diff(rows[loop]) == 0).any():
+            # A row holding its self-loop twice (a symmetrized
+            # multigraph) has always had every duplicate entry summed
+            # first: each row sorted, and a repeated pair's weight the
+            # length of its run.
+            shift = max(n - 1, 1).bit_length()
+            key, data = _runs(np.sort((rows << shift) | cols))
+            rows, cols = key >> shift, key & ((1 << shift) - 1)
+            loop = cols == rows
+        keep = ~loop
+        rows, cols, data = rows[keep], cols[keep], data[keep]
+        indptr = None
+    if indptr is None:  # the rows changed: count them again
+        indptr = rows.searchsorted(np.arange(n + 1))
+    return _csr(data, cols, indptr, n)
 
 
 def _heavy_edge_matching(adj, rng):
@@ -160,14 +223,10 @@ def _contract(adj, weights, cmap, num_coarse):
     # weight.
     key = np.repeat(key[cross], adj.data[cross].astype(np.int64))
     key.sort()
-    fresh = np.ones(len(key), dtype=bool)
-    np.not_equal(key[1:], key[:-1], out=fresh[1:])
-    starts = np.flatnonzero(fresh)
-    data = np.diff(starts, append=len(key)).astype(np.float64)
-    indptr, indices = packed_csr(key[starts], num_coarse, shift)
-    coarse = sp.csr_matrix((data, indices, indptr),
-                           shape=(num_coarse, num_coarse))
-    return coarse, _group_sums(weights, cmap, num_coarse)
+    key, data = _runs(key)
+    indptr, indices = packed_csr(key, num_coarse, shift)
+    return (_csr(data, indices, indptr, num_coarse),
+            _group_sums(weights, cmap, num_coarse))
 
 
 def _bfs_order(adj, rng):
@@ -236,19 +295,22 @@ class _Level:
     """One uncoarsening level: an assignment and the two aggregates that
     every move keeps in step with it.
 
-    ``conn[v, p]`` is the weight of ``v``'s edges into part ``p``
-    (``adj @ onehot(assignment)``) and ``loads[p, c]`` the weight of
-    constraint ``c`` held by part ``p``.  Edge weights are sums of unit
-    edges, so ``conn`` is integer-valued: patching it along the moved
-    vertex's row is exact and order-free, and the table always equals
-    one rebuilt from scratch.
+    ``conn[v, p]`` is the weight of ``v``'s edges into part ``p`` (one
+    ``bincount`` of ``row * k + part[col]`` weighted by the edges) and
+    ``loads[p, c]`` the weight of constraint ``c`` held by part ``p``.
+    Edge weights are sums of unit edges, so ``conn`` is integer-valued:
+    patching it along the moved vertex's row is exact and order-free,
+    and the table always equals one rebuilt from scratch.
     """
 
     def __init__(self, adj, weights, assignment, num_parts):
         self.adj, self.weights, self.assignment = adj, weights, assignment
-        onehot = np.zeros((adj.shape[0], num_parts))
-        onehot[np.arange(adj.shape[0]), assignment] = 1.0
-        self.conn = adj @ onehot
+        n = adj.shape[0]
+        key = np.repeat(np.arange(0, n * num_parts, num_parts),
+                        np.diff(adj.indptr))
+        key += assignment.take(adj.indices)
+        self.conn = np.bincount(key, weights=adj.data,
+                                minlength=n * num_parts).reshape(n, num_parts)
         self.loads = _group_sums(weights, assignment, num_parts)
 
     def pulled_away(self):

@@ -1,5 +1,8 @@
 """Unit tests for the atomic, checksummed checkpointer."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -155,6 +158,28 @@ class TestSidecarCommit:
         ckpt.sidecar_path.unlink()
         with pytest.raises(CheckpointIntegrityError):
             ckpt.load()
+        assert ckpt.load_latest()["epoch"] == 1
+
+    def test_load_latest_falls_back_when_the_rename_never_ran(
+            self, ckpt, monkeypatch):
+        """Die after the committed pair moved to ``.prev`` but before
+        the new payload was renamed in: no current payload at all."""
+        ckpt.save({"epoch": 1})
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if Path(dst) == ckpt.path:
+                raise OSError("killed before the payload rename")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="payload rename"):
+            ckpt.save({"epoch": 2})
+        monkeypatch.undo()
+        assert not ckpt.path.exists() and ckpt.previous_path.exists()
+        with pytest.raises(CheckpointError, match="no checkpoint"):
+            ckpt.load()
+        assert ckpt.exists()
         assert ckpt.load_latest()["epoch"] == 1
 
     def test_load_latest_prefers_current_when_valid(self, ckpt):

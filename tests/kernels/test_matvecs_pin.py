@@ -6,12 +6,17 @@
 and validating a matrix per product (7 profiled calls per product
 against 122).  A private name can move in any scipy release, so this
 file names the floor ``pyproject.toml`` declares, imports the function
-from where the kernels import it, and holds it byte for byte to the
+from where the kernels load it, and holds it byte for byte to the
 public product over generated CSR operands: both dtypes and their
-promotions, empty rows, unsorted and repeated columns, width 1.
+promotions, empty rows, unsorted and repeated columns, width 1.  The
+kernels load the extension file without running
+``scipy/sparse/__init__.py``; whichever of the two is imported first,
+both must end up holding one module object, so one function.
 """
 
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +63,42 @@ def test_the_floor_is_declared_and_installed():
 
 def test_the_kernels_run_the_pinned_function():
     assert registry.csr_matvecs is csr_matvecs()
+
+
+SAME_FUNCTION = """
+import sys
+{first}
+{second}
+from scipy.sparse._sparsetools import csr_matvecs
+from repro.kernels import registry
+assert registry.csr_matvecs is csr_matvecs
+assert sys.modules["scipy.sparse._sparsetools"].csr_matvecs is csr_matvecs
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("first, second", [
+    ("import scipy.sparse", "import repro"),
+    ("import repro", "import scipy.sparse"),
+], ids=["scipy-first", "repro-first"])
+def test_one_function_in_either_import_order(first, second):
+    """A fresh interpreter per order: this process imported both."""
+    done = subprocess.run(
+        [sys.executable, "-c", SAME_FUNCTION.format(first=first,
+                                                    second=second)],
+        capture_output=True, text=True,
+        env={"PYTHONPATH": str(PYPROJECT.parent / "src"), "PATH": ""})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
+
+
+def test_a_missing_extension_names_the_floor(monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.sparse._sparsetools")
+    monkeypatch.setattr(registry.importlib.util, "find_spec",
+                        lambda name: None)
+    with pytest.raises(ImportError, match=re.escape(
+            f"scipy>={scipy_floor()}")):
+        registry._sparsetools()
 
 
 @st.composite

@@ -52,8 +52,12 @@ def _weighted_adjacency(graph):
 
 
 def _contract(adj, weights, cmap, num_coarse):
-    """Contract matched pairs: sum adjacency weights and constraint rows."""
-    coo = adj.tocoo()
+    """Contract matched pairs: sum adjacency weights and constraint rows.
+
+    ``adj`` may be any four-field CSR level (the shipped one is not a
+    scipy matrix); it is read into one before the round trip."""
+    coo = sp.csr_matrix((adj.data, adj.indices, adj.indptr),
+                        shape=adj.shape).tocoo()
     coarse = sp.csr_matrix(
         (coo.data, (cmap[coo.row], cmap[coo.col])),
         shape=(num_coarse, num_coarse))

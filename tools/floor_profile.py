@@ -41,13 +41,17 @@ latencies is one call), which is why the report is timed instead.
 changing anything under ``serve/loop.py``, ``serve/batcher.py`` or
 ``fleet/``.
 
-``--memory`` prints, for the record's training and serving
-configurations (``train-sage``, ``train-gat``, ``serve-sampled``,
-``fleet-steady``, ``fleet-chaos``) at ``--scale``, the tracemalloc
-peak of one run above its start and the objects the cycle collector
-had to free, inside the run and in one collection after it
-(docs/architecture.md, "Memory of a training step";
-``tests/core/test_no_cycles.py`` holds the second column at zero)::
+``--memory`` first prints the import floor every ``peak_rss_mb``
+reading starts from: the ``ru_maxrss`` of a fresh interpreter after
+``import repro``, its module count, and whether ``scipy.sparse`` got
+loaded (it must not: ``tests/analysis/test_import_weight.py``).  Then,
+for the record's training and serving configurations (``train-sage``,
+``train-gat``, ``serve-sampled``, ``fleet-steady``, ``fleet-chaos``) at
+``--scale``, it prints the tracemalloc peak of one run above its start
+and the objects the cycle collector had to free, inside the run and in
+one collection after it (docs/architecture.md, "Memory of a training
+step"; ``tests/core/test_no_cycles.py`` holds the second column at
+zero)::
 
     PYTHONPATH=src python tools/floor_profile.py --memory [--scale 0.3]
 """
@@ -57,15 +61,19 @@ from __future__ import annotations
 import argparse
 import cProfile
 import gc
+import os
 import pstats
+import subprocess
 import sys
 import tempfile
 import time
 import tracemalloc
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
+import repro
 from repro.core import Trainer
 from repro.core.config import TrainingConfig, make_partitioner
 from repro.fleet import (FleetEngine, ReplicaRecovery, ResiliencePolicy,
@@ -226,7 +234,31 @@ def memory_of(prepare):
     return peak - start, freed[0] + gc.collect()
 
 
+IMPORT_FLOOR = """
+import resource, sys
+import repro
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+      len(sys.modules), "scipy.sparse" in sys.modules)
+"""
+
+
+def import_floor():
+    """``(MB, modules, scipy.sparse loaded)`` of a fresh interpreter
+    after ``import repro`` (Linux ``ru_maxrss`` is in KiB).  It inherits
+    this process's environment: a BLAS thread pool's buffers count."""
+    src = Path(repro.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", IMPORT_FLOOR],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    rss, modules, sparse = done.stdout.split()
+    return float(rss), int(modules), sparse == "True"
+
+
 def memory_main(scale, seed):
+    rss, modules, sparse = import_floor()
+    print(f"import floor: {rss:.1f} MB ru_maxrss after `import repro`, "
+          f"{modules} modules, scipy.sparse "
+          f"{'LOADED' if sparse else 'not loaded'}\n")
     print(f"memory of one run at scale {scale} (tracemalloc peak above "
           f"the run's start; objects the cycle collector freed in and "
           f"after it)")

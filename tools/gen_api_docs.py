@@ -12,7 +12,11 @@ from __future__ import annotations
 import importlib
 import inspect
 import pkgutil
+import sys
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 PACKAGES = ["repro", "repro.graph", "repro.partition", "repro.sampling",
             "repro.batching", "repro.nn", "repro.kernels",
