@@ -4,7 +4,7 @@
 
 help:
 	@echo "install     editable install (falls back past missing wheel pkg)"
-	@echo "test        run the unit/integration/property test suite"
+	@echo "test        run the tier-1 test suite (checks tests/required.txt)"
 	@echo "lint        the static analyzer (RPR per-file + ARC architectural rules)"
 	@echo "bench       run every table/figure benchmark (includes serving)"
 	@echo "bench-NAME  run one registered bench and rewrite BENCH_NAME.json"
@@ -17,8 +17,9 @@ help:
 install:
 	pip install -e . || python setup.py develop
 
+# The tier-1 command: also enforces tests/required.txt.
 test:
-	pytest tests/
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -x -q
 
 # The static analyzer: per-file determinism & numerics rules (RPR) over
 # every scanned file, architectural rules (ARC) over src/repro. Fails on

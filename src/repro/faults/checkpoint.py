@@ -206,8 +206,9 @@ class Checkpointer:
         try:
             header = json.loads(body[:newline].decode("ascii"))
         except (UnicodeDecodeError, json.JSONDecodeError):
-            raise CheckpointIntegrityError(
-                f"{path} has a corrupt header") from None
+            header = None
+        if not isinstance(header, dict):
+            raise CheckpointIntegrityError(f"{path} has a corrupt header")
         payload = body[newline + 1:]
         if len(payload) != header.get("payload_bytes"):
             raise CheckpointIntegrityError(

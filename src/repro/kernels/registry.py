@@ -57,10 +57,15 @@ _SPARSETOOLS = "scipy.sparse._sparsetools"
 
 
 def _sparsetools():
-    """scipy's compiled ``_sparsetools`` extension, registered in
-    ``sys.modules`` under its canonical name, so a later ``import
-    scipy.sparse`` reuses this module object (and an earlier one is
-    reused here): ``csr_matvecs`` is one function either way."""
+    """scipy's compiled ``_sparsetools`` extension under its canonical
+    name.  An earlier ``import scipy.sparse``'s module is reused.  A
+    fresh load is taken back out of ``sys.modules`` (a single-phase
+    extension registers itself while it is created): a child listed
+    there before its package would leave a later ``import scipy.sparse``
+    without the ``_sparsetools`` attribute.  That import loads the
+    extension again, and a second load of a single-phase extension
+    copies the first one's dict, so ``csr_matvecs`` is one function
+    either way."""
     module = sys.modules.get(_SPARSETOOLS)
     if module is not None:
         return module
@@ -74,7 +79,7 @@ def _sparsetools():
                     _SPARSETOOLS, path)
                 module = importlib.util.module_from_spec(spec)
                 spec.loader.exec_module(module)
-                sys.modules[_SPARSETOOLS] = module
+                sys.modules.pop(_SPARSETOOLS, None)
                 return module
     raise ImportError(
         f"repro.kernels runs on {_SPARSETOOLS}.csr_matvecs and found no "

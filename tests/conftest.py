@@ -7,11 +7,20 @@ that corrupts an array fails loudly here before it can skew a
 benchmark number.  Tests that specifically exercise the off behaviour
 (zero-cost guarantees) drop the flag locally with
 ``perf_overrides(sanitize=False)``.
+
+A run that selects nothing on the command line (the tier-1 command)
+also enforces ``tests/required.txt``: see ``tests/_required.py``.
 """
 
 import pytest
 
 from repro.perf import FLAGS
+
+from . import _required
+
+
+def pytest_configure(config):
+    _required.register(config)
 
 
 @pytest.fixture(scope="session", autouse=True)

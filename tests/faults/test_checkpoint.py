@@ -117,6 +117,20 @@ class TestIntegrity:
         with pytest.raises(CheckpointError):
             ckpt.load()
 
+    @pytest.mark.parametrize("header", [b"[]", b"3", b"null", b'"s"'])
+    def test_header_that_is_not_an_object(self, ckpt, header):
+        """Valid JSON but no object: typed, so ``load_latest`` falls
+        back to a good ``.prev``."""
+        ckpt.save({"epoch": 1})
+        ckpt.save({"epoch": 2})
+        magic, _, rest = ckpt.path.read_bytes().partition(b"\n")
+        _, _, payload = rest.partition(b"\n")
+        ckpt.path.write_bytes(magic + b"\n" + header + b"\n" + payload)
+        with pytest.raises(CheckpointIntegrityError,
+                           match=f"{ckpt.path.name} has a corrupt header"):
+            ckpt.load()
+        assert ckpt.load_latest()["epoch"] == 1
+
     def test_checkpoint_error_is_repro_error(self):
         assert issubclass(CheckpointError, ReproError)
         assert issubclass(CheckpointIntegrityError, CheckpointError)

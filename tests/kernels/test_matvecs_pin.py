@@ -11,7 +11,8 @@ public product over generated CSR operands: both dtypes and their
 promotions, empty rows, unsorted and repeated columns, width 1.  The
 kernels load the extension file without running
 ``scipy/sparse/__init__.py``; whichever of the two is imported first,
-both must end up holding one module object, so one function.
+both must end up holding one function, reachable as the package's
+``_sparsetools`` attribute.
 """
 
 import re
@@ -72,6 +73,7 @@ import sys
 from scipy.sparse._sparsetools import csr_matvecs
 from repro.kernels import registry
 assert registry.csr_matvecs is csr_matvecs
+assert scipy.sparse._sparsetools.csr_matvecs is csr_matvecs
 assert sys.modules["scipy.sparse._sparsetools"].csr_matvecs is csr_matvecs
 print("ok")
 """
