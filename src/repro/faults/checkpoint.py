@@ -209,6 +209,11 @@ class Checkpointer:
             header = None
         if not isinstance(header, dict):
             raise CheckpointIntegrityError(f"{path} has a corrupt header")
+        version = header.get("version")
+        if type(version) is not int or version != 1:
+            raise CheckpointIntegrityError(
+                f"{path} has header version {version!r}; this reader "
+                f"reads version 1")
         payload = body[newline + 1:]
         if len(payload) != header.get("payload_bytes"):
             raise CheckpointIntegrityError(

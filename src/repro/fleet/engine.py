@@ -41,8 +41,11 @@ still billed the embedding rows it fetches and the head's FLOPs.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import deque
 from heapq import heappop, heappush
 from numbers import Real
+from operator import itemgetter
 
 import numpy as np
 
@@ -74,6 +77,14 @@ __all__ = ["FleetEngine"]
 _FLEET_KINDS = ("crash", "straggler", "slowlink")
 
 _INF = float("inf")
+
+#: A request's fate in :attr:`_FleetRun.fate`: none yet (no entry),
+#: answered, or why its last copy was lost — dropped because no replica
+#: could take it or its crash re-routes ran out, or rejected by a full
+#: queue.
+PENDING, ANSWERED, UNROUTABLE, RETRY_BUDGET, QUEUE_FULL = range(5)
+
+_fire_time = itemgetter(0)   # of a hedge lane entry
 
 #: Resilience off: no detector, breakers or hedging, and a crash
 #: orphan is re-routed however often its replica dies.
@@ -331,8 +342,8 @@ class FleetEngine:
             / num_batches if num_batches else 0.0
         hit_rate, warm_rate, tiered = cache_hit_rates(
             e.cache for e in executors)
-        dropped = [rid for rid, why in run.lost.items()
-                   if why != "queue-full"]
+        lost = run.lost()
+        dropped = [rid for rid, why in lost if why != QUEUE_FULL]
 
         # A schedule alone (crash/straggler windows) adds no counters
         # of its own: the field stays None on a baseline run.
@@ -346,7 +357,7 @@ class FleetEngine:
             partitioner=self.shards.partition.method,
             num_replicas=self.num_replicas,
             num_requests=run.num_requests,
-            rejected=len(run.lost),
+            rejected=len(lost),
             spillovers=router.spillovers,
             failovers=router.failovers,
             requeued=run.requeued,
@@ -453,6 +464,12 @@ class _FleetRun:
     a method that assumes its policy exists; :meth:`handlers`
     subscribes it only when the engine configures that policy, so
     nothing tests for a feature while the loop runs.
+
+    What the run knows of each request sits in maps keyed by request
+    id to an int, not in a container per request: its ``fate`` and,
+    under hedging, the replica its first copy was ``routed`` to.  Only
+    the rare second copy — a crash re-route or the hedge — enters a
+    map of lists, :attr:`later_copies`.
     """
 
     def __init__(self, engine, requests):
@@ -477,27 +494,31 @@ class _FleetRun:
             if engine.autoscale is not None else None
 
         self.requeued = 0
-        # request_id -> why its last copy was lost ("queue-full",
-        # "unroutable", "retry-budget").  Counted per request, not per
-        # copy: a hedged request is rejected iff no copy was answered.
-        self.lost = {}
+        # request_id -> its fate code, absent while PENDING, in the
+        # order each request was first lost or answered.  Counted per
+        # request, not per copy: a hedged request is lost iff no copy
+        # was answered, and ANSWERED is written only under hedging,
+        # where first response wins (an unhedged run answers a request
+        # at most once, and the ledger holds it).
+        self.fate = {}
         self.attempts = {}       # request_id -> crash re-route count
         # Hedging state (untouched when hedging is off).
-        self.assigned = {}       # request_id -> replica ids with a copy
+        self.routed = {}         # request_id -> its first copy's replica
+        self.later_copies = {}   # request_id -> replicas of later copies
         self.hedge_target = {}   # request_id -> the hedge copy's replica
-        self.done = set()        # first-response-wins dedup
         self.latencies = []      # completed latencies, in answer order
         self._ranks = _LatencyRanks(self.latencies)   # ... read sorted
         self._delay = None       # the hedge delay at ...
         self._delay_observed = -1    # ... this many latencies
-        # The hedge lane: one ``(fire_time, lane_seq, request)`` per
-        # armed first copy, a heap; the loop holds a ``hedges`` event
-        # at each finite time in ``_armed_times`` (a heap of different
-        # times over an ``inf`` that never fires), the earliest of which
-        # is at or before the lane's head whenever the lane holds
-        # anything.
-        self._lane = []
-        self._lane_seq = 0
+        # The hedge lane: one ``(fire_time, request)`` per armed first
+        # copy, in fire-time order and arming order within a time.
+        # ``clock + delay`` rarely runs backwards, so the lane is a
+        # FIFO; a copy due before the tail goes to its place by
+        # bisection.  The loop holds a ``hedges`` event at each finite
+        # time in ``_armed_times`` (a heap of different times over an
+        # ``inf`` that never fires), the earliest of which is at or
+        # before the lane's head whenever the lane holds anything.
+        self._lane = deque()
         self._armed_times = [_INF]
         self.hedges_launched = 0
         self.hedges_won = 0
@@ -585,7 +606,7 @@ class _FleetRun:
             if count > self.retry_budget:
                 # Retry budget exhausted: bound the amplification,
                 # drop the request.
-                self._lose(orphan.request_id, "retry-budget")
+                self._lose(orphan.request_id, RETRY_BUDGET)
                 continue
             loop.schedule(due, ADMIT, "admit", orphan)
         self.requeued += len(orphans)
@@ -593,9 +614,24 @@ class _FleetRun:
 
     def _lose(self, request_id, why):
         """A copy of the request is gone; the request is lost with it
-        unless another copy has been or will be answered."""
-        if request_id not in self.done:
-            self.lost[request_id] = why
+        unless another copy has been or will be answered.  Its fate
+        says why its last copy was lost; a rewrite keeps its place in
+        ``fate``, where it was first lost."""
+        fate = self.fate
+        if fate.get(request_id) != ANSWERED:
+            fate[request_id] = why
+
+    def lost(self):
+        """``[(request_id, fate)]`` of every request no copy of which
+        was answered, in the order each was first lost."""
+        return [(rid, why) for rid, why in self.fate.items()
+                if why != ANSWERED]
+
+    def _copies(self, request_id):
+        """The replicas that were sent a copy of ``request_id``, first
+        copy first (a hedged run only)."""
+        return [self.routed[request_id],
+                *self.later_copies.get(request_id, ())]
 
     def on_recover(self, replica_id):
         self.replicas[replica_id].recover(self.loop.clock)
@@ -638,24 +674,22 @@ class _FleetRun:
         back wins, a later twin is wasted work, and the winner cancels
         any copy still queued elsewhere.  The winners go into the
         ledger, the whole row when every copy in it won."""
-        done, lost, hedge_target = self.done, self.lost, self.hedge_target
+        fate, hedge_target = self.fate, self.hedge_target
         latencies, completion, replica = \
             self.latencies, row.completion, row.replica
         wasted = []
         for position, request in enumerate(row.requests):
             rid = request.request_id
-            if rid in done:
+            if fate.get(rid) == ANSWERED:
                 wasted.append(position)
                 continue
-            done.add(rid)
-            if rid in lost:          # an earlier copy may have been lost
-                del lost[rid]
+            fate[rid] = ANSWERED     # an earlier copy may have been lost
             latencies.append(completion - request.arrival)
             if rid not in hedge_target:
                 continue
             if replica == hedge_target[rid]:
                 self.hedges_won += 1
-            for other in self.assigned[rid]:
+            for other in self._copies(rid):
                 if other != replica and self.replicas[other].cancel(rid):
                     self.hedges_cancelled += 1
         if wasted:
@@ -673,10 +707,10 @@ class _FleetRun:
             # Every replica is down: open-loop load cannot wait for
             # the cluster — the request is lost (dropped, and surfaced
             # as such in the report).
-            self._lose(request.request_id, "unroutable")
+            self._lose(request.request_id, UNROUTABLE)
             return None
         if not replica.submit(request):
-            self._lose(request.request_id, "queue-full")
+            self._lose(request.request_id, QUEUE_FULL)
             return None
         return replica
 
@@ -685,15 +719,17 @@ class _FleetRun:
         request's first copy on the hedge lane; a copy due before the
         lane's armed event arms an earlier one."""
         rid = request.request_id
-        if rid in self.done:
+        if self.fate.get(rid) == ANSWERED:
             return  # a hedge twin already answered it
         replica = self.on_admit(request)
         if replica is None:
             return
-        if rid in self.assigned:
-            self.assigned[rid].append(replica.replica_id)
+        routed = self.routed
+        if rid in routed:
+            self.later_copies.setdefault(rid, []).append(
+                replica.replica_id)
             return
-        self.assigned[rid] = [replica.replica_id]
+        routed[rid] = replica.replica_id
         # The delay is a function of ``latencies``, which only grows:
         # recomputed only once it has.
         observed = len(self.latencies)
@@ -703,8 +739,14 @@ class _FleetRun:
                                                    self._ranks)
         if self._delay is not None:
             due = self.loop.clock + self._delay
-            self._lane_seq += 1
-            heappush(self._lane, (due, self._lane_seq, request))
+            lane = self._lane
+            if lane and due < lane[-1][0]:
+                # The delay fell by more than the clock moved: after
+                # every copy due at or before this one.
+                lane.insert(bisect_right(lane, due, key=_fire_time),
+                            (due, request))
+            else:
+                lane.append((due, request))
             if due < self._armed_times[0]:
                 self._arm(due)
 
@@ -730,10 +772,10 @@ class _FleetRun:
         armed = self._armed_times
         heappop(armed)           # this event's own time: ``clock``
         while lane and lane[0][0] <= clock:
-            self.on_hedge(heappop(lane)[2])
-        done = self.done
-        while lane and lane[0][2].request_id in done:
-            heappop(lane)
+            self.on_hedge(lane.popleft()[1])
+        fate = self.fate
+        while lane and fate.get(lane[0][1].request_id) == ANSWERED:
+            lane.popleft()
         if lane and lane[0][0] < armed[0]:
             self._arm(lane[0][0])
 
@@ -744,17 +786,16 @@ class _FleetRun:
         due by :meth:`on_hedges`; an answered request costs nothing
         here and schedules nothing."""
         rid = request.request_id
-        if rid in self.done:
+        if self.fate.get(rid) == ANSWERED:
             return
         routed = self.router.route_hedge(
-            request, set(self.assigned.get(rid, [])),
-            now=self.loop.clock)
+            request, set(self._copies(rid)), now=self.loop.clock)
         if routed is None:
             return
         replica, _ = routed
         if not replica.submit(request):
             return
-        self.assigned[rid].append(replica.replica_id)
+        self.later_copies.setdefault(rid, []).append(replica.replica_id)
         self.hedge_target[rid] = replica.replica_id
         self.hedges_launched += 1
 
@@ -795,8 +836,8 @@ class _FleetRun:
             "breaker_half_opens":
                 sum(b.half_opens for b in breakers) if breakers else 0,
             "backup_routed": self.router.backup_routed,
-            "retry_budget_drops": sum(
-                why == "retry-budget" for why in self.lost.values()),
+            "retry_budget_drops":
+                list(self.fate.values()).count(RETRY_BUDGET),
             "snapshots": recovery.snapshots if recovery else 0,
             "recoveries": recovery.recoveries if recovery else 0,
             "cold_recoveries":

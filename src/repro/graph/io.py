@@ -144,13 +144,52 @@ def _check_arrays(data, path, names, what):
                          f"{', '.join(map(repr, missing))}")
 
 
+def _read_archive(path, names, what, error):
+    """Every array of the ``.npz`` archive at ``path``, read in full,
+    by name.
+
+    A file that opens but does not read back as an archive — a lone
+    ``.npy`` array, truncated, or a bit flipped that the zip directory,
+    a member's CRC-32 or its deflate stream catches — raises ``error``
+    naming the file and the member that failed, with what the reader
+    raised as its cause; a readable
+    archive lacking an array of ``names`` is a :class:`GraphError`
+    (:func:`_check_arrays`).  A file that cannot be opened raises the
+    operating system's error.  The readers share no exception base:
+    fuzzed files raised ``BadZipFile``, ``zlib.error``, ``EOFError``,
+    ``OSError``, ``ValueError``, ``NotImplementedError`` (a flipped
+    compression method), ``RuntimeError`` (a flipped encryption flag)
+    and ``tokenize.TokenError`` (a garbled ``.npy`` header), hence the
+    ``except Exception`` around the reads alone."""
+    with open(path, "rb") as handle:
+        try:
+            data = np.load(handle)
+        except Exception as exc:
+            raise error(f"{path} is not a readable {what} archive: "
+                        f"{exc}") from exc
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise error(f"{path} is not a {what} archive: it holds one "
+                        f"array")
+        with data:
+            _check_arrays(data, path, names, what)
+            arrays = {}
+            for name in data.files:
+                try:
+                    arrays[name] = data[name]
+                except Exception as exc:
+                    raise error(f"{path}: member {name!r} of the {what} "
+                                f"archive does not read back: {exc}") \
+                        from exc
+    return arrays
+
+
 def load_graph(path):
-    """Read a :class:`CSRGraph` previously written by :func:`save_graph`."""
-    with np.load(path) as data:
-        _check_arrays(data, path, _GRAPH_ARRAYS, "graph")
-        return CSRGraph(data["indptr"], data["indices"],
-                        num_vertices=int(data["num_vertices"]),
-                        is_symmetric=bool(data["is_symmetric"]))
+    """Read a :class:`CSRGraph` previously written by :func:`save_graph`;
+    a damaged file is a :class:`GraphError` (:func:`_read_archive`)."""
+    data = _read_archive(path, _GRAPH_ARRAYS, "graph", GraphError)
+    return CSRGraph(data["indptr"], data["indices"],
+                    num_vertices=int(data["num_vertices"]),
+                    is_symmetric=bool(data["is_symmetric"]))
 
 
 def save_dataset(dataset, path):
@@ -174,25 +213,23 @@ def load_dataset_file(path):
     """Read a :class:`Dataset` previously written by :func:`save_dataset`.
 
     A built-in dataset gets its registered spec back, one built by
-    :func:`dataset_from_arrays` the spec that function gave it."""
-    with np.load(path) as data:
-        _check_arrays(data, path, _DATASET_ARRAYS, "dataset")
-        name = str(data["name"])
-        graph = CSRGraph(data["indptr"], data["indices"],
-                         num_vertices=int(data["num_vertices"]),
-                         is_symmetric=bool(data["is_symmetric"]))
-        features = data["features"]
-        if "kind" in data and str(data["kind"]) == USER_PROVIDED:
-            spec = _user_spec(name, graph, features.shape[1],
-                              data["num_classes"])
-        elif name in DATASET_SPECS:
-            spec = DATASET_SPECS[name]
-        else:
-            raise GraphError(f"{path} references unknown dataset {name!r}")
-        split = Split(data["train_mask"], data["val_mask"],
-                      data["test_mask"])
-        communities = data["communities"]
-        return Dataset(
-            spec=spec, graph=graph, features=features,
-            labels=data["labels"], split=split,
-            communities=communities if len(communities) else None)
+    :func:`dataset_from_arrays` the spec that function gave it.  A
+    damaged file is a :class:`DatasetError` (:func:`_read_archive`)."""
+    data = _read_archive(path, _DATASET_ARRAYS, "dataset", DatasetError)
+    name = str(data["name"])
+    graph = CSRGraph(data["indptr"], data["indices"],
+                     num_vertices=int(data["num_vertices"]),
+                     is_symmetric=bool(data["is_symmetric"]))
+    features = data["features"]
+    if "kind" in data and str(data["kind"]) == USER_PROVIDED:
+        spec = _user_spec(name, graph, features.shape[1],
+                          data["num_classes"])
+    elif name in DATASET_SPECS:
+        spec = DATASET_SPECS[name]
+    else:
+        raise GraphError(f"{path} references unknown dataset {name!r}")
+    split = Split(data["train_mask"], data["val_mask"], data["test_mask"])
+    communities = data["communities"]
+    return Dataset(
+        spec=spec, graph=graph, features=features, labels=data["labels"],
+        split=split, communities=communities if len(communities) else None)

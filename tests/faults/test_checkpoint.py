@@ -1,5 +1,6 @@
 """Unit tests for the atomic, checksummed checkpointer."""
 
+import json
 import os
 from pathlib import Path
 
@@ -128,6 +129,28 @@ class TestIntegrity:
         ckpt.path.write_bytes(magic + b"\n" + header + b"\n" + payload)
         with pytest.raises(CheckpointIntegrityError,
                            match=f"{ckpt.path.name} has a corrupt header"):
+            ckpt.load()
+        assert ckpt.load_latest()["epoch"] == 1
+
+    @pytest.mark.parametrize("version", [2, 0, "1", 1.0, True, None])
+    def test_header_of_another_version(self, ckpt, version):
+        """Only the version this reader wrote loads (``None``: no
+        version at all); typed, so ``load_latest`` falls back to a good
+        ``.prev``."""
+        ckpt.save({"epoch": 1})
+        ckpt.save({"epoch": 2})
+        magic, _, rest = ckpt.path.read_bytes().partition(b"\n")
+        header, _, payload = rest.partition(b"\n")
+        fields = json.loads(header)
+        if version is None:
+            del fields["version"]
+        else:
+            fields["version"] = version
+        ckpt.path.write_bytes(magic + b"\n" + json.dumps(fields).encode()
+                              + b"\n" + payload)
+        with pytest.raises(CheckpointIntegrityError,
+                           match=f"{ckpt.path.name} has header version "
+                                 f"{version!r}"):
             ckpt.load()
         assert ckpt.load_latest()["epoch"] == 1
 

@@ -23,7 +23,11 @@ field, every ``resilience`` counter.
 here.  The one addition to the old ``route`` is the ``owner_routed`` /
 ``spill_routed`` count on the picked replica: the router counts its
 picks since ``ReplicaServer.submit`` stopped taking ``is_owner``, and
-the replica reports compared carry those counters.
+the replica reports compared carry those counters.  The per-request
+state the handlers keep is the run's since it became int maps: a
+request's ``fate`` (``ANSWERED`` where a ``done`` set and a ``lost``
+dict were), and the replica its first copy was ``routed`` to plus its
+``later_copies`` where one list per request was.
 
 :func:`chaos_oracle` swaps all of it into the shipped classes.
 """
@@ -37,7 +41,7 @@ import pytest
 from repro.errors import FleetError
 from repro.errors import CheckpointError
 from repro.faults.checkpoint import Checkpointer
-from repro.fleet.engine import FleetEngine, _FleetRun
+from repro.fleet.engine import ANSWERED, FleetEngine, _FleetRun
 from repro.fleet.resilience import ReplicaRecovery
 from repro.fleet.router import Router
 from repro.fleet.shards import ShardMap
@@ -174,11 +178,10 @@ def on_response(self, response):
     """The first copy back wins, a later twin is wasted work, and
     the winner cancels any copy still queued elsewhere."""
     rid = response.request.request_id
-    if rid in self.done:
+    if self.fate.get(rid) == ANSWERED:
         self.hedges_wasted += 1
         return
-    self.done.add(rid)
-    self.lost.pop(rid, None)     # an earlier copy may have been lost
+    self.fate[rid] = ANSWERED    # an earlier copy may have been lost
     insort(self.latencies, response.latency)
     self.loop.responses.append(response)
     target = self.hedge_target.get(rid)
@@ -186,7 +189,7 @@ def on_response(self, response):
         return
     if response.replica == target:
         self.hedges_won += 1
-    for other in self.assigned[rid]:
+    for other in [self.routed[rid], *self.later_copies.get(rid, ())]:
         if other != response.replica \
                 and self.replicas[other].cancel(rid):
             self.hedges_cancelled += 1
@@ -195,14 +198,16 @@ def on_response(self, response):
 def on_admit_hedged(self, request):
     """:meth:`on_admit`, remembering who holds a copy and arming the
     hedge timer on a request's first copy."""
-    if request.request_id in self.done:
+    rid = request.request_id
+    if self.fate.get(rid) == ANSWERED:
         return  # a hedge twin already answered it
     replica = self.on_admit(request)
     if replica is None:
         return
-    copies = self.assigned.setdefault(request.request_id, [])
-    copies.append(replica.replica_id)
-    if len(copies) == 1:
+    if rid in self.routed:
+        self.later_copies.setdefault(rid, []).append(replica.replica_id)
+    else:
+        self.routed[rid] = replica.replica_id
         delay = FleetEngine._hedge_delay(self.hedge_policy,
                                          self.latencies)
         if delay is not None:

@@ -9,7 +9,9 @@ calls one ``FleetEngine.run`` makes per request (``sys.setprofile``
 and do not depend on the trace length.  ``tools/floor_profile.py
 --fleet`` owns the fixtures and the counter (this test is also its
 smoke); docs/architecture.md, "The per-request floor of the fleet", has
-the before / after map.
+the map of today's calls.  A fleet-chaos run's loop is also held to
+the GC-tracked objects it leaves alive: a container kept per request
+costs a collection every ~700 requests.
 """
 
 import importlib.util
@@ -51,8 +53,13 @@ STEADY_BUDGET = 22.9
 #: the hedge delay's quantile reads two heaps over the answer-order
 #: latencies instead of a list kept sorted with ``insort`` (+1.9: a
 #: ``heappush`` beside each ``append`` and a few per read, in place of
-#: one ``insort`` whose memmove the count cannot see).  The budget
-#: keeps ``STEADY_BUDGET``'s headroom.
+#: one ``insort`` whose memmove the count cannot see).  It is 29.7
+#: now that a request's fate is an int in a dict, not an entry in a
+#: ``done`` set or a ``lost`` dict, and the lane is a FIFO: each fate
+#: read is a counted ``dict.get`` where ``rid in done`` was an
+#: uncounted operator (+2.2), though the run got ~7 % faster
+#: (CHANGES.md: "A hedged run keeps no container per request").  The
+#: budget kept ``STEADY_BUDGET``'s headroom at 27.5.
 CHAOS_BUDGET = 40.2
 
 
@@ -80,6 +87,25 @@ def test_fleet_chaos_stays_under_the_call_budget(floor_profile, tmp_path):
     assert calls <= CHAOS_BUDGET, (
         f"{calls:.1f} interpreter calls per request, budget "
         f"{CHAOS_BUDGET}: run tools/floor_profile.py --fleet for the map")
+
+
+#: GC-tracked objects per request a ``fleet-chaos`` run's event loop may
+#: leave alive (``floor_profile.loop_allocations``): 1.12 while a hedged
+#: run kept a list of replica ids per request (a gen-0 collection every
+#: ~630 requests, 7–9 in a record run), 0.19 once it kept an int per
+#: request in a dict instead (no collection in a record run).
+CHAOS_OBJECTS_PER_REQUEST = 0.25
+
+
+def test_fleet_chaos_keeps_no_container_per_request(floor_profile,
+                                                    tmp_path):
+    objects = floor_profile.loop_allocations(
+        *floor_profile.build_fleet(scale=0.3, chaos_dir=tmp_path))
+    print(f"objects per request left alive, fleet-chaos: {objects:.3f}")
+    assert objects < CHAOS_OBJECTS_PER_REQUEST, (
+        f"a fleet-chaos run's loop leaves {objects:.3f} GC-tracked "
+        f"objects per request alive, budget {CHAOS_OBJECTS_PER_REQUEST}:"
+        f" something is kept per request")
 
 
 def test_layer_table_keeps_a_layer_it_cannot_find(floor_profile):

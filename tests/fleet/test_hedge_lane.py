@@ -3,7 +3,8 @@
 A hedged fleet run used to schedule one ``hedge`` timer event per
 request, and nearly all of them fired after their request had been
 answered.  ``_FleetRun`` now keeps the timers on a lane of its own (a
-heap of ``(fire_time, lane_seq, request)``) and holds one ``hedges``
+FIFO of ``(fire_time, request)``, in which a copy due before the tail
+goes to its place by bisection) and holds one ``hedges``
 event on the loop's heap at the lane's earliest fire time; when it
 fires, every timer due goes to ``on_hedge``, the answered heads are
 dropped unvisited, and the next event is armed at the new head.
@@ -33,10 +34,17 @@ no re-arm after an event fires
     ``test_matches_per_request_timers``,
     ``test_answered_heads_are_never_visited`` and
     ``test_an_answer_at_the_fire_instant_lands_first``.
-a FIFO in place of the lane heap
-    ``test_matches_per_request_timers`` and
-    ``test_a_smaller_delay_arms_ahead_of_the_armed_event``.
+an ``append`` in place of the bisection for a copy due before the tail
+    ``test_matches_per_request_timers``,
+    ``test_a_smaller_delay_arms_ahead_of_the_armed_event``,
+    ``test_shrinking_delay_fires_as_per_request_timers`` and
+    ``test_out_of_order_copies_fire_as_per_request_timers``.
+``bisect_left`` in place of ``bisect_right``
+    ``test_shrinking_delay_fires_as_per_request_timers`` (a copy due
+    with an earlier one fires ahead of it).
 """
+
+from collections import deque
 
 import numpy as np
 import pytest
@@ -44,7 +52,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fleet import FleetEngine, ResiliencePolicy
-from repro.fleet.engine import _FleetRun
+from repro.fleet.engine import ANSWERED, _FleetRun
 from repro.graph import load_dataset
 from repro.nn import build_model
 from repro.serve import InferenceRequest
@@ -74,6 +82,17 @@ class HoldsACopy:
     replica_id = 0
 
 
+class InsertCounting(deque):
+    """A hedge lane counting the copies that went to their place by
+    bisection (due before the lane's tail)."""
+
+    inserts = 0
+
+    def insert(self, index, value):
+        self.inserts += 1
+        super().insert(index, value)
+
+
 class ArmingLoop(EventLoop):
     """An event loop recording each ``hedges`` event armed as ``(time,
     head fire time, head answered)``: the event's time and, as it is
@@ -84,10 +103,11 @@ class ArmingLoop(EventLoop):
 
     def schedule(self, time, phase, kind, payload=None):
         if kind == "hedges":
-            fire_time, _, request = self.run_state._lane[0]
+            run = self.run_state
+            fire_time, request = run._lane[0]
             self.armed.append(
                 (time, fire_time,
-                 request.request_id in self.run_state.done))
+                 run.fate.get(request.request_id) == ANSWERED))
         super().schedule(time, phase, kind, payload)
 
 
@@ -116,13 +136,17 @@ def hedged_requests(engine, script, lane):
     its answer lands (``None``: never)."""
     trace = requests_of(script)
     run = _FleetRun(engine, trace)
+    run._lane = InsertCounting()
     loop = run.loop = ArmingLoop([IdleNode()], trace)
     loop.run_state, loop.armed = run, []
     handed = []
 
     def on_hedge(request):
-        if request.request_id not in run.done:
+        if run.fate.get(request.request_id) != ANSWERED:
             handed.append((loop.clock, request.request_id))
+
+    def answer(request_id):
+        run.fate[request_id] = ANSWERED
 
     def admit(request):
         _, delay, answered_at = script[request.request_id]
@@ -137,7 +161,7 @@ def hedged_requests(engine, script, lane):
 
     run.on_admit = lambda request: HoldsACopy()
     run.on_hedge = on_hedge
-    loop.run({"admit": [admit], "answer": [run.done.add],
+    loop.run({"admit": [admit], "answer": [answer],
               "hedges": [run.on_hedges], "hedge": [on_hedge]})
     return handed, run
 
@@ -163,7 +187,7 @@ def check_lane_rules(run):
     for time, head_time, head_answered in armed:
         assert time == head_time, "an event armed off the lane's head"
         assert not head_answered, "an event armed at an answered head"
-    assert run._lane == [] and run._armed_times == [INF]
+    assert not run._lane and run._armed_times == [INF]
 
 
 def armed_times(run):
@@ -234,3 +258,46 @@ def test_no_delay_yet_arms_nothing(engine):
     handed, run = lane_and_timers(engine, [(0, None, None),
                                            (1, None, 2.0)])
     assert handed == [] and run.loop.armed == []
+
+
+def test_shrinking_delay_fires_as_per_request_timers(engine):
+    """The delay shrinks faster than the clock moves: requests 2 and 3
+    are due at 5, before the lane's tail at 10, and go to their place
+    by bisection, 3 after 2 (the timer armed first fires first)."""
+    handed, run = lane_and_timers(engine, [(0, 10.0, None),
+                                           (1, 9.0, None),
+                                           (2, 3.0, None),
+                                           (3, 2.0, None),
+                                           (4, 8.0, None)])
+    assert handed == [(5.0, 2), (5.0, 3), (10.0, 0), (10.0, 1),
+                      (12.0, 4)]
+    assert run._lane.inserts == 2
+    assert armed_times(run) == [10.0, 5.0, 12.0]
+
+
+@st.composite
+def shrinking_scripts(draw):
+    """Delays that only shrink, every request with one, and at least
+    two admissions at one instant, so that at least one copy is due
+    before the lane's tail."""
+    size = draw(st.integers(2, 12))
+    arrivals = sorted(draw(st.lists(st.integers(0, 6), min_size=size,
+                                    max_size=size)))
+    tie = draw(st.integers(0, size - 2))
+    arrivals[tie + 1] = arrivals[tie]
+    delays = sorted(draw(st.lists(st.integers(1, 24), min_size=size,
+                                  max_size=size, unique=True)),
+                    reverse=True)
+    script = []
+    for arrival, delay in zip(arrivals, delays):
+        answer = draw(st.one_of(st.none(), st.integers(0, 30)))
+        script.append((arrival, float(delay),
+                       None if answer is None else arrival + answer / 2))
+    return script
+
+
+@settings(max_examples=100, deadline=None)
+@given(script=shrinking_scripts())
+def test_out_of_order_copies_fire_as_per_request_timers(engine, script):
+    _, run = lane_and_timers(engine, script)
+    assert run._lane.inserts > 0

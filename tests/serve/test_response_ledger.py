@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from repro import load_dataset
 from repro.core.config import make_partitioner
 from repro.fleet import FleetEngine, ResiliencePolicy, RoutingPolicy
-from repro.fleet.engine import _FleetRun
+from repro.fleet.engine import ANSWERED, _FleetRun
 from repro.nn import build_model
 from repro.serve import (BatchPolicy, InferenceRequest, InferenceResponse,
                          LayerwiseEmbeddings, LoadGenerator, ServeEngine)
@@ -94,23 +94,22 @@ def _parent_collect(self, dispatched):
 
 
 def _parent_on_response(self, responses):
-    done, lost, hedge_target = self.done, self.lost, self.hedge_target
+    fate, hedge_target = self.fate, self.hedge_target
     latencies, answered = self.latencies, self.loop.responses
     for response in responses:
         rid = response.request.request_id
-        if rid in done:
+        if fate.get(rid) == ANSWERED:
             self.hedges_wasted += 1
             continue
-        done.add(rid)
-        if rid in lost:
-            del lost[rid]
+        fate[rid] = ANSWERED     # an earlier copy may have been lost
         latencies.append(response.completion - response.request.arrival)
         answered.append(response)
         if rid not in hedge_target:
             continue
         if response.replica == hedge_target[rid]:
             self.hedges_won += 1
-        for other in self.assigned[rid]:
+        for other in [self.routed[rid],
+                      *self.later_copies.get(rid, ())]:
             if other != response.replica \
                     and self.replicas[other].cancel(rid):
                 self.hedges_cancelled += 1

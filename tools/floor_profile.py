@@ -31,13 +31,15 @@ two fleet runs puts on the loop's heap per request, by kind (trace
 arrivals never enter it), the share of a
 ``fleet-steady`` run's process CPU time spent assembling its report,
 the garbage collector's passes per generation and milliseconds inside
-each of 15 consecutive ``fleet-steady`` runs (a ``gc.callbacks``
-probe; no collection between runs, as in the record's harness),
-and the cumulative table of ``run`` / ``on_admit`` / ``route`` /
+each of 15 consecutive ``fleet-steady`` runs and as many ``fleet-chaos``
+runs (a ``gc.callbacks`` probe; no collection between runs, as in the
+record's harness), the GC-tracked objects per request a ``fleet-chaos``
+run's event loop leaves alive, and the cumulative table of ``run`` / ``on_admit`` / ``route`` /
 ``submit`` / ``dispatch`` / ``execute`` / ``lookup``.  The call count
 cannot see a per-element C loop (``sorted()`` over the run's 60 000
 latencies is one call), which is why the report is timed instead.
-``tests/fleet/test_call_floor.py`` gates both counts; run after
+``tests/fleet/test_call_floor.py`` gates the call counts and the
+objects left alive; run after
 changing anything under ``serve/loop.py``, ``serve/batcher.py`` or
 ``fleet/``.
 
@@ -79,6 +81,7 @@ from repro.core.config import TrainingConfig, make_partitioner
 from repro.fleet import (FleetEngine, ReplicaRecovery, ResiliencePolicy,
                          RoutingPolicy)
 from repro.fleet.chaos import crash_storm
+from repro.fleet.engine import _FleetRun
 from repro.graph import load_dataset
 from repro.nn import build_model, no_grad
 from repro.perf import perf_overrides
@@ -415,6 +418,42 @@ def gc_passes(engine, trace, runs=15):
     return [tuple(row) for row in rows]
 
 
+def print_gc_passes(name, engine, trace):
+    """The :func:`gc_passes` table of ``name``'s runs, one line a run."""
+    rows = gc_passes(engine, trace)
+    print(f"\nGC inside {len(rows)} consecutive {name} runs "
+          f"(passes of gen 0 / 1 / 2, CPU ms):")
+    for run, (young, middle, old, seconds) in enumerate(rows, 1):
+        print(f"  run {run:>2}: {young:>3} / {middle:>2} / {old} "
+              f"{1e3 * seconds:>7.1f} ms")
+    print(f"runs with a gen-2 pass: "
+          f"{sum(1 for row in rows if row[2])} of {len(rows)}")
+
+
+def loop_allocations(engine, trace):
+    """GC-tracked objects per request that one run's event loop leaves
+    alive, run state included: the change in ``gc.get_count()[0]``
+    across the loop of a fresh ``_FleetRun``, collection disabled and
+    sanitizers off.  A container kept per request adds 1 per request;
+    a collection is due every 700.  One whole run goes first, as in
+    the record's repeats: the first run in a process also stocks the
+    interpreter's free lists (a tuple taken from one is not counted)."""
+    with perf_overrides(sanitize=False):
+        engine.run(trace)
+    run = _FleetRun(engine, trace)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        with no_grad(), perf_overrides(sanitize=False):
+            run.loop.run(run.handlers())
+        return (gc.get_count()[0] - before) / len(trace)
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def profile_run(engine, trace):
     """``pstats.Stats`` of one cProfile'd ``engine.run(trace)``."""
     profiler = cProfile.Profile()
@@ -488,19 +527,15 @@ def fleet_main(scale, seed):
               f"{calls_per_request(chaos, chaos_trace):.1f}")
         print_scheduled("fleet-steady", engine, trace)
         print_scheduled("fleet-chaos", chaos, chaos_trace)
+        print(f"objects per request the loop leaves alive, fleet-chaos: "
+              f"{loop_allocations(chaos, chaos_trace):.3f}")
+        print_gc_passes("fleet-chaos", chaos, chaos_trace)
     print(f"calls per request, serve-sampled: "
           f"{calls_per_request(*build_engine(scale, seed)):.1f}")
     seconds, total = report_share(engine, trace)
     print(f"report, fleet-steady: {1e3 * seconds:.1f} ms of "
           f"{1e3 * total:.1f} ms CPU ({100 * seconds / total:.1f} %)")
-    rows = gc_passes(engine, trace)
-    print(f"\nGC inside {len(rows)} consecutive fleet-steady runs "
-          f"(passes of gen 0 / 1 / 2, CPU ms):")
-    for run, (young, middle, old, seconds) in enumerate(rows, 1):
-        print(f"  run {run:>2}: {young:>3} / {middle:>2} / {old} "
-              f"{1e3 * seconds:>7.1f} ms")
-    print(f"runs with a gen-2 pass: "
-          f"{sum(1 for row in rows if row[2])} of {len(rows)}")
+    print_gc_passes("fleet-steady", engine, trace)
 
     stats = profile_run(engine, trace)
     print(f"\ncProfile of FleetEngine.run: {len(trace)} requests "
