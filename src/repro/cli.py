@@ -256,9 +256,13 @@ def _cmd_train(args):
         from .faults import Checkpointer
         checkpointer = Checkpointer(args.checkpoint,
                                     every=args.checkpoint_every)
-    result = Trainer(dataset, config).run(
-        checkpointer=checkpointer, resume=args.resume,
-        faults=args.faults)
+    try:
+        result = Trainer(dataset, config).run(
+            checkpointer=checkpointer, resume=args.resume,
+            faults=args.faults)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"dataset            : {dataset.name} "
           f"(|V|={dataset.num_vertices}, |E|={dataset.num_edges})")
     print(f"best val accuracy  : {result.best_val_accuracy:.3f}")

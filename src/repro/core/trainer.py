@@ -16,7 +16,7 @@ training pipeline of Figure 1.
 
 Robustness (``repro.faults``): ``run`` optionally takes a
 :class:`~repro.faults.checkpoint.Checkpointer` (epoch-boundary
-checkpoints: model + optimizer + rng state + curve, atomic and
+checkpoints: model + optimizer + rng state + curve, crash-safe and
 checksummed) and a fault plan/injector replayed by the engine.  A run
 killed by an injected ``halt`` (or a real crash) and restarted with
 ``resume=True`` continues from the last checkpoint and reproduces the
@@ -330,8 +330,8 @@ class Trainer:
         start_epoch = 0
 
         if resume and checkpointer is not None and checkpointer.exists():
-            # load_latest falls back to the previous valid checkpoint
-            # when the newest save was interrupted mid-commit.
+            # load_latest returns the newest slot that verifies: the
+            # previous save when the newest was torn mid-write.
             state = checkpointer.load_latest()
             if state.get("fingerprint") != self._fingerprint():
                 raise CheckpointError(

@@ -88,12 +88,13 @@ class CheckpointError(ReproError):
 
 
 class CheckpointIntegrityError(CheckpointError):
-    """Raised when a checkpoint file exists but cannot be trusted: its
-    checksum sidecar is missing or disagrees with the payload, the
-    payload is truncated, or the header is corrupt.  Distinct from a
-    merely *missing* checkpoint so recovery code can decide to fall
-    back to the previous valid checkpoint
-    (:meth:`repro.faults.Checkpointer.load_latest`)."""
+    """Raised when a checkpoint slot exists but cannot be trusted: bad
+    magic, a corrupt header or one of another version, a truncated
+    payload, or a SHA-256 that disagrees with it (a save torn by a
+    crash, or bit rot).  Distinct from a merely *missing* checkpoint:
+    :meth:`repro.faults.Checkpointer.load_latest` falls back to the
+    other slot's previous save, and raises this only when neither slot
+    verifies."""
 
 
 class SanitizerError(ReproError):

@@ -19,8 +19,9 @@ Layout
     :class:`RetryPolicy` — bounded attempts, exponential backoff,
     deterministic jitter, per-attempt timeout.
 :mod:`repro.faults.checkpoint`
-    :class:`Checkpointer` — atomic temp-write-then-rename checkpoint
-    files with SHA-256 integrity checks.
+    :class:`Checkpointer` — crash-safe checkpoints in two alternating
+    slot files, each save one in-place write and one fsync, each slot
+    a SHA-256-verified record.
 :mod:`repro.faults.bench`
     The fault-recovery benchmark behind ``repro bench faults``.
 """

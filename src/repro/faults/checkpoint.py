@@ -1,37 +1,36 @@
-"""Atomic, checksummed training checkpoints.
+"""Crash-safe, checksummed training checkpoints in two alternating slots.
 
 A checkpoint captures everything :class:`~repro.core.trainer.Trainer`
 needs to continue a run as if it had never stopped: model parameters,
 optimizer state, the training rng's bit-generator state, the curve and
 per-epoch stats so far, and the early-stopping bookkeeping.  Restoring
 it reproduces the uninterrupted run's loss/accuracy curve bit-identically
-(pinned in ``tests/faults/test_checkpoint.py``), because mini-batch
+(pinned in ``tests/faults/test_recovery.py``), because mini-batch
 formation consumes the restored rng exactly where the original left off
 at the epoch boundary.
 
-The file format is crash-safe and self-verifying, with a two-phase
-commit ordered so that a crash at *any* point leaves a recoverable
-state:
+A checkpoint is two slot files, ``path`` and ``<name>.alt``, each
+holding one self-verifying record: a magic string, a JSON header
+(``version``, an int ``generation`` counting saves, the payload length
+and a SHA-256 over the generation and the payload) and a stdlib pickle
+of the state.  A save overwrites, in place, the slot that does *not*
+hold the newest state that verifies (``pwrite``, ``ftruncate``, one
+``fsync``), and returns only once those bytes are on disk.  A crash at
+any point of a save leaves that slot torn, half old and half new: it
+then fails its magic, header, length or SHA-256 check, or (a prefix
+equal to the old record's own first bytes) still verifies as its
+older generation.  The other slot is untouched and holds the previous
+committed save, so :meth:`Checkpointer.load_latest` — the one reader —
+returns the newest slot that verifies: the new state once its save
+returned, else the previous one.  A corrupt slot is a typed
+:class:`~repro.errors.CheckpointIntegrityError`, never a load of
+garbage.
 
-1. the payload file (magic string + JSON header carrying the payload's
-   SHA-256 + stdlib pickle of numpy state) is written to a temp file in
-   the same directory, flushed and fsynced;
-2. the previous checkpoint and its sidecar — if any — are rotated to
-   ``<name>.prev`` / ``<name>.prev.sha256`` so recovery always has a
-   known-good fallback;
-3. the new payload is atomically renamed over the target;
-4. the checksum sidecar ``<name>.sha256`` is written **last** (temp +
-   fsync + rename).  The sidecar is the commit record: a checkpoint
-   without a matching sidecar was interrupted mid-write and must not be
-   trusted.
-
-:meth:`Checkpointer.load` verifies magic, header, payload length,
-header checksum, and finally the sidecar; any failure raises a typed
-error (:class:`~repro.errors.CheckpointIntegrityError` for files that
-exist but cannot be trusted).  :meth:`Checkpointer.load_latest` is the
-recovery entry point: it falls back to the previous valid checkpoint
-when the newest one fails verification or is missing (a crash between
-steps 2 and 3 leaves only the rotated ``.prev`` pair).
+A :class:`Checkpointer` verifies both slots before its first save (or
+its first save after :meth:`~Checkpointer.delete`) and after that
+trusts its own fsynced writes, so a save never overwrites the only
+slot that verifies; :meth:`~Checkpointer.load_latest` re-learns the
+newest slot from the files.
 
 Checkpoints are pickle files: load them only from paths you wrote
 (the usual pickle trust model; these are private training artifacts,
@@ -44,7 +43,6 @@ import hashlib
 import json
 import os
 import pickle
-import tempfile
 from pathlib import Path
 
 from ..errors import CheckpointError, CheckpointIntegrityError
@@ -54,17 +52,66 @@ __all__ = ["Checkpointer"]
 _MAGIC = b"REPRO-CKPT-v1\n"
 
 
+def _digest(generation, payload):
+    """The record's SHA-256: it covers the generation, so a header torn
+    between two saves never passes for a newer one."""
+    digest = hashlib.sha256(b"%d\n" % generation)
+    digest.update(payload)
+    return digest.hexdigest()
+
+
+def _read_record(slot):
+    """``(generation, payload, error)`` of one slot file.  ``error`` is
+    None when the record verifies, else the typed error it fails with;
+    ``generation`` is -1 when no header parsed and -2 when there is no
+    file, so the newest slot ranks first."""
+    try:
+        raw = slot.read_bytes()
+    except (FileNotFoundError, IsADirectoryError):
+        return -2, None, CheckpointError(f"no checkpoint at {slot}")
+    if not raw.startswith(_MAGIC):
+        return -1, None, CheckpointIntegrityError(
+            f"{slot} is not a repro checkpoint (bad magic)")
+    body = raw[len(_MAGIC):]
+    newline = body.find(b"\n")
+    if newline < 0:
+        return -1, None, CheckpointIntegrityError(
+            f"{slot} is truncated (no header)")
+    try:
+        header = json.loads(body[:newline].decode("ascii"))
+    except ValueError:
+        header = None
+    if not isinstance(header, dict) \
+            or type(header.get("generation")) is not int:
+        return -1, None, CheckpointIntegrityError(
+            f"{slot} has a corrupt header")
+    version = header.get("version")
+    if type(version) is not int or version != 1:
+        return -1, None, CheckpointIntegrityError(
+            f"{slot} has header version {version!r}; this reader "
+            f"reads version 1")
+    generation, payload = header["generation"], body[newline + 1:]
+    if len(payload) != header.get("payload_bytes"):
+        return generation, None, CheckpointIntegrityError(
+            f"{slot} is truncated: expected "
+            f"{header.get('payload_bytes')} payload bytes, "
+            f"found {len(payload)}")
+    if _digest(generation, payload) != header.get("sha256"):
+        return generation, None, CheckpointIntegrityError(
+            f"{slot} failed its integrity check (sha256 mismatch)")
+    return generation, payload, None
+
+
 class Checkpointer:
-    """Writes/reads one checkpoint file with atomic replace semantics.
+    """Writes/reads one checkpoint as two alternating slot files.
 
     Parameters
     ----------
     path:
         Checkpoint file location.  The parent directory is created on
-        first save.  Three companion files live next to it: the
-        ``.sha256`` checksum sidecar (written last, acts as the commit
-        record) and the ``.prev``/``.prev.sha256`` pair holding the
-        previous checkpoint for fallback recovery.
+        first save.  Its sibling ``<name>.alt`` is the second slot; the
+        first save writes ``path``, and each later one the slot not
+        holding the newest state that verifies.
     every:
         Save cadence in epochs: the trainer saves after epoch ``e`` when
         ``(e + 1) % every == 0`` (and always after the final epoch).
@@ -76,178 +123,84 @@ class Checkpointer:
             raise CheckpointError(f"every must be >= 1, got {every}")
         self.every = int(every)
         self.saves = 0
-
-    @property
-    def sidecar_path(self):
-        """The checksum sidecar committed last on every save."""
-        return self.path.with_name(self.path.name + ".sha256")
-
-    @property
-    def previous_path(self):
-        """Where the prior checkpoint is rotated to on save."""
-        return self.path.with_name(self.path.name + ".prev")
-
-    @property
-    def previous_sidecar_path(self):
-        return self.path.with_name(self.path.name + ".prev.sha256")
+        self.slots = (self.path, self.path.with_name(self.path.name + ".alt"))
+        # (generation, slot index) of the newest state that verifies;
+        # None until the slots are read.
+        self._committed = None
 
     def exists(self):
-        """Whether a checkpoint file is present: the current one, or
-        the ``.prev`` fallback a save rotated out before it died."""
-        return self.path.is_file() or self.previous_path.is_file()
+        """Whether either slot file is present."""
+        return any(slot.is_file() for slot in self.slots)
 
     def due(self, epoch):
         """Whether the trainer should save after completing ``epoch``."""
         return (epoch + 1) % self.every == 0
 
     def save(self, state):
-        """Atomically persist ``state`` (a picklable dict).
-
-        Write order is payload first, checksum sidecar last: the
-        sidecar only ever describes a fully-fsynced payload, so a crash
-        between the two steps is detectable (missing/mismatched
-        sidecar) rather than silent.
+        """Commit ``state`` (a picklable dict) to the slot that does not
+        hold the newest state that verifies; returns once it is fsynced.
         """
+        if self._committed is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._newest()
+        generation, index = self._committed
+        generation, index = generation + 1, 1 - index
         payload = pickle.dumps(state, protocol=4)
-        digest = hashlib.sha256(payload).hexdigest()
         header = json.dumps({
             "version": 1,
-            "sha256": digest,
+            "generation": generation,
+            "sha256": _digest(generation, payload),
             "payload_bytes": len(payload),
-        }).encode("ascii") + b"\n"
-
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._write_atomic(self.path, _MAGIC + header + payload,
-                           rotate=True)
-        self._write_atomic(self.sidecar_path,
-                           digest.encode("ascii") + b"\n")
+        }).encode("ascii")
+        record = memoryview(b"".join((_MAGIC, header, b"\n", payload)))
+        fd = os.open(self.slots[index], os.O_WRONLY | os.O_CREAT, 0o600)
+        try:
+            written = 0
+            while written < len(record):
+                written += os.pwrite(fd, record[written:], written)
+            os.ftruncate(fd, written)
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+        self._committed = (generation, index)
         self.saves += 1
 
-    def _write_atomic(self, target, blob, rotate=False):
-        """Temp + fsync + rename ``blob`` into ``target``; with
-        ``rotate``, first preserve the current checkpoint pair as the
-        ``.prev`` fallback."""
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.path.parent, prefix=target.name + ".tmp-")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
-                handle.flush()
-                os.fsync(handle.fileno())
-            if rotate:
-                self._rotate_previous()
-            os.replace(tmp_name, target)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        return target
-
-    def _rotate_previous(self):
-        """Move the current checkpoint + sidecar to the ``.prev`` slot.
-
-        Only a *committed* pair (payload and sidecar both present) is
-        worth keeping as a fallback; an uncommitted payload is dropped
-        so ``.prev`` never regresses to a corrupt generation.
-        """
-        if not (self.path.is_file() and self.sidecar_path.is_file()):
-            return
-        os.replace(self.sidecar_path, self.previous_sidecar_path)
-        os.replace(self.path, self.previous_path)
-
-    def load(self):
-        """Read, verify, and unpickle the checkpoint.
-
-        Raises :class:`CheckpointError` when the file is missing and
-        :class:`CheckpointIntegrityError` when it exists but is
-        truncated, not a checkpoint, fails its checksum, or its
-        checksum sidecar is missing/mismatched (an interrupted save).
-        """
-        return self._load_verified(self.path, self.sidecar_path)
-
     def load_latest(self):
-        """Load the newest checkpoint that passes verification.
+        """Load the newest slot that verifies.
 
-        The recovery entry point: tries the current checkpoint first
-        and, if it fails integrity checks (e.g. the process died between
-        writing the payload and committing the sidecar) or is missing
-        (the process died after rotating the committed pair to
-        ``.prev`` but before renaming the new payload in), falls back
-        to the ``.prev`` pair.  Raises the original error when no
-        fallback exists or the fallback is also bad.
+        The one reader, and the recovery entry point: a slot torn by a
+        crash mid-save, truncated or bit-rotted fails verification, and
+        the other slot's previous save is returned.  Raises
+        :class:`CheckpointError` when neither slot exists and the
+        newest slot's :class:`CheckpointIntegrityError` when one exists
+        but neither verifies.
         """
-        try:
-            return self._load_verified(self.path, self.sidecar_path)
-        except CheckpointError as exc:
-            torn = isinstance(exc, CheckpointIntegrityError) \
-                or not self.path.is_file()
-            if not (torn and self.previous_path.is_file()):
-                raise
-            try:
-                return self._load_verified(self.previous_path,
-                                           self.previous_sidecar_path)
-            except CheckpointError:
-                raise exc from None
-
-    def _load_verified(self, path, sidecar):
-        if not path.is_file():
-            raise CheckpointError(f"no checkpoint at {path}")
-        raw = path.read_bytes()
-        if not raw.startswith(_MAGIC):
-            raise CheckpointIntegrityError(
-                f"{path} is not a repro checkpoint (bad magic)")
-        body = raw[len(_MAGIC):]
-        newline = body.find(b"\n")
-        if newline < 0:
-            raise CheckpointIntegrityError(
-                f"{path} is truncated (no header)")
-        try:
-            header = json.loads(body[:newline].decode("ascii"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            header = None
-        if not isinstance(header, dict):
-            raise CheckpointIntegrityError(f"{path} has a corrupt header")
-        version = header.get("version")
-        if type(version) is not int or version != 1:
-            raise CheckpointIntegrityError(
-                f"{path} has header version {version!r}; this reader "
-                f"reads version 1")
-        payload = body[newline + 1:]
-        if len(payload) != header.get("payload_bytes"):
-            raise CheckpointIntegrityError(
-                f"{path} is truncated: expected "
-                f"{header.get('payload_bytes')} payload bytes, "
-                f"found {len(payload)}")
-        digest = hashlib.sha256(payload).hexdigest()
-        if digest != header.get("sha256"):
-            raise CheckpointIntegrityError(
-                f"{path} failed its integrity check "
-                f"(sha256 mismatch)")
-        if not sidecar.is_file():
-            raise CheckpointIntegrityError(
-                f"{path} has no checksum sidecar ({sidecar.name}): "
-                f"the save was interrupted before the checksum was "
-                f"committed")
-        committed = sidecar.read_bytes().decode("ascii",
-                                                "replace").strip()
-        if committed != digest:
-            raise CheckpointIntegrityError(
-                f"{path} disagrees with its checksum sidecar "
-                f"({sidecar.name}): the sidecar was partially "
-                f"written or belongs to another generation")
+        payload, error = self._newest()
+        if error is not None:
+            raise error
         try:
             return pickle.loads(payload)
         except Exception as exc:
             raise CheckpointError(
-                f"{path} could not be unpickled: {exc}") from exc
+                f"{self.slots[self._committed[1]]} could not be "
+                f"unpickled: {exc}") from exc
+
+    def _newest(self):
+        """Read both slots and remember the newest that verifies (none:
+        the next save writes ``path``); returns its payload, or None and
+        the newest slot's error."""
+        records = [_read_record(slot) for slot in self.slots]
+        index = max((0, 1), key=lambda i: (records[i][2] is None,
+                                           records[i][0]))
+        generation, payload, error = records[index]
+        self._committed = (0, 1) if error else (generation, index)
+        return payload, error
 
     def delete(self):
-        """Remove the checkpoint, sidecar, and fallback files."""
-        for target in (self.path, self.sidecar_path,
-                       self.previous_path, self.previous_sidecar_path):
+        """Remove both slot files."""
+        for slot in self.slots:
             try:
-                target.unlink()
+                slot.unlink()
             except FileNotFoundError:
                 pass
+        self._committed = None

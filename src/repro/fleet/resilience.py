@@ -44,8 +44,8 @@ configured** (the engine's baseline path stays bit-identical):
     residency on a fixed cadence, one commit per round, a crash
     cold-starts the cache, and the recovering node restores its state
     from the last committed round
-    (:meth:`~repro.faults.Checkpointer.load_latest` falls back to the
-    previous round if the newest save was torn).
+    (:meth:`~repro.faults.Checkpointer.load_latest` returns the
+    other slot's previous round if the newest save was torn).
 
 The faults these mechanisms answer come from a
 :class:`~repro.faults.plan.FaultPlan` — the timeline training reads
@@ -318,9 +318,9 @@ class ReplicaRecovery:
     Parameters
     ----------
     root:
-        Directory for the round checkpoint (``rounds.ckpt`` and the
-        :class:`~repro.faults.Checkpointer`'s sidecar and ``.prev``
-        pair).
+        Directory for the round checkpoint: the
+        :class:`~repro.faults.Checkpointer`'s two slot files,
+        ``rounds.ckpt`` and ``rounds.ckpt.alt``.
     snapshot_interval:
         Simulated seconds between fleet-wide cache snapshots.
 

@@ -465,14 +465,18 @@ def check_trace(requests, num_vertices):
     ids = np.fromiter(map(attrgetter("request_id"), requests),
                       dtype=np.int64, count=len(requests))
     # A generated trace numbers its requests in order: one comparison.
-    if not (ids[1:] > ids[:-1]).all():
-        first = np.zeros(len(ids), dtype=bool)
-        first[np.unique(ids, return_index=True)[1]] = True
-        if not first.all():
-            request = requests[int(first.argmin())]
-            raise ServingError(
-                f"request id {request.request_id} appears more than "
-                f"once in the trace; every request needs its own id")
+    # int64 truncates a fractional id, so when the truncated ids
+    # collide, the ids as given decide.
+    if not (ids[1:] > ids[:-1]).all() \
+            and len(np.unique(ids)) < len(ids):
+        seen = set()
+        for request in requests:
+            if request.request_id in seen:
+                raise ServingError(
+                    f"request id {request.request_id} appears more "
+                    f"than once in the trace; every request needs its "
+                    f"own id")
+            seen.add(request.request_id)
 
 
 def cache_hit_rates(caches):

@@ -51,6 +51,20 @@ class TestArgumentValidation:
         assert code == 2
         assert "--checkpoint" in capsys.readouterr().err
 
+    def test_resume_from_a_corrupt_checkpoint_is_an_error_line(
+            self, tmp_path, capsys):
+        """A typed error, printed as one line; it used to end in a
+        ``CheckpointIntegrityError`` traceback."""
+        corrupt = tmp_path / "run.ckpt"
+        corrupt.write_bytes(b"not a checkpoint")
+        code = main(["train", "ogb-arxiv", "--scale", "0.1", "--epochs",
+                     "1", "--checkpoint", str(corrupt), "--resume"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"\nerror: {corrupt} is not a repro checkpoint (bad " \
+               f"magic)\n" in "\n" + err
+        assert "Traceback" not in err
+
 
 class TestTrainFaultFlags:
     def test_defaults(self):

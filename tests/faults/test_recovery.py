@@ -52,7 +52,7 @@ class TestCheckpointResume:
                                                 faults=plan)
         # The crash happened at the start of epoch 2, so the last
         # checkpoint covers epochs [0, 2).
-        assert ckpt.load()["epoch"] == 2
+        assert ckpt.load_latest()["epoch"] == 2
 
         resumed = Trainer(dataset, make_config()).run(
             checkpointer=ckpt, resume=True, faults=plan)
@@ -66,7 +66,7 @@ class TestCheckpointResume:
                 checkpointer=ckpt, faults=FaultPlan.parse("halt@3"))
         # every=2 saves after epochs 1 and 3; the halt at epoch 3 means
         # the resume replays epochs 2 and 3 from the epoch-1 save.
-        assert ckpt.load()["epoch"] == 2
+        assert ckpt.load_latest()["epoch"] == 2
 
         resumed = Trainer(dataset, make_config()).run(
             checkpointer=ckpt, resume=True,

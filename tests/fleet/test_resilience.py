@@ -456,7 +456,7 @@ class TestReplicaRecovery:
         assert commits == [tmp_path / "rounds.ckpt"]
         assert recovery.snapshots == 2
         assert sorted(path.name for path in tmp_path.iterdir()) \
-            == ["rounds.ckpt", "rounds.ckpt.sha256"]
+            == ["rounds.ckpt"]
         for replica_id, cache in enumerate(caches):
             cache.evict_all()
             assert recovery.restore(_stub_replica(replica_id, cache))
@@ -484,9 +484,12 @@ class TestReplicaRecovery:
         _assert_same_state(up.snapshot(), newest)
 
     @pytest.mark.parametrize("tear", ["truncated-payload",
-                                      "missing-sidecar"])
+                                      "torn-header", "flipped-byte"])
     def test_torn_newest_round_falls_back_for_every_replica(
             self, tmp_path, tear):
+        """The second round went to the second slot; torn there, every
+        replica restores the first round, and the next round is written
+        over the torn slot, not over the one that still verifies."""
         recovery = ReplicaRecovery(tmp_path)
         caches = [_warmed_cache(lookups=1), _warmed_cache(lookups=2)]
         replicas = [_stub_replica(i, c) for i, c in enumerate(caches)]
@@ -495,17 +498,25 @@ class TestReplicaRecovery:
         for cache in caches:
             cache.lookup(np.arange(8, 24))
         recovery.save(*replicas, clock=0.002)
-        newest = tmp_path / "rounds.ckpt"
+        assert sorted(path.name for path in tmp_path.iterdir()) \
+            == ["rounds.ckpt", "rounds.ckpt.alt"]
+        newest = tmp_path / "rounds.ckpt.alt"
+        raw = newest.read_bytes()
         if tear == "truncated-payload":
-            newest.write_bytes(newest.read_bytes()[:-7])
+            newest.write_bytes(raw[:-7])
+        elif tear == "torn-header":
+            newest.write_bytes(raw[:raw.index(b"}\n") // 2])
         else:
-            (tmp_path / "rounds.ckpt.sha256").unlink()
+            newest.write_bytes(raw[:-1] + bytes([raw[-1] ^ 0x10]))
         for replica, reference in zip(replicas, previous):
             replica.executor.cache.evict_all()
             assert recovery.restore(replica)
             _assert_same_state(replica.executor.cache.snapshot(),
                                reference)
         assert recovery.cold_recoveries == 0
+        first_round = (tmp_path / "rounds.ckpt").read_bytes()
+        recovery.save(*replicas, clock=0.003)
+        assert (tmp_path / "rounds.ckpt").read_bytes() == first_round
 
     def test_replica_without_cache_is_neither_collected_nor_counted(
             self, tmp_path, monkeypatch):

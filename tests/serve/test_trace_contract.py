@@ -112,6 +112,30 @@ def test_distinct_ids_in_any_order_are_served(data, model, kind):
     assert make_engine(kind, data, model).run(trace).completed == 4
 
 
+@pytest.mark.parametrize("kind", ENGINES)
+@pytest.mark.parametrize("ids", [[0, 1.5, 1.0], [0.2, 0.7], [2.5, 2, 2.25]],
+                         ids=["half-then-whole", "both-below-one",
+                              "shared-integer-part"])
+def test_fractional_ids_that_truncate_alike_are_served(data, model, kind,
+                                                       ids):
+    """Distinct ids whose integer parts collide: ``check_trace`` reads
+    ids as int64 first, which truncates them, and rejected these as
+    repeated."""
+    trace = [InferenceRequest(rid, i, 1e-4 * i)
+             for i, rid in enumerate(ids)]
+    report = make_engine(kind, data, model).run(trace)
+    assert report.completed == len(ids)
+
+
+@pytest.mark.parametrize("kind", ENGINES)
+def test_a_fractional_id_repeated_is_a_serving_error(data, model, kind):
+    trace = [InferenceRequest(rid, i, 1e-4 * i)
+             for i, rid in enumerate([0, 1.5, 1.0, 1.5])]
+    with pytest.raises(ServingError,
+                       match="^request id 1.5 appears more than once"):
+        make_engine(kind, data, model).run(trace)
+
+
 def test_a_hedged_fleet_does_not_lose_repeated_ids_silently(data,
                                                             model):
     """Every odd request of a 200-request trace under id 7: a hedged
