@@ -16,10 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import PartitionError
+from ..perf.choice import choice_sets
 from ..perf.profiler import wall_clock
+from ..perf.unique import sorted_unique
 
 __all__ = ["PartitionResult", "Partitioner", "check_num_parts",
-           "halo_vertices"]
+           "gather_rows", "halo_vertices"]
 
 
 def check_num_parts(num_vertices, num_parts):
@@ -29,6 +31,33 @@ def check_num_parts(num_vertices, num_parts):
     if num_parts > num_vertices:
         raise PartitionError(
             f"cannot split {num_vertices} vertices into {num_parts} parts")
+
+
+def gather_rows(indptr, indices, rows, cap=None, rng=None):
+    """``indices`` of the CSR rows ``rows``, concatenated in row order.
+
+    ``cap`` keeps at most ``cap`` entries of each row.  A longer row
+    keeps its first ``cap`` without ``rng``; with one, it keeps the
+    entries ``rng.choice(row, cap, replace=False)`` picks, in CSR order.
+    The capped rows are drawn in one call
+    (:func:`~repro.perf.choice_sets`), which leaves ``rng`` as one
+    ``choice`` per capped row in turn would.
+    """
+    starts = indptr[rows]
+    degrees = indptr[rows + 1] - starts
+    counts = degrees if cap is None else np.minimum(degrees, cap)
+    ends = counts.cumsum()
+    # Output element i, at offset o of row g, reads
+    # indices[starts[g] + o].
+    offsets = (np.repeat(starts - ends + counts, counts)
+               + np.arange(ends[-1] if len(ends) else 0))
+    if rng is not None and cap is not None:
+        capped = np.flatnonzero(degrees > cap)
+        if len(capped):
+            offsets[(ends[capped] - cap)[:, None] + np.arange(cap)] = (
+                choice_sets(rng, degrees[capped], cap)
+                + starts[capped, None])
+    return indices[offsets]
 
 
 def halo_vertices(graph, assignment, part, hops=1):
@@ -43,19 +72,8 @@ def halo_vertices(graph, assignment, part, hops=1):
     for _ in range(hops):
         if len(frontier) == 0:
             break
-        counts = in_indptr[frontier + 1] - in_indptr[frontier]
-        total = int(counts.sum())
-        if total == 0:
-            break
-        # Gather the concatenated in-neighbor lists of the frontier:
-        # element j of the output, falling in frontier group g at
-        # within-group offset o, reads in_indices[starts[g] + o].
-        starts = in_indptr[frontier]
-        group_base = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        offsets = (np.repeat(starts - group_base, counts)
-                   + np.arange(total, dtype=np.int64))
-        neighbors = in_indices[offsets]
-        new = np.unique(neighbors[~reached[neighbors]])
+        neighbors = gather_rows(in_indptr, in_indices, frontier)
+        new = sorted_unique(neighbors[~reached[neighbors]])
         reached[new] = True
         frontier = new
     return np.flatnonzero(reached & ~owned)

@@ -17,10 +17,16 @@ with a connectivity term multiplied by a balance term.
   the partition with the most edges into it while balancing
   train/val/test counts.
 
-Both are deliberately sequential scan-and-score algorithms — the paper's
-§5.3.3 finding that streaming partitioning dominates end-to-end time
-(99.4% / 84.9% of it) is a direct consequence of this per-vertex set
-intersection work, which our implementation shares.
+Both are sequential scan-and-score algorithms: each decision reads the
+holdings every earlier one left, so the stream order stays one vertex
+(or block) at a time — the per-vertex work behind the paper's §5.3.3
+finding that streaming partitioning dominates end-to-end time (99.4% /
+84.9% of it).  Within one decision the work is batched: an L-hop
+neighborhood gathers a whole hop's CSR rows at once, and draws all of
+that hop's capped neighbors in one generator call
+(:func:`~repro.perf.choice_sets`, the same samples and generator state
+as one ``choice`` per vertex); a block's connectivity is one gather and
+one ``bincount``.
 """
 
 from __future__ import annotations
@@ -28,7 +34,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import PartitionError
-from .base import PartitionResult, Partitioner
+from ..perf.unique import sorted_unique
+from .base import PartitionResult, Partitioner, gather_rows
 
 __all__ = ["StreamVPartitioner", "StreamBPartitioner", "l_hop_neighborhood",
            "build_bfs_blocks"]
@@ -40,8 +47,12 @@ def l_hop_neighborhood(graph, vertex, hops, hop_cap=None, rng=None):
     ``hop_cap`` limits the neighbors taken per vertex per hop — PaGraph
     caches the part of the L-hop neighborhood that sample-based training
     will actually touch, and an uncapped L-hop closure of a dense graph
-    is simply the whole graph.  ``hop_cap=None`` takes everything.
+    is simply the whole graph.  ``hop_cap=None`` takes everything; a
+    capped vertex keeps its first ``hop_cap`` neighbors without ``rng``,
+    and with one the ``rng.choice(neighbors, hop_cap, replace=False)``
+    sample, all of a hop's capped vertices drawn in one call.
     """
+    hop_cap = _check_hop_cap(hop_cap)
     frontier = np.array([vertex], dtype=np.int64)
     seen = np.zeros(graph.num_vertices, dtype=bool)
     seen[vertex] = True
@@ -49,17 +60,8 @@ def l_hop_neighborhood(graph, vertex, hops, hop_cap=None, rng=None):
     for _hop in range(hops):
         if len(frontier) == 0:
             break
-        chunks = []
-        for v in frontier:
-            neighbors = graph.out_neighbors(v)
-            if hop_cap is not None and len(neighbors) > hop_cap:
-                if rng is None:
-                    neighbors = neighbors[:hop_cap]
-                else:
-                    neighbors = rng.choice(neighbors, size=hop_cap,
-                                           replace=False)
-            chunks.append(neighbors)
-        candidates = np.unique(np.concatenate(chunks))
+        candidates = sorted_unique(gather_rows(
+            graph.indptr, graph.indices, frontier, hop_cap, rng))
         fresh = candidates[~seen[candidates]]
         seen[fresh] = True
         result.append(fresh)
@@ -67,6 +69,17 @@ def l_hop_neighborhood(graph, vertex, hops, hop_cap=None, rng=None):
     if not result:
         return np.empty(0, dtype=np.int64)
     return np.concatenate(result)
+
+
+def _check_hop_cap(hop_cap):
+    """``hop_cap`` as an int, or ``None``; anything else is an error."""
+    if hop_cap is None:
+        return None
+    if (isinstance(hop_cap, bool)
+            or not isinstance(hop_cap, (int, np.integer)) or hop_cap < 1):
+        raise PartitionError(
+            f"hop_cap must be None or an int >= 1, got {hop_cap!r}")
+    return int(hop_cap)
 
 
 class StreamVPartitioner(Partitioner):
@@ -88,7 +101,7 @@ class StreamVPartitioner(Partitioner):
         if hops < 1:
             raise PartitionError(f"hops must be >= 1, got {hops}")
         self.hops = hops
-        self.hop_cap = hop_cap
+        self.hop_cap = _check_hop_cap(hop_cap)
 
     def _partition(self, graph, num_parts, split, rng):
         if split is None:
@@ -207,12 +220,9 @@ class StreamBPartitioner(Partitioner):
         for bi in order:
             block = blocks[bi]
             # Edges from the block into each partition's current holdings.
-            conn = np.zeros(num_parts)
-            for v in block:
-                parts = assignment[graph.out_neighbors(v)]
-                held = parts >= 0
-                if held.any():
-                    np.add.at(conn, parts[held], 1.0)
+            parts = assignment[gather_rows(graph.indptr, graph.indices,
+                                           block)]
+            conn = np.bincount(parts[parts >= 0], minlength=num_parts)
             block_w = type_weights[block].sum(axis=0)
             load_ratio = (loads / capacity).max(axis=1)
             # Hard capacity: a partition at its per-type quota scores 0,

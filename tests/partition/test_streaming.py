@@ -43,6 +43,21 @@ class TestLHopNeighborhood:
         g = from_edges([0], [1], 3, symmetrize_edges=True)
         assert len(l_hop_neighborhood(g, 2, 2)) == 0
 
+    @pytest.mark.parametrize("rng", [None, np.random.default_rng(0)],
+                             ids=["no-rng", "rng"])
+    @pytest.mark.parametrize("hop_cap", [0, -1, 2.5, True, "16"])
+    def test_bad_hop_cap(self, hop_cap, rng):
+        g = path_graph(5)
+        with pytest.raises(PartitionError, match="hop_cap"):
+            l_hop_neighborhood(g, 2, 1, hop_cap=hop_cap, rng=rng)
+
+    def test_numpy_int_hop_cap(self):
+        g = from_edges([0] * 20, list(range(1, 21)), 21,
+                       symmetrize_edges=True)
+        capped = l_hop_neighborhood(g, 0, 1, hop_cap=np.int64(5),
+                                    rng=np.random.default_rng(0))
+        assert len(capped) == 5
+
 
 class TestStreamV:
     def test_requires_split(self, dataset):
@@ -52,6 +67,11 @@ class TestStreamV:
     def test_bad_hops(self):
         with pytest.raises(PartitionError):
             StreamVPartitioner(hops=0)
+
+    @pytest.mark.parametrize("hop_cap", [0, -3, 2.5, False, "16"])
+    def test_bad_hop_cap(self, hop_cap):
+        with pytest.raises(PartitionError, match="hop_cap"):
+            StreamVPartitioner(hop_cap=hop_cap)
 
     def test_replicas_present(self, dataset):
         res = StreamVPartitioner().partition(
